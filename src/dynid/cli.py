@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import (QD_THRESHOLD_DEFAULT, SampleSet, SchemaError, _fmt,
-                     differentiate, lowpass, merge_sample_sets, read_payload,
-                     read_robot_model, read_samples, simulate, write_samples)
+                     _format_rows, differentiate, lowpass, merge_sample_sets,
+                     read_payload, read_robot_model, read_samples, simulate,
+                     write_samples)
 from .estimation import (EstimationError, KnownPayload, estimate_gains,
                          fit_friction, friction_residual_currents,
                          identify_coefficients)
@@ -287,14 +288,10 @@ def cmd_solve(a) -> None:
     cols = ["t"]
     for name in ("tau", "inertia", "coriolis", "friction", "gravity"):
         cols += [f"{name}{j+1}" for j in range(n)]
-    lines = [",".join(cols)]
-    for k in range(s.m):
-        row = [_fmt(s.t[k])]
-        for block in (tau, inert, cor, fric, grav):
-            row += [_fmt(x) for x in block[k]]
-        lines.append(",".join(row))
+    data = np.column_stack((s.t, tau, inert, cor, fric, grav))
     with open(a.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n")
+        fh.write(_format_rows(data))
     print(f"wrote torques and term decomposition for {s.m} samples "
           f"to {a.out}")
 

@@ -13,7 +13,6 @@ import configparser
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 
 from .dynamics import (
     N_INERTIAL,
@@ -164,6 +163,10 @@ def lowpass(values: np.ndarray, cutoff: float = 10.0,
     """
     if not 0 < cutoff < rate / 2:
         raise ValueError("cutoff must lie in (0, rate/2)")
+    # imported here: scipy.signal costs most of a cold start, and only the
+    # opt-in filter needs it
+    import scipy.signal
+
     b, a = scipy.signal.butter(2, cutoff / (rate / 2.0), btype="low")
     return scipy.signal.filtfilt(b, a, np.asarray(values, dtype=float), axis=0)
 
@@ -175,20 +178,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _sample_header(n: int) -> list[str]:
+    return (["t"] + [f"q{j+1}" for j in range(n)]
+            + [f"qd{j+1}" for j in range(n)]
+            + [f"v{j+1}" for j in range(n)] + ["scenario"])
+
+
+def _format_rows(data: np.ndarray, suffix: str = "") -> str:
+    """CSV lines of a 2-D float array, each value as _fmt writes it.
+
+    One "%.17g" template per row formats exactly as per-value _fmt calls
+    do; suffix (a trailing field, comma included, no '%') ends each line.
+    """
+    line = ",".join(["%.17g"] * data.shape[1]) + suffix + "\n"
+    return "".join([line % tuple(row) for row in data.tolist()])
+
+
 def write_samples(samples: SampleSet, path) -> None:
-    n = samples.n
-    header = (["t"] + [f"q{j+1}" for j in range(n)]
-              + [f"qd{j+1}" for j in range(n)]
-              + [f"v{j+1}" for j in range(n)] + ["scenario"])
+    data = np.column_stack((samples.t, samples.q, samples.qd, samples.v))
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(samples.m):
-            row = ([_fmt(samples.t[k])]
-                   + [_fmt(x) for x in samples.q[k]]
-                   + [_fmt(x) for x in samples.qd[k]]
-                   + [_fmt(x) for x in samples.v[k]]
-                   + [samples.scenario])
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(_sample_header(samples.n)) + "\n")
+        fh.write(_format_rows(data, "," + samples.scenario))
 
 
 def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
@@ -201,34 +211,38 @@ def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     if len(header) < 5 or header[0] != "t" or header[-1] != "scenario":
         raise SchemaError(f"{path}: header must be t,q1..qn,qd1..qdn,v1..vn,scenario")
     n, rem = divmod(len(header) - 2, 3)
-    expected = (["t"] + [f"q{j+1}" for j in range(n)]
-                + [f"qd{j+1}" for j in range(n)]
-                + [f"v{j+1}" for j in range(n)] + ["scenario"])
-    if rem != 0 or header != expected:
+    if rem != 0 or header != _sample_header(n):
         raise SchemaError(f"{path}: header must be t,q1..qn,qd1..qdn,v1..vn,scenario")
     width = len(header)
-    m = len(lines) - 1
-    data = np.empty((m, width - 1))
+    rows = []
     scenario = None
+    error = None
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != width:
-            raise SchemaError(f"{path}: row {i} has {len(parts)} fields, "
-                              f"expected {width}")
+            error = f"row {i} has {len(parts)} fields, expected {width}"
+            break
         try:
-            data[i - 2] = [float(x) for x in parts[:-1]]
+            rows.append([float(x) for x in parts[:-1]])
         except ValueError:
-            raise SchemaError(f"{path}: row {i} has a non-numeric field") from None
-        bad = np.flatnonzero(~np.isfinite(data[i - 2]))
-        if bad.size:
-            raise SchemaError(f"{path}: row {i}, column {header[bad[0]]} "
-                              "is not finite")
+            error = f"row {i} has a non-numeric field"
+            break
         tag = parts[-1]
         if scenario is None:
             scenario = tag
         elif tag != scenario:
-            raise SchemaError(f"{path}: row {i} changes scenario tag "
-                              f"({scenario!r} -> {tag!r})")
+            error = (f"row {i} changes scenario tag "
+                     f"({scenario!r} -> {tag!r})")
+            break
+    data = np.array(rows, dtype=float).reshape(len(rows), width - 1)
+    # a non-finite value in an earlier row, or in the row that changes the
+    # tag, is reported first, as a row-by-row check would
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise SchemaError(f"{path}: row {bad[0][0] + 2}, column "
+                          f"{header[bad[0][1]]} is not finite")
+    if error is not None:
+        raise SchemaError(f"{path}: {error}")
     t = data[:, 0]
     q = data[:, 1:1 + n]
     qd = data[:, 1 + n:1 + 2 * n]

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .dynamics import N_INERTIAL, FrictionSet, friction_sigmoid, sigmoid
+from .dynamics import (N_INERTIAL, FrictionSet, friction_sigmoid,
+                       regressor_stack, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, minimal_regressor_stack
+from .reduction import (BaseParameterMap, minimal_columns,
+                        minimal_regressor_stack)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -54,6 +55,9 @@ class ConvergenceError(EstimationError):
 def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, _, rank, _ = np.linalg.lstsq(stack, rhs, rcond=None)
     if rank < stack.shape[1]:
+        # imported here: only this error path needs it, not a full-rank solve
+        import scipy.linalg
+
         # name the columns that a pivoted QR puts past the numerical rank
         _, _, piv = scipy.linalg.qr(stack, mode="economic", pivoting=True)
         dependent = sorted(int(k) for k in piv[rank:])
@@ -501,6 +505,9 @@ class GainEstimate:
 
 
 def _gain_solve(S, y, w, lam_bounds, pivot_tol, label, apply_bounds):
+    # imported here so that commands which never factorise skip loading it
+    import scipy.linalg
+
     sw = np.sqrt(w)
     Q, R, piv = scipy.linalg.qr(S * sw[:, None], mode="economic",
                                 pivoting=True)
@@ -575,13 +582,10 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     pi_k = pi_L[kmask]
     n_unknown = int((~kmask).sum())
 
-    from .dynamics import regressor_stack as _full_stack
-
     U_a = minimal_regressor_stack(map_, chain, samples_a.q, samples_a.qd,
                                   samples_a.qdd)
-    U_b = minimal_regressor_stack(map_, chain, samples_b.q, samples_b.qd,
-                                  samples_b.qdd)
-    Y_b = _full_stack(chain, samples_b.q, samples_b.qd, samples_b.qdd)
+    Y_b = regressor_stack(chain, samples_b.q, samples_b.qd, samples_b.qdd)
+    U_b = minimal_columns(map_, Y_b)
     P_b = Y_b[:, :, N_INERTIAL * (n - 1):N_INERTIAL * n]
     vf_a = friction_sigmoid(psi, samples_a.qd)
     vf_b = friction_sigmoid(psi, samples_b.qd)

@@ -17,7 +17,6 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import N_FRICTION, N_INERTIAL, DynamicParameters, JointState, regressor_stack
 from .kinematics import KinematicChain
@@ -145,6 +144,9 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
     column-pivoted QR, re-sorted ascending; recombination coefficients come
     from a least-squares solve against the selected basis.
     """
+    # imported here so that commands which never factorise skip loading it
+    import scipy.linalg
+
     n = chain.n
     Q, Qd, Qdd = probe_states(n, n_probe, seed)
     Y = regressor_stack(chain, Q, Qd, Qdd)
@@ -195,16 +197,21 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
     )
 
 
-def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
-                            Q, Qd, Qdd, gravity=None) -> np.ndarray:
-    """Minimal regressor for a batch of states, shape (M, n, c)."""
-    _check_chain(map_, chain)
-    Y = regressor_stack(chain, Q, Qd, Qdd, gravity=gravity)
+def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:
+    """Minimal regressor (M, n, c) sliced from a full regressor_stack result."""
     n = map_.n
     return np.concatenate(
         (Y[:, :, :N_INERTIAL * n][:, :, map_.inertial_columns],
          Y[:, :, N_INERTIAL * n:]), axis=2,
     )
+
+
+def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
+                            Q, Qd, Qdd, gravity=None) -> np.ndarray:
+    """Minimal regressor for a batch of states, shape (M, n, c)."""
+    _check_chain(map_, chain)
+    return minimal_columns(map_, regressor_stack(chain, Q, Qd, Qdd,
+                                                 gravity=gravity))
 
 
 def minimal_regressor(map_: BaseParameterMap, chain: KinematicChain,

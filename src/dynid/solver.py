@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import FrictionSet, friction_sigmoid
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, load_map, minimal_regressor_stack, save_map
+from .reduction import BaseParameterMap, load_map, minimal_columns, save_map
 from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
                      _read_chain, _read_friction, _vec, _vecstr, _write_chain,
                      _write_friction)
@@ -119,11 +119,11 @@ def _torque_rigid(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
     """Torques from the rigid-body part (no friction): arm plus payload."""
     n = model.n
     c_in = model.map.c_inertial
-    U = minimal_regressor_stack(model.map, model.chain, q, qd, qdd)
+    Y = regressor_stack(model.chain, q, qd, qdd)
+    U = minimal_columns(model.map, Y)
     v = np.einsum("mjc,jc->mj", U[:, :, :c_in], model.chi[:, :c_in])
     tau = v * model.gains
     if model.payload is not None:
-        Y = regressor_stack(model.chain, q, qd, qdd)
         tau = tau + Y[:, :, N_INERTIAL * (n - 1):N_INERTIAL * n] @ model.payload
     return tau
 

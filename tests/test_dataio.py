@@ -1,9 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynid.dataio import (RobotModel, SampleSet, SchemaError, differentiate,
+from dynid.dataio import (RobotModel, SampleSet, SchemaError, _fmt,
+                          _format_rows, differentiate,
                           lowpass, merge_sample_sets, read_payload,
                           read_robot_model, read_samples, simulate,
                           ur10_default_model, write_payload,
@@ -127,6 +131,155 @@ def test_samples_nan_field(tmp_path):
     p.write_text(text)
     with pytest.raises(SchemaError, match="v2"):
         read_samples(p)
+
+
+def _edit_rows(path, edits):
+    """Apply {line_index: fn(fields) -> fields} to a sample CSV in place."""
+    lines = path.read_text().splitlines()
+    for k, fn in edits.items():
+        lines[k] = ",".join(fn(lines[k].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(col, value):
+    def fn(fields):
+        fields[col] = value
+        return fields
+    return fn
+
+
+def test_samples_non_numeric_field(tmp_path):
+    p = tmp_path / "run.csv"
+    write_samples(_tiny_set(), p)
+    _edit_rows(p, {3: _set_field(2, "0.5x")})
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"{p}: row 4 has a non-numeric field")):
+        read_samples(p)
+
+
+def test_samples_scenario_tag_change(tmp_path):
+    p = tmp_path / "run.csv"
+    write_samples(_tiny_set(), p)
+    _edit_rows(p, {5: _set_field(-1, "a")})
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{p}: row 6 changes scenario tag ('b' -> 'a')")):
+        read_samples(p)
+
+
+@pytest.mark.parametrize("edits, message", [
+    # a non-finite value before a tag change is reported first
+    ({2: _set_field(1, "inf"), 5: _set_field(-1, "a")},
+     "row 3, column q1 is not finite"),
+    # within one row the non-finite value wins over the tag change
+    ({4: lambda f: _set_field(-1, "a")(_set_field(5, "-inf")(f))},
+     "row 5, column v1 is not finite"),
+    # an unparsable row before a non-finite value is reported first
+    ({2: _set_field(3, "?"), 5: _set_field(1, "nan")},
+     "row 3 has a non-numeric field"),
+    ({2: lambda f: f[:-1], 5: _set_field(1, "nan")},
+     "row 3 has 7 fields, expected 8"),
+    # the first non-finite value in row-major order names the column
+    ({4: lambda f: _set_field(2, "nan")(_set_field(5, "nan")(f)),
+      6: _set_field(1, "nan")},
+     "row 5, column q2 is not finite"),
+])
+def test_samples_first_error_wins(tmp_path, edits, message):
+    p = tmp_path / "run.csv"
+    write_samples(_tiny_set(), p)
+    _edit_rows(p, edits)
+    with pytest.raises(SchemaError, match=re.escape(f"{p}: {message}")):
+        read_samples(p)
+
+
+# ---------------------------------------------------------------------------
+# bulk CSV formatting against the per-value writer
+
+def _write_samples_per_float(samples, path):
+    """Reference writer: one _fmt call per value, row by row."""
+    n = samples.n
+    header = (["t"] + [f"q{j+1}" for j in range(n)]
+              + [f"qd{j+1}" for j in range(n)]
+              + [f"v{j+1}" for j in range(n)] + ["scenario"])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(samples.m):
+            row = ([_fmt(samples.t[k])]
+                   + [_fmt(x) for x in samples.q[k]]
+                   + [_fmt(x) for x in samples.qd[k]]
+                   + [_fmt(x) for x in samples.v[k]]
+                   + [samples.scenario])
+            fh.write(",".join(row) + "\n")
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.225073858507201e-308, 1e300, -1e300, 1e-300, -1e-300,
+                1.7976931348623157e308, 1e16, -1e16, 2.0**53 + 2.0, 1e22,
+                123456789012345678.0, 0.1, -2.5)
+
+
+def _doubles(bound=None):
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       min_value=None if bound is None else -bound,
+                       max_value=bound)
+    edges = [x for x in _EDGE_VALUES if bound is None or abs(x) <= bound]
+    return st.one_of(st.sampled_from(edges), finite,
+                     st.integers(-2**63, 2**63).map(float))
+
+
+@st.composite
+def _sample_sets(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 6))
+    period = draw(st.sampled_from([0.008, 0.01, 0.5]))
+
+    def block(bound=None):
+        return np.array(draw(st.lists(_doubles(bound), min_size=m * n,
+                                      max_size=m * n))).reshape(m, n)
+
+    # velocities stay within 1e300 so the derived acceleration is finite
+    # when the file is read back
+    qd = block(1e300)
+    return SampleSet(t=np.arange(m) * period, q=block(), qd=qd,
+                     qdd=np.zeros((m, n)), v=block(),
+                     scenario=draw(st.sampled_from("ab")))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sample_sets())
+def test_write_samples_matches_per_float_writer(csv_dir, samples):
+    write_samples(samples, csv_dir / "bulk.csv")
+    _write_samples_per_float(samples, csv_dir / "ref.csv")
+    assert ((csv_dir / "bulk.csv").read_bytes()
+            == (csv_dir / "ref.csv").read_bytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sample_sets())
+def test_samples_round_trip_bit_exact(csv_dir, samples):
+    p = csv_dir / "rt.csv"
+    write_samples(samples, p)
+    back = read_samples(p)
+    for name in ("t", "q", "qd", "v"):
+        a, b = getattr(samples, name), getattr(back, name)
+        assert a.shape == b.shape
+        # compares bit patterns, so -0.0 and 0.0 differ
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert back.scenario == samples.scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_format_rows_matches_fmt(draws, width):
+    rows = draws.draw(st.lists(st.lists(_doubles(), min_size=width,
+                                       max_size=width), max_size=5))
+    array = np.array(rows, dtype=float).reshape(len(rows), width)
+    expect = "".join(",".join(_fmt(x) for x in row) + "\n" for row in array)
+    assert _format_rows(array) == expect
 
 
 def test_sampleset_validation():

@@ -1,0 +1,61 @@
+"""Import hygiene: scipy loads only in the stages that factorise or filter.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported scipy through other tests.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import dynid
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
+
+
+def _run(code: str, cwd) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_SCIPY_LOADED = ("json.dumps(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def test_import_dynid_loads_no_scipy(tmp_path):
+    loaded = _run(f"import sys, json, dynid; print({_SCIPY_LOADED})",
+                  tmp_path)
+    assert loaded == []
+
+
+def test_traj_gen_loads_no_scipy(tmp_path):
+    code = f"""
+import sys, json
+from dynid.dataio import ur10_default_model, write_robot_model
+import dynid.cli
+write_robot_model(ur10_default_model(), "robot.ini")
+rc = dynid.cli.main(["traj", "gen", "--robot", "robot.ini", "--seed", "3",
+                     "--duration", "2", "--out", "traj.csv"])
+assert rc == 0, rc
+print({_SCIPY_LOADED})
+"""
+    assert _run(code, tmp_path) == []
+    assert (tmp_path / "traj.csv").exists()
+
+
+def test_lowpass_after_cold_import(tmp_path):
+    code = """
+import sys, json
+import numpy as np
+from dynid.dataio import lowpass
+out = lowpass(np.full((200, 2), 1.5), cutoff=10.0, rate=125.0)
+print(json.dumps([float(np.max(np.abs(out - 1.5))),
+                  "scipy.signal" in sys.modules]))
+"""
+    err, loaded = _run(code, tmp_path)
+    assert err < 1e-10
+    assert loaded
