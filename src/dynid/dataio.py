@@ -10,20 +10,19 @@ ground truth.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
     N_INERTIAL,
-    DynamicParameters,
     FrictionSet,
     InertialParameters,
     friction_sigmoid,
-    regressor_stack,
+    newton_euler,
 )
 from .kinematics import DhRow, KinematicChain
-from .payload import PayloadSpec, apply_payload, payload_to_frame_n
+from .payload import PayloadSpec, payload_to_frame_n
 from .trajectory import FourierTrajectory, RATE_DEFAULT, sample as sample_trajectory
 
 QD_THRESHOLD_DEFAULT = 0.17  # rad/s; boundary of the low-velocity friction region
@@ -99,9 +98,6 @@ class SampleSet:
     def mask(self) -> np.ndarray:
         """(M, n) bool; True where |qd| exceeds the linearity threshold."""
         return np.abs(self.qd) > self.qd_threshold
-
-    def with_threshold(self, qd_threshold: float) -> "SampleSet":
-        return replace(self, qd_threshold=qd_threshold)
 
 
 def merge_sample_sets(sets) -> SampleSet:
@@ -516,16 +512,11 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
     period = float(t[1] - t[0])
     qdd = differentiate(qd, period)
 
-    links = model.links
+    pi_in = np.concatenate([lk.to_vector() for lk in model.links])
     if payload is not None:
-        params = DynamicParameters(links=links,
-                                   friction=((0.0, 0.0, 0.0),) * model.chain.n)
-        links = apply_payload(params, payload_to_frame_n(payload)).links
-
-    n = model.chain.n
-    Y = regressor_stack(model.chain, q, qd, qdd)
-    pi_in = np.concatenate([lk.to_vector() for lk in links])
-    tau = Y[:, :, :N_INERTIAL * n] @ pi_in + friction_sigmoid(model.friction, qd)
+        pi_in[-N_INERTIAL:] += payload_to_frame_n(payload)
+    tau = newton_euler(model.chain, q, qd, qdd, pi_in[:, None])[:, :, 0] \
+        + friction_sigmoid(model.friction, qd)
     v = tau / np.asarray(model.gains)
 
     rng = np.random.default_rng(seed)

@@ -34,17 +34,20 @@ def _sym_basis() -> np.ndarray:
     for s, (a, b) in enumerate(_I_PAIRS):
         E[s, a, b] = 1.0
         E[s, b, a] = 1.0
-        if a == b:
-            E[s, a, b] = 1.0
     return E
 
 
 _E_SYM = _sym_basis()
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, with the same arithmetic and bits but
+    without its axis bookkeeping, which dominates on single states."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _skew_batch(V: np.ndarray) -> np.ndarray:
@@ -185,11 +188,6 @@ class FrictionSet:
     def as_arrays(self):
         return (np.array(self.f_o), np.array(self.f_v), np.array(self.f_c),
                 np.array(self.delta), np.array(self.nu))
-
-    def params_of(self, j: int) -> np.ndarray:
-        """(f_o, f_v, f_c, delta, nu) of joint j (0-based)."""
-        return np.array([self.f_o[j], self.f_v[j], self.f_c[j],
-                         self.delta[j], self.nu[j]])
 
     @classmethod
     def from_linear(cls, f_o, f_v, f_c) -> "FrictionSet":
@@ -385,13 +383,11 @@ def friction_sigmoid(fs: FrictionSet, qd) -> np.ndarray:
 def _forward_batch(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
     """Batched forward recursion.
 
+    gravity is None (the chain's), a 3-vector, or one 3-vector per state.
     Returns per-link local rotations R (M,n,3,3), origin offsets p in the
     parent frame (M,n,3), and angular velocity / angular acceleration /
     origin acceleration in link coordinates, each (M,n,3).
     """
-    Q = np.asarray(Q, dtype=float)
-    Qd = np.asarray(Qd, dtype=float)
-    Qdd = np.asarray(Qdd, dtype=float)
     M, n = Q.shape
     g = chain.gravity_vector if gravity is None else np.asarray(gravity, dtype=float)
     R, p = local_frames_batch(chain, Q)
@@ -408,14 +404,73 @@ def _forward_batch(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
         om[:, i] = np.einsum("mji,mj->mi", Ri, w)
         wd = omd_prev.copy()
         wd[:, 2] += Qdd[:, i]
-        wd += Qd[:, i, None] * np.cross(om_prev, _EZ)
+        wd += Qd[:, i, None] * _cross(om_prev, _EZ)
         omd[:, i] = np.einsum("mji,mj->mi", Ri, wd)
         r = np.einsum("mji,mj->mi", Ri, p[:, i])
         acc[:, i] = (np.einsum("mji,mj->mi", Ri, acc_prev)
-                     + np.cross(omd[:, i], r)
-                     + np.cross(om[:, i], np.cross(om[:, i], r)))
+                     + _cross(omd[:, i], r)
+                     + _cross(om[:, i], _cross(om[:, i], r)))
         om_prev, omd_prev, acc_prev = om[:, i], omd[:, i], acc[:, i]
     return R, p, om, omd, acc
+
+
+def _unit_wrenches(om, omd, acc):
+    """Wrenches of a link's ten unit inertial parameters about its origin,
+    in its own frame, (M, 10, 6): force in [..., :3], moment in [..., 3:]."""
+    B = np.zeros((om.shape[0], N_INERTIAL, 6))
+    B[:, 0, :3] = acc
+    W = _skew_batch(omd) + _skew_batch(om) @ _skew_batch(om)
+    B[:, 1:4, :3] = np.swapaxes(W, 1, 2)
+    B[:, 1:4, 3:] = -np.swapaxes(_skew_batch(acc), 1, 2)
+    Ew = np.einsum("sab,mb->msa", _E_SYM, om)
+    Ewd = np.einsum("sab,mb->msa", _E_SYM, omd)
+    B[:, 4:10, 3:] = Ewd + _cross(om[:, None, :], Ew)
+    return B
+
+
+def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
+    Qdd = np.atleast_2d(np.asarray(Qdd, dtype=float))
+    if Q.shape != Qd.shape or Q.shape != Qdd.shape:
+        raise ValueError("Q, Qd, Qdd must share shape (M, n)")
+    if Q.shape[1] != chain.n:
+        raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
+    return Q, Qd, Qdd
+
+
+def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
+                 gravity=None) -> np.ndarray:
+    """Joint torques (M, n, S) of S inertial parameter sets, no friction.
+
+    Batched recursive Newton-Euler (Featherstone, Rigid Body Dynamics
+    Algorithms, 2008): one forward pass, then one backward pass carrying
+    all sets.  Column s of Pi (10n, S) is a set in the DynamicParameters
+    inertial layout, physical or not; [:, :, s] equals rnea on it.  gravity
+    is None (the chain's), a 3-vector, or one per state.  Unit-parameter
+    wrenches are summed in a fixed order, so a state's torques do not
+    depend on the batch around it.
+    """
+    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    Pi = np.asarray(Pi, dtype=float)
+    M, n = Q.shape
+    if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
+        raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
+    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    tau = np.empty((M, n, Pi.shape[1]))
+    w = np.zeros((M, Pi.shape[1], 6))  # carried wrench per set
+    for i in range(n - 1, -1, -1):
+        B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+        P = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1), :, None]
+        for k in range(N_INERTIAL):
+            w += B[:, k, None, :] * P[k]
+        # transport to the parent origin; the joint torque is the z moment
+        f = np.einsum("mab,msb->msa", R[:, i], w[:, :, :3])
+        w[:, :, 3:] = np.einsum("mab,msb->msa", R[:, i], w[:, :, 3:]) \
+            + _cross(p[:, i, None, :], f)
+        w[:, :, :3] = f
+        tau[:, i] = w[:, :, 5]
+    return tau
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
@@ -424,41 +479,26 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
 
     Columns follow the DynamicParameters layout: 10 inertial columns per
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
-    row j.  Y @ pi equals rnea torques plus linear friction.
+    row j.  Y @ pi equals rnea torques plus linear friction.  It is built
+    for fitting; evaluate known parameters with newton_euler.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
-    Qdd = np.atleast_2d(np.asarray(Qdd, dtype=float))
-    if Q.shape != Qd.shape or Q.shape != Qdd.shape:
-        raise ValueError("Q, Qd, Qdd must share shape (M, n)")
+    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
-    if n != chain.n:
-        raise ValueError(f"expected {chain.n} joints, got {n}")
 
     R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
     for i in range(n):
-        # unit-parameter wrenches of link i about its own origin, in its
-        # own frame: force rows F (M,10,3) and moment rows Nm (M,10,3)
-        F = np.zeros((M, N_INERTIAL, 3))
-        Nm = np.zeros((M, N_INERTIAL, 3))
-        F[:, 0] = acc[:, i]
-        W = _skew_batch(omd[:, i]) + _skew_batch(om[:, i]) @ _skew_batch(om[:, i])
-        F[:, 1:4] = np.swapaxes(W, 1, 2)
-        Nm[:, 1:4] = -np.swapaxes(_skew_batch(acc[:, i]), 1, 2)
-        Ew = np.einsum("sab,mb->msa", _E_SYM, om[:, i])
-        Ewd = np.einsum("sab,mb->msa", _E_SYM, omd[:, i])
-        Nm[:, 4:10] = Ewd + np.cross(om[:, i, None, :], Ew)
-
-        # propagate toward the base; torque of joint k is the z component
-        # of the moment about the parent origin, expressed in frame k-1
-        f, nm = F, Nm
+        # propagate link i's unit-parameter wrenches toward the base; torque
+        # of joint k is the z component of the moment about the parent
+        # origin, expressed in frame k-1
+        B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+        f, nm = B[:, :, :3], B[:, :, 3:]
         col = N_INERTIAL * i
         for k in range(i, -1, -1):
             Rf = np.einsum("mab,mpb->mpa", R[:, k], f)
             Rn = np.einsum("mab,mpb->mpa", R[:, k], nm) \
-                + np.cross(p[:, k, None, :], Rf)
+                + _cross(p[:, k, None, :], Rf)
             Y[:, k, col:col + N_INERTIAL] = Rn[:, :, 2]
             f, nm = Rf, Rn
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, FrictionSet, friction_sigmoid,
-                       regressor_stack, sigmoid)
+from .dynamics import (N_INERTIAL, FrictionSet, friction_linear,
+                       friction_sigmoid, regressor_stack, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import (BaseParameterMap, minimal_columns,
-                        minimal_regressor_stack)
+                        minimal_regressor_stack, own_joint_torques)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -243,17 +243,21 @@ def _chi_matrix(chi, n: int) -> np.ndarray:
     return chi.reshape(n, -1)
 
 
+def _inertial_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
+                       q, qd, qdd) -> np.ndarray:
+    """Non-friction currents at one state or a batch: joint j's block of
+    chi, evaluated by Newton-Euler, read at joint j."""
+    sets = map_.joint_sets(_chi_matrix(chi, map_.n))
+    return own_joint_torques(chain, sets, q, qd, qdd)
+
+
 def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
     """Currents from the stage-1 model (linear friction included)."""
-    single = np.asarray(q).ndim == 1
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    qd = np.atleast_2d(np.asarray(qd, dtype=float))
-    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
     C = _chi_matrix(chi, map_.n)
-    U = minimal_regressor_stack(map_, chain, q, qd, qdd)
-    v = np.einsum("mjc,jc->mj", U, C)
-    return v[0] if single else v
+    tri = [C[j, map_.friction_columns(j)] for j in range(map_.n)]
+    return (_inertial_currents(map_, chain, C, q, qd, qdd)
+            + friction_linear(tri, qd))
 
 
 def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
@@ -263,27 +267,15 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
     """
-    C = _chi_matrix(chi, map_.n)
-    c_in = map_.c_inertial
-    U = minimal_regressor_stack(map_, chain, samples.q, samples.qd,
-                                samples.qdd)
-    inertial = np.einsum("mjc,jc->mj", U[:, :, :c_in], C[:, :c_in])
-    return samples.v - inertial
+    return samples.v - _inertial_currents(map_, chain, chi, samples.q,
+                                          samples.qd, samples.qdd)
 
 
 def predict_currents_full(map_: BaseParameterMap, chain: KinematicChain, chi,
                           psi: FrictionSet, q, qd, qdd) -> np.ndarray:
     """Currents from the stage-2 model: inertial part plus sigmoid friction."""
-    single = np.asarray(q).ndim == 1
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    qd = np.atleast_2d(np.asarray(qd, dtype=float))
-    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
-    C = _chi_matrix(chi, map_.n)
-    c_in = map_.c_inertial
-    U = minimal_regressor_stack(map_, chain, q, qd, qdd)
-    v = np.einsum("mjc,jc->mj", U[:, :, :c_in], C[:, :c_in])
-    v = v + friction_sigmoid(psi, qd)
-    return v[0] if single else v
+    return (_inertial_currents(map_, chain, chi, q, qd, qdd)
+            + friction_sigmoid(psi, qd))
 
 
 # ---------------------------------------------------------------------------

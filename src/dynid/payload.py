@@ -21,8 +21,7 @@ from .dynamics import (
     InertialParameters,
     JointState,
     inertia_matrix_to_vector,
-    regressor,
-    rnea,
+    newton_euler,
     steiner_shift,
 )
 from .kinematics import KinematicChain
@@ -94,12 +93,11 @@ def split_torques(chain: KinematicChain, links, pi_L: np.ndarray,
                   state: JointState, gravity=None):
     """Arm-only torques and payload torques at one state.
 
-    The payload torque is the last-link regressor block applied to pi_L;
-    by linearity the sum equals the composite-arm inverse dynamics.
+    One Newton-Euler evaluation of two sets, the arm and pi_L alone on the
+    last link; by linearity their sum is the composite arm's torque.
     """
-    pi_L = np.asarray(pi_L, dtype=float)
-    tau_arm = rnea(chain, links, state, gravity=gravity)
-    Y = regressor(chain, state, gravity=gravity)
-    n = chain.n
-    block = Y[:, N_INERTIAL * (n - 1):N_INERTIAL * n]
-    return tau_arm, block @ pi_L
+    Pi = np.zeros((N_INERTIAL * chain.n, 2))
+    Pi[:, 0] = np.concatenate([lk.to_vector() for lk in links])
+    Pi[-N_INERTIAL:, 1] = pi_L
+    tau = newton_euler(chain, *state.arrays(), Pi, gravity=gravity)[0]
+    return tau[:, 0], tau[:, 1]

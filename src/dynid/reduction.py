@@ -12,13 +12,12 @@ sgn discontinuities never enter the rank decision.
 
 from __future__ import annotations
 
-import io
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import N_FRICTION, N_INERTIAL, DynamicParameters, JointState, regressor_stack
+from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters, JointState,
+                       newton_euler, regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -104,6 +103,14 @@ class BaseParameterMap:
             raise ValueError(f"map is for {self.n} joints, parameters have {params.n}")
         return self.projection_matrix() @ params.to_vector()
 
+    def joint_sets(self, blocks) -> np.ndarray:
+        """(10n, n) per-joint sets: column j holds the inertial entries of
+        blocks[j] on the selected columns, so its torque at joint j is the
+        minimal-regressor row times blocks[j], friction aside."""
+        Pi = np.zeros((N_INERTIAL * self.n, self.n))
+        Pi[self.inertial_columns] = np.asarray(blocks)[:, :self.c_inertial].T
+        return Pi
+
     def regroup_for_joint(self, j: int, coeffs: np.ndarray) -> np.ndarray:
         """Fold a full base-coefficient vector onto joint j's identifiable
         coordinates: entries on row-dependent columns move onto the
@@ -118,11 +125,6 @@ class BaseParameterMap:
         fr = self.friction_columns(j)
         out[fr] = coeffs[fr]
         return out
-
-
-def _check_chain(map_: BaseParameterMap, chain: KinematicChain):
-    if chain.n != map_.n:
-        raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
 
 
 def probe_states(n: int, n_probe: int, seed: int):
@@ -197,6 +199,16 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
     )
 
 
+def own_joint_torques(chain: KinematicChain, sets, Q, Qd, Qdd,
+                      gravity=None) -> np.ndarray:
+    """Torque of joint j under set j, for per-joint sets (10n, n) such as
+    BaseParameterMap.joint_sets builds; no friction.  (M, n), or (n,) for
+    a single state."""
+    tau = newton_euler(chain, Q, Qd, Qdd, sets, gravity)
+    j = np.arange(chain.n)
+    return tau[0, j, j] if np.ndim(Q) == 1 else tau[:, j, j]
+
+
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:
     """Minimal regressor (M, n, c) sliced from a full regressor_stack result."""
     n = map_.n
@@ -209,7 +221,8 @@ def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
                             Q, Qd, Qdd, gravity=None) -> np.ndarray:
     """Minimal regressor for a batch of states, shape (M, n, c)."""
-    _check_chain(map_, chain)
+    if chain.n != map_.n:
+        raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
     return minimal_columns(map_, regressor_stack(chain, Q, Qd, Qdd,
                                                  gravity=gravity))
 
@@ -220,67 +233,3 @@ def minimal_regressor(map_: BaseParameterMap, chain: KinematicChain,
     q, qd, qdd = state.arrays()
     return minimal_regressor_stack(map_, chain, q[None, :], qd[None, :],
                                    qdd[None, :], gravity=gravity)[0]
-
-
-def current_level_regressor(map_: BaseParameterMap, chain: KinematicChain,
-                            state: JointState) -> np.ndarray:
-    """Block-diagonal current-level regressor, shape (n, n*c).
-
-    Row j holds joint j's minimal-regressor row in its own column block,
-    matching a stacked per-joint coefficient vector chi.
-    """
-    Yb = minimal_regressor(map_, chain, state)
-    n, c = Yb.shape
-    U = np.zeros((n, n * c))
-    for j in range(n):
-        U[j, j * c:(j + 1) * c] = Yb[j]
-    return U
-
-
-def _write_npz(path, arrays: dict) -> None:
-    # np.savez stamps zip entries with the current time; identical maps
-    # must serialize to identical bytes, so write the archive by hand
-    # with a fixed timestamp.
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(arr),
-                                      allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy",
-                                   date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
-
-
-def save_map(map_: BaseParameterMap, path) -> None:
-    """Write the map to an npz file, numerically exact and byte-stable."""
-    arrays = {
-        "n": map_.n,
-        "inertial_columns": map_.inertial_columns,
-        "recombination": map_.recombination,
-        "joint_masks": map_.joint_masks,
-        "seed": map_.seed,
-        "n_probe": map_.n_probe,
-        "tolerance": map_.tolerance,
-    }
-    for j in range(map_.n):
-        arrays[f"idcols_{j}"] = map_.joint_idcols[j]
-        arrays[f"depcols_{j}"] = map_.joint_depcols[j]
-        arrays[f"regroup_{j}"] = map_.joint_regroup[j]
-    _write_npz(path, arrays)
-
-
-def load_map(path) -> BaseParameterMap:
-    with np.load(path) as z:
-        n = int(z["n"])
-        return BaseParameterMap(
-            n=n,
-            inertial_columns=z["inertial_columns"],
-            recombination=z["recombination"],
-            joint_masks=z["joint_masks"],
-            joint_idcols=tuple(z[f"idcols_{j}"] for j in range(n)),
-            joint_depcols=tuple(z[f"depcols_{j}"] for j in range(n)),
-            joint_regroup=tuple(z[f"regroup_{j}"] for j in range(n)),
-            seed=int(z["seed"]),
-            n_probe=int(z["n_probe"]),
-            tolerance=float(z["tolerance"]),
-        )

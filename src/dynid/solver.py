@@ -4,26 +4,26 @@ The solver evaluates joint torques and the classical equation-of-motion
 terms (inertia, Coriolis, friction, gravity) from current-level dynamic
 coefficients, sigmoid friction, and drive gains, optionally augmented with
 a payload whose torque contribution is kept separate from the identified
-coefficients.
+coefficients.  Every term is one batched Newton-Euler evaluation of the
+model's torque-level parameter sets.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import FrictionSet, friction_sigmoid
+from .dynamics import N_FRICTION, N_INERTIAL, FrictionSet, friction_sigmoid
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, load_map, minimal_columns, save_map
+from .reduction import BaseParameterMap, own_joint_torques
 from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
                      _read_chain, _read_friction, _vec, _vecstr, _write_chain,
                      _write_friction)
-from .dynamics import N_INERTIAL, regressor_stack
 
-STAGES = ("linear", "friction", "gains")
+_NO_GRAVITY = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,17 @@ class IdentifiedModel:
     def is_complete(self) -> bool:
         return self.psi is not None and self.gains is not None
 
+    @cached_property
+    def torque_sets(self) -> np.ndarray:
+        """(10n, n) torque-level parameter sets, derived once per model:
+        joint j's torque comes from column j, K_j*chi_j placed by the base
+        map, plus the payload on the last link."""
+        Pi = self.map.joint_sets(self.chi * self.gains[:, None])
+        if self.payload is not None:
+            Pi[-N_INERTIAL:] += self.payload[:, None]
+        Pi.flags.writeable = False  # shared by every call on this model
+        return Pi
+
 
 def _require_complete(model: IdentifiedModel):
     if not model.is_complete:
@@ -107,51 +118,29 @@ def configure_payload(model: IdentifiedModel,
     return replace(model, payload=pl)
 
 
-def _states(q, qd, qdd):
-    single = np.asarray(q).ndim == 1
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    qd = np.atleast_2d(np.asarray(qd, dtype=float))
-    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
-    return single, q, qd, qdd
-
-
-def _torque_rigid(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
-    """Torques from the rigid-body part (no friction): arm plus payload."""
-    n = model.n
-    c_in = model.map.c_inertial
-    Y = regressor_stack(model.chain, q, qd, qdd)
-    U = minimal_columns(model.map, Y)
-    v = np.einsum("mjc,jc->mj", U[:, :, :c_in], model.chi[:, :c_in])
-    tau = v * model.gains
-    if model.payload is not None:
-        tau = tau + Y[:, :, N_INERTIAL * (n - 1):N_INERTIAL * n] @ model.payload
-    return tau
+def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
+    """Torques of the rigid-body part (no friction): arm plus payload."""
+    return own_joint_torques(model.chain, model.torque_sets, q, qd, qdd,
+                             gravity)
 
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
     """Joint torques for one state or a batch of states."""
     _require_complete(model)
-    single, q, qd, qdd = _states(q, qd, qdd)
-    tau = _torque_rigid(model, q, qd, qdd)
-    tau = tau + friction(model, qd)
-    return tau[0] if single else tau
+    return _rigid(model, q, qd, qdd) + friction(model, qd)
 
 
 def friction(model: IdentifiedModel, qd) -> np.ndarray:
     """Torque-level friction term."""
     _require_complete(model)
-    qd = np.asarray(qd, dtype=float)
     return friction_sigmoid(model.psi, qd) * model.gains
 
 
 def gravity(model: IdentifiedModel, q) -> np.ndarray:
     """Static torques at zero velocity and acceleration."""
     _require_complete(model)
-    single = np.asarray(q).ndim == 1
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    z = np.zeros_like(q)
-    g = _torque_rigid(model, q, z, z)
-    return g[0] if single else g
+    z = np.zeros(np.shape(q))
+    return _rigid(model, q, z, z)
 
 
 def inertia(model: IdentifiedModel, q) -> np.ndarray:
@@ -161,21 +150,15 @@ def inertia(model: IdentifiedModel, q) -> np.ndarray:
     if q.ndim != 1:
         raise ValueError("inertia takes a single configuration")
     n = model.n
-    Q = np.tile(q, (n + 1, 1))
-    Qd = np.zeros((n + 1, n))
-    Qdd = np.zeros((n + 1, n))
-    Qdd[:n] = np.eye(n)
-    tau = _torque_rigid(model, Q, Qd, Qdd)
-    return (tau[:n] - tau[n]).T
+    # state k accelerates joint k alone, gravity off: column k of M
+    return _rigid(model, np.tile(q, (n, 1)), np.zeros((n, n)), np.eye(n),
+                  _NO_GRAVITY).T
 
 
 def coriolis_times_qd(model: IdentifiedModel, q, qd) -> np.ndarray:
     """Velocity-product torques C(q, qd) qd."""
     _require_complete(model)
-    single, q, qd, _ = _states(q, qd, np.zeros_like(q))
-    z = np.zeros_like(q)
-    tau = _torque_rigid(model, q, qd, z) - _torque_rigid(model, q, z, z)
-    return tau[0] if single else tau
+    return _rigid(model, q, qd, np.zeros(np.shape(qd)), _NO_GRAVITY)
 
 
 def torque_terms(model: IdentifiedModel, q, qd, qdd):
@@ -185,28 +168,82 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     each (M, n); their sum reproduces torque() on the same states.
     """
     _require_complete(model)
-    _, q, qd, qdd = _states(q, qd, qdd)
-    z = np.zeros_like(q)
-    grav = _torque_rigid(model, q, z, z)
-    inert = _torque_rigid(model, q, z, qdd) - grav
-    cor = _torque_rigid(model, q, qd, z) - grav
-    fric = friction_sigmoid(model.psi, qd) * model.gains
-    return inert, cor, fric, grav
+    Q, Qd, Qdd = (np.atleast_2d(np.asarray(x, dtype=float))
+                  for x in (q, qd, qdd))
+    m = Q.shape[0]
+    z = np.zeros_like(Q)
+    # three blocks of the same configurations in one evaluation: gravity
+    # alone, then acceleration alone and velocity alone with gravity off
+    g = np.repeat([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY], m,
+                  axis=0)
+    tau = _rigid(model, np.vstack((Q, Q, Q)), np.vstack((z, z, Qd)),
+                 np.vstack((z, Qdd, z)), g)
+    return tau[m:2 * m], tau[2 * m:], friction(model, Qd), tau[:m]
 
 
 # ---------------------------------------------------------------------------
-# persistence: identified-model file plus a binary base-map beside it
+# persistence: one INI file, the base map stored in it value-exact
 
-def map_path_for(path) -> str:
-    base, _ = os.path.splitext(str(path))
-    return base + ".map.npz"
+def _write_map(cfg, map_: BaseParameterMap) -> None:
+    cfg["base_map"] = {
+        "seed": _fmt(map_.seed),
+        "n_probe": _fmt(map_.n_probe),
+        "tolerance": _fmt(map_.tolerance),
+        "inertial_columns": _vecstr(map_.inertial_columns),
+        "recombination": _vecstr(map_.recombination.ravel()),
+        "joint_masks": _vecstr(map_.joint_masks.ravel()),
+    }
+    for j in range(map_.n):
+        cfg[f"base_map.joint_{j+1}"] = {
+            "idcols": _vecstr(map_.joint_idcols[j]),
+            "depcols": _vecstr(map_.joint_depcols[j]),
+            "regroup": _vecstr(map_.joint_regroup[j].ravel()),
+        }
+
+
+def _columns(cfg, section, key, path) -> np.ndarray:
+    """A list of column indices of any length, possibly empty."""
+    length = len(cfg[section].get(key, "").split()) if section in cfg else 0
+    return _vec(cfg, section, key, length, path).astype(np.intp)
+
+
+def _read_map(cfg, n: int, path) -> BaseParameterMap:
+    if "base_map" not in cfg:
+        raise SchemaError(f"{path}: missing [base_map] section")
+    cols = _columns(cfg, "base_map", "inertial_columns", path)
+    c_in, width = cols.size, N_INERTIAL * n
+    if not 0 < c_in <= width or cols[0] < 0 or cols[-1] >= width \
+            or np.any(np.diff(cols) <= 0):
+        raise SchemaError(f"{path}: inertial_columns in [base_map] must be "
+                          f"ascending indices below {width}")
+    recomb = _vec(cfg, "base_map", "recombination", c_in * (width - c_in),
+                  path)
+    c = c_in + N_FRICTION * n
+    masks = _vec(cfg, "base_map", "joint_masks", n * c, path).reshape(n, c)
+    joints = []
+    for j in range(n):
+        sec = f"base_map.joint_{j+1}"
+        ident, dep = (_columns(cfg, sec, k, path) for k in ("idcols", "depcols"))
+        if not np.array_equal(np.sort(np.concatenate((ident, dep))),
+                              np.flatnonzero(masks[j, :c_in])):
+            raise SchemaError(f"{path}: [{sec}] columns disagree with "
+                              "joint_masks in [base_map]")
+        G = _vec(cfg, sec, "regroup", ident.size * dep.size, path)
+        joints.append((ident, dep, G.reshape(ident.size, dep.size)))
+    idcols, depcols, regroups = zip(*joints)
+    seed, n_probe, tolerance = (_vec(cfg, "base_map", k, 1, path)[0]
+                                for k in ("seed", "n_probe", "tolerance"))
+    return BaseParameterMap(
+        n=n, inertial_columns=cols,
+        recombination=recomb.reshape(c_in, width - c_in),
+        joint_masks=masks != 0, joint_idcols=idcols, joint_depcols=depcols,
+        joint_regroup=regroups, seed=int(seed), n_probe=int(n_probe),
+        tolerance=float(tolerance))
 
 
 def save_identified_model(model: IdentifiedModel, path,
                           provenance: str = "identified") -> None:
-    """Write the model file and its base map (same basename, .map.npz)."""
-    mp = map_path_for(path)
-    save_map(model.map, mp)
+    """Write the model, its base map included, to one INI file."""
     cfg = _new_parser()
     cfg["meta"] = {
         "name": model.name,
@@ -214,9 +251,9 @@ def save_identified_model(model: IdentifiedModel, path,
         "stage": model.stage,
         "provenance": provenance,
         "qd_threshold_rad_s": _fmt(model.qd_threshold),
-        "base_map": os.path.basename(mp),
     }
     _write_chain(cfg, model.chain)
+    _write_map(cfg, model.map)
     for j in range(model.n):
         cfg[f"coefficients.joint_{j+1}"] = {"chi": _vecstr(model.chi[j])}
     if model.psi is not None:
@@ -237,13 +274,7 @@ def load_identified_model(path) -> IdentifiedModel:
         raise SchemaError(f"{path}: not an identified-model file")
     chain = _read_chain(cfg, path)
     n = chain.n
-    mp = os.path.join(os.path.dirname(os.path.abspath(str(path))),
-                      cfg.get("meta", "base_map", fallback=""))
-    if not os.path.exists(mp):
-        raise SchemaError(f"{path}: base map {mp} not found")
-    map_ = load_map(mp)
-    if map_.n != n:
-        raise SchemaError(f"{path}: base map joint count mismatch")
+    map_ = _read_map(cfg, n, path)
     chi = np.vstack([
         _vec(cfg, f"coefficients.joint_{j+1}", "chi", map_.c, path)
         for j in range(n)])

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynid.dynamics import (DynamicParameters, FrictionSet, InertialParameters,
                             JointState, coriolis_vector, friction_linear,
                             friction_sigmoid, gravity_vector, inertia_matrix,
-                            regressor, regressor_stack, rnea, sigmoid)
+                            newton_euler, regressor, regressor_stack, rnea,
+                            sigmoid)
 from dynid.kinematics import DhRow, KinematicChain, frame_chain, ur10_chain
 
 # single link rotating about z, gravity along -y: the swing works against
@@ -386,6 +388,73 @@ def test_regressor_stack_matches_single():
     for k in range(5):
         st = JointState(q=tuple(Q[k]), qd=tuple(Qd[k]), qdd=tuple(Qdd[k]))
         assert np.array_equal(Ys[k], regressor(chain, st))
+
+
+# ---------------------------------------------------------------------------
+# batched Newton-Euler against the scalar rnea oracle
+
+TOY = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
+                     gravity=(0.0, -9.80665, 0.0))
+
+
+def _random_batch(chain, m, sets, rng):
+    n = chain.n
+    return (rng.uniform(-np.pi, np.pi, (m, n)), rng.uniform(-3.0, 3.0, (m, n)),
+            rng.uniform(-10.0, 10.0, (m, n)),
+            rng.uniform(-2.0, 2.0, (10 * n, sets)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       full=st.booleans(),
+       gravity=st.sampled_from(["chain", "off", "per-state"]))
+def test_newton_euler_matches_rnea(seed, chain, full, gravity):
+    # S in {1, n}; every set, state and gravity mode agrees with rnea to
+    # c01's relative error 1e-9
+    rng = np.random.default_rng(seed)
+    n, m = chain.n, 5
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, n if full else 1, rng)
+    g_rows = np.tile(chain.gravity_vector, (m, 1))
+    if gravity == "off":
+        g_rows[:] = 0.0
+    elif gravity == "per-state":
+        g_rows[rng.random(m) < 0.5] = 0.0
+    arg = {"chain": None, "off": (0.0, 0.0, 0.0),
+           "per-state": g_rows}[gravity]
+    tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    assert tau.shape == (m, n, Pi.shape[1])
+    for s in range(Pi.shape[1]):
+        links = DynamicParameters.from_vector(
+            np.concatenate((Pi[:, s], np.zeros(3 * n))), n).links
+        for k in range(m):
+            ref = rnea(chain, links, JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k]),
+                       gravity=g_rows[k])
+            assert np.max(np.abs(tau[k, :, s] - ref) / (1.0 + np.abs(ref))) \
+                < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       full=st.booleans(), data=st.data())
+def test_newton_euler_single_state_is_its_batch_row(seed, m, full, data):
+    rng = np.random.default_rng(seed)
+    chain = ur10_chain()
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, 6 if full else 1, rng)
+    row = data.draw(st.integers(0, m - 1))
+    batch = newton_euler(chain, Q, Qd, Qdd, Pi)
+    one = newton_euler(chain, Q[row], Qd[row], Qdd[row], Pi)
+    assert one.shape == (1,) + batch.shape[1:]
+    assert one[0].tobytes() == batch[row].tobytes()
+
+
+def test_newton_euler_shape_guards():
+    chain = ur10_chain()
+    z = np.zeros((2, 6))
+    with pytest.raises(ValueError, match="Pi"):
+        newton_euler(chain, z, z, z, np.zeros((59, 1)))
+    with pytest.raises(ValueError, match="joints"):
+        newton_euler(chain, z[:, :5], z[:, :5], z[:, :5], np.zeros((60, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import dynid
+from dynid.dataio import write_samples
+from dynid.solver import save_identified_model
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
 
@@ -45,6 +47,27 @@ print({_SCIPY_LOADED})
 """
     assert _run(code, tmp_path) == []
     assert (tmp_path / "traj.csv").exists()
+
+
+def test_solve_and_validate_load_no_scipy(ident_true, data_a, tmp_path):
+    # the base map is read from the model file, never recomputed: that
+    # would load scipy into every solve and validate
+    save_identified_model(ident_true, tmp_path / "model.ini")
+    write_samples(data_a, tmp_path / "run.csv")
+    code = f"""
+import sys, json
+import dynid.cli
+for argv in (["solve", "--model", "model.ini", "--traj", "run.csv",
+              "--out", "tau.csv"],
+             ["validate", "--model", "model.ini", "--samples", "run.csv",
+              "--report", "report.csv"]):
+    rc = dynid.cli.main(argv)
+    assert rc == 0, (argv, rc)
+print({_SCIPY_LOADED})
+"""
+    assert _run(code, tmp_path) == []
+    assert (tmp_path / "tau.csv").exists()
+    assert (tmp_path / "report.csv").exists()
 
 
 def test_lowpass_after_cold_import(tmp_path):

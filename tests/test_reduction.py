@@ -3,9 +3,8 @@ import pytest
 
 from dynid.dynamics import DynamicParameters, InertialParameters, JointState
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
-from dynid.reduction import (compute_base_map, current_level_regressor,
-                             load_map, minimal_regressor,
-                             minimal_regressor_stack, probe_states, save_map)
+from dynid.reduction import (compute_base_map, minimal_regressor,
+                             minimal_regressor_stack, probe_states)
 
 
 def random_params(n, rng):
@@ -83,61 +82,11 @@ def test_determinism(chain, bmap):
         assert np.array_equal(again.joint_regroup[j], bmap.joint_regroup[j])
 
 
-def test_save_load_round_trip(bmap, tmp_path):
-    p = tmp_path / "map.npz"
-    save_map(bmap, p)
-    bm2 = load_map(p)
-    assert bm2.n == bmap.n and bm2.c == bmap.c
-    assert np.array_equal(bm2.inertial_columns, bmap.inertial_columns)
-    assert np.array_equal(bm2.recombination, bmap.recombination)
-    for j in range(6):
-        assert np.array_equal(bm2.joint_idcols[j], bmap.joint_idcols[j])
-        assert np.array_equal(bm2.joint_depcols[j], bmap.joint_depcols[j])
-        assert np.array_equal(bm2.joint_regroup[j], bmap.joint_regroup[j])
-
-
-def test_save_is_byte_stable(bmap, tmp_path):
-    p1 = tmp_path / "a.npz"
-    p2 = tmp_path / "b.npz"
-    save_map(bmap, p1)
-    save_map(bmap, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_chain_mismatch_rejected(bmap):
     toy = KinematicChain(rows=(DhRow(0.3, 0.0, 0.1), DhRow(0.25, 0.0, 0.0)))
     st = JointState(q=(0.0, 0.0), qd=(0.0, 0.0), qdd=(0.0, 0.0))
     with pytest.raises(ValueError):
         minimal_regressor(bmap, toy, st)
-
-
-def test_block_diagonal_regressor_toy_chain():
-    toy = KinematicChain(rows=(DhRow(0.3, 0.0, 0.1), DhRow(0.25, 0.0, 0.0)),
-                         gravity=(0.0, -9.80665, 0.0))
-    bt = compute_base_map(toy)
-    st = JointState(q=(0.4, -0.2), qd=(1.0, 0.5), qdd=(-2.0, 3.0))
-    U = current_level_regressor(bt, toy, st)
-    Yh = minimal_regressor(bt, toy, st)
-    c = bt.c
-    assert U.shape == (2, 2 * c)
-    hand = np.zeros((2, 2 * c))
-    hand[0, :c] = Yh[0]
-    hand[1, c:] = Yh[1]
-    assert np.array_equal(U, hand)
-
-
-def test_block_diagonal_gain_algebra(bmap, chain):
-    # U chi with chi_j = pi_m / K_j reproduces diag(1/K) Yhat pi_m
-    rng = np.random.default_rng(17)
-    pim = rng.normal(size=bmap.c)
-    K = rng.uniform(5.0, 20.0, 6)
-    st = JointState(q=tuple(rng.uniform(-np.pi, np.pi, 6)),
-                    qd=tuple(rng.uniform(-3, 3, 6)),
-                    qdd=tuple(rng.uniform(-10, 10, 6)))
-    U = current_level_regressor(bmap, chain, st)
-    Yh = minimal_regressor(bmap, chain, st)
-    chi = np.concatenate([pim / K[j] for j in range(6)])
-    assert np.max(np.abs(U @ chi - (Yh @ pim) / K)) < 1e-12
 
 
 def test_zero_state_structure(bmap, chain):

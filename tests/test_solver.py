@@ -1,13 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
-from dynid.dataio import SchemaError
+from dynid.cli import main
+from dynid.dataio import SchemaError, _new_parser, write_samples
 from dynid.dynamics import friction_sigmoid, inertia_matrix
 from dynid.payload import PayloadSpec
 from dynid.solver import (IdentifiedModel, configure_payload,
                           coriolis_times_qd, friction, gravity, inertia,
-                          load_identified_model, map_path_for,
-                          save_identified_model, torque, torque_terms)
+                          load_identified_model, save_identified_model,
+                          torque, torque_terms)
 
 PAY = PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                   inertia_com=np.diag((0.030, 0.035, 0.030)))
@@ -118,7 +121,6 @@ def test_persistence_round_trip(ident_true, data_a, tmp_path):
     for model, tag in ((ident_true, "arm"), (with_pay, "pay")):
         p = tmp_path / f"model_{tag}.ini"
         save_identified_model(model, p)
-        assert (tmp_path / map_path_for(p).split("/")[-1]).exists()
         m2 = load_identified_model(p)
         assert m2.stage == "gains" and m2.is_complete
         assert np.array_equal(torque(m2, data_a.q, data_a.qd, data_a.qdd),
@@ -138,13 +140,82 @@ def test_persistence_stage_gating(ident_true, chain, bmap, tmp_path):
         gravity(m2, np.zeros(6))
 
 
-def test_load_requires_map_file(ident_true, tmp_path):
+def _map_arrays(m):
+    return ([m.inertial_columns, m.recombination, m.joint_masks]
+            + list(m.joint_idcols) + list(m.joint_depcols)
+            + list(m.joint_regroup))
+
+
+def test_map_round_trips_value_exact(ident_true, tmp_path):
     p = tmp_path / "model.ini"
     save_identified_model(ident_true, p)
-    import os
-    os.remove(map_path_for(p))
-    with pytest.raises(SchemaError, match="base map"):
-        load_identified_model(p)
+    assert os.listdir(tmp_path) == ["model.ini"]  # one file, no sidecar
+    a, b = ident_true.map, load_identified_model(p).map
+    assert (a.n, a.seed, a.n_probe, a.tolerance) \
+        == (b.n, b.seed, b.n_probe, b.tolerance)
+    # the UR10 map has joints without dependent columns: empty arrays too
+    assert any(d.size == 0 for d in a.joint_depcols)
+    for x, y in zip(_map_arrays(a), _map_arrays(b), strict=True):
+        assert x.shape == y.shape and x.dtype.kind == y.dtype.kind
+        assert np.array_equal(x, y)
+
+
+def test_model_file_is_byte_stable(ident_true, tmp_path):
+    model = configure_payload(ident_true, PAY)
+    paths = [tmp_path / f"m{k}.ini" for k in range(3)]
+    save_identified_model(model, paths[0])
+    save_identified_model(model, paths[1])
+    save_identified_model(load_identified_model(paths[0]), paths[2])
+    assert paths[0].read_bytes() == paths[1].read_bytes() \
+        == paths[2].read_bytes()
+
+
+def test_renamed_model_file_loads(ident_true, data_a, tmp_path):
+    p = tmp_path / "model.ini"
+    save_identified_model(ident_true, p)
+    (tmp_path / "moved").mkdir()
+    moved = tmp_path / "moved" / "renamed.ini"
+    os.replace(p, moved)
+    m2 = load_identified_model(moved)
+    assert np.array_equal(torque(m2, data_a.q, data_a.qd, data_a.qdd),
+                          torque(ident_true, data_a.q, data_a.qd, data_a.qdd))
+
+
+def test_load_requires_base_map_section(ident_true, data_a, tmp_path, capsys):
+    good = tmp_path / "model.ini"
+    save_identified_model(ident_true, good)
+    traj = tmp_path / "traj.csv"
+    write_samples(data_a, traj)
+
+    def drop_section(cfg):
+        cfg.remove_section("base_map")
+
+    def short_recombination(cfg):
+        cfg["base_map"]["recombination"] = \
+            cfg["base_map"]["recombination"].rsplit(" ", 1)[0]
+
+    def short_idcols(cfg):
+        cfg["base_map.joint_3"]["idcols"] = \
+            cfg["base_map.joint_3"]["idcols"].rsplit(" ", 1)[0]
+
+    def drop_joint(cfg):
+        cfg.remove_section("base_map.joint_6")
+
+    for edit in (drop_section, short_recombination, short_idcols,
+                 drop_joint):
+        cfg = _new_parser()
+        cfg.read(good)
+        edit(cfg)
+        bad = tmp_path / f"{edit.__name__}.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        with pytest.raises(SchemaError, match="base_map"):
+            load_identified_model(bad)
+        capsys.readouterr()
+        rc = main(["solve", "--model", str(bad), "--traj", str(traj),
+                   "--out", str(tmp_path / "tau.csv")])
+        assert rc == 2, edit.__name__
+        assert "error=2" in capsys.readouterr().err
 
 
 def test_model_validation(chain, bmap, ident_true):
