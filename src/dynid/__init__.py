@@ -1,175 +1,1 @@
 """Dynamic model identification for serial manipulators."""
-
-from .kinematics import (
-    GRAVITY_DEFAULT,
-    DhRow,
-    KinematicChain,
-    dh_transform,
-    link_pose,
-    ur10_chain,
-)
-from .dynamics import (
-    DynamicParameters,
-    FrictionSet,
-    InertialParameters,
-    JointState,
-    coriolis_vector,
-    friction_linear,
-    friction_sigmoid,
-    gravity_vector,
-    inertia_matrix,
-    newton_euler,
-    regressor,
-    regressor_stack,
-    rnea,
-)
-from .reduction import (
-    BaseParameterMap,
-    compute_base_map,
-    minimal_regressor,
-    minimal_regressor_stack,
-)
-from .payload import (
-    PayloadSpec,
-    apply_payload,
-    payload_to_frame_n,
-)
-from .trajectory import (
-    FourierTrajectory,
-    JointLimits,
-    excitation_score,
-    random_trajectory,
-    ur10_limits,
-    validation_trajectory,
-)
-from .dataio import (
-    RobotModel,
-    SampleSet,
-    SchemaError,
-    differentiate,
-    lowpass,
-    merge_sample_sets,
-    read_payload,
-    read_robot_model,
-    read_samples,
-    simulate,
-    ur10_default_model,
-    write_payload,
-    write_robot_model,
-    write_samples,
-)
-from .estimation import (
-    ConvergenceError,
-    CurrentCoefficients,
-    EstimationError,
-    ExcitationError,
-    FrictionFit,
-    GainEstimate,
-    IdentifiabilityError,
-    KnownPayload,
-    estimate_gains,
-    fit_friction,
-    friction_residual_currents,
-    ground_truth_gains,
-    identify_coefficients,
-    llse,
-    predict_currents,
-    predict_currents_full,
-    robust_weights,
-    wlse,
-)
-from .solver import (
-    IdentifiedModel,
-    configure_payload,
-    coriolis_times_qd,
-    friction,
-    gravity,
-    inertia,
-    load_identified_model,
-    save_identified_model,
-    torque,
-    torque_terms,
-)
-from .cli import Metrics, main, mnae, mse, validation_metrics
-
-__all__ = [
-    "GRAVITY_DEFAULT",
-    "DhRow",
-    "KinematicChain",
-    "dh_transform",
-    "link_pose",
-    "ur10_chain",
-    "DynamicParameters",
-    "FrictionSet",
-    "InertialParameters",
-    "JointState",
-    "coriolis_vector",
-    "friction_linear",
-    "friction_sigmoid",
-    "gravity_vector",
-    "inertia_matrix",
-    "newton_euler",
-    "regressor",
-    "regressor_stack",
-    "rnea",
-    "BaseParameterMap",
-    "compute_base_map",
-    "minimal_regressor",
-    "minimal_regressor_stack",
-    "PayloadSpec",
-    "apply_payload",
-    "payload_to_frame_n",
-    "FourierTrajectory",
-    "JointLimits",
-    "excitation_score",
-    "random_trajectory",
-    "ur10_limits",
-    "validation_trajectory",
-    "RobotModel",
-    "SampleSet",
-    "SchemaError",
-    "differentiate",
-    "lowpass",
-    "merge_sample_sets",
-    "read_payload",
-    "read_robot_model",
-    "read_samples",
-    "simulate",
-    "ur10_default_model",
-    "write_payload",
-    "write_robot_model",
-    "write_samples",
-    "ConvergenceError",
-    "CurrentCoefficients",
-    "EstimationError",
-    "ExcitationError",
-    "FrictionFit",
-    "GainEstimate",
-    "IdentifiabilityError",
-    "KnownPayload",
-    "estimate_gains",
-    "fit_friction",
-    "friction_residual_currents",
-    "ground_truth_gains",
-    "identify_coefficients",
-    "llse",
-    "predict_currents",
-    "predict_currents_full",
-    "robust_weights",
-    "wlse",
-    "IdentifiedModel",
-    "configure_payload",
-    "coriolis_times_qd",
-    "friction",
-    "gravity",
-    "inertia",
-    "load_identified_model",
-    "save_identified_model",
-    "torque",
-    "torque_terms",
-    "Metrics",
-    "main",
-    "mnae",
-    "mse",
-    "validation_metrics",
-]

@@ -282,8 +282,8 @@ def cmd_solve(a) -> None:
     s = read_samples(a.traj, qd_threshold=model.qd_threshold)
     if s.n != model.n:
         raise SchemaError(f"samples cover {s.n} joints, model has {model.n}")
-    tau = torque(model, s.q, s.qd, s.qdd)
     inert, cor, fric, grav = torque_terms(model, s.q, s.qd, s.qdd)
+    tau = inert + cor + fric + grav
     n = model.n
     cols = ["t"]
     for name in ("tau", "inertia", "coriolis", "friction", "gravity"):

@@ -292,6 +292,18 @@ def _new_parser() -> configparser.ConfigParser:
     return cfg
 
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parse an INI file; a missing or malformed one is a SchemaError."""
+    cfg = _new_parser()
+    try:
+        read = cfg.read(path)
+    except configparser.Error as e:
+        raise SchemaError(f"{path}: not a valid INI file: {e}") from None
+    if not read:
+        raise SchemaError(f"{path}: cannot read file")
+    return cfg
+
+
 def _vec(cfg, section, key, length, path):
     try:
         raw = cfg[section][key]
@@ -396,10 +408,7 @@ def write_robot_model(model: RobotModel, path,
 
 
 def read_robot_model(path) -> RobotModel:
-    cfg = _new_parser()
-    read = cfg.read(path)
-    if not read:
-        raise SchemaError(f"{path}: cannot read file")
+    cfg = _read_ini(path)
     chain = _read_chain(cfg, path)
     n = chain.n
     name = cfg.get("meta", "name", fallback="unnamed")
@@ -454,9 +463,7 @@ def write_payload(spec: PayloadSpec, path) -> None:
 
 
 def read_payload(path) -> PayloadSpec:
-    cfg = _new_parser()
-    if not cfg.read(path):
-        raise SchemaError(f"{path}: cannot read file")
+    cfg = _read_ini(path)
     if "payload" not in cfg:
         raise SchemaError(f"{path}: missing [payload] section")
     mass = float(_vec(cfg, "payload", "mass_kg", 1, path)[0])

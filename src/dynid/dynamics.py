@@ -331,33 +331,6 @@ def rnea(chain: KinematicChain, links, state: JointState,
     return tau
 
 
-def inertia_matrix(chain: KinematicChain, links, q) -> np.ndarray:
-    """Joint-space inertia matrix from unit-acceleration sweeps, gravity off."""
-    n = chain.n
-    M = np.empty((n, n))
-    zero = np.zeros(n)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        state = JointState(q=tuple(q), qd=tuple(zero), qdd=tuple(e))
-        M[:, k] = rnea(chain, links, state, gravity=(0.0, 0.0, 0.0))
-    return M
-
-
-def coriolis_vector(chain: KinematicChain, links, q, qd) -> np.ndarray:
-    """Velocity-product torques c(q, qd) with gravity off."""
-    zero = np.zeros(chain.n)
-    state = JointState(q=tuple(q), qd=tuple(qd), qdd=tuple(zero))
-    return rnea(chain, links, state, gravity=(0.0, 0.0, 0.0))
-
-
-def gravity_vector(chain: KinematicChain, links, q, gravity=None) -> np.ndarray:
-    """Static gravity torques g(q)."""
-    zero = np.zeros(chain.n)
-    state = JointState(q=tuple(q), qd=tuple(zero), qdd=tuple(zero))
-    return rnea(chain, links, state, gravity=gravity)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function computed as 0.5*(1 + tanh(x/2)); overflow-free."""
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))

@@ -29,7 +29,7 @@ WEIGHT_MAX_ITER = 50
 CONDITION_LIMIT = 1e8
 MIN_REGION_SAMPLES = 50
 GAIN_LOWER_DEFAULT = 10.0
-PIVOT_TOL_DEFAULT = 1e-10
+PIVOT_TOL = 1e-10
 MIXING_TOL = 1e-6
 
 
@@ -116,14 +116,12 @@ def _mad_scale(residual: np.ndarray) -> float:
     return float(np.median(np.abs(residual - med)) / 0.6745)
 
 
-def robust_weights(stack: np.ndarray, rhs: np.ndarray,
-                   tuning: float = BISQUARE_TUNING, tol: float = WEIGHT_TOL,
-                   max_iter: int = WEIGHT_MAX_ITER) -> WeightMatrix:
+def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
     """Bisquare IRLS weights for a linear model.
 
-    Iterates weighted solves until the weights settle to within tol.  A
-    degenerate residual scale (all residuals essentially zero) returns
-    unit weights, since there is nothing to downweight.
+    Iterates weighted solves until the weights settle to within
+    WEIGHT_TOL.  A degenerate residual scale (all residuals essentially
+    zero) returns unit weights, since there is nothing to downweight.
     """
     stack = np.asarray(stack, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -139,18 +137,18 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
 
     w = np.ones(stack.shape[0])
     x = solve(w)
-    for it in range(1, max_iter + 1):
+    for it in range(1, WEIGHT_MAX_ITER + 1):
         r = rhs - stack @ x
         s = _mad_scale(r)
         if s <= floor:
             return WeightMatrix(np.ones_like(w), converged=True, iterations=it)
-        u = r / (tuning * s)
+        u = r / (BISQUARE_TUNING * s)
         w_new = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
-        if np.max(np.abs(w_new - w)) < tol:
+        if np.max(np.abs(w_new - w)) < WEIGHT_TOL:
             return WeightMatrix(w_new, converged=True, iterations=it)
         w = w_new
         x = solve(w)
-    return WeightMatrix(w, converged=False, iterations=max_iter)
+    return WeightMatrix(w, converged=False, iterations=WEIGHT_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +269,6 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
                                           samples.qd, samples.qdd)
 
 
-def predict_currents_full(map_: BaseParameterMap, chain: KinematicChain, chi,
-                          psi: FrictionSet, q, qd, qdd) -> np.ndarray:
-    """Currents from the stage-2 model: inertial part plus sigmoid friction."""
-    return (_inertial_currents(map_, chain, chi, q, qd, qdd)
-            + friction_sigmoid(psi, qd))
-
-
 # ---------------------------------------------------------------------------
 # stage 2: sigmoid friction fit
 
@@ -305,8 +296,7 @@ def _friction_jacobian(p: np.ndarray, qd: np.ndarray,
     return J
 
 
-def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray,
-            max_iter: int = LM_MAX_ITER):
+def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray):
     """Damped Gauss-Newton descent on the sigmoid friction residual.
 
     Only improving steps are accepted, so the objective history is
@@ -318,7 +308,7 @@ def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray,
     obj = float(r @ r)
     history = [obj]
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(LM_MAX_ITER):
         J = _friction_jacobian(p, qd, s)
         g = J.T @ r
         if np.max(np.abs(g)) < LM_GTOL * (1.0 + obj):
@@ -496,7 +486,7 @@ class GainEstimate:
     n_unknown: int
 
 
-def _gain_solve(S, y, w, lam_bounds, pivot_tol, label, apply_bounds):
+def _gain_solve(S, y, w, lam_bounds, label):
     # imported here so that commands which never factorise skip loading it
     import scipy.linalg
 
@@ -504,7 +494,7 @@ def _gain_solve(S, y, w, lam_bounds, pivot_tol, label, apply_bounds):
     Q, R, piv = scipy.linalg.qr(S * sw[:, None], mode="economic",
                                 pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > pivot_tol * diag[0])) if diag[0] > 0 else 0
+    rank = int(np.sum(diag > PIVOT_TOL * diag[0])) if diag[0] > 0 else 0
     p = S.shape[1]
     kidx = p - 1
     if rank == 0:
@@ -526,7 +516,7 @@ def _gain_solve(S, y, w, lam_bounds, pivot_tol, label, apply_bounds):
     qy = (Q.T @ (y * sw))[:rank]
     lam = scipy.linalg.solve_triangular(R1, qy)
     bounded = False
-    if apply_bounds and not full_rank:
+    if not full_rank:
         lo, hi = lam_bounds
         if not lo <= lam[pos] <= hi:
             clamped = float(np.clip(lam[pos], lo, hi))
@@ -549,9 +539,8 @@ def _gain_solve(S, y, w, lam_bounds, pivot_tol, label, apply_bounds):
 def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                    known_payload: KnownPayload, map_: BaseParameterMap,
                    chain: KinematicChain, chi, psi: FrictionSet,
-                   bounds: tuple[float, float | None] = (GAIN_LOWER_DEFAULT,
-                                                         None),
-                   pivot_tol: float = PIVOT_TOL_DEFAULT) -> GainEstimate:
+                   bounds: tuple[float, float | None] = (
+                       GAIN_LOWER_DEFAULT, None)) -> GainEstimate:
     """Stage 3: drive gains from paired runs without/with a payload.
 
     Per joint the friction-compensated currents of both runs are stacked
@@ -629,8 +618,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         lam_bounds = (0.0 if np.isinf(k_hi) else 1.0 / k_hi, 1.0 / k_lo)
 
         wm = robust_weights(S, y)
-        Kj, zj, mj, fr, bd = _gain_solve(S, y, wm.w, lam_bounds, pivot_tol,
-                                         label, apply_bounds=True)
+        Kj, zj, mj, fr, bd = _gain_solve(S, y, wm.w, lam_bounds, label)
         K[j] = Kj
         zeta.append(zj)
         masks.append(mj)
@@ -643,26 +631,3 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                         columns=tuple(cols_used),
                         bounds=tuple(jbounds), full_rank=tuple(full_rank),
                         bounded=tuple(bounded_flags), n_unknown=n_unknown)
-
-
-def ground_truth_gains(tau: np.ndarray, v: np.ndarray):
-    """Reference gains as the mean torque/current ratio per joint.
-
-    Samples with exactly zero current are rejected; the second return
-    value counts the rejections per joint.
-    """
-    tau = np.atleast_2d(np.asarray(tau, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if tau.shape != v.shape:
-        raise ValueError("torque and current arrays must match in shape")
-    n = tau.shape[1]
-    K = np.zeros(n)
-    rejected = np.zeros(n, dtype=int)
-    for j in range(n):
-        ok = v[:, j] != 0.0
-        rejected[j] = int((~ok).sum())
-        if not ok.any():
-            raise EstimationError(f"joint {j+1}: every sample has zero "
-                                  "current; cannot form a ratio")
-        K[j] = float(np.mean(tau[ok, j] / v[ok, j]))
-    return K, rejected

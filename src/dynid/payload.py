@@ -1,5 +1,5 @@
 """Payload handling: map a tool described in its own frame onto the last
-link and split torques into arm and payload contributions.
+link as an increment of its inertial parameters.
 
 A payload is given in a payload frame l rigidly attached to the flange
 frame n: COM position r_l and the COM-referenced inertia tensor, plus the
@@ -19,12 +19,9 @@ from .dynamics import (
     N_INERTIAL,
     DynamicParameters,
     InertialParameters,
-    JointState,
     inertia_matrix_to_vector,
-    newton_euler,
     steiner_shift,
 )
-from .kinematics import KinematicChain
 
 
 @dataclass(frozen=True)
@@ -87,17 +84,3 @@ def apply_payload(params: DynamicParameters, pi_L: np.ndarray) -> DynamicParamet
     last = params.links[-1].to_vector() + pi_L
     links = params.links[:-1] + (InertialParameters.from_vector(last),)
     return DynamicParameters(links=links, friction=params.friction)
-
-
-def split_torques(chain: KinematicChain, links, pi_L: np.ndarray,
-                  state: JointState, gravity=None):
-    """Arm-only torques and payload torques at one state.
-
-    One Newton-Euler evaluation of two sets, the arm and pi_L alone on the
-    last link; by linearity their sum is the composite arm's torque.
-    """
-    Pi = np.zeros((N_INERTIAL * chain.n, 2))
-    Pi[:, 0] = np.concatenate([lk.to_vector() for lk in links])
-    Pi[-N_INERTIAL:, 1] = pi_L
-    tau = newton_euler(chain, *state.arrays(), Pi, gravity=gravity)[0]
-    return tau[:, 0], tau[:, 1]

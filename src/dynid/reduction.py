@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters, JointState,
+from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
                        newton_euler, regressor_stack)
 from .kinematics import KinematicChain
 
@@ -225,11 +225,3 @@ def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
         raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
     return minimal_columns(map_, regressor_stack(chain, Q, Qd, Qdd,
                                                  gravity=gravity))
-
-
-def minimal_regressor(map_: BaseParameterMap, chain: KinematicChain,
-                      state: JointState, gravity=None) -> np.ndarray:
-    """Minimal regressor of one state, shape (n, c)."""
-    q, qd, qdd = state.arrays()
-    return minimal_regressor_stack(map_, chain, q[None, :], qd[None, :],
-                                   qdd[None, :], gravity=gravity)[0]

@@ -20,8 +20,8 @@ from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, own_joint_torques
 from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
-                     _read_chain, _read_friction, _vec, _vecstr, _write_chain,
-                     _write_friction)
+                     _read_chain, _read_friction, _read_ini, _vec, _vecstr,
+                     _write_chain, _write_friction)
 
 _NO_GRAVITY = np.zeros(3)
 
@@ -267,9 +267,7 @@ def save_identified_model(model: IdentifiedModel, path,
 
 
 def load_identified_model(path) -> IdentifiedModel:
-    cfg = _new_parser()
-    if not cfg.read(path):
-        raise SchemaError(f"{path}: cannot read file")
+    cfg = _read_ini(path)
     if cfg.get("meta", "kind", fallback="") != "identified":
         raise SchemaError(f"{path}: not an identified-model file")
     chain = _read_chain(cfg, path)

@@ -5,6 +5,7 @@ from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
 from dynid.dataio import (read_samples, ur10_default_model, write_payload,
                           write_robot_model)
 from dynid.payload import PayloadSpec
+from dynid.solver import load_identified_model, torque
 
 PAYLOAD = PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                       inertia_com=np.diag((0.030, 0.035, 0.030)))
@@ -153,6 +154,16 @@ def test_pipeline_solve_schema(pipeline):
     assert np.max(np.abs(tau - parts)) < 1e-9
 
 
+def test_solve_tau_is_solver_torque(pipeline):
+    # solve writes tau as the sum of the four term blocks, which must agree
+    # with solver.torque on the same states
+    data = np.loadtxt(pipeline["torques"], delimiter=",", skiprows=1)
+    model = load_identified_model(pipeline["model"])
+    s = read_samples(pipeline["run_a"], qd_threshold=model.qd_threshold)
+    tau = torque(model, s.q, s.qd, s.qdd)
+    assert np.max(np.abs(data[:, 1:7] - tau)) < 1e-9
+
+
 def test_traj_gen_deterministic(pipeline):
     d, robot = pipeline["dir"], pipeline["robot"]
     again = str(d / "traj_a_again.csv")
@@ -221,6 +232,44 @@ def test_exit_code_missing_file(pipeline, capsys):
                "--out", str(pipeline["dir"] / "nope.csv")])
     assert rc == 1
     assert "identify linear" in capsys.readouterr().err
+
+
+# each role's file is read by a command that needs it
+_INI_ROLES = {
+    "robot": lambda p, bad, out: ["traj", "gen", "--robot", bad, "--seed",
+                                  "1", "--duration", "1", "--out", out],
+    "payload": lambda p, bad, out: ["solve", "--model", p["model"],
+                                    "--payload", bad, "--traj", p["run_a"],
+                                    "--out", out],
+    "model": lambda p, bad, out: ["solve", "--model", bad,
+                                  "--traj", p["run_a"], "--out", out],
+}
+
+
+def _break_ini(text, defect):
+    lines = text.splitlines(keepends=True)
+    if defect == "no_section_header":  # e.g. a sample CSV in an INI's place
+        return "t,q1,qd1,v1,scenario\n" + text
+    if defect == "duplicate_section":
+        return text + next(line for line in lines if line.startswith("["))
+    k = next(i for i, line in enumerate(lines) if " = " in line)
+    return "".join(lines[:k + 1] + lines[k:])  # duplicate key
+
+
+@pytest.mark.parametrize("defect", ["no_section_header", "duplicate_section",
+                                    "duplicate_key"])
+@pytest.mark.parametrize("role", sorted(_INI_ROLES))
+def test_malformed_ini_exits_2(pipeline, capsys, role, defect):
+    bad = str(pipeline["dir"] / f"bad_{role}_{defect}.ini")
+    with open(pipeline[role]) as fh:
+        text = fh.read()
+    with open(bad, "w") as fh:
+        fh.write(_break_ini(text, defect))
+    out = str(pipeline["dir"] / "nope.csv")
+    assert main(_INI_ROLES[role](pipeline, bad, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error=2 msg=") and err.count("\n") == 1
+    assert bad in err
 
 
 def test_validate_with_baseline(pipeline):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynid.dynamics import (DynamicParameters, FrictionSet, InertialParameters,
-                            JointState, coriolis_vector, friction_linear,
-                            friction_sigmoid, gravity_vector, inertia_matrix,
+                            JointState, friction_linear, friction_sigmoid,
                             newton_euler, regressor, regressor_stack, rnea,
                             sigmoid)
-from dynid.kinematics import DhRow, KinematicChain, frame_chain, ur10_chain
+from dynid.kinematics import DhRow, KinematicChain, ur10_chain
+from forward_kinematics import frame_chain
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -191,26 +191,61 @@ def test_rnea_matches_lagrangian_oracle():
 
 
 # ---------------------------------------------------------------------------
-# equation-of-motion terms
+# equation-of-motion terms, evaluated as the solver evaluates them: one
+# newton_euler call, unit-acceleration states with gravity off for M(q) and
+# gravity off for c(q, qd); rnea is the reference
+
+NO_GRAVITY = (0.0, 0.0, 0.0)
+
+
+def _set(links):
+    return np.concatenate([lk.to_vector() for lk in links])[:, None]
+
+
+def _inertia(chain, links, q):
+    # state k accelerates joint k alone: column k of M
+    n = chain.n
+    return newton_euler(chain, np.tile(q, (n, 1)), np.zeros((n, n)),
+                        np.eye(n), _set(links), gravity=NO_GRAVITY)[:, :, 0].T
+
+
+def _coriolis(chain, links, q, qd):
+    return newton_euler(chain, q, qd, np.zeros(chain.n), _set(links),
+                        gravity=NO_GRAVITY)[0, :, 0]
+
+
+def _gravity(chain, links, q):
+    z = np.zeros(chain.n)
+    return newton_euler(chain, q, z, z, _set(links))[0, :, 0]
+
+
+def _close(x, ref):
+    # c01's relative error against the scalar oracle
+    return np.max(np.abs(x - ref) / (1.0 + np.abs(ref))) < 1e-9
+
 
 def test_inertia_matrix_properties():
     chain = ur10_chain()
     rng = np.random.default_rng(1)
     links = random_links(6, rng)
-    assert np.array_equal(inertia_matrix(chain, zero_links(6), np.zeros(6)),
+    assert np.array_equal(_inertia(chain, zero_links(6), np.zeros(6)),
                           np.zeros((6, 6)))
     for _ in range(100):
         q = rng.uniform(-np.pi, np.pi, 6)
-        M = inertia_matrix(chain, links, q)
+        M = _inertia(chain, links, q)
         assert np.max(np.abs(M - M.T)) < 1e-10
+        for k, e in enumerate(np.eye(6)):
+            ref = rnea(chain, links, JointState(q=q, qd=np.zeros(6), qdd=e),
+                       gravity=NO_GRAVITY)
+            assert _close(M[:, k], ref)
     # physical parameters give positive definite M
-    assert np.all(np.linalg.eigvalsh(inertia_matrix(chain, links, q)) > 0)
+    assert np.all(np.linalg.eigvalsh(M) > 0)
 
 
 def test_inertia_matrix_pendulum():
     # point mass carries its own origin-referenced inertia via Steiner
     point = InertialParameters.from_com(2.0, (0.5, 0.0, 0.0), np.zeros((3, 3)))
-    M = inertia_matrix(PENDULUM, [point], np.zeros(1))
+    M = _inertia(PENDULUM, [point], np.zeros(1))
     # 2 kg at radius 0.5 m about the joint axis: I = m r^2 = 0.5
     assert abs(M[0, 0] - 0.5) < 1e-12
 
@@ -221,11 +256,14 @@ def test_coriolis_vector():
     links = random_links(6, rng)
     q = rng.uniform(-np.pi, np.pi, 6)
     qd = rng.uniform(-3, 3, 6)
-    assert np.array_equal(coriolis_vector(chain, links, q, np.zeros(6)),
+    assert np.array_equal(_coriolis(chain, links, q, np.zeros(6)),
                           np.zeros(6))
-    c1 = coriolis_vector(chain, links, q, qd)
-    c2 = coriolis_vector(chain, links, q, 2.0 * qd)
+    c1 = _coriolis(chain, links, q, qd)
+    c2 = _coriolis(chain, links, q, 2.0 * qd)
     assert np.max(np.abs(c2 - 4.0 * c1)) < 1e-9
+    ref = rnea(chain, links, JointState(q=q, qd=qd, qdd=np.zeros(6)),
+               gravity=NO_GRAVITY)
+    assert _close(c1, ref)
 
 
 def test_term_decomposition():
@@ -238,16 +276,16 @@ def test_term_decomposition():
         qdd = rng.uniform(-10, 10, 6)
         st = JointState(q=tuple(q), qd=tuple(qd), qdd=tuple(qdd))
         total = rnea(chain, links, st)
-        M = inertia_matrix(chain, links, q)
-        c = coriolis_vector(chain, links, q, qd)
-        g = gravity_vector(chain, links, q)
+        M = _inertia(chain, links, q)
+        c = _coriolis(chain, links, q, qd)
+        g = _gravity(chain, links, q)
         assert np.max(np.abs(total - (M @ qdd + c + g))) < 1e-9
 
 
 def test_gravity_vector_pendulum():
-    assert np.array_equal(gravity_vector(PENDULUM, zero_links(1), np.zeros(1)),
+    assert np.array_equal(_gravity(PENDULUM, zero_links(1), np.zeros(1)),
                           np.zeros(1))
-    g = gravity_vector(PENDULUM, [PENDULUM_LINK], np.array([0.3]))
+    g = _gravity(PENDULUM, [PENDULUM_LINK], np.array([0.3]))
     assert abs(g[0] - 2.0 * 9.80665 * 0.5 * np.cos(0.3)) < 1e-12
 
 
@@ -261,9 +299,9 @@ def test_energy_rate_consistency():
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, 6)
         qd = rng.uniform(-2, 2, 6)
-        Mdot = (inertia_matrix(chain, links, q + h * qd)
-                - inertia_matrix(chain, links, q - h * qd)) / (2 * h)
-        c = coriolis_vector(chain, links, q, qd)
+        Mdot = (_inertia(chain, links, q + h * qd)
+                - _inertia(chain, links, q - h * qd)) / (2 * h)
+        c = _coriolis(chain, links, q, qd)
         assert abs(qd @ Mdot @ qd - 2.0 * qd @ c) < 1e-5
 
 

@@ -9,10 +9,11 @@ from dynid.estimation import (ConvergenceError, CurrentCoefficients,
                               EstimationError, ExcitationError,
                               IdentifiabilityError, KnownPayload,
                               WeightMatrix, estimate_gains, fit_friction,
-                              friction_residual_currents, ground_truth_gains,
+                              friction_residual_currents,
                               identify_coefficients, llse, predict_currents,
-                              predict_currents_full, robust_weights, wlse)
+                              robust_weights, wlse)
 from dynid.payload import PayloadSpec
+from dynid.solver import torque
 from dynid.trajectory import FourierTrajectory
 
 REFERENCE_FRICTION = (
@@ -375,28 +376,9 @@ def test_known_payload_validation():
     assert kp.coord_mask.sum() == 4
 
 
-def test_ground_truth_gains():
-    tau = np.array([[10.0, 4.0], [20.0, 6.0]])
-    v = np.array([[1.0, 2.0], [1.0, 2.0]])
-    K, rejected = ground_truth_gains(tau, v)
-    assert np.allclose(K, [15.0, 2.5], atol=1e-12)
-    assert np.array_equal(rejected, [0, 0])
-    # zero-current samples are rejected, not averaged
-    v2 = np.array([[1.0, 2.0], [0.0, 2.0]])
-    K2, rej2 = ground_truth_gains(tau, v2)
-    assert K2[0] == 10.0 and rej2[0] == 1
-    with pytest.raises(EstimationError, match="zero current"):
-        ground_truth_gains(tau, np.array([[0.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        ground_truth_gains(tau, np.ones((3, 2)))
-
-
-def test_full_prediction_composes(bmap, chain, stage1, stage2, stage3, plant,
-                                  data_b):
-    # stage-2 model times the stage-3 gains reproduces held-out torques
-    v_hat = predict_currents_full(bmap, chain, stage1, stage2.friction,
-                                  data_b.q, data_b.qd, data_b.qdd)
-    tau_hat = v_hat * stage3.gains
+def test_full_prediction_composes(ident, plant, data_b):
+    # the solver over the three stages' estimates reproduces held-out torques
+    tau_hat = torque(ident, data_b.q, data_b.qd, data_b.qdd)
     tau_true = data_b.v * np.asarray(plant.gains)
     for j in range(6):
         x = tau_true[:, j]

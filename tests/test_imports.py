@@ -1,4 +1,5 @@
-"""Import hygiene: scipy loads only in the stages that factorise or filter.
+"""Import hygiene: `import dynid` loads no submodule, and scipy loads only
+in the stages that factorise or filter.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported scipy through other tests.
@@ -32,6 +33,17 @@ def test_import_dynid_loads_no_scipy(tmp_path):
     loaded = _run(f"import sys, json, dynid; print({_SCIPY_LOADED})",
                   tmp_path)
     assert loaded == []
+
+
+def test_import_dynid_loads_no_submodule(tmp_path):
+    # names are imported from their modules; the package re-exports none,
+    # so importing it pulls in neither the CLI nor the file readers
+    code = """
+import sys, json, dynid
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("dynid.")
+                        or m in ("argparse", "configparser"))))
+"""
+    assert _run(code, tmp_path) == []
 
 
 def test_traj_gen_loads_no_scipy(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynid.kinematics import (DhRow, KinematicChain, dh_transform, frame_chain,
-                              link_pose, ur10_chain)
+from dynid.kinematics import DhRow, KinematicChain, dh_transform, ur10_chain
+from forward_kinematics import frame_chain, link_pose
 
 joint_vectors = st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6)
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from dynid.dynamics import (DynamicParameters, InertialParameters, JointState,
-                            rnea)
-from dynid.kinematics import DhRow, KinematicChain, ur10_chain
-from dynid.payload import (PayloadSpec, apply_payload, payload_to_frame_n,
-                           split_torques)
+                            newton_euler, rnea)
+from dynid.kinematics import DhRow, KinematicChain
+from dynid.payload import PayloadSpec, apply_payload, payload_to_frame_n
 
 
 def _skew(v):
@@ -23,6 +22,16 @@ def _random_links(n, rng):
         links.append(InertialParameters.from_com(
             m, com, A @ A.T * 0.05 + np.eye(3) * 0.01))
     return links
+
+
+def _arm_and_payload(chain, links, pi_L, st):
+    # one newton_euler call on two sets: the arm, and pi_L alone on the
+    # last link; by linearity their sum is the loaded arm's torque
+    Pi = np.zeros((10 * chain.n, 2))
+    Pi[:, 0] = np.concatenate([lk.to_vector() for lk in links])
+    Pi[-10:, 1] = pi_L
+    tau = newton_euler(chain, *st.arrays(), Pi)[0]
+    return tau[:, 0], tau[:, 1]
 
 
 def test_zero_mass_payload_vanishes():
@@ -127,13 +136,13 @@ def test_apply_payload():
         assert updated.links[i].mass == params.links[i].mass
 
 
-def test_split_torques_zero_payload(chain):
+def test_zero_payload_set_gives_zero_torque(chain):
     rng = np.random.default_rng(16)
     links = _random_links(6, rng)
     st = JointState(q=tuple(rng.uniform(-np.pi, np.pi, 6)),
                     qd=tuple(rng.uniform(-2, 2, 6)),
                     qdd=tuple(rng.uniform(-5, 5, 6)))
-    tau_arm, tau_L = split_torques(chain, links, np.zeros(10), st)
+    tau_arm, tau_L = _arm_and_payload(chain, links, np.zeros(10), st)
     assert np.array_equal(tau_L, np.zeros(6))
     assert np.allclose(tau_arm, rnea(chain, links, st), atol=1e-12)
 
@@ -151,7 +160,7 @@ def test_superposition_identity(chain):
         st = JointState(q=tuple(rng.uniform(-np.pi, np.pi, 6)),
                         qd=tuple(rng.uniform(-3, 3, 6)),
                         qdd=tuple(rng.uniform(-10, 10, 6)))
-        tau_arm, tau_L = split_torques(chain, links, pi_L, st)
+        tau_arm, tau_L = _arm_and_payload(chain, links, pi_L, st)
         combined = rnea(chain, apply_payload(params, pi_L).links, st)
         assert np.max(np.abs(combined - (tau_arm + tau_L))) < 1e-9
 
@@ -167,7 +176,7 @@ def test_static_point_payload_moment_arm():
     pi_L = payload_to_frame_n(spec)
     for qv in (0.0, 0.5, -1.1):
         st = JointState(q=(qv,), qd=(0.0,), qdd=(0.0,))
-        _, tau_L = split_torques(pend, [link], pi_L, st)
+        _, tau_L = _arm_and_payload(pend, [link], pi_L, st)
         assert tau_L[0] == pytest.approx(0.8 * 9.80665 * 0.35 * np.cos(qv),
                                          abs=1e-12)
 

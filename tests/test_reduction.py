@@ -3,8 +3,8 @@ import pytest
 
 from dynid.dynamics import DynamicParameters, InertialParameters, JointState
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
-from dynid.reduction import (compute_base_map, minimal_regressor,
-                             minimal_regressor_stack, probe_states)
+from dynid.reduction import (compute_base_map, minimal_regressor_stack,
+                             probe_states)
 
 
 def random_params(n, rng):
@@ -84,14 +84,15 @@ def test_determinism(chain, bmap):
 
 def test_chain_mismatch_rejected(bmap):
     toy = KinematicChain(rows=(DhRow(0.3, 0.0, 0.1), DhRow(0.25, 0.0, 0.0)))
-    st = JointState(q=(0.0, 0.0), qd=(0.0, 0.0), qdd=(0.0, 0.0))
+    z = np.zeros((1, 2))
     with pytest.raises(ValueError):
-        minimal_regressor(bmap, toy, st)
+        minimal_regressor_stack(bmap, toy, z, z, z)
 
 
 def test_zero_state_structure(bmap, chain):
     st = JointState(q=(0.0,) * 6, qd=(0.0,) * 6, qdd=(0.0,) * 6)
-    Yh = minimal_regressor(bmap, chain, st)
+    z = np.zeros((1, 6))
+    Yh = minimal_regressor_stack(bmap, chain, z, z, z)[0]
     c_in = bmap.c_inertial
     for j in range(6):
         # friction columns collapse to the offset indicator

@@ -5,7 +5,7 @@ import pytest
 
 from dynid.cli import main
 from dynid.dataio import SchemaError, _new_parser, write_samples
-from dynid.dynamics import friction_sigmoid, inertia_matrix
+from dynid.dynamics import JointState, friction_sigmoid, rnea
 from dynid.payload import PayloadSpec
 from dynid.solver import (IdentifiedModel, configure_payload,
                           coriolis_times_qd, friction, gravity, inertia,
@@ -54,7 +54,10 @@ def test_inertia_matches_plant(ident_true, chain, plant):
     rng = np.random.default_rng(7)
     q = rng.uniform(-np.pi, np.pi, 6)
     M_hat = inertia(ident_true, q)
-    M_true = inertia_matrix(chain, plant.links, q)
+    # column k is the rigid-body torque of a unit acceleration of joint k
+    M_true = np.column_stack([
+        rnea(chain, plant.links, JointState(q=q, qd=np.zeros(6), qdd=e),
+             gravity=(0.0, 0.0, 0.0)) for e in np.eye(6)])
     assert np.max(np.abs(M_hat - M_true)) / np.max(np.abs(M_true)) < 1e-9
     assert np.max(np.abs(M_hat - M_hat.T)) < 1e-9
     with pytest.raises(ValueError):
