@@ -197,10 +197,18 @@ def write_samples(samples: SampleSet, path) -> None:
         fh.write(_format_rows(data, "," + samples.scenario))
 
 
+def _not_utf8(path, e: UnicodeDecodeError) -> str:
+    return (f"{path}: not UTF-8 text, byte 0x{e.object[e.start]:02x} "
+            f"at offset {e.start}")
+
+
 def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     """Read a sample CSV; acceleration is always derived, never stored."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(_not_utf8(path, e)) from None
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -296,9 +304,11 @@ def _read_ini(path) -> configparser.ConfigParser:
     """Parse an INI file; a missing or malformed one is a SchemaError."""
     cfg = _new_parser()
     try:
-        read = cfg.read(path)
+        read = cfg.read(path, encoding="utf-8")
     except configparser.Error as e:
         raise SchemaError(f"{path}: not a valid INI file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(_not_utf8(path, e)) from None
     if not read:
         raise SchemaError(f"{path}: cannot read file")
     return cfg

@@ -3,9 +3,11 @@
 Inverse dynamics is the recursive Newton-Euler algorithm written in
 origin-referenced inertial coordinates: mass m, first moment m*r, and the
 inertia tensor taken about the link-frame origin.  In these coordinates the
-joint torques are linear in the parameters, so the regressor can be built
-column by column from unit-parameter sweeps.  Gravity enters as an
-acceleration of the base frame.
+joint torques are linear in the parameters.  The regressor projects each
+link's unit-parameter wrenches onto the axes of the joints that carry it,
+with the axis screws carried outward link by link, so every link's block
+is one batched product.  Gravity enters as an acceleration of the base
+frame.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -370,18 +372,21 @@ def _forward_batch(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
     om_prev = np.zeros((M, 3))
     omd_prev = np.zeros((M, 3))
     acc_prev = np.broadcast_to(-g, (M, 3))
+    # rows of V, in the parent frame: angular velocity and acceleration
+    # before rotation, origin offset, origin acceleration; V @ R[:, i]
+    # expresses all four in frame i
+    V = np.empty((M, 4, 3))
     for i in range(n):
-        Ri = R[:, i]
-        w = om_prev.copy()
-        w[:, 2] += Qd[:, i]
-        om[:, i] = np.einsum("mji,mj->mi", Ri, w)
-        wd = omd_prev.copy()
-        wd[:, 2] += Qdd[:, i]
-        wd += Qd[:, i, None] * _cross(om_prev, _EZ)
-        omd[:, i] = np.einsum("mji,mj->mi", Ri, wd)
-        r = np.einsum("mji,mj->mi", Ri, p[:, i])
-        acc[:, i] = (np.einsum("mji,mj->mi", Ri, acc_prev)
-                     + _cross(omd[:, i], r)
+        V[:, 0] = om_prev
+        V[:, 0, 2] += Qd[:, i]
+        V[:, 1] = omd_prev
+        V[:, 1, 2] += Qdd[:, i]
+        V[:, 1] += Qd[:, i, None] * _cross(om_prev, _EZ)
+        V[:, 2] = p[:, i]
+        V[:, 3] = acc_prev
+        W = V @ R[:, i]
+        om[:, i], omd[:, i], r = W[:, 0], W[:, 1], W[:, 2]
+        acc[:, i] = (W[:, 3] + _cross(omd[:, i], r)
                      + _cross(om[:, i], _cross(om[:, i], r)))
         om_prev, omd_prev, acc_prev = om[:, i], omd[:, i], acc[:, i]
     return R, p, om, omd, acc
@@ -430,18 +435,18 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
         raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
     R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    RT = R.swapaxes(2, 3)
     tau = np.empty((M, n, Pi.shape[1]))
     w = np.zeros((M, Pi.shape[1], 6))  # carried wrench per set
+    w3 = w.reshape(M, -1, 3)  # force and moment as rows, for one rotation
     for i in range(n - 1, -1, -1):
         B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
         P = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1), :, None]
         for k in range(N_INERTIAL):
             w += B[:, k, None, :] * P[k]
         # transport to the parent origin; the joint torque is the z moment
-        f = np.einsum("mab,msb->msa", R[:, i], w[:, :, :3])
-        w[:, :, 3:] = np.einsum("mab,msb->msa", R[:, i], w[:, :, 3:]) \
-            + _cross(p[:, i, None, :], f)
-        w[:, :, :3] = f
+        w3[:] = w3 @ RT[:, i]
+        w[:, :, 3:] += _cross(p[:, i, None, :], w[:, :, :3])
         tau[:, i] = w[:, :, 5]
     return tau
 
@@ -454,6 +459,14 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
     row j.  Y @ pi equals rnea torques plus linear friction.  It is built
     for fitting; evaluate known parameters with newton_euler.
+
+    The inertial columns use the projection form of Newton-Euler (Khalil &
+    Dombre, Modeling, Identification and Control of Robots, 2002): joint
+    k's torque from a wrench (f, m) about origin i is a.m + (a x d).f,
+    where a is joint k's axis and d is origin i relative to origin k-1.
+    The screws [a x d, a] of joints 0..i are carried outward in frame i,
+    so link i's block of every row is one product of those screws with
+    the link's unit-parameter wrenches; rows past i stay exactly zero.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
@@ -461,19 +474,18 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
     R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
+    # S[:, k] = [a x d, a] of joint k in the current link frame; S3 views
+    # each screw as two row vectors, rotated into frame i by one product
+    S = np.zeros((M, n, 6))
+    S3 = S.reshape(M, 2 * n, 3)
     for i in range(n):
-        # propagate link i's unit-parameter wrenches toward the base; torque
-        # of joint k is the z component of the moment about the parent
-        # origin, expressed in frame k-1
+        S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
+        Si = S[:, :i + 1]
+        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
+        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
         B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
-        f, nm = B[:, :, :3], B[:, :, 3:]
         col = N_INERTIAL * i
-        for k in range(i, -1, -1):
-            Rf = np.einsum("mab,mpb->mpa", R[:, k], f)
-            Rn = np.einsum("mab,mpb->mpa", R[:, k], nm) \
-                + _cross(p[:, k, None, :], Rf)
-            Y[:, k, col:col + N_INERTIAL] = Rn[:, :, 2]
-            f, nm = Rf, Rn
+        np.matmul(Si, B.swapaxes(1, 2), out=Y[:, :i + 1, col:col + N_INERTIAL])
 
     base = N_INERTIAL * n
     rows = np.arange(M)

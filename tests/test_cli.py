@@ -272,6 +272,33 @@ def test_malformed_ini_exits_2(pipeline, capsys, role, defect):
     assert bad in err
 
 
+@pytest.mark.parametrize("role", ["robot", "traj"])
+def test_non_utf8_input_exits_2(pipeline, capsys, role):
+    # a 0xff byte at the start of an INI, or inside a CSV data row
+    d = pipeline["dir"]
+    out = str(d / "nope.csv")
+    if role == "robot":
+        bad = str(d / "bad_robot_utf8.ini")
+        with open(pipeline["robot"], "rb") as fh:
+            data = b"\xff" + fh.read()
+        argv = ["traj", "gen", "--robot", bad, "--seed", "1",
+                "--duration", "1", "--out", out]
+    else:
+        bad = str(d / "bad_traj_utf8.csv")
+        with open(pipeline["traj_a"], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        data = b"".join(lines)
+        argv = ["simulate", "--robot", pipeline["robot"], "--traj", bad,
+                "--seed", "3", "--out", out]
+    with open(bad, "wb") as fh:
+        fh.write(data)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error=2 msg=") and err.count("\n") == 1
+    assert bad in err and "UTF-8" in err
+
+
 def test_validate_with_baseline(pipeline):
     report2 = str(pipeline["dir"] / "report_eta.csv")
     rc = main(["validate", "--model", pipeline["model"],

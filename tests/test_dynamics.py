@@ -10,6 +10,7 @@ from dynid.dynamics import (DynamicParameters, FrictionSet, InertialParameters,
                             sigmoid)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from forward_kinematics import frame_chain
+from regressor_oracle import regressor_stack_sweep
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -416,18 +417,6 @@ def test_regressor_mass_column():
         assert np.max(np.abs(Y[:, 10 * i] - tau)) < 1e-12
 
 
-def test_regressor_stack_matches_single():
-    chain = ur10_chain()
-    rng = np.random.default_rng(9)
-    Q = rng.uniform(-np.pi, np.pi, (5, 6))
-    Qd = rng.uniform(-3, 3, (5, 6))
-    Qdd = rng.uniform(-10, 10, (5, 6))
-    Ys = regressor_stack(chain, Q, Qd, Qdd)
-    for k in range(5):
-        st = JointState(q=tuple(Q[k]), qd=tuple(Qd[k]), qdd=tuple(Qdd[k]))
-        assert np.array_equal(Ys[k], regressor(chain, st))
-
-
 # ---------------------------------------------------------------------------
 # batched Newton-Euler against the scalar rnea oracle
 
@@ -442,6 +431,17 @@ def _random_batch(chain, m, sets, rng):
             rng.uniform(-2.0, 2.0, (10 * n, sets)))
 
 
+def _gravity_rows(chain, mode, m, rng):
+    """Per-state gravity of a mode and the regressor_stack argument for it."""
+    g_rows = np.tile(chain.gravity_vector, (m, 1))
+    if mode == "off":
+        g_rows[:] = 0.0
+    elif mode == "per-state":
+        g_rows[rng.random(m) < 0.5] = 0.0
+    return g_rows, {"chain": None, "off": (0.0, 0.0, 0.0),
+                    "per-state": g_rows}[mode]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        chain=st.sampled_from([ur10_chain(), TOY]),
@@ -453,13 +453,7 @@ def test_newton_euler_matches_rnea(seed, chain, full, gravity):
     rng = np.random.default_rng(seed)
     n, m = chain.n, 5
     Q, Qd, Qdd, Pi = _random_batch(chain, m, n if full else 1, rng)
-    g_rows = np.tile(chain.gravity_vector, (m, 1))
-    if gravity == "off":
-        g_rows[:] = 0.0
-    elif gravity == "per-state":
-        g_rows[rng.random(m) < 0.5] = 0.0
-    arg = {"chain": None, "off": (0.0, 0.0, 0.0),
-           "per-state": g_rows}[gravity]
+    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
     tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
     assert tau.shape == (m, n, Pi.shape[1])
     for s in range(Pi.shape[1]):
@@ -484,6 +478,41 @@ def test_newton_euler_single_state_is_its_batch_row(seed, m, full, data):
     one = newton_euler(chain, Q[row], Qd[row], Qdd[row], Pi)
     assert one.shape == (1,) + batch.shape[1:]
     assert one[0].tobytes() == batch[row].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(["chain", "off", "per-state"]))
+def test_regressor_stack_matches_sweep_oracle(seed, m, chain, gravity):
+    # the axis projection agrees with the joint-by-joint unit sweep to c01's
+    # relative error 1e-9; link i's columns are exactly zero past row i
+    rng = np.random.default_rng(seed)
+    n = chain.n
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    _, arg = _gravity_rows(chain, gravity, m, rng)
+    Y = regressor_stack(chain, Q, Qd, Qdd, gravity=arg)
+    ref = regressor_stack_sweep(chain, Q, Qd, Qdd, gravity=arg)
+    assert Y.shape == ref.shape == (m, n, 13 * n)
+    assert np.max(np.abs(Y - ref) / (1.0 + np.abs(ref))) < 1e-9
+    for i in range(n):
+        assert not np.any(Y[:, i + 1:, 10 * i:10 * i + 10])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(["chain", "off", "per-state"]))
+def test_regressor_stack_matches_single(seed, m, chain, gravity):
+    # every row of a random batch is bitwise the regressor of its state alone
+    rng = np.random.default_rng(seed)
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
+    Ys = regressor_stack(chain, Q, Qd, Qdd, gravity=arg)
+    for k in range(m):
+        st_k = JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k])
+        assert regressor(chain, st_k, gravity=g_rows[k]).tobytes() \
+            == Ys[k].tobytes()
 
 
 def test_newton_euler_shape_guards():
