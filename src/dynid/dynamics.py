@@ -3,11 +3,13 @@
 Inverse dynamics is the recursive Newton-Euler algorithm written in
 origin-referenced inertial coordinates: mass m, first moment m*r, and the
 inertia tensor taken about the link-frame origin.  In these coordinates the
-joint torques are linear in the parameters.  The regressor projects each
-link's unit-parameter wrenches onto the axes of the joints that carry it,
-with the axis screws carried outward link by link, so every link's block
-is one batched product.  Gravity enters as an acceleration of the base
-frame.
+joint torques are linear in the parameters.  A link's ten unit-parameter
+wrenches are linear in twelve numbers of its motion, so they are one
+product with a constant 0/+-1 basis.  The evaluator adds them into all
+parameter sets with one more product per link; the regressor projects
+them onto the axes of the joints that carry the link, with the axis screws
+carried outward link by link, so every link's block is one batched
+product.  Gravity enters as an acceleration of the base frame.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -30,18 +32,6 @@ N_FRICTION = 3    # per-joint linear friction parameters
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _EZ = np.array([0.0, 0.0, 1.0])
 
-
-def _sym_basis() -> np.ndarray:
-    E = np.zeros((6, 3, 3))
-    for s, (a, b) in enumerate(_I_PAIRS):
-        E[s, a, b] = 1.0
-        E[s, b, a] = 1.0
-    return E
-
-
-_E_SYM = _sym_basis()
-
-
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
@@ -50,18 +40,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross over the last axis, with the same arithmetic and bits but
     without its axis bookkeeping, which dominates on single states."""
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
-
-
-def _skew_batch(V: np.ndarray) -> np.ndarray:
-    """Skew matrices for V of shape (..., 3) -> (..., 3, 3)."""
-    out = np.zeros(V.shape + (3,))
-    out[..., 0, 1] = -V[..., 2]
-    out[..., 0, 2] = V[..., 1]
-    out[..., 1, 0] = V[..., 2]
-    out[..., 1, 2] = -V[..., 0]
-    out[..., 2, 0] = -V[..., 1]
-    out[..., 2, 1] = V[..., 0]
-    return out
 
 
 def inertia_vector_to_matrix(v6: np.ndarray) -> np.ndarray:
@@ -392,18 +370,41 @@ def _forward_batch(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
     return R, p, om, omd, acc
 
 
+def _wrench_basis() -> np.ndarray:
+    """K (12, 60): a link's unit-parameter wrenches, (10, 6) flattened, are
+    F @ K for F = [acc, omd, om_a*om_b over _I_PAIRS].  About the origin:
+    mass, f = acc; first moment e_j, f = omd x e_j + om x (om x e_j) and
+    n = e_j x acc; inertia E_s, n = E_s omd + om x (E_s om)."""
+    I3, X = np.eye(3), np.eye(12)
+    acc, omd = X[:3], X[3:6]  # select acc and omd from F
+    Q = np.zeros((3, 3, 12))  # Q[a, b] selects om_a*om_b
+    for s, (a, b) in enumerate(_I_PAIRS):
+        Q[a, b, 6 + s] = Q[b, a, 6 + s] = 1.0
+    E = np.moveaxis(Q[:, :, 6:], 2, 0)  # symmetric basis E_s, (6, 3, 3)
+    eps = np.moveaxis(np.cross(I3[:, None], I3), 2, 0)  # Levi-Civita
+    K = np.zeros((12, N_INERTIAL, 6))
+    K[:, 0, :3] = acc.T
+    # om x (om x e_j) = om (om . e_j) - e_j |om|^2
+    K[:, 1:4, :3] = (np.einsum("abj,bk->kja", eps, omd)
+                     + np.einsum("ajk->kja", Q)
+                     - np.einsum("aj,bbk->kja", I3, Q))
+    K[:, 1:4, 3:] = np.einsum("ajb,bk->kja", eps, acc)
+    K[:, 4:, 3:] = (np.einsum("sad,dk->ksa", E, omd)
+                    + np.einsum("ade,sef,dfk->ksa", eps, E, Q))
+    return K.reshape(12, N_INERTIAL * 6)
+
+
+_WRENCH_BASIS = _wrench_basis()
+_PAIR_A, _PAIR_B = np.array(_I_PAIRS).T
+
+
 def _unit_wrenches(om, omd, acc):
     """Wrenches of a link's ten unit inertial parameters about its origin,
-    in its own frame, (M, 10, 6): force in [..., :3], moment in [..., 3:]."""
-    B = np.zeros((om.shape[0], N_INERTIAL, 6))
-    B[:, 0, :3] = acc
-    W = _skew_batch(omd) + _skew_batch(om) @ _skew_batch(om)
-    B[:, 1:4, :3] = np.swapaxes(W, 1, 2)
-    B[:, 1:4, 3:] = -np.swapaxes(_skew_batch(acc), 1, 2)
-    Ew = np.einsum("sab,mb->msa", _E_SYM, om)
-    Ewd = np.einsum("sab,mb->msa", _E_SYM, omd)
-    B[:, 4:10, 3:] = Ewd + _cross(om[:, None, :], Ew)
-    return B
+    in its own frame, (M, 10, 6): force in [..., :3], moment in [..., 3:].
+    One product F @ K (_wrench_basis) per state, so that a state's bits do
+    not depend on the batch around it."""
+    F = np.concatenate((acc, omd, om[:, _PAIR_A] * om[:, _PAIR_B]), axis=1)
+    return (F[:, None, :] @ _WRENCH_BASIS).reshape(-1, N_INERTIAL, 6)
 
 
 def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
@@ -425,9 +426,9 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     Algorithms, 2008): one forward pass, then one backward pass carrying
     all sets.  Column s of Pi (10n, S) is a set in the DynamicParameters
     inertial layout, physical or not; [:, :, s] equals rnea on it.  gravity
-    is None (the chain's), a 3-vector, or one per state.  Unit-parameter
-    wrenches are summed in a fixed order, so a state's torques do not
-    depend on the batch around it.
+    is None (the chain's), a 3-vector, or one per state.  Each link adds
+    its unit-parameter wrenches into every set with one product, stacked
+    per state, so a state's torques do not depend on the batch around it.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
@@ -441,9 +442,7 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     w3 = w.reshape(M, -1, 3)  # force and moment as rows, for one rotation
     for i in range(n - 1, -1, -1):
         B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
-        P = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1), :, None]
-        for k in range(N_INERTIAL):
-            w += B[:, k, None, :] * P[k]
+        w += Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ B
         # transport to the parent origin; the joint torque is the z moment
         w3[:] = w3 @ RT[:, i]
         w[:, :, 3:] += _cross(p[:, i, None, :], w[:, :, :3])

@@ -210,12 +210,12 @@ def own_joint_torques(chain: KinematicChain, sets, Q, Qd, Qdd,
 
 
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:
-    """Minimal regressor (M, n, c) sliced from a full regressor_stack result."""
+    """Minimal regressor (M, n, c) sliced from a full regressor_stack result:
+    the selected inertial columns, then every friction column."""
     n = map_.n
-    return np.concatenate(
-        (Y[:, :, :N_INERTIAL * n][:, :, map_.inertial_columns],
-         Y[:, :, N_INERTIAL * n:]), axis=2,
-    )
+    idx = np.r_[map_.inertial_columns,
+                N_INERTIAL * n:(N_INERTIAL + N_FRICTION) * n]
+    return np.take(Y, idx, axis=2)
 
 
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynid.dynamics import (DynamicParameters, FrictionSet, InertialParameters,
-                            JointState, friction_linear, friction_sigmoid,
-                            newton_euler, regressor, regressor_stack, rnea,
-                            sigmoid)
+from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
+                            InertialParameters, JointState, _unit_wrenches,
+                            friction_linear, friction_sigmoid, newton_euler,
+                            regressor, regressor_stack, rnea, sigmoid)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from forward_kinematics import frame_chain
-from regressor_oracle import regressor_stack_sweep
+from regressor_oracle import regressor_stack_sweep, unit_wrenches
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -468,16 +468,40 @@ def test_newton_euler_matches_rnea(seed, chain, full, gravity):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
-       full=st.booleans(), data=st.data())
-def test_newton_euler_single_state_is_its_batch_row(seed, m, full, data):
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(["chain", "off", "per-state"]),
+       data=st.data())
+def test_newton_euler_single_state_is_its_batch_row(seed, m, chain, gravity,
+                                                    data):
     rng = np.random.default_rng(seed)
-    chain = ur10_chain()
-    Q, Qd, Qdd, Pi = _random_batch(chain, m, 6 if full else 1, rng)
+    sets = data.draw(st.integers(1, chain.n + 2))
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, sets, rng)
+    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
     row = data.draw(st.integers(0, m - 1))
-    batch = newton_euler(chain, Q, Qd, Qdd, Pi)
-    one = newton_euler(chain, Q[row], Qd[row], Qdd[row], Pi)
+    batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    one = newton_euler(chain, Q[row], Qd[row], Qdd[row], Pi,
+                       gravity=g_rows[row])
     assert one.shape == (1,) + batch.shape[1:]
     assert one[0].tobytes() == batch[row].tobytes()
+
+
+def test_wrench_basis_is_signed_selection():
+    assert _WRENCH_BASIS.shape == (12, 60)
+    assert set(np.unique(_WRENCH_BASIS)) <= {-1.0, 0.0, 1.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60))
+def test_unit_wrenches_match_oracle(seed, m):
+    # the constant-basis product agrees with the skew-matrix formulas
+    rng = np.random.default_rng(seed)
+    om = rng.uniform(-3.0, 3.0, (m, 3))
+    omd = rng.uniform(-10.0, 10.0, (m, 3))
+    acc = rng.uniform(-20.0, 20.0, (m, 3))
+    B = _unit_wrenches(om, omd, acc)
+    ref = unit_wrenches(om, omd, acc)
+    assert B.shape == ref.shape == (m, 10, 6)
+    assert np.max(np.abs(B - ref) / (1.0 + np.abs(ref))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dynid
 from dynid.dynamics import DynamicParameters, InertialParameters, JointState
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from dynid.reduction import (compute_base_map, minimal_regressor_stack,
@@ -129,3 +134,17 @@ def test_probe_states_seeded():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not np.array_equal(a[0], c[0])
     assert a[0].shape == (50, 6)
+
+
+def test_show_base_structure_script_runs(tmp_path):
+    # the script imports regressor_stack and minimal_regressor_stack, and
+    # no other test runs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
+    script = os.path.join(os.path.dirname(src), "scripts",
+                          "show_base_structure.py")
+    out = subprocess.run([sys.executable, script], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "base parameters: c = 54   inertial: c_in = 36" \
+        in out.stdout.splitlines()

@@ -91,6 +91,21 @@ def test_single_state_matches_batch(ident_true):
     assert np.array_equal(one, batch[2])
 
 
+def test_payload_single_state_is_its_batch_row(ident_true):
+    # the payload set runs through the same per-state products as the arm
+    model = configure_payload(ident_true, PAY)
+    rng = np.random.default_rng(6)
+    q, qd, qdd = _random_states(rng, 7)
+    batch = torque(model, q, qd, qdd)
+    terms = torque_terms(model, q, qd, qdd)
+    for k in range(len(q)):
+        assert torque(model, q[k], qd[k], qdd[k]).tobytes() \
+            == batch[k].tobytes()
+        for one, block in zip(torque_terms(model, q[k], qd[k], qdd[k]),
+                              terms):
+            assert one.tobytes() == block[k].tobytes()
+
+
 def test_configure_clear_is_bitwise(ident_true, data_a):
     with_pay = configure_payload(ident_true, PAY)
     cleared = configure_payload(with_pay, None)
