@@ -67,15 +67,29 @@ def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def llse(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Linear least squares via a rank-revealing factorization."""
+def _linear_system(stack, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """A 2-D stack with rows and one finite rhs entry per row, as floats."""
     stack = np.asarray(stack, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if stack.ndim != 2 or stack.shape[0] < stack.shape[1]:
+    if stack.ndim != 2 or stack.shape[0] == 0:
+        raise ValueError(f"stack must be 2-D with at least one row, got "
+                         f"shape {stack.shape}")
+    if rhs.shape != (stack.shape[0],):
+        raise ValueError(f"rhs must hold one entry per stack row: shape "
+                         f"{rhs.shape} for {stack.shape[0]} rows")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("stack holds non-finite entries")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs holds non-finite entries")
+    return stack, rhs
+
+
+def llse(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Linear least squares via a rank-revealing factorization."""
+    stack, rhs = _linear_system(stack, rhs)
+    if stack.shape[0] < stack.shape[1]:
         raise ValueError("stack must be 2-D with at least as many rows "
                          "as columns")
-    if not (np.all(np.isfinite(stack)) and np.all(np.isfinite(rhs))):
-        raise ValueError("stack and rhs must be finite")
     return _lstsq(stack, rhs)
 
 
@@ -101,10 +115,10 @@ class WeightMatrix:
 def wlse(stack: np.ndarray, rhs: np.ndarray,
          weights: WeightMatrix | np.ndarray) -> np.ndarray:
     """Weighted least squares; unit weights reproduce llse exactly."""
-    w = weights.w if isinstance(weights, WeightMatrix) else np.asarray(
-        weights, dtype=float)
-    stack = np.asarray(stack, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    stack, rhs = _linear_system(stack, rhs)
+    if not isinstance(weights, WeightMatrix):
+        weights = WeightMatrix(weights)
+    w = weights.w
     if w.shape != (stack.shape[0],):
         raise ValueError("one weight per stacked row required")
     sw = np.sqrt(w)
@@ -122,23 +136,34 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
     Iterates weighted solves until the weights settle to within
     WEIGHT_TOL.  A degenerate residual scale (all residuals essentially
     zero) returns unit weights, since there is nothing to downweight.
-    """
-    stack = np.asarray(stack, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
 
-    def solve(w):
-        # residuals are insensitive to which minimizer is picked, so a
-        # minimum-norm solve keeps IRLS usable on rank-deficient stacks
-        sw = np.sqrt(w)
-        x, _, _, _ = np.linalg.lstsq(stack * sw[:, None], rhs * sw,
-                                     rcond=None)
-        return x
+    IRLS needs only the residuals, and those depend only on the stack's
+    range.  One thin SVD gives an orthonormal basis Q of that range, cut
+    where a minimum-norm lstsq cuts, so rank-deficient stacks need no
+    special case.  Each iterate then solves the small weighted system in
+    Q's coordinates, (Q^T W Q) y = Q^T W b, and sets r = b - Q y.  Q is
+    orthonormal and the weights lie in [0, 1], so that Gram's eigenvalues
+    lie in [0, 1] however ill-conditioned the stack is; its pseudo-inverse
+    gives the minimum-norm y where zero weights leave directions of the
+    range unobserved.
+    """
+    stack, rhs = _linear_system(stack, rhs)
+    floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
+    # lstsq's own rank cutoff; a Gram summed over m rows carries rounding
+    # of the same relative size, so it serves the small solves as well
+    rcond = np.finfo(float).eps * max(stack.shape)
+    U, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    Q = U[:, sv > rcond * sv.max(initial=0.0)]
+
+    def residual(w):
+        Qs = Q * np.sqrt(w)[:, None]
+        y = np.linalg.pinv(Qs.T @ Qs, rcond=rcond, hermitian=True) @ (
+            Q.T @ (w * rhs))
+        return rhs - Q @ y
 
     w = np.ones(stack.shape[0])
-    x = solve(w)
+    r = rhs - Q @ (Q.T @ rhs)  # unit weights: the Gram is the identity
     for it in range(1, WEIGHT_MAX_ITER + 1):
-        r = rhs - stack @ x
         s = _mad_scale(r)
         if s <= floor:
             return WeightMatrix(np.ones_like(w), converged=True, iterations=it)
@@ -147,7 +172,7 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
         if np.max(np.abs(w_new - w)) < WEIGHT_TOL:
             return WeightMatrix(w_new, converged=True, iterations=it)
         w = w_new
-        x = solve(w)
+        r = residual(w)
     return WeightMatrix(w, converged=False, iterations=WEIGHT_MAX_ITER)
 
 
@@ -161,6 +186,8 @@ class CurrentCoefficients:
     chi holds n blocks of length c; block j multiplies joint j's row of
     the minimal regressor.  Coordinates a joint's row cannot see (other
     joints' friction, its row-dependent columns) are stored as zero.
+    irls_iterations and irls_converged record each joint's robust-weight
+    iteration.
     """
 
     n: int
@@ -168,6 +195,8 @@ class CurrentCoefficients:
     covariance_diag: np.ndarray | None = None
     conditions: tuple[float, ...] = ()
     sample_counts: tuple[int, ...] = ()
+    irls_iterations: tuple[int, ...] = ()
+    irls_converged: tuple[bool, ...] = ()
 
     def __post_init__(self):
         chi = np.asarray(self.chi, dtype=float)
@@ -199,8 +228,7 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     mask = samples.mask
     chi = np.zeros((n, map_.c))
     covd = np.zeros((n, map_.c))
-    conds = []
-    counts = []
+    conds, counts, iters, converged = [], [], [], []
     for j in range(n):
         cols = np.concatenate([map_.joint_idcols[j], map_.friction_columns(j)])
         rows = mask[:, j]
@@ -228,10 +256,14 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
         covd[j, cols] = sigma2 * np.diag(np.linalg.pinv(Aw.T @ Aw))
         conds.append(cond)
         counts.append(count)
+        iters.append(wm.iterations)
+        converged.append(wm.converged)
     return CurrentCoefficients(n=n, chi=chi.ravel(),
                                covariance_diag=covd.ravel(),
                                conditions=tuple(conds),
-                               sample_counts=tuple(counts))
+                               sample_counts=tuple(counts),
+                               irls_iterations=tuple(iters),
+                               irls_converged=tuple(converged))
 
 
 def _chi_matrix(chi, n: int) -> np.ndarray:
@@ -473,7 +505,8 @@ class GainEstimate:
     zeta holds each joint's solution [arm coefficients on that joint's
     active base columns; unknown payload parameters over the gain; gain
     reciprocal], with zeros on coordinates the solve regrouped away;
-    identifiable_mask marks the surviving coordinates.
+    identifiable_mask marks the surviving coordinates.  irls_iterations and
+    irls_converged record each joint's robust-weight iteration.
     """
 
     gains: np.ndarray
@@ -484,6 +517,8 @@ class GainEstimate:
     full_rank: tuple[bool, ...]
     bounded: tuple[bool, ...]
     n_unknown: int
+    irls_iterations: tuple[int, ...] = ()
+    irls_converged: tuple[bool, ...] = ()
 
 
 def _gain_solve(S, y, w, lam_bounds, label):
@@ -574,7 +609,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     c_in = map_.c_inertial
     K = np.zeros(n)
     zeta, masks, cols_used, jbounds = [], [], [], []
-    full_rank, bounded_flags = [], []
+    full_rank, bounded_flags, iters, converged = [], [], [], []
     for j in range(n):
         label = f"joint {j+1}"
         acols = np.flatnonzero(map_.joint_masks[j][:c_in])
@@ -626,8 +661,12 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         jbounds.append((k_lo, k_hi))
         full_rank.append(fr)
         bounded_flags.append(bd)
+        iters.append(wm.iterations)
+        converged.append(wm.converged)
     return GainEstimate(gains=K, zeta=tuple(zeta),
                         identifiable_mask=tuple(masks),
                         columns=tuple(cols_used),
                         bounds=tuple(jbounds), full_rank=tuple(full_rank),
-                        bounded=tuple(bounded_flags), n_unknown=n_unknown)
+                        bounded=tuple(bounded_flags), n_unknown=n_unknown,
+                        irls_iterations=tuple(iters),
+                        irls_converged=tuple(converged))

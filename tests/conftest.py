@@ -6,7 +6,8 @@ may freeze exact expectations against these fixtures.
 import numpy as np
 import pytest
 
-from dynid.dataio import RobotModel, simulate, ur10_default_model
+from dynid.dataio import (RobotModel, merge_sample_sets, simulate,
+                          ur10_default_model)
 from dynid.dynamics import DynamicParameters, FrictionSet
 from dynid.estimation import (KnownPayload, estimate_gains, fit_friction,
                               friction_residual_currents,
@@ -15,7 +16,7 @@ from dynid.kinematics import ur10_chain
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
 from dynid.solver import IdentifiedModel
-from dynid.trajectory import validation_trajectory
+from dynid.trajectory import random_trajectory, validation_trajectory
 
 # linear-friction plant used wherever stage 1 must close exactly
 LIN_FRICTION = ((-1.4, 14.8, 2.9), (1.3, 13.9, -3.4), (-0.9, 9.5, 2.3),
@@ -76,6 +77,24 @@ def data_b(plant, traj_b):
 def data_b_pay(plant, traj_b):
     """Noiseless run with the eccentric payload attached."""
     return simulate(plant, traj_b, duration=20.0, payload=PAYLOAD)
+
+
+@pytest.fixture(scope="session")
+def noisy_runs(plant, traj_a, traj_b):
+    """c05's noisy data: three merged runs per scenario with 0.05 A current
+    noise, and the payload known as mass and com."""
+    trains = [traj_a, random_trajectory(6, seed=313),
+              random_trajectory(6, seed=707)]
+    loads = [traj_b, random_trajectory(6, seed=909),
+             random_trajectory(6, seed=1203)]
+    da = merge_sample_sets(
+        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=21 + k)
+        for k, tr in enumerate(trains))
+    db = merge_sample_sets(
+        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=31 + k,
+                 payload=PAYLOAD)
+        for k, tr in enumerate(loads))
+    return da, db, KnownPayload(spec=PAYLOAD, known=("mass", "com"))
 
 
 @pytest.fixture(scope="session")

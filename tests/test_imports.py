@@ -94,3 +94,20 @@ print(json.dumps([float(np.max(np.abs(out - 1.5))),
     err, loaded = _run(code, tmp_path)
     assert err < 1e-10
     assert loaded
+
+
+def test_identify_friction_loads_no_scipy(ident_true, data_a, tmp_path):
+    # stage 2 fits a sigmoid by its own Levenberg-Marquardt loop and reads
+    # the base map from the model file; neither needs scipy
+    save_identified_model(ident_true, tmp_path / "model.ini")
+    write_samples(data_a, tmp_path / "run.csv")
+    code = f"""
+import sys, json
+import dynid.cli
+rc = dynid.cli.main(["identify", "friction", "--model", "model.ini",
+                     "--samples", "run.csv", "--out", "fitted.ini"])
+assert rc == 0, rc
+print({_SCIPY_LOADED})
+"""
+    assert _run(code, tmp_path) == []
+    assert (tmp_path / "fitted.ini").exists()
