@@ -2,9 +2,10 @@
 
 For the default arm (or a robot description given with --robot) this shows
 how the 13n raw dynamic parameters collapse onto the base set: total and
-inertial base counts, their stability across probe seeds, a numeric check
-that the reduced regressor reproduces the full one, and a per-joint table
-of which base columns each drive row can and cannot separate on its own.
+inertial base counts, their stability across probe seeds, which joints
+have row-dependent columns under each seed, a numeric check that the
+reduced regressor reproduces the full one, and a per-joint table of which
+base columns each drive row can and cannot separate on its own.
 """
 import argparse
 
@@ -40,6 +41,12 @@ def main():
     print(f"across probe seeds {seeds}: counts "
           f"{'stable' if len(counts) == 1 else 'UNSTABLE ' + str(counts)}, "
           f"column selection {'identical' if same_cols else 'varies'}")
+    # which joints regroup decides which stage-3 gain solves are
+    # rank-deficient, so a seed-dependent answer is worth seeing
+    for s, m in zip(seeds, maps):
+        joints = [j + 1 for j in range(n) if m.joint_depcols[j].size]
+        print(f"probe seed {s}: joints with row-dependent columns "
+              f"{joints if joints else 'none'}")
 
     # reduced regressor must reproduce the full one for any parameter draw
     rng = np.random.default_rng(0)

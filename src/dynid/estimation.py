@@ -20,7 +20,8 @@ from .dynamics import (N_INERTIAL, FrictionSet, friction_linear,
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import (BaseParameterMap, minimal_columns,
-                        minimal_regressor_stack, own_joint_torques)
+                        minimal_regressor_stack, own_joint_torques,
+                        split_columns)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -29,7 +30,6 @@ WEIGHT_MAX_ITER = 50
 CONDITION_LIMIT = 1e8
 MIN_REGION_SAMPLES = 50
 GAIN_LOWER_DEFAULT = 10.0
-PIVOT_TOL = 1e-10
 MIXING_TOL = 1e-6
 
 
@@ -55,15 +55,12 @@ class ConvergenceError(EstimationError):
 def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, _, rank, _ = np.linalg.lstsq(stack, rhs, rcond=None)
     if rank < stack.shape[1]:
-        # imported here: only this error path needs it, not a full-rank solve
-        import scipy.linalg
-
-        # name the columns that a pivoted QR puts past the numerical rank
-        _, _, piv = scipy.linalg.qr(stack, mode="economic", pivoting=True)
-        dependent = sorted(int(k) for k in piv[rank:])
+        # only this error path factorises again, so a full-rank solve
+        # loads no scipy
+        split = split_columns(stack)
         raise IdentifiabilityError(
-            f"rank-deficient stack (rank {rank} of {stack.shape[1]}); "
-            f"dependent columns {dependent}")
+            f"rank-deficient stack (rank {split.ind.size} of "
+            f"{stack.shape[1]}); dependent columns {split.dep.tolist()}")
     return x
 
 
@@ -522,53 +519,46 @@ class GainEstimate:
 
 
 def _gain_solve(S, y, w, lam_bounds, label):
-    # imported here so that commands which never factorise skip loading it
-    import scipy.linalg
+    """Solve one joint's weighted gain system, gain column last.
 
+    One split_columns of the weighted stack decides the rank, checks that
+    the gain column is independent and mixes with no dependent column
+    (its regroup row), and solves on the independent columns.  A
+    rank-deficient joint whose gain reciprocal leaves lam_bounds is
+    re-solved with it clamped to the nearer bound.
+    """
     sw = np.sqrt(w)
-    Q, R, piv = scipy.linalg.qr(S * sw[:, None], mode="economic",
-                                pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > PIVOT_TOL * diag[0])) if diag[0] > 0 else 0
+    Sw, yw = S * sw[:, None], y * sw
+    split = split_columns(Sw)
     p = S.shape[1]
-    kidx = p - 1
-    if rank == 0:
+    if split.ind.size == 0:
         raise ExcitationError(f"{label}: zero-rank gain system")
-    ident = piv[:rank]
-    if kidx not in ident:
+    # the gain column is last, so when independent it is also last in ind
+    if split.ind[-1] != p - 1:
         raise IdentifiabilityError(
             f"{label}: the drive gain is not identifiable; the known "
             "payload parameters do not separate it from the arm model")
-    pos = int(np.flatnonzero(ident == kidx)[0])
-    R1 = R[:rank, :rank]
-    full_rank = rank == p
-    if not full_rank:
-        G = scipy.linalg.solve_triangular(R1, R[:rank, rank:])
-        if np.max(np.abs(G[pos])) > MIXING_TOL:
-            raise IdentifiabilityError(
-                f"{label}: the gain coordinate regroups with unidentifiable "
-                "payload directions; provide more payload knowledge")
-    qy = (Q.T @ (y * sw))[:rank]
-    lam = scipy.linalg.solve_triangular(R1, qy)
+    full_rank = split.dep.size == 0
+    if not full_rank and np.max(np.abs(split.regroup[-1])) > MIXING_TOL:
+        raise IdentifiabilityError(
+            f"{label}: the gain coordinate regroups with unidentifiable "
+            "payload directions; provide more payload knowledge")
+    lam = split.solve(yw)
     bounded = False
     if not full_rank:
         lo, hi = lam_bounds
-        if not lo <= lam[pos] <= hi:
-            clamped = float(np.clip(lam[pos], lo, hi))
-            keep = np.arange(rank) != pos
-            rest = _lstsq(R1[:, keep], qy - R1[:, pos] * clamped)
-            lam = np.empty(rank)
-            lam[pos] = clamped
-            lam[keep] = rest
+        if not lo <= lam[-1] <= hi:
+            lam[-1] = float(np.clip(lam[-1], lo, hi))
+            lam[:-1] = _lstsq(Sw[:, split.ind[:-1]], yw - Sw[:, -1] * lam[-1])
             bounded = True
-    if lam[pos] <= 0:
+    if lam[-1] <= 0:
         raise EstimationError(f"{label}: nonpositive gain coordinate; "
                               "the data contradicts a positive drive gain")
     zeta = np.zeros(p)
-    zeta[ident] = lam
+    zeta[split.ind] = lam
     mask = np.zeros(p, dtype=bool)
-    mask[ident] = True
-    return 1.0 / float(lam[pos]), zeta, mask, full_rank, bounded
+    mask[split.ind] = True
+    return 1.0 / float(lam[-1]), zeta, mask, full_rank, bounded
 
 
 def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,

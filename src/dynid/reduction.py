@@ -8,6 +8,13 @@ yields a basis of independent columns plus the recombination coefficients
 of every remaining column.  Friction columns are structurally independent
 per joint (each appears only in its own row) and are always kept, so the
 sgn discontinuities never enter the rank decision.
+
+Each choice of independent columns (the probe stack, every joint row, and
+stage 3's gain systems) is one column-pivoted QR of the matrix in question
+(split_columns): the rank, the independent columns, the coefficients of
+the dependent ones and a least-squares solve all come from that single
+factorisation (Gautier, "Numerical calculation of the base inertial
+parameters of robots", J. Robotic Systems 1991).
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
-SVD_TOL_DEFAULT = 1e-10
+# |R_kk| / |R_00| above which a pivoted-QR column counts as independent
+RANK_TOL = 1e-10
 PROBE_Q_RANGE = np.pi
 PROBE_QD_RANGE = 3.0
 PROBE_QDD_RANGE = 10.0
@@ -53,7 +61,8 @@ class BaseParameterMap:
         joint_depcols: per joint, the active but row-dependent columns.
         joint_regroup: per joint, (len(idcols), len(depcols)) coefficients
             expressing each dependent column in the identifiable ones.
-        seed, n_probe, tolerance: probe metadata for reproducibility.
+        seed, n_probe: probe metadata for reproducibility.
+        tolerance: the rank threshold the map was computed with.
     """
 
     n: int
@@ -136,35 +145,74 @@ def probe_states(n: int, n_probe: int, seed: int):
     return Q, Qd, Qdd
 
 
-def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
-                     seed: int = 0, tolerance: float = SVD_TOL_DEFAULT
-                     ) -> BaseParameterMap:
-    """Rank-analyze the stacked inertial regressor and build the base map.
+@dataclass(frozen=True)
+class ColumnSplit:
+    """The columns of a matrix A split by one column-pivoted QR.
 
-    Rank comes from the singular spectrum (threshold tolerance * sigma_max);
-    the independent columns are the first rank-many pivots of a
-    column-pivoted QR, re-sorted ascending; recombination coefficients come
-    from a least-squares solve against the selected basis.
+    Attributes:
+        ind: independent columns, ascending.
+        dep: dependent columns, ascending; every column not in ind.
+        regroup: (len(ind), len(dep)) coefficients with
+            A[:, dep] = A[:, ind] @ regroup.
+    """
+
+    ind: np.ndarray
+    dep: np.ndarray
+    regroup: np.ndarray
+    _qt: np.ndarray    # leading rank columns of Q, transposed
+    _r11: np.ndarray   # leading rank block of R, pivot order
+    _order: np.ndarray  # pivot position of each column of ind
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares x with A[:, ind] @ x ~ b, ordered like ind."""
+        import scipy.linalg
+
+        x = scipy.linalg.solve_triangular(self._r11, self._qt @ b)
+        return x[self._order]
+
+
+def split_columns(A: np.ndarray) -> ColumnSplit:
+    """Split A's columns into an independent set and the dependent rest.
+
+    One column-pivoted QR, A[:, piv] = Q R, decides everything: rank counts
+    |R_kk| > RANK_TOL * |R_00|, the first rank pivots are the independent
+    columns, and the regroup coefficients of the others solve
+    R11 G = R12 on the same R.
     """
     # imported here so that commands which never factorise skip loading it
     import scipy.linalg
 
+    Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > RANK_TOL * diag[0])) if diag.size else 0
+    r11 = R[:rank, :rank]
+    G = scipy.linalg.solve_triangular(r11, R[:rank, rank:])
+    ind_order, dep_order = np.argsort(piv[:rank]), np.argsort(piv[rank:])
+    return ColumnSplit(ind=piv[:rank][ind_order], dep=piv[rank:][dep_order],
+                       regroup=G[np.ix_(ind_order, dep_order)],
+                       _qt=Q[:, :rank].T, _r11=r11, _order=ind_order)
+
+
+def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
+                     seed: int = 0) -> BaseParameterMap:
+    """Rank-analyze the stacked inertial regressor and build the base map.
+
+    One split_columns of the probe stack's inertial block gives the base
+    columns (ascending) and the recombination coefficients of the rest;
+    one more on each joint's row, restricted to the base columns active in
+    it, gives that joint's identifiable and regrouped columns.
+    """
     n = chain.n
     Q, Qd, Qdd = probe_states(n, n_probe, seed)
     Y = regressor_stack(chain, Q, Qd, Qdd)
     stack = Y.reshape(n_probe * n, -1)
     A = stack[:, :N_INERTIAL * n]
 
-    sing = scipy.linalg.svdvals(A)
-    rank = int(np.sum(sing > tolerance * sing[0]))
-    _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    selected = np.sort(piv[:rank])
-    rest = np.setdiff1d(np.arange(N_INERTIAL * n), selected)
-
-    recomb, _, _, _ = np.linalg.lstsq(A[:, selected], A[:, rest], rcond=None)
+    top = split_columns(A)
+    selected, rank, recomb = top.ind, top.ind.size, top.regroup
     # structurally absent columns recombine to exactly nothing
-    dead = np.linalg.norm(A[:, rest], axis=0) <= tolerance * sing[0]
-    recomb[:, dead] = 0.0
+    norms = np.linalg.norm(A, axis=0)
+    recomb[:, norms[top.dep] <= RANK_TOL * norms.max()] = 0.0
 
     # per-joint presence of each base column, and the per-row identifiable
     # sub-basis with regrouping coefficients for the dependent columns
@@ -180,22 +228,16 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
         masks[j, rank:] = fr > ACTIVE_COL_TOL * max(fr.max(), 1e-300)
 
         active = np.flatnonzero(masks[j, :rank])
-        bj = b[:, active]
-        sj = scipy.linalg.svdvals(bj)
-        rj = int(np.sum(sj > tolerance * sj[0]))
-        _, _, pj = scipy.linalg.qr(bj, mode="economic", pivoting=True)
-        ident = np.sort(active[pj[:rj]])
-        dep = np.setdiff1d(active, ident)
-        G, _, _, _ = np.linalg.lstsq(b[:, ident], b[:, dep], rcond=None)
-        idcols.append(ident)
-        depcols.append(dep)
-        regroups.append(G)
+        row = split_columns(b[:, active])
+        idcols.append(active[row.ind])
+        depcols.append(active[row.dep])
+        regroups.append(row.regroup)
 
     return BaseParameterMap(
         n=n, inertial_columns=selected, recombination=recomb,
         joint_masks=masks, joint_idcols=tuple(idcols),
         joint_depcols=tuple(depcols), joint_regroup=tuple(regroups),
-        seed=seed, n_probe=n_probe, tolerance=tolerance,
+        seed=seed, n_probe=n_probe, tolerance=RANK_TOL,
     )
 
 

@@ -224,6 +224,9 @@ def _read_map(cfg, n: int, path) -> BaseParameterMap:
     for j in range(n):
         sec = f"base_map.joint_{j+1}"
         ident, dep = (_columns(cfg, sec, k, path) for k in ("idcols", "depcols"))
+        if np.any(np.diff(ident) <= 0) or np.any(np.diff(dep) <= 0):
+            raise SchemaError(f"{path}: idcols and depcols in [{sec}] must "
+                              "be ascending")
         if not np.array_equal(np.sort(np.concatenate((ident, dep))),
                               np.flatnonzero(masks[j, :c_in])):
             raise SchemaError(f"{path}: [{sec}] columns disagree with "

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_llse_names_dependent_columns():
     A[:, 3] = 2.0 * A[:, 1]  # exact dependency
     with pytest.raises(IdentifiabilityError, match="dependent columns"):
         llse(A, rng.standard_normal(30))
+    # two planted dependencies: the message names p - rank columns, and
+    # the stack without them has full rank
+    B = rng.standard_normal((30, 6))
+    B[:, 2] = 2.0 * B[:, 4]
+    B[:, 5] = B[:, 0] - 0.5 * B[:, 1]
+    with pytest.raises(IdentifiabilityError) as info:
+        llse(B, rng.standard_normal(30))
+    found = re.search(r"rank (\d+) of (\d+)\); dependent columns \[(.*)\]",
+                      str(info.value))
+    rank, p = int(found[1]), int(found[2])
+    named = [int(k) for k in found[3].split(",")]
+    assert (rank, p) == (4, 6) and len(named) == p - rank
+    kept = np.delete(B, named, axis=1)
+    assert np.linalg.matrix_rank(kept) == kept.shape[1] == rank
 
 
 def test_wlse_unit_weights_match_llse():

@@ -4,12 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import base_map_oracle
 import dynid
-from dynid.dynamics import DynamicParameters, InertialParameters, JointState
+from dynid.dynamics import (N_INERTIAL, DynamicParameters, InertialParameters,
+                            JointState, regressor_stack)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from dynid.reduction import (compute_base_map, minimal_regressor_stack,
-                             probe_states)
+                             probe_states, split_columns)
+
+TOY = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
+                     gravity=(0.0, -9.80665, 0.0))
 
 
 def random_params(n, rng):
@@ -38,6 +44,83 @@ def test_one_link_counts_by_hand():
     bmp = compute_base_map(pend)
     assert bmp.c_inertial == 3 and bmp.c == 6
     assert list(bmp.inertial_columns) == [1, 2, 9]
+
+
+def _check_split(A):
+    """split_columns against the oracle on one matrix: the same column
+    sets, A[:, dep] rebuilt, exact zeros for exactly-zero columns, and the
+    solve on the independent columns matching lstsq."""
+    got = split_columns(A)
+    ind, dep, _, _ = base_map_oracle.select_columns(A)
+    assert np.array_equal(got.ind, ind) and np.array_equal(got.dep, dep)
+    scale = np.max(np.abs(A))
+    err = np.max(np.abs(A[:, got.ind] @ got.regroup - A[:, got.dep]),
+                 initial=0.0)
+    assert err <= 1e-9 * scale
+    zero = ~np.any(A[:, got.dep], axis=0)
+    assert np.all(got.regroup[:, zero] == 0.0)
+    b = np.random.default_rng(A.shape[0]).standard_normal(A.shape[0])
+    x, _, _, _ = np.linalg.lstsq(A[:, ind], b, rcond=None)
+    assert np.max(np.abs(got.solve(b) - x)) \
+        <= 1e-9 * max(1.0, np.max(np.abs(x)))
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(12, 60),
+       p=st.integers(1, 10), n_zero=st.integers(0, 2))
+def test_split_columns_matches_oracle(seed, m, p, n_zero):
+    # rank-r columns over four decades of scale, then exact combinations of
+    # them (some with zero weights) and exactly-zero columns, shuffled
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, p + 1))
+    B = rng.standard_normal((m, r)) * 10.0 ** rng.uniform(-2.0, 2.0, r)
+    C = rng.standard_normal((r, p - r)) * (rng.random((r, p - r)) < 0.7)
+    A = np.hstack([B, B @ C, np.zeros((m, n_zero))])
+    A = A[:, rng.permutation(p + n_zero)]
+    assert _check_split(A).ind.size == r
+
+
+@pytest.mark.parametrize("name", ["ur10", "toy"])
+@pytest.mark.parametrize("seed", range(4))
+def test_base_map_matches_oracle(name, seed):
+    chain = ur10_chain() if name == "ur10" else TOY
+    n = chain.n
+    Y = regressor_stack(chain, *probe_states(n, 200, seed))
+    _check_split(Y.reshape(-1, Y.shape[2])[:, :N_INERTIAL * n])
+    got = compute_base_map(chain, seed=seed)
+    want = base_map_oracle.compute_base_map(chain, seed=seed)
+    assert np.array_equal(got.inertial_columns, want.inertial_columns)
+    assert np.array_equal(got.joint_masks, want.joint_masks)
+    assert np.max(np.abs(got.recombination - want.recombination)) < 1e-12
+    for j in range(n):
+        assert np.array_equal(got.joint_idcols[j], want.joint_idcols[j])
+        assert np.array_equal(got.joint_depcols[j], want.joint_depcols[j])
+        assert np.max(np.abs(got.joint_regroup[j] - want.joint_regroup[j]),
+                      initial=0.0) < 1e-12
+
+
+def test_base_map_factorises_each_matrix_once(chain, monkeypatch):
+    # one pivoted QR for the probe stack and one per joint row; no SVD or
+    # lstsq on top
+    import scipy.linalg
+
+    qr, calls = scipy.linalg.qr, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("pivoting"))
+        return qr(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second factorisation")
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    for mod, name in ((scipy.linalg, "svdvals"), (scipy.linalg, "svd"),
+                      (scipy.linalg, "lstsq"), (np.linalg, "lstsq"),
+                      (np.linalg, "svd")):
+        monkeypatch.setattr(mod, name, forbidden)
+    compute_base_map(chain)
+    assert calls == [True] * 7
 
 
 def test_equivalence_on_fresh_states(bmap, chain):
@@ -146,5 +229,6 @@ def test_show_base_structure_script_runs(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert "base parameters: c = 54   inertial: c_in = 36" \
-        in out.stdout.splitlines()
+    lines = out.stdout.splitlines()
+    assert "base parameters: c = 54   inertial: c_in = 36" in lines
+    assert sum(line.startswith("probe seed ") for line in lines) == 4

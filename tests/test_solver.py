@@ -219,8 +219,14 @@ def test_load_requires_base_map_section(ident_true, data_a, tmp_path, capsys):
     def drop_joint(cfg):
         cfg.remove_section("base_map.joint_6")
 
+    def reversed_idcols(cfg):
+        # the same set in another order would pair the regroup rows with
+        # the wrong columns
+        cols = cfg["base_map.joint_1"]["idcols"].split()
+        cfg["base_map.joint_1"]["idcols"] = " ".join(reversed(cols))
+
     for edit in (drop_section, short_recombination, short_idcols,
-                 drop_joint):
+                 drop_joint, reversed_idcols):
         cfg = _new_parser()
         cfg.read(good)
         edit(cfg)
