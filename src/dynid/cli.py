@@ -5,10 +5,10 @@ synthetic data simulation, the three identification stages, inverse
 dynamics solving, and validation reports with MSE/MNAE metrics.
 
 Exit codes: 0 success, 1 usage (including stage-order violations),
-2 malformed input files, 3 numeric failure (rank or convergence).  Every
-failure prints one machine-parsable line `error=<code> msg=...` to
-stderr.  All outputs are deterministic: identical inputs and seeds give
-byte-identical files.
+2 malformed input files or values, 3 numeric failure (rank or
+convergence).  Every failure prints one machine-parsable line
+`error=<code> msg=...` to stderr.  All outputs are deterministic:
+identical inputs and seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def _filtered(s: SampleSet, cutoff: float | None) -> SampleSet:
     qd = lowpass(s.qd, cutoff=cutoff, rate=1.0 / s.period)
     v = lowpass(s.v, cutoff=cutoff, rate=1.0 / s.period)
     return SampleSet(t=s.t, q=s.q, qd=qd, qdd=differentiate(qd, s.period),
-                     v=v, scenario=s.scenario, source=s.source,
-                     qd_threshold=s.qd_threshold)
+                     v=v, scenario=s.scenario, qd_threshold=s.qd_threshold)
 
 
 def _read_many(paths, qd_threshold: float, cutoff: float | None = None):
@@ -198,7 +197,7 @@ def cmd_traj_gen(a) -> None:
     traj = random_trajectory(plant.chain.n, seed=a.seed)
     t, q, qd, qdd = sample_trajectory(traj, rate=a.rate, duration=a.duration)
     s = SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=np.zeros_like(q),
-                  scenario="a", source="generated")
+                  scenario="a")
     write_samples(s, a.out)
     print(f"wrote {s.m} trajectory samples to {a.out}")
 

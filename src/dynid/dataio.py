@@ -42,7 +42,6 @@ class SampleSet:
         q, qd, qdd: (M, n) positions, velocities, accelerations.
         v: (M, n) motor currents [A].
         scenario: 'a' (arm only) or 'b' (payload attached).
-        source: 'measured' or 'simulated'.
         qd_threshold: linearity-region boundary [rad/s].
     """
 
@@ -52,7 +51,6 @@ class SampleSet:
     qdd: np.ndarray
     v: np.ndarray
     scenario: str = "a"
-    source: str = "measured"
     qd_threshold: float = QD_THRESHOLD_DEFAULT
 
     def __post_init__(self):
@@ -76,8 +74,9 @@ class SampleSet:
             raise SchemaError("timestamps must be uniformly spaced")
         if self.scenario not in ("a", "b"):
             raise SchemaError(f"scenario must be 'a' or 'b', got {self.scenario!r}")
-        if self.qd_threshold < 0:
-            raise SchemaError("qd_threshold must be nonnegative")
+        if not (np.isfinite(self.qd_threshold) and self.qd_threshold >= 0):
+            raise SchemaError(f"qd_threshold must be finite and nonnegative, "
+                              f"got {self.qd_threshold}")
         object.__setattr__(self, "t", t)
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
@@ -132,7 +131,6 @@ def merge_sample_sets(sets) -> SampleSet:
         qdd=np.vstack([s.qdd for s in sets]),
         v=np.vstack([s.v for s in sets]),
         scenario=first.scenario,
-        source=first.source,
         qd_threshold=first.qd_threshold,
     )
 
@@ -233,6 +231,9 @@ def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
             break
         tag = parts[-1]
         if scenario is None:
+            if tag not in ("a", "b"):
+                error = f"row {i} has scenario tag {tag!r}, not 'a' or 'b'"
+                break
             scenario = tag
         elif tag != scenario:
             error = (f"row {i} changes scenario tag "
@@ -259,7 +260,7 @@ def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     else:
         raise SchemaError(f"{path}: need at least two rows")
     return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v, scenario=scenario,
-                     source="measured", qd_threshold=qd_threshold)
+                     qd_threshold=qd_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +396,10 @@ def _read_friction(cfg, n, path) -> tuple[FrictionSet, str]:
     return fs, levels.pop()
 
 
-def write_robot_model(model: RobotModel, path,
-                      provenance: str = "unspecified") -> None:
+def write_robot_model(model: RobotModel, path) -> None:
     cfg = _new_parser()
     cfg["meta"] = {"name": model.name, "kind": "plant",
-                   "provenance": provenance}
+                   "provenance": "unspecified"}
     _write_chain(cfg, model.chain)
     if model.links is not None:
         for i, lk in enumerate(model.links):
@@ -514,9 +514,14 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
     Args:
         model: complete plant (links, friction, gains all present).
         traj: excitation trajectory; alternatively pass states=(t, q, qd).
-        noise_v / noise_qd: noise standard deviations [A] and [rad/s].
+        noise_v / noise_qd: noise standard deviations [A] and [rad/s],
+            finite and nonnegative.
         payload: optional payload attached to the flange (scenario 'b').
     """
+    for name, std in (("noise_v", noise_v), ("noise_qd", noise_qd)):
+        if not (np.isfinite(std) and std >= 0):
+            raise ValueError(f"{name} must be a finite nonnegative standard "
+                             f"deviation, got {std}")
     if not model.is_complete:
         raise ValueError("simulate needs a complete plant "
                          "(inertial, friction, and gain sections)")
@@ -544,7 +549,7 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
 
     return SampleSet(t=t, q=q, qd=qd, qdd=differentiate(qd, period), v=v,
                      scenario="b" if payload is not None else "a",
-                     source="simulated", qd_threshold=qd_threshold)
+                     qd_threshold=qd_threshold)
 
 
 def ur10_default_model() -> RobotModel:

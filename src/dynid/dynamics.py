@@ -450,8 +450,7 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     return tau
 
 
-def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
-                    gravity=None) -> np.ndarray:
+def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     """Regressor Y for a batch of states, shape (M, n, 13n).
 
     Columns follow the DynamicParameters layout: 10 inertial columns per
@@ -470,7 +469,7 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
 
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
     # S[:, k] = [a x d, a] of joint k in the current link frame; S3 views
@@ -495,9 +494,7 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd,
     return Y
 
 
-def regressor(chain: KinematicChain, state: JointState,
-              gravity=None) -> np.ndarray:
+def regressor(chain: KinematicChain, state: JointState) -> np.ndarray:
     """Regressor of a single state, shape (n, 13n)."""
     q, qd, qdd = state.arrays()
-    return regressor_stack(chain, q[None, :], qd[None, :], qdd[None, :],
-                           gravity=gravity)[0]
+    return regressor_stack(chain, q[None, :], qd[None, :], qdd[None, :])[0]

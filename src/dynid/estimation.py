@@ -81,15 +81,6 @@ def _linear_system(stack, rhs) -> tuple[np.ndarray, np.ndarray]:
     return stack, rhs
 
 
-def llse(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Linear least squares via a rank-revealing factorization."""
-    stack, rhs = _linear_system(stack, rhs)
-    if stack.shape[0] < stack.shape[1]:
-        raise ValueError("stack must be 2-D with at least as many rows "
-                         "as columns")
-    return _lstsq(stack, rhs)
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """Diagonal per-row weights, nonnegative and finite.
@@ -111,7 +102,7 @@ class WeightMatrix:
 
 def wlse(stack: np.ndarray, rhs: np.ndarray,
          weights: WeightMatrix | np.ndarray) -> np.ndarray:
-    """Weighted least squares; unit weights reproduce llse exactly."""
+    """Weighted least squares; unit weights give the ordinary fit."""
     stack, rhs = _linear_system(stack, rhs)
     if not isinstance(weights, WeightMatrix):
         weights = WeightMatrix(weights)
@@ -509,7 +500,6 @@ class GainEstimate:
     gains: np.ndarray
     zeta: tuple[np.ndarray, ...]
     identifiable_mask: tuple[np.ndarray, ...]
-    columns: tuple[np.ndarray, ...]
     bounds: tuple[tuple[float, float], ...]
     full_rank: tuple[bool, ...]
     bounded: tuple[bool, ...]
@@ -577,6 +567,10 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     reciprocal bounded; full-rank joints solve directly.  A missing upper
     bound defaults per joint to the largest gain already identified
     upstream.
+
+    chi, the stage-1 coefficients, is not read: each joint's arm columns
+    are re-fitted together with its gain on both runs.  The parameter
+    stays because callers pass psi after it by position.
     """
     n = map_.n
     kmask = known_payload.coord_mask
@@ -598,7 +592,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
 
     c_in = map_.c_inertial
     K = np.zeros(n)
-    zeta, masks, cols_used, jbounds = [], [], [], []
+    zeta, masks, jbounds = [], [], []
     full_rank, bounded_flags, iters, converged = [], [], [], []
     for j in range(n):
         label = f"joint {j+1}"
@@ -647,7 +641,6 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         K[j] = Kj
         zeta.append(zj)
         masks.append(mj)
-        cols_used.append(acols)
         jbounds.append((k_lo, k_hi))
         full_rank.append(fr)
         bounded_flags.append(bd)
@@ -655,7 +648,6 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         converged.append(wm.converged)
     return GainEstimate(gains=K, zeta=tuple(zeta),
                         identifiable_mask=tuple(masks),
-                        columns=tuple(cols_used),
                         bounds=tuple(jbounds), full_rank=tuple(full_rank),
                         bounded=tuple(bounded_flags), n_unknown=n_unknown,
                         irls_iterations=tuple(iters),

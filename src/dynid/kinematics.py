@@ -7,7 +7,7 @@ with theta_i = q_i + offset_i.  All joints are revolute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
     return R, p
 
 
-def ur10_chain(gravity=GRAVITY_DEFAULT) -> KinematicChain:
+def ur10_chain() -> KinematicChain:
     """Kinematic chain of a UR10-class 6-DOF arm (z0 up, lengths in meters)."""
     return KinematicChain(
         rows=(
@@ -135,5 +135,4 @@ def ur10_chain(gravity=GRAVITY_DEFAULT) -> KinematicChain:
             DhRow(a=0.0, alpha=np.pi / 2, d=0.1157),
             DhRow(a=0.0, alpha=0.0, d=0.0922),
         ),
-        gravity=gravity,
     )

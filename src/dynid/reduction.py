@@ -261,9 +261,8 @@ def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:
 
 
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
-                            Q, Qd, Qdd, gravity=None) -> np.ndarray:
+                            Q, Qd, Qdd) -> np.ndarray:
     """Minimal regressor for a batch of states, shape (M, n, c)."""
     if chain.n != map_.n:
         raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
-    return minimal_columns(map_, regressor_stack(chain, Q, Qd, Qdd,
-                                                 gravity=gravity))
+    return minimal_columns(map_, regressor_stack(chain, Q, Qd, Qdd))

@@ -244,15 +244,14 @@ def _read_map(cfg, n: int, path) -> BaseParameterMap:
         tolerance=float(tolerance))
 
 
-def save_identified_model(model: IdentifiedModel, path,
-                          provenance: str = "identified") -> None:
+def save_identified_model(model: IdentifiedModel, path) -> None:
     """Write the model, its base map included, to one INI file."""
     cfg = _new_parser()
     cfg["meta"] = {
         "name": model.name,
         "kind": "identified",
         "stage": model.stage,
-        "provenance": provenance,
+        "provenance": "identified",
         "qd_threshold_rad_s": _fmt(model.qd_threshold),
     }
     _write_chain(cfg, model.chain)
@@ -291,9 +290,11 @@ def load_identified_model(path) -> IdentifiedModel:
     payload = None
     if "payload_parameters" in cfg:
         payload = _vec(cfg, "payload_parameters", "pi_L", N_INERTIAL, path)
+    qd_threshold = QD_THRESHOLD_DEFAULT
+    if cfg.has_option("meta", "qd_threshold_rad_s"):
+        qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1,
+                                  path)[0])
     return IdentifiedModel(
         name=cfg.get("meta", "name", fallback="unnamed"),
         chain=chain, map=map_, chi=chi, psi=psi, gains=gains,
-        payload=payload,
-        qd_threshold=float(cfg.get("meta", "qd_threshold_rad_s",
-                                   fallback=QD_THRESHOLD_DEFAULT)))
+        payload=payload, qd_threshold=qd_threshold)

@@ -11,13 +11,14 @@ acceleration limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 HARMONICS_DEFAULT = 5
 PERIOD_DEFAULT = 20.0
 RATE_DEFAULT = 125.0
+LIMIT_MARGIN = 0.9  # random trajectories stay below this share of each limit
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,18 @@ def sample(traj: FourierTrajectory, rate: float = RATE_DEFAULT,
     return t, q, qd, qdd
 
 
-def random_trajectory(n: int, seed: int, harmonics: int = HARMONICS_DEFAULT,
-                      period: float = PERIOD_DEFAULT,
-                      limits: JointLimits | None = None,
-                      q0=None, margin: float = 0.9) -> FourierTrajectory:
-    """Seeded random trajectory scaled to respect the joint limits.
+def random_trajectory(n: int, seed: int) -> FourierTrajectory:
+    """Seeded random trajectory around the zero pose, within joint limits.
 
-    Coefficients are drawn with a 1/k harmonic decay and each joint's row
-    is rescaled so the worst-case excursion, velocity, and acceleration
-    stay below margin times the respective limit.
+    Coefficients of HARMONICS_DEFAULT harmonics over PERIOD_DEFAULT are
+    drawn with a 1/k decay, and each joint's row is rescaled so the
+    worst-case excursion, velocity, and acceleration stay below
+    LIMIT_MARGIN times the limit: ur10_limits for six joints, uniform
+    limits otherwise.
     """
-    if limits is None:
-        limits = ur10_limits() if n == 6 else JointLimits(
-            excursion=(1.5,) * n, velocity=(2.5,) * n, acceleration=(8.0,) * n)
-    if len(limits.excursion) != n:
-        raise ValueError(f"limits are for {len(limits.excursion)} joints, need {n}")
+    limits = ur10_limits() if n == 6 else JointLimits(
+        excursion=(1.5,) * n, velocity=(2.5,) * n, acceleration=(8.0,) * n)
+    harmonics, period = HARMONICS_DEFAULT, PERIOD_DEFAULT
     rng = np.random.default_rng(seed)
     k = np.arange(1, harmonics + 1)
     a = rng.uniform(-1.0, 1.0, (n, harmonics)) / k
@@ -135,59 +133,22 @@ def random_trajectory(n: int, seed: int, harmonics: int = HARMONICS_DEFAULT,
     worst_q = amp @ np.ones(harmonics)
     worst_qd = amp @ (k * w)
     worst_qdd = amp @ (k * w) ** 2
-    scale = margin * np.min(
+    scale = LIMIT_MARGIN * np.min(
         np.stack([np.asarray(limits.excursion) / worst_q,
                   np.asarray(limits.velocity) / worst_qd,
                   np.asarray(limits.acceleration) / worst_qdd]), axis=0)
     a *= scale[:, None]
     b *= scale[:, None]
-    q0 = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float)
-    return FourierTrajectory(q0=tuple(q0), a=tuple(map(tuple, a)),
+    return FourierTrajectory(q0=tuple(np.zeros(n)), a=tuple(map(tuple, a)),
                              b=tuple(map(tuple, b)), period=period)
 
 
 _VALIDATION_SEEDS = {"A": 20101, "B": 20202}
 
 
-def validation_trajectory(name: str, n: int = 6) -> FourierTrajectory:
-    """Built-in validation trajectories, generated from fixed seeds."""
+def validation_trajectory(name: str) -> FourierTrajectory:
+    """Built-in six-joint validation trajectories, from fixed seeds."""
     if name not in _VALIDATION_SEEDS:
         raise ValueError(f"unknown validation trajectory {name!r}; "
                          f"available: {sorted(_VALIDATION_SEEDS)}")
-    return random_trajectory(n, seed=_VALIDATION_SEEDS[name])
-
-
-@dataclass(frozen=True)
-class ExcitationReport:
-    """Condition of the stacked minimal regressor plus limit checks."""
-
-    condition: float
-    limits_ok: bool
-    worst_excursion: tuple[float, ...]
-    worst_velocity: tuple[float, ...]
-    worst_acceleration: tuple[float, ...]
-
-
-def excitation_score(map_, chain, traj: FourierTrajectory,
-                     rate: float = RATE_DEFAULT,
-                     limits: JointLimits | None = None) -> ExcitationReport:
-    """Score a candidate trajectory before running it."""
-    from .reduction import minimal_regressor_stack
-
-    if limits is None and traj.n == 6:
-        limits = ur10_limits()
-    t, q, qd, qdd = sample(traj, rate=rate)
-    Yh = minimal_regressor_stack(map_, chain, q, qd, qdd)
-    stack = Yh.reshape(len(t) * chain.n, -1)
-    sing = np.linalg.svd(stack, compute_uv=False)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-    we = np.max(np.abs(q - np.asarray(traj.q0)), axis=0)
-    wv = np.max(np.abs(qd), axis=0)
-    wa = np.max(np.abs(qdd), axis=0)
-    ok = True
-    if limits is not None:
-        ok = bool(np.all(we <= limits.excursion) and np.all(wv <= limits.velocity)
-                  and np.all(wa <= limits.acceleration))
-    return ExcitationReport(condition=cond, limits_ok=ok,
-                            worst_excursion=tuple(we), worst_velocity=tuple(wv),
-                            worst_acceleration=tuple(wa))
+    return random_trajectory(6, seed=_VALIDATION_SEEDS[name])

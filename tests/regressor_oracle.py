@@ -53,13 +53,12 @@ def unit_wrenches(om, omd, acc):
     return B
 
 
-def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd,
-                          gravity=None) -> np.ndarray:
+def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     """Regressor (M, n, 13n) in the layout of dynamics.regressor_stack."""
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
 
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
     for i in range(n):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,69 @@ def test_non_utf8_input_exits_2(pipeline, capsys, role):
     err = capsys.readouterr().err
     assert err.startswith("error=2 msg=") and err.count("\n") == 1
     assert bad in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--noise-v", "-1"),
+                                        ("--noise-qd", "-0.1"),
+                                        ("--noise-v", "nan")])
+def test_simulate_rejects_bad_noise(pipeline, capsys, flag, value):
+    # a negative or non-finite std is an error, not a noise-free run
+    out = pipeline["dir"] / "noisy.csv"
+    rc = main(["simulate", "--robot", pipeline["robot"],
+               "--traj", pipeline["traj_a"], flag, value, "--seed", "3",
+               "--out", str(out)])
+    assert rc == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _model_with_threshold(pipeline, value):
+    bad = pipeline["dir"] / f"model_threshold_{value}.ini"
+    text, count = re.subn(r"(?m)^qd_threshold_rad_s = .*$",
+                          f"qd_threshold_rad_s = {value}",
+                          open(pipeline["model_lin"]).read())
+    assert count == 1
+    bad.write_text(text)
+    return str(bad)
+
+
+def test_nonfinite_qd_threshold_exits_2(pipeline, capsys):
+    # on the command line: the threshold itself is named, not a
+    # disagreement between the merged files
+    rc = main(["identify", "linear", "--robot", pipeline["robot"],
+               "--samples", pipeline["run_a"], pipeline["run_a2"],
+               pipeline["run_a"], "--qd-threshold", "nan",
+               "--out", str(pipeline["dir"] / "nope.ini")])
+    assert rc == 2
+    assert "qd_threshold" in capsys.readouterr().err
+    # in a model file: refused on load, before any stage runs
+    bad = _model_with_threshold(pipeline, "nan")
+    rc = main(["identify", "friction", "--model", bad,
+               "--samples", pipeline["run_a"],
+               "--out", str(pipeline["dir"] / "nope.ini")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert bad in err and "qd_threshold_rad_s" in err
+
+
+def test_non_numeric_model_threshold_names_file(pipeline, capsys):
+    bad = _model_with_threshold(pipeline, "abc")
+    rc = main(["solve", "--model", bad, "--traj", pipeline["run_a"],
+               "--out", str(pipeline["dir"] / "nope.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert bad in err and "qd_threshold_rad_s" in err
+
+
+def test_unknown_scenario_tag_names_file_and_row(pipeline, capsys):
+    bad = pipeline["dir"] / "traj_tag_c.csv"
+    text = open(pipeline["traj_a"]).read()
+    bad.write_text(text.replace(",a\n", ",c\n"))
+    rc = main(["simulate", "--robot", pipeline["robot"], "--traj", str(bad),
+               "--seed", "3", "--out", str(pipeline["dir"] / "nope.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 2" in err and "'c'" in err
 
 
 def test_validate_with_baseline(pipeline):

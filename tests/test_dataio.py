@@ -87,8 +87,7 @@ def _tiny_set():
     qd = rng.uniform(-2, 2, (8, 2))
     v = rng.uniform(-3, 3, (8, 2))
     qdd = differentiate(qd, 1 / 125.0)
-    return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v, scenario="b",
-                     source="simulated")
+    return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v, scenario="b")
 
 
 def test_samples_round_trip(tmp_path):
@@ -383,7 +382,7 @@ def test_simulate_noiseless_consistency(plant, chain):
     pi_in = np.concatenate([lk.to_vector() for lk in plant.links])
     tau = Y[:, :, :60] @ pi_in + friction_sigmoid(plant.friction, ds.qd)
     assert np.max(np.abs(tau - ds.v * np.asarray(plant.gains))) < 1e-9
-    assert ds.scenario == "a" and ds.source == "simulated"
+    assert ds.scenario == "a"
 
 
 def test_simulate_payload_tagged(plant):

@@ -506,17 +506,15 @@ def test_unit_wrenches_match_oracle(seed, m):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
-       chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(["chain", "off", "per-state"]))
-def test_regressor_stack_matches_sweep_oracle(seed, m, chain, gravity):
+       chain=st.sampled_from([ur10_chain(), TOY]))
+def test_regressor_stack_matches_sweep_oracle(seed, m, chain):
     # the axis projection agrees with the joint-by-joint unit sweep to c01's
     # relative error 1e-9; link i's columns are exactly zero past row i
     rng = np.random.default_rng(seed)
     n = chain.n
     Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
-    _, arg = _gravity_rows(chain, gravity, m, rng)
-    Y = regressor_stack(chain, Q, Qd, Qdd, gravity=arg)
-    ref = regressor_stack_sweep(chain, Q, Qd, Qdd, gravity=arg)
+    Y = regressor_stack(chain, Q, Qd, Qdd)
+    ref = regressor_stack_sweep(chain, Q, Qd, Qdd)
     assert Y.shape == ref.shape == (m, n, 13 * n)
     assert np.max(np.abs(Y - ref) / (1.0 + np.abs(ref))) < 1e-9
     for i in range(n):
@@ -525,18 +523,15 @@ def test_regressor_stack_matches_sweep_oracle(seed, m, chain, gravity):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
-       chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(["chain", "off", "per-state"]))
-def test_regressor_stack_matches_single(seed, m, chain, gravity):
+       chain=st.sampled_from([ur10_chain(), TOY]))
+def test_regressor_stack_matches_single(seed, m, chain):
     # every row of a random batch is bitwise the regressor of its state alone
     rng = np.random.default_rng(seed)
     Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
-    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
-    Ys = regressor_stack(chain, Q, Qd, Qdd, gravity=arg)
+    Ys = regressor_stack(chain, Q, Qd, Qdd)
     for k in range(m):
         st_k = JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k])
-        assert regressor(chain, st_k, gravity=g_rows[k]).tobytes() \
-            == Ys[k].tobytes()
+        assert regressor(chain, st_k).tobytes() == Ys[k].tobytes()
 
 
 def test_newton_euler_shape_guards():

@@ -1,11 +1,14 @@
-"""Import hygiene: `import dynid` loads no submodule, and scipy loads only
-in the stages that factorise or filter.
+"""Import hygiene: every module uses each name it imports, `import dynid`
+loads no submodule, and scipy loads only in the stages that factorise or
+filter.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported scipy through other tests.
+The load checks run in a fresh interpreter, since this test process has
+long since imported scipy through other tests.
 """
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -23,6 +26,30 @@ def _run(code: str, cwd) -> dict:
     out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (outside __future__) and never uses."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items()
+            if name not in used]
+
+
+def test_src_modules_use_every_import():
+    unused = {path.name: found
+              for path in sorted(pathlib.Path(dynid.__file__).parent
+                                 .glob("*.py"))
+              if (found := _unused_imports(path.read_text()))}
+    assert unused == {}
 
 
 _SCIPY_LOADED = ("json.dumps(sorted(m for m in sys.modules "

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dynid.trajectory import (FourierTrajectory, JointLimits, evaluate,
-                              excitation_score, random_trajectory, sample,
-                              ur10_limits, validation_trajectory)
+                              random_trajectory, sample, ur10_limits,
+                              validation_trajectory)
 
 
 def test_constant_trajectory():
@@ -78,7 +78,7 @@ def test_sample_grid_is_periodic():
 def test_random_trajectory_respects_limits():
     lims = ur10_limits()
     for seed in (0, 7, 42):
-        traj = random_trajectory(6, seed=seed, limits=lims)
+        traj = random_trajectory(6, seed=seed)
         _, q, qd, qdd = sample(traj, rate=125.0, duration=traj.period)
         q0 = np.asarray(traj.q0)
         assert np.all(np.abs(q - q0) <= np.asarray(lims.excursion) + 1e-9)
@@ -102,42 +102,6 @@ def test_validation_trajectories():
     assert a.a != b.a
     with pytest.raises(ValueError):
         validation_trajectory("C")
-
-
-def test_excitation_score_flat_trajectory(bmap, chain):
-    flat = FourierTrajectory(q0=np.zeros(6), a=np.zeros((6, 1)),
-                             b=np.zeros((6, 1)), period=20.0)
-    rep = excitation_score(bmap, chain, flat, rate=25.0, limits=ur10_limits())
-    assert np.isinf(rep.condition)
-    assert rep.limits_ok
-
-
-def test_excitation_score_harmonic_richness(bmap, chain):
-    # splitting a fixed amplitude budget over five harmonics must not leave
-    # the trajectory worse conditioned than the single-harmonic version
-    rng = np.random.default_rng(99)
-    A5 = rng.uniform(-1.0, 1.0, (6, 5))
-    B5 = rng.uniform(-1.0, 1.0, (6, 5))
-    lims = ur10_limits()
-    conds = {}
-    for nh in (1, 5):
-        traj = FourierTrajectory(q0=np.zeros(6), a=A5[:, :nh] * (0.5 / nh),
-                                 b=B5[:, :nh] * (0.5 / nh), period=20.0)
-        conds[nh] = excitation_score(bmap, chain, traj, rate=25.0,
-                                     limits=lims).condition
-    assert conds[5] < conds[1]
-
-
-def test_excitation_score_flags_velocity_limit(bmap, chain):
-    # amplitude 0.8 at a 2 s period: velocity amplitude 0.8 * pi exceeds the
-    # 2 rad/s base-joint limit while excursion and acceleration stay legal
-    traj = FourierTrajectory(q0=np.zeros(6), a=np.full((6, 1), 0.8),
-                             b=np.zeros((6, 1)), period=2.0)
-    rep = excitation_score(bmap, chain, traj, rate=25.0, limits=ur10_limits())
-    assert not rep.limits_ok
-    assert max(rep.worst_velocity) > 2.0
-    assert max(rep.worst_excursion) < 1.3
-    assert max(rep.worst_acceleration) < 8.0
 
 
 def test_joint_limits_validation():
