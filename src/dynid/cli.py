@@ -192,6 +192,16 @@ def _load_stage(path, need: str) -> IdentifiedModel:
 # ---------------------------------------------------------------------------
 # commands
 
+def _report_irls_cap(record) -> None:
+    """Name the joints whose robust weights still moved at the IRLS cap."""
+    capped = [str(j + 1) for j, ok in enumerate(record.irls_converged)
+              if not ok]
+    if capped:
+        print(f"robust weights still moving at IRLS iteration cap "
+              f"{max(record.irls_iterations)} on joint(s) "
+              f"{', '.join(capped)}; fitted with the last iterate")
+
+
 def cmd_traj_gen(a) -> None:
     plant = read_robot_model(a.robot)
     traj = random_trajectory(plant.chain.n, seed=a.seed)
@@ -229,6 +239,7 @@ def cmd_identify_linear(a) -> None:
     save_identified_model(model, a.out)
     conds = ", ".join(f"{c:.3g}" for c in chi.conditions)
     print(f"linear stage done ({s.m} samples); conditions {conds}")
+    _report_irls_cap(chi)
     print(f"wrote {a.out}")
 
 
@@ -271,6 +282,7 @@ def cmd_identify_gains(a) -> None:
     flags = ", ".join("full" if f else "regrouped" for f in est.full_rank)
     print(f"gain stage done; K = [{gains}]")
     print(f"per-joint solve paths: {flags}")
+    _report_irls_cap(est)
     print(f"wrote {out}")
 
 

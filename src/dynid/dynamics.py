@@ -5,11 +5,9 @@ origin-referenced inertial coordinates: mass m, first moment m*r, and the
 inertia tensor taken about the link-frame origin.  In these coordinates the
 joint torques are linear in the parameters.  A link's ten unit-parameter
 wrenches are linear in twelve numbers of its motion, so they are one
-product with a constant 0/+-1 basis.  The evaluator adds them into all
-parameter sets with one more product per link; the regressor projects
-them onto the axes of the joints that carry the link, with the axis screws
-carried outward link by link, so every link's block is one batched
-product.  Gravity enters as an acceleration of the base frame.
+product with a constant 0/+-1 basis.  The regressor and the evaluator
+both project them onto the joint screws, carried outward link by link in
+one shared pass.  Gravity enters as an acceleration of the base frame.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -418,35 +416,47 @@ def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
     return Q, Qd, Qdd
 
 
+def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
+    """Yield (i, S_i, B_i) for links i = 0..n-1: the pass both kernels share.
+
+    Joint k's torque from a wrench (f, m) about origin i is a.m + (a x d).f
+    (Khalil & Dombre, Modeling, Identification and Control of Robots, 2002),
+    where a is joint k's axis and d is origin i relative to origin k-1.
+    S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
+    and B_i (M, 10, 6) link i's unit wrenches, so S_i @ B_i^T is link i's
+    share of joints 0..i.  The next step overwrites S_i.
+    """
+    M, n = Q.shape
+    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    S = np.zeros((M, n, 6))
+    S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
+    for i in range(n):
+        S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
+        Si = S[:, :i + 1]
+        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
+        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
+        yield i, Si, _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+
+
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                  gravity=None) -> np.ndarray:
     """Joint torques (M, n, S) of S inertial parameter sets, no friction.
 
-    Batched recursive Newton-Euler (Featherstone, Rigid Body Dynamics
-    Algorithms, 2008): one forward pass, then one backward pass carrying
-    all sets.  Column s of Pi (10n, S) is a set in the DynamicParameters
-    inertial layout, physical or not; [:, :, s] equals rnea on it.  gravity
-    is None (the chain's), a 3-vector, or one per state.  Each link adds
-    its unit-parameter wrenches into every set with one product, stacked
-    per state, so a state's torques do not depend on the batch around it.
+    Column s of Pi (10n, S) is a set in the DynamicParameters inertial
+    layout, physical or not; [:, :, s] equals rnea on it.  gravity is None
+    (the chain's), a 3-vector, or one per state.  Each link's unit wrenches
+    are summed per set, then projected onto the joint screws; the products
+    are stacked per state, so a state's torques do not depend on its batch.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
     M, n = Q.shape
     if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
         raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
-    RT = R.swapaxes(2, 3)
-    tau = np.empty((M, n, Pi.shape[1]))
-    w = np.zeros((M, Pi.shape[1], 6))  # carried wrench per set
-    w3 = w.reshape(M, -1, 3)  # force and moment as rows, for one rotation
-    for i in range(n - 1, -1, -1):
-        B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
-        w += Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ B
-        # transport to the parent origin; the joint torque is the z moment
-        w3[:] = w3 @ RT[:, i]
-        w[:, :, 3:] += _cross(p[:, i, None, :], w[:, :, :3])
-        tau[:, i] = w[:, :, 5]
+    tau = np.zeros((M, n, Pi.shape[1]))
+    for i, Si, B in _link_screws(chain, Q, Qd, Qdd, gravity):
+        w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ B
+        tau[:, :i + 1] += Si @ w.swapaxes(1, 2)
     return tau
 
 
@@ -456,32 +466,14 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     Columns follow the DynamicParameters layout: 10 inertial columns per
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
     row j.  Y @ pi equals rnea torques plus linear friction.  It is built
-    for fitting; evaluate known parameters with newton_euler.
-
-    The inertial columns use the projection form of Newton-Euler (Khalil &
-    Dombre, Modeling, Identification and Control of Robots, 2002): joint
-    k's torque from a wrench (f, m) about origin i is a.m + (a x d).f,
-    where a is joint k's axis and d is origin i relative to origin k-1.
-    The screws [a x d, a] of joints 0..i are carried outward in frame i,
-    so link i's block of every row is one product of those screws with
-    the link's unit-parameter wrenches; rows past i stay exactly zero.
+    for fitting; evaluate known parameters with newton_euler.  Link i's
+    block is one product of the joint screws with its unit wrenches, and
+    exactly zero in rows past i.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
-
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-
-    # S[:, k] = [a x d, a] of joint k in the current link frame; S3 views
-    # each screw as two row vectors, rotated into frame i by one product
-    S = np.zeros((M, n, 6))
-    S3 = S.reshape(M, 2 * n, 3)
-    for i in range(n):
-        S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
-        Si = S[:, :i + 1]
-        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
-        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
-        B = _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+    for i, Si, B in _link_screws(chain, Q, Qd, Qdd):
         col = N_INERTIAL * i
         np.matmul(Si, B.swapaxes(1, 2), out=Y[:, :i + 1, col:col + N_INERTIAL])
 

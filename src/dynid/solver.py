@@ -294,6 +294,9 @@ def load_identified_model(path) -> IdentifiedModel:
     if cfg.has_option("meta", "qd_threshold_rad_s"):
         qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1,
                                   path)[0])
+        if qd_threshold < 0:
+            raise SchemaError(f"{path}: qd_threshold_rad_s in [meta] is "
+                              f"negative, got {qd_threshold}")
     return IdentifiedModel(
         name=cfg.get("meta", "name", fallback="unnamed"),
         chain=chain, map=map_, chi=chi, psi=psi, gains=gains,

@@ -103,10 +103,15 @@ def evaluate(traj: FourierTrajectory, t) -> tuple[np.ndarray, np.ndarray, np.nda
 def sample(traj: FourierTrajectory, rate: float = RATE_DEFAULT,
            duration: float | None = None):
     """Uniformly sampled trajectory: (t, q, qd, qdd) at the given rate."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
     duration = traj.period if duration is None else float(duration)
-    m = int(round(duration * rate))
+    for name, x in (("rate", rate), ("duration", duration)):
+        if not 0 < x < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
+    count = duration * rate
+    if not 1.5 <= count < np.inf:  # round(count) >= 2, and finite
+        raise ValueError(f"duration {duration:g} s at rate {rate:g} Hz gives "
+                         f"{count:.3g} samples; need a finite count >= 2")
+    m = round(count)
     t = np.arange(m) / rate
     q, qd, qdd = evaluate(traj, t)
     return t, q, qd, qdd

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from dynid import estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
 from dynid.dataio import (read_samples, ur10_default_model, write_payload,
                           write_robot_model)
@@ -178,6 +179,24 @@ def test_traj_gen_deterministic(pipeline):
     assert open(other, "rb").read() != open(pipeline["traj_a"], "rb").read()
 
 
+@pytest.mark.parametrize("flag,value", [("--duration", "inf"),
+                                        ("--rate", "inf"),
+                                        ("--duration", "0"),
+                                        ("--duration", "-5"),
+                                        ("--rate", "1e-9"),
+                                        ("--rate", "nan"),
+                                        ("--duration", "nan")])
+def test_traj_gen_rejects_bad_sampling(pipeline, capsys, flag, value):
+    # a non-finite or non-positive value, or fewer than two samples, is
+    # named, not a traceback or a downstream symptom
+    out = pipeline["dir"] / "bad_sampling.csv"
+    rc = main(["traj", "gen", "--robot", pipeline["robot"], "--seed", "1",
+               flag, value, "--out", str(out)])
+    assert rc == 2
+    assert flag[2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(pipeline):
     d = pipeline["dir"]
     again = str(d / "run_a_again.csv")
@@ -334,14 +353,16 @@ def test_nonfinite_qd_threshold_exits_2(pipeline, capsys):
                "--out", str(pipeline["dir"] / "nope.ini")])
     assert rc == 2
     assert "qd_threshold" in capsys.readouterr().err
-    # in a model file: refused on load, before any stage runs
-    bad = _model_with_threshold(pipeline, "nan")
-    rc = main(["identify", "friction", "--model", bad,
-               "--samples", pipeline["run_a"],
-               "--out", str(pipeline["dir"] / "nope.ini")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert bad in err and "qd_threshold_rad_s" in err
+    # in a model file, non-finite or negative: refused on load, before any
+    # stage runs
+    for value in ("nan", "-1"):
+        bad = _model_with_threshold(pipeline, value)
+        rc = main(["identify", "friction", "--model", bad,
+                   "--samples", pipeline["run_a"],
+                   "--out", str(pipeline["dir"] / "nope.ini")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert bad in err and "qd_threshold_rad_s" in err
 
 
 def test_non_numeric_model_threshold_names_file(pipeline, capsys):
@@ -373,3 +394,36 @@ def test_validate_with_baseline(pipeline):
     lines = open(report2).read().splitlines()
     assert lines[0].endswith(",eta")
     assert len(lines[1].split(",")) == 5
+
+
+
+
+def test_irls_cap_is_reported(pipeline, capsys, monkeypatch):
+    # a noisy run converges and prints no IRLS line; with the cap at one
+    # iteration, the joints still moving there are named on one line
+    d, robot = pipeline["dir"], pipeline["robot"]
+    noisy = []
+    for key, seed in (("traj_a", "21"), ("traj_a2", "22")):
+        noisy.append(str(d / f"noisy_{key}.csv"))
+        assert main(["simulate", "--robot", robot, "--traj", pipeline[key],
+                     "--noise-v", "0.05", "--seed", seed,
+                     "--out", noisy[-1]]) == 0
+    capsys.readouterr()
+    linear = ["identify", "linear", "--robot", robot, "--samples", *noisy,
+              "--out", str(d / "noisy_model.ini")]
+    gains = ["identify", "gains", "--model", pipeline["model_fric"],
+             "--samples-a", pipeline["run_a"], pipeline["run_a2"],
+             "--samples-b", pipeline["run_b"],
+             "--payload", pipeline["payload"], "--known", "mass,com",
+             "--out", str(d / "capped_gains.ini")]
+    assert main(linear) == 0
+    assert [x.split()[0] for x in capsys.readouterr().out.splitlines()] \
+        == ["linear", "wrote"]
+    monkeypatch.setattr(estimation, "WEIGHT_MAX_ITER", 1)
+    for argv, named in ((linear, "1, 2, 3, 4, 5, 6"), (gains, "1, 2, 3")):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == ("robust weights still moving at IRLS iteration "
+                             f"cap 1 on joint(s) {named}; fitted with the "
+                             "last iterate")
+        assert sum("robust weights" in x for x in lines) == 1

@@ -432,7 +432,7 @@ def _random_batch(chain, m, sets, rng):
 
 
 def _gravity_rows(chain, mode, m, rng):
-    """Per-state gravity of a mode and the regressor_stack argument for it."""
+    """Per-state gravity of a mode and the newton_euler argument for it."""
     g_rows = np.tile(chain.gravity_vector, (m, 1))
     if mode == "off":
         g_rows[:] = 0.0
@@ -445,14 +445,15 @@ def _gravity_rows(chain, mode, m, rng):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       full=st.booleans(),
-       gravity=st.sampled_from(["chain", "off", "per-state"]))
-def test_newton_euler_matches_rnea(seed, chain, full, gravity):
-    # S in {1, n}; every set, state and gravity mode agrees with rnea to
+       gravity=st.sampled_from(["chain", "off", "per-state"]),
+       data=st.data())
+def test_newton_euler_matches_rnea(seed, chain, gravity, data):
+    # S in 1..n+2; every set, state and gravity mode agrees with rnea to
     # c01's relative error 1e-9
     rng = np.random.default_rng(seed)
     n, m = chain.n, 5
-    Q, Qd, Qdd, Pi = _random_batch(chain, m, n if full else 1, rng)
+    sets = data.draw(st.integers(1, n + 2))
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, sets, rng)
     g_rows, arg = _gravity_rows(chain, gravity, m, rng)
     tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
     assert tau.shape == (m, n, Pi.shape[1])

@@ -1,6 +1,6 @@
-"""Import hygiene: every module uses each name it imports, `import dynid`
-loads no submodule, and scipy loads only in the stages that factorise or
-filter.
+"""Import hygiene: every module uses each name it imports, every private
+module-level name has a use, `import dynid` loads no submodule, and scipy
+loads only in the stages that factorise or filter.
 
 The load checks run in a fresh interpreter, since this test process has
 long since imported scipy through other tests.
@@ -50,6 +50,48 @@ def test_src_modules_use_every_import():
                                  .glob("*.py"))
               if (found := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _defined_private(tree: ast.Module) -> dict[str, int]:
+    """Private module-level functions, classes and constants of a module."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node]
+        elif isinstance(node, ast.Assign):
+            targets = [t for tgt in node.targets for t in ast.walk(tgt)
+                       if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            name = getattr(t, "name", None) or t.id
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def test_src_private_names_have_a_use():
+    # a private helper left behind by deleted code is dead code; a use is
+    # a read of the name, an attribute of that name, or an import of it
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(dynid.__file__).parent
+                                .glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    orphans = [f"{module} line {line}: {name}"
+               for module, tree in trees.items()
+               for name, line in _defined_private(tree).items()
+               if name not in used]
+    assert orphans == []
 
 
 _SCIPY_LOADED = ("json.dumps(sorted(m for m in sys.modules "
