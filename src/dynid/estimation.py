@@ -30,7 +30,6 @@ WEIGHT_MAX_ITER = 50
 CONDITION_LIMIT = 1e8
 MIN_REGION_SAMPLES = 50
 GAIN_LOWER_DEFAULT = 10.0
-MIXING_TOL = 1e-6
 
 
 class EstimationError(RuntimeError):
@@ -55,8 +54,6 @@ class ConvergenceError(EstimationError):
 def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, _, rank, _ = np.linalg.lstsq(stack, rhs, rcond=None)
     if rank < stack.shape[1]:
-        # only this error path factorises again, so a full-rank solve
-        # loads no scipy
         split = split_columns(stack)
         raise IdentifiabilityError(
             f"rank-deficient stack (rank {split.ind.size} of "
@@ -180,7 +177,6 @@ class CurrentCoefficients:
 
     n: int
     chi: np.ndarray
-    covariance_diag: np.ndarray | None = None
     conditions: tuple[float, ...] = ()
     sample_counts: tuple[int, ...] = ()
     irls_iterations: tuple[int, ...] = ()
@@ -215,7 +211,6 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
                                 samples.qdd)
     mask = samples.mask
     chi = np.zeros((n, map_.c))
-    covd = np.zeros((n, map_.c))
     conds, counts, iters, converged = [], [], [], []
     for j in range(n):
         cols = np.concatenate([map_.joint_idcols[j], map_.friction_columns(j)])
@@ -236,18 +231,11 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
         wm = robust_weights(A, b)
         x = wlse(A, b, wm)
         chi[j, cols] = x
-        # first-order variance estimate from the weighted residuals
-        r = b - A @ x
-        dof = max(count - cols.size, 1)
-        sigma2 = float(np.sum(wm.w * r**2) / dof)
-        Aw = A * np.sqrt(wm.w)[:, None]
-        covd[j, cols] = sigma2 * np.diag(np.linalg.pinv(Aw.T @ Aw))
         conds.append(cond)
         counts.append(count)
         iters.append(wm.iterations)
         converged.append(wm.converged)
     return CurrentCoefficients(n=n, chi=chi.ravel(),
-                               covariance_diag=covd.ravel(),
                                conditions=tuple(conds),
                                sample_counts=tuple(counts),
                                irls_iterations=tuple(iters),
@@ -511,36 +499,29 @@ class GainEstimate:
 def _gain_solve(S, y, w, lam_bounds, label):
     """Solve one joint's weighted gain system, gain column last.
 
-    One split_columns of the weighted stack decides the rank, checks that
-    the gain column is independent and mixes with no dependent column
-    (its regroup row), and solves on the independent columns.  A
-    rank-deficient joint whose gain reciprocal leaves lam_bounds is
-    re-solved with it clamped to the nearer bound.
+    One split_columns of the weighted stack decides the rank and solves on
+    the independent columns.  The split keeps the column order, so the
+    gain column is independent exactly when the others do not span it,
+    and no dependent column regroups onto it.  A rank-deficient joint
+    whose gain reciprocal leaves lam_bounds is re-solved with it clamped
+    to the nearer bound.
     """
-    sw = np.sqrt(w)
-    Sw, yw = S * sw[:, None], y * sw
+    Sw, yw = S * np.sqrt(w)[:, None], y * np.sqrt(w)
     split = split_columns(Sw)
     p = S.shape[1]
     if split.ind.size == 0:
         raise ExcitationError(f"{label}: zero-rank gain system")
-    # the gain column is last, so when independent it is also last in ind
     if split.ind[-1] != p - 1:
         raise IdentifiabilityError(
             f"{label}: the drive gain is not identifiable; the known "
             "payload parameters do not separate it from the arm model")
     full_rank = split.dep.size == 0
-    if not full_rank and np.max(np.abs(split.regroup[-1])) > MIXING_TOL:
-        raise IdentifiabilityError(
-            f"{label}: the gain coordinate regroups with unidentifiable "
-            "payload directions; provide more payload knowledge")
     lam = split.solve(yw)
-    bounded = False
-    if not full_rank:
-        lo, hi = lam_bounds
-        if not lo <= lam[-1] <= hi:
-            lam[-1] = float(np.clip(lam[-1], lo, hi))
-            lam[:-1] = _lstsq(Sw[:, split.ind[:-1]], yw - Sw[:, -1] * lam[-1])
-            bounded = True
+    lo, hi = lam_bounds
+    bounded = not full_rank and not lo <= lam[-1] <= hi
+    if bounded:
+        lam[-1] = float(np.clip(lam[-1], lo, hi))
+        lam[:-1] = _lstsq(Sw[:, split.ind[:-1]], yw - Sw[:, -1] * lam[-1])
     if lam[-1] <= 0:
         raise EstimationError(f"{label}: nonpositive gain coordinate; "
                               "the data contradicts a positive drive gain")
@@ -562,7 +543,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     against the joint's active base columns, the unknown payload parameters
     scaled by the gain reciprocal, and a single column carrying the known
     payload contribution times that reciprocal.  Joints whose rows carry
-    internal column dependencies (on the UR10, the wrist joints do) come
+    internal column dependencies (on the UR10, every joint does) come
     out rank-deficient and solve in regrouped coordinates with the gain
     reciprocal bounded; full-rank joints solve directly.  A missing upper
     bound defaults per joint to the largest gain already identified

@@ -10,11 +10,11 @@ per joint (each appears only in its own row) and are always kept, so the
 sgn discontinuities never enter the rank decision.
 
 Each choice of independent columns (the probe stack, every joint row, and
-stage 3's gain systems) is one column-pivoted QR of the matrix in question
-(split_columns): the rank, the independent columns, the coefficients of
-the dependent ones and a least-squares solve all come from that single
-factorisation (Gautier, "Numerical calculation of the base inertial
-parameters of robots", J. Robotic Systems 1991).
+stage 3's gain systems) is one greedy split in a fixed column order
+(split_columns) from one unpivoted QR, so it depends on the chain alone,
+not on the probe seed or on rounding (Gautier, J. Robotic Systems 1991).
+Offering columns last to first folds proximal parameters into distal
+ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
-# |R_kk| / |R_00| above which a pivoted-QR column counts as independent
+# |R_kk| over the largest column norm above which a column is independent
 RANK_TOL = 1e-10
 PROBE_Q_RANGE = np.pi
 PROBE_QD_RANGE = 3.0
@@ -147,10 +147,10 @@ def probe_states(n: int, n_probe: int, seed: int):
 
 @dataclass(frozen=True)
 class ColumnSplit:
-    """The columns of a matrix A split by one column-pivoted QR.
+    """The columns of a matrix A split greedily in the order given.
 
     Attributes:
-        ind: independent columns, ascending.
+        ind: independent columns, ascending; none is spanned by earlier ones.
         dep: dependent columns, ascending; every column not in ind.
         regroup: (len(ind), len(dep)) coefficients with
             A[:, dep] = A[:, ind] @ regroup.
@@ -159,48 +159,62 @@ class ColumnSplit:
     ind: np.ndarray
     dep: np.ndarray
     regroup: np.ndarray
-    _qt: np.ndarray    # leading rank columns of Q, transposed
-    _r11: np.ndarray   # leading rank block of R, pivot order
-    _order: np.ndarray  # pivot position of each column of ind
+    _a: np.ndarray  # A[:, ind]
+    _t: np.ndarray  # upper triangular, _a.T @ _a = _t.T @ _t
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Least-squares x with A[:, ind] @ x ~ b, ordered like ind."""
-        import scipy.linalg
-
-        x = scipy.linalg.solve_triangular(self._r11, self._qt @ b)
-        return x[self._order]
+        """Least-squares x with A[:, ind] @ x ~ b, ordered like ind: the
+        seminormal equations on _t and one corrective step, which gives a
+        QR solve's accuracy without Q (Bjorck, Linear Algebra Appl. 1987)."""
+        x = np.zeros(self._t.shape[0])
+        for _ in range(2):
+            y = self._a.T @ (b - self._a @ x)
+            x = x + np.linalg.solve(self._t, np.linalg.solve(self._t.T, y))
+        return x
 
 
 def split_columns(A: np.ndarray) -> ColumnSplit:
-    """Split A's columns into an independent set and the dependent rest.
+    """Split A's columns, in the order given, into independent and dependent.
 
-    One column-pivoted QR, A[:, piv] = Q R, decides everything: rank counts
-    |R_kk| > RANK_TOL * |R_00|, the first rank pivots are the independent
-    columns, and the regroup coefficients of the others solve
-    R11 G = R12 on the same R.
+    One unpivoted QR, A = Q R, and only its R: column k is independent
+    when |R_kk|, its part outside the span of the columns before it,
+    exceeds RANK_TOL times the largest column norm.  Regroup and solve use
+    a QR of R[:, ind].  Past a dependent column the QR runs along a
+    rounding-noise direction that can hide a later independent column, so
+    LinAlgError is raised when a dependent column is not rebuilt.
     """
-    # imported here so that commands which never factorise skip loading it
-    import scipy.linalg
+    R = np.linalg.qr(A, mode="r")
+    scale = np.linalg.norm(R, axis=0).max(initial=0.0)
+    keep = np.zeros(A.shape[1], dtype=bool)
+    keep[:R.shape[0]] = np.abs(np.diagonal(R)) > RANK_TOL * scale
+    ind, dep = np.flatnonzero(keep), np.flatnonzero(~keep)
+    q2, t = np.linalg.qr(R[:, ind])
+    G = np.linalg.solve(t, q2.T @ R[:, dep])
+    miss = np.linalg.norm(R[:, ind] @ G - R[:, dep], axis=0) > RANK_TOL * scale
+    if miss.any():
+        raise np.linalg.LinAlgError(
+            f"QR lost rank: columns {dep[miss].tolist()} are independent")
+    return ColumnSplit(ind=ind, dep=dep, regroup=G, _a=A[:, ind], _t=t)
 
-    Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > RANK_TOL * diag[0])) if diag.size else 0
-    r11 = R[:rank, :rank]
-    G = scipy.linalg.solve_triangular(r11, R[:rank, rank:])
-    ind_order, dep_order = np.argsort(piv[:rank]), np.argsort(piv[rank:])
-    return ColumnSplit(ind=piv[:rank][ind_order], dep=piv[rank:][dep_order],
-                       regroup=G[np.ix_(ind_order, dep_order)],
-                       _qt=Q[:, :rank].T, _r11=r11, _order=ind_order)
+
+def _split_descending(A: np.ndarray):
+    """split_columns on A's columns last to first, indexed as in A and
+    ascending: (independent, dependent, regroup)."""
+    split, last = split_columns(A[:, ::-1]), A.shape[1] - 1
+    return last - split.ind[::-1], last - split.dep[::-1], \
+        split.regroup[::-1, ::-1]
 
 
 def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
                      seed: int = 0) -> BaseParameterMap:
     """Rank-analyze the stacked inertial regressor and build the base map.
 
-    One split_columns of the probe stack's inertial block gives the base
-    columns (ascending) and the recombination coefficients of the rest;
-    one more on each joint's row, restricted to the base columns active in
-    it, gives that joint's identifiable and regrouped columns.
+    One split of the probe stack's inertial block gives the base columns
+    (ascending) and the recombination coefficients of the rest; one more
+    on each joint's row, restricted to the base columns active in it,
+    gives that joint's identifiable and regrouped columns.  Both offer the
+    columns last to first, so a column is dropped exactly when the columns
+    after it (distal links, and within a link the inertia) span it.
     """
     n = chain.n
     Q, Qd, Qdd = probe_states(n, n_probe, seed)
@@ -208,11 +222,11 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
     stack = Y.reshape(n_probe * n, -1)
     A = stack[:, :N_INERTIAL * n]
 
-    top = split_columns(A)
-    selected, rank, recomb = top.ind, top.ind.size, top.regroup
+    selected, rest, recomb = _split_descending(A)
+    rank = selected.size
     # structurally absent columns recombine to exactly nothing
     norms = np.linalg.norm(A, axis=0)
-    recomb[:, norms[top.dep] <= RANK_TOL * norms.max()] = 0.0
+    recomb[:, norms[rest] <= RANK_TOL * norms.max()] = 0.0
 
     # per-joint presence of each base column, and the per-row identifiable
     # sub-basis with regrouping coefficients for the dependent columns
@@ -228,10 +242,10 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
         masks[j, rank:] = fr > ACTIVE_COL_TOL * max(fr.max(), 1e-300)
 
         active = np.flatnonzero(masks[j, :rank])
-        row = split_columns(b[:, active])
-        idcols.append(active[row.ind])
-        depcols.append(active[row.dep])
-        regroups.append(row.regroup)
+        ind, dep, G = _split_descending(b[:, active])
+        idcols.append(active[ind])
+        depcols.append(active[dep])
+        regroups.append(G)
 
     return BaseParameterMap(
         n=n, inertial_columns=selected, recombination=recomb,

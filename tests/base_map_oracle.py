@@ -1,30 +1,39 @@
-"""Base-map selection by three factorisations, the reference for
+"""Base-map selection by a slow greedy SVD rank, the reference for
 reduction.split_columns and reduction.compute_base_map.
 
-The rank comes from the singular values (threshold tol * sigma_max), the
-independent columns are the first rank-many pivots of a column-pivoted QR,
-re-sorted ascending, and the coefficients of the other columns come from a
-least-squares solve against them.  The package takes all three from one
-pivoted QR; this slower form is what the tests hold it against.
+Columns are visited in a given order, and one joins the independent set
+when it raises the SVD rank of the set (singular values above tol times
+the matrix's largest column norm).  The coefficients of the other columns
+come from a least-squares solve against the independent ones.  The package
+takes all of this from one unpivoted QR; this form, one SVD per column, is
+what the tests hold it against.
 """
 import numpy as np
-import scipy.linalg
 
 from dynid.dynamics import N_FRICTION, N_INERTIAL, regressor_stack
 from dynid.reduction import (ACTIVE_COL_TOL, PROBE_COUNT_DEFAULT, RANK_TOL,
                              BaseParameterMap, probe_states)
 
 
-def select_columns(A: np.ndarray, tol: float = RANK_TOL):
-    """(independent, dependent, coefficients) with
-    A[:, dependent] ~ A[:, independent] @ coefficients, plus sigma_max."""
-    sing = scipy.linalg.svdvals(A)
-    rank = int(np.sum(sing > tol * sing[0]))
-    _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    ind = np.sort(piv[:rank])
-    dep = np.setdiff1d(np.arange(A.shape[1]), ind)
+def select_columns(A: np.ndarray, order=None, tol: float = RANK_TOL):
+    """(independent, dependent, coefficients), both column sets ascending,
+    with A[:, dependent] ~ A[:, independent] @ coefficients; the columns
+    are visited in `order` (default: left to right)."""
+    p = A.shape[1]
+    order = range(p) if order is None else order
+    cutoff = tol * np.linalg.norm(A, axis=0).max(initial=0.0)
+    kept = []
+    for k in order:
+        if np.linalg.matrix_rank(A[:, kept + [k]], tol=cutoff) > len(kept):
+            kept.append(k)
+    ind = np.sort(np.asarray(kept, dtype=int))
+    dep = np.setdiff1d(np.arange(p), ind)
     coef, _, _, _ = np.linalg.lstsq(A[:, ind], A[:, dep], rcond=None)
-    return ind, dep, coef, sing[0]
+    return ind, dep, coef
+
+
+def _descending(A: np.ndarray, tol: float):
+    return select_columns(A, order=range(A.shape[1] - 1, -1, -1), tol=tol)
 
 
 def compute_base_map(chain, n_probe: int = PROBE_COUNT_DEFAULT, seed: int = 0,
@@ -32,9 +41,10 @@ def compute_base_map(chain, n_probe: int = PROBE_COUNT_DEFAULT, seed: int = 0,
     n = chain.n
     Y = regressor_stack(chain, *probe_states(n, n_probe, seed))
     A = Y.reshape(n_probe * n, -1)[:, :N_INERTIAL * n]
-    selected, rest, recomb, sigma = select_columns(A, tol)
+    selected, rest, recomb = _descending(A, tol)
     # structurally absent columns recombine to exactly nothing
-    recomb[:, np.linalg.norm(A[:, rest], axis=0) <= tol * sigma] = 0.0
+    norms = np.linalg.norm(A, axis=0)
+    recomb[:, norms[rest] <= tol * norms.max()] = 0.0
 
     rank = selected.size
     c = rank + N_FRICTION * n
@@ -48,7 +58,7 @@ def compute_base_map(chain, n_probe: int = PROBE_COUNT_DEFAULT, seed: int = 0,
         fr = np.linalg.norm(rows[:, N_INERTIAL * n:], axis=0)
         masks[j, rank:] = fr > ACTIVE_COL_TOL * max(fr.max(), 1e-300)
         active = np.flatnonzero(masks[j, :rank])
-        ind, dep, G, _ = select_columns(b[:, active], tol)
+        ind, dep, G = _descending(b[:, active], tol)
         idcols.append(active[ind])
         depcols.append(active[dep])
         regroups.append(G)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dynid import estimation
+from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
 from dynid.dataio import (read_samples, ur10_default_model, write_payload,
                           write_robot_model)
@@ -427,3 +427,23 @@ def test_irls_cap_is_reported(pipeline, capsys, monkeypatch):
                              f"cap 1 on joint(s) {named}; fitted with the "
                              "last iterate")
         assert sum("robust weights" in x for x in lines) == 1
+
+
+def test_gain_clamp_is_reported(pipeline, capsys, monkeypatch):
+    # an unclamped run prints no clamp line; with a lower gain bound above
+    # the true gains of joints 3-6, each clamped joint is named on one line
+    argv = ["identify", "gains", "--model", pipeline["model_fric"],
+            "--samples-a", pipeline["run_a"], pipeline["run_a2"],
+            "--samples-b", pipeline["run_b"],
+            "--payload", pipeline["payload"], "--known", "mass,com",
+            "--out", str(pipeline["dir"] / "bounded_gains.ini")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "clamped" not in capsys.readouterr().out
+    real = cli.estimate_gains
+    monkeypatch.setattr(cli, "estimate_gains",
+                        lambda *args: real(*args, bounds=(12.0, None)))
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("drive gain clamped to a bound on joint(s) "
+                        "3 (K = 12), 4 (K = 12), 5 (K = 12), 6 (K = 12)")

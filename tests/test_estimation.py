@@ -268,8 +268,8 @@ def test_current_coefficients_container(stage1, bmap):
     assert all(cond < 1e8 for cond in stage1.conditions)
     assert all(m > bmap.c for m in stage1.sample_counts)
     with pytest.raises(ValueError):
-        CurrentCoefficients(n=6, chi=np.zeros(5), covariance_diag=np.zeros(5),
-                            conditions=(1.0,) * 6, sample_counts=(100,) * 6)
+        CurrentCoefficients(n=6, chi=np.zeros(5), conditions=(1.0,) * 6,
+                            sample_counts=(100,) * 6)
 
 
 def test_identify_zero_currents_give_zero_model(bmap, chain, data_a):
@@ -401,13 +401,13 @@ def test_fit_friction_objective_non_increasing_and_beats_truth():
 # ---------------------------------------------------------------------------
 # stage 3
 
-def test_stage3_recovers_gains(stage3, plant):
+def test_stage3_recovers_gains(stage3, plant, bmap):
     K_true = np.asarray(plant.gains)
     rel = np.abs(stage3.gains - K_true) / K_true
     assert np.all(rel < 0.005)
-    # wrist joints solve through the regrouped, bounded path
-    assert not stage3.full_rank[4] and not stage3.full_rank[5]
-    assert stage3.full_rank[1] and stage3.full_rank[2] and stage3.full_rank[3]
+    # a joint solves directly exactly when its own row separates every
+    # active base column; otherwise it takes the regrouped, bounded path
+    assert stage3.full_rank == tuple(d.size == 0 for d in bmap.joint_depcols)
     assert stage3.n_unknown == 6  # inertia tensor of the payload stays free
     for j in range(6):
         lo, hi = stage3.bounds[j]
@@ -416,6 +416,26 @@ def test_stage3_recovers_gains(stage3, plant):
         assert zj.shape == stage3.identifiable_mask[j].shape
         assert np.all(zj[~stage3.identifiable_mask[j]] == 0.0)
         assert stage3.gains[j] == 1.0 / zj[-1]
+
+
+def test_gain_solve_paths():
+    # full rank: a direct solve that keeps every column and ignores the
+    # bounds, even with the gain (20) outside them
+    rng = np.random.default_rng(11)
+    S = rng.standard_normal((60, 5))
+    lam = np.array([0.3, -1.2, 0.5, 2.0, 0.05])
+    w = np.ones(60)
+    K, zeta, mask, full, bounded = estimation._gain_solve(
+        S, S @ lam, w, (0.1, 1.0), "joint 1")
+    assert full and not bounded and mask.all()
+    assert np.max(np.abs(zeta - lam)) < 1e-12 and K == pytest.approx(20.0)
+    # a dependent arm column drops, and the gain reciprocal is clamped to
+    # the nearer bound with the other coordinates re-fitted
+    S2 = np.column_stack([S[:, :1], 2.0 * S[:, 0], S[:, 1:]])
+    K, zeta, mask, full, bounded = estimation._gain_solve(
+        S2, S @ lam, w, (0.1, 1.0), "joint 1")
+    assert not full and bounded and mask.tolist() == [True, False] + [True] * 4
+    assert K == pytest.approx(10.0) and zeta[1] == 0.0
 
 
 def test_stage3_infeasible_bounds(bmap, chain, stage1, stage2, data_a,

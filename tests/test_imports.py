@@ -1,6 +1,6 @@
 """Import hygiene: every module uses each name it imports, every private
 module-level name has a use, `import dynid` loads no submodule, and scipy
-loads only in the stages that factorise or filter.
+loads only for the optional lowpass filter.
 
 The load checks run in a fresh interpreter, since this test process has
 long since imported scipy through other tests.
@@ -12,8 +12,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import dynid
-from dynid.dataio import write_samples
+from dynid.dataio import (ur10_default_model, write_payload,
+                          write_robot_model, write_samples)
+from dynid.payload import PayloadSpec
 from dynid.solver import save_identified_model
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
@@ -180,3 +184,42 @@ print({_SCIPY_LOADED})
 """
     assert _run(code, tmp_path) == []
     assert (tmp_path / "fitted.ini").exists()
+
+
+def test_identify_linear_loads_no_scipy(data_a, tmp_path):
+    # the base map is one numpy QR per matrix
+    write_robot_model(ur10_default_model(), tmp_path / "robot.ini")
+    write_samples(data_a, tmp_path / "run.csv")
+    code = f"""
+import sys, json
+import dynid.cli
+rc = dynid.cli.main(["identify", "linear", "--robot", "robot.ini",
+                     "--samples", "run.csv", "--out", "model.ini"])
+assert rc == 0, rc
+print({_SCIPY_LOADED})
+"""
+    assert _run(code, tmp_path) == []
+    assert (tmp_path / "model.ini").exists()
+
+
+def test_identify_gains_loads_no_scipy(ident_true, data_a, data_b_pay,
+                                       tmp_path):
+    # each joint's gain system is split by the same numpy QR
+    save_identified_model(ident_true, tmp_path / "model.ini")
+    write_samples(data_a, tmp_path / "run_a.csv")
+    write_samples(data_b_pay, tmp_path / "run_b.csv")
+    write_payload(PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
+                              inertia_com=np.diag((0.030, 0.035, 0.030))),
+                  tmp_path / "payload.ini")
+    code = f"""
+import sys, json
+import dynid.cli
+rc = dynid.cli.main(["identify", "gains", "--model", "model.ini",
+                     "--samples-a", "run_a.csv", "--samples-b", "run_b.csv",
+                     "--payload", "payload.ini", "--known", "mass,com",
+                     "--out", "gains.ini"])
+assert rc == 0, rc
+print({_SCIPY_LOADED})
+"""
+    assert _run(code, tmp_path) == []
+    assert (tmp_path / "gains.ini").exists()

@@ -6,12 +6,16 @@ import pytest
 from dynid.cli import main
 from dynid.dataio import SchemaError, _new_parser, write_samples
 from dynid.dynamics import JointState, friction_sigmoid, rnea
+from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
+from dynid.reduction import compute_base_map
 from dynid.solver import (IdentifiedModel, configure_payload,
                           coriolis_times_qd, friction, gravity, inertia,
                           load_identified_model, save_identified_model,
                           torque, torque_terms)
 
+TWO_LINK = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
+                          gravity=(0.0, -9.80665, 0.0))
 PAY = PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                   inertia_com=np.diag((0.030, 0.035, 0.030)))
 
@@ -165,17 +169,23 @@ def _map_arrays(m):
 
 
 def test_map_round_trips_value_exact(ident_true, tmp_path):
-    p = tmp_path / "model.ini"
-    save_identified_model(ident_true, p)
-    assert os.listdir(tmp_path) == ["model.ini"]  # one file, no sidecar
-    a, b = ident_true.map, load_identified_model(p).map
-    assert (a.n, a.seed, a.n_probe, a.tolerance) \
-        == (b.n, b.seed, b.n_probe, b.tolerance)
-    # the UR10 map has joints without dependent columns: empty arrays too
-    assert any(d.size == 0 for d in a.joint_depcols)
-    for x, y in zip(_map_arrays(a), _map_arrays(b), strict=True):
-        assert x.shape == y.shape and x.dtype.kind == y.dtype.kind
-        assert np.array_equal(x, y)
+    # every UR10 joint row regroups; the two-link chain's first row does
+    # not, so an empty depcols array makes the round trip too
+    bmap = compute_base_map(TWO_LINK)
+    assert any(d.size == 0 for d in bmap.joint_depcols)
+    two_link = IdentifiedModel(name="two-link", chain=TWO_LINK, map=bmap,
+                               chi=np.zeros((2, bmap.c)))
+    for k, model in enumerate((ident_true, two_link)):
+        p = tmp_path / f"model{k}.ini"
+        save_identified_model(model, p)
+        a, b = model.map, load_identified_model(p).map
+        assert (a.n, a.seed, a.n_probe, a.tolerance) \
+            == (b.n, b.seed, b.n_probe, b.tolerance)
+        for x, y in zip(_map_arrays(a), _map_arrays(b), strict=True):
+            assert x.shape == y.shape and x.dtype.kind == y.dtype.kind
+            assert np.array_equal(x, y)
+    # one file per model, no sidecar
+    assert sorted(os.listdir(tmp_path)) == ["model0.ini", "model1.ini"]
 
 
 def test_model_file_is_byte_stable(ident_true, tmp_path):
