@@ -11,7 +11,7 @@ rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,6 +173,15 @@ class CurrentCoefficients:
     joints' friction, its row-dependent columns) are stored as zero.
     irls_iterations and irls_converged record each joint's robust-weight
     iteration.
+
+    identify_coefficients also keeps the minimal regressor it fitted on,
+    with the samples, map and chain it was built from, in a field outside
+    repr and ==.  friction_residual_currents and estimate_gains read it
+    when given those very objects, so one identification builds that
+    regressor once.  It lives as long as this object: (M, n, c) floats,
+    about 19 MB at 7500 UR10 states.  dataclasses.replace gives a copy
+    without it; coefficients built any other way, such as a chi loaded
+    from a model file, hold none, and those two functions build their own.
     """
 
     n: int
@@ -181,6 +190,9 @@ class CurrentCoefficients:
     sample_counts: tuple[int, ...] = ()
     irls_iterations: tuple[int, ...] = ()
     irls_converged: tuple[bool, ...] = ()
+    # (samples, map, chain, minimal regressor), set by identify_coefficients
+    _fitted_on: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         chi = np.asarray(self.chi, dtype=float)
@@ -235,11 +247,25 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
         counts.append(count)
         iters.append(wm.iterations)
         converged.append(wm.converged)
-    return CurrentCoefficients(n=n, chi=chi.ravel(),
-                               conditions=tuple(conds),
-                               sample_counts=tuple(counts),
-                               irls_iterations=tuple(iters),
-                               irls_converged=tuple(converged))
+    coeffs = CurrentCoefficients(n=n, chi=chi.ravel(),
+                                 conditions=tuple(conds),
+                                 sample_counts=tuple(counts),
+                                 irls_iterations=tuple(iters),
+                                 irls_converged=tuple(converged))
+    object.__setattr__(coeffs, "_fitted_on", (samples, map_, chain, U))
+    return coeffs
+
+
+def _minimal_regressor(map_: BaseParameterMap, chain: KinematicChain, chi,
+                       samples: SampleSet) -> np.ndarray:
+    """The minimal regressor chi was fitted on when that was these very
+    samples, map and chain; otherwise a new build of samples' own."""
+    fitted_on = getattr(chi, "_fitted_on", None)
+    if fitted_on is not None and all(
+            a is b for a, b in zip(fitted_on, (samples, map_, chain))):
+        return fitted_on[3]
+    return minimal_regressor_stack(map_, chain, samples.q, samples.qd,
+                                   samples.qdd)
 
 
 def _chi_matrix(chi, n: int) -> np.ndarray:
@@ -249,20 +275,14 @@ def _chi_matrix(chi, n: int) -> np.ndarray:
     return chi.reshape(n, -1)
 
 
-def _inertial_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
-                       q, qd, qdd) -> np.ndarray:
-    """Non-friction currents at one state or a batch: joint j's block of
-    chi, evaluated by Newton-Euler, read at joint j."""
-    sets = map_.joint_sets(_chi_matrix(chi, map_.n))
-    return own_joint_torques(chain, sets, q, qd, qdd)
-
-
 def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
-    """Currents from the stage-1 model (linear friction included)."""
+    """Currents from the stage-1 model (linear friction included): joint
+    j's block of chi, evaluated by Newton-Euler and read at joint j, plus
+    its linear friction."""
     C = _chi_matrix(chi, map_.n)
     tri = [C[j, map_.friction_columns(j)] for j in range(map_.n)]
-    return (_inertial_currents(map_, chain, C, q, qd, qdd)
+    return (own_joint_torques(chain, map_.joint_sets(C), q, qd, qdd)
             + friction_linear(tri, qd))
 
 
@@ -272,9 +292,16 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
+    Joint j's non-friction part is its minimal-regressor row's inertial
+    columns times chi_j's.  That regressor is the one stage 1 kept when
+    chi is identify_coefficients' result on these samples, map and chain
+    (see CurrentCoefficients); any other chi, such as one loaded from a
+    model file, builds it here.
     """
-    return samples.v - _inertial_currents(map_, chain, chi, samples.q,
-                                          samples.qd, samples.qdd)
+    C = _chi_matrix(chi, map_.n)
+    c_in = map_.c_inertial
+    U = _minimal_regressor(map_, chain, chi, samples)
+    return samples.v - np.einsum("mjc,jc->mj", U[:, :, :c_in], C[:, :c_in])
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +318,12 @@ def _friction_model(p: np.ndarray, qd: np.ndarray):
     return f_o + f_v * qd + f_c * s, s
 
 
-def _friction_jacobian(p: np.ndarray, qd: np.ndarray,
-                       s: np.ndarray) -> np.ndarray:
-    f_c, delta, nu = p[2], p[3], p[4]
-    ds = s * (1.0 - s)  # derivative of the sigmoid w.r.t. its argument
-    J = np.empty((qd.size, 5))
-    J[:, 0] = 1.0
-    J[:, 1] = qd
-    J[:, 2] = s
-    J[:, 3] = f_c * ds * (nu + qd)
-    J[:, 4] = f_c * ds * delta
-    return J
-
-
 def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray):
     """Damped Gauss-Newton descent on the sigmoid friction residual.
 
     Only improving steps are accepted, so the objective history is
-    non-increasing by construction.
+    non-increasing by construction.  The Jacobian is held transposed in
+    one (5, m) buffer; its offset and viscous rows never change.
     """
     p = np.asarray(p0, dtype=float).copy()
     f, s = _friction_model(p, qd)
@@ -316,18 +331,27 @@ def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray):
     obj = float(r @ r)
     history = [obj]
     lam = 1e-3
+    Jt = np.empty((5, qd.size))
+    Jt[0] = 1.0
+    Jt[1] = qd
     for _ in range(LM_MAX_ITER):
-        J = _friction_jacobian(p, qd, s)
-        g = J.T @ r
+        f_c, delta, nu = p[2], p[3], p[4]
+        # f_c times the sigmoid's derivative w.r.t. its argument
+        fc_ds = f_c * (s * (1.0 - s))
+        Jt[2] = s
+        np.multiply(fc_ds, nu + qd, out=Jt[3])
+        np.multiply(fc_ds, delta, out=Jt[4])
+        g = Jt @ r
         if np.max(np.abs(g)) < LM_GTOL * (1.0 + obj):
             break
-        H = J.T @ J
+        H = Jt @ Jt.T
         d = np.diag(H).copy()
         d[d < 1e-12] = 1e-12
+        D = d * np.eye(5)
         accepted = False
         for _boost in range(40):
             try:
-                step = np.linalg.solve(H + lam * np.diag(d), -g)
+                step = np.linalg.solve(H + lam * D, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -377,10 +401,12 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
 
     Uses only samples with |qd_j| < threshold, where the sigmoid shape is
     distinguishable.  Eight deterministic starts cover the sign and scale
-    ambiguity of (f_c, delta); the best objective wins, ties broken by the
-    smaller parameter norm.  The model is invariant under a sign-reflection
-    of (f_c, delta) with a compensating offset, so the winner is reported
-    in the smaller-norm form of that pair.
+    ambiguity of (f_c, delta).  Starts whose objective is within a relative
+    1e-9 of the best tie, and the earliest of them wins: starts that reach
+    the same minimum differ only in rounding, which must not pick it.  The
+    model is invariant under a sign-reflection of (f_c, delta) with a
+    compensating offset, so the winner is reported in the smaller-norm
+    form of that pair.
     """
     qd = np.asarray(qd, dtype=float)
     vf = np.asarray(residual_currents, dtype=float)
@@ -418,10 +444,9 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
                 f"joint {j+1}: no friction fit start converged "
                 f"(starts: {[list(np.round(s, 3)) for s in starts]})")
         best_obj = min(c[0] for c in candidates)
-        tol = 1e-9 * (1.0 + best_obj)
-        tied = [c for c in candidates if c[0] <= best_obj + tol]
-        obj, p_hat, history = min(
-            tied, key=lambda c: (c[0], float(np.linalg.norm(c[1]))))
+        tol = 1e-9 * best_obj
+        obj, p_hat, history = next(c for c in candidates
+                                   if c[0] <= best_obj + tol)
         params[j] = p_hat
         objs.append(float(obj))
         iters.append(len(history) - 1)
@@ -549,9 +574,11 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     bound defaults per joint to the largest gain already identified
     upstream.
 
-    chi, the stage-1 coefficients, is not read: each joint's arm columns
-    are re-fitted together with its gain on both runs.  The parameter
-    stays because callers pass psi after it by position.
+    Each joint's arm columns are re-fitted together with its gain on both
+    runs, so chi's values are not read.  chi supplies samples_a's minimal
+    regressor when it is identify_coefficients' result on these very
+    samples, map and chain (see CurrentCoefficients); any other chi, such
+    as one loaded from a model file, builds it here.
     """
     n = map_.n
     kmask = known_payload.coord_mask
@@ -563,8 +590,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     pi_k = pi_L[kmask]
     n_unknown = int((~kmask).sum())
 
-    U_a = minimal_regressor_stack(map_, chain, samples_a.q, samples_a.qd,
-                                  samples_a.qdd)
+    U_a = _minimal_regressor(map_, chain, chi, samples_a)
     Y_b = regressor_stack(chain, samples_b.q, samples_b.qd, samples_b.qdd)
     U_b = minimal_columns(map_, Y_b)
     P_b = Y_b[:, :, N_INERTIAL * (n - 1):N_INERTIAL * n]

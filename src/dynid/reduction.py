@@ -176,24 +176,34 @@ class ColumnSplit:
 def split_columns(A: np.ndarray) -> ColumnSplit:
     """Split A's columns, in the order given, into independent and dependent.
 
-    One unpivoted QR, A = Q R, and only its R: column k is independent
-    when |R_kk|, its part outside the span of the columns before it,
-    exceeds RANK_TOL times the largest column norm.  Regroup and solve use
-    a QR of R[:, ind].  Past a dependent column the QR runs along a
-    rounding-noise direction that can hide a later independent column, so
-    LinAlgError is raised when a dependent column is not rebuilt.
+    One unpivoted QR, A = Q R, and only its R, whose columns have the
+    lengths and angles of A's.  A greedy Gram-Schmidt pass over R's columns
+    keeps column k when its part outside the span of the columns kept
+    before it exceeds RANK_TOL times the largest column norm; a second
+    projection reorthogonalises, so the part is accurate however many
+    columns were kept.  A dependent column therefore never hides a later
+    independent one.  Regroup and solve use a QR of R[:, ind], and
+    LinAlgError is raised when a dependent column is not rebuilt from the
+    kept ones.
     """
     R = np.linalg.qr(A, mode="r")
     scale = np.linalg.norm(R, axis=0).max(initial=0.0)
+    basis = np.empty((R.shape[0], 0))  # orthonormal, spans the kept columns
     keep = np.zeros(A.shape[1], dtype=bool)
-    keep[:R.shape[0]] = np.abs(np.diagonal(R)) > RANK_TOL * scale
+    for k in range(A.shape[1]):
+        v = R[:, k] - basis @ (basis.T @ R[:, k])
+        v -= basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > RANK_TOL * scale:
+            keep[k] = True
+            basis = np.column_stack([basis, v / norm])
     ind, dep = np.flatnonzero(keep), np.flatnonzero(~keep)
     q2, t = np.linalg.qr(R[:, ind])
     G = np.linalg.solve(t, q2.T @ R[:, dep])
     miss = np.linalg.norm(R[:, ind] @ G - R[:, dep], axis=0) > RANK_TOL * scale
     if miss.any():
         raise np.linalg.LinAlgError(
-            f"QR lost rank: columns {dep[miss].tolist()} are independent")
+            f"columns {dep[miss].tolist()} are not rebuilt from the kept ones")
     return ColumnSplit(ind=ind, dep=dep, regroup=G, _a=A[:, ind], _t=t)
 
 

@@ -1,13 +1,15 @@
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import estimation_oracle
 import irls_oracle
-from dynid import estimation
-from dynid.dataio import simulate
+from dynid import dynamics, estimation
+from dynid.dataio import SampleSet, simulate
 from dynid.dynamics import FrictionSet, friction_linear, friction_sigmoid
 from dynid.estimation import (ConvergenceError, CurrentCoefficients,
                               EstimationError, ExcitationError,
@@ -16,9 +18,14 @@ from dynid.estimation import (ConvergenceError, CurrentCoefficients,
                               friction_residual_currents,
                               identify_coefficients, predict_currents,
                               robust_weights, wlse)
+from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
+from dynid.reduction import compute_base_map
 from dynid.solver import torque
 from dynid.trajectory import FourierTrajectory
+
+TOY = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
+                     gravity=(0.0, -9.80665, 0.0))
 
 REFERENCE_FRICTION = (
     (1.0640, -1.0066, 2.0506, 7.9467, -0.0185),
@@ -327,6 +334,99 @@ def test_friction_residual_decomposition(bmap, chain, stage1, data_a):
     assert np.max(np.abs(inertial + fric - full)) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def toy_map():
+    return compute_base_map(TOY)
+
+
+@pytest.fixture(scope="module")
+def known():
+    """The conftest payload, known as mass and com as stage3 has it."""
+    return KnownPayload(spec=PayloadSpec(
+        mass=4.8, com=(0.10, 0.06, 0.05),
+        inertia_com=np.diag((0.030, 0.035, 0.030))), known=("mass", "com"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40),
+       toy=st.booleans())
+def test_friction_residual_matches_newton_euler_oracle(seed, m, toy, chain,
+                                                       bmap, toy_map):
+    # random chi blocks and states: the minimal regressor's inertial
+    # columns times chi_j give what Newton-Euler gives for joint j's set
+    ch, mp = (TOY, toy_map) if toy else (chain, bmap)
+    rng = np.random.default_rng(seed)
+    n = ch.n
+    samples = SampleSet(t=np.arange(m) * 0.008,
+                        q=rng.uniform(-np.pi, np.pi, (m, n)),
+                        qd=rng.uniform(-3.0, 3.0, (m, n)),
+                        qdd=rng.uniform(-10.0, 10.0, (m, n)),
+                        v=rng.standard_normal((m, n)))
+    chi = rng.standard_normal((n, mp.c)) * 10.0 ** rng.uniform(-2, 1, mp.c)
+    got = friction_residual_currents(mp, ch, chi, samples)
+    want = estimation_oracle.friction_residual_currents(mp, ch, chi, samples)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def _count_regressor_builds(monkeypatch) -> list[int]:
+    """Patch regressor_stack wherever a dynid module binds it; the list
+    receives each call's state count."""
+    real = dynamics.regressor_stack
+    calls = []
+
+    def counting(chain, Q, Qd, Qdd):
+        calls.append(len(Q))
+        return real(chain, Q, Qd, Qdd)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dynid.") and \
+                getattr(mod, "regressor_stack", None) is real:
+            monkeypatch.setattr(mod, "regressor_stack", counting)
+    return calls
+
+
+def test_one_identification_builds_each_regressor_once(
+        bmap, chain, data_a, data_b_pay, known, monkeypatch):
+    # stage 1 builds run a's regressor and stage 3 run b's; the friction
+    # residual and stage 3 read run a's from stage 1's result
+    calls = _count_regressor_builds(monkeypatch)
+    chi = identify_coefficients(bmap, chain, data_a)
+    resid = friction_residual_currents(bmap, chain, chi, data_a)
+    fit = fit_friction(data_a.qd, resid, threshold=data_a.qd_threshold)
+    estimate_gains(data_a, data_b_pay, known, bmap, chain, chi, fit.friction)
+    assert calls == [data_a.m, data_b_pay.m]
+
+
+def test_unshared_regressor_gives_bitwise_the_same(
+        bmap, chain, data_a, data_b_pay, known, stage1, stage2, stage3,
+        monkeypatch):
+    # coefficients without a kept regressor (as from a model file), on a
+    # copy of the samples, build their own and give the same bits
+    bare = dataclasses.replace(stage1)
+    copy = dataclasses.replace(data_a)
+    assert bare == stage1 and "_fitted_on" not in repr(stage1)
+    calls = _count_regressor_builds(monkeypatch)
+    resid = friction_residual_currents(bmap, chain, bare, copy)
+    assert calls == [data_a.m]
+    assert np.array_equal(
+        resid, friction_residual_currents(bmap, chain, stage1, data_a))
+    assert np.array_equal(
+        resid, friction_residual_currents(bmap, chain, stage1.as_matrix(),
+                                          data_a))
+    est = estimate_gains(copy, data_b_pay, known, bmap, chain, bare,
+                         stage2.friction)
+    assert np.array_equal(est.gains, stage3.gains)
+    assert all(np.array_equal(a, b) for a, b in zip(est.zeta, stage3.zeta))
+
+
+def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
+                                                      monkeypatch):
+    calls = _count_regressor_builds(monkeypatch)
+    identify_coefficients(bmap, chain, data_a)
+    identify_coefficients(bmap, chain, data_a)
+    assert calls == [data_a.m, data_a.m]
+
+
 # ---------------------------------------------------------------------------
 # stage 2
 
@@ -396,6 +496,65 @@ def test_fit_friction_objective_non_increasing_and_beats_truth():
                        - friction_sigmoid(gen, qd)[region, 0]) ** 2)
     assert sse_fit <= sse_true + 1e-12
     assert fit.region_counts[0] == int(region.sum())
+
+
+def _fit_with(lm, qd, resid, threshold, monkeypatch):
+    """fit_friction with lm as its Levenberg-Marquardt loop, and the index
+    of each joint's winning start among its eight."""
+    runs = []
+
+    def recording(x, y, p0):
+        out = lm(x, y, p0)
+        runs.append(tuple(out[2]))
+        return out
+
+    monkeypatch.setattr(estimation, "_lm_fit", recording)
+    fit = fit_friction(qd, resid, threshold=threshold)
+    starts = len(runs) // qd.shape[1]
+    return fit, [runs[j * starts:(j + 1) * starts].index(fit.histories[j])
+                 for j in range(qd.shape[1])]
+
+
+def _assert_fits_match_oracle(qd, resid, threshold, monkeypatch):
+    fit, won = _fit_with(estimation._lm_fit, qd, resid, threshold,
+                         monkeypatch)
+    ref, ref_won = _fit_with(estimation_oracle.lm_fit, qd, resid, threshold,
+                             monkeypatch)
+    assert won == ref_won
+    got, want = np.array(fit.objectives), np.array(ref.objectives)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
+    got, want = (np.array(dataclasses.astuple(f.friction)) for f in (fit, ref))
+    assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want))
+
+
+def test_lm_fit_matches_oracle_on_stage2_data(bmap, chain, stage1, data_a,
+                                              monkeypatch):
+    resid = friction_residual_currents(bmap, chain, stage1, data_a)
+    _assert_fits_match_oracle(data_a.qd, resid, data_a.qd_threshold,
+                              monkeypatch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+       noise=st.floats(1e-3, 0.02))
+def test_lm_fit_matches_oracle_on_drawn_sigmoids(seed, n, noise):
+    # the LM stops at LM_FTOL, which pins the parameters to 1e-7 only where
+    # the data determine them: a transition inside the region and a step
+    # well above the noise (a weak, slow step moved f_c by 8e-6); every
+    # parameter is kept off zero, where a relative bound means nothing
+    rng = np.random.default_rng(seed)
+
+    def signed(lo, hi):
+        return rng.choice([-1.0, 1.0], n) * rng.uniform(lo, hi, n)
+
+    rows = np.column_stack([signed(0.1, 1.0), signed(0.1, 2.0),
+                            signed(0.3, 2.0), signed(30.0, 400.0),
+                            signed(0.005, 0.03)])
+    qd = rng.uniform(-0.4, 0.4, (800, n))
+    y = friction_sigmoid(_friction_from_rows(rows), qd) \
+        + noise * rng.standard_normal(qd.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_fits_match_oracle(qd, y, 0.17, mp)
 
 
 # ---------------------------------------------------------------------------

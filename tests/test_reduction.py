@@ -98,15 +98,18 @@ def test_split_columns_keeps_the_given_order():
     assert split_columns(A[:, ::-1]).ind.tolist() == [0, 1]
 
 
-def test_split_columns_raises_when_the_qr_loses_rank():
-    # past the zero column the QR carries on along a direction the third
-    # column fills, so its R_22 is zero although it is independent of the
-    # first: the span check must refuse rather than report rank 1
-    A = np.eye(3)[:, [0, 2, 1]]
-    A[:, 1] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match=r"columns \[2\]"):
-        split_columns(A)
-    assert base_map_oracle.select_columns(A)[0].tolist() == [0, 2]
+def test_split_columns_dependent_column_hides_no_later_one():
+    # [e0, c * e0, e1]: the unpivoted QR finds nothing new in the second
+    # column and carries on along a direction the third does not fill, so
+    # its R_22 is zero although the third column is independent of the
+    # first; the greedy pass over R's columns still keeps it
+    e = np.eye(3)
+    for c in (0.0, 1.0, 2.0):
+        A = np.column_stack([e[0], c * e[0], e[1]])
+        got = split_columns(A)
+        assert got.ind.tolist() == [0, 2] and got.dep.tolist() == [1]
+        assert got.regroup[:, 0].tolist() == [c, 0.0]
+        assert base_map_oracle.select_columns(A)[0].tolist() == [0, 2]
 
 
 def _selection(m):
