@@ -167,6 +167,15 @@ def _read_many(paths, qd_threshold: float, cutoff: float | None = None):
     return sets[0] if len(sets) == 1 else merge_sample_sets(sets)
 
 
+_SCENARIO_DATA = {"a": "payload-free", "b": "payload-attached"}
+
+
+def _require_scenario(s: SampleSet, tag: str, flag: str) -> None:
+    if s.scenario != tag:
+        raise UsageError(f"{flag} must hold scenario '{tag}' "
+                         f"({_SCENARIO_DATA[tag]}) data")
+
+
 _STAGE_HINT = {
     "linear": "run `identify linear` first (missing stage: linear)",
     "friction": "run `identify friction` first (missing stage: friction)",
@@ -230,6 +239,7 @@ def cmd_identify_linear(a) -> None:
     plant = read_robot_model(a.robot)
     chain = plant.chain
     s = _read_many(a.samples, a.qd_threshold, a.filter_cutoff)
+    _require_scenario(s, "a", "--samples")
     if s.n != chain.n:
         raise SchemaError(f"samples cover {s.n} joints, robot has {chain.n}")
     map_ = compute_base_map(chain)
@@ -246,6 +256,7 @@ def cmd_identify_linear(a) -> None:
 def cmd_identify_friction(a) -> None:
     model = _load_stage(a.model, "linear")
     s = _read_many(a.samples, model.qd_threshold, a.filter_cutoff)
+    _require_scenario(s, "a", "--samples")
     if s.n != model.n:
         raise SchemaError(f"samples cover {s.n} joints, model has {model.n}")
     resid = friction_residual_currents(model.map, model.chain, model.chi, s)
@@ -262,12 +273,8 @@ def cmd_identify_gains(a) -> None:
     model = _load_stage(a.model, "friction")
     sa = _read_many(a.samples_a, model.qd_threshold, a.filter_cutoff)
     sb = _read_many(a.samples_b, model.qd_threshold, a.filter_cutoff)
-    if sa.scenario != "a":
-        raise UsageError("--samples-a must hold scenario 'a' "
-                         "(payload-free) data")
-    if sb.scenario != "b":
-        raise UsageError("--samples-b must hold scenario 'b' "
-                         "(payload-attached) data")
+    _require_scenario(sa, "a", "--samples-a")
+    _require_scenario(sb, "b", "--samples-b")
     known = tuple(k.strip() for k in a.known.split(",") if k.strip())
     bad = [k for k in known if k not in ("mass", "com", "inertia")]
     if bad:
@@ -385,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     il.add_argument("--robot", required=True,
                     help="robot model file (kinematics suffice)")
     il.add_argument("--samples", required=True, nargs="+",
-                    help="one or more sample CSVs, merged for the fit")
+                    help="one or more payload-free sample CSVs, merged "
+                         "for the fit")
     il.add_argument("--out", required=True, help="identified model file")
     il.add_argument("--qd-threshold", type=float,
                     default=QD_THRESHOLD_DEFAULT)
@@ -395,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     if_ = isub.add_parser("friction", help="stage 2: low-velocity friction")
     if_.add_argument("--model", required=True,
                      help="identified model from the linear stage")
-    if_.add_argument("--samples", required=True, nargs="+")
+    if_.add_argument("--samples", required=True, nargs="+",
+                     help="payload-free sample CSVs")
     if_.add_argument("--out", help="output model file (default: update "
                                    "--model in place)")
     add_filter(if_)

@@ -61,8 +61,9 @@ class BaseParameterMap:
         joint_depcols: per joint, the active but row-dependent columns.
         joint_regroup: per joint, (len(idcols), len(depcols)) coefficients
             expressing each dependent column in the identifiable ones.
-        seed, n_probe: probe metadata for reproducibility.
-        tolerance: the rank threshold the map was computed with.
+
+    The column sets depend on the chain alone (compute_base_map), so a
+    model file stores the chain and not the map.
     """
 
     n: int
@@ -72,9 +73,6 @@ class BaseParameterMap:
     joint_idcols: tuple[np.ndarray, ...]
     joint_depcols: tuple[np.ndarray, ...]
     joint_regroup: tuple[np.ndarray, ...]
-    seed: int
-    n_probe: int
-    tolerance: float
 
     @property
     def c_inertial(self) -> int:
@@ -260,9 +258,7 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
     return BaseParameterMap(
         n=n, inertial_columns=selected, recombination=recomb,
         joint_masks=masks, joint_idcols=tuple(idcols),
-        joint_depcols=tuple(depcols), joint_regroup=tuple(regroups),
-        seed=seed, n_probe=n_probe, tolerance=RANK_TOL,
-    )
+        joint_depcols=tuple(depcols), joint_regroup=tuple(regroups))
 
 
 def own_joint_torques(chain: KinematicChain, sets, Q, Qd, Qdd,

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import N_FRICTION, N_INERTIAL, FrictionSet, friction_sigmoid
+from .dynamics import N_INERTIAL, FrictionSet, friction_sigmoid
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, own_joint_torques
+from .reduction import BaseParameterMap, compute_base_map, own_joint_torques
 from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
                      _read_chain, _read_friction, _read_ini, _vec, _vecstr,
                      _write_chain, _write_friction)
@@ -182,70 +182,11 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
 
 
 # ---------------------------------------------------------------------------
-# persistence: one INI file, the base map stored in it value-exact
-
-def _write_map(cfg, map_: BaseParameterMap) -> None:
-    cfg["base_map"] = {
-        "seed": _fmt(map_.seed),
-        "n_probe": _fmt(map_.n_probe),
-        "tolerance": _fmt(map_.tolerance),
-        "inertial_columns": _vecstr(map_.inertial_columns),
-        "recombination": _vecstr(map_.recombination.ravel()),
-        "joint_masks": _vecstr(map_.joint_masks.ravel()),
-    }
-    for j in range(map_.n):
-        cfg[f"base_map.joint_{j+1}"] = {
-            "idcols": _vecstr(map_.joint_idcols[j]),
-            "depcols": _vecstr(map_.joint_depcols[j]),
-            "regroup": _vecstr(map_.joint_regroup[j].ravel()),
-        }
-
-
-def _columns(cfg, section, key, path) -> np.ndarray:
-    """A list of column indices of any length, possibly empty."""
-    length = len(cfg[section].get(key, "").split()) if section in cfg else 0
-    return _vec(cfg, section, key, length, path).astype(np.intp)
-
-
-def _read_map(cfg, n: int, path) -> BaseParameterMap:
-    if "base_map" not in cfg:
-        raise SchemaError(f"{path}: missing [base_map] section")
-    cols = _columns(cfg, "base_map", "inertial_columns", path)
-    c_in, width = cols.size, N_INERTIAL * n
-    if not 0 < c_in <= width or cols[0] < 0 or cols[-1] >= width \
-            or np.any(np.diff(cols) <= 0):
-        raise SchemaError(f"{path}: inertial_columns in [base_map] must be "
-                          f"ascending indices below {width}")
-    recomb = _vec(cfg, "base_map", "recombination", c_in * (width - c_in),
-                  path)
-    c = c_in + N_FRICTION * n
-    masks = _vec(cfg, "base_map", "joint_masks", n * c, path).reshape(n, c)
-    joints = []
-    for j in range(n):
-        sec = f"base_map.joint_{j+1}"
-        ident, dep = (_columns(cfg, sec, k, path) for k in ("idcols", "depcols"))
-        if np.any(np.diff(ident) <= 0) or np.any(np.diff(dep) <= 0):
-            raise SchemaError(f"{path}: idcols and depcols in [{sec}] must "
-                              "be ascending")
-        if not np.array_equal(np.sort(np.concatenate((ident, dep))),
-                              np.flatnonzero(masks[j, :c_in])):
-            raise SchemaError(f"{path}: [{sec}] columns disagree with "
-                              "joint_masks in [base_map]")
-        G = _vec(cfg, sec, "regroup", ident.size * dep.size, path)
-        joints.append((ident, dep, G.reshape(ident.size, dep.size)))
-    idcols, depcols, regroups = zip(*joints)
-    seed, n_probe, tolerance = (_vec(cfg, "base_map", k, 1, path)[0]
-                                for k in ("seed", "n_probe", "tolerance"))
-    return BaseParameterMap(
-        n=n, inertial_columns=cols,
-        recombination=recomb.reshape(c_in, width - c_in),
-        joint_masks=masks != 0, joint_idcols=idcols, joint_depcols=depcols,
-        joint_regroup=regroups, seed=int(seed), n_probe=int(n_probe),
-        tolerance=float(tolerance))
-
+# persistence: one INI file holding what identification estimated
 
 def save_identified_model(model: IdentifiedModel, path) -> None:
-    """Write the model, its base map included, to one INI file."""
+    """Write the model to one INI file: the chain, chi, and the stages
+    identified so far.  The base map is not stored; loading rebuilds it."""
     cfg = _new_parser()
     cfg["meta"] = {
         "name": model.name,
@@ -255,7 +196,6 @@ def save_identified_model(model: IdentifiedModel, path) -> None:
         "qd_threshold_rad_s": _fmt(model.qd_threshold),
     }
     _write_chain(cfg, model.chain)
-    _write_map(cfg, model.map)
     for j in range(model.n):
         cfg[f"coefficients.joint_{j+1}"] = {"chi": _vecstr(model.chi[j])}
     if model.psi is not None:
@@ -269,12 +209,19 @@ def save_identified_model(model: IdentifiedModel, path) -> None:
 
 
 def load_identified_model(path) -> IdentifiedModel:
+    """Read a model file; the base map is rebuilt from its chain."""
     cfg = _read_ini(path)
     if cfg.get("meta", "kind", fallback="") != "identified":
         raise SchemaError(f"{path}: not an identified-model file")
+    if "base_map" in cfg:
+        # such a file stores chi in the columns its own map chose, which
+        # need not be the ones the chain gives now
+        raise SchemaError(f"{path}: has a [base_map] section, so chi may "
+                          "sit in other base columns than the chain's; "
+                          "run `identify linear` again")
     chain = _read_chain(cfg, path)
     n = chain.n
-    map_ = _read_map(cfg, n, path)
+    map_ = compute_base_map(chain)
     chi = np.vstack([
         _vec(cfg, f"coefficients.joint_{j+1}", "chi", map_.c, path)
         for j in range(n)])

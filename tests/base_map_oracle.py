@@ -65,5 +65,4 @@ def compute_base_map(chain, n_probe: int = PROBE_COUNT_DEFAULT, seed: int = 0,
     return BaseParameterMap(
         n=n, inertial_columns=selected, recombination=recomb,
         joint_masks=masks, joint_idcols=tuple(idcols),
-        joint_depcols=tuple(depcols), joint_regroup=tuple(regroups),
-        seed=seed, n_probe=n_probe, tolerance=tol)
+        joint_depcols=tuple(depcols), joint_regroup=tuple(regroups))

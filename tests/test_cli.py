@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -230,6 +231,18 @@ def test_exit_code_scenario_mismatch(pipeline, capsys):
                "--payload", pipeline["payload"], "--known", "mass,com"])
     assert rc == 1
     assert "scenario 'b'" in capsys.readouterr().err
+
+
+def test_bare_arm_stages_refuse_payload_runs(pipeline, capsys):
+    # stages 1 and 2 model the arm alone; a payload run would fold the
+    # payload into chi and the friction residual
+    out = str(pipeline["dir"] / "nope.ini")
+    for argv in (["identify", "linear", "--robot", pipeline["robot"]],
+                 ["identify", "friction", "--model", pipeline["model_lin"]]):
+        rc = main([*argv, "--samples", pipeline["run_b"], "--out", out])
+        assert rc == 1, argv
+        assert "--samples must hold scenario 'a'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_exit_code_unknown_group(pipeline, capsys):

@@ -135,8 +135,8 @@ print({_SCIPY_LOADED})
 
 
 def test_solve_and_validate_load_no_scipy(ident_true, data_a, tmp_path):
-    # the base map is read from the model file, never recomputed: that
-    # would load scipy into every solve and validate
+    # loading rebuilds the base map from the chain with numpy alone, so
+    # solve and validate stay free of scipy
     save_identified_model(ident_true, tmp_path / "model.ini")
     write_samples(data_a, tmp_path / "run.csv")
     code = f"""
@@ -170,8 +170,8 @@ print(json.dumps([float(np.max(np.abs(out - 1.5))),
 
 
 def test_identify_friction_loads_no_scipy(ident_true, data_a, tmp_path):
-    # stage 2 fits a sigmoid by its own Levenberg-Marquardt loop and reads
-    # the base map from the model file; neither needs scipy
+    # stage 2 fits a sigmoid by its own Levenberg-Marquardt loop and the
+    # model load rebuilds the base map with numpy; neither needs scipy
     save_identified_model(ident_true, tmp_path / "model.ini")
     write_samples(data_a, tmp_path / "run.csv")
     code = f"""

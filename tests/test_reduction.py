@@ -218,7 +218,7 @@ def test_count_stable_under_more_probes(chain, bmap):
 
 
 def test_count_stable_across_seeds(chain, bmap):
-    other = compute_base_map(chain, seed=bmap.seed + 1)
+    other = compute_base_map(chain, seed=1)
     assert other.c_inertial == bmap.c_inertial
     assert other.c == bmap.c
 

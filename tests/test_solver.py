@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,30 +163,43 @@ def test_persistence_stage_gating(ident_true, chain, bmap, tmp_path):
         gravity(m2, np.zeros(6))
 
 
-def _map_arrays(m):
-    return ([m.inertial_columns, m.recombination, m.joint_masks]
-            + list(m.joint_idcols) + list(m.joint_depcols)
-            + list(m.joint_regroup))
-
-
-def test_map_round_trips_value_exact(ident_true, tmp_path):
+def test_model_round_trips_on_rebuilt_map(ident_true, chain, data_a,
+                                          tmp_path):
     # every UR10 joint row regroups; the two-link chain's first row does
     # not, so an empty depcols array makes the round trip too
     bmap = compute_base_map(TWO_LINK)
     assert any(d.size == 0 for d in bmap.joint_depcols)
     two_link = IdentifiedModel(name="two-link", chain=TWO_LINK, map=bmap,
                                chi=np.zeros((2, bmap.c)))
-    for k, model in enumerate((ident_true, two_link)):
+    # maps probed otherwise select the same columns, which is what lets
+    # the file leave the map out
+    ur10 = [replace(ident_true, map=compute_base_map(chain, **kw))
+            for kw in ({"seed": 1}, {"n_probe": 400})]
+    for k, model in enumerate([ident_true, two_link] + ur10):
         p = tmp_path / f"model{k}.ini"
         save_identified_model(model, p)
-        a, b = model.map, load_identified_model(p).map
-        assert (a.n, a.seed, a.n_probe, a.tolerance) \
-            == (b.n, b.seed, b.n_probe, b.tolerance)
-        for x, y in zip(_map_arrays(a), _map_arrays(b), strict=True):
-            assert x.shape == y.shape and x.dtype.kind == y.dtype.kind
-            assert np.array_equal(x, y)
-    # one file per model, no sidecar
-    assert sorted(os.listdir(tmp_path)) == ["model0.ini", "model1.ini"]
+        loaded = load_identified_model(p)
+        a, b = model.map, loaded.map
+        assert np.array_equal(a.inertial_columns, b.inertial_columns)
+        assert np.array_equal(a.joint_masks, b.joint_masks)
+        for x, y in zip(a.joint_idcols + a.joint_depcols,
+                        b.joint_idcols + b.joint_depcols, strict=True):
+            assert x.dtype.kind == y.dtype.kind and np.array_equal(x, y)
+        if model.is_complete:
+            assert np.array_equal(
+                torque(loaded, data_a.q, data_a.qd, data_a.qdd),
+                torque(model, data_a.q, data_a.qd, data_a.qdd))
+    # one file per model, no sidecar, and nothing in it the chain gives
+    assert sorted(os.listdir(tmp_path)) == [f"model{k}.ini" for k in range(4)]
+    p = tmp_path / "payload.ini"
+    save_identified_model(configure_payload(ident_true, PAY), p)
+    cfg = _new_parser()
+    cfg.read(p)
+    assert cfg.sections() == (
+        ["meta", "gravity", "dh"]
+        + [f"coefficients.joint_{j}" for j in range(1, 7)]
+        + [f"friction.joint_{j}" for j in range(1, 7)]
+        + ["gains", "payload_parameters"])
 
 
 def test_model_file_is_byte_stable(ident_true, tmp_path):
@@ -209,47 +223,25 @@ def test_renamed_model_file_loads(ident_true, data_a, tmp_path):
                           torque(ident_true, data_a.q, data_a.qd, data_a.qdd))
 
 
-def test_load_requires_base_map_section(ident_true, data_a, tmp_path, capsys):
+def test_load_refuses_stored_base_map(ident_true, data_a, tmp_path, capsys):
+    # a file that stores a map may hold chi in other columns than the
+    # chain's; reading it against the rebuilt map would misplace chi
     good = tmp_path / "model.ini"
     save_identified_model(ident_true, good)
     traj = tmp_path / "traj.csv"
     write_samples(data_a, traj)
-
-    def drop_section(cfg):
-        cfg.remove_section("base_map")
-
-    def short_recombination(cfg):
-        cfg["base_map"]["recombination"] = \
-            cfg["base_map"]["recombination"].rsplit(" ", 1)[0]
-
-    def short_idcols(cfg):
-        cfg["base_map.joint_3"]["idcols"] = \
-            cfg["base_map.joint_3"]["idcols"].rsplit(" ", 1)[0]
-
-    def drop_joint(cfg):
-        cfg.remove_section("base_map.joint_6")
-
-    def reversed_idcols(cfg):
-        # the same set in another order would pair the regroup rows with
-        # the wrong columns
-        cols = cfg["base_map.joint_1"]["idcols"].split()
-        cfg["base_map.joint_1"]["idcols"] = " ".join(reversed(cols))
-
-    for edit in (drop_section, short_recombination, short_idcols,
-                 drop_joint, reversed_idcols):
-        cfg = _new_parser()
-        cfg.read(good)
-        edit(cfg)
-        bad = tmp_path / f"{edit.__name__}.ini"
-        with open(bad, "w") as fh:
-            cfg.write(fh)
-        with pytest.raises(SchemaError, match="base_map"):
-            load_identified_model(bad)
-        capsys.readouterr()
-        rc = main(["solve", "--model", str(bad), "--traj", str(traj),
-                   "--out", str(tmp_path / "tau.csv")])
-        assert rc == 2, edit.__name__
-        assert "error=2" in capsys.readouterr().err
+    cfg = _new_parser()
+    cfg.read(good)
+    cfg["base_map"] = {"inertial_columns": "0 1 2"}
+    bad = tmp_path / "legacy.ini"
+    with open(bad, "w") as fh:
+        cfg.write(fh)
+    with pytest.raises(SchemaError, match=r"base_map.*identify linear"):
+        load_identified_model(bad)
+    rc = main(["solve", "--model", str(bad), "--traj", str(traj),
+               "--out", str(tmp_path / "tau.csv")])
+    assert rc == 2
+    assert "error=2" in capsys.readouterr().err
 
 
 def test_model_validation(chain, bmap, ident_true):
