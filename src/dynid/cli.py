@@ -160,20 +160,31 @@ def _filtered(s: SampleSet, cutoff: float | None) -> SampleSet:
                      v=v, scenario=s.scenario, qd_threshold=s.qd_threshold)
 
 
-def _read_many(paths, qd_threshold: float, cutoff: float | None = None):
-    # filter each log on its own so filtfilt never runs across file seams
-    sets = [_filtered(read_samples(p, qd_threshold=qd_threshold), cutoff)
-            for p in paths]
-    return sets[0] if len(sets) == 1 else merge_sample_sets(sets)
-
-
 _SCENARIO_DATA = {"a": "payload-free", "b": "payload-attached"}
 
 
-def _require_scenario(s: SampleSet, tag: str, flag: str) -> None:
-    if s.scenario != tag:
-        raise UsageError(f"{flag} must hold scenario '{tag}' "
-                         f"({_SCENARIO_DATA[tag]}) data")
+def _read_runs(paths, flag: str, n: int, qd_threshold: float,
+               scenario: str | None = None,
+               cutoff: float | None = None) -> SampleSet:
+    """Read the sample files given to flag and merge them.
+
+    Each file is checked on its own, so a failure names it: n joints
+    (SchemaError), and the scenario tag when one is given (UsageError).
+    Each is also filtered on its own, so filtfilt never runs across the
+    seams between files.
+    """
+    sets = []
+    for p in paths:
+        s = read_samples(p, qd_threshold=qd_threshold)
+        if s.n != n:
+            raise SchemaError(f"{flag} file {p} covers {s.n} joints, "
+                              f"expected {n}")
+        if scenario is not None and s.scenario != scenario:
+            raise UsageError(f"{flag} must hold scenario '{scenario}' "
+                             f"({_SCENARIO_DATA[scenario]}) data; {p} holds "
+                             f"scenario '{s.scenario}'")
+        sets.append(_filtered(s, cutoff))
+    return merge_sample_sets(sets)
 
 
 _STAGE_HINT = {
@@ -226,11 +237,11 @@ def cmd_simulate(a) -> None:
     if not plant.is_complete:
         raise SchemaError(f"{a.robot}: simulation needs a complete plant "
                           "(inertial, friction, and gain sections)")
-    traj = read_samples(a.traj, qd_threshold=a.qd_threshold)
+    traj = read_samples(a.traj)
     payload = read_payload(a.payload) if a.payload else None
     s = simulate(plant, states=(traj.t, traj.q, traj.qd),
                  noise_v=a.noise_v, noise_qd=a.noise_qd, seed=a.seed,
-                 payload=payload, qd_threshold=a.qd_threshold)
+                 payload=payload)
     write_samples(s, a.out)
     print(f"wrote {s.m} simulated samples (scenario {s.scenario}) to {a.out}")
 
@@ -238,10 +249,8 @@ def cmd_simulate(a) -> None:
 def cmd_identify_linear(a) -> None:
     plant = read_robot_model(a.robot)
     chain = plant.chain
-    s = _read_many(a.samples, a.qd_threshold, a.filter_cutoff)
-    _require_scenario(s, "a", "--samples")
-    if s.n != chain.n:
-        raise SchemaError(f"samples cover {s.n} joints, robot has {chain.n}")
+    s = _read_runs(a.samples, "--samples", chain.n, a.qd_threshold, "a",
+                   a.filter_cutoff)
     map_ = compute_base_map(chain)
     chi = identify_coefficients(map_, chain, s)
     model = IdentifiedModel(name=plant.name, chain=chain, map=map_,
@@ -255,10 +264,8 @@ def cmd_identify_linear(a) -> None:
 
 def cmd_identify_friction(a) -> None:
     model = _load_stage(a.model, "linear")
-    s = _read_many(a.samples, model.qd_threshold, a.filter_cutoff)
-    _require_scenario(s, "a", "--samples")
-    if s.n != model.n:
-        raise SchemaError(f"samples cover {s.n} joints, model has {model.n}")
+    s = _read_runs(a.samples, "--samples", model.n, model.qd_threshold, "a",
+                   a.filter_cutoff)
     resid = friction_residual_currents(model.map, model.chain, model.chi, s)
     fit = fit_friction(s.qd, resid, threshold=model.qd_threshold)
     # downstream gains depend on the friction estimate; drop them
@@ -271,10 +278,10 @@ def cmd_identify_friction(a) -> None:
 
 def cmd_identify_gains(a) -> None:
     model = _load_stage(a.model, "friction")
-    sa = _read_many(a.samples_a, model.qd_threshold, a.filter_cutoff)
-    sb = _read_many(a.samples_b, model.qd_threshold, a.filter_cutoff)
-    _require_scenario(sa, "a", "--samples-a")
-    _require_scenario(sb, "b", "--samples-b")
+    sa = _read_runs(a.samples_a, "--samples-a", model.n, model.qd_threshold,
+                    "a", a.filter_cutoff)
+    sb = _read_runs(a.samples_b, "--samples-b", model.n, model.qd_threshold,
+                    "b", a.filter_cutoff)
     known = tuple(k.strip() for k in a.known.split(",") if k.strip())
     bad = [k for k in known if k not in ("mass", "com", "inertia")]
     if bad:
@@ -301,9 +308,7 @@ def cmd_solve(a) -> None:
     model = _load_stage(a.model, "gains")
     if a.payload:
         model = configure_payload(model, read_payload(a.payload))
-    s = read_samples(a.traj, qd_threshold=model.qd_threshold)
-    if s.n != model.n:
-        raise SchemaError(f"samples cover {s.n} joints, model has {model.n}")
+    s = _read_runs([a.traj], "--traj", model.n, model.qd_threshold)
     inert, cor, fric, grav = torque_terms(model, s.q, s.qd, s.qdd)
     tau = inert + cor + fric + grav
     n = model.n
@@ -320,16 +325,16 @@ def cmd_solve(a) -> None:
 
 def cmd_validate(a) -> None:
     model = _load_stage(a.model, "gains")
-    s = read_samples(a.samples, qd_threshold=model.qd_threshold)
-    if s.n != model.n:
-        raise SchemaError(f"samples cover {s.n} joints, model has {model.n}")
+    s = _read_runs([a.samples], "--samples", model.n, model.qd_threshold)
     v_hat = torque(model, s.q, s.qd, s.qdd) / model.gains
     baseline = None
     if a.baseline:
-        b = read_samples(a.baseline, qd_threshold=model.qd_threshold)
-        if b.v.shape != s.v.shape:
-            raise SchemaError("baseline predictions must match the sample "
-                              "count and joint count")
+        b = _read_runs([a.baseline], "--baseline", model.n,
+                       model.qd_threshold)
+        if b.m != s.m:
+            raise SchemaError(f"--baseline file {a.baseline} holds {b.m} "
+                              f"samples, {a.samples} holds {s.m}; baseline "
+                              "predictions must match the sample count")
         baseline = b.v
     metrics = validation_metrics(s, v_hat, baseline)
     write_report(metrics, a.report)
@@ -375,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="velocity noise std [rad/s]")
     sp.add_argument("--seed", required=True, type=int)
     sp.add_argument("--out", required=True, help="output sample CSV")
-    sp.add_argument("--qd-threshold", type=float,
-                    default=QD_THRESHOLD_DEFAULT,
-                    help="low-velocity region boundary [rad/s]")
     sp.set_defaults(func=cmd_simulate)
 
     ip = sub.add_parser("identify", help="run an identification stage")

@@ -398,8 +398,7 @@ def _read_friction(cfg, n, path) -> tuple[FrictionSet, str]:
 
 def write_robot_model(model: RobotModel, path) -> None:
     cfg = _new_parser()
-    cfg["meta"] = {"name": model.name, "kind": "plant",
-                   "provenance": "unspecified"}
+    cfg["meta"] = {"name": model.name, "kind": "plant"}
     _write_chain(cfg, model.chain)
     if model.links is not None:
         for i, lk in enumerate(model.links):

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, FrictionSet, friction_linear,
-                       friction_sigmoid, regressor_stack, sigmoid)
+from .dynamics import (N_INERTIAL, FrictionSet, friction_sigmoid,
+                       regressor_stack, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import (BaseParameterMap, minimal_columns,
-                        minimal_regressor_stack, own_joint_torques,
-                        split_columns)
+                        minimal_regressor_stack, split_columns)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -52,13 +51,14 @@ class ConvergenceError(EstimationError):
 # linear solvers
 
 def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x, _, rank, _ = np.linalg.lstsq(stack, rhs, rcond=None)
-    if rank < stack.shape[1]:
-        split = split_columns(stack)
+    """Least-squares coefficients of a full-rank stack, decided and solved
+    by split_columns, so every coefficient solve shares RANK_TOL."""
+    split = split_columns(stack)
+    if split.dep.size:
         raise IdentifiabilityError(
             f"rank-deficient stack (rank {split.ind.size} of "
             f"{stack.shape[1]}); dependent columns {split.dep.tolist()}")
-    return x
+    return split.solve(rhs)
 
 
 def _linear_system(stack, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +124,17 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
 
     IRLS needs only the residuals, and those depend only on the stack's
     range.  One thin SVD gives an orthonormal basis Q of that range, cut
-    where a minimum-norm lstsq cuts, so rank-deficient stacks need no
-    special case.  Each iterate then solves the small weighted system in
-    Q's coordinates, (Q^T W Q) y = Q^T W b, and sets r = b - Q y.  Q is
-    orthonormal and the weights lie in [0, 1], so that Gram's eigenvalues
-    lie in [0, 1] however ill-conditioned the stack is; its pseudo-inverse
-    gives the minimum-norm y where zero weights leave directions of the
-    range unobserved.
+    at eps*max(m, n) of the largest singular value, so rank-deficient
+    stacks need no special case.  Each iterate then solves the small
+    weighted system in Q's coordinates, (Q^T W Q) y = Q^T W b, and sets
+    r = b - Q y.  Q is orthonormal and the weights lie in [0, 1], so that
+    Gram's eigenvalues lie in [0, 1] however ill-conditioned the stack is;
+    its pseudo-inverse gives the minimum-norm y where zero weights leave
+    directions of the range unobserved.
     """
     stack, rhs = _linear_system(stack, rhs)
     floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
-    # lstsq's own rank cutoff; a Gram summed over m rows carries rounding
+    # the usual SVD rank cutoff; a Gram summed over m rows carries rounding
     # of the same relative size, so it serves the small solves as well
     rcond = np.finfo(float).eps * max(stack.shape)
     U, sv, _ = np.linalg.svd(stack, full_matrices=False)
@@ -277,13 +277,12 @@ def _chi_matrix(chi, n: int) -> np.ndarray:
 
 def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
-    """Currents from the stage-1 model (linear friction included): joint
-    j's block of chi, evaluated by Newton-Euler and read at joint j, plus
-    its linear friction."""
-    C = _chi_matrix(chi, map_.n)
-    tri = [C[j, map_.friction_columns(j)] for j in range(map_.n)]
-    return (own_joint_torques(chain, map_.joint_sets(C), q, qd, qdd)
-            + friction_linear(tri, qd))
+    """Currents from the stage-1 model, linear friction included: joint
+    j's minimal-regressor row times its block of chi, the model stage 1
+    fitted.  (M, n), or (n,) for a single state."""
+    U = minimal_regressor_stack(map_, chain, q, qd, qdd)
+    v = np.einsum("mjc,jc->mj", U, _chi_matrix(chi, map_.n))
+    return v[0] if np.ndim(q) == 1 else v
 
 
 def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,

@@ -10,9 +10,10 @@ per joint (each appears only in its own row) and are always kept, so the
 sgn discontinuities never enter the rank decision.
 
 Each choice of independent columns (the probe stack, every joint row, and
-stage 3's gain systems) is one greedy split in a fixed column order
-(split_columns) from one unpivoted QR, so it depends on the chain alone,
-not on the probe seed or on rounding (Gautier, J. Robotic Systems 1991).
+every coefficient solve of the estimation stages) is one greedy split in a
+fixed column order (split_columns) from one unpivoted QR, so it depends on
+the chain alone, not on the probe seed or on rounding (Gautier, J. Robotic
+Systems 1991).
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       newton_euler, regressor_stack)
+                       regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -259,16 +260,6 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
         n=n, inertial_columns=selected, recombination=recomb,
         joint_masks=masks, joint_idcols=tuple(idcols),
         joint_depcols=tuple(depcols), joint_regroup=tuple(regroups))
-
-
-def own_joint_torques(chain: KinematicChain, sets, Q, Qd, Qdd,
-                      gravity=None) -> np.ndarray:
-    """Torque of joint j under set j, for per-joint sets (10n, n) such as
-    BaseParameterMap.joint_sets builds; no friction.  (M, n), or (n,) for
-    a single state."""
-    tau = newton_euler(chain, Q, Qd, Qdd, sets, gravity)
-    j = np.arange(chain.n)
-    return tau[0, j, j] if np.ndim(Q) == 1 else tau[:, j, j]
 
 
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import N_INERTIAL, FrictionSet, friction_sigmoid
+from .dynamics import N_INERTIAL, FrictionSet, friction_sigmoid, newton_euler
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, compute_base_map, own_joint_torques
+from .reduction import BaseParameterMap, compute_base_map
 from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
                      _read_chain, _read_friction, _read_ini, _vec, _vecstr,
                      _write_chain, _write_friction)
@@ -119,9 +119,11 @@ def configure_payload(model: IdentifiedModel,
 
 
 def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
-    """Torques of the rigid-body part (no friction): arm plus payload."""
-    return own_joint_torques(model.chain, model.torque_sets, q, qd, qdd,
-                             gravity)
+    """Torques of the rigid-body part (no friction): arm plus payload,
+    joint j's read from torque set j.  (M, n), or (n,) for one state."""
+    tau = newton_euler(model.chain, q, qd, qdd, model.torque_sets, gravity)
+    j = np.arange(model.n)
+    return tau[0, j, j] if np.ndim(q) == 1 else tau[:, j, j]
 
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
@@ -191,8 +193,6 @@ def save_identified_model(model: IdentifiedModel, path) -> None:
     cfg["meta"] = {
         "name": model.name,
         "kind": "identified",
-        "stage": model.stage,
-        "provenance": "identified",
         "qd_threshold_rad_s": _fmt(model.qd_threshold),
     }
     _write_chain(cfg, model.chain)

@@ -1,24 +1,39 @@
-"""Stage-1 residual and stage-2 fit in their direct forms, the references
-for estimation.friction_residual_currents and estimation._lm_fit.
+"""Stage-1 model and residual and the stage-2 fit in their direct forms,
+the references for estimation.predict_currents,
+estimation.friction_residual_currents and estimation._lm_fit.
 
-The residual here evaluates joint j's block of chi by Newton-Euler and
-reads it at joint j; the package takes the same product from the minimal
-regressor stage 1 already built.  The Levenberg-Marquardt fit here forms
-the Jacobian row by row and its normal matrix from that; the package
-fills one transposed Jacobian buffer per fit.  Both read the package's
-constants, so monkeypatching them moves both alike.
+The model here evaluates joint j's block of chi by Newton-Euler, reads it
+at joint j and adds the joint's linear friction; the package takes the
+same product from the minimal regressor.  The Levenberg-Marquardt fit
+here forms the Jacobian row by row and its normal matrix from that; the
+package fills one transposed Jacobian buffer per fit.  Both fits read the
+package's constants, so monkeypatching them moves both alike.
 """
 import numpy as np
 
 from dynid import estimation
+from dynid.dynamics import friction_linear, newton_euler
 from dynid.estimation import _chi_matrix, _friction_model
-from dynid.reduction import own_joint_torques
+
+
+def _own_joint_torques(map_, chain, chi, q, qd, qdd) -> np.ndarray:
+    """Torque of joint j under its own block of chi, friction aside."""
+    sets = map_.joint_sets(_chi_matrix(chi, map_.n))
+    tau = newton_euler(chain, q, qd, qdd, sets)
+    j = np.arange(map_.n)
+    return tau[0, j, j] if np.ndim(q) == 1 else tau[:, j, j]
+
+
+def predict_currents(map_, chain, chi, q, qd, qdd) -> np.ndarray:
+    C = _chi_matrix(chi, map_.n)
+    tri = [C[j, map_.friction_columns(j)] for j in range(map_.n)]
+    return (_own_joint_torques(map_, chain, chi, q, qd, qdd)
+            + friction_linear(tri, qd))
 
 
 def friction_residual_currents(map_, chain, chi, samples) -> np.ndarray:
-    sets = map_.joint_sets(_chi_matrix(chi, map_.n))
-    return samples.v - own_joint_torques(chain, sets, samples.q, samples.qd,
-                                         samples.qdd)
+    return samples.v - _own_joint_torques(map_, chain, chi, samples.q,
+                                          samples.qd, samples.qdd)
 
 
 def _friction_jacobian(p: np.ndarray, qd: np.ndarray,

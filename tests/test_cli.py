@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -6,8 +7,10 @@ import pytest
 
 from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
-from dynid.dataio import (read_samples, ur10_default_model, write_payload,
-                          write_robot_model)
+from dynid.dataio import (differentiate, lowpass, merge_sample_sets,
+                          read_samples, ur10_default_model, write_payload,
+                          write_robot_model, write_samples)
+from dynid.estimation import identify_coefficients
 from dynid.payload import PayloadSpec
 from dynid.solver import load_identified_model, torque
 
@@ -243,6 +246,109 @@ def test_bare_arm_stages_refuse_payload_runs(pipeline, capsys):
         assert rc == 1, argv
         assert "--samples must hold scenario 'a'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+# each flag that reads sample files: (command with that flag's files f,
+# scenario the flag needs or None); the other flags get the pipeline's
+# own files
+_SAMPLE_FLAGS = {
+    "linear --samples": (lambda p, f, out: [
+        "identify", "linear", "--robot", p["robot"], "--samples", *f,
+        "--out", out], "a"),
+    "friction --samples": (lambda p, f, out: [
+        "identify", "friction", "--model", p["model_lin"], "--samples", *f,
+        "--out", out], "a"),
+    "gains --samples-a": (lambda p, f, out: [
+        "identify", "gains", "--model", p["model_fric"], "--samples-a", *f,
+        "--samples-b", p["run_b"], "--payload", p["payload"],
+        "--known", "mass,com", "--out", out], "a"),
+    "gains --samples-b": (lambda p, f, out: [
+        "identify", "gains", "--model", p["model_fric"],
+        "--samples-a", p["run_a"], "--samples-b", *f,
+        "--payload", p["payload"], "--known", "mass,com", "--out", out], "b"),
+    "solve --traj": (lambda p, f, out: [
+        "solve", "--model", p["model"], "--traj", *f, "--out", out], None),
+    "validate --samples": (lambda p, f, out: [
+        "validate", "--model", p["model"], "--samples", *f,
+        "--report", out], None),
+    "validate --baseline": (lambda p, f, out: [
+        "validate", "--model", p["model"], "--samples", p["run_a"],
+        "--baseline", *f, "--report", out], None),
+}
+_RUN_OF = {"a": "run_a", "b": "run_b", None: "run_a"}
+
+
+@pytest.mark.parametrize("case", [k for k, (_, tag) in _SAMPLE_FLAGS.items()
+                                  if tag is not None])
+def test_mixed_scenario_list_names_file_and_flag(pipeline, capsys, case):
+    # a good file first, then one of the other scenario: the message names
+    # the second file, its tag and the flag
+    command, tag = _SAMPLE_FLAGS[case]
+    flag = case.split()[1]
+    other = "b" if tag == "a" else "a"
+    wrong = pipeline[_RUN_OF[other]]
+    out = str(pipeline["dir"] / "nope.out")
+    rc = main(command(pipeline, [pipeline[_RUN_OF[tag]], wrong], out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must hold scenario '{tag}'" in err
+    assert f"{wrong} holds scenario '{other}'" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLE_FLAGS))
+def test_wrong_joint_count_names_file_and_flag(pipeline, capsys, case):
+    command, tag = _SAMPLE_FLAGS[case]
+    flag = case.split()[1]
+    s = read_samples(pipeline[_RUN_OF[tag]])
+    five = str(pipeline["dir"] / f"{_RUN_OF[tag]}_5_joints.csv")
+    write_samples(dataclasses.replace(
+        s, q=s.q[:, :5], qd=s.qd[:, :5], qdd=s.qdd[:, :5], v=s.v[:, :5]),
+        five)
+    out = str(pipeline["dir"] / "nope.out")
+    assert main(command(pipeline, [five], out)) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} file {five} covers 5 joints, expected 6" in err
+    assert not os.path.exists(out)
+
+
+def test_short_baseline_names_file(pipeline, capsys):
+    s = read_samples(pipeline["run_a"])
+    short = str(pipeline["dir"] / "baseline_short.csv")
+    write_samples(dataclasses.replace(
+        s, t=s.t[:100], q=s.q[:100], qd=s.qd[:100], qdd=s.qdd[:100],
+        v=s.v[:100]), short)
+    command, _ = _SAMPLE_FLAGS["validate --baseline"]
+    assert main(command(pipeline, [short],
+                        str(pipeline["dir"] / "nope.csv"))) == 2
+    err = capsys.readouterr().err
+    assert f"--baseline file {short} holds 100 samples" in err
+
+
+def test_filter_cutoff_filters_each_file_on_its_own(pipeline):
+    # velocities and currents are lowpassed per file, then merged, so
+    # filtfilt never runs across the seam between the two runs
+    files = [pipeline["run_a"], pipeline["run_a2"]]
+    out = str(pipeline["dir"] / "model_filtered.ini")
+    assert main(["identify", "linear", "--robot", pipeline["robot"],
+                 "--samples", *files, "--filter-cutoff", "10",
+                 "--out", out]) == 0
+    model = load_identified_model(out)
+
+    def filtered(s):
+        rate = 1.0 / s.period
+        qd = lowpass(s.qd, cutoff=10.0, rate=rate)
+        return dataclasses.replace(s, qd=qd, v=lowpass(s.v, 10.0, rate),
+                                   qdd=differentiate(qd, s.period))
+
+    def fit(s):
+        return identify_coefficients(model.map, model.chain, s).as_matrix()
+
+    runs = [read_samples(f) for f in files]
+    assert np.array_equal(model.chi,
+                          fit(merge_sample_sets(map(filtered, runs))))
+    assert not np.array_equal(model.chi,
+                              fit(filtered(merge_sample_sets(runs))))
 
 
 def test_exit_code_unknown_group(pipeline, capsys):

@@ -331,6 +331,15 @@ def test_robot_model_round_trip(tmp_path):
     for name in ("f_o", "f_v", "f_c", "delta", "nu"):
         assert getattr(m2.friction, name) == getattr(model.friction, name)
     assert np.array_equal(m2.chain.gravity_vector, model.chain.gravity_vector)
+    # [meta] holds what the reader uses; an older file's provenance key
+    # is ignored
+    text = p.read_text()
+    assert text.startswith("[meta]\nname = ur10-default\nkind = plant\n\n")
+    old = tmp_path / "old.ini"
+    old.write_text(text.replace("kind = plant\n",
+                                "kind = plant\nprovenance = unspecified\n"))
+    write_robot_model(read_robot_model(old), p)
+    assert p.read_text() == text
 
 
 def test_robot_model_partial_and_broken(tmp_path):

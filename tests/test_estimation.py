@@ -20,7 +20,7 @@ from dynid.estimation import (ConvergenceError, CurrentCoefficients,
                               robust_weights, wlse)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
-from dynid.reduction import compute_base_map
+from dynid.reduction import compute_base_map, split_columns
 from dynid.solver import torque
 from dynid.trajectory import FourierTrajectory
 
@@ -90,6 +90,52 @@ def test_llse_names_dependent_columns():
     assert (rank, p) == (4, 6) and len(named) == p - rank
     kept = np.delete(B, named, axis=1)
     assert np.linalg.matrix_rank(kept) == kept.shape[1] == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(20, 300),
+       p=st.integers(1, 15),
+       log_cond=st.floats(0.0, np.log10(estimation.CONDITION_LIMIT)),
+       tan=st.sampled_from([0.0, 0.01, 1.0, 10.0]))
+def test_lstsq_within_perturbation_bound(seed, m, p, log_cond, tan):
+    # A = U diag(s) V^T with singular values from 1 down to 1/cond, and
+    # the rhs A x plus a residual orthogonal to A's range, tan times as
+    # long as A x, so x is the exact least-squares solution.  A stable
+    # solve lands within a small multiple of eps (cond + cond^2 tan) of it
+    # (Golub & Van Loan, Matrix Computations, sec. 5.3).  Over 16000 such
+    # draws the split reached 1.13 of that scale and np.linalg.lstsq 13.7.
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, p + 1)))
+    V, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    s = np.geomspace(1.0, 10.0 ** -log_cond, p)
+    A = (U[:, :p] * s) @ V.T
+    x = rng.standard_normal(p)
+    b = A @ x
+    b = b + U[:, p] * (tan * np.linalg.norm(b))
+    cond = s[0] / s[-1]
+    bound = np.finfo(float).eps * (cond + cond**2 * tan)
+    got = estimation._lstsq(A, b)
+    assert np.linalg.norm(got - x) <= 4.0 * bound * np.linalg.norm(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(20, 120),
+       p=st.integers(2, 15))
+def test_lstsq_names_split_dependent_columns(seed, m, p):
+    # d planted dependencies, anywhere: the error names the columns
+    # split_columns finds dependent, p - rank of them
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, p)) * rng.uniform(0.1, 10.0, p)
+    d = int(rng.integers(1, p))
+    dep = rng.choice(p, size=d, replace=False)
+    keep = np.setdiff1d(np.arange(p), dep)
+    A[:, dep] = A[:, keep] @ rng.standard_normal((keep.size, d))
+    split = split_columns(A)
+    with pytest.raises(IdentifiabilityError) as info:
+        estimation._lstsq(A, rng.standard_normal(m))
+    assert split.dep.size == d
+    assert str(info.value) == (f"rank-deficient stack (rank {p - d} of {p}); "
+                               f"dependent columns {split.dep.tolist()}")
 
 
 def test_wlse_unit_weights_match_llse():
@@ -366,6 +412,30 @@ def test_friction_residual_matches_newton_euler_oracle(seed, m, toy, chain,
     got = friction_residual_currents(mp, ch, chi, samples)
     want = estimation_oracle.friction_residual_currents(mp, ch, chi, samples)
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+       toy=st.booleans())
+def test_predict_currents_matches_newton_euler_oracle(seed, m, toy, chain,
+                                                      bmap, toy_map):
+    # random chi over all c columns: each joint's minimal-regressor row
+    # times its block gives Newton-Euler on that block plus the joint's
+    # linear friction, sgn(0) = 0 included; one state is its batch row
+    ch, mp = (TOY, toy_map) if toy else (chain, bmap)
+    rng = np.random.default_rng(seed)
+    n = ch.n
+    q = rng.uniform(-np.pi, np.pi, (m, n))
+    qd = rng.uniform(-3.0, 3.0, (m, n))
+    qd[rng.random((m, n)) < 0.1] = 0.0
+    qdd = rng.uniform(-10.0, 10.0, (m, n))
+    chi = rng.standard_normal((n, mp.c)) * 10.0 ** rng.uniform(-2, 1, mp.c)
+    got = predict_currents(mp, ch, chi, q, qd, qdd)
+    want = estimation_oracle.predict_currents(mp, ch, chi, q, qd, qdd)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    k = int(rng.integers(m))
+    one = predict_currents(mp, ch, chi, q[k], qd[k], qdd[k])
+    assert one.shape == (n,) and np.array_equal(one, got[k])
 
 
 def _count_regressor_builds(monkeypatch) -> list[int]:

@@ -202,6 +202,26 @@ def test_model_round_trips_on_rebuilt_map(ident_true, chain, data_a,
         + ["gains", "payload_parameters"])
 
 
+def test_meta_holds_only_what_load_reads(ident_true, data_a, tmp_path):
+    # the stage follows from the sections present; a file that still
+    # carries the stage and provenance keys loads as before, and an edited
+    # stage changes nothing
+    p = tmp_path / "model.ini"
+    save_identified_model(ident_true, p)
+    cfg = _new_parser()
+    cfg.read(p)
+    assert list(cfg["meta"]) == ["name", "kind", "qd_threshold_rad_s"]
+    cfg["meta"]["stage"] = "linear"
+    cfg["meta"]["provenance"] = "identified"
+    old = tmp_path / "old.ini"
+    with open(old, "w") as fh:
+        cfg.write(fh)
+    m2 = load_identified_model(old)
+    assert m2.stage == "gains" and m2.is_complete
+    assert np.array_equal(torque(m2, data_a.q, data_a.qd, data_a.qdd),
+                          torque(ident_true, data_a.q, data_a.qd, data_a.qdd))
+
+
 def test_model_file_is_byte_stable(ident_true, tmp_path):
     model = configure_payload(ident_true, PAY)
     paths = [tmp_path / f"m{k}.ini" for k in range(3)]
