@@ -237,7 +237,8 @@ def cmd_simulate(a) -> None:
     if not plant.is_complete:
         raise SchemaError(f"{a.robot}: simulation needs a complete plant "
                           "(inertial, friction, and gain sections)")
-    traj = read_samples(a.traj)
+    traj = _read_runs([a.traj], "--traj", plant.chain.n,
+                      QD_THRESHOLD_DEFAULT)
     payload = read_payload(a.payload) if a.payload else None
     s = simulate(plant, states=(traj.t, traj.q, traj.qd),
                  noise_v=a.noise_v, noise_qd=a.noise_qd, seed=a.seed,

@@ -8,6 +8,9 @@ wrenches are linear in twelve numbers of its motion, so they are one
 product with a constant 0/+-1 basis.  The regressor and the evaluator
 both project them onto the joint screws, carried outward link by link in
 one shared pass.  Gravity enters as an acceleration of the base frame.
+The pass splits into a configuration part (frames and joint screws, from
+q alone) and a motion part (the forward recursion and the unit wrenches),
+so the evaluator runs several motion blocks over one configuration pass.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -331,41 +334,34 @@ def friction_sigmoid(fs: FrictionSet, qd) -> np.ndarray:
     return f_o + f_v * qd + f_c * sigmoid(delta * (nu + qd))
 
 
-def _forward_batch(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
-    """Batched forward recursion.
+def _link_motion(R, p, Qd, Qdd, gravity):
+    """Forward recursion of B motion blocks over M fixed configurations.
 
-    gravity is None (the chain's), a 3-vector, or one 3-vector per state.
-    Returns per-link local rotations R (M,n,3,3), origin offsets p in the
-    parent frame (M,n,3), and angular velocity / angular acceleration /
-    origin acceleration in link coordinates, each (M,n,3).
+    R (M, n, 3, 3) and p (M, n, 3) are the configurations' local frames,
+    Qd and Qdd (M, B, n) the blocks of each, and gravity broadcasts to
+    (M, B, 3).  Yields, for links i = 0..n-1, angular velocity / angular
+    acceleration / origin acceleration in link coordinates, each (M, B, 3).
+    Each configuration's rotation meets all of its blocks in one product.
     """
-    M, n = Q.shape
-    g = chain.gravity_vector if gravity is None else np.asarray(gravity, dtype=float)
-    R, p = local_frames_batch(chain, Q)
-    om = np.zeros((M, n, 3))
-    omd = np.zeros((M, n, 3))
-    acc = np.zeros((M, n, 3))
-    om_prev = np.zeros((M, 3))
-    omd_prev = np.zeros((M, 3))
-    acc_prev = np.broadcast_to(-g, (M, 3))
+    M, nb, n = Qd.shape
+    om = omd = np.zeros((M, nb, 3))
+    acc = np.broadcast_to(-gravity, (M, nb, 3))
     # rows of V, in the parent frame: angular velocity and acceleration
     # before rotation, origin offset, origin acceleration; V @ R[:, i]
     # expresses all four in frame i
-    V = np.empty((M, 4, 3))
+    V = np.empty((M, nb, 4, 3))
     for i in range(n):
-        V[:, 0] = om_prev
-        V[:, 0, 2] += Qd[:, i]
-        V[:, 1] = omd_prev
-        V[:, 1, 2] += Qdd[:, i]
-        V[:, 1] += Qd[:, i, None] * _cross(om_prev, _EZ)
-        V[:, 2] = p[:, i]
-        V[:, 3] = acc_prev
-        W = V @ R[:, i]
-        om[:, i], omd[:, i], r = W[:, 0], W[:, 1], W[:, 2]
-        acc[:, i] = (W[:, 3] + _cross(omd[:, i], r)
-                     + _cross(om[:, i], _cross(om[:, i], r)))
-        om_prev, omd_prev, acc_prev = om[:, i], omd[:, i], acc[:, i]
-    return R, p, om, omd, acc
+        V[..., 0, :] = om
+        V[..., 0, 2] += Qd[..., i]
+        V[..., 1, :] = omd
+        V[..., 1, 2] += Qdd[..., i]
+        V[..., 1, :] += Qd[..., i, None] * _cross(om, _EZ)
+        V[..., 2, :] = p[:, i, None]
+        V[..., 3, :] = acc
+        W = (V.reshape(M, 4 * nb, 3) @ R[:, i]).reshape(M, nb, 4, 3)
+        om, omd, r = W[..., 0, :], W[..., 1, :], W[..., 2, :]
+        acc = W[..., 3, :] + _cross(omd, r) + _cross(om, _cross(om, r))
+        yield om, omd, acc
 
 
 def _wrench_basis() -> np.ndarray:
@@ -398,66 +394,89 @@ _PAIR_A, _PAIR_B = np.array(_I_PAIRS).T
 
 def _unit_wrenches(om, omd, acc):
     """Wrenches of a link's ten unit inertial parameters about its origin,
-    in its own frame, (M, 10, 6): force in [..., :3], moment in [..., 3:].
-    One product F @ K (_wrench_basis) per state, so that a state's bits do
-    not depend on the batch around it."""
-    F = np.concatenate((acc, omd, om[:, _PAIR_A] * om[:, _PAIR_B]), axis=1)
-    return (F[:, None, :] @ _WRENCH_BASIS).reshape(-1, N_INERTIAL, 6)
+    in its own frame, (M, B, 10, 6) for om, omd, acc (M, B, 3): force in
+    [..., :3], moment in [..., 3:].  One product F @ K (_wrench_basis) per
+    configuration, so that a state's bits do not depend on the batch
+    around it."""
+    F = np.concatenate((acc, omd, om[..., _PAIR_A] * om[..., _PAIR_B]),
+                       axis=-1)
+    return (F @ _WRENCH_BASIS).reshape(F.shape[:-1] + (N_INERTIAL, 6))
 
 
 def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
-    Qdd = np.atleast_2d(np.asarray(Qdd, dtype=float))
-    if Q.shape != Qd.shape or Q.shape != Qdd.shape:
-        raise ValueError("Q, Qd, Qdd must share shape (M, n)")
+    """Q as (M, n) configurations, Qd and Qdd as (..., M, n) motion blocks
+    over them; one state may come as (n,) vectors."""
+    Q, Qd, Qdd = (np.atleast_2d(np.asarray(x, dtype=float))
+                  for x in (Q, Qd, Qdd))
+    if Q.ndim != 2 or Qd.shape[-2:] != Q.shape or Qdd.shape[-2:] != Q.shape:
+        raise ValueError(f"Q must be (M, n) and Qd, Qdd (..., M, n); got "
+                         f"{Q.shape}, {Qd.shape}, {Qdd.shape}")
     if Q.shape[1] != chain.n:
         raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
     return Q, Qd, Qdd
 
 
-def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity=None):
+def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
     """Yield (i, S_i, B_i) for links i = 0..n-1: the pass both kernels share.
 
     Joint k's torque from a wrench (f, m) about origin i is a.m + (a x d).f
     (Khalil & Dombre, Modeling, Identification and Control of Robots, 2002),
     where a is joint k's axis and d is origin i relative to origin k-1.
     S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
-    and B_i (M, 10, 6) link i's unit wrenches, so S_i @ B_i^T is link i's
-    share of joints 0..i.  The next step overwrites S_i.
+    and B_i (M, B, 10, 6) link i's unit wrenches in each of B motion
+    blocks, so S_i @ B_i^T is link i's share of joints 0..i.  The next
+    step overwrites S_i.
+
+    The configuration part, the frames and the joint screws, depends on
+    Q (M, n) alone and is built once.  The motion part, the forward
+    recursion and the unit wrenches, runs on every block of Qd, Qdd (M, B,
+    n) and gravity (see _link_motion).
     """
     M, n = Q.shape
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd, gravity)
+    R, p = local_frames_batch(chain, Q)
     S = np.zeros((M, n, 6))
     S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
-    for i in range(n):
+    for i, motion in enumerate(_link_motion(R, p, Qd, Qdd, gravity)):
         S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
         Si = S[:, :i + 1]
         Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
         S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
-        yield i, Si, _unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+        yield i, Si, _unit_wrenches(*motion)
 
 
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                  gravity=None) -> np.ndarray:
-    """Joint torques (M, n, S) of S inertial parameter sets, no friction.
+    """Joint torques (..., M, n, S) of S inertial parameter sets, no friction.
 
     Column s of Pi (10n, S) is a set in the DynamicParameters inertial
-    layout, physical or not; [:, :, s] equals rnea on it.  gravity is None
-    (the chain's), a 3-vector, or one per state.  Each link's unit wrenches
-    are summed per set, then projected onto the joint screws; the products
-    are stacked per state, so a state's torques do not depend on its batch.
+    layout, physical or not; [..., s] equals rnea on it.  Q holds M
+    configurations (M, n).  Qd and Qdd are (M, n) or add leading block
+    axes, (..., M, n), and gravity is None (the chain's), a 3-vector, one
+    per state (M, 3) or one per block and state (..., M, 3); the block
+    axes broadcast.  Frames and joint screws are built once for all blocks,
+    and each configuration meets its blocks in one product.  Each link's
+    unit wrenches are summed per set, then projected onto the joint screws;
+    the products are stacked per configuration, so a state's torques do not
+    depend on the batch around it.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
     M, n = Q.shape
     if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
         raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
-    tau = np.zeros((M, n, Pi.shape[1]))
-    for i, Si, B in _link_screws(chain, Q, Qd, Qdd, gravity):
+    g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
+    lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
+    # blocks beside their configuration: (M, B, ...)
+    Qd, Qdd, g = (np.broadcast_to(x, lead + (M, x.shape[-1]))
+                  .reshape(-1, M, x.shape[-1]).swapaxes(0, 1)
+                  for x in (Qd, Qdd, g))
+    nb, ns = Qd.shape[1], Pi.shape[1]
+    tau = np.zeros((M, n, nb * ns))
+    for i, Si, B in _link_screws(chain, Q, Qd, Qdd, g):
         w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ B
-        tau[:, :i + 1] += Si @ w.swapaxes(1, 2)
-    return tau
+        tau[:, :i + 1] += Si @ w.reshape(M, nb * ns, 6).swapaxes(1, 2)
+    return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
+        lead + (M, n, ns))
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
@@ -471,11 +490,15 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     exactly zero in rows past i.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    if Qd.ndim != 2 or Qdd.ndim != 2:
+        raise ValueError("regressor_stack takes Q, Qd, Qdd of one shape")
     M, n = Q.shape
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-    for i, Si, B in _link_screws(chain, Q, Qd, Qdd):
+    for i, Si, B in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
+                                 chain.gravity_vector):
         col = N_INERTIAL * i
-        np.matmul(Si, B.swapaxes(1, 2), out=Y[:, :i + 1, col:col + N_INERTIAL])
+        np.matmul(Si, B[:, 0].swapaxes(1, 2),
+                  out=Y[:, :i + 1, col:col + N_INERTIAL])
 
     base = N_INERTIAL * n
     rows = np.arange(M)

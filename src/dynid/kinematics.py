@@ -103,24 +103,24 @@ def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n:
         raise ValueError(f"expected joint array of shape (M, {chain.n})")
-    M = Q.shape[0]
-    R = np.zeros((M, chain.n, 3, 3))
-    p = np.zeros((M, chain.n, 3))
-    for k, row in enumerate(chain.rows):
-        th = Q[:, k] + row.offset
-        ct, st = np.cos(th), np.sin(th)
-        ca, sa = np.cos(row.alpha), np.sin(row.alpha)
-        R[:, k, 0, 0] = ct
-        R[:, k, 0, 1] = -st * ca
-        R[:, k, 0, 2] = st * sa
-        R[:, k, 1, 0] = st
-        R[:, k, 1, 1] = ct * ca
-        R[:, k, 1, 2] = -ct * sa
-        R[:, k, 2, 1] = sa
-        R[:, k, 2, 2] = ca
-        p[:, k, 0] = row.a * ct
-        p[:, k, 1] = row.a * st
-        p[:, k, 2] = row.d
+    a, alpha, d, offset = np.array(
+        [(row.a, row.alpha, row.d, row.offset) for row in chain.rows]).T
+    th = Q + offset
+    ct, st = np.cos(th), np.sin(th)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    R = np.zeros(Q.shape + (3, 3))
+    R[..., 0, 0] = ct
+    R[..., 0, 1] = -st * ca
+    R[..., 0, 2] = st * sa
+    R[..., 1, 0] = st
+    R[..., 1, 1] = ct * ca
+    R[..., 1, 2] = -ct * sa
+    R[..., 2, 1] = sa
+    R[..., 2, 2] = ca
+    p = np.empty(Q.shape + (3,))
+    p[..., 0] = a * ct
+    p[..., 1] = a * st
+    p[..., 2] = d
     return R, p
 
 

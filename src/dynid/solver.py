@@ -5,7 +5,8 @@ terms (inertia, Coriolis, friction, gravity) from current-level dynamic
 coefficients, sigmoid friction, and drive gains, optionally augmented with
 a payload whose torque contribution is kept separate from the identified
 coefficients.  Every term is one batched Newton-Euler evaluation of the
-model's torque-level parameter sets.
+model's torque-level parameter sets; the terms of torque_terms and the
+columns of inertia are motion blocks over one pass of the configurations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import N_INERTIAL, FrictionSet, friction_sigmoid, newton_euler
+from .dynamics import (N_INERTIAL, FrictionSet, _batch_states,
+                       friction_sigmoid, newton_euler)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
@@ -120,10 +122,11 @@ def configure_payload(model: IdentifiedModel,
 
 def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     """Torques of the rigid-body part (no friction): arm plus payload,
-    joint j's read from torque set j.  (M, n), or (n,) for one state."""
+    joint j's read from torque set j.  (M, n), or (n,) for one state q;
+    qd, qdd and gravity may add leading block axes (see newton_euler)."""
     tau = newton_euler(model.chain, q, qd, qdd, model.torque_sets, gravity)
     j = np.arange(model.n)
-    return tau[0, j, j] if np.ndim(q) == 1 else tau[:, j, j]
+    return tau[..., 0, j, j] if np.ndim(q) == 1 else tau[..., j, j]
 
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
@@ -146,15 +149,15 @@ def gravity(model: IdentifiedModel, q) -> np.ndarray:
 
 
 def inertia(model: IdentifiedModel, q) -> np.ndarray:
-    """Joint-space inertia matrix at configuration q."""
+    """Joint-space inertia matrix at configuration q: n unit-acceleration
+    blocks over one pass of q."""
     _require_complete(model)
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("inertia takes a single configuration")
     n = model.n
-    # state k accelerates joint k alone, gravity off: column k of M
-    return _rigid(model, np.tile(q, (n, 1)), np.zeros((n, n)), np.eye(n),
-                  _NO_GRAVITY).T
+    # block k accelerates joint k alone, gravity off: column k of M
+    return _rigid(model, q, np.zeros(n), np.eye(n)[:, None], _NO_GRAVITY).T
 
 
 def coriolis_times_qd(model: IdentifiedModel, q, qd) -> np.ndarray:
@@ -164,23 +167,24 @@ def coriolis_times_qd(model: IdentifiedModel, q, qd) -> np.ndarray:
 
 
 def torque_terms(model: IdentifiedModel, q, qd, qdd):
-    """Batched equation-of-motion terms.
+    """Equation-of-motion terms for one state or a batch of states.
 
     Returns (inertia_term, coriolis_term, friction_term, gravity_term),
-    each (M, n); their sum reproduces torque() on the same states.
+    each (M, n), or (n,) for one state; their sum reproduces torque() on
+    the same states.  The three rigid terms are three motion blocks over
+    one set of configurations, so frames and joint screws are built once.
     """
     _require_complete(model)
-    Q, Qd, Qdd = (np.atleast_2d(np.asarray(x, dtype=float))
-                  for x in (q, qd, qdd))
-    m = Q.shape[0]
+    Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
+    if Qd.ndim != 2 or Qdd.ndim != 2:
+        raise ValueError("torque_terms takes states (M, n) or (n,)")
     z = np.zeros_like(Q)
-    # three blocks of the same configurations in one evaluation: gravity
-    # alone, then acceleration alone and velocity alone with gravity off
-    g = np.repeat([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY], m,
-                  axis=0)
-    tau = _rigid(model, np.vstack((Q, Q, Q)), np.vstack((z, z, Qd)),
-                 np.vstack((z, Qdd, z)), g)
-    return tau[m:2 * m], tau[2 * m:], friction(model, Qd), tau[:m]
+    # gravity alone, then acceleration alone and velocity alone, gravity off
+    g = np.array([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY])
+    grav, inert, cor = _rigid(model, Q, np.stack((z, z, Qd)),
+                              np.stack((z, Qdd, z)), g[:, None])
+    terms = inert, cor, friction(model, Qd), grav
+    return tuple(t[0] for t in terms) if np.ndim(q) == 1 else terms
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ by projecting onto the joint axes carried outward (dynamics.regressor_stack);
 this slower, independent backward pass is what the tests hold it against.
 The unit wrenches here come from skew matrices and the symmetric inertia
 basis, not from the package's constant wrench basis, so they are also the
-reference for dynamics._unit_wrenches.
+reference for dynamics._unit_wrenches.  regressor_stack_unsplit keeps the
+package's own arithmetic from before its pass split into a configuration
+part and a motion part, as the bitwise reference for regressor_stack.
 """
 import numpy as np
 
-from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _batch_states,
-                            _cross, _forward_batch)
-from dynid.kinematics import KinematicChain
+from dynid.dynamics import (_PAIR_A, _PAIR_B, _WRENCH_BASIS, N_FRICTION,
+                            N_INERTIAL, _I_PAIRS, _batch_states, _cross,
+                            _link_motion)
+from dynid.kinematics import KinematicChain, local_frames_batch
 
 
 def _sym_basis() -> np.ndarray:
@@ -58,11 +61,13 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
 
-    R, p, om, omd, acc = _forward_batch(chain, Q, Qd, Qdd)
+    R, p = local_frames_batch(chain, Q)
+    motion = _link_motion(R, p, Qd[:, None], Qdd[:, None],
+                          chain.gravity_vector)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
-    for i in range(n):
-        B = unit_wrenches(om[:, i], omd[:, i], acc[:, i])
+    for i, (om, omd, acc) in enumerate(motion):
+        B = unit_wrenches(om[:, 0], omd[:, 0], acc[:, 0])
         f, nm = B[:, :, :3], B[:, :, 3:]
         col = N_INERTIAL * i
         for k in range(i, -1, -1):
@@ -76,6 +81,58 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     rows = np.arange(M)
     for j in range(n):
         Y[rows, j, base + 3 * j] = 1.0
+        Y[:, j, base + 3 * j + 1] = Qd[:, j]
+        Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
+    return Y
+
+
+def regressor_stack_unsplit(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
+    """Regressor (M, n, 13n) from the pass as it was before it split into a
+    configuration part and a motion part: frames built row by row, one
+    (M, n) forward recursion, and one product per state in every step.
+    dynamics.regressor_stack must keep its bits exactly."""
+    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    M, n = Q.shape
+    R = np.zeros((M, n, 3, 3))
+    p = np.zeros((M, n, 3))
+    for k, row in enumerate(chain.rows):
+        th = Q[:, k] + row.offset
+        ct, st = np.cos(th), np.sin(th)
+        ca, sa = np.cos(row.alpha), np.sin(row.alpha)
+        R[:, k, 0] = np.stack((ct, -st * ca, st * sa), axis=-1)
+        R[:, k, 1] = np.stack((st, ct * ca, -ct * sa), axis=-1)
+        R[:, k, 2, 1:] = sa, ca
+        p[:, k] = np.stack((row.a * ct, row.a * st, np.full(M, row.d)),
+                           axis=-1)
+    ez = np.array([0.0, 0.0, 1.0])
+    om, omd = np.zeros((M, 3)), np.zeros((M, 3))
+    acc = np.broadcast_to(-chain.gravity_vector, (M, 3))
+    V = np.empty((M, 4, 3))
+    S = np.zeros((M, n, 6))
+    S3 = S.reshape(M, 2 * n, 3)
+    Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
+    for i in range(n):
+        V[:, 0] = om
+        V[:, 0, 2] += Qd[:, i]
+        V[:, 1] = omd
+        V[:, 1, 2] += Qdd[:, i]
+        V[:, 1] += Qd[:, i, None] * _cross(om, ez)
+        V[:, 2] = p[:, i]
+        V[:, 3] = acc
+        W = V @ R[:, i]
+        om, omd, r = W[:, 0], W[:, 1], W[:, 2]
+        acc = W[:, 3] + _cross(omd, r) + _cross(om, _cross(om, r))
+        S[:, i, 5] = 1.0
+        Si = S[:, :i + 1]
+        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
+        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
+        F = np.concatenate((acc, omd, om[:, _PAIR_A] * om[:, _PAIR_B]), axis=1)
+        B = (F[:, None, :] @ _WRENCH_BASIS).reshape(-1, N_INERTIAL, 6)
+        col = N_INERTIAL * i
+        np.matmul(Si, B.swapaxes(1, 2), out=Y[:, :i + 1, col:col + N_INERTIAL])
+    base = N_INERTIAL * n
+    for j in range(n):
+        Y[np.arange(M), j, base + 3 * j] = 1.0
         Y[:, j, base + 3 * j + 1] = Qd[:, j]
         Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
     return Y

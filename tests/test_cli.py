@@ -266,6 +266,9 @@ _SAMPLE_FLAGS = {
         "identify", "gains", "--model", p["model_fric"],
         "--samples-a", p["run_a"], "--samples-b", *f,
         "--payload", p["payload"], "--known", "mass,com", "--out", out], "b"),
+    "simulate --traj": (lambda p, f, out: [
+        "simulate", "--robot", p["robot"], "--traj", *f, "--seed", "3",
+        "--out", out], None),
     "solve --traj": (lambda p, f, out: [
         "solve", "--model", p["model"], "--traj", *f, "--out", out], None),
     "validate --samples": (lambda p, f, out: [

@@ -10,7 +10,8 @@ from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
                             regressor, regressor_stack, rnea, sigmoid)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from forward_kinematics import frame_chain
-from regressor_oracle import regressor_stack_sweep, unit_wrenches
+from regressor_oracle import (regressor_stack_sweep, regressor_stack_unsplit,
+                              unit_wrenches)
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -486,6 +487,79 @@ def test_newton_euler_single_state_is_its_batch_row(seed, m, chain, gravity,
     assert one[0].tobytes() == batch[row].tobytes()
 
 
+def _motion_blocks(chain, m, nb, mode, rng):
+    """nb blocks of velocities and accelerations over m configurations, the
+    gravity of each block and state, and the newton_euler argument for it."""
+    n = chain.n
+    Qd = rng.uniform(-3.0, 3.0, (nb, m, n))
+    Qdd = rng.uniform(-10.0, 10.0, (nb, m, n))
+    g_rows = np.tile(chain.gravity_vector, (nb, m, 1))
+    if mode == "off":
+        g_rows[:] = 0.0
+    elif mode == "per-state":
+        g_rows[:, rng.random(m) < 0.5] = 0.0
+    elif mode == "per-block":
+        g_rows[rng.random((nb, m)) < 0.5] = 0.0
+    return Qd, Qdd, g_rows, {"chain": None, "off": (0.0, 0.0, 0.0),
+                             "per-state": g_rows[0],
+                             "per-block": g_rows}[mode]
+
+
+_BLOCK_GRAVITY = ["chain", "off", "per-state", "per-block"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+def test_newton_euler_blocks_match_one_call_per_block(seed, m, chain, gravity,
+                                                      data):
+    # leading block axes over one set of configurations, Qd shared by all
+    # blocks or not: each block agrees with its own call to 1e-12 and with
+    # rnea to c01's 1e-9
+    rng = np.random.default_rng(seed)
+    nb = data.draw(st.integers(1, 4))
+    shared_qd = data.draw(st.booleans())
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(st.integers(1, 4)), rng)
+    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    if shared_qd:
+        Qd[:] = Qd[0]
+    tau = newton_euler(chain, Q, Qd[0] if shared_qd else Qd, Qdd, Pi,
+                       gravity=arg)
+    assert tau.shape == (nb, m, chain.n, Pi.shape[1])
+    k = data.draw(st.integers(0, m - 1))
+    for b in range(nb):
+        one = newton_euler(chain, Q, Qd[b], Qdd[b], Pi, gravity=g_rows[b])
+        assert np.max(np.abs(tau[b] - one) / (1.0 + np.abs(one))) < 1e-12
+        for s in range(Pi.shape[1]):
+            links = DynamicParameters.from_vector(
+                np.concatenate((Pi[:, s], np.zeros(3 * chain.n))),
+                chain.n).links
+            ref = rnea(chain, links, JointState(q=Q[k], qd=Qd[b, k],
+                                                qdd=Qdd[b, k]),
+                       gravity=g_rows[b, k])
+            assert np.max(np.abs(tau[b, k, :, s] - ref)
+                          / (1.0 + np.abs(ref))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+def test_newton_euler_blocks_single_configuration_is_its_batch_row(
+        seed, m, chain, gravity, data):
+    rng = np.random.default_rng(seed)
+    nb = data.draw(st.integers(1, 4))
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(st.integers(1, 4)), rng)
+    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    row = data.draw(st.integers(0, m - 1))
+    batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    one = newton_euler(chain, Q[row], Qd[:, row:row + 1], Qdd[:, row:row + 1],
+                       Pi, gravity=g_rows[:, row:row + 1])
+    assert one.shape == (nb, 1) + batch.shape[2:]
+    assert one[:, 0].tobytes() == batch[:, row].tobytes()
+
+
 def test_wrench_basis_is_signed_selection():
     assert _WRENCH_BASIS.shape == (12, 60)
     assert set(np.unique(_WRENCH_BASIS)) <= {-1.0, 0.0, 1.0}
@@ -522,6 +596,18 @@ def test_regressor_stack_matches_sweep_oracle(seed, m, chain):
         assert not np.any(Y[:, i + 1:, 10 * i:10 * i + 10])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]))
+def test_regressor_stack_keeps_unsplit_bits(seed, m, chain):
+    # the draws of the sweep-oracle test; the split into configuration and
+    # motion parts leaves every bit of the regressor as it was
+    rng = np.random.default_rng(seed)
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    assert regressor_stack(chain, Q, Qd, Qdd).tobytes() \
+        == regressor_stack_unsplit(chain, Q, Qd, Qdd).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY]))
@@ -542,6 +628,11 @@ def test_newton_euler_shape_guards():
         newton_euler(chain, z, z, z, np.zeros((59, 1)))
     with pytest.raises(ValueError, match="joints"):
         newton_euler(chain, z[:, :5], z[:, :5], z[:, :5], np.zeros((60, 1)))
+    with pytest.raises(ValueError, match=r"\(\.\.\., M, n\)"):
+        newton_euler(chain, z, z[:1], z, np.zeros((60, 1)))
+    # motion blocks are newton_euler's alone; the regressor is per state
+    with pytest.raises(ValueError, match="one shape"):
+        regressor_stack(chain, z, np.zeros((3, 2, 6)), z)
 
 
 # ---------------------------------------------------------------------------

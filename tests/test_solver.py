@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dynid import dynamics
 from dynid.cli import main
 from dynid.dataio import SchemaError, _new_parser, write_samples
 from dynid.dynamics import JointState, friction_sigmoid, rnea
@@ -53,6 +54,46 @@ def test_torque_terms_sum(ident_true):
     inert, cor, fric, grav = torque_terms(ident_true, q, qd, qdd)
     total = torque(ident_true, q, qd, qdd)
     assert np.max(np.abs(inert + cor + fric + grav - total)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [None, 4])
+def test_torque_terms_shape_error_is_torque_s(ident_true, m):
+    # a 5-joint qdd, for one state and for a batch
+    q, qd, qdd = _random_states(np.random.default_rng(2), m or 1)
+    if m is None:
+        q, qd, qdd = q[0], qd[0], qdd[0]
+    with pytest.raises(ValueError) as want:
+        torque(ident_true, q, qd, qdd[..., :5])
+    with pytest.raises(ValueError) as got:
+        torque_terms(ident_true, q, qd, qdd[..., :5])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="takes states"):
+        torque_terms(ident_true, q, np.stack([np.atleast_2d(qd)] * 2), qdd)
+
+
+def test_torque_terms_single_state_is_vectors(ident_true):
+    q, qd, qdd = (x[0] for x in _random_states(np.random.default_rng(3), 1))
+    terms = torque_terms(ident_true, q, qd, qdd)
+    assert [t.shape for t in terms] == [(6,)] * 4
+    assert np.max(np.abs(sum(terms) - torque(ident_true, q, qd, qdd))) < 1e-9
+
+
+def test_one_configuration_pass_per_call(ident_true, monkeypatch):
+    # torque_terms' three blocks and inertia's n columns share one frame
+    # build; stacking copies of the configurations would show as more rows
+    calls = []
+    frames = dynamics.local_frames_batch
+
+    def counted(chain, Q):
+        calls.append(len(Q))
+        return frames(chain, Q)
+
+    monkeypatch.setattr(dynamics, "local_frames_batch", counted)
+    q, qd, qdd = _random_states(np.random.default_rng(4), 5)
+    torque_terms(ident_true, q, qd, qdd)
+    assert calls == [5]
+    inertia(ident_true, q[0])
+    assert calls == [5, 1]
 
 
 def test_inertia_matches_plant(ident_true, chain, plant):
