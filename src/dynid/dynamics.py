@@ -3,14 +3,18 @@
 Inverse dynamics is the recursive Newton-Euler algorithm written in
 origin-referenced inertial coordinates: mass m, first moment m*r, and the
 inertia tensor taken about the link-frame origin.  In these coordinates the
-joint torques are linear in the parameters.  A link's ten unit-parameter
-wrenches are linear in twelve numbers of its motion, so they are one
-product with a constant 0/+-1 basis.  The regressor and the evaluator
-both project them onto the joint screws, carried outward link by link in
-one shared pass.  Gravity enters as an acceleration of the base frame.
-The pass splits into a configuration part (frames and joint screws, from
-q alone) and a motion part (the forward recursion and the unit wrenches),
-so the evaluator runs several motion blocks over one configuration pass.
+joint torques are linear in the parameters.  A link's wrenches are linear
+in twelve numbers of its motion: its ten unit-parameter wrenches are one
+product of them with a constant 0/+-1 basis K.  Only the regressor builds
+those unit wrenches.  The evaluator folds its known parameter sets into
+the basis once per call, K Pi_i per link, so each link's wrench of every
+set is one product of the twelve numbers with that link's folded basis.
+Both project their wrenches onto the joint screws, carried outward link by
+link in one shared pass.  Gravity enters as an acceleration of the base
+frame.  The pass splits into a configuration part (frames, origin offsets
+and joint screws, from q alone) and a motion part (the forward recursion
+and the twelve numbers), so the evaluator runs several motion blocks over
+one configuration pass.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -331,36 +335,43 @@ def friction_sigmoid(fs: FrictionSet, qd) -> np.ndarray:
     """Per-joint sigmoid friction; qd of shape (n,) or (M, n)."""
     f_o, f_v, f_c, delta, nu = fs.as_arrays()
     qd = np.asarray(qd, dtype=float)
+    if qd.shape[-1:] != (fs.n,):
+        raise ValueError(f"expected {fs.n} joint velocities, got shape "
+                         f"{qd.shape}")
     return f_o + f_v * qd + f_c * sigmoid(delta * (nu + qd))
 
 
-def _link_motion(R, p, Qd, Qdd, gravity):
+def _link_motion(R, r, Qd, Qdd, gravity):
     """Forward recursion of B motion blocks over M fixed configurations.
 
-    R (M, n, 3, 3) and p (M, n, 3) are the configurations' local frames,
-    Qd and Qdd (M, B, n) the blocks of each, and gravity broadcasts to
-    (M, B, 3).  Yields, for links i = 0..n-1, angular velocity / angular
-    acceleration / origin acceleration in link coordinates, each (M, B, 3).
-    Each configuration's rotation meets all of its blocks in one product.
+    R (M, n, 3, 3) are the configurations' local frames and r (M, n, 3)
+    each origin's offset from its parent in its own coordinates (R_i^T
+    p_i), Qd and Qdd (M, B, n) the blocks of each, and gravity broadcasts
+    to (M, B, 3).  Yields, for links i = 0..n-1, angular velocity /
+    angular acceleration / origin acceleration in link coordinates, each
+    (M, B, 3).  Each configuration's rotation meets all of its blocks in
+    one product.
     """
     M, nb, n = Qd.shape
     om = omd = np.zeros((M, nb, 3))
     acc = np.broadcast_to(-gravity, (M, nb, 3))
     # rows of V, in the parent frame: angular velocity and acceleration
-    # before rotation, origin offset, origin acceleration; V @ R[:, i]
-    # expresses all four in frame i
-    V = np.empty((M, nb, 4, 3))
+    # before rotation, origin acceleration; V @ R[:, i] expresses all three
+    # in frame i
+    V = np.empty((M, nb, 3, 3))
     for i in range(n):
+        qd = Qd[..., i]
         V[..., 0, :] = om
-        V[..., 0, 2] += Qd[..., i]
+        V[..., 0, 2] += qd
         V[..., 1, :] = omd
         V[..., 1, 2] += Qdd[..., i]
-        V[..., 1, :] += Qd[..., i, None] * _cross(om, _EZ)
-        V[..., 2, :] = p[:, i, None]
-        V[..., 3, :] = acc
-        W = (V.reshape(M, 4 * nb, 3) @ R[:, i]).reshape(M, nb, 4, 3)
-        om, omd, r = W[..., 0, :], W[..., 1, :], W[..., 2, :]
-        acc = W[..., 3, :] + _cross(omd, r) + _cross(om, _cross(om, r))
+        # qd * (om x e_z) = qd * (om_y, -om_x, 0)
+        V[..., 1, 0] += qd * om[..., 1]
+        V[..., 1, 1] -= qd * om[..., 0]
+        V[..., 2, :] = acc
+        W = (V.reshape(M, 3 * nb, 3) @ R[:, i]).reshape(M, nb, 3, 3)
+        om, omd, ri = W[..., 0, :], W[..., 1, :], r[:, i, None]
+        acc = W[..., 2, :] + _cross(omd, ri) + _cross(om, _cross(om, ri))
         yield om, omd, acc
 
 
@@ -389,23 +400,44 @@ def _wrench_basis() -> np.ndarray:
 
 
 _WRENCH_BASIS = _wrench_basis()
+# K regrouped by parameter, (10, 12*6): row p is unit parameter p's wrench
+# as a function of F
+_WRENCH_BASIS_BY_PARAMETER = np.ascontiguousarray(
+    _WRENCH_BASIS.reshape(12, N_INERTIAL, 6).swapaxes(0, 1)).reshape(
+        N_INERTIAL, 12 * 6)
 _PAIR_A, _PAIR_B = np.array(_I_PAIRS).T
 
 
-def _unit_wrenches(om, omd, acc):
+def _motion_numbers(om, omd, acc):
+    """F (..., 12) = [acc, omd, om_a*om_b over _I_PAIRS]: the twelve numbers
+    of a link's motion that its unit wrenches are linear in."""
+    return np.concatenate((acc, omd, om[..., _PAIR_A] * om[..., _PAIR_B]),
+                          axis=-1)
+
+
+def _unit_wrenches(F):
     """Wrenches of a link's ten unit inertial parameters about its origin,
-    in its own frame, (M, B, 10, 6) for om, omd, acc (M, B, 3): force in
+    in its own frame, (..., 10, 6) for motion numbers F (..., 12): force in
     [..., :3], moment in [..., 3:].  One product F @ K (_wrench_basis) per
     configuration, so that a state's bits do not depend on the batch
     around it."""
-    F = np.concatenate((acc, omd, om[..., _PAIR_A] * om[..., _PAIR_B]),
-                       axis=-1)
     return (F @ _WRENCH_BASIS).reshape(F.shape[:-1] + (N_INERTIAL, 6))
+
+
+def _folded_basis(Pi, n):
+    """KP (n, 12, S*6): the wrench basis folded with each link's S parameter
+    sets, KP[i] = K Pi_i, so that F @ KP[i] is link i's wrench of every set,
+    [s*6:s*6+6] for set s.  One broadcast product for all links."""
+    ns = Pi.shape[1]
+    Pt = Pi.reshape(n, N_INERTIAL, ns).swapaxes(1, 2)  # (n, S, 10)
+    KP = Pt @ _WRENCH_BASIS_BY_PARAMETER  # (n, S, 12*6)
+    return KP.reshape(n, ns, 12, 6).swapaxes(1, 2).reshape(n, 12, ns * 6)
 
 
 def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
     """Q as (M, n) configurations, Qd and Qdd as (..., M, n) motion blocks
-    over them; one state may come as (n,) vectors."""
+    over them; one state may come as (n,) vectors.  A non-finite entry
+    raises, naming its array, row and column."""
     Q, Qd, Qdd = (np.atleast_2d(np.asarray(x, dtype=float))
                   for x in (Q, Qd, Qdd))
     if Q.ndim != 2 or Qd.shape[-2:] != Q.shape or Qdd.shape[-2:] != Q.shape:
@@ -413,35 +445,43 @@ def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
                          f"{Q.shape}, {Qd.shape}, {Qdd.shape}")
     if Q.shape[1] != chain.n:
         raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
+    for name, x in (("q", Q), ("qd", Qd), ("qdd", Qdd)):
+        if not np.isfinite(x).all():
+            *block, row, col = np.argwhere(~np.isfinite(x))[0]
+            at = f"block {tuple(map(int, block))}, " if block else ""
+            raise ValueError(f"{name} is not finite at {at}row {row}, "
+                             f"column {col}")
     return Q, Qd, Qdd
 
 
 def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
-    """Yield (i, S_i, B_i) for links i = 0..n-1: the pass both kernels share.
+    """Yield (i, S_i, F_i) for links i = 0..n-1: the pass both kernels share.
 
     Joint k's torque from a wrench (f, m) about origin i is a.m + (a x d).f
     (Khalil & Dombre, Modeling, Identification and Control of Robots, 2002),
     where a is joint k's axis and d is origin i relative to origin k-1.
     S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
-    and B_i (M, B, 10, 6) link i's unit wrenches in each of B motion
-    blocks, so S_i @ B_i^T is link i's share of joints 0..i.  The next
-    step overwrites S_i.
+    and F_i (M, B, 12) link i's motion numbers (_motion_numbers) in each of
+    B motion blocks.  A wrench w_i (M, B, 6) that is linear in F_i, unit
+    wrenches or a parameter set's, gives link i's share of joints 0..i as
+    S_i @ w_i^T.  The next step overwrites S_i.
 
-    The configuration part, the frames and the joint screws, depends on
-    Q (M, n) alone and is built once.  The motion part, the forward
-    recursion and the unit wrenches, runs on every block of Qd, Qdd (M, B,
-    n) and gravity (see _link_motion).
+    The configuration part, the frames, the origin offsets in link
+    coordinates and the joint screws, depends on Q (M, n) alone and is
+    built once.  The motion part, the forward recursion and F, runs on
+    every block of Qd, Qdd (M, B, n) and gravity (see _link_motion).
     """
     M, n = Q.shape
     R, p = local_frames_batch(chain, Q)
+    r = (p[..., None, :] @ R)[..., 0, :]  # R_i^T p_i, (M, n, 3)
     S = np.zeros((M, n, 6))
     S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
-    for i, motion in enumerate(_link_motion(R, p, Qd, Qdd, gravity)):
+    for i, motion in enumerate(_link_motion(R, r, Qd, Qdd, gravity)):
         S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
         Si = S[:, :i + 1]
         Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
         S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
-        yield i, Si, _unit_wrenches(*motion)
+        yield i, Si, _motion_numbers(*motion)
 
 
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
@@ -454,10 +494,13 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     axes, (..., M, n), and gravity is None (the chain's), a 3-vector, one
     per state (M, 3) or one per block and state (..., M, 3); the block
     axes broadcast.  Frames and joint screws are built once for all blocks,
-    and each configuration meets its blocks in one product.  Each link's
-    unit wrenches are summed per set, then projected onto the joint screws;
-    the products are stacked per configuration, so a state's torques do not
-    depend on the batch around it.
+    and each configuration meets its blocks in one product.  The sets are
+    folded into the wrench basis once per call (_folded_basis), so each
+    link's wrench of every set is one product of its twelve motion numbers
+    with that link's folded basis; no unit wrench is built.  The wrenches
+    are projected onto the joint screws, and the products are stacked per
+    configuration, so a state's torques do not depend on the batch around
+    it.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
@@ -471,10 +514,11 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                   .reshape(-1, M, x.shape[-1]).swapaxes(0, 1)
                   for x in (Qd, Qdd, g))
     nb, ns = Qd.shape[1], Pi.shape[1]
+    KP = _folded_basis(Pi, n)
     tau = np.zeros((M, n, nb * ns))
-    for i, Si, B in _link_screws(chain, Q, Qd, Qdd, g):
-        w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ B
-        tau[:, :i + 1] += Si @ w.reshape(M, nb * ns, 6).swapaxes(1, 2)
+    for i, Si, F in _link_screws(chain, Q, Qd, Qdd, g):
+        w = (F @ KP[i]).reshape(M, nb * ns, 6)
+        tau[:, :i + 1] += Si @ w.swapaxes(1, 2)
     return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
         lead + (M, n, ns))
 
@@ -494,10 +538,10 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
         raise ValueError("regressor_stack takes Q, Qd, Qdd of one shape")
     M, n = Q.shape
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-    for i, Si, B in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
+    for i, Si, F in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
                                  chain.gravity_vector):
         col = N_INERTIAL * i
-        np.matmul(Si, B[:, 0].swapaxes(1, 2),
+        np.matmul(Si, _unit_wrenches(F)[:, 0].swapaxes(1, 2),
                   out=Y[:, :i + 1, col:col + N_INERTIAL])
 
     base = N_INERTIAL * n

@@ -10,12 +10,15 @@ basis, not from the package's constant wrench basis, so they are also the
 reference for dynamics._unit_wrenches.  regressor_stack_unsplit keeps the
 package's own arithmetic from before its pass split into a configuration
 part and a motion part, as the bitwise reference for regressor_stack.
+newton_euler_unfolded is the evaluator from before the parameter sets were
+folded into the wrench basis: it builds every link's unit wrenches, then
+sums them per set, the reference for dynamics.newton_euler.
 """
 import numpy as np
 
 from dynid.dynamics import (_PAIR_A, _PAIR_B, _WRENCH_BASIS, N_FRICTION,
                             N_INERTIAL, _I_PAIRS, _batch_states, _cross,
-                            _link_motion)
+                            _link_motion, _link_screws, _unit_wrenches)
 from dynid.kinematics import KinematicChain, local_frames_batch
 
 
@@ -62,8 +65,8 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     M, n = Q.shape
 
     R, p = local_frames_batch(chain, Q)
-    motion = _link_motion(R, p, Qd[:, None], Qdd[:, None],
-                          chain.gravity_vector)
+    motion = _link_motion(R, (p[..., None, :] @ R)[..., 0, :], Qd[:, None],
+                          Qdd[:, None], chain.gravity_vector)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
     for i, (om, omd, acc) in enumerate(motion):
@@ -136,3 +139,24 @@ def regressor_stack_unsplit(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
         Y[:, j, base + 3 * j + 1] = Qd[:, j]
         Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
     return Y
+
+
+def newton_euler_unfolded(chain: KinematicChain, Q, Qd, Qdd, Pi,
+                          gravity=None) -> np.ndarray:
+    """Torques (..., M, n, S) in the layout of dynamics.newton_euler, from
+    each link's unit wrenches (M, B, 10, 6) summed per set, Pi_i^T @ B."""
+    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    Pi = np.asarray(Pi, dtype=float)
+    M, n = Q.shape
+    g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
+    lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
+    Qd, Qdd, g = (np.broadcast_to(x, lead + (M, x.shape[-1]))
+                  .reshape(-1, M, x.shape[-1]).swapaxes(0, 1)
+                  for x in (Qd, Qdd, g))
+    nb, ns = Qd.shape[1], Pi.shape[1]
+    tau = np.zeros((M, n, nb * ns))
+    for i, Si, F in _link_screws(chain, Q, Qd, Qdd, g):
+        w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ _unit_wrenches(F)
+        tau[:, :i + 1] += Si @ w.reshape(M, nb * ns, 6).swapaxes(1, 2)
+    return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
+        lead + (M, n, ns))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
-                            InertialParameters, JointState, _unit_wrenches,
-                            friction_linear, friction_sigmoid, newton_euler,
-                            regressor, regressor_stack, rnea, sigmoid)
+                            InertialParameters, JointState, _motion_numbers,
+                            _unit_wrenches, friction_linear, friction_sigmoid,
+                            newton_euler, regressor, regressor_stack, rnea,
+                            sigmoid)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from forward_kinematics import frame_chain
-from regressor_oracle import (regressor_stack_sweep, regressor_stack_unsplit,
-                              unit_wrenches)
+from regressor_oracle import (newton_euler_unfolded, regressor_stack_sweep,
+                              regressor_stack_unsplit, unit_wrenches)
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -560,6 +561,27 @@ def test_newton_euler_blocks_single_configuration_is_its_batch_row(
     assert one[:, 0].tobytes() == batch[:, row].tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
+    # the sets folded into the wrench basis agree with unit wrenches summed
+    # per set to relative 1e-12, for S in 1..n+2 and one or more blocks
+    rng = np.random.default_rng(seed)
+    nb = data.draw(st.integers(1, 4))
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(
+        st.integers(1, chain.n + 2)), rng)
+    Qd, Qdd, _, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    if nb == 1 and data.draw(st.booleans()):
+        Qd, Qdd = Qd[0], Qdd[0]  # no block axis
+    tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    ref = newton_euler_unfolded(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    assert tau.shape == ref.shape
+    assert tau.shape[-3:] == (m, chain.n, Pi.shape[1])
+    assert np.max(np.abs(tau - ref) / (1.0 + np.abs(ref))) < 1e-12
+
+
 def test_wrench_basis_is_signed_selection():
     assert _WRENCH_BASIS.shape == (12, 60)
     assert set(np.unique(_WRENCH_BASIS)) <= {-1.0, 0.0, 1.0}
@@ -573,7 +595,7 @@ def test_unit_wrenches_match_oracle(seed, m):
     om = rng.uniform(-3.0, 3.0, (m, 3))
     omd = rng.uniform(-10.0, 10.0, (m, 3))
     acc = rng.uniform(-20.0, 20.0, (m, 3))
-    B = _unit_wrenches(om, omd, acc)
+    B = _unit_wrenches(_motion_numbers(om, omd, acc))
     ref = unit_wrenches(om, omd, acc)
     assert B.shape == ref.shape == (m, 10, 6)
     assert np.max(np.abs(B - ref) / (1.0 + np.abs(ref))) < 1e-12
@@ -633,6 +655,16 @@ def test_newton_euler_shape_guards():
     # motion blocks are newton_euler's alone; the regressor is per state
     with pytest.raises(ValueError, match="one shape"):
         regressor_stack(chain, z, np.zeros((3, 2, 6)), z)
+
+
+def test_newton_euler_names_non_finite_block():
+    chain = ur10_chain()
+    z = np.zeros((2, 6))
+    Qd = np.zeros((3, 2, 6))
+    Qd[2, 1, 4] = np.nan
+    with pytest.raises(ValueError, match=r"qd is not finite at block \(2,\), "
+                                         "row 1, column 4"):
+        newton_euler(chain, z, Qd, z, np.zeros((60, 1)))
 
 
 # ---------------------------------------------------------------------------

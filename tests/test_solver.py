@@ -96,6 +96,60 @@ def test_one_configuration_pass_per_call(ident_true, monkeypatch):
     assert calls == [5, 1]
 
 
+def test_evaluator_builds_no_unit_wrenches(ident_true, monkeypatch):
+    # newton_euler folds its sets into the wrench basis; only the regressor
+    # turns motion numbers into unit wrenches
+    calls = []
+    unit = dynamics._unit_wrenches
+
+    def counted(F):
+        calls.append(F.shape)
+        return unit(F)
+
+    monkeypatch.setattr(dynamics, "_unit_wrenches", counted)
+    q, qd, qdd = _random_states(np.random.default_rng(6), 5)
+    torque(ident_true, q, qd, qdd)
+    torque(ident_true, q[0], qd[0], qdd[0])
+    torque_terms(ident_true, q, qd, qdd)
+    inertia(ident_true, q[0])
+    assert calls == []
+    dynamics.regressor_stack(ident_true.chain, q, qd, qdd)
+    assert calls == [(5, 1, 12)] * 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k, name", [(0, "q"), (1, "qd"), (2, "qdd")])
+def test_non_finite_state_names_array_row_column(ident_true, bad, k, name):
+    # a non-finite entry raises instead of giving NaN rows
+    states = _random_states(np.random.default_rng(8), 3)
+    states[k][1, 4] = bad
+    chain, Pi = ident_true.chain, ident_true.torque_sets
+    for call in (lambda: torque(ident_true, *states),
+                 lambda: torque_terms(ident_true, *states),
+                 lambda: dynamics.newton_euler(chain, *states, Pi),
+                 lambda: dynamics.regressor_stack(chain, *states)):
+        with pytest.raises(ValueError,
+                           match=f"{name} is not finite at row 1, column 4"):
+            call()
+    one = [x[1] for x in states]
+    with pytest.raises(ValueError,
+                       match=f"{name} is not finite at row 0, column 4"):
+        torque(ident_true, *one)
+    if name == "q":
+        with pytest.raises(ValueError,
+                           match="q is not finite at row 0, column 4"):
+            inertia(ident_true, one[0])
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (3, 7)])
+def test_friction_names_joint_count(ident_true, plant, shape):
+    qd = np.zeros(shape)
+    with pytest.raises(ValueError, match="expected 6 joint velocities"):
+        friction(ident_true, qd)
+    with pytest.raises(ValueError, match="expected 6 joint velocities"):
+        friction_sigmoid(plant.friction, qd)
+
+
 def test_inertia_matches_plant(ident_true, chain, plant):
     rng = np.random.default_rng(7)
     q = rng.uniform(-np.pi, np.pi, 6)
