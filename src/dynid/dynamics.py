@@ -32,6 +32,8 @@ from .kinematics import KinematicChain, local_frames, local_frames_batch
 
 N_INERTIAL = 10   # per-link inertial parameters
 N_FRICTION = 3    # per-joint linear friction parameters
+# sigmoid steepness (s/rad) of FrictionSet.from_linear's saturated transition
+SATURATED_DELTA = 1e9
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -181,7 +183,8 @@ class FrictionSet:
         f_o = np.asarray(f_o, dtype=float)
         f_c = np.asarray(f_c, dtype=float)
         return cls(f_o=tuple(f_o - f_c), f_v=tuple(np.asarray(f_v, dtype=float)),
-                   f_c=tuple(2.0 * f_c), delta=tuple(np.full(f_o.size, 1e9)),
+                   f_c=tuple(2.0 * f_c),
+                   delta=tuple(np.full(f_o.size, SATURATED_DELTA)),
                    nu=tuple(np.zeros(f_o.size)))
 
 
@@ -328,6 +331,9 @@ def friction_linear(triples, qd) -> np.ndarray:
     """
     tri = np.asarray(triples, dtype=float)
     qd = np.asarray(qd, dtype=float)
+    if qd.shape[-1:] != tri.shape[:1]:
+        raise ValueError(f"expected {tri.shape[0]} joint velocities, got "
+                         f"shape {qd.shape}")
     return tri[..., 0] + tri[..., 1] * qd + tri[..., 2] * np.sign(qd)
 
 

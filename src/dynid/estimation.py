@@ -3,10 +3,11 @@
 Stage 1 estimates the current-level dynamic coefficients (one block per
 joint, since each joint divides the shared parameters by its own unknown
 drive gain).  Stage 2 refines friction with a five-parameter sigmoid fitted
-to low-velocity residual currents.  Stage 3 recovers the motor drive gains
-by comparing data collected with and without a partially known payload,
-falling back to a regrouped bounded solve where the per-joint systems lose
-rank.
+to low-velocity residual currents; the three parameters it is linear in are
+projected out, which leaves one search over the transition's steepness and
+offset per joint.  Stage 3 recovers the motor drive gains by comparing data
+collected with and without a partially known payload, falling back to a
+regrouped bounded solve where the per-joint systems lose rank.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, FrictionSet, friction_sigmoid,
-                       regressor_stack, sigmoid)
+from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
+                       friction_sigmoid, regressor_stack, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import (BaseParameterMap, minimal_columns,
+from .reduction import (RANK_TOL, BaseParameterMap, minimal_columns,
                         minimal_regressor_stack, split_columns)
 from .dataio import SampleSet
 
@@ -41,10 +42,6 @@ class ExcitationError(EstimationError):
 
 class IdentifiabilityError(EstimationError):
     """The requested parameters are structurally not identifiable."""
-
-
-class ConvergenceError(EstimationError):
-    """An iterative solve failed to converge from every starting point."""
 
 
 # ---------------------------------------------------------------------------
@@ -307,79 +304,96 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 # stage 2: sigmoid friction fit
 
 LM_MAX_ITER = 200
-LM_FTOL = 1e-14
-LM_GTOL = 1e-12
+STEP_TOL = 1e-10
+# start grid: steepness delta in s/rad, and nu as a share of the region's
+# largest |qd|.  A start steeper than the samples resolve leaves the search
+# blind to nu, so the grid stops at 1000 s/rad.
+GRID_DELTA = np.geomspace(3.0, 1000.0, 7)
+GRID_NU = np.linspace(-0.8, 0.8, 9)
+_LOG_DELTA_MAX = float(np.log(SATURATED_DELTA))
 
 
-def _friction_model(p: np.ndarray, qd: np.ndarray):
-    f_o, f_v, f_c, delta, nu = p
-    s = sigmoid(delta * (nu + qd))
-    return f_o + f_v * qd + f_c * s, s
+def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
+    """(delta, nu) of one joint's sigmoid by variable projection, and the
+    objective history of the search.
 
-
-def _lm_fit(qd: np.ndarray, y: np.ndarray, p0: np.ndarray):
-    """Damped Gauss-Newton descent on the sigmoid friction residual.
-
-    Only improving steps are accepted, so the objective history is
-    non-increasing by construction.  The Jacobian is held transposed in
-    one (5, m) buffer; its offset and viscous rows never change.
+    For a fixed transition the model is linear in (f_o, f_v, f_c), so the
+    objective is what is left of y outside span[1, qd, sigma]: Q spans
+    [1, qd] and sigma's part outside it, sp, the rest.  The grid is scored
+    in one batched projection, and its best point starts a damped
+    Gauss-Newton search on (log delta, nu) with Kaufman's projected
+    Jacobian.  Only improving steps are accepted, so the history is
+    non-increasing; a point past SATURATED_DELTA, or one where
+    split_columns would find sigma dependent on [1, qd], does not improve.
+    The search stops on an accepted step below STEP_TOL relative to log
+    delta, and to nu or, near nu = 0, the transition width 1/delta.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    f, s = _friction_model(p, qd)
-    r = f - y
-    obj = float(r @ r)
+    Q = np.linalg.qr(np.column_stack([np.ones_like(x), x]))[0]
+    y0 = y - Q @ (Q.T @ y)
+    # split_columns keeps sigma beside [1, qd] only above this part
+    floor2 = (RANK_TOL * max(np.sqrt(x.size), float(np.linalg.norm(x))))**2
+
+    deltas, nus = np.meshgrid(GRID_DELTA, GRID_NU * np.max(np.abs(x)),
+                              indexing="ij")
+    S = sigmoid(deltas.ravel() * (nus.ravel() + x[:, None]))
+    S -= Q @ (Q.T @ S)
+    nn = np.einsum("mg,mg->g", S, S)
+    drop = np.where(nn > floor2, (S.T @ y0)**2 / np.maximum(nn, floor2),
+                    -np.inf)
+    best = int(np.argmax(drop))
+    if drop[best] == -np.inf:
+        raise ExcitationError(
+            f"{label}: its low-velocity samples hold {np.unique(x).size} "
+            "distinct velocities; the sigmoid friction fit needs 3")
+
+    def point(theta):
+        if theta[0] > _LOG_DELTA_MAX:
+            return None
+        delta = np.exp(theta[0])
+        s = sigmoid(delta * (theta[1] + x))
+        sp = s - Q @ (Q.T @ s)
+        nn = float(sp @ sp)
+        if nn <= floor2:
+            return None
+        f_c = float(sp @ y0) / nn
+        r = y0 - f_c * sp
+        return float(r @ r), delta, s, sp, nn, f_c, r
+
+    theta = np.array([np.log(deltas.flat[best]), nus.flat[best]])
+    obj, delta, s, sp, nn, f_c, r = point(theta)
     history = [obj]
     lam = 1e-3
-    Jt = np.empty((5, qd.size))
-    Jt[0] = 1.0
-    Jt[1] = qd
     for _ in range(LM_MAX_ITER):
-        f_c, delta, nu = p[2], p[3], p[4]
-        # f_c times the sigmoid's derivative w.r.t. its argument
-        fc_ds = f_c * (s * (1.0 - s))
-        Jt[2] = s
-        np.multiply(fc_ds, nu + qd, out=Jt[3])
-        np.multiply(fc_ds, delta, out=Jt[4])
-        g = Jt @ r
-        if np.max(np.abs(g)) < LM_GTOL * (1.0 + obj):
-            break
-        H = Jt @ Jt.T
-        d = np.diag(H).copy()
-        d[d < 1e-12] = 1e-12
-        D = d * np.eye(5)
-        accepted = False
+        # d sigma / d(log delta, nu), projected off [1, qd, sigma]
+        ds = s * (1.0 - s) * delta
+        D = np.column_stack([ds * (theta[1] + x), ds])
+        D -= Q @ (Q.T @ D)
+        D -= np.outer(sp, (sp @ D) / nn)
+        J = -f_c * D
+        g = J.T @ r
+        H = J.T @ J
+        d = np.maximum(np.diag(H), 1e-12)
         for _boost in range(40):
-            try:
-                step = np.linalg.solve(H + lam * D, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = p + step
-            f_try, s_try = _friction_model(p_try, qd)
-            r_try = f_try - y
-            obj_try = float(r_try @ r_try)
-            if np.isfinite(obj_try) and obj_try < obj:
-                rel = (obj - obj_try) / max(obj, 1e-300)
-                p, f, s, r, obj = p_try, f_try, s_try, r_try, obj_try
-                history.append(obj)
-                lam = max(lam * 0.3, 1e-12)
-                accepted = True
+            step = np.linalg.solve(H + lam * np.diag(d), -g)
+            trial = point(theta + step)
+            if trial is not None and trial[0] < obj:
                 break
             lam *= 4.0
-        if not accepted:
+        else:
             break
-        if rel < LM_FTOL:
+        scale = np.abs(theta) + (1.0, 1.0 / delta)
+        theta = theta + step
+        obj, delta, s, sp, nn, f_c, r = trial
+        history.append(obj)
+        lam = max(lam * 0.3, 1e-12)
+        if np.all(np.abs(step) <= STEP_TOL * scale):
             break
-    return p, obj, history
-
-
-def _mirror(p: np.ndarray) -> np.ndarray:
-    # the sigmoid model is invariant under this reflection of parameters
-    return np.array([p[0] + p[2], p[1], -p[2], -p[3], p[4]])
+    return delta, float(theta[1]), history
 
 
 def _canonical(p: np.ndarray) -> np.ndarray:
-    q = _mirror(p)
+    # the sigmoid model is invariant under this reflection of parameters
+    q = np.array([p[0] + p[2], p[1], -p[2], -p[3], p[4]])
     return q if np.linalg.norm(q) < np.linalg.norm(p) else p
 
 
@@ -399,13 +413,16 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
     """Stage 2: per-joint sigmoid fit on low-velocity residual currents.
 
     Uses only samples with |qd_j| < threshold, where the sigmoid shape is
-    distinguishable.  Eight deterministic starts cover the sign and scale
-    ambiguity of (f_c, delta).  Starts whose objective is within a relative
-    1e-9 of the best tie, and the earliest of them wins: starts that reach
-    the same minimum differ only in rounding, which must not pick it.  The
-    model is invariant under a sign-reflection of (f_c, delta) with a
-    compensating offset, so the winner is reported in the smaller-norm
-    form of that pair.
+    distinguishable.  One variable-projection search per joint finds the
+    transition (delta > 0, nu) from a grid start (see _fit_transition), and
+    (f_o, f_v, f_c) are then one linear solve.  delta > 0 loses nothing:
+    the model is invariant under a sign-reflection of (f_c, delta) with a
+    compensating offset, and the fit is reported in the smaller-norm form
+    of that pair.  Against the eight-start Levenberg-Marquardt fit it
+    replaced (tests/estimation_oracle.py) it reaches the same minimum or a
+    lower one for steepness 30-400 s/rad, |nu| 0.005-0.03 rad/s and steps
+    well above the noise; a slow transition near the region's edge can
+    end in a higher local minimum.
     """
     qd = np.asarray(qd, dtype=float)
     vf = np.asarray(residual_currents, dtype=float)
@@ -423,38 +440,16 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
                 f"need at least {MIN_REGION_SAMPLES} for the friction fit")
         x = qd[region, j]
         y = vf[region, j]
-        # affine prefit anchors the offset and viscous slope
-        A = np.column_stack([np.ones_like(x), x])
-        ab = _lstsq(A, y)
-        resid0 = y - A @ ab
-        fc_mag = max(2.0 * float(np.std(resid0)), 1e-3)
-        starts = []
-        for fc0 in (fc_mag, -fc_mag):
-            for d0 in (15.0, 150.0, -15.0, -150.0):
-                starts.append(np.array([ab[0] - 0.5 * fc0, ab[1],
-                                        fc0, d0, 0.0]))
-        candidates = []
-        for p0 in starts:
-            p_hat, obj, history = _lm_fit(x, y, p0)
-            if np.isfinite(obj):
-                candidates.append((obj, _canonical(p_hat), history))
-        if not candidates:
-            raise ConvergenceError(
-                f"joint {j+1}: no friction fit start converged "
-                f"(starts: {[list(np.round(s, 3)) for s in starts]})")
-        best_obj = min(c[0] for c in candidates)
-        tol = 1e-9 * best_obj
-        obj, p_hat, history = next(c for c in candidates
-                                   if c[0] <= best_obj + tol)
-        params[j] = p_hat
-        objs.append(float(obj))
+        delta, nu, history = _fit_transition(x, y, f"joint {j+1}")
+        A = np.column_stack([np.ones_like(x), x, sigmoid(delta * (nu + x))])
+        coef = _lstsq(A, y)
+        r = y - A @ coef
+        params[j] = _canonical(np.array([*coef, delta, nu]))
+        objs.append(float(r @ r))
         iters.append(len(history) - 1)
         counts.append(count)
         hists.append(tuple(history))
-    fs = FrictionSet(f_o=tuple(params[:, 0]), f_v=tuple(params[:, 1]),
-                     f_c=tuple(params[:, 2]), delta=tuple(params[:, 3]),
-                     nu=tuple(params[:, 4]))
-    return FrictionFit(friction=fs, objectives=tuple(objs),
+    return FrictionFit(friction=FrictionSet(*params.T), objectives=tuple(objs),
                        iterations=tuple(iters), region_counts=tuple(counts),
                        histories=tuple(hists))
 

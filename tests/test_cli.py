@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
+import estimation_oracle
 from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
 from dynid.dataio import (differentiate, lowpass, merge_sample_sets,
                           read_samples, ur10_default_model, write_payload,
                           write_robot_model, write_samples)
-from dynid.estimation import identify_coefficients
+from dynid.estimation import friction_residual_currents, identify_coefficients
 from dynid.payload import PayloadSpec
 from dynid.solver import load_identified_model, torque
 
@@ -169,6 +170,16 @@ def test_solve_tau_is_solver_torque(pipeline):
     s = read_samples(pipeline["run_a"], qd_threshold=model.qd_threshold)
     tau = torque(model, s.q, s.qd, s.qdd)
     assert np.max(np.abs(data[:, 1:7] - tau)) < 1e-9
+
+
+def test_friction_fit_reaches_oracle_minimum(pipeline):
+    # identify friction's input: the linear model's residual on its runs
+    model = load_identified_model(pipeline["model_lin"])
+    s = cli._read_runs([pipeline["run_a"], pipeline["run_a2"]], "--samples",
+                       model.n, model.qd_threshold)
+    resid = friction_residual_currents(model.map, model.chain, model.chi, s)
+    estimation_oracle.assert_reaches_minimum(s.qd, resid, model.qd_threshold,
+                                             param_rtol=1e-6)
 
 
 def test_traj_gen_deterministic(pipeline):

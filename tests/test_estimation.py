@@ -4,18 +4,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import estimation_oracle
 import irls_oracle
 from dynid import dynamics, estimation
 from dynid.dataio import SampleSet, simulate
 from dynid.dynamics import FrictionSet, friction_linear, friction_sigmoid
-from dynid.estimation import (ConvergenceError, CurrentCoefficients,
-                              EstimationError, ExcitationError,
-                              IdentifiabilityError, KnownPayload,
-                              WeightMatrix, estimate_gains, fit_friction,
-                              friction_residual_currents,
+from dynid.estimation import (CurrentCoefficients, EstimationError,
+                              ExcitationError, IdentifiabilityError,
+                              KnownPayload, WeightMatrix, estimate_gains,
+                              fit_friction, friction_residual_currents,
                               identify_coefficients, predict_currents,
                               robust_weights, wlse)
 from dynid.kinematics import DhRow, KinematicChain
@@ -374,7 +373,7 @@ def test_friction_residual_decomposition(bmap, chain, stage1, data_a):
     fric = np.empty_like(inertial)
     for j in range(6):
         tri = C[j, bmap.friction_columns(j)]
-        fric[:, j] = friction_linear(tri, data_a.qd[:, j])
+        fric[:, j] = friction_linear([tri], data_a.qd[:, j:j + 1])[:, 0]
     full = predict_currents(bmap, chain, stage1, data_a.q, data_a.qd,
                             data_a.qdd)
     assert np.max(np.abs(inertial + fric - full)) < 1e-9
@@ -568,50 +567,32 @@ def test_fit_friction_objective_non_increasing_and_beats_truth():
     assert fit.region_counts[0] == int(region.sum())
 
 
-def _fit_with(lm, qd, resid, threshold, monkeypatch):
-    """fit_friction with lm as its Levenberg-Marquardt loop, and the index
-    of each joint's winning start among its eight."""
-    runs = []
-
-    def recording(x, y, p0):
-        out = lm(x, y, p0)
-        runs.append(tuple(out[2]))
-        return out
-
-    monkeypatch.setattr(estimation, "_lm_fit", recording)
-    fit = fit_friction(qd, resid, threshold=threshold)
-    starts = len(runs) // qd.shape[1]
-    return fit, [runs[j * starts:(j + 1) * starts].index(fit.histories[j])
-                 for j in range(qd.shape[1])]
+def test_fit_friction_reaches_oracle_minimum_on_c04_data():
+    rng = np.random.default_rng(3)
+    qd = rng.uniform(-0.4, 0.4, (3000, 6))
+    y = friction_sigmoid(_friction_from_rows(REFERENCE_FRICTION), qd)
+    estimation_oracle.assert_reaches_minimum(qd, y, 0.17)
 
 
-def _assert_fits_match_oracle(qd, resid, threshold, monkeypatch):
-    fit, won = _fit_with(estimation._lm_fit, qd, resid, threshold,
-                         monkeypatch)
-    ref, ref_won = _fit_with(estimation_oracle.lm_fit, qd, resid, threshold,
-                             monkeypatch)
-    assert won == ref_won
-    got, want = np.array(fit.objectives), np.array(ref.objectives)
-    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
-    got, want = (np.array(dataclasses.astuple(f.friction)) for f in (fit, ref))
-    assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want))
-
-
-def test_lm_fit_matches_oracle_on_stage2_data(bmap, chain, stage1, data_a,
-                                              monkeypatch):
-    resid = friction_residual_currents(bmap, chain, stage1, data_a)
-    _assert_fits_match_oracle(data_a.qd, resid, data_a.qd_threshold,
-                              monkeypatch)
+def test_fit_friction_reaches_oracle_minimum_on_stage2_data(
+        bmap, chain, stage1, data_a, noisy_runs):
+    # c05's inputs, noiseless and noisy; the parameters agree as well
+    noisy = noisy_runs[0]
+    for data, chi in ((data_a, stage1),
+                      (noisy, identify_coefficients(bmap, chain, noisy))):
+        resid = friction_residual_currents(bmap, chain, chi, data)
+        estimation_oracle.assert_reaches_minimum(
+            data.qd, resid, data.qd_threshold, param_rtol=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
        noise=st.floats(1e-3, 0.02))
-def test_lm_fit_matches_oracle_on_drawn_sigmoids(seed, n, noise):
-    # the LM stops at LM_FTOL, which pins the parameters to 1e-7 only where
-    # the data determine them: a transition inside the region and a step
-    # well above the noise (a weak, slow step moved f_c by 8e-6); every
-    # parameter is kept off zero, where a relative bound means nothing
+@example(seed=2, n=2, noise=0.015625)  # a start steeper than 1000 s/rad
+def test_fit_friction_reaches_oracle_minimum_on_drawn_sigmoids(seed, n,
+                                                                noise):
+    # a transition inside the region and a step well above the noise; a
+    # slow transition near the region's edge can end in a higher minimum
     rng = np.random.default_rng(seed)
 
     def signed(lo, hi):
@@ -623,8 +604,44 @@ def test_lm_fit_matches_oracle_on_drawn_sigmoids(seed, n, noise):
     qd = rng.uniform(-0.4, 0.4, (800, n))
     y = friction_sigmoid(_friction_from_rows(rows), qd) \
         + noise * rng.standard_normal(qd.shape)
-    with pytest.MonkeyPatch.context() as mp:
-        _assert_fits_match_oracle(qd, y, 0.17, mp)
+    estimation_oracle.assert_reaches_minimum(qd, y, 0.17)
+
+
+@pytest.mark.parametrize("row, noise", [
+    # no sample resolves a 1e6 s/rad step, so the search climbs in delta:
+    # past steps where sigma rounds to a constant on the region, and past
+    # steps that would overflow exp(log delta)
+    ((0.3, 0.5, 0.8, 1e6, 0.01), 1e-6),
+    ((0.3, 0.5, 0.8, 1e6, 0.05), 1e-6),
+    # transitions outside the region |qd| < 0.17
+    ((0.3, 0.5, 0.8, 60.0, 0.3), 0.0),
+    ((0.3, 0.5, 0.8, 8.0, 0.3), 0.0),
+    ((0.3, 0.5, -0.8, -60.0, -0.5), 0.0),
+])
+def test_fit_friction_unresolved_transition_gives_finite_fit(row, noise):
+    rng = np.random.default_rng(8)
+    qd = rng.uniform(-0.4, 0.4, (1500, 1))
+    y = friction_sigmoid(_friction_from_rows([row]), qd) \
+        + noise * rng.standard_normal(qd.shape)
+    fit = fit_friction(qd, y, threshold=0.17)
+    assert np.all(np.isfinite(fit.friction.as_arrays()))
+    assert np.isfinite(fit.objectives[0])
+    h = fit.histories[0]
+    assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
+
+
+@pytest.mark.parametrize("moving", [(), (0.05,)])
+def test_fit_friction_names_joint_without_distinct_velocities(moving):
+    # joint 2's low-velocity samples: 60 at rest, plus at most one more
+    # velocity, on which any sigmoid is affine
+    rng = np.random.default_rng(10)
+    qd = rng.uniform(-0.3, 0.3, (300, 2))
+    qd[:, 1] = np.resize(np.r_[0.0, 0.5, moving], 300)
+    qd[:60, 1] = 0.0
+    distinct = 1 + len(moving)
+    with pytest.raises(ExcitationError, match=f"joint 2: its low-velocity "
+                       f"samples hold {distinct} distinct velocities"):
+        fit_friction(qd, np.zeros_like(qd), threshold=0.17)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from dynid import dynamics
 from dynid.cli import main
 from dynid.dataio import SchemaError, _new_parser, write_samples
-from dynid.dynamics import JointState, friction_sigmoid, rnea
+from dynid.dynamics import (JointState, friction_linear, friction_sigmoid,
+                            rnea)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
@@ -148,6 +149,8 @@ def test_friction_names_joint_count(ident_true, plant, shape):
         friction(ident_true, qd)
     with pytest.raises(ValueError, match="expected 6 joint velocities"):
         friction_sigmoid(plant.friction, qd)
+    with pytest.raises(ValueError, match="expected 6 joint velocities"):
+        friction_linear(np.zeros((6, 3)), qd)
 
 
 def test_inertia_matches_plant(ident_true, chain, plant):
