@@ -23,7 +23,8 @@ from .dynamics import (
 )
 from .kinematics import DhRow, KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .trajectory import FourierTrajectory, RATE_DEFAULT, sample as sample_trajectory
+from .trajectory import (FourierTrajectory, RATE_DEFAULT, check_seed,
+                         sample as sample_trajectory)
 
 QD_THRESHOLD_DEFAULT = 0.17  # rad/s; boundary of the low-velocity friction region
 TIME_TOL = 1e-9
@@ -515,8 +516,11 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
         traj: excitation trajectory; alternatively pass states=(t, q, qd).
         noise_v / noise_qd: noise standard deviations [A] and [rad/s],
             finite and nonnegative.
+        seed: non-negative integer seeding the noise; the generator is
+            made only when a standard deviation is positive.
         payload: optional payload attached to the flange (scenario 'b').
     """
+    check_seed(seed)
     for name, std in (("noise_v", noise_v), ("noise_qd", noise_qd)):
         if not (np.isfinite(std) and std >= 0):
             raise ValueError(f"{name} must be a finite nonnegative standard "
@@ -540,11 +544,12 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
         + friction_sigmoid(model.friction, qd)
     v = tau / np.asarray(model.gains)
 
-    rng = np.random.default_rng(seed)
-    if noise_qd > 0:
-        qd = qd + rng.normal(0.0, noise_qd, qd.shape)
-    if noise_v > 0:
-        v = v + rng.normal(0.0, noise_v, v.shape)
+    if noise_qd > 0 or noise_v > 0:
+        rng = np.random.default_rng(seed)
+        if noise_qd > 0:
+            qd = qd + rng.normal(0.0, noise_qd, qd.shape)
+        if noise_v > 0:
+            v = v + rng.normal(0.0, noise_v, v.shape)
 
     return SampleSet(t=t, q=q, qd=qd, qdd=differentiate(qd, period), v=v,
                      scenario="b" if payload is not None else "a",

@@ -8,6 +8,11 @@ projected out, which leaves one search over the transition's steepness and
 offset per joint.  Stage 3 recovers the motor drive gains by comparing data
 collected with and without a partially known payload, falling back to a
 regrouped bounded solve where the per-joint systems lose rank.
+
+The regressor is read in blocks of states (reduction.regressor_blocks),
+and from each block only the rows and columns a fit uses are kept.  The
+one (M, n, c) array an identification holds is the minimal regressor
+stage 1 fitted on, which its result keeps for stages 2 and 3.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
-                       friction_sigmoid, regressor_stack, sigmoid)
+                       friction_sigmoid, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import (RANK_TOL, BaseParameterMap, minimal_columns,
-                        minimal_regressor_stack, split_columns)
+                        minimal_regressor_stack, regressor_blocks,
+                        split_columns)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -176,9 +182,11 @@ class CurrentCoefficients:
     repr and ==.  friction_residual_currents and estimate_gains read it
     when given those very objects, so one identification builds that
     regressor once.  It lives as long as this object: (M, n, c) floats,
-    about 19 MB at 7500 UR10 states.  dataclasses.replace gives a copy
-    without it; coefficients built any other way, such as a chi loaded
-    from a model file, hold none, and those two functions build their own.
+    about 19 MB at 7500 UR10 states, the largest array an identification
+    holds.  dataclasses.replace gives a copy without it; coefficients
+    built any other way, such as a chi loaded from a model file, hold
+    none, and those two functions then stream the samples' regressor in
+    blocks (reduction.regressor_blocks) and hold no (M, n, c) array.
     """
 
     n: int
@@ -229,7 +237,7 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
             raise ExcitationError(
                 f"joint {j+1}: only {count} linearity-region samples for "
                 f"{cols.size} coefficients; lengthen or enrich the trajectory")
-        A = U[rows, j][:, cols]
+        A = U[:, j][np.ix_(rows, cols)]
         b = samples.v[rows, j]
         cond = float(np.linalg.cond(A))
         if cond > CONDITION_LIMIT:
@@ -253,16 +261,34 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     return coeffs
 
 
-def _minimal_regressor(map_: BaseParameterMap, chain: KinematicChain, chi,
-                       samples: SampleSet) -> np.ndarray:
+def _kept_regressor(map_: BaseParameterMap, chain: KinematicChain, chi,
+                    samples: SampleSet) -> np.ndarray | None:
     """The minimal regressor chi was fitted on when that was these very
-    samples, map and chain; otherwise a new build of samples' own."""
+    samples, map and chain; otherwise None."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
         return fitted_on[3]
-    return minimal_regressor_stack(map_, chain, samples.q, samples.qd,
-                                   samples.qdd)
+    return None
+
+
+def _joint_rows(map_: BaseParameterMap, chain: KinematicChain,
+                samples: SampleSet, cols) -> list[np.ndarray]:
+    """Per joint j, the linearity-region rows of joint j's full regressor
+    on columns cols[j], gathered block by block."""
+    mask = samples.mask
+    out = [np.empty((int(mask[:, j].sum()), len(c)))
+           for j, c in enumerate(cols)]
+    at = [0] * len(cols)
+
+    def gather(rows, Y):
+        for j, c in enumerate(cols):
+            part = Y[:, j][np.ix_(mask[rows, j], c)]
+            out[j][at[j]:at[j] + len(part)] = part
+            at[j] += len(part)
+
+    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd, gather)
+    return out
 
 
 def _chi_matrix(chi, n: int) -> np.ndarray:
@@ -276,9 +302,12 @@ def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
     """Currents from the stage-1 model, linear friction included: joint
     j's minimal-regressor row times its block of chi, the model stage 1
-    fitted.  (M, n), or (n,) for a single state."""
-    U = minimal_regressor_stack(map_, chain, q, qd, qdd)
-    v = np.einsum("mjc,jc->mj", U, _chi_matrix(chi, map_.n))
+    fitted.  (M, n), or (n,) for a single state.  The minimal regressor is
+    streamed in blocks and never held whole."""
+    C = _chi_matrix(chi, map_.n)
+    v = np.concatenate(regressor_blocks(
+        map_, chain, q, qd, qdd,
+        lambda _, Y: np.einsum("mjc,jc->mj", minimal_columns(map_, Y), C)))
     return v[0] if np.ndim(q) == 1 else v
 
 
@@ -291,13 +320,20 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
     Joint j's non-friction part is its minimal-regressor row's inertial
     columns times chi_j's.  That regressor is the one stage 1 kept when
     chi is identify_coefficients' result on these samples, map and chain
-    (see CurrentCoefficients); any other chi, such as one loaded from a
-    model file, builds it here.
+    (see CurrentCoefficients); for any other chi, such as one loaded from
+    a model file, it is streamed here in blocks.
     """
-    C = _chi_matrix(chi, map_.n)
     c_in = map_.c_inertial
-    U = _minimal_regressor(map_, chain, chi, samples)
-    return samples.v - np.einsum("mjc,jc->mj", U[:, :, :c_in], C[:, :c_in])
+    C = _chi_matrix(chi, map_.n)[:, :c_in]
+
+    def model(U):
+        return np.einsum("mjc,jc->mj", U[:, :, :c_in], C)
+
+    U = _kept_regressor(map_, chain, chi, samples)
+    parts = [model(U)] if U is not None else regressor_blocks(
+        map_, chain, samples.q, samples.qd, samples.qdd,
+        lambda _, Y: model(minimal_columns(map_, Y)))
+    return samples.v - np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +607,11 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     Each joint's arm columns are re-fitted together with its gain on both
     runs, so chi's values are not read.  chi supplies samples_a's minimal
     regressor when it is identify_coefficients' result on these very
-    samples, map and chain (see CurrentCoefficients); any other chi, such
-    as one loaded from a model file, builds it here.
+    samples, map and chain (see CurrentCoefficients).  Otherwise, and for
+    samples_b always, the regressor is streamed in blocks, and each
+    joint's linearity-region rows are gathered from them on the columns
+    its system uses: the active base columns, and for samples_b the
+    payload (last link) columns.
     """
     n = map_.n
     kmask = known_payload.coord_mask
@@ -584,27 +623,33 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     pi_k = pi_L[kmask]
     n_unknown = int((~kmask).sum())
 
-    U_a = _minimal_regressor(map_, chain, chi, samples_a)
-    Y_b = regressor_stack(chain, samples_b.q, samples_b.qd, samples_b.qdd)
-    U_b = minimal_columns(map_, Y_b)
-    P_b = Y_b[:, :, N_INERTIAL * (n - 1):N_INERTIAL * n]
+    c_in = map_.c_inertial
+    acols = [np.flatnonzero(map_.joint_masks[j][:c_in]) for j in range(n)]
+    U_a = _kept_regressor(map_, chain, chi, samples_a)
+    if U_a is None:
+        rows_a = _joint_rows(map_, chain, samples_a,
+                             [map_.inertial_columns[a] for a in acols])
+    else:
+        rows_a = (U_a[:, j][np.ix_(samples_a.mask[:, j], a)]
+                  for j, a in enumerate(acols))
+    payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
+    rows_b = _joint_rows(map_, chain, samples_b,
+                         [np.r_[map_.inertial_columns[a], payload_cols]
+                          for a in acols])
     vf_a = friction_sigmoid(psi, samples_a.qd)
     vf_b = friction_sigmoid(psi, samples_b.qd)
 
-    c_in = map_.c_inertial
     K = np.zeros(n)
     zeta, masks, jbounds = [], [], []
     full_rank, bounded_flags, iters, converged = [], [], [], []
-    for j in range(n):
+    for j, Aa, Bb in zip(range(n), rows_a, rows_b):
         label = f"joint {j+1}"
-        acols = np.flatnonzero(map_.joint_masks[j][:c_in])
+        na = acols[j].size
         ra = samples_a.mask[:, j]
         rb = samples_b.mask[:, j]
-        Aa = U_a[ra, j][:, acols]
-        Ab = U_b[rb, j][:, acols]
+        Ab, Pj = Bb[:, :na], Bb[:, na:]
         ya = samples_a.v[ra, j] - vf_a[ra, j]
         yb = samples_b.v[rb, j] - vf_b[rb, j]
-        Pj = P_b[rb, j]
         Pu = Pj[:, ~kmask]
         kcol = Pj[:, kmask] @ pi_k
         scale = max(float(np.max(np.abs(kcol))), 1.0)
@@ -613,16 +658,16 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                 f"{label}: the payload does not excite any unknown "
                 "parameter; attach it eccentrically or mark more "
                 "parameters known")
-        p = acols.size + n_unknown + 1
+        p = na + n_unknown + 1
         ma, mb = Aa.shape[0], Ab.shape[0]
         if ma + mb < p + 10:
             raise ExcitationError(
                 f"{label}: {ma + mb} linearity-region samples for {p} "
                 "unknowns; collect longer runs")
         S = np.zeros((ma + mb, p))
-        S[:ma, :acols.size] = Aa
-        S[ma:, :acols.size] = Ab
-        S[ma:, acols.size:acols.size + n_unknown] = Pu
+        S[:ma, :na] = Aa
+        S[ma:, :na] = Ab
+        S[ma:, na:na + n_unknown] = Pu
         S[ma:, -1] = kcol
         y = np.concatenate([ya, yb])
 

@@ -11,6 +11,7 @@ acceleration limits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,12 @@ def sample(traj: FourierTrajectory, rate: float = RATE_DEFAULT,
     return t, q, qd, qdd
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError, naming the value, unless seed is an integer >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def random_trajectory(n: int, seed: int) -> FourierTrajectory:
     """Seeded random trajectory around the zero pose, within joint limits.
 
@@ -126,6 +133,7 @@ def random_trajectory(n: int, seed: int) -> FourierTrajectory:
     LIMIT_MARGIN times the limit: ur10_limits for six joints, uniform
     limits otherwise.
     """
+    check_seed(seed)
     limits = ur10_limits() if n == 6 else JointLimits(
         excursion=(1.5,) * n, velocity=(2.5,) * n, acceleration=(8.0,) * n)
     harmonics, period = HARMONICS_DEFAULT, PERIOD_DEFAULT

@@ -212,6 +212,23 @@ def test_traj_gen_rejects_bad_sampling(pipeline, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["traj", "simulate"])
+def test_negative_seed_is_named(pipeline, capsys, command):
+    # a negative seed is named with its value, not numpy's message
+    out = pipeline["dir"] / "negative_seed.csv"
+    if command == "traj":
+        argv = ["traj", "gen", "--robot", pipeline["robot"], "--seed", "-1",
+                "--duration", "1", "--out", str(out)]
+    else:
+        argv = ["simulate", "--robot", pipeline["robot"], "--traj",
+                pipeline["traj_a"], "--seed", "-3", "--out", str(out)]
+    assert main(argv) == 2
+    value = argv[argv.index("--seed") + 1]
+    assert (f"seed must be a non-negative integer, got {value}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_deterministic(pipeline):
     d = pipeline["dir"]
     again = str(d / "run_a_again.csv")

@@ -418,6 +418,23 @@ def test_simulate_noise_is_seeded(plant):
     assert np.array_equal(d1.qdd, differentiate(d1.qd, d1.period))
 
 
+@pytest.mark.parametrize("noise_v", [0.0, 0.01])
+def test_simulate_rejects_negative_seed(plant, noise_v):
+    # checked before any draw, so also when no noise is drawn
+    traj = random_trajectory(6, seed=8)
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "integer, got -3"):
+        simulate(plant, traj, duration=2.0, noise_v=noise_v, seed=-3)
+
+
+def test_simulate_noiseless_ignores_seed(plant):
+    traj = random_trajectory(6, seed=8)
+    a = simulate(plant, traj, duration=2.0, seed=1)
+    b = simulate(plant, traj, duration=2.0, seed=2)
+    assert all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("q", "qd", "qdd", "v"))
+
+
 def test_simulate_noise_level(plant):
     traj = random_trajectory(6, seed=8)
     clean = simulate(plant, traj, duration=8.0)

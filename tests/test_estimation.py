@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import estimation_oracle
 import irls_oracle
-from dynid import dynamics, estimation
-from dynid.dataio import SampleSet, simulate
-from dynid.dynamics import FrictionSet, friction_linear, friction_sigmoid
+from dynid import dynamics, estimation, reduction
+from dynid.dataio import RobotModel, SampleSet, simulate
+from dynid.dynamics import (N_FRICTION, N_INERTIAL, FrictionSet,
+                            InertialParameters, friction_linear,
+                            friction_sigmoid, regressor_stack)
 from dynid.estimation import (CurrentCoefficients, EstimationError,
                               ExcitationError, IdentifiabilityError,
                               KnownPayload, WeightMatrix, estimate_gains,
@@ -19,9 +22,10 @@ from dynid.estimation import (CurrentCoefficients, EstimationError,
                               robust_weights, wlse)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
-from dynid.reduction import compute_base_map, split_columns
+from dynid.reduction import (compute_base_map, minimal_columns,
+                             minimal_regressor_stack, split_columns)
 from dynid.solver import torque
-from dynid.trajectory import FourierTrajectory
+from dynid.trajectory import FourierTrajectory, random_trajectory
 
 TOY = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
                      gravity=(0.0, -9.80665, 0.0))
@@ -454,6 +458,19 @@ def _count_regressor_builds(monkeypatch) -> list[int]:
     return calls
 
 
+def _assert_built_once(calls, totals):
+    """The calls build, one after another, each total's states once, in
+    blocks of at most reduction.BLOCK_STATES states."""
+    assert all(0 < c <= reduction.BLOCK_STATES for c in calls)
+    rest = iter(calls)
+    for total in totals:
+        built = 0
+        while built < total:
+            built += next(rest)
+        assert built == total
+    assert next(rest, None) is None
+
+
 def test_one_identification_builds_each_regressor_once(
         bmap, chain, data_a, data_b_pay, known, monkeypatch):
     # stage 1 builds run a's regressor and stage 3 run b's; the friction
@@ -463,7 +480,7 @@ def test_one_identification_builds_each_regressor_once(
     resid = friction_residual_currents(bmap, chain, chi, data_a)
     fit = fit_friction(data_a.qd, resid, threshold=data_a.qd_threshold)
     estimate_gains(data_a, data_b_pay, known, bmap, chain, chi, fit.friction)
-    assert calls == [data_a.m, data_b_pay.m]
+    _assert_built_once(calls, [data_a.m, data_b_pay.m])
 
 
 def test_unshared_regressor_gives_bitwise_the_same(
@@ -476,7 +493,7 @@ def test_unshared_regressor_gives_bitwise_the_same(
     assert bare == stage1 and "_fitted_on" not in repr(stage1)
     calls = _count_regressor_builds(monkeypatch)
     resid = friction_residual_currents(bmap, chain, bare, copy)
-    assert calls == [data_a.m]
+    _assert_built_once(calls, [data_a.m])
     assert np.array_equal(
         resid, friction_residual_currents(bmap, chain, stage1, data_a))
     assert np.array_equal(
@@ -493,7 +510,132 @@ def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
     calls = _count_regressor_builds(monkeypatch)
     identify_coefficients(bmap, chain, data_a)
     identify_coefficients(bmap, chain, data_a)
-    assert calls == [data_a.m, data_a.m]
+    _assert_built_once(calls, [data_a.m, data_a.m])
+
+
+# ---------------------------------------------------------------------------
+# the regressor streamed in blocks of states
+
+def _every_fifth(samples: SampleSet) -> SampleSet:
+    return dataclasses.replace(samples, **{
+        k: getattr(samples, k)[::5] for k in ("t", "q", "qd", "qdd", "v")})
+
+
+@pytest.fixture(scope="module")
+def toy_runs(toy_map):
+    """A noiseless TOY plant's runs without and with a payload (500 states
+    each), the payload known as mass and com, and the current-level
+    friction of the plant."""
+    links = (InertialParameters.from_com(3.0, (0.12, 0.01, 0.02),
+                                         np.diag((0.02, 0.03, 0.025))),
+             InertialParameters.from_com(1.5, (0.1, -0.01, 0.03),
+                                         np.diag((0.01, 0.012, 0.008))))
+    fric = FrictionSet(f_o=(0.3, -0.2), f_v=(4.0, 2.5), f_c=(1.0, 0.7),
+                       delta=(80.0, 120.0), nu=(-0.01, 0.005))
+    plant = RobotModel(name="toy", chain=TOY, links=links, friction=fric,
+                       gains=(14.0, 12.0))
+    pay = PayloadSpec(mass=3.0, com=(0.05, 0.03, 0.02),
+                      inertia_com=np.diag((0.004, 0.005, 0.003)))
+    da = simulate(plant, random_trajectory(2, seed=5), duration=20.0)
+    db = simulate(plant, random_trajectory(2, seed=6), duration=20.0,
+                  payload=pay)
+    K = np.asarray(plant.gains)
+    psi = FrictionSet(f_o=np.asarray(fric.f_o) / K,
+                      f_v=np.asarray(fric.f_v) / K,
+                      f_c=np.asarray(fric.f_c) / K, delta=fric.delta,
+                      nu=fric.nu)
+    return (TOY, toy_map, _every_fifth(da), _every_fifth(db),
+            KnownPayload(spec=pay, known=("mass", "com")), psi)
+
+
+def _streamed_outputs(ch, mp, da, db, known, psi) -> dict:
+    """Every output that streams or fills from regressor blocks, with a kept
+    stage-1 regressor and without one."""
+    chi = identify_coefficients(mp, ch, da)
+    bare = chi.as_matrix()
+    k = da.m // 3
+    out = {"minimal": minimal_regressor_stack(mp, ch, da.q, da.qd, da.qdd),
+           "chi": chi.chi,
+           "residual": friction_residual_currents(mp, ch, chi, da),
+           "residual_bare": friction_residual_currents(mp, ch, bare, da),
+           "predict": predict_currents(mp, ch, chi, da.q, da.qd, da.qdd),
+           "predict_one": predict_currents(mp, ch, chi, da.q[k], da.qd[k],
+                                           da.qdd[k])}
+    for tag, c in (("kept", chi), ("bare", bare)):
+        est = estimate_gains(da, db, known, mp, ch, c, psi)
+        out[f"gains_{tag}"] = est.gains
+        out[f"zeta_{tag}"] = np.concatenate(est.zeta)
+    return out
+
+
+@pytest.fixture(scope="module", params=["ur10", "toy"])
+def streamed_case(request, bmap, chain, data_a, data_b_pay, known, stage2):
+    """(inputs, outputs with the whole batch in one block) of one chain."""
+    if request.param == "ur10":
+        case = (chain, bmap, _every_fifth(data_a), _every_fifth(data_b_pay),
+                known, stage2.friction)
+    else:
+        case = request.getfixturevalue("toy_runs")
+    da = case[2]
+    assert case[3].m == da.m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "BLOCK_STATES", da.m)
+        whole = _streamed_outputs(*case)
+    # one block is one build of the whole batch
+    assert whole["minimal"].tobytes() == minimal_columns(
+        case[1], regressor_stack(case[0], da.q, da.qd, da.qdd)).tobytes()
+    return case, whole
+
+
+@pytest.mark.parametrize("size", ["1", "7", "M-1", "M", "M+1"])
+def test_block_size_changes_no_output_bit(streamed_case, size, monkeypatch):
+    case, whole = streamed_case
+    m = case[2].m
+    block = {"1": 1, "7": 7, "M-1": m - 1, "M": m, "M+1": m + 1}[size]
+    monkeypatch.setattr(reduction, "BLOCK_STATES", block)
+    got = _streamed_outputs(*case)
+    assert [k for k in whole if got[k].tobytes() != whole[k].tobytes()] == []
+    # a single state is its batch row; a kept regressor and a streamed
+    # one give the same bits
+    assert got["predict_one"].tobytes() == got["predict"][m // 3].tobytes()
+    assert got["residual"].tobytes() == got["residual_bare"].tobytes()
+    assert got["gains_kept"].tobytes() == got["gains_bare"].tobytes()
+    assert got["zeta_kept"].tobytes() == got["zeta_bare"].tobytes()
+
+
+def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
+                                                             noisy_runs):
+    # at 7500 UR10 states each stage's traced peak, above what was held
+    # when it started, stays below one full (M, n, 13n) regressor: only
+    # the minimal regressor stage 1 keeps and one block of states are
+    # ever held, never a full regressor
+    da, db, known = noisy_runs
+    full = da.m * chain.n * (N_INERTIAL + N_FRICTION) * chain.n * 8
+
+    def stages_2_3(chi):
+        resid = friction_residual_currents(bmap, chain, chi, da)
+        fit = fit_friction(da.qd, resid, threshold=da.qd_threshold)
+        return estimate_gains(da, db, known, bmap, chain, chi, fit.friction)
+
+    def peak_above_held(run):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - held
+
+    tracemalloc.start()
+    try:
+        chi, stage1 = peak_above_held(
+            lambda: identify_coefficients(bmap, chain, da))
+        _, kept = peak_above_held(lambda: stages_2_3(chi))
+        bare = chi.as_matrix()
+        del chi
+        _, streamed = peak_above_held(lambda: stages_2_3(bare))
+    finally:
+        tracemalloc.stop()
+    peaks = {"stage 1": stage1, "stages 2-3": kept,
+             "stages 2-3 without a kept regressor": streamed}
+    assert {k: v for k, v in peaks.items() if v >= full} == {}
 
 
 # ---------------------------------------------------------------------------

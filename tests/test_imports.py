@@ -134,6 +134,23 @@ print({_SCIPY_LOADED})
     assert (tmp_path / "traj.csv").exists()
 
 
+def test_noiseless_simulate_loads_no_numpy_random(data_a, tmp_path):
+    # the noise generator is made only for a positive noise std, so a
+    # noiseless run does not import numpy.random
+    write_robot_model(ur10_default_model(), tmp_path / "robot.ini")
+    write_samples(data_a, tmp_path / "traj.csv")
+    code = """
+import sys, json
+import dynid.cli
+rc = dynid.cli.main(["simulate", "--robot", "robot.ini", "--traj",
+                     "traj.csv", "--seed", "3", "--out", "run.csv"])
+assert rc == 0, rc
+print(json.dumps("numpy.random" in sys.modules))
+"""
+    assert _run(code, tmp_path) is False
+    assert (tmp_path / "run.csv").exists()
+
+
 def test_solve_and_validate_load_no_scipy(ident_true, data_a, tmp_path):
     # loading rebuilds the base map from the chain with numpy alone, so
     # solve and validate stay free of scipy

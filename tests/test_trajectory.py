@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ def test_random_trajectory_deterministic():
     t3 = random_trajectory(6, seed=6)
     assert t1.a == t2.a and t1.b == t2.b and t1.q0 == t2.q0
     assert t1.a != t3.a
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_random_trajectory_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed}")):
+        random_trajectory(6, seed=seed)
 
 
 def test_validation_trajectories():
