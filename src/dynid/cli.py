@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import (QD_THRESHOLD_DEFAULT, SampleSet, SchemaError, _fmt,
-                     _format_rows, differentiate, lowpass, merge_sample_sets,
-                     read_payload, read_robot_model, read_samples, simulate,
-                     write_samples)
+                     _format_rows, merge_sample_sets, read_payload,
+                     read_robot_model, read_samples, simulate, write_samples)
 from .estimation import (EstimationError, KnownPayload, estimate_gains,
                          fit_friction, friction_residual_currents,
                          identify_coefficients)
@@ -151,27 +150,16 @@ def write_report(metrics: Metrics, path) -> None:
 # ---------------------------------------------------------------------------
 # shared input handling
 
-def _filtered(s: SampleSet, cutoff: float | None) -> SampleSet:
-    if cutoff is None:
-        return s
-    qd = lowpass(s.qd, cutoff=cutoff, rate=1.0 / s.period)
-    v = lowpass(s.v, cutoff=cutoff, rate=1.0 / s.period)
-    return SampleSet(t=s.t, q=s.q, qd=qd, qdd=differentiate(qd, s.period),
-                     v=v, scenario=s.scenario, qd_threshold=s.qd_threshold)
-
-
 _SCENARIO_DATA = {"a": "payload-free", "b": "payload-attached"}
 
 
 def _read_runs(paths, flag: str, n: int, qd_threshold: float,
-               scenario: str | None = None,
-               cutoff: float | None = None) -> SampleSet:
+               scenario: str | None = None) -> SampleSet:
     """Read the sample files given to flag and merge them.
 
-    Each file is checked on its own, so a failure names it: n joints
-    (SchemaError), and the scenario tag when one is given (UsageError).
-    Each is also filtered on its own, so filtfilt never runs across the
-    seams between files.
+    Each file is read, and so differentiated, on its own, and checked on
+    its own, so a failure names it: n joints (SchemaError), and the
+    scenario tag when one is given (UsageError).
     """
     sets = []
     for p in paths:
@@ -183,7 +171,7 @@ def _read_runs(paths, flag: str, n: int, qd_threshold: float,
             raise UsageError(f"{flag} must hold scenario '{scenario}' "
                              f"({_SCENARIO_DATA[scenario]}) data; {p} holds "
                              f"scenario '{s.scenario}'")
-        sets.append(_filtered(s, cutoff))
+        sets.append(s)
     return merge_sample_sets(sets)
 
 
@@ -250,8 +238,7 @@ def cmd_simulate(a) -> None:
 def cmd_identify_linear(a) -> None:
     plant = read_robot_model(a.robot)
     chain = plant.chain
-    s = _read_runs(a.samples, "--samples", chain.n, a.qd_threshold, "a",
-                   a.filter_cutoff)
+    s = _read_runs(a.samples, "--samples", chain.n, a.qd_threshold, "a")
     map_ = compute_base_map(chain)
     chi = identify_coefficients(map_, chain, s)
     model = IdentifiedModel(name=plant.name, chain=chain, map=map_,
@@ -265,8 +252,7 @@ def cmd_identify_linear(a) -> None:
 
 def cmd_identify_friction(a) -> None:
     model = _load_stage(a.model, "linear")
-    s = _read_runs(a.samples, "--samples", model.n, model.qd_threshold, "a",
-                   a.filter_cutoff)
+    s = _read_runs(a.samples, "--samples", model.n, model.qd_threshold, "a")
     resid = friction_residual_currents(model.map, model.chain, model.chi, s)
     fit = fit_friction(s.qd, resid, threshold=model.qd_threshold)
     # downstream gains depend on the friction estimate; drop them
@@ -280,9 +266,9 @@ def cmd_identify_friction(a) -> None:
 def cmd_identify_gains(a) -> None:
     model = _load_stage(a.model, "friction")
     sa = _read_runs(a.samples_a, "--samples-a", model.n, model.qd_threshold,
-                    "a", a.filter_cutoff)
+                    "a")
     sb = _read_runs(a.samples_b, "--samples-b", model.n, model.qd_threshold,
-                    "b", a.filter_cutoff)
+                    "b")
     known = tuple(k.strip() for k in a.known.split(",") if k.strip())
     bad = [k for k in known if k not in ("mass", "com", "inertia")]
     if bad:
@@ -326,7 +312,10 @@ def cmd_solve(a) -> None:
 
 def cmd_validate(a) -> None:
     model = _load_stage(a.model, "gains")
-    s = _read_runs([a.samples], "--samples", model.n, model.qd_threshold)
+    # the model is the bare arm's; a payload run would be scored against
+    # torques that leave the payload out
+    s = _read_runs([a.samples], "--samples", model.n, model.qd_threshold,
+                   "a")
     v_hat = torque(model, s.q, s.qd, s.qdd) / model.gains
     baseline = None
     if a.baseline:
@@ -386,11 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     ip = sub.add_parser("identify", help="run an identification stage")
     isub = ip.add_subparsers(dest="stage", required=True, metavar="stage")
 
-    def add_filter(q):
-        q.add_argument("--filter-cutoff", type=float, default=None,
-                       help="optional zero-phase lowpass cutoff [Hz] "
-                            "applied to velocities and currents")
-
     il = isub.add_parser("linear", help="stage 1: dynamic coefficients")
     il.add_argument("--robot", required=True,
                     help="robot model file (kinematics suffice)")
@@ -400,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     il.add_argument("--out", required=True, help="identified model file")
     il.add_argument("--qd-threshold", type=float,
                     default=QD_THRESHOLD_DEFAULT)
-    add_filter(il)
     il.set_defaults(func=cmd_identify_linear)
 
     if_ = isub.add_parser("friction", help="stage 2: low-velocity friction")
@@ -410,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="payload-free sample CSVs")
     if_.add_argument("--out", help="output model file (default: update "
                                    "--model in place)")
-    add_filter(if_)
     if_.set_defaults(func=cmd_identify_friction)
 
     ig = isub.add_parser("gains", help="stage 3: drive gains via payload")
@@ -426,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "trust (mass, com, inertia)")
     ig.add_argument("--out", help="output model file (default: update "
                                   "--model in place)")
-    add_filter(ig)
     ig.set_defaults(func=cmd_identify_gains)
 
     so = sub.add_parser("solve", help="evaluate torques and EOM terms")
@@ -439,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("validate", help="score predictions against "
                                          "measured currents")
     vp.add_argument("--model", required=True, help="fully identified model")
-    vp.add_argument("--samples", required=True, help="measured sample CSV")
+    vp.add_argument("--samples", required=True,
+                    help="measured payload-free sample CSV")
     vp.add_argument("--baseline",
                     help="sample CSV whose current columns hold a baseline "
                          "prediction; adds the eta column")

@@ -1,10 +1,10 @@
 """Data exchange and the synthetic plant.
 
 Covers the on-disk formats (sample CSV, robot-model file, payload file),
-derived-signal preprocessing (backward-difference acceleration, zero-phase
-lowpass), and a simulator that produces current-level sample sets from a
-plant model so every identification stage can be checked against known
-ground truth.
+the one differentiator that derives accelerations from velocities (a cubic
+Savitzky-Golay first derivative), and a simulator that produces
+current-level sample sets from a plant model so every identification stage
+can be checked against known ground truth.
 """
 
 from __future__ import annotations
@@ -14,20 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    N_INERTIAL,
-    FrictionSet,
-    InertialParameters,
-    friction_sigmoid,
-    newton_euler,
-)
+from .dynamics import (N_INERTIAL, FrictionSet, InertialParameters,
+                       friction_sigmoid, inertia_matrix_to_vector,
+                       inertia_vector_to_matrix, newton_euler)
 from .kinematics import DhRow, KinematicChain
-from .payload import PayloadSpec, payload_to_frame_n
+from .payload import PayloadSpec, orthonormal, payload_to_frame_n
 from .trajectory import (FourierTrajectory, RATE_DEFAULT, check_seed,
                          sample as sample_trajectory)
 
 QD_THRESHOLD_DEFAULT = 0.17  # rad/s; boundary of the low-velocity friction region
 TIME_TOL = 1e-9
+# derivative half-window [s]: the widest, in 10 ms steps, whose gain error
+# at the band edge, HARMONICS_DEFAULT / PERIOD_DEFAULT = 0.25 Hz, stays
+# below 1e-4 at rates of 25 Hz to 8 kHz.  At 125 Hz (73 samples) the error
+# is 8.7e-5 at 0.25 Hz, 1.4e-3 at 0.5 Hz and 2.0e-2 at 1 Hz.
+DIFF_HALF_WIDTH_S = 0.29
 
 
 class SchemaError(ValueError):
@@ -137,33 +138,37 @@ def merge_sample_sets(sets) -> SampleSet:
 
 
 def differentiate(values: np.ndarray, period: float) -> np.ndarray:
-    """Backward difference along axis 0; the first row copies the second."""
+    """Cubic Savitzky-Golay first derivative along axis 0 (Savitzky &
+    Golay, Anal. Chem. 36(8), 1964).
+
+    Row i takes the slope of the cubic fitted to rows i - h ... i + h,
+    h = DIFF_HALF_WIDTH_S / period rounded; rows within h of an end take
+    it from the first or last full window, so cubics are exact at every
+    row.  A run shorter than one window is one fit of order min(3, m - 1).
+    """
     values = np.asarray(values, dtype=float)
     if period <= 0:
         raise ValueError("period must be positive")
-    out = np.empty_like(values)
-    out[1:] = (values[1:] - values[:-1]) / period
-    out[0] = out[1]
-    return out
-
-
-def lowpass(values: np.ndarray, cutoff: float = 10.0,
-            rate: float = RATE_DEFAULT) -> np.ndarray:
-    """Zero-phase second-order Butterworth lowpass along axis 0.
-
-    The forward-backward pass squares the magnitude response, so the
-    effective gain is |H(f)|^2 = 1 / (1 + (f/cutoff)^4) with no phase
-    distortion.  Coefficients come from the bilinear transform at the
-    given sample rate, making outputs reproducible for fixed inputs.
-    """
-    if not 0 < cutoff < rate / 2:
-        raise ValueError("cutoff must lie in (0, rate/2)")
-    # imported here: scipy.signal costs most of a cold start, and only the
-    # opt-in filter needs it
-    import scipy.signal
-
-    b, a = scipy.signal.butter(2, cutoff / (rate / 2.0), btype="low")
-    return scipy.signal.filtfilt(b, a, np.asarray(values, dtype=float), axis=0)
+    m = values.shape[0]
+    if m < 2:
+        raise ValueError("need at least two samples")
+    h = max(1, round(DIFF_HALF_WIDTH_S / period))
+    size = min(2 * h + 1, m)
+    # W @ y: the slope at each row of the least-squares polynomial fit
+    u = np.linspace(-1.0, 1.0, size)  # the window's rows scaled onto [-1, 1]
+    p = np.arange(min(3, size - 1) + 1)
+    W = (p[1:] * u[:, None] ** p[:-1]) @ np.linalg.pinv(u[:, None] ** p)[1:]
+    W /= (size - 1) / 2 * period
+    y = values.reshape(m, -1)
+    if size == m:
+        return (W @ y).reshape(values.shape)
+    out = np.empty(y.shape)
+    out[:h] = W[:h] @ y[:size]
+    out[m - h:] = W[h + 1:] @ y[m - size:]
+    kernel = W[h, ::-1]  # np.convolve flips its second argument
+    for j, column in enumerate(y.T):
+        out[h:m - h, j] = np.convolve(column, kernel, "valid")
+    return out.reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +258,13 @@ def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     q = data[:, 1:1 + n]
     qd = data[:, 1 + n:1 + 2 * n]
     v = data[:, 1 + 2 * n:1 + 3 * n]
-    if len(t) >= 2:
-        d = np.diff(t)
-        if np.any(d <= 0) or np.max(np.abs(d - d[0])) > TIME_TOL:
-            raise SchemaError(f"{path}: timestamps not uniformly increasing")
-        qdd = differentiate(qd, float(d[0]))
-    else:
+    if len(t) < 2:
         raise SchemaError(f"{path}: need at least two rows")
-    return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v, scenario=scenario,
-                     qd_threshold=qd_threshold)
+    d = np.diff(t)
+    if np.any(d <= 0) or np.max(np.abs(d - d[0])) > TIME_TOL:
+        raise SchemaError(f"{path}: timestamps not uniformly increasing")
+    return SampleSet(t=t, q=q, qd=qd, qdd=differentiate(qd, float(d[0])),
+                     v=v, scenario=scenario, qd_threshold=qd_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,9 @@ def _read_ini(path) -> configparser.ConfigParser:
     return cfg
 
 
-def _vec(cfg, section, key, length, path):
+def _vec(cfg, section, key, length, path, need=None):
+    """length finite values of key in [section]; need, when given, is
+    (test of the values, what they must be)."""
     try:
         raw = cfg[section][key]
     except KeyError:
@@ -332,7 +337,14 @@ def _vec(cfg, section, key, length, path):
                           "non-numeric value") from None
     if not np.all(np.isfinite(vals)):
         raise SchemaError(f"{path}: {key} in [{section}] has a non-finite value")
+    if need is not None and not need[0](vals):
+        raise SchemaError(f"{path}: {key} in [{section}] must be {need[1]}, "
+                          f"got {raw}")
     return vals
+
+
+_POSITIVE = (lambda v: bool(np.all(v > 0)), "positive")
+_NONNEGATIVE = (lambda v: bool(np.all(v >= 0)), "nonnegative")
 
 
 def _vecstr(values) -> str:
@@ -407,7 +419,7 @@ def write_robot_model(model: RobotModel, path) -> None:
                 "mass_kg": _fmt(lk.mass),
                 "com_m": _vecstr(lk.com),
                 "inertia_origin_kgm2": _vecstr(
-                    np.array(lk.inertia_origin)[np.triu_indices(3)]),
+                    inertia_matrix_to_vector(np.array(lk.inertia_origin))),
             }
     if model.friction is not None:
         _write_friction(cfg, model.friction, level="torque")
@@ -432,10 +444,8 @@ def read_robot_model(path) -> RobotModel:
                 raise SchemaError(f"{path}: missing [{section}] section")
             mass = float(_vec(cfg, section, "mass_kg", 1, path)[0])
             com = _vec(cfg, section, "com_m", 3, path)
-            iv = _vec(cfg, section, "inertia_origin_kgm2", 6, path)
-            I0 = np.zeros((3, 3))
-            I0[np.triu_indices(3)] = iv
-            I0 = I0 + np.triu(I0, 1).T
+            I0 = inertia_vector_to_matrix(
+                _vec(cfg, section, "inertia_origin_kgm2", 6, path))
             links.append(InertialParameters(
                 mass=mass, first_moment=tuple(mass * com),
                 inertia_origin=tuple(map(tuple, I0))))
@@ -449,7 +459,7 @@ def read_robot_model(path) -> RobotModel:
 
     gains = None
     if "gains" in cfg:
-        gains = tuple(_vec(cfg, "gains", "K_NmA", n, path))
+        gains = tuple(_vec(cfg, "gains", "K_NmA", n, path, _POSITIVE))
 
     return RobotModel(name=name, chain=chain, links=links,
                       friction=friction, gains=gains)
@@ -464,7 +474,7 @@ def write_payload(spec: PayloadSpec, path) -> None:
         "mass_kg": _fmt(spec.mass),
         "com_l_m": _vecstr(spec.com),
         "inertia_l_kgm2": _vecstr(
-            np.array(spec.inertia_com)[np.triu_indices(3)]),
+            inertia_matrix_to_vector(np.array(spec.inertia_com))),
         "R_l_n": _vecstr(np.array(spec.R_l_n).ravel()),
         "t_l_n_m": _vecstr(spec.t_l_n),
     }
@@ -476,22 +486,20 @@ def read_payload(path) -> PayloadSpec:
     cfg = _read_ini(path)
     if "payload" not in cfg:
         raise SchemaError(f"{path}: missing [payload] section")
-    mass = float(_vec(cfg, "payload", "mass_kg", 1, path)[0])
+    mass = float(_vec(cfg, "payload", "mass_kg", 1, path, _NONNEGATIVE)[0])
     com = _vec(cfg, "payload", "com_l_m", 3, path)
     # off-diagonal inertia entries may be omitted (pure diagonal payload)
     n_iv = len(cfg["payload"].get("inertia_l_kgm2", "").split())
     if n_iv == 3:
-        iv_diag = _vec(cfg, "payload", "inertia_l_kgm2", 3, path)
-        I = np.diag(iv_diag)
+        I = np.diag(_vec(cfg, "payload", "inertia_l_kgm2", 3, path))
     else:
-        iv = _vec(cfg, "payload", "inertia_l_kgm2", 6, path)
-        I = np.zeros((3, 3))
-        I[np.triu_indices(3)] = iv
-        I = I + np.triu(I, 1).T
-    R = _vec(cfg, "payload", "R_l_n", 9, path).reshape(3, 3)
+        I = inertia_vector_to_matrix(
+            _vec(cfg, "payload", "inertia_l_kgm2", 6, path))
+    R = _vec(cfg, "payload", "R_l_n", 9, path, (orthonormal, "orthonormal"))
     t = _vec(cfg, "payload", "t_l_n_m", 3, path)
     return PayloadSpec(mass=mass, com=tuple(com), inertia_com=tuple(map(tuple, I)),
-                       R_l_n=tuple(map(tuple, R)), t_l_n=tuple(t))
+                       R_l_n=tuple(map(tuple, R.reshape(3, 3))),
+                       t_l_n=tuple(t))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +513,11 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
              qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     """Run the plant over a trajectory and log current-level samples.
 
-    Torques are evaluated on the backward-difference acceleration of the
-    clean velocities, exactly the signal identification later rebuilds, so
-    noiseless runs are model-consistent with their own stored data.  Seeded
-    Gaussian noise is then added to the velocity and current channels, and
-    the stored acceleration is re-derived from the noisy velocities.
+    Torques are evaluated on the acceleration differentiate derives from
+    the clean velocities, exactly the signal identification later
+    rebuilds, so noiseless runs are model-consistent with their own stored
+    data.  Seeded Gaussian noise is then added to the velocity and current
+    channels; only velocity noise re-derives the stored acceleration.
 
     Args:
         model: complete plant (links, friction, gains all present).
@@ -548,10 +556,11 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
         rng = np.random.default_rng(seed)
         if noise_qd > 0:
             qd = qd + rng.normal(0.0, noise_qd, qd.shape)
+            qdd = differentiate(qd, period)
         if noise_v > 0:
             v = v + rng.normal(0.0, noise_v, v.shape)
 
-    return SampleSet(t=t, q=q, qd=qd, qdd=differentiate(qd, period), v=v,
+    return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v,
                      scenario="b" if payload is not None else "a",
                      qd_threshold=qd_threshold)
 

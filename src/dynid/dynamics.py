@@ -136,6 +136,22 @@ class InertialParameters:
                    inertia_origin=tuple(map(tuple, inertia_vector_to_matrix(v[4:]))))
 
 
+def _freeze_vectors(obj, names) -> None:
+    """Store each named field of a frozen dataclass as a tuple of floats,
+    checking in order that it is a finite 1-d array as long as the first."""
+    width = None
+    for name in names:
+        a = np.asarray(getattr(obj, name), dtype=float)
+        if a.ndim != 1 or not np.all(np.isfinite(a)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be a finite "
+                             "1-d array")
+        width = a.size if width is None else width
+        if a.size != width:
+            raise ValueError(f"{type(obj).__name__} fields must have equal "
+                             "length")
+        object.__setattr__(obj, name, tuple(float(x) for x in a))
+
+
 @dataclass(frozen=True)
 class FrictionSet:
     """Per-joint sigmoid friction parameters.
@@ -154,19 +170,7 @@ class FrictionSet:
     nu: tuple[float, ...]
 
     def __post_init__(self):
-        arrays = {}
-        width = None
-        for name in ("f_o", "f_v", "f_c", "delta", "nu"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim != 1 or not np.all(np.isfinite(a)):
-                raise ValueError(f"FrictionSet.{name} must be a finite 1-d array")
-            if width is None:
-                width = a.size
-            elif a.size != width:
-                raise ValueError("FrictionSet fields must have equal length")
-            arrays[name] = tuple(float(x) for x in a)
-        for name, val in arrays.items():
-            object.__setattr__(self, name, val)
+        _freeze_vectors(self, ("f_o", "f_v", "f_c", "delta", "nu"))
 
     @property
     def n(self) -> int:
@@ -242,19 +246,7 @@ class JointState:
     qdd: tuple[float, ...]
 
     def __post_init__(self):
-        qs = {}
-        width = None
-        for name in ("q", "qd", "qdd"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim != 1 or not np.all(np.isfinite(a)):
-                raise ValueError(f"JointState.{name} must be a finite 1-d array")
-            if width is None:
-                width = a.size
-            elif a.size != width:
-                raise ValueError("JointState fields must have equal length")
-            qs[name] = tuple(float(x) for x in a)
-        for name, val in qs.items():
-            object.__setattr__(self, name, val)
+        _freeze_vectors(self, ("q", "qd", "qdd"))
 
     def arrays(self):
         return (np.array(self.q), np.array(self.qd), np.array(self.qdd))

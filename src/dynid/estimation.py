@@ -86,12 +86,14 @@ class WeightMatrix:
     """Diagonal per-row weights, nonnegative and finite.
 
     Rows downweighted to exactly zero are dropped from the fit, which is
-    how the bisquare function treats gross outliers.
+    how the bisquare function treats gross outliers.  robust_weights sets
+    condition to its stack's s_max/s_min (inf when s_min is 0).
     """
 
     w: np.ndarray
     converged: bool = True
     iterations: int = 0
+    condition: float = np.nan
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -142,6 +144,7 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
     rcond = np.finfo(float).eps * max(stack.shape)
     U, sv, _ = np.linalg.svd(stack, full_matrices=False)
     Q = U[:, sv > rcond * sv.max(initial=0.0)]
+    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
 
     def residual(w):
         Qs = Q * np.sqrt(w)[:, None]
@@ -154,14 +157,14 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
     for it in range(1, WEIGHT_MAX_ITER + 1):
         s = _mad_scale(r)
         if s <= floor:
-            return WeightMatrix(np.ones_like(w), converged=True, iterations=it)
+            return WeightMatrix(np.ones_like(w), True, it, cond)
         u = r / (BISQUARE_TUNING * s)
         w_new = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
         if np.max(np.abs(w_new - w)) < WEIGHT_TOL:
-            return WeightMatrix(w_new, converged=True, iterations=it)
+            return WeightMatrix(w_new, True, it, cond)
         w = w_new
         r = residual(w)
-    return WeightMatrix(w, converged=False, iterations=WEIGHT_MAX_ITER)
+    return WeightMatrix(w, False, WEIGHT_MAX_ITER, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +242,13 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
                 f"{cols.size} coefficients; lengthen or enrich the trajectory")
         A = U[:, j][np.ix_(rows, cols)]
         b = samples.v[rows, j]
-        cond = float(np.linalg.cond(A))
+        wm = robust_weights(A, b)
+        cond = wm.condition
         if cond > CONDITION_LIMIT:
             raise ExcitationError(
                 f"joint {j+1}: regressor condition {cond:.3g} exceeds "
                 f"{CONDITION_LIMIT:.0e}; the trajectory is not persistently "
                 "exciting for this joint")
-        wm = robust_weights(A, b)
         x = wlse(A, b, wm)
         chi[j, cols] = x
         conds.append(cond)

@@ -24,6 +24,12 @@ from .dynamics import (
 )
 
 
+def orthonormal(R) -> bool:
+    """Whether R R^T = I to 1e-9; R is 3 x 3 or its 9 entries by rows."""
+    R = np.reshape(R, (3, 3))
+    return bool(np.max(np.abs(R @ R.T - np.eye(3))) <= 1e-9)
+
+
 @dataclass(frozen=True)
 class PayloadSpec:
     """Payload described in its own frame l.
@@ -57,7 +63,7 @@ class PayloadSpec:
             raise ValueError("inertia_com and R_l_n must be 3x3")
         if np.max(np.abs(I - I.T)) > 1e-12 * max(1.0, np.max(np.abs(I))):
             raise ValueError("inertia_com must be symmetric")
-        if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9:
+        if not orthonormal(R):
             raise ValueError("R_l_n must be orthonormal")
         object.__setattr__(self, "com", tuple(map(float, com)))
         object.__setattr__(self, "inertia_com", tuple(map(tuple, I)))

@@ -2,8 +2,8 @@
 
 The full regressor has 13n columns but only a lower-dimensional column
 space: some inertial parameters never influence joint torques and others
-only act in fixed linear combinations.  Stacking the regressor over a
-seeded batch of random probe states and rank-analyzing the inertial block
+only act in fixed linear combinations.  Stacking the regressor over
+seeded low-discrepancy probe states and rank-analyzing the inertial block
 yields a basis of independent columns plus the recombination coefficients
 of every remaining column.  Friction columns are structurally independent
 per joint (each appears only in its own row) and are always kept, so the
@@ -144,11 +144,20 @@ class BaseParameterMap:
 
 
 def probe_states(n: int, n_probe: int, seed: int):
-    """Seeded random probe states covering the identification envelope."""
-    rng = np.random.default_rng(seed)
-    Q = rng.uniform(-PROBE_Q_RANGE, PROBE_Q_RANGE, (n_probe, n))
-    Qd = rng.uniform(-PROBE_QD_RANGE, PROBE_QD_RANGE, (n_probe, n))
-    Qdd = rng.uniform(-PROBE_QDD_RANGE, PROBE_QDD_RANGE, (n_probe, n))
+    """Probe states spread evenly over the identification envelope: points
+    k = seed * n_probe + 1 ... (seed + 1) * n_probe of Roberts' R_d
+    sequence in d = 3n dimensions, frac(1/2 + k phi^-(1..d)) with
+    phi^(d+1) = phi + 1, so each seed probes other states and none is
+    drawn at random."""
+    d = 3 * n
+    phi = 2.0
+    for _ in range(64):  # a contraction by about 1/(d + 1) per step
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    k = seed * n_probe + np.arange(1.0, n_probe + 1)
+    z = (0.5 + np.outer(k, alpha)) % 1.0
+    ranges = np.repeat([PROBE_Q_RANGE, PROBE_QD_RANGE, PROBE_QDD_RANGE], n)
+    Q, Qd, Qdd = np.split(ranges * (2.0 * z - 1.0), 3, axis=1)
     return Q, Qd, Qdd
 
 

@@ -21,9 +21,10 @@ from .dynamics import (N_INERTIAL, FrictionSet, _batch_states,
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
-from .dataio import (QD_THRESHOLD_DEFAULT, SchemaError, _fmt, _new_parser,
-                     _read_chain, _read_friction, _read_ini, _vec, _vecstr,
-                     _write_chain, _write_friction)
+from .dataio import (_NONNEGATIVE, _POSITIVE, QD_THRESHOLD_DEFAULT,
+                     SchemaError, _fmt, _new_parser, _read_chain,
+                     _read_friction, _read_ini, _vec, _vecstr, _write_chain,
+                     _write_friction)
 
 _NO_GRAVITY = np.zeros(3)
 
@@ -237,17 +238,14 @@ def load_identified_model(path) -> IdentifiedModel:
                               "current-level")
     gains = None
     if "gains" in cfg:
-        gains = _vec(cfg, "gains", "K_NmA", n, path)
+        gains = _vec(cfg, "gains", "K_NmA", n, path, _POSITIVE)
     payload = None
     if "payload_parameters" in cfg:
         payload = _vec(cfg, "payload_parameters", "pi_L", N_INERTIAL, path)
     qd_threshold = QD_THRESHOLD_DEFAULT
     if cfg.has_option("meta", "qd_threshold_rad_s"):
-        qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1,
-                                  path)[0])
-        if qd_threshold < 0:
-            raise SchemaError(f"{path}: qd_threshold_rad_s in [meta] is "
-                              f"negative, got {qd_threshold}")
+        qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1, path,
+                                  _NONNEGATIVE)[0])
     return IdentifiedModel(
         name=cfg.get("meta", "name", fallback="unnamed"),
         chain=chain, map=map_, chi=chi, psi=psi, gains=gains,

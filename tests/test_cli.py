@@ -8,8 +8,8 @@ import pytest
 import estimation_oracle
 from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
-from dynid.dataio import (differentiate, lowpass, merge_sample_sets,
-                          read_samples, ur10_default_model, write_payload,
+from dynid.dataio import (differentiate, merge_sample_sets, read_samples,
+                          ur10_default_model, write_payload,
                           write_robot_model, write_samples)
 from dynid.estimation import friction_residual_currents, identify_coefficients
 from dynid.payload import PayloadSpec
@@ -356,30 +356,69 @@ def test_short_baseline_names_file(pipeline, capsys):
     assert f"--baseline file {short} holds 100 samples" in err
 
 
-def test_filter_cutoff_filters_each_file_on_its_own(pipeline):
-    # velocities and currents are lowpassed per file, then merged, so
-    # filtfilt never runs across the seam between the two runs
+def test_each_file_is_differentiated_on_its_own(pipeline):
+    # accelerations are derived per file, then merged, so no derivative
+    # window reaches across the seam between the two runs
     files = [pipeline["run_a"], pipeline["run_a2"]]
-    out = str(pipeline["dir"] / "model_filtered.ini")
-    assert main(["identify", "linear", "--robot", pipeline["robot"],
-                 "--samples", *files, "--filter-cutoff", "10",
-                 "--out", out]) == 0
-    model = load_identified_model(out)
-
-    def filtered(s):
-        rate = 1.0 / s.period
-        qd = lowpass(s.qd, cutoff=10.0, rate=rate)
-        return dataclasses.replace(s, qd=qd, v=lowpass(s.v, 10.0, rate),
-                                   qdd=differentiate(qd, s.period))
+    model = load_identified_model(pipeline["model_lin"])
 
     def fit(s):
         return identify_coefficients(model.map, model.chain, s).as_matrix()
 
-    runs = [read_samples(f) for f in files]
-    assert np.array_equal(model.chi,
-                          fit(merge_sample_sets(map(filtered, runs))))
-    assert not np.array_equal(model.chi,
-                              fit(filtered(merge_sample_sets(runs))))
+    merged = merge_sample_sets(read_samples(f) for f in files)
+    assert np.array_equal(model.chi, fit(merged))
+    across = dataclasses.replace(merged,
+                                 qdd=differentiate(merged.qd, merged.period))
+    assert not np.array_equal(model.chi, fit(across))
+
+
+def test_velocity_noise_gains_within_3_percent_or_exit_3(tmp_path):
+    # scripts/run_pipeline.py's five runs with 1e-3 rad/s velocity noise
+    # on top of its current noise: the stages either recover every drive
+    # gain within 3 % or stop with a numeric failure, never a wrong gain
+    # with exit 0
+    d = str(tmp_path)
+    write_robot_model(ur10_default_model(), f"{d}/robot.ini")
+    write_payload(PAYLOAD, f"{d}/payload.ini")
+    runs = {"a": [], "b": []}
+    for tag, seeds, noise_seed in (("a", (1, 5, 9), 21), ("b", (2, 7), 31)):
+        for k, seed in enumerate(seeds):
+            traj, run = f"{d}/traj_{tag}{seed}.csv", f"{d}/run_{tag}{seed}.csv"
+            assert main(["traj", "gen", "--robot", f"{d}/robot.ini",
+                         "--seed", str(seed), "--out", traj]) == 0
+            pay = ["--payload", f"{d}/payload.ini"] if tag == "b" else []
+            assert main(["simulate", "--robot", f"{d}/robot.ini", "--traj",
+                         traj, *pay, "--noise-v", "0.05", "--noise-qd",
+                         "0.001", "--seed", str(noise_seed + k),
+                         "--out", run]) == 0
+            runs[tag].append(run)
+    model = f"{d}/model.ini"
+    for argv in (["identify", "linear", "--robot", f"{d}/robot.ini",
+                  "--samples", *runs["a"], "--out", model],
+                 ["identify", "friction", "--model", model,
+                  "--samples", *runs["a"]],
+                 ["identify", "gains", "--model", model,
+                  "--samples-a", *runs["a"], "--samples-b", *runs["b"],
+                  "--payload", f"{d}/payload.ini", "--known", "mass,com"]):
+        rc = main(argv)
+        if rc:
+            assert rc == 3, argv
+            return
+    K = np.asarray(ur10_default_model().gains)
+    assert np.max(np.abs(load_identified_model(model).gains - K) / K) <= 0.03
+
+
+def test_validate_refuses_payload_runs(pipeline, capsys):
+    # the model is the bare arm's, so a payload run would be scored against
+    # torques that leave the payload out
+    out = str(pipeline["dir"] / "nope.csv")
+    rc = main(["validate", "--model", pipeline["model"], "--samples",
+               pipeline["run_b"], "--report", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--samples must hold scenario 'a' (payload-free) data" in err
+    assert f"{pipeline['run_b']} holds scenario 'b'" in err
+    assert not os.path.exists(out)
 
 
 def test_exit_code_unknown_group(pipeline, capsys):
@@ -441,6 +480,40 @@ def test_malformed_ini_exits_2(pipeline, capsys, role, defect):
     err = capsys.readouterr().err
     assert err.startswith("error=2 msg=") and err.count("\n") == 1
     assert bad in err
+
+
+def _edit_key(text, section, key, value):
+    """text with key in [section] set to value."""
+    head, _, rest = text.partition(f"[{section}]\n")
+    return head + f"[{section}]\n" + re.sub(
+        rf"^{re.escape(key)} = .*$", f"{key} = {value}", rest, count=1,
+        flags=re.M)
+
+
+# a value that parses but lies out of range: (role, section, key, value)
+_OUT_OF_RANGE = {
+    "model gain": ("model", "gains", "K_NmA", "13 -1 11 11 11 11"),
+    "robot gain": ("robot", "gains", "K_NmA", "13 -1 11 11 11 11"),
+    "payload mass": ("payload", "payload", "mass_kg", "-1"),
+    "payload rotation": ("payload", "payload", "R_l_n",
+                         "1 0 0 0 1 0 0 0 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_value_names_file_and_key(pipeline, capsys, case):
+    role, section, key, value = _OUT_OF_RANGE[case]
+    bad = str(pipeline["dir"] / f"bad_{case.replace(' ', '_')}.ini")
+    with open(pipeline[role]) as fh:
+        edited = _edit_key(fh.read(), section, key, value)
+    assert f"{key} = {value}" in edited
+    with open(bad, "w") as fh:
+        fh.write(edited)
+    out = str(pipeline["dir"] / "nope.csv")
+    assert main(_INI_ROLES[role](pipeline, bad, out)) == 2
+    err = capsys.readouterr().err
+    assert bad in err and f"{key} in [{section}]" in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("role", ["robot", "traj"])

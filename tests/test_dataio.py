@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynid.dataio import (RobotModel, SampleSet, SchemaError, _fmt,
-                          _format_rows, differentiate,
-                          lowpass, merge_sample_sets, read_payload,
+from dynid.dataio import (DIFF_HALF_WIDTH_S, RobotModel, SampleSet,
+                          SchemaError, _fmt, _format_rows, differentiate,
+                          merge_sample_sets, read_payload,
                           read_robot_model, read_samples, simulate,
                           ur10_default_model, write_payload,
                           write_robot_model, write_samples)
@@ -22,59 +22,58 @@ from dynid.trajectory import random_trajectory
 # preprocessing
 
 def test_differentiate_constant_and_ramp():
-    v = np.tile([0.4, -1.1], (30, 1))
-    assert np.array_equal(differentiate(v, 0.008), np.zeros((30, 2)))
-    ramp = np.linspace(0, 1, 50)[:, None] * np.array([2.0, -3.0])
+    v = np.tile([0.4, -1.1], (300, 1))
+    assert np.max(np.abs(differentiate(v, 0.008))) < 1e-9
+    ramp = np.linspace(0, 1, 500)[:, None] * np.array([2.0, -3.0])
     dv = differentiate(ramp, 0.01)
-    slope = ramp[1] / 0.01
-    assert np.allclose(dv[1:], np.tile(slope, (49, 1)), atol=1e-9)
-    assert np.array_equal(dv[0], dv[1])  # first sample copies the second
+    slope = (ramp[1] - ramp[0]) / 0.01
+    # every row, the ends included
+    assert np.allclose(dv, np.tile(slope, (500, 1)), rtol=1e-9, atol=0)
 
 
 def test_differentiate_sine_oracle():
-    period = 1e-3
-    t = np.arange(5000) * period
-    qd = np.sin(2 * np.pi * 1.3 * t)[:, None]
-    qdd = differentiate(qd, period)
-    expect = 2 * np.pi * 1.3 * np.cos(2 * np.pi * 1.3 * t)[:, None]
-    # backward Euler is first-order accurate in the step
-    assert np.max(np.abs(qdd[1:] - expect[1:])) < 2 * np.pi * 1.3 * period * 10
+    # a sine at the band edge, 0.25 Hz: away from the ends the derivative
+    # is the true one scaled by a gain within 1e-4 of one
+    w = 2 * np.pi * 0.25
+    for rate in (125.0, 1000.0):
+        period = 1.0 / rate
+        h = round(DIFF_HALF_WIDTH_S / period)
+        t = np.arange(round(40.0 * rate)) * period
+        for phase in (0.0, 0.7):
+            qdd = differentiate(np.sin(w * t + phase)[:, None], period)
+            expect = w * np.cos(w * t + phase)[:, None]
+            assert np.max(np.abs(qdd - expect)[h:-h]) < 1e-4 * w
 
 
-def test_lowpass_dc_and_tones():
-    rate = 125.0
-    t = np.arange(2000) / rate
-    mid = slice(200, -200)
-    dc = np.full((2000, 1), 1.5)
-    assert np.max(np.abs(lowpass(dc, cutoff=10.0, rate=rate) - 1.5)) < 1e-10
-    # tone at 4x cutoff: attenuated at least 95 percent in RMS
-    tone = np.sin(2 * np.pi * 40.0 * t)[:, None]
-    out = lowpass(tone, cutoff=10.0, rate=rate)
-    rms_in = np.sqrt(np.mean(tone[mid] ** 2))
-    rms_out = np.sqrt(np.mean(out[mid] ** 2))
-    assert rms_out < 0.05 * rms_in
-    # tone at cutoff/10: preserved within 1 percent
-    slow = np.sin(2 * np.pi * 1.0 * t)[:, None]
-    out = lowpass(slow, cutoff=10.0, rate=rate)
-    assert np.max(np.abs(out[mid] - slow[mid])) < 0.01
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 200), period=st.sampled_from([1e-3, 8e-3, 0.05]),
+       seed=st.integers(0, 2**32 - 1))
+def test_differentiate_exact_on_polynomials(m, period, seed):
+    # a run shorter than one window is one fit of order min(3, m - 1); a
+    # longer one is exact on cubics at every row, the ends included
+    rng = np.random.default_rng(seed)
+    order = min(3, m - 1)
+    c = rng.standard_normal((order + 1, 2))
+    u = (np.arange(m) / (m - 1))[:, None]  # time over the run's length
+    y = sum(c[k] * u**k for k in range(order + 1))
+    dy = sum(k * c[k] * u**(k - 1) for k in range(1, order + 1)) \
+        / ((m - 1) * period)
+    got = differentiate(y, period)
+    assert np.max(np.abs(got - dy)) <= 1e-9 * np.max(np.abs(dy))
 
 
-def test_lowpass_is_linear():
+def test_differentiate_is_deterministic():
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((500, 2))
-    y = rng.standard_normal((500, 2))
-    lhs = lowpass(1.7 * x - 0.4 * y, cutoff=8.0, rate=125.0)
-    rhs = 1.7 * lowpass(x, cutoff=8.0, rate=125.0) \
-        - 0.4 * lowpass(y, cutoff=8.0, rate=125.0)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    x = rng.standard_normal((700, 3))
+    assert np.array_equal(differentiate(x, 0.008),
+                          differentiate(x.copy(), 0.008))
 
 
-def test_lowpass_rejects_bad_cutoff():
-    x = np.zeros((100, 1))
-    with pytest.raises(ValueError):
-        lowpass(x, cutoff=62.5, rate=125.0)
-    with pytest.raises(ValueError):
-        lowpass(x, cutoff=0.0, rate=125.0)
+def test_differentiate_rejects_bad_input():
+    with pytest.raises(ValueError, match="period"):
+        differentiate(np.zeros((10, 1)), 0.0)
+    with pytest.raises(ValueError, match="two samples"):
+        differentiate(np.zeros((1, 2)), 0.008)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +415,16 @@ def test_simulate_noise_is_seeded(plant):
     clean = simulate(plant, traj, duration=2.0)
     assert np.array_equal(d1.q, clean.q)
     assert np.array_equal(d1.qdd, differentiate(d1.qd, d1.period))
+
+
+@pytest.mark.parametrize("noise_v", [0.0, 0.05])
+def test_simulate_stores_the_plant_acceleration(plant, noise_v):
+    # without velocity noise the stored qdd is the array the plant's
+    # torques were evaluated on, bit for bit
+    traj = random_trajectory(6, seed=8)
+    ds = simulate(plant, traj, duration=2.0, noise_v=noise_v, seed=5)
+    assert np.array_equal(ds.qdd, differentiate(ds.qd, ds.period))
+    assert np.array_equal(ds.qdd, simulate(plant, traj, duration=2.0).qdd)
 
 
 @pytest.mark.parametrize("noise_v", [0.0, 0.01])

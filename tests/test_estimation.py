@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import estimation_oracle
 import irls_oracle
 from dynid import dynamics, estimation, reduction
-from dynid.dataio import RobotModel, SampleSet, simulate
+from dynid.dataio import RobotModel, SampleSet, merge_sample_sets, simulate
 from dynid.dynamics import (N_FRICTION, N_INERTIAL, FrictionSet,
                             InertialParameters, friction_linear,
                             friction_sigmoid, regressor_stack)
@@ -209,6 +209,21 @@ def test_weight_matrix_validation():
         WeightMatrix(np.array([np.inf, 1.0]))
     wm = WeightMatrix(np.array([1.0, 0.0]))
     assert wm.converged and wm.iterations == 0
+
+
+def test_robust_weights_condition_from_its_svd():
+    # s_max/s_min of the stack, as np.linalg.cond gives it; a zero s_min
+    # gives inf without a warning (warnings fail the suite)
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((40, 4)) * [1.0, 3.0, 1e-3, 1e2]
+    b = rng.standard_normal(40)
+    got = robust_weights(A, b).condition
+    assert abs(got - np.linalg.cond(A)) <= 1e-12 * got
+    A[:, 2] = 0.0
+    assert robust_weights(A, b).condition == np.inf
+    # the degenerate-scale early return carries it too
+    assert robust_weights(A, A @ np.ones(4)).condition == np.inf
+    assert np.isnan(WeightMatrix(np.ones(3)).condition)
 
 
 def test_robust_weights_clean_data():
@@ -901,6 +916,51 @@ def test_irls_records_converged_on_c05_data(bmap, chain, noisy_runs):
         assert record.irls_converged == (True,) * 6
         assert all(1 < it < estimation.WEIGHT_MAX_ITER
                    for it in record.irls_iterations)
+
+
+def test_stage1_takes_one_svd_per_joint(bmap, chain, noisy_runs,
+                                        monkeypatch):
+    # each joint's condition comes from robust_weights' SVD of its stack,
+    # so np.linalg.cond takes no second one; it agrees with cond's value
+    da = noisy_runs[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second SVD of a stage-1 stack")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cond", forbidden)
+        chi = identify_coefficients(bmap, chain, da)
+    U = minimal_regressor_stack(bmap, chain, da.q, da.qd, da.qdd)
+    for j, got in enumerate(chi.conditions):
+        cols = np.concatenate([bmap.joint_idcols[j],
+                               bmap.friction_columns(j)])
+        want = np.linalg.cond(U[:, j][np.ix_(da.mask[:, j], cols)])
+        assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("noise_qd", [1e-3, 5e-3])
+def test_velocity_noise_keeps_gains_within_3_percent(plant, bmap, chain,
+                                                     traj_a, traj_b, known,
+                                                     noise_qd):
+    # c05's runs with velocity noise on top: accelerations come from the
+    # noisy velocities through the one differentiator
+    trains = [traj_a, random_trajectory(6, seed=313),
+              random_trajectory(6, seed=707)]
+    loads = [traj_b, random_trajectory(6, seed=909),
+             random_trajectory(6, seed=1203)]
+    da = merge_sample_sets(
+        simulate(plant, tr, duration=20.0, noise_v=0.05, noise_qd=noise_qd,
+                 seed=21 + k) for k, tr in enumerate(trains))
+    db = merge_sample_sets(
+        simulate(plant, tr, duration=20.0, noise_v=0.05, noise_qd=noise_qd,
+                 seed=31 + k, payload=known.spec)
+        for k, tr in enumerate(loads))
+    chi = identify_coefficients(bmap, chain, da)
+    resid = friction_residual_currents(bmap, chain, chi, da)
+    fit = fit_friction(da.qd, resid, threshold=da.qd_threshold)
+    est = estimate_gains(da, db, known, bmap, chain, chi, fit.friction)
+    K = np.asarray(plant.gains)
+    assert np.max(np.abs(est.gains - K) / K) <= 0.03
 
 
 def test_irls_records_iteration_cap(bmap, chain, noisy_runs, monkeypatch):

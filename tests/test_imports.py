@@ -1,9 +1,10 @@
 """Import hygiene: every module uses each name it imports, every private
-module-level name has a use, `import dynid` loads no submodule, and scipy
-loads only for the optional lowpass filter.
+module-level name has a use, `import dynid` loads no submodule, the
+runtime is numpy alone, and commands that need no random draw load no
+numpy.random.
 
 The load checks run in a fresh interpreter, since this test process has
-long since imported scipy through other tests.
+long since imported numpy.random through other tests.
 """
 import ast
 import json
@@ -11,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 
@@ -98,6 +100,27 @@ def test_src_private_names_have_a_use():
     assert orphans == []
 
 
+def test_runtime_is_numpy_only():
+    # no package module imports scipy, and numpy is the one runtime
+    # dependency the project declares
+    package = pathlib.Path(dynid.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name} line {node.lineno}: {name}"
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
+
+
 _SCIPY_LOADED = ("json.dumps(sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.')))")
 
@@ -151,6 +174,27 @@ print(json.dumps("numpy.random" in sys.modules))
     assert (tmp_path / "run.csv").exists()
 
 
+def test_model_load_and_validate_load_no_numpy_random(ident_true, data_a,
+                                                     tmp_path):
+    # the base map that loading rebuilds probes a low-discrepancy
+    # sequence, so neither the load nor validate imports numpy.random
+    save_identified_model(ident_true, tmp_path / "model.ini")
+    write_samples(data_a, tmp_path / "run.csv")
+    code = """
+import sys, json
+import dynid.cli
+from dynid.solver import load_identified_model
+load_identified_model("model.ini")
+loaded = "numpy.random" in sys.modules
+rc = dynid.cli.main(["validate", "--model", "model.ini", "--samples",
+                     "run.csv", "--report", "report.csv"])
+assert rc == 0, rc
+print(json.dumps([loaded, "numpy.random" in sys.modules]))
+"""
+    assert _run(code, tmp_path) == [False, False]
+    assert (tmp_path / "report.csv").exists()
+
+
 def test_solve_and_validate_load_no_scipy(ident_true, data_a, tmp_path):
     # loading rebuilds the base map from the chain with numpy alone, so
     # solve and validate stay free of scipy
@@ -170,20 +214,6 @@ print({_SCIPY_LOADED})
     assert _run(code, tmp_path) == []
     assert (tmp_path / "tau.csv").exists()
     assert (tmp_path / "report.csv").exists()
-
-
-def test_lowpass_after_cold_import(tmp_path):
-    code = """
-import sys, json
-import numpy as np
-from dynid.dataio import lowpass
-out = lowpass(np.full((200, 2), 1.5), cutoff=10.0, rate=125.0)
-print(json.dumps([float(np.max(np.abs(out - 1.5))),
-                  "scipy.signal" in sys.modules]))
-"""
-    err, loaded = _run(code, tmp_path)
-    assert err < 1e-10
-    assert loaded
 
 
 def test_identify_friction_loads_no_scipy(ident_true, data_a, tmp_path):
