@@ -283,10 +283,6 @@ def cmd_identify_gains(a) -> None:
     flags = ", ".join("full" if f else "regrouped" for f in est.full_rank)
     print(f"gain stage done; K = [{gains}]")
     print(f"per-joint solve paths: {flags}")
-    clamped = ", ".join(f"{j + 1} (K = {_fmt(k)})" for j, k
-                        in enumerate(est.gains) if est.bounded[j])
-    if clamped:
-        print(f"drive gain clamped to a bound on joint(s) {clamped}")
     _report_irls_cap(est)
     print(f"wrote {out}")
 

@@ -442,7 +442,8 @@ def read_robot_model(path) -> RobotModel:
             section = f"inertial.link_{i+1}"
             if section not in cfg:
                 raise SchemaError(f"{path}: missing [{section}] section")
-            mass = float(_vec(cfg, section, "mass_kg", 1, path)[0])
+            mass = float(_vec(cfg, section, "mass_kg", 1, path,
+                              _NONNEGATIVE)[0])
             com = _vec(cfg, section, "com_m", 3, path)
             I0 = inertia_vector_to_matrix(
                 _vec(cfg, section, "inertia_origin_kgm2", 6, path))
@@ -516,8 +517,10 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
     Torques are evaluated on the acceleration differentiate derives from
     the clean velocities, exactly the signal identification later
     rebuilds, so noiseless runs are model-consistent with their own stored
-    data.  Seeded Gaussian noise is then added to the velocity and current
-    channels; only velocity noise re-derives the stored acceleration.
+    data.  Seeded Gaussian noise is then added to the current and velocity
+    channels, current first, so noise_qd does not change the current
+    noise a seed draws; only velocity noise re-derives the stored
+    acceleration.
 
     Args:
         model: complete plant (links, friction, gains all present).
@@ -554,11 +557,11 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
 
     if noise_qd > 0 or noise_v > 0:
         rng = np.random.default_rng(seed)
+        if noise_v > 0:
+            v = v + rng.normal(0.0, noise_v, v.shape)
         if noise_qd > 0:
             qd = qd + rng.normal(0.0, noise_qd, qd.shape)
             qdd = differentiate(qd, period)
-        if noise_v > 0:
-            v = v + rng.normal(0.0, noise_v, v.shape)
 
     return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v,
                      scenario="b" if payload is not None else "a",

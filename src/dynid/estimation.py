@@ -6,8 +6,9 @@ drive gain).  Stage 2 refines friction with a five-parameter sigmoid fitted
 to low-velocity residual currents; the three parameters it is linear in are
 projected out, which leaves one search over the transition's steepness and
 offset per joint.  Stage 3 recovers the motor drive gains by comparing data
-collected with and without a partially known payload, falling back to a
-regrouped bounded solve where the per-joint systems lose rank.
+collected with and without a partially known payload.  Every joint's
+system is split and solved once, in regrouped coordinates where it loses
+rank; a gain that is not positive or leaves its stated bounds raises.
 
 The regressor is read in blocks of states (reduction.regressor_blocks),
 and from each block only the rows and columns a fit uses are kept.  The
@@ -539,8 +540,11 @@ class GainEstimate:
     zeta holds each joint's solution [arm coefficients on that joint's
     active base columns; unknown payload parameters over the gain; gain
     reciprocal], with zeros on coordinates the solve regrouped away;
-    identifiable_mask marks the surviving coordinates.  irls_iterations and
-    irls_converged record each joint's robust-weight iteration.
+    identifiable_mask marks the surviving coordinates.  bounds holds the
+    interval each gain was checked against.  bounded is always all False,
+    since no gain is clamped; it stays only because perfbench/spans.py
+    reads it in traced runs.  irls_iterations and irls_converged record
+    each joint's robust-weight iteration.
     """
 
     gains: np.ndarray
@@ -554,15 +558,15 @@ class GainEstimate:
     irls_converged: tuple[bool, ...] = ()
 
 
-def _gain_solve(S, y, w, lam_bounds, label):
+def _gain_solve(S, y, w, bounds, label):
     """Solve one joint's weighted gain system, gain column last.
 
     One split_columns of the weighted stack decides the rank and solves on
     the independent columns.  The split keeps the column order, so the
     gain column is independent exactly when the others do not span it,
-    and no dependent column regroups onto it.  A rank-deficient joint
-    whose gain reciprocal leaves lam_bounds is re-solved with it clamped
-    to the nearer bound.
+    and no dependent column regroups onto it.  Full rank or not, the
+    joint passes only when its gain reciprocal is positive and the gain
+    lies within bounds; otherwise ExcitationError names the bound broken.
     """
     Sw, yw = S * np.sqrt(w)[:, None], y * np.sqrt(w)
     split = split_columns(Sw)
@@ -573,28 +577,31 @@ def _gain_solve(S, y, w, lam_bounds, label):
         raise IdentifiabilityError(
             f"{label}: the drive gain is not identifiable; the known "
             "payload parameters do not separate it from the arm model")
-    full_rank = split.dep.size == 0
     lam = split.solve(yw)
-    lo, hi = lam_bounds
-    bounded = not full_rank and not lo <= lam[-1] <= hi
-    if bounded:
-        lam[-1] = float(np.clip(lam[-1], lo, hi))
-        lam[:-1] = _lstsq(Sw[:, split.ind[:-1]], yw - Sw[:, -1] * lam[-1])
-    if lam[-1] <= 0:
-        raise EstimationError(f"{label}: nonpositive gain coordinate; "
-                              "the data contradicts a positive drive gain")
-    zeta = np.zeros(p)
-    zeta[split.ind] = lam
-    mask = np.zeros(p, dtype=bool)
-    mask[split.ind] = True
-    return 1.0 / float(lam[-1]), zeta, mask, full_rank, bounded
+    lo, hi = bounds
+    K = 1.0 / float(lam[-1]) if lam[-1] > 0 else None
+    if K is None:
+        broken = f"reciprocal {lam[-1]:.6g} A/Nm is not positive"
+    elif K < lo:
+        broken = f"{K:.6g} Nm/A is below its lower bound {lo:g}"
+    elif K > hi:
+        broken = f"{K:.6g} Nm/A is above its upper bound {hi:g}"
+    else:
+        zeta = np.zeros(p)
+        zeta[split.ind] = lam
+        mask = np.zeros(p, dtype=bool)
+        mask[split.ind] = True
+        return K, zeta, mask, split.dep.size == 0
+    raise ExcitationError(
+        f"{label}: drive gain {broken}; run b was likely not recorded on "
+        "run a's trajectory, or the joint is weakly excited")
 
 
 def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                    known_payload: KnownPayload, map_: BaseParameterMap,
                    chain: KinematicChain, chi, psi: FrictionSet,
-                   bounds: tuple[float, float | None] = (
-                       GAIN_LOWER_DEFAULT, None)) -> GainEstimate:
+                   bounds: tuple[float, float] = (
+                       GAIN_LOWER_DEFAULT, np.inf)) -> GainEstimate:
     """Stage 3: drive gains from paired runs without/with a payload.
 
     Per joint the friction-compensated currents of both runs are stacked
@@ -602,10 +609,9 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     scaled by the gain reciprocal, and a single column carrying the known
     payload contribution times that reciprocal.  Joints whose rows carry
     internal column dependencies (on the UR10, every joint does) come
-    out rank-deficient and solve in regrouped coordinates with the gain
-    reciprocal bounded; full-rank joints solve directly.  A missing upper
-    bound defaults per joint to the largest gain already identified
-    upstream.
+    out rank-deficient and solve in regrouped coordinates; full-rank
+    joints solve directly.  Either way a gain outside bounds, the same
+    (lower, upper) interval for every joint, raises ExcitationError.
 
     Each joint's arm columns are re-fitted together with its gain on both
     runs, so chi's values are not read.  chi supplies samples_a's minimal
@@ -616,6 +622,10 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     its system uses: the active base columns, and for samples_b the
     payload (last link) columns.
     """
+    lo, hi = (float(b) for b in bounds)
+    if not lo <= hi:
+        raise ValueError(f"gain bounds must satisfy lower <= upper, got "
+                         f"({lo}, {hi})")
     n = map_.n
     kmask = known_payload.coord_mask
     if not kmask.any():
@@ -643,8 +653,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     vf_b = friction_sigmoid(psi, samples_b.qd)
 
     K = np.zeros(n)
-    zeta, masks, jbounds = [], [], []
-    full_rank, bounded_flags, iters, converged = [], [], [], []
+    zeta, masks, full_rank, iters, converged = [], [], [], [], []
     for j, Aa, Bb in zip(range(n), rows_a, rows_b):
         label = f"joint {j+1}"
         na = acols[j].size
@@ -674,30 +683,17 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         S[ma:, -1] = kcol
         y = np.concatenate([ya, yb])
 
-        k_lo = float(bounds[0])
-        k_hi = bounds[1]
-        if k_hi is None:
-            k_hi = float(np.max(K[:j])) if j > 0 else np.inf
-        else:
-            k_hi = float(k_hi)
-        if k_lo >= k_hi:
-            raise EstimationError(
-                f"{label}: infeasible gain bounds [{k_lo}, {k_hi}]")
-        lam_bounds = (0.0 if np.isinf(k_hi) else 1.0 / k_hi, 1.0 / k_lo)
-
         wm = robust_weights(S, y)
-        Kj, zj, mj, fr, bd = _gain_solve(S, y, wm.w, lam_bounds, label)
+        Kj, zj, mj, fr = _gain_solve(S, y, wm.w, (lo, hi), label)
         K[j] = Kj
         zeta.append(zj)
         masks.append(mj)
-        jbounds.append((k_lo, k_hi))
         full_rank.append(fr)
-        bounded_flags.append(bd)
         iters.append(wm.iterations)
         converged.append(wm.converged)
     return GainEstimate(gains=K, zeta=tuple(zeta),
                         identifiable_mask=tuple(masks),
-                        bounds=tuple(jbounds), full_rank=tuple(full_rank),
-                        bounded=tuple(bounded_flags), n_unknown=n_unknown,
+                        bounds=((lo, hi),) * n, full_rank=tuple(full_rank),
+                        bounded=(False,) * n, n_unknown=n_unknown,
                         irls_iterations=tuple(iters),
                         irls_converged=tuple(converged))

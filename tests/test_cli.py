@@ -495,6 +495,7 @@ _OUT_OF_RANGE = {
     "model gain": ("model", "gains", "K_NmA", "13 -1 11 11 11 11"),
     "robot gain": ("robot", "gains", "K_NmA", "13 -1 11 11 11 11"),
     "payload mass": ("payload", "payload", "mass_kg", "-1"),
+    "link mass": ("robot", "inertial.link_2", "mass_kg", "-12.7"),
     "payload rotation": ("payload", "payload", "R_l_n",
                          "1 0 0 0 1 0 0 0 2"),
 }
@@ -509,7 +510,7 @@ def test_out_of_range_value_names_file_and_key(pipeline, capsys, case):
     assert f"{key} = {value}" in edited
     with open(bad, "w") as fh:
         fh.write(edited)
-    out = str(pipeline["dir"] / "nope.csv")
+    out = bad[:-len(".ini")] + "_out.csv"
     assert main(_INI_ROLES[role](pipeline, bad, out)) == 2
     err = capsys.readouterr().err
     assert bad in err and f"{key} in [{section}]" in err
@@ -652,21 +653,25 @@ def test_irls_cap_is_reported(pipeline, capsys, monkeypatch):
         assert sum("robust weights" in x for x in lines) == 1
 
 
-def test_gain_clamp_is_reported(pipeline, capsys, monkeypatch):
-    # an unclamped run prints no clamp line; with a lower gain bound above
-    # the true gains of joints 3-6, each clamped joint is named on one line
+def test_gain_below_its_bound_exits_3(pipeline, capsys, monkeypatch):
+    # with a lower gain bound above the true gains of joints 3-6, the
+    # stage stops at joint 3: one error line names it and the bound, and
+    # no model is written
+    out = pipeline["dir"] / "bounded_gains.ini"
     argv = ["identify", "gains", "--model", pipeline["model_fric"],
             "--samples-a", pipeline["run_a"], pipeline["run_a2"],
             "--samples-b", pipeline["run_b"],
             "--payload", pipeline["payload"], "--known", "mass,com",
-            "--out", str(pipeline["dir"] / "bounded_gains.ini")]
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert "clamped" not in capsys.readouterr().out
+            "--out", str(out)]
     real = cli.estimate_gains
     monkeypatch.setattr(cli, "estimate_gains",
-                        lambda *args: real(*args, bounds=(12.0, None)))
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == ("drive gain clamped to a bound on joint(s) "
-                        "3 (K = 12), 4 (K = 12), 5 (K = 12), 6 (K = 12)")
+                        lambda *args: real(*args, bounds=(12.0, np.inf)))
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error=3 msg=joint 3: drive gain [\d.]+ Nm/A is "
+                        r"below its lower bound 12; run b was likely not "
+                        r"recorded on run a's trajectory, or the joint is "
+                        r"weakly excited\n", captured.err)
+    assert not out.exists()

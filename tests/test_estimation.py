@@ -809,7 +809,7 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
     rel = np.abs(stage3.gains - K_true) / K_true
     assert np.all(rel < 0.005)
     # a joint solves directly exactly when its own row separates every
-    # active base column; otherwise it takes the regrouped, bounded path
+    # active base column; otherwise it takes the regrouped path
     assert stage3.full_rank == tuple(d.size == 0 for d in bmap.joint_depcols)
     assert stage3.n_unknown == 6  # inertia tensor of the payload stays free
     for j in range(6):
@@ -822,35 +822,81 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
 
 
 def test_gain_solve_paths():
-    # full rank: a direct solve that keeps every column and ignores the
-    # bounds, even with the gain (20) outside them
+    # full rank: a direct solve that keeps every column; a gain (20)
+    # outside the bounds raises on this path as on every other
     rng = np.random.default_rng(11)
     S = rng.standard_normal((60, 5))
     lam = np.array([0.3, -1.2, 0.5, 2.0, 0.05])
     w = np.ones(60)
-    K, zeta, mask, full, bounded = estimation._gain_solve(
-        S, S @ lam, w, (0.1, 1.0), "joint 1")
-    assert full and not bounded and mask.all()
+    K, zeta, mask, full = estimation._gain_solve(S, S @ lam, w, (10.0, 30.0),
+                                                 "joint 1")
+    assert full and mask.all()
     assert np.max(np.abs(zeta - lam)) < 1e-12 and K == pytest.approx(20.0)
-    # a dependent arm column drops, and the gain reciprocal is clamped to
-    # the nearer bound with the other coordinates re-fitted
+    with pytest.raises(ExcitationError, match=r"^joint 1: drive gain 20 Nm/A "
+                       r"is above its upper bound 15; run b was likely not "
+                       r"recorded on run a's trajectory"):
+        estimation._gain_solve(S, S @ lam, w, (10.0, 15.0), "joint 1")
+    # rank-deficient: a dependent arm column drops, and the gain solves
+    # as it is, with no clamp to the bounds
     S2 = np.column_stack([S[:, :1], 2.0 * S[:, 0], S[:, 1:]])
-    K, zeta, mask, full, bounded = estimation._gain_solve(
-        S2, S @ lam, w, (0.1, 1.0), "joint 1")
-    assert not full and bounded and mask.tolist() == [True, False] + [True] * 4
-    assert K == pytest.approx(10.0) and zeta[1] == 0.0
+    K, zeta, mask, full = estimation._gain_solve(S2, S @ lam, w, (10.0, 30.0),
+                                                 "joint 2")
+    assert not full and mask.tolist() == [True, False] + [True] * 4
+    assert K == pytest.approx(20.0) and zeta[1] == 0.0
+    with pytest.raises(ExcitationError, match=r"^joint 2: drive gain 20 Nm/A "
+                       r"is below its lower bound 25;"):
+        estimation._gain_solve(S2, S @ lam, w, (25.0, 30.0), "joint 2")
+    lam[-1] = -0.05
+    with pytest.raises(ExcitationError, match=r"^joint 2: drive gain "
+                       r"reciprocal -0\.05 A/Nm is not positive;"):
+        estimation._gain_solve(S2, S @ lam, w, (-np.inf, np.inf), "joint 2")
 
 
-def test_stage3_infeasible_bounds(bmap, chain, stage1, stage2, data_a,
-                                  data_b_pay):
-    known = KnownPayload(spec=PayloadSpec(
-        mass=4.8, com=(0.10, 0.06, 0.05),
-        inertia_com=np.diag((0.030, 0.035, 0.030))), known=("mass", "com"))
-    # joint 1 clamps to the lower bound of 1e6; joint 2 then inherits an
-    # upper bound equal to it and the interval collapses
-    with pytest.raises(EstimationError, match="infeasible gain bounds"):
-        estimate_gains(data_a, data_b_pay, known, bmap, chain, stage1,
-                       stage2.friction, bounds=(1e6, None))
+def test_stage3_infeasible_bounds(bmap, chain, stage1, stage2, stage3,
+                                  data_a, data_b_pay, known, monkeypatch):
+    def run(bounds):
+        return estimate_gains(data_a, data_b_pay, known, bmap, chain, stage1,
+                              stage2.friction, bounds=bounds)
+
+    # bounds that hold no gain are refused before any joint is solved:
+    # robust_weights, each joint's first step, is not reachable here
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "robust_weights", None)
+        for bounds, named in (((np.nan, np.inf), "(nan, inf)"),
+                              ((20.0, 10.0), "(20.0, 10.0)"),
+                              ((10.0, np.nan), "(10.0, nan)")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                run(bounds)
+    # a zero lower bound is no bound at all, and the gains stand
+    assert np.array_equal(run((0.0, np.inf)).gains, stage3.gains)
+    # a lower bound above every gain stops at the first joint
+    with pytest.raises(ExcitationError, match=r"^joint 1: drive gain "
+                       r"[\d.]+ Nm/A is below its lower bound 1e\+06;"):
+        run((1e6, np.inf))
+
+
+def test_stage3_sweep_seed_18_fails_loudly_unpaired(plant, bmap, chain,
+                                                    known):
+    # seed 18 of the single-run sweep: with run b on its own trajectory,
+    # joint 2's gain comes out negative and must stop the stage, not be
+    # moved into the bounds; with run b on run a's trajectory every gain
+    # is within 3 %
+    traj = random_trajectory(6, seed=18)
+    da = simulate(plant, traj, duration=20.0, noise_v=0.05, seed=118)
+    chi = identify_coefficients(bmap, chain, da)
+    resid = friction_residual_currents(bmap, chain, chi, da)
+    psi = fit_friction(da.qd, resid, threshold=da.qd_threshold).friction
+
+    def gains(traj_b):
+        db = simulate(plant, traj_b, duration=20.0, noise_v=0.05, seed=218,
+                      payload=known.spec)
+        return estimate_gains(da, db, known, bmap, chain, chi, psi).gains
+
+    with pytest.raises(ExcitationError, match=r"^joint 2: drive gain "
+                       r"reciprocal -[\d.]+ A/Nm is not positive"):
+        gains(random_trajectory(6, seed=518))
+    K = np.asarray(plant.gains)
+    assert np.max(np.abs(gains(traj) - K) / K) <= 0.03
 
 
 def test_stage3_mass_only_not_identifiable(bmap, chain, stage1, stage2,

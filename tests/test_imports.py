@@ -14,12 +14,8 @@ import subprocess
 import sys
 import tomllib
 
-import numpy as np
-
 import dynid
-from dynid.dataio import (ur10_default_model, write_payload,
-                          write_robot_model, write_samples)
-from dynid.payload import PayloadSpec
+from dynid.dataio import ur10_default_model, write_robot_model, write_samples
 from dynid.solver import save_identified_model
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
@@ -121,16 +117,6 @@ def test_runtime_is_numpy_only():
     assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
 
 
-_SCIPY_LOADED = ("json.dumps(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
-
-
-def test_import_dynid_loads_no_scipy(tmp_path):
-    loaded = _run(f"import sys, json, dynid; print({_SCIPY_LOADED})",
-                  tmp_path)
-    assert loaded == []
-
-
 def test_import_dynid_loads_no_submodule(tmp_path):
     # names are imported from their modules; the package re-exports none,
     # so importing it pulls in neither the CLI nor the file readers
@@ -140,21 +126,6 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("dynid.")
                         or m in ("argparse", "configparser"))))
 """
     assert _run(code, tmp_path) == []
-
-
-def test_traj_gen_loads_no_scipy(tmp_path):
-    code = f"""
-import sys, json
-from dynid.dataio import ur10_default_model, write_robot_model
-import dynid.cli
-write_robot_model(ur10_default_model(), "robot.ini")
-rc = dynid.cli.main(["traj", "gen", "--robot", "robot.ini", "--seed", "3",
-                     "--duration", "2", "--out", "traj.csv"])
-assert rc == 0, rc
-print({_SCIPY_LOADED})
-"""
-    assert _run(code, tmp_path) == []
-    assert (tmp_path / "traj.csv").exists()
 
 
 def test_noiseless_simulate_loads_no_numpy_random(data_a, tmp_path):
@@ -193,80 +164,3 @@ print(json.dumps([loaded, "numpy.random" in sys.modules]))
 """
     assert _run(code, tmp_path) == [False, False]
     assert (tmp_path / "report.csv").exists()
-
-
-def test_solve_and_validate_load_no_scipy(ident_true, data_a, tmp_path):
-    # loading rebuilds the base map from the chain with numpy alone, so
-    # solve and validate stay free of scipy
-    save_identified_model(ident_true, tmp_path / "model.ini")
-    write_samples(data_a, tmp_path / "run.csv")
-    code = f"""
-import sys, json
-import dynid.cli
-for argv in (["solve", "--model", "model.ini", "--traj", "run.csv",
-              "--out", "tau.csv"],
-             ["validate", "--model", "model.ini", "--samples", "run.csv",
-              "--report", "report.csv"]):
-    rc = dynid.cli.main(argv)
-    assert rc == 0, (argv, rc)
-print({_SCIPY_LOADED})
-"""
-    assert _run(code, tmp_path) == []
-    assert (tmp_path / "tau.csv").exists()
-    assert (tmp_path / "report.csv").exists()
-
-
-def test_identify_friction_loads_no_scipy(ident_true, data_a, tmp_path):
-    # stage 2 fits a sigmoid by its own Levenberg-Marquardt loop and the
-    # model load rebuilds the base map with numpy; neither needs scipy
-    save_identified_model(ident_true, tmp_path / "model.ini")
-    write_samples(data_a, tmp_path / "run.csv")
-    code = f"""
-import sys, json
-import dynid.cli
-rc = dynid.cli.main(["identify", "friction", "--model", "model.ini",
-                     "--samples", "run.csv", "--out", "fitted.ini"])
-assert rc == 0, rc
-print({_SCIPY_LOADED})
-"""
-    assert _run(code, tmp_path) == []
-    assert (tmp_path / "fitted.ini").exists()
-
-
-def test_identify_linear_loads_no_scipy(data_a, tmp_path):
-    # the base map is one numpy QR per matrix
-    write_robot_model(ur10_default_model(), tmp_path / "robot.ini")
-    write_samples(data_a, tmp_path / "run.csv")
-    code = f"""
-import sys, json
-import dynid.cli
-rc = dynid.cli.main(["identify", "linear", "--robot", "robot.ini",
-                     "--samples", "run.csv", "--out", "model.ini"])
-assert rc == 0, rc
-print({_SCIPY_LOADED})
-"""
-    assert _run(code, tmp_path) == []
-    assert (tmp_path / "model.ini").exists()
-
-
-def test_identify_gains_loads_no_scipy(ident_true, data_a, data_b_pay,
-                                       tmp_path):
-    # each joint's gain system is split by the same numpy QR
-    save_identified_model(ident_true, tmp_path / "model.ini")
-    write_samples(data_a, tmp_path / "run_a.csv")
-    write_samples(data_b_pay, tmp_path / "run_b.csv")
-    write_payload(PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
-                              inertia_com=np.diag((0.030, 0.035, 0.030))),
-                  tmp_path / "payload.ini")
-    code = f"""
-import sys, json
-import dynid.cli
-rc = dynid.cli.main(["identify", "gains", "--model", "model.ini",
-                     "--samples-a", "run_a.csv", "--samples-b", "run_b.csv",
-                     "--payload", "payload.ini", "--known", "mass,com",
-                     "--out", "gains.ini"])
-assert rc == 0, rc
-print({_SCIPY_LOADED})
-"""
-    assert _run(code, tmp_path) == []
-    assert (tmp_path / "gains.ini").exists()
