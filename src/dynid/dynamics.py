@@ -11,10 +11,12 @@ the basis once per call, K Pi_i per link, so each link's wrench of every
 set is one product of the twelve numbers with that link's folded basis.
 Both project their wrenches onto the joint screws, carried outward link by
 link in one shared pass.  Gravity enters as an acceleration of the base
-frame.  The pass splits into a configuration part (frames, origin offsets
-and joint screws, from q alone) and a motion part (the forward recursion
-and the twelve numbers), so the evaluator runs several motion blocks over
-one configuration pass.
+frame.  The pass splits into a configuration part (frames and joint
+screws, from q alone) and a motion part (the forward recursion and the
+twelve numbers), so the evaluator runs several motion blocks over one
+configuration pass.  In standard DH each link's origin offset in its own
+frame does not depend on q, so every cross product with it is a constant
+map of the chain (KinematicChain.dh), built once per chain.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -38,15 +40,6 @@ SATURATED_DELTA = 1e9
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _EZ = np.array([0.0, 0.0, 1.0])
-
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis, with the same arithmetic and bits but
-    without its axis bookkeeping, which dominates on single states."""
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def inertia_vector_to_matrix(v6: np.ndarray) -> np.ndarray:
@@ -339,16 +332,16 @@ def friction_sigmoid(fs: FrictionSet, qd) -> np.ndarray:
     return f_o + f_v * qd + f_c * sigmoid(delta * (nu + qd))
 
 
-def _link_motion(R, r, Qd, Qdd, gravity):
+def _link_motion(R, C, Qd, Qdd, gravity):
     """Forward recursion of B motion blocks over M fixed configurations.
 
-    R (M, n, 3, 3) are the configurations' local frames and r (M, n, 3)
-    each origin's offset from its parent in its own coordinates (R_i^T
-    p_i), Qd and Qdd (M, B, n) the blocks of each, and gravity broadcasts
-    to (M, B, 3).  Yields, for links i = 0..n-1, angular velocity /
-    angular acceleration / origin acceleration in link coordinates, each
-    (M, B, 3).  Each configuration's rotation meets all of its blocks in
-    one product.
+    R (M, n, 3, 3) are the configurations' local frames and C (n, 9, 3)
+    the chain's origin-acceleration maps (KinematicChain.dh), Qd and Qdd
+    (M, B, n) the blocks of each, and gravity broadcasts to (M, B, 3).
+    Yields, for links i = 0..n-1, the motion numbers F (M, B, 12) of
+    _motion_numbers.  Each configuration's rotation meets all of its
+    blocks in one product, and the origin acceleration relative to the
+    parent's is one product of F's last nine numbers with C[i].
     """
     M, nb, n = Qd.shape
     om = omd = np.zeros((M, nb, 3))
@@ -368,9 +361,12 @@ def _link_motion(R, r, Qd, Qdd, gravity):
         V[..., 1, 1] -= qd * om[..., 0]
         V[..., 2, :] = acc
         W = (V.reshape(M, 3 * nb, 3) @ R[:, i]).reshape(M, nb, 3, 3)
-        om, omd, ri = W[..., 0, :], W[..., 1, :], r[:, i, None]
-        acc = W[..., 2, :] + _cross(omd, ri) + _cross(om, _cross(om, ri))
-        yield om, omd, acc
+        om = W[..., 0, :]
+        F = _motion_numbers(om, W[..., 1, :], W[..., 2, :])
+        # the parent's origin acceleration, plus omd x r_i + om x (om x r_i)
+        F[..., :3] += F[..., 3:] @ C[i]
+        acc, omd = F[..., :3], F[..., 3:6]
+        yield F
 
 
 def _wrench_basis() -> np.ndarray:
@@ -464,22 +460,25 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
     wrenches or a parameter set's, gives link i's share of joints 0..i as
     S_i @ w_i^T.  The next step overwrites S_i.
 
-    The configuration part, the frames, the origin offsets in link
-    coordinates and the joint screws, depends on Q (M, n) alone and is
-    built once.  The motion part, the forward recursion and F, runs on
-    every block of Qd, Qdd (M, B, n) and gravity (see _link_motion).
+    The configuration part, the frames and the joint screws, depends on
+    Q (M, n) alone and is built once.  The motion part, the forward
+    recursion and F, runs on every block of Qd, Qdd (M, B, n) and gravity
+    (see _link_motion).  Origin i's offset r_i from origin i-1, in frame
+    i, is a constant of the chain, so moving the screws' reference point
+    to origin i after their rotation adds a x r_i, one product with the
+    chain's constant X[i].
     """
     M, n = Q.shape
-    R, p = local_frames_batch(chain, Q)
-    r = (p[..., None, :] @ R)[..., 0, :]  # R_i^T p_i, (M, n, 3)
+    R, _ = local_frames_batch(chain, Q)
+    dh = chain.dh
     S = np.zeros((M, n, 6))
     S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
-    for i, motion in enumerate(_link_motion(R, r, Qd, Qdd, gravity)):
+    for i, F in enumerate(_link_motion(R, dh.C, Qd, Qdd, gravity)):
         S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
-        Si = S[:, :i + 1]
-        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
         S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
-        yield i, Si, _motion_numbers(*motion)
+        Si = S[:, :i + 1]
+        Si[..., :3] += Si[..., 3:] @ dh.X[i]
+        yield i, Si, F
 
 
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,

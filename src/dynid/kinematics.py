@@ -8,6 +8,8 @@ with theta_i = q_i + offset_i.  All joints are revolute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +38,44 @@ class DhRow:
                 raise ValueError(f"DhRow.{name} must be finite")
 
 
+class DhConstants(NamedTuple):
+    """What a chain's DH rows fix for every q, built once per chain.
+
+    a, d, offset, cos_alpha and sin_alpha are (n,) columns of the rows.
+    r (n, 3) is each origin's offset from its parent in its own frame,
+    R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i).  X (n, 3, 3) and
+    C (n, 9, 3) are the cross products with it as maps on row vectors:
+    x @ X[i] = x x r_i, and [omd, om_a*om_b for a <= b] @ C[i] =
+    omd x r_i + om x (om x r_i), the products in np.triu_indices(3) order.
+    """
+
+    a: np.ndarray
+    d: np.ndarray
+    offset: np.ndarray
+    cos_alpha: np.ndarray
+    sin_alpha: np.ndarray
+    r: np.ndarray
+    X: np.ndarray
+    C: np.ndarray
+
+
+def _dh_constants(rows) -> DhConstants:
+    a, alpha, d, offset = np.array(
+        [(row.a, row.alpha, row.d, row.offset) for row in rows]).T
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    r = np.stack((a, d * sa, d * ca), axis=-1)
+    E = np.eye(3)
+    X = np.cross(E, r[:, None])  # X[i, j] = e_j x r_i
+    T = np.cross(E[:, None], X[:, None])  # T[i, j, k] = e_j x (e_k x r_i)
+    j, k = np.triu_indices(3)
+    C = np.concatenate((X, T[:, j, k] + (j != k)[:, None] * T[:, k, j]),
+                       axis=1)
+    constants = DhConstants(a, d, offset, ca, sa, r, X, C)
+    for x in constants:  # every pass on the chain shares them
+        x.flags.writeable = False
+    return constants
+
+
 @dataclass(frozen=True)
 class KinematicChain:
     """A serial chain of revolute joints with a base-frame gravity vector."""
@@ -55,6 +95,11 @@ class KinematicChain:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def dh(self) -> DhConstants:
+        """The rows' constants, built on the first pass and kept."""
+        return _dh_constants(self.rows)
 
     @property
     def gravity_vector(self) -> np.ndarray:
@@ -99,15 +144,15 @@ def local_frames(chain: KinematicChain, q):
 
 
 def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
-    """Vectorized local_frames for Q of shape (M, n)."""
+    """Vectorized local_frames for Q of shape (M, n), on the DH columns
+    of chain.dh."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n:
         raise ValueError(f"expected joint array of shape (M, {chain.n})")
-    a, alpha, d, offset = np.array(
-        [(row.a, row.alpha, row.d, row.offset) for row in chain.rows]).T
-    th = Q + offset
+    dh = chain.dh
+    th = Q + dh.offset
     ct, st = np.cos(th), np.sin(th)
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    ca, sa = dh.cos_alpha, dh.sin_alpha
     R = np.zeros(Q.shape + (3, 3))
     R[..., 0, 0] = ct
     R[..., 0, 1] = -st * ca
@@ -118,9 +163,9 @@ def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
     R[..., 2, 1] = sa
     R[..., 2, 2] = ca
     p = np.empty(Q.shape + (3,))
-    p[..., 0] = a * ct
-    p[..., 1] = a * st
-    p[..., 2] = d
+    p[..., 0] = dh.a * ct
+    p[..., 1] = dh.a * st
+    p[..., 2] = dh.d
     return R, p
 
 

@@ -5,21 +5,22 @@ the base, n(n+1)/2 (link, joint) pairs in all; joint k's torque is the z
 moment about origin k-1 in frame k-1.  The package builds the same matrix
 by projecting onto the joint axes carried outward (dynamics.regressor_stack);
 this slower, independent backward pass is what the tests hold it against.
-The unit wrenches here come from skew matrices and the symmetric inertia
-basis, not from the package's constant wrench basis, so they are also the
-reference for dynamics._unit_wrenches.  regressor_stack_unsplit keeps the
-package's own arithmetic from before its pass split into a configuration
-part and a motion part, as the bitwise reference for regressor_stack.
+Its forward recursion is its own too: explicit cross products with each
+origin's offset R_i^T p_i formed per state, where the package uses the
+chain's constant maps.  The unit wrenches here come from skew matrices and
+the symmetric inertia basis, not from the package's constant wrench basis,
+so they are also the reference for dynamics._unit_wrenches.
 newton_euler_unfolded is the evaluator from before the parameter sets were
 folded into the wrench basis: it builds every link's unit wrenches, then
 sums them per set, the reference for dynamics.newton_euler.
 """
 import numpy as np
 
-from dynid.dynamics import (_PAIR_A, _PAIR_B, _WRENCH_BASIS, N_FRICTION,
-                            N_INERTIAL, _I_PAIRS, _batch_states, _cross,
-                            _link_motion, _link_screws, _unit_wrenches)
+from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _batch_states,
+                            _link_screws, _unit_wrenches)
 from dynid.kinematics import KinematicChain, local_frames_batch
+
+_EZ = np.array([0.0, 0.0, 1.0])
 
 
 def _sym_basis() -> np.ndarray:
@@ -59,24 +60,46 @@ def unit_wrenches(om, omd, acc):
     return B
 
 
+def _to_link(R, x):
+    """R^T x for each state: x (M, 3) in the parent frame, in frame i."""
+    return (x[:, None, :] @ R)[:, 0]
+
+
+def forward_recursion(chain: KinematicChain, R, p, Qd, Qdd):
+    """Yield (om, omd, acc), each (M, 3), for links i = 0..n-1 in their own
+    frames: angular velocity and acceleration and the origin's linear
+    acceleration with gravity folded in, from frames R (M, n, 3, 3) and
+    offsets p (M, n, 3), by explicit cross products."""
+    M, n = Qd.shape
+    om, omd = np.zeros((M, 3)), np.zeros((M, 3))
+    acc = np.broadcast_to(-chain.gravity_vector, (M, 3))
+    for i in range(n):
+        qd, qdd, Ri = Qd[:, i, None], Qdd[:, i, None], R[:, i]
+        omd = _to_link(Ri, omd + qdd * _EZ + qd * np.cross(om, _EZ))
+        om = _to_link(Ri, om + qd * _EZ)
+        r = _to_link(Ri, p[:, i])
+        acc = _to_link(Ri, acc) + np.cross(omd, r) \
+            + np.cross(om, np.cross(om, r))
+        yield om, omd, acc
+
+
 def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     """Regressor (M, n, 13n) in the layout of dynamics.regressor_stack."""
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
 
     R, p = local_frames_batch(chain, Q)
-    motion = _link_motion(R, (p[..., None, :] @ R)[..., 0, :], Qd[:, None],
-                          Qdd[:, None], chain.gravity_vector)
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
-    for i, (om, omd, acc) in enumerate(motion):
-        B = unit_wrenches(om[:, 0], omd[:, 0], acc[:, 0])
+    for i, (om, omd, acc) in enumerate(forward_recursion(chain, R, p, Qd,
+                                                         Qdd)):
+        B = unit_wrenches(om, omd, acc)
         f, nm = B[:, :, :3], B[:, :, 3:]
         col = N_INERTIAL * i
         for k in range(i, -1, -1):
             Rf = np.einsum("mab,mpb->mpa", R[:, k], f)
             Rn = np.einsum("mab,mpb->mpa", R[:, k], nm) \
-                + _cross(p[:, k, None, :], Rf)
+                + np.cross(p[:, k, None, :], Rf)
             Y[:, k, col:col + N_INERTIAL] = Rn[:, :, 2]
             f, nm = Rf, Rn
 
@@ -84,58 +107,6 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     rows = np.arange(M)
     for j in range(n):
         Y[rows, j, base + 3 * j] = 1.0
-        Y[:, j, base + 3 * j + 1] = Qd[:, j]
-        Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
-    return Y
-
-
-def regressor_stack_unsplit(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
-    """Regressor (M, n, 13n) from the pass as it was before it split into a
-    configuration part and a motion part: frames built row by row, one
-    (M, n) forward recursion, and one product per state in every step.
-    dynamics.regressor_stack must keep its bits exactly."""
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
-    M, n = Q.shape
-    R = np.zeros((M, n, 3, 3))
-    p = np.zeros((M, n, 3))
-    for k, row in enumerate(chain.rows):
-        th = Q[:, k] + row.offset
-        ct, st = np.cos(th), np.sin(th)
-        ca, sa = np.cos(row.alpha), np.sin(row.alpha)
-        R[:, k, 0] = np.stack((ct, -st * ca, st * sa), axis=-1)
-        R[:, k, 1] = np.stack((st, ct * ca, -ct * sa), axis=-1)
-        R[:, k, 2, 1:] = sa, ca
-        p[:, k] = np.stack((row.a * ct, row.a * st, np.full(M, row.d)),
-                           axis=-1)
-    ez = np.array([0.0, 0.0, 1.0])
-    om, omd = np.zeros((M, 3)), np.zeros((M, 3))
-    acc = np.broadcast_to(-chain.gravity_vector, (M, 3))
-    V = np.empty((M, 4, 3))
-    S = np.zeros((M, n, 6))
-    S3 = S.reshape(M, 2 * n, 3)
-    Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-    for i in range(n):
-        V[:, 0] = om
-        V[:, 0, 2] += Qd[:, i]
-        V[:, 1] = omd
-        V[:, 1, 2] += Qdd[:, i]
-        V[:, 1] += Qd[:, i, None] * _cross(om, ez)
-        V[:, 2] = p[:, i]
-        V[:, 3] = acc
-        W = V @ R[:, i]
-        om, omd, r = W[:, 0], W[:, 1], W[:, 2]
-        acc = W[:, 3] + _cross(omd, r) + _cross(om, _cross(om, r))
-        S[:, i, 5] = 1.0
-        Si = S[:, :i + 1]
-        Si[..., :3] += _cross(Si[..., 3:], p[:, i, None, :])
-        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
-        F = np.concatenate((acc, omd, om[:, _PAIR_A] * om[:, _PAIR_B]), axis=1)
-        B = (F[:, None, :] @ _WRENCH_BASIS).reshape(-1, N_INERTIAL, 6)
-        col = N_INERTIAL * i
-        np.matmul(Si, B.swapaxes(1, 2), out=Y[:, :i + 1, col:col + N_INERTIAL])
-    base = N_INERTIAL * n
-    for j in range(n):
-        Y[np.arange(M), j, base + 3 * j] = 1.0
         Y[:, j, base + 3 * j + 1] = Qd[:, j]
         Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
     return Y

@@ -9,10 +9,11 @@ from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
                             _unit_wrenches, friction_linear, friction_sigmoid,
                             newton_euler, regressor, regressor_stack, rnea,
                             sigmoid)
-from dynid.kinematics import DhRow, KinematicChain, ur10_chain
+from dynid.kinematics import (DhRow, KinematicChain, local_frames_batch,
+                              ur10_chain)
 from forward_kinematics import frame_chain
 from regressor_oracle import (newton_euler_unfolded, regressor_stack_sweep,
-                              regressor_stack_unsplit, unit_wrenches)
+                              unit_wrenches)
 
 # single link rotating about z, gravity along -y: the swing works against
 # gravity, so tau = m g r cos(q)
@@ -582,6 +583,42 @@ def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
     assert np.max(np.abs(tau - ref) / (1.0 + np.abs(ref))) < 1e-12
 
 
+# nonzero joint offsets, a negative link length, twists off the axes
+OFFSETS = KinematicChain(rows=(DhRow(0.4, 0.7, -0.2, 0.5),
+                               DhRow(-0.3, -2.1, 0.15, -1.3),
+                               DhRow(0.0, np.pi / 2, 0.25, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]))
+def test_origin_offset_in_own_frame_is_constant(seed, m, chain):
+    # standard DH: R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i) for
+    # every q, the chain's constant r_i
+    Q = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi,
+                                            (m, chain.n))
+    R, p = local_frames_batch(chain, Q)
+    r = (p[..., None, :] @ R)[..., 0, :]
+    assert np.max(np.abs(r - chain.dh.r)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]))
+def test_origin_maps_match_cross_products(seed, m, chain):
+    # x @ X_i = x x r_i, and the last nine motion numbers times C_i give
+    # omd x r_i + om x (om x r_i)
+    rng = np.random.default_rng(seed)
+    om, omd, x = (rng.uniform(-s, s, (m, 3)) for s in (3.0, 10.0, 1.0))
+    F = _motion_numbers(om, omd, np.zeros((m, 3)))
+    dh = chain.dh
+    for i, r in enumerate(dh.r):
+        for got, ref in ((x @ dh.X[i], np.cross(x, r)),
+                         (F[:, 3:] @ dh.C[i],
+                          np.cross(omd, r) + np.cross(om, np.cross(om, r)))):
+            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-12
+
+
 def test_wrench_basis_is_signed_selection():
     assert _WRENCH_BASIS.shape == (12, 60)
     assert set(np.unique(_WRENCH_BASIS)) <= {-1.0, 0.0, 1.0}
@@ -603,7 +640,7 @@ def test_unit_wrenches_match_oracle(seed, m):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
-       chain=st.sampled_from([ur10_chain(), TOY]))
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]))
 def test_regressor_stack_matches_sweep_oracle(seed, m, chain):
     # the axis projection agrees with the joint-by-joint unit sweep to c01's
     # relative error 1e-9; link i's columns are exactly zero past row i
@@ -616,18 +653,6 @@ def test_regressor_stack_matches_sweep_oracle(seed, m, chain):
     assert np.max(np.abs(Y - ref) / (1.0 + np.abs(ref))) < 1e-9
     for i in range(n):
         assert not np.any(Y[:, i + 1:, 10 * i:10 * i + 10])
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
-       chain=st.sampled_from([ur10_chain(), TOY]))
-def test_regressor_stack_keeps_unsplit_bits(seed, m, chain):
-    # the draws of the sweep-oracle test; the split into configuration and
-    # motion parts leaves every bit of the regressor as it was
-    rng = np.random.default_rng(seed)
-    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
-    assert regressor_stack(chain, Q, Qd, Qdd).tobytes() \
-        == regressor_stack_unsplit(chain, Q, Qd, Qdd).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -128,6 +128,24 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("dynid.")
     assert _run(code, tmp_path) == []
 
 
+def test_import_builds_no_chain_constants(tmp_path):
+    # the per-chain DH constants are built on a chain's first pass, never
+    # while the package's modules load
+    code = """
+import json, pkgutil, sys
+import dynid
+built = []
+sys.setprofile(lambda frame, event, arg: built.append(1) if event == "call"
+               and frame.f_code.co_name == "_dh_constants" else None)
+for mod in pkgutil.iter_modules(dynid.__path__):
+    if mod.name != "__main__":
+        __import__("dynid." + mod.name)
+sys.setprofile(None)
+print(json.dumps(len(built)))
+"""
+    assert _run(code, tmp_path) == 0
+
+
 def test_noiseless_simulate_loads_no_numpy_random(data_a, tmp_path):
     # the noise generator is made only for a positive noise std, so a
     # noiseless run does not import numpy.random

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynid import dynamics
+from dynid import dynamics, kinematics
 from dynid.cli import main
 from dynid.dataio import SchemaError, _new_parser, write_samples
 from dynid.dynamics import (JointState, friction_linear, friction_sigmoid,
@@ -95,6 +95,27 @@ def test_one_configuration_pass_per_call(ident_true, monkeypatch):
     assert calls == [5]
     inertia(ident_true, q[0])
     assert calls == [5, 1]
+
+
+def test_chain_constants_built_once_per_chain(ident_true, monkeypatch):
+    # the DH columns and origin maps are cached on the chain: many
+    # single-state calls and the batched terms build them once
+    calls = []
+    build = kinematics._dh_constants
+
+    def counted(rows):
+        calls.append(len(rows))
+        return build(rows)
+
+    monkeypatch.setattr(kinematics, "_dh_constants", counted)
+    chain = ident_true.chain
+    model = replace(ident_true, chain=KinematicChain(chain.rows, chain.gravity))
+    q, qd, qdd = _random_states(np.random.default_rng(5), 100)
+    for k in range(100):
+        torque(model, q[k], qd[k], qdd[k])
+    torque_terms(model, q, qd, qdd)
+    inertia(model, q[0])
+    assert calls == [6]
 
 
 def test_evaluator_builds_no_unit_wrenches(ident_true, monkeypatch):
