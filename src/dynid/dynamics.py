@@ -345,7 +345,7 @@ def _link_motion(R, C, Qd, Qdd, gravity):
     """
     M, nb, n = Qd.shape
     om = omd = np.zeros((M, nb, 3))
-    acc = np.broadcast_to(-gravity, (M, nb, 3))
+    acc = -gravity
     # rows of V, in the parent frame: angular velocity and acceleration
     # before rotation, origin acceleration; V @ R[:, i] expresses all three
     # in frame i
@@ -469,7 +469,7 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
     chain's constant X[i].
     """
     M, n = Q.shape
-    R, _ = local_frames_batch(chain, Q)
+    R = local_frames_batch(chain, Q)
     dh = chain.dh
     S = np.zeros((M, n, 6))
     S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
@@ -506,10 +506,16 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
         raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
     lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
-    # blocks beside their configuration: (M, B, ...)
-    Qd, Qdd, g = (np.broadcast_to(x, lead + (M, x.shape[-1]))
-                  .reshape(-1, M, x.shape[-1]).swapaxes(0, 1)
-                  for x in (Qd, Qdd, g))
+
+    def blocks(x):
+        # beside their configuration, (M, B, ...); broadcast only a shape
+        # that differs, as each broadcast_to adds microseconds to one state
+        shape = lead + (M, x.shape[-1])
+        if x.shape != shape:
+            x = np.broadcast_to(x, shape)
+        return x.reshape(-1, M, shape[-1]).swapaxes(0, 1)
+
+    Qd, Qdd, g = blocks(Qd), blocks(Qdd), blocks(g)
     nb, ns = Qd.shape[1], Pi.shape[1]
     KP = _folded_basis(Pi, n)
     tau = np.zeros((M, n, nb * ns))

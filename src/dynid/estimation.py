@@ -11,9 +11,10 @@ system is split and solved once, in regrouped coordinates where it loses
 rank; a gain that is not positive or leaves its stated bounds raises.
 
 The regressor is read in blocks of states (reduction.regressor_blocks),
-and from each block only the rows and columns a fit uses are kept.  The
-one (M, n, c) array an identification holds is the minimal regressor
-stage 1 fitted on, which its result keeps for stages 2 and 3.
+and from each block only the rows and columns a fit uses are kept.  No
+identification holds an (M, n, c) array: stage 1 keeps, for stages 2 and
+3, each joint's regressor row on its active inertial base columns, the
+only part of the minimal regressor they read again.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import (RANK_TOL, BaseParameterMap, minimal_columns,
-                        minimal_regressor_stack, regressor_blocks,
-                        split_columns)
+                        regressor_blocks, split_columns)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -181,16 +181,18 @@ class CurrentCoefficients:
     irls_iterations and irls_converged record each joint's robust-weight
     iteration.
 
-    identify_coefficients also keeps the minimal regressor it fitted on,
-    with the samples, map and chain it was built from, in a field outside
-    repr and ==.  friction_residual_currents and estimate_gains read it
-    when given those very objects, so one identification builds that
-    regressor once.  It lives as long as this object: (M, n, c) floats,
-    about 19 MB at 7500 UR10 states, the largest array an identification
-    holds.  dataclasses.replace gives a copy without it; coefficients
-    built any other way, such as a chi loaded from a model file, hold
-    none, and those two functions then stream the samples' regressor in
-    blocks (reduction.regressor_blocks) and hold no (M, n, c) array.
+    identify_coefficients also keeps, with the samples, map and chain it
+    fitted on, one (a_j, M) array per joint j in a field outside repr and
+    ==: joint j's regressor row on its a_j active inertial base columns
+    (_active_columns), one row per column.  friction_residual_currents
+    and estimate_gains read them when given those very objects, so one
+    identification builds its regressor once.  They live as long as this
+    object: 8 M sum_j a_j bytes, 8.8 MB at 7500 UR10 states (147 of the
+    minimal regressor's 324 numbers per state), the largest arrays an
+    identification holds.  dataclasses.replace gives a copy without them;
+    coefficients built any other way, such as a chi loaded from a model
+    file, hold none, and those two functions then stream the samples'
+    regressor in blocks (reduction.regressor_blocks).
     """
 
     n: int
@@ -199,7 +201,8 @@ class CurrentCoefficients:
     sample_counts: tuple[int, ...] = ()
     irls_iterations: tuple[int, ...] = ()
     irls_converged: tuple[bool, ...] = ()
-    # (samples, map, chain, minimal regressor), set by identify_coefficients
+    # (samples, map, chain, active columns per joint), set by
+    # identify_coefficients
     _fitted_on: tuple | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -226,10 +229,20 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
 
     Only samples in the joint's linearity region |qd_j| > threshold enter
     that joint's fit, where the three linear friction columns are valid.
+    Its stack is the joint's identifiable columns, read from the active
+    columns kept block by block, and the friction columns [1, qd_j,
+    sgn(qd_j)] formed from the samples, as regressor_stack forms them.
     """
     n = map_.n
-    U = minimal_regressor_stack(map_, chain, samples.q, samples.qd,
-                                samples.qdd)
+    acols = _active_columns(map_)
+    kept = tuple(np.empty((a.size, samples.m)) for a in acols)
+    full_cols = [map_.inertial_columns[a] for a in acols]
+
+    def keep(rows, Y):
+        for j, (K, c) in enumerate(zip(kept, full_cols)):
+            K[:, rows] = Y[:, j, c].T
+
+    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd, keep)
     mask = samples.mask
     chi = np.zeros((n, map_.c))
     conds, counts, iters, converged = [], [], [], []
@@ -241,7 +254,11 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
             raise ExcitationError(
                 f"joint {j+1}: only {count} linearity-region samples for "
                 f"{cols.size} coefficients; lengthen or enrich the trajectory")
-        A = U[:, j][np.ix_(rows, cols)]
+        ident = np.searchsorted(acols[j], map_.joint_idcols[j])
+        qd = samples.qd[rows, j]
+        A = np.empty((count, cols.size))
+        A[:, :ident.size] = kept[j][np.ix_(ident, rows)].T
+        A[:, -3], A[:, -2], A[:, -1] = 1.0, qd, np.sign(qd)
         b = samples.v[rows, j]
         wm = robust_weights(A, b)
         cond = wm.condition
@@ -261,19 +278,35 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
                                  sample_counts=tuple(counts),
                                  irls_iterations=tuple(iters),
                                  irls_converged=tuple(converged))
-    object.__setattr__(coeffs, "_fitted_on", (samples, map_, chain, U))
+    object.__setattr__(coeffs, "_fitted_on", (samples, map_, chain, kept))
     return coeffs
 
 
-def _kept_regressor(map_: BaseParameterMap, chain: KinematicChain, chi,
-                    samples: SampleSet) -> np.ndarray | None:
-    """The minimal regressor chi was fitted on when that was these very
-    samples, map and chain; otherwise None."""
+def _active_columns(map_: BaseParameterMap) -> list[np.ndarray]:
+    """Per joint j, the inertial base columns present in its row
+    (joint_masks), ascending; its identifiable columns are among them."""
+    return [np.flatnonzero(m[:map_.c_inertial]) for m in map_.joint_masks]
+
+
+def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
+                  samples: SampleSet) -> tuple[np.ndarray, ...] | None:
+    """The per-joint active columns chi was fitted on when that was these
+    very samples, map and chain; otherwise None."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
         return fitted_on[3]
     return None
+
+
+def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] cols[k] over a joint's columns cols (a, m), added one
+    column at a time, so that a state's bits do not depend on the states
+    around it or on the columns' memory layout."""
+    v = np.zeros(cols.shape[1])
+    for x, c in zip(cols, coef):
+        v += c * x
+    return v
 
 
 def _joint_rows(map_: BaseParameterMap, chain: KinematicChain,
@@ -321,23 +354,32 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
-    Joint j's non-friction part is its minimal-regressor row's inertial
-    columns times chi_j's.  That regressor is the one stage 1 kept when
-    chi is identify_coefficients' result on these samples, map and chain
-    (see CurrentCoefficients); for any other chi, such as one loaded from
-    a model file, it is streamed here in blocks.
+    Joint j's non-friction part is its regressor row on its active
+    inertial base columns times chi_j's entries there (_joint_model); the
+    row's other inertial columns are structurally zero (joint_masks), and
+    an identified chi is zero on them.  The active columns are the
+    ones stage 1 kept when chi is identify_coefficients' result on these
+    samples, map and chain (see CurrentCoefficients); for any other chi,
+    such as one loaded from a model file, they are streamed here in
+    blocks.  Both give the same bits.
     """
-    c_in = map_.c_inertial
-    C = _chi_matrix(chi, map_.n)[:, :c_in]
+    C = _chi_matrix(chi, map_.n)
+    acols = _active_columns(map_)
+    resid = np.array(samples.v, dtype=float)
+    kept = _kept_columns(map_, chain, chi, samples)
+    if kept is not None:
+        for j, (a, K) in enumerate(zip(acols, kept)):
+            resid[:, j] -= _joint_model(K, C[j, a])
+        return resid
+    full_cols = [map_.inertial_columns[a] for a in acols]
 
-    def model(U):
-        return np.einsum("mjc,jc->mj", U[:, :, :c_in], C)
+    def subtract(rows, Y):
+        for j, (a, c) in enumerate(zip(acols, full_cols)):
+            resid[rows, j] -= _joint_model(Y[:, j, c].T, C[j, a])
 
-    U = _kept_regressor(map_, chain, chi, samples)
-    parts = [model(U)] if U is not None else regressor_blocks(
-        map_, chain, samples.q, samples.qd, samples.qdd,
-        lambda _, Y: model(minimal_columns(map_, Y)))
-    return samples.v - np.concatenate(parts)
+    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd,
+                     subtract)
+    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +656,14 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     (lower, upper) interval for every joint, raises ExcitationError.
 
     Each joint's arm columns are re-fitted together with its gain on both
-    runs, so chi's values are not read.  chi supplies samples_a's minimal
-    regressor when it is identify_coefficients' result on these very
-    samples, map and chain (see CurrentCoefficients).  Otherwise, and for
-    samples_b always, the regressor is streamed in blocks, and each
-    joint's linearity-region rows are gathered from them on the columns
-    its system uses: the active base columns, and for samples_b the
-    payload (last link) columns.
+    runs, so chi's values are not read.  When chi is identify_coefficients'
+    result on these very samples, map and chain, samples_a's rows are the
+    linearity-region rows of the active columns it kept (see
+    CurrentCoefficients).  Otherwise, and for samples_b always, the
+    regressor is streamed in blocks, and each joint's linearity-region
+    rows are gathered from them on the columns its system uses: the
+    active base columns, and for samples_b the payload (last link)
+    columns.
     """
     lo, hi = (float(b) for b in bounds)
     if not lo <= hi:
@@ -636,15 +679,13 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     pi_k = pi_L[kmask]
     n_unknown = int((~kmask).sum())
 
-    c_in = map_.c_inertial
-    acols = [np.flatnonzero(map_.joint_masks[j][:c_in]) for j in range(n)]
-    U_a = _kept_regressor(map_, chain, chi, samples_a)
-    if U_a is None:
+    acols = _active_columns(map_)
+    kept = _kept_columns(map_, chain, chi, samples_a)
+    if kept is None:
         rows_a = _joint_rows(map_, chain, samples_a,
                              [map_.inertial_columns[a] for a in acols])
     else:
-        rows_a = (U_a[:, j][np.ix_(samples_a.mask[:, j], a)]
-                  for j, a in enumerate(acols))
+        rows_a = (K[:, samples_a.mask[:, j]].T for j, K in enumerate(kept))
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
     rows_b = _joint_rows(map_, chain, samples_b,
                          [np.r_[map_.inertial_columns[a], payload_cols]

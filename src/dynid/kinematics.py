@@ -143,9 +143,10 @@ def local_frames(chain: KinematicChain, q):
     return R, p
 
 
-def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
-    """Vectorized local_frames for Q of shape (M, n), on the DH columns
-    of chain.dh."""
+def local_frames_batch(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
+    """The rotations R (M, n, 3, 3) of local_frames for Q of shape (M, n),
+    on the DH columns of chain.dh.  The origin offsets are left out: in
+    its own frame each is the chain's constant r (KinematicChain.dh)."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n:
         raise ValueError(f"expected joint array of shape (M, {chain.n})")
@@ -162,11 +163,7 @@ def local_frames_batch(chain: KinematicChain, Q: np.ndarray):
     R[..., 1, 2] = -ct * sa
     R[..., 2, 1] = sa
     R[..., 2, 2] = ca
-    p = np.empty(Q.shape + (3,))
-    p[..., 0] = dh.a * ct
-    p[..., 1] = dh.a * st
-    p[..., 2] = dh.d
-    return R, p
+    return R
 
 
 def ur10_chain() -> KinematicChain:

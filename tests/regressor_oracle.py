@@ -18,7 +18,7 @@ import numpy as np
 
 from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _batch_states,
                             _link_screws, _unit_wrenches)
-from dynid.kinematics import KinematicChain, local_frames_batch
+from dynid.kinematics import KinematicChain, local_frames
 
 _EZ = np.array([0.0, 0.0, 1.0])
 
@@ -88,7 +88,8 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
 
-    R, p = local_frames_batch(chain, Q)
+    # frames and origin offsets per state, from the scalar local_frames
+    R, p = (np.stack(x) for x in zip(*(local_frames(chain, q) for q in Q)))
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
 
     for i, (om, omd, acc) in enumerate(forward_recursion(chain, R, p, Qd,

@@ -9,8 +9,8 @@ from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
                             _unit_wrenches, friction_linear, friction_sigmoid,
                             newton_euler, regressor, regressor_stack, rnea,
                             sigmoid)
-from dynid.kinematics import (DhRow, KinematicChain, local_frames_batch,
-                              ur10_chain)
+from dynid.kinematics import (DhRow, KinematicChain, local_frames,
+                              local_frames_batch, ur10_chain)
 from forward_kinematics import frame_chain
 from regressor_oracle import (newton_euler_unfolded, regressor_stack_sweep,
                               unit_wrenches)
@@ -597,7 +597,8 @@ def test_origin_offset_in_own_frame_is_constant(seed, m, chain):
     # every q, the chain's constant r_i
     Q = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi,
                                             (m, chain.n))
-    R, p = local_frames_batch(chain, Q)
+    R = local_frames_batch(chain, Q)
+    p = np.stack([local_frames(chain, q)[1] for q in Q])
     r = (p[..., None, :] @ R)[..., 0, :]
     assert np.max(np.abs(r - chain.dh.r)) <= 1e-15
 

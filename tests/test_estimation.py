@@ -528,6 +528,43 @@ def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
     _assert_built_once(calls, [data_a.m, data_a.m])
 
 
+def test_identification_builds_no_minimal_regressor(
+        bmap, chain, data_a, data_b_pay, known, stage1, stage3, monkeypatch):
+    # stages 1-3 read each joint's active columns straight from the
+    # regressor blocks, kept or streamed; no minimal regressor is sliced
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an identification sliced a minimal regressor")
+
+    for name in ("minimal_regressor_stack", "minimal_columns"):
+        real = getattr(reduction, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("dynid") and \
+                    getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, forbidden)
+    chi = identify_coefficients(bmap, chain, data_a)
+    for c in (chi, chi.as_matrix()):
+        resid = friction_residual_currents(bmap, chain, c, data_a)
+        fit = fit_friction(data_a.qd, resid, threshold=data_a.qd_threshold)
+        est = estimate_gains(data_a, data_b_pay, known, bmap, chain, c,
+                             fit.friction)
+        assert np.array_equal(est.gains, stage3.gains)
+    assert np.array_equal(chi.chi, stage1.chi)
+
+
+def test_stage1_keeps_only_active_columns(bmap, chain, data_a, stage1):
+    # one (a_j, M) array per joint, joint j's minimal-regressor row on its
+    # a_j active inertial columns: 8 M sum_j a_j bytes, each its own buffer
+    kept = stage1._fitted_on[3]
+    active = [np.flatnonzero(m[:bmap.c_inertial]) for m in bmap.joint_masks]
+    assert sum(K.nbytes for K in kept) == \
+        8 * data_a.m * sum(a.size for a in active)
+    assert all(K.base is None for K in kept)
+    U = minimal_regressor_stack(bmap, chain, data_a.q, data_a.qd,
+                                data_a.qdd)
+    for j, (K, a) in enumerate(zip(kept, active)):
+        assert K.tobytes() == np.ascontiguousarray(U[:, j, a].T).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the regressor streamed in blocks of states
 
@@ -622,10 +659,12 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
                                                              noisy_runs):
     # at 7500 UR10 states each stage's traced peak, above what was held
     # when it started, stays below one full (M, n, 13n) regressor: only
-    # the minimal regressor stage 1 keeps and one block of states are
-    # ever held, never a full regressor
+    # the active columns stage 1 keeps and one block of states are ever
+    # held, never a full regressor; stage 1 stays below one minimal
+    # (M, n, c) regressor too
     da, db, known = noisy_runs
     full = da.m * chain.n * (N_INERTIAL + N_FRICTION) * chain.n * 8
+    minimal = da.m * chain.n * bmap.c * 8
 
     def stages_2_3(chi):
         resid = friction_residual_currents(bmap, chain, chi, da)
@@ -651,6 +690,7 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
     peaks = {"stage 1": stage1, "stages 2-3": kept,
              "stages 2-3 without a kept regressor": streamed}
     assert {k: v for k, v in peaks.items() if v >= full} == {}
+    assert stage1 < minimal
 
 
 # ---------------------------------------------------------------------------

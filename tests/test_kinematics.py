@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynid.kinematics import DhRow, KinematicChain, dh_transform, ur10_chain
+from dynid.kinematics import (DhRow, KinematicChain, dh_transform,
+                              local_frames, local_frames_batch, ur10_chain)
 from forward_kinematics import frame_chain, link_pose
 
 joint_vectors = st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6)
@@ -86,3 +87,14 @@ def test_origin_continuity():
             dq[j] = eps
             p1 = link_pose(chain, q + dq, 6)[:3, 3]
             assert np.linalg.norm(p1 - p0) <= L * eps
+
+
+def test_local_frames_batch_is_local_frames_rotations():
+    # the batch holds each state's rotations and nothing else; the origin
+    # offsets are the chain's constants (KinematicChain.dh)
+    chain = ur10_chain()
+    Q = np.random.default_rng(8).uniform(-np.pi, np.pi, (7, 6))
+    R = local_frames_batch(chain, Q)
+    assert R.shape == (7, 6, 3, 3)
+    for q, Rq in zip(Q, R):
+        assert np.max(np.abs(Rq - local_frames(chain, q)[0])) < 1e-15
