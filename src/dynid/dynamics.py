@@ -11,12 +11,13 @@ the basis once per call, K Pi_i per link, so each link's wrench of every
 set is one product of the twelve numbers with that link's folded basis.
 Both project their wrenches onto the joint screws, carried outward link by
 link in one shared pass.  Gravity enters as an acceleration of the base
-frame.  The pass splits into a configuration part (frames and joint
-screws, from q alone) and a motion part (the forward recursion and the
-twelve numbers), so the evaluator runs several motion blocks over one
-configuration pass.  In standard DH each link's origin offset in its own
-frame does not depend on q, so every cross product with it is a constant
-map of the chain (KinematicChain.dh), built once per chain.
+frame.  The frames depend on q alone, so the evaluator runs several motion
+blocks over one configuration, and each link's rotation meets the joint
+screws and every block's motion in one product.  In standard DH each
+link's origin offset in its own frame does not depend on q, so every cross
+product with it is a constant map of the chain (KinematicChain.dh), built
+once per chain.  A batch runs the pass in blocks of BLOCK_STATES states,
+so the pass's memory does not grow with the batch.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -26,6 +27,7 @@ direction-change transition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,10 @@ N_INERTIAL = 10   # per-link inertial parameters
 N_FRICTION = 3    # per-joint linear friction parameters
 # sigmoid steepness (s/rad) of FrictionSet.from_linear's saturated transition
 SATURATED_DELTA = 1e9
+# states per block of a batched pass (newton_euler, and the regressor
+# streamed by reduction.regressor_blocks): a block's temporaries stay
+# cache-sized, and a batch's memory grows only with its inputs and result
+BLOCK_STATES = 512
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -332,43 +338,6 @@ def friction_sigmoid(fs: FrictionSet, qd) -> np.ndarray:
     return f_o + f_v * qd + f_c * sigmoid(delta * (nu + qd))
 
 
-def _link_motion(R, C, Qd, Qdd, gravity):
-    """Forward recursion of B motion blocks over M fixed configurations.
-
-    R (M, n, 3, 3) are the configurations' local frames and C (n, 9, 3)
-    the chain's origin-acceleration maps (KinematicChain.dh), Qd and Qdd
-    (M, B, n) the blocks of each, and gravity broadcasts to (M, B, 3).
-    Yields, for links i = 0..n-1, the motion numbers F (M, B, 12) of
-    _motion_numbers.  Each configuration's rotation meets all of its
-    blocks in one product, and the origin acceleration relative to the
-    parent's is one product of F's last nine numbers with C[i].
-    """
-    M, nb, n = Qd.shape
-    om = omd = np.zeros((M, nb, 3))
-    acc = -gravity
-    # rows of V, in the parent frame: angular velocity and acceleration
-    # before rotation, origin acceleration; V @ R[:, i] expresses all three
-    # in frame i
-    V = np.empty((M, nb, 3, 3))
-    for i in range(n):
-        qd = Qd[..., i]
-        V[..., 0, :] = om
-        V[..., 0, 2] += qd
-        V[..., 1, :] = omd
-        V[..., 1, 2] += Qdd[..., i]
-        # qd * (om x e_z) = qd * (om_y, -om_x, 0)
-        V[..., 1, 0] += qd * om[..., 1]
-        V[..., 1, 1] -= qd * om[..., 0]
-        V[..., 2, :] = acc
-        W = (V.reshape(M, 3 * nb, 3) @ R[:, i]).reshape(M, nb, 3, 3)
-        om = W[..., 0, :]
-        F = _motion_numbers(om, W[..., 1, :], W[..., 2, :])
-        # the parent's origin acceleration, plus omd x r_i + om x (om x r_i)
-        F[..., :3] += F[..., 3:] @ C[i]
-        acc, omd = F[..., :3], F[..., 3:6]
-        yield F
-
-
 def _wrench_basis() -> np.ndarray:
     """K (12, 60): a link's unit-parameter wrenches, (10, 6) flattened, are
     F @ K for F = [acc, omd, om_a*om_b over _I_PAIRS].  About the origin:
@@ -399,14 +368,17 @@ _WRENCH_BASIS = _wrench_basis()
 _WRENCH_BASIS_BY_PARAMETER = np.ascontiguousarray(
     _WRENCH_BASIS.reshape(12, N_INERTIAL, 6).swapaxes(0, 1)).reshape(
         N_INERTIAL, 12 * 6)
-_PAIR_A, _PAIR_B = np.array(_I_PAIRS).T
+# the two factors of every om_a*om_b over _I_PAIRS, first factors first
+_PAIR_FACTORS = np.array(_I_PAIRS).T.ravel()
 
 
-def _motion_numbers(om, omd, acc):
-    """F (..., 12) = [acc, omd, om_a*om_b over _I_PAIRS]: the twelve numbers
-    of a link's motion that its unit wrenches are linear in."""
-    return np.concatenate((acc, omd, om[..., _PAIR_A] * om[..., _PAIR_B]),
-                          axis=-1)
+def _motion_numbers(V):
+    """F (..., 12) = [acc, omd, om_a*om_b over _I_PAIRS] of V (..., 9) =
+    [om, omd, acc]: the twelve numbers of a link's motion that its unit
+    wrenches are linear in."""
+    om2 = V[..., _PAIR_FACTORS]
+    return np.concatenate((V[..., 6:], V[..., 3:6],
+                           om2[..., :6] * om2[..., 6:]), axis=-1)
 
 
 def _unit_wrenches(F):
@@ -448,6 +420,12 @@ def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
     return Q, Qd, Qdd
 
 
+def _state_blocks(m: int) -> list[slice]:
+    """Row slices of BLOCK_STATES states that cover a batch of m."""
+    return [slice(start, start + BLOCK_STATES)
+            for start in range(0, m, BLOCK_STATES)]
+
+
 def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
     """Yield (i, S_i, F_i) for links i = 0..n-1: the pass both kernels share.
 
@@ -460,22 +438,45 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
     wrenches or a parameter set's, gives link i's share of joints 0..i as
     S_i @ w_i^T.  The next step overwrites S_i.
 
-    The configuration part, the frames and the joint screws, depends on
-    Q (M, n) alone and is built once.  The motion part, the forward
-    recursion and F, runs on every block of Qd, Qdd (M, B, n) and gravity
-    (see _link_motion).  Origin i's offset r_i from origin i-1, in frame
-    i, is a constant of the chain, so moving the screws' reference point
-    to origin i after their rotation adds a x r_i, one product with the
-    chain's constant X[i].
+    The frames depend on Q (M, n) alone and are built once; the forward
+    recursion runs on every block of Qd, Qdd (M, B, n) and gravity, which
+    broadcasts to (M, B, 3).  Each configuration's rotation into frame i
+    meets, in one product, its blocks' angular velocity, angular
+    acceleration and origin acceleration, as rows in the parent frame,
+    and the screws of joints 0..i.  Origin i's offset r_i from origin
+    i-1, in frame i, is a constant of the chain, so the origin
+    acceleration relative to the parent's is one product of F's last nine
+    numbers with the chain's constant C[i], and moving the screws'
+    reference point to origin i adds a x r_i, one product with X[i].
     """
-    M, n = Q.shape
+    M, nb, n = Qd.shape
     R = local_frames_batch(chain, Q)
     dh = chain.dh
-    S = np.zeros((M, n, 6))
-    S3 = S.reshape(M, 2 * n, 3)  # screws as row pairs, for one rotation
-    for i, F in enumerate(_link_motion(R, dh.C, Qd, Qdd, gravity)):
-        S[:, i, 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
-        S3[:, :2 * i + 2] = S3[:, :2 * i + 2] @ R[:, i]
+    # per configuration, the rows each rotation meets: om, omd and the
+    # origin acceleration of every block, then two per joint screw
+    rotated = np.zeros((M, 3 * nb + 2 * n, 3))
+    V = rotated[:, :3 * nb].reshape(M, nb, 9)  # views of rotated
+    S = rotated[:, 3 * nb:].reshape(M, n, 6)
+    V[..., 6:] = -gravity
+    S[..., 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
+    # joint i's rates, added to om_z, omd_x, omd_y and omd_z before the
+    # rotation: qd e_z, and qdd e_z + qd * (om x e_z), om x e_z being
+    # (om_y, -om_x, 0); the middle two are qd and -qd until om is known
+    qd = Qd.transpose(2, 0, 1)
+    rates = np.empty((n, M, nb, 4))
+    rates[..., 0] = rates[..., 1] = qd
+    np.negative(qd, out=rates[..., 2])
+    rates[..., 3] = Qdd.transpose(2, 0, 1)
+    for i in range(n):
+        rates[i, ..., 1:3] *= V[..., 1::-1]
+        V[..., 2:6] += rates[i]
+        # in place: numpy reads an overlapping input as if copied first
+        moving = rotated[:, :3 * nb + 2 * i + 2]
+        np.matmul(moving, R[:, i], out=moving)
+        F = _motion_numbers(V)
+        # the parent's origin acceleration, plus omd x r_i + om x (om x r_i)
+        F[..., :3] += F[..., 3:] @ dh.C[i]
+        V[..., 6:] = F[..., :3]
         Si = S[:, :i + 1]
         Si[..., :3] += Si[..., 3:] @ dh.X[i]
         yield i, Si, F
@@ -498,6 +499,13 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     are projected onto the joint screws, and the products are stacked per
     configuration, so a state's torques do not depend on the batch around
     it.
+
+    The pass runs over the batch BLOCK_STATES states at a time
+    (_state_blocks), so its temporaries take the memory of one block, not
+    of the batch; each block's torques go straight into their rows of the
+    result, which is allocated once.  The batch is checked whole first,
+    so an error names its row in the batch, and every block size gives
+    the same bits.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
@@ -506,6 +514,7 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
         raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
     lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
+    nb, ns = math.prod(lead), Pi.shape[1]
 
     def blocks(x):
         # beside their configuration, (M, B, ...); broadcast only a shape
@@ -513,17 +522,22 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
         shape = lead + (M, x.shape[-1])
         if x.shape != shape:
             x = np.broadcast_to(x, shape)
-        return x.reshape(-1, M, shape[-1]).swapaxes(0, 1)
+        return x.reshape(nb, M, shape[-1]).swapaxes(0, 1)
 
     Qd, Qdd, g = blocks(Qd), blocks(Qdd), blocks(g)
-    nb, ns = Qd.shape[1], Pi.shape[1]
     KP = _folded_basis(Pi, n)
-    tau = np.zeros((M, n, nb * ns))
-    for i, Si, F in _link_screws(chain, Q, Qd, Qdd, g):
-        w = (F @ KP[i]).reshape(M, nb * ns, 6)
-        tau[:, :i + 1] += Si @ w.swapaxes(1, 2)
-    return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
-        lead + (M, n, ns))
+    tau = np.empty(lead + (M, n, ns))
+    # tau with the motion blocks first, (B, M, n, S), a view
+    out = tau.reshape(nb, M, n, ns)
+    for rows in _state_blocks(M):
+        m = len(Q[rows])
+        part = np.zeros((m, n, nb * ns))
+        for i, Si, F in _link_screws(chain, Q[rows], Qd[rows], Qdd[rows],
+                                     g[rows]):
+            w = (F @ KP[i]).reshape(m, nb * ns, 6)
+            part[:, :i + 1] += Si @ w.swapaxes(1, 2)
+        out[:, rows] = part.reshape(m, n, nb, ns).transpose(2, 0, 1, 3)
+    return tau
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:

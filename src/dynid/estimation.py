@@ -387,6 +387,14 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 
 LM_MAX_ITER = 200
 STEP_TOL = 1e-10
+# accepted steps in a row, each lowering the objective by less than
+# STALL_TOL relative, after which the search stops.  A converging search's
+# decreases shrink geometrically, from STALL_TOL to rounding level in fewer
+# steps than this on every fit the tests make; a transition steeper than
+# any sample resolves lets delta creep up for LM_MAX_ITER steps at such
+# gains
+STALL_STEPS = 24
+STALL_TOL = 1e-9
 # start grid: steepness delta in s/rad, and nu as a share of the region's
 # largest |qd|.  A start steeper than the samples resolve leaves the search
 # blind to nu, so the grid stops at 1000 s/rad.
@@ -408,7 +416,9 @@ def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
     non-increasing; a point past SATURATED_DELTA, or one where
     split_columns would find sigma dependent on [1, qd], does not improve.
     The search stops on an accepted step below STEP_TOL relative to log
-    delta, and to nu or, near nu = 0, the transition width 1/delta.
+    delta, and to nu or, near nu = 0, the transition width 1/delta, or
+    after STALL_STEPS accepted steps in a row that each lower the objective
+    by less than STALL_TOL relative.
     """
     Q = np.linalg.qr(np.column_stack([np.ones_like(x), x]))[0]
     y0 = y - Q @ (Q.T @ y)
@@ -445,6 +455,7 @@ def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
     obj, delta, s, sp, nn, f_c, r = point(theta)
     history = [obj]
     lam = 1e-3
+    stalled = 0
     for _ in range(LM_MAX_ITER):
         # d sigma / d(log delta, nu), projected off [1, qd, sigma]
         ds = s * (1.0 - s) * delta
@@ -465,10 +476,11 @@ def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
             break
         scale = np.abs(theta) + (1.0, 1.0 / delta)
         theta = theta + step
+        stalled = stalled + 1 if obj - trial[0] < STALL_TOL * trial[0] else 0
         obj, delta, s, sp, nn, f_c, r = trial
         history.append(obj)
         lam = max(lam * 0.3, 1e-12)
-        if np.all(np.abs(step) <= STEP_TOL * scale):
+        if np.all(np.abs(step) <= STEP_TOL * scale) or stalled == STALL_STEPS:
             break
     return delta, float(theta[1]), history
 

@@ -14,6 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.80665)
+# (cos, sin) entries of the first two rows of a DH rotation (DhConstants)
+_TRIG_PICK = np.array([[0, 1, 1], [1, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,13 @@ class DhRow:
 class DhConstants(NamedTuple):
     """What a chain's DH rows fix for every q, built once per chain.
 
-    a, d, offset, cos_alpha and sin_alpha are (n,) columns of the rows.
-    r (n, 3) is each origin's offset from its parent in its own frame,
-    R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i).  X (n, 3, 3) and
-    C (n, 9, 3) are the cross products with it as maps on row vectors:
+    a, d and offset are (n,) columns of the rows.  trig_rows (n, 2, 3)
+    and last_row (n, 3) give each rotation's rows from the cosine ct and
+    sine st of its angle: (ct, st, st) and (st, ct, ct) times trig_rows,
+    (1, -ca, sa) and (1, ca, -sa), then (0, sa, ca), for ca and sa those
+    of alpha.  r (n, 3) is each origin's offset from its parent in its own
+    frame, R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i).  X (n, 3, 3)
+    and C (n, 9, 3) are the cross products with it as maps on row vectors:
     x @ X[i] = x x r_i, and [omd, om_a*om_b for a <= b] @ C[i] =
     omd x r_i + om x (om x r_i), the products in np.triu_indices(3) order.
     """
@@ -52,8 +57,8 @@ class DhConstants(NamedTuple):
     a: np.ndarray
     d: np.ndarray
     offset: np.ndarray
-    cos_alpha: np.ndarray
-    sin_alpha: np.ndarray
+    trig_rows: np.ndarray
+    last_row: np.ndarray
     r: np.ndarray
     X: np.ndarray
     C: np.ndarray
@@ -63,6 +68,10 @@ def _dh_constants(rows) -> DhConstants:
     a, alpha, d, offset = np.array(
         [(row.a, row.alpha, row.d, row.offset) for row in rows]).T
     ca, sa = np.cos(alpha), np.sin(alpha)
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    trig_rows = np.stack((np.stack((one, -ca, sa), axis=-1),
+                          np.stack((one, ca, -sa), axis=-1)), axis=1)
+    last_row = np.stack((zero, sa, ca), axis=-1)
     r = np.stack((a, d * sa, d * ca), axis=-1)
     E = np.eye(3)
     X = np.cross(E, r[:, None])  # X[i, j] = e_j x r_i
@@ -70,7 +79,7 @@ def _dh_constants(rows) -> DhConstants:
     j, k = np.triu_indices(3)
     C = np.concatenate((X, T[:, j, k] + (j != k)[:, None] * T[:, k, j]),
                        axis=1)
-    constants = DhConstants(a, d, offset, ca, sa, r, X, C)
+    constants = DhConstants(a, d, offset, trig_rows, last_row, r, X, C)
     for x in constants:  # every pass on the chain shares them
         x.flags.writeable = False
     return constants
@@ -152,17 +161,14 @@ def local_frames_batch(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected joint array of shape (M, {chain.n})")
     dh = chain.dh
     th = Q + dh.offset
-    ct, st = np.cos(th), np.sin(th)
-    ca, sa = dh.cos_alpha, dh.sin_alpha
-    R = np.zeros(Q.shape + (3, 3))
-    R[..., 0, 0] = ct
-    R[..., 0, 1] = -st * ca
-    R[..., 0, 2] = st * sa
-    R[..., 1, 0] = st
-    R[..., 1, 1] = ct * ca
-    R[..., 1, 2] = -ct * sa
-    R[..., 2, 1] = sa
-    R[..., 2, 2] = ca
+    cs = np.empty((2,) + Q.shape)
+    np.cos(th, out=cs[0])
+    np.sin(th, out=cs[1])
+    R = np.empty(Q.shape + (3, 3))
+    # rows (ct, -st ca, st sa) and (st, ct ca, -ct sa), one product
+    np.multiply(cs[_TRIG_PICK].transpose(2, 3, 0, 1), dh.trig_rows,
+                out=R[..., :2, :])
+    R[..., 2, :] = dh.last_row  # (0, sa, ca)
     return R
 
 

@@ -17,10 +17,11 @@ Systems 1991).
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 
-The regressor of a batch of states is built in blocks of BLOCK_STATES
-states (regressor_blocks), and each block is dropped once its rows are
-used, so no batch holds its full (M, n, 13n) regressor: building a
-minimal regressor takes that result plus one block.
+The regressor of a batch of states is built in blocks of
+dynamics.BLOCK_STATES states (regressor_blocks), the block size of every
+batched pass, and each block is dropped once its rows are used, so no
+batch holds its full (M, n, 13n) regressor: building a minimal regressor
+takes that result plus one block.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       _batch_states, regressor_stack)
+                       _batch_states, _state_blocks, regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -42,9 +43,6 @@ PROBE_QDD_RANGE = 10.0
 # relative column-norm floor below which a column is structurally absent
 # from a joint's regressor row
 ACTIVE_COL_TOL = 1e-8
-# states per regressor_stack call when a batch's regressor is streamed;
-# 512, 1024 and 2048 run equally fast on the UR10
-BLOCK_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -281,8 +279,9 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
 
 def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
                      Q, Qd, Qdd, use) -> list:
-    """[use(rows, Y)] over a batch of states, BLOCK_STATES at a time: rows
-    is a block's slice of the batch and Y its regressor_stack result.
+    """[use(rows, Y)] over a batch of states, dynamics.BLOCK_STATES at a
+    time: rows is a block's slice of the batch and Y its regressor_stack
+    result.
 
     Each block is dropped when use returns, before the next is built.  A
     state's regressor does not depend on the batch around it, so the
@@ -292,13 +291,9 @@ def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
     if chain.n != map_.n:
         raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
-    results = []
     # an empty batch is one empty block, so callers get its (0, ...) shapes
-    for start in range(0, max(len(Q), 1), BLOCK_STATES):
-        rows = slice(start, start + BLOCK_STATES)
-        results.append(use(rows, regressor_stack(chain, Q[rows], Qd[rows],
-                                                 Qdd[rows])))
-    return results
+    return [use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
+            for rows in _state_blocks(max(len(Q), 1))]
 
 
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray,

@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynid.dynamics import (_WRENCH_BASIS, DynamicParameters, FrictionSet,
-                            InertialParameters, JointState, _motion_numbers,
-                            _unit_wrenches, friction_linear, friction_sigmoid,
-                            newton_euler, regressor, regressor_stack, rnea,
-                            sigmoid)
+from dynid import dynamics
+from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
+                            FrictionSet, InertialParameters, JointState,
+                            _motion_numbers, _unit_wrenches, friction_linear,
+                            friction_sigmoid, newton_euler, regressor,
+                            regressor_stack, rnea, sigmoid)
 from dynid.kinematics import (DhRow, KinematicChain, local_frames,
                               local_frames_batch, ur10_chain)
 from forward_kinematics import frame_chain
@@ -583,6 +585,73 @@ def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
     assert np.max(np.abs(tau - ref) / (1.0 + np.abs(ref))) < 1e-12
 
 
+def _across_block_edges(data, block):
+    """A state count just below, at or just above a multiple of block."""
+    k = data.draw(st.integers(1, 2 if block == BLOCK_STATES else 4))
+    return max(1, k * block + data.draw(st.integers(-1, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 7, BLOCK_STATES]),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
+                                                data):
+    # at any block size, and for batches that end just before, at or just
+    # after a block edge, every state's torques are bitwise its own call's:
+    # S = 1 or n, with and without leading block axes, every gravity mode
+    rng = np.random.default_rng(seed)
+    m = _across_block_edges(data, block)
+    lead = data.draw(st.booleans())
+    nb = data.draw(st.integers(1, 3)) if lead else 1
+    sets = data.draw(st.sampled_from([1, chain.n]))
+    Q, _, _, Pi = _random_batch(chain, m, sets, rng)
+    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    if not lead:
+        Qd, Qdd, g_rows = Qd[0], Qdd[0], g_rows[0]
+        arg = g_rows if gravity == "per-block" else arg
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_STATES", block)
+        tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    assert tau.shape == Qd.shape[:-2] + (m, chain.n, sets)
+    for k in range(m):
+        if lead:
+            one = newton_euler(chain, Q[k], Qd[:, k:k + 1], Qdd[:, k:k + 1],
+                               Pi, gravity=g_rows[:, k:k + 1])[:, 0]
+            row = tau[:, k]
+        else:
+            one = newton_euler(chain, Q[k], Qd[k], Qdd[k], Pi,
+                               gravity=g_rows[k])[0]
+            row = tau[k]
+        assert one.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("sets", [1, 6])
+def test_newton_euler_empty_batch_keeps_its_shape(lead, sets):
+    chain = ur10_chain()
+    z = np.zeros((0, 6))
+    tau = newton_euler(chain, z, np.zeros(lead + (0, 6)), z,
+                       np.zeros((60, sets)))
+    assert tau.shape == lead + (0, 6, sets)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_non_finite_entry_in_a_later_block_names_its_batch_row(
+        lead, monkeypatch):
+    monkeypatch.setattr(dynamics, "BLOCK_STATES", 7)
+    chain = ur10_chain()
+    z = np.zeros((20, 6))
+    Qdd = np.zeros(lead + (20, 6))
+    Qdd[(-1,) * len(lead) + (17, 4)] = np.inf
+    at = "block (1,), " if lead else ""
+    with pytest.raises(ValueError,
+                       match=re.escape(f"qdd is not finite at {at}row 17, "
+                                       "column 4")):
+        newton_euler(chain, z, z, Qdd, np.zeros((60, 1)))
+
+
 # nonzero joint offsets, a negative link length, twists off the axes
 OFFSETS = KinematicChain(rows=(DhRow(0.4, 0.7, -0.2, 0.5),
                                DhRow(-0.3, -2.1, 0.15, -1.3),
@@ -611,7 +680,7 @@ def test_origin_maps_match_cross_products(seed, m, chain):
     # omd x r_i + om x (om x r_i)
     rng = np.random.default_rng(seed)
     om, omd, x = (rng.uniform(-s, s, (m, 3)) for s in (3.0, 10.0, 1.0))
-    F = _motion_numbers(om, omd, np.zeros((m, 3)))
+    F = _motion_numbers(np.concatenate((om, omd, np.zeros((m, 3))), axis=1))
     dh = chain.dh
     for i, r in enumerate(dh.r):
         for got, ref in ((x @ dh.X[i], np.cross(x, r)),
@@ -633,7 +702,7 @@ def test_unit_wrenches_match_oracle(seed, m):
     om = rng.uniform(-3.0, 3.0, (m, 3))
     omd = rng.uniform(-10.0, 10.0, (m, 3))
     acc = rng.uniform(-20.0, 20.0, (m, 3))
-    B = _unit_wrenches(_motion_numbers(om, omd, acc))
+    B = _unit_wrenches(_motion_numbers(np.concatenate((om, omd, acc), axis=1)))
     ref = unit_wrenches(om, omd, acc)
     assert B.shape == ref.shape == (m, 10, 6)
     assert np.max(np.abs(B - ref) / (1.0 + np.abs(ref))) < 1e-12

@@ -475,8 +475,8 @@ def _count_regressor_builds(monkeypatch) -> list[int]:
 
 def _assert_built_once(calls, totals):
     """The calls build, one after another, each total's states once, in
-    blocks of at most reduction.BLOCK_STATES states."""
-    assert all(0 < c <= reduction.BLOCK_STATES for c in calls)
+    blocks of at most dynamics.BLOCK_STATES states."""
+    assert all(0 < c <= dynamics.BLOCK_STATES for c in calls)
     rest = iter(calls)
     for total in totals:
         built = 0
@@ -631,7 +631,7 @@ def streamed_case(request, bmap, chain, data_a, data_b_pay, known, stage2):
     da = case[2]
     assert case[3].m == da.m
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "BLOCK_STATES", da.m)
+        mp.setattr(dynamics, "BLOCK_STATES", da.m)
         whole = _streamed_outputs(*case)
     # one block is one build of the whole batch
     assert whole["minimal"].tobytes() == minimal_columns(
@@ -644,7 +644,7 @@ def test_block_size_changes_no_output_bit(streamed_case, size, monkeypatch):
     case, whole = streamed_case
     m = case[2].m
     block = {"1": 1, "7": 7, "M-1": m - 1, "M": m, "M+1": m + 1}[size]
-    monkeypatch.setattr(reduction, "BLOCK_STATES", block)
+    monkeypatch.setattr(dynamics, "BLOCK_STATES", block)
     got = _streamed_outputs(*case)
     assert [k for k in whole if got[k].tobytes() != whole[k].tobytes()] == []
     # a single state is its batch row; a kept regressor and a streamed
@@ -825,6 +825,23 @@ def test_fit_friction_unresolved_transition_gives_finite_fit(row, noise):
     assert np.isfinite(fit.objectives[0])
     h = fit.histories[0]
     assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
+
+
+def test_fit_friction_stops_when_the_objective_stalls():
+    # no sample resolves a 1e6 s/rad step under 0.01 A noise: the search
+    # creeps up in delta at rounding-level gains and stops on the stall,
+    # 67 steps here, not at LM_MAX_ITER (it took all 200 before)
+    rng = np.random.default_rng(8)
+    qd = rng.uniform(-0.4, 0.4, (1500, 1))
+    y = friction_sigmoid(_friction_from_rows([(0.3, 0.5, -0.8, -1e6,
+                                               -0.05)]), qd) \
+        + 0.01 * rng.standard_normal(qd.shape)
+    fit = fit_friction(qd, y, threshold=0.17)
+    h = fit.histories[0]
+    assert fit.iterations[0] < 100
+    assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
+    tail = np.array(h[-estimation.STALL_STEPS - 1:])
+    assert np.all(tail[:-1] - tail[1:] < estimation.STALL_TOL * tail[1:])
 
 
 @pytest.mark.parametrize("moving", [(), (0.05,)])

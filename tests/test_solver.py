@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynid import dynamics, kinematics
 from dynid.cli import main
@@ -228,6 +230,72 @@ def test_payload_single_state_is_its_batch_row(ident_true):
         for one, block in zip(torque_terms(model, q[k], qd[k], qdd[k]),
                               terms):
             assert one.tobytes() == block[k].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 7, dynamics.BLOCK_STATES]),
+       with_payload=st.booleans(), data=st.data())
+def test_block_size_changes_no_solver_bit(ident_true, seed, block,
+                                          with_payload, data):
+    # at any block size, and for batches that end just before, at or just
+    # after a block edge, every state's torque, terms, gravity and
+    # velocity-product torques are bitwise its own call's
+    model = configure_payload(ident_true, PAY) if with_payload else ident_true
+    k = data.draw(st.integers(1, 1 if block == dynamics.BLOCK_STATES else 4))
+    m = max(1, k * block + data.draw(st.integers(-1, 1)))
+    q, qd, qdd = _random_states(np.random.default_rng(seed), m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_STATES", block)
+        batch = {"torque": torque(model, q, qd, qdd),
+                 "terms": np.stack(torque_terms(model, q, qd, qdd)),
+                 "gravity": gravity(model, q),
+                 "coriolis": coriolis_times_qd(model, q, qd)}
+    for i in range(m):
+        one = {"torque": torque(model, q[i], qd[i], qdd[i]),
+               "terms": np.stack(torque_terms(model, q[i], qd[i], qdd[i])),
+               "gravity": gravity(model, q[i]),
+               "coriolis": coriolis_times_qd(model, q[i], qd[i])}
+        assert [key for key in one if one[key].tobytes()
+                != batch[key][..., i, :].tobytes()] == []
+
+
+def test_empty_batch_gives_empty_torques(ident_true):
+    z = np.zeros((0, 6))
+    assert torque(ident_true, z, z, z).shape == (0, 6)
+    assert [t.shape for t in torque_terms(ident_true, z, z, z)] == [(0, 6)] * 4
+    assert gravity(ident_true, z).shape == (0, 6)
+    assert coriolis_times_qd(ident_true, z, z).shape == (0, 6)
+
+
+def test_non_finite_state_in_a_later_block_names_its_batch_row(
+        ident_true, monkeypatch):
+    monkeypatch.setattr(dynamics, "BLOCK_STATES", 7)
+    q, qd, qdd = _random_states(np.random.default_rng(10), 20)
+    qd[17, 2] = np.nan
+    for call in (torque, torque_terms):
+        with pytest.raises(ValueError,
+                           match="qd is not finite at row 17, column 2"):
+            call(ident_true, q, qd, qdd)
+
+
+def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
+    # on 20 000 states the traced peak stays below 32 arrays the size of one
+    # (M, n) term: the result, the stacked motion blocks and the (3, M, n, n)
+    # torques whose diagonal _rigid reads (28 such arrays, measured) plus
+    # one block's temporaries; with every temporary the size of the batch
+    # the peak was 91 such arrays
+    m = 20_000
+    q, qd, qdd = _random_states(np.random.default_rng(11), m)
+    term = m * ident_true.n * 8
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        torque_terms(ident_true, q, qd, qdd)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * term
 
 
 def test_configure_clear_is_bitwise(ident_true, data_a):
