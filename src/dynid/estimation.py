@@ -10,11 +10,14 @@ collected with and without a partially known payload.  Every joint's
 system is split and solved once, in regrouped coordinates where it loses
 rank; a gain that is not positive or leaves its stated bounds raises.
 
-The regressor is read in blocks of states (reduction.regressor_blocks),
-and from each block only the rows and columns a fit uses are kept.  No
-identification holds an (M, n, c) array: stage 1 keeps, for stages 2 and
-3, each joint's regressor row on its active inertial base columns, the
-only part of the minimal regressor they read again.
+The regressor is read one way, _joint_columns: in blocks of states
+(reduction.regressor_blocks), keeping from each block only the rows and
+columns a fit uses.  No identification holds an (M, n, c) array: stage 1
+keeps, for stages 2 and 3, each joint's regressor row on its active
+inertial base columns, the only part of the minimal regressor they read
+again, and _kept_columns gathers the same arrays for a chi fitted
+elsewhere.  The stage-1 model is evaluated one way, _joint_model, by
+predict_currents and friction_residual_currents alike.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
-                       friction_sigmoid, sigmoid)
+                       friction_linear, friction_sigmoid, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import (RANK_TOL, BaseParameterMap, minimal_columns,
-                        regressor_blocks, split_columns)
+from .reduction import (RANK_TOL, BaseParameterMap, regressor_blocks,
+                        split_columns)
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -191,8 +194,8 @@ class CurrentCoefficients:
     minimal regressor's 324 numbers per state), the largest arrays an
     identification holds.  dataclasses.replace gives a copy without them;
     coefficients built any other way, such as a chi loaded from a model
-    file, hold none, and those two functions then stream the samples'
-    regressor in blocks (reduction.regressor_blocks).
+    file, hold none, and those two functions then gather the same arrays
+    from the samples' regressor (_kept_columns), which gives the same bits.
     """
 
     n: int
@@ -235,14 +238,8 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     """
     n = map_.n
     acols = _active_columns(map_)
-    kept = tuple(np.empty((a.size, samples.m)) for a in acols)
-    full_cols = [map_.inertial_columns[a] for a in acols]
-
-    def keep(rows, Y):
-        for j, (K, c) in enumerate(zip(kept, full_cols)):
-            K[:, rows] = Y[:, j, c].T
-
-    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd, keep)
+    kept = _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
+                          [map_.inertial_columns[a] for a in acols])
     mask = samples.mask
     chi = np.zeros((n, map_.c))
     conds, counts, iters, converged = [], [], [], []
@@ -288,15 +285,44 @@ def _active_columns(map_: BaseParameterMap) -> list[np.ndarray]:
     return [np.flatnonzero(m[:map_.c_inertial]) for m in map_.joint_masks]
 
 
+def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
+                   cols, rows=None) -> list[np.ndarray]:
+    """Per joint j, its full-regressor row on columns cols[j], one row per
+    column: (len(cols[j]), m_j) over the states rows[:, j] selects, or over
+    every state when rows is None.  Filled block by block
+    (reduction.regressor_blocks); the only reader of the regressor here."""
+    m = len(np.atleast_2d(q))
+    sizes = [m] * len(cols) if rows is None else rows.sum(axis=0)
+    out = [np.empty((len(c), k)) for c, k in zip(cols, sizes)]
+    at = [0] * len(cols)
+
+    def gather(block, Y):
+        for j, (G, c) in enumerate(zip(out, cols)):
+            part = Y[:, j, c] if rows is None else \
+                Y[:, j][np.ix_(rows[block, j], c)]
+            G[:, at[j]:at[j] + len(part)] = part.T
+            at[j] += len(part)
+
+    regressor_blocks(map_, chain, q, qd, qdd, gather)
+    return out
+
+
 def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
-                  samples: SampleSet) -> tuple[np.ndarray, ...] | None:
-    """The per-joint active columns chi was fitted on when that was these
-    very samples, map and chain; otherwise None."""
+                  samples: SampleSet, rows=None):
+    """Per joint j, its regressor row on its active inertial base columns,
+    (a_j, m_j) over the samples rows[:, j] selects, or all when rows is
+    None: the arrays stage 1 kept when chi is its result on these very
+    samples, map and chain, otherwise the same bits gathered again."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
-        return fitted_on[3]
-    return None
+        kept = fitted_on[3]
+        # one joint's selected rows at a time, not a second copy of them all
+        return kept if rows is None else (K[:, rows[:, j]]
+                                          for j, K in enumerate(kept))
+    cols = [map_.inertial_columns[a] for a in _active_columns(map_)]
+    return _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
+                          cols, rows)
 
 
 def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -309,25 +335,6 @@ def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return v
 
 
-def _joint_rows(map_: BaseParameterMap, chain: KinematicChain,
-                samples: SampleSet, cols) -> list[np.ndarray]:
-    """Per joint j, the linearity-region rows of joint j's full regressor
-    on columns cols[j], gathered block by block."""
-    mask = samples.mask
-    out = [np.empty((int(mask[:, j].sum()), len(c)))
-           for j, c in enumerate(cols)]
-    at = [0] * len(cols)
-
-    def gather(rows, Y):
-        for j, c in enumerate(cols):
-            part = Y[:, j][np.ix_(mask[rows, j], c)]
-            out[j][at[j]:at[j] + len(part)] = part
-            at[j] += len(part)
-
-    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd, gather)
-    return out
-
-
 def _chi_matrix(chi, n: int) -> np.ndarray:
     if isinstance(chi, CurrentCoefficients):
         return chi.as_matrix()
@@ -337,14 +344,18 @@ def _chi_matrix(chi, n: int) -> np.ndarray:
 
 def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
-    """Currents from the stage-1 model, linear friction included: joint
-    j's minimal-regressor row times its block of chi, the model stage 1
-    fitted.  (M, n), or (n,) for a single state.  The minimal regressor is
-    streamed in blocks and never held whole."""
+    """Currents from the stage-1 model: joint j's regressor row on its
+    active inertial base columns times chi_j's entries there (_joint_model,
+    what friction_residual_currents subtracts), plus chi_j's linear
+    friction triple.  (M, n), or (n,) for a single state."""
     C = _chi_matrix(chi, map_.n)
-    v = np.concatenate(regressor_blocks(
-        map_, chain, q, qd, qdd,
-        lambda _, Y: np.einsum("mjc,jc->mj", minimal_columns(map_, Y), C)))
+    acols = _active_columns(map_)
+    G = _joint_columns(map_, chain, q, qd, qdd,
+                       [map_.inertial_columns[a] for a in acols])
+    v = friction_linear([C[j, map_.friction_columns(j)]
+                         for j in range(map_.n)], np.atleast_2d(qd))
+    for j, (a, Gj) in enumerate(zip(acols, G)):
+        v[:, j] += _joint_model(Gj, C[j, a])
     return v[0] if np.ndim(q) == 1 else v
 
 
@@ -355,30 +366,16 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
     Joint j's non-friction part is its regressor row on its active
-    inertial base columns times chi_j's entries there (_joint_model); the
-    row's other inertial columns are structurally zero (joint_masks), and
-    an identified chi is zero on them.  The active columns are the
-    ones stage 1 kept when chi is identify_coefficients' result on these
-    samples, map and chain (see CurrentCoefficients); for any other chi,
-    such as one loaded from a model file, they are streamed here in
-    blocks.  Both give the same bits.
+    inertial base columns (_kept_columns) times chi_j's entries there
+    (_joint_model), as predict_currents evaluates it; the row's other
+    inertial columns are structurally zero (joint_masks), and an
+    identified chi is zero on them.
     """
     C = _chi_matrix(chi, map_.n)
-    acols = _active_columns(map_)
     resid = np.array(samples.v, dtype=float)
-    kept = _kept_columns(map_, chain, chi, samples)
-    if kept is not None:
-        for j, (a, K) in enumerate(zip(acols, kept)):
-            resid[:, j] -= _joint_model(K, C[j, a])
-        return resid
-    full_cols = [map_.inertial_columns[a] for a in acols]
-
-    def subtract(rows, Y):
-        for j, (a, c) in enumerate(zip(acols, full_cols)):
-            resid[rows, j] -= _joint_model(Y[:, j, c].T, C[j, a])
-
-    regressor_blocks(map_, chain, samples.q, samples.qd, samples.qdd,
-                     subtract)
+    for j, (a, K) in enumerate(zip(_active_columns(map_),
+                                   _kept_columns(map_, chain, chi, samples))):
+        resid[:, j] -= _joint_model(K, C[j, a])
     return resid
 
 
@@ -668,14 +665,11 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     (lower, upper) interval for every joint, raises ExcitationError.
 
     Each joint's arm columns are re-fitted together with its gain on both
-    runs, so chi's values are not read.  When chi is identify_coefficients'
-    result on these very samples, map and chain, samples_a's rows are the
-    linearity-region rows of the active columns it kept (see
-    CurrentCoefficients).  Otherwise, and for samples_b always, the
-    regressor is streamed in blocks, and each joint's linearity-region
-    rows are gathered from them on the columns its system uses: the
-    active base columns, and for samples_b the payload (last link)
-    columns.
+    runs, so chi's values are not read.  samples_a's rows are the
+    linearity-region rows of the joint's active columns (_kept_columns:
+    the ones stage 1 kept when chi is its result on these very samples,
+    map and chain, otherwise gathered); samples_b's are gathered on the
+    active columns and the payload (last link) columns (_joint_columns).
     """
     lo, hi = (float(b) for b in bounds)
     if not lo <= hi:
@@ -692,16 +686,12 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     n_unknown = int((~kmask).sum())
 
     acols = _active_columns(map_)
-    kept = _kept_columns(map_, chain, chi, samples_a)
-    if kept is None:
-        rows_a = _joint_rows(map_, chain, samples_a,
-                             [map_.inertial_columns[a] for a in acols])
-    else:
-        rows_a = (K[:, samples_a.mask[:, j]].T for j, K in enumerate(kept))
+    rows_a = _kept_columns(map_, chain, chi, samples_a, samples_a.mask)
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
-    rows_b = _joint_rows(map_, chain, samples_b,
-                         [np.r_[map_.inertial_columns[a], payload_cols]
-                          for a in acols])
+    rows_b = _joint_columns(map_, chain, samples_b.q, samples_b.qd,
+                            samples_b.qdd,
+                            [np.r_[map_.inertial_columns[a], payload_cols]
+                             for a in acols], samples_b.mask)
     vf_a = friction_sigmoid(psi, samples_a.qd)
     vf_b = friction_sigmoid(psi, samples_b.qd)
 
@@ -712,6 +702,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         na = acols[j].size
         ra = samples_a.mask[:, j]
         rb = samples_b.mask[:, j]
+        Aa, Bb = Aa.T, Bb.T
         Ab, Pj = Bb[:, :na], Bb[:, na:]
         ya = samples_a.v[ra, j] - vf_a[ra, j]
         yb = samples_b.v[rb, j] - vf_b[rb, j]

@@ -61,6 +61,10 @@ class PayloadSpec:
             raise ValueError("com and t_l_n must be 3-vectors")
         if I.shape != (3, 3) or R.shape != (3, 3):
             raise ValueError("inertia_com and R_l_n must be 3x3")
+        for name, x in (("com", com), ("inertia_com", I), ("R_l_n", R),
+                        ("t_l_n", t)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"payload {name} must be finite")
         if np.max(np.abs(I - I.T)) > 1e-12 * max(1.0, np.max(np.abs(I))):
             raise ValueError("inertia_com must be symmetric")
         if not orthonormal(R):

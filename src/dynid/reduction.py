@@ -278,8 +278,8 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
 
 
 def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
-                     Q, Qd, Qdd, use) -> list:
-    """[use(rows, Y)] over a batch of states, dynamics.BLOCK_STATES at a
+                     Q, Qd, Qdd, use) -> None:
+    """use(rows, Y) over a batch of states, dynamics.BLOCK_STATES at a
     time: rows is a block's slice of the batch and Y its regressor_stack
     result.
 
@@ -291,9 +291,8 @@ def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
     if chain.n != map_.n:
         raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
-    # an empty batch is one empty block, so callers get its (0, ...) shapes
-    return [use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
-            for rows in _state_blocks(max(len(Q), 1))]
+    for rows in _state_blocks(len(Q)):
+        use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
 
 
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray,

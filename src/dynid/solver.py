@@ -59,6 +59,8 @@ class IdentifiedModel:
             chi = chi.reshape(n, c)
         if chi.shape != (n, c):
             raise ValueError(f"chi must be ({n}, {c}) or flat")
+        if not np.all(np.isfinite(chi)):
+            raise ValueError("chi must be finite")
         object.__setattr__(self, "chi", chi)
         if self.psi is not None and self.psi.n != n:
             raise ValueError(f"friction must cover {n} joints")
@@ -69,8 +71,8 @@ class IdentifiedModel:
             object.__setattr__(self, "gains", g)
         if self.payload is not None:
             pl = np.asarray(self.payload, dtype=float)
-            if pl.shape != (N_INERTIAL,):
-                raise ValueError("payload must be a 10-vector")
+            if pl.shape != (N_INERTIAL,) or not np.all(np.isfinite(pl)):
+                raise ValueError("payload must be a finite 10-vector")
             object.__setattr__(self, "payload", pl)
 
     @property

@@ -381,6 +381,9 @@ def test_predict_currents_zero_and_single(bmap, chain, stage1, data_a):
                            data_a.qdd[2])
     assert one.shape == (6,)
     assert np.array_equal(one, batch[2])
+    none = predict_currents(bmap, chain, stage1, data_a.q[:0], data_a.qd[:0],
+                            data_a.qdd[:0])
+    assert none.shape == (0, 6)
 
 
 def test_friction_residual_decomposition(bmap, chain, stage1, data_a):
@@ -396,6 +399,19 @@ def test_friction_residual_decomposition(bmap, chain, stage1, data_a):
     full = predict_currents(bmap, chain, stage1, data_a.q, data_a.qd,
                             data_a.qdd)
     assert np.max(np.abs(inertial + fric - full)) < 1e-9
+
+
+def test_prediction_is_what_the_residual_subtracts(bmap, chain, stage1,
+                                                   data_a):
+    # one evaluator of the stage-1 model: with chi's linear friction
+    # zeroed, predict_currents is bitwise the part friction_residual_currents
+    # subtracts from the measured current, here from stage 1's kept columns
+    C = stage1.as_matrix().copy()
+    for j in range(6):
+        C[j, bmap.friction_columns(j)] = 0.0
+    model = predict_currents(bmap, chain, C, data_a.q, data_a.qd, data_a.qdd)
+    resid = friction_residual_currents(bmap, chain, stage1, data_a)
+    assert (data_a.v - model).tobytes() == resid.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -530,8 +546,9 @@ def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
 
 def test_identification_builds_no_minimal_regressor(
         bmap, chain, data_a, data_b_pay, known, stage1, stage3, monkeypatch):
-    # stages 1-3 read each joint's active columns straight from the
-    # regressor blocks, kept or streamed; no minimal regressor is sliced
+    # stages 1-3 and predict_currents read each joint's active columns
+    # straight from the regressor blocks, kept or gathered; no minimal
+    # regressor is sliced
     def forbidden(*args, **kwargs):
         raise AssertionError("an identification sliced a minimal regressor")
 
@@ -548,6 +565,7 @@ def test_identification_builds_no_minimal_regressor(
         est = estimate_gains(data_a, data_b_pay, known, bmap, chain, c,
                              fit.friction)
         assert np.array_equal(est.gains, stage3.gains)
+        predict_currents(bmap, chain, c, data_a.q, data_a.qd, data_a.qdd)
     assert np.array_equal(chi.chi, stage1.chi)
 
 

@@ -111,6 +111,20 @@ def test_spec_validation():
                     R_l_n=np.eye(3) * 2.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("com", (np.nan, 0.0, 0.0)),
+    ("inertia_com", np.diag((np.nan, 0.01, 0.01))),
+    ("R_l_n", np.where(np.eye(3) > 0, np.inf, 0.0)),
+    ("t_l_n", (0.0, np.inf, 0.0)),
+])
+def test_spec_rejects_non_finite_field(field, value):
+    # a NaN passes the symmetry test (NaN > tol is False), so each field
+    # is checked for finiteness before payload_to_frame_n can spread it
+    good = dict(mass=1.0, com=(0.0, 0.0, 0.0), inertia_com=np.eye(3) * 0.01)
+    with pytest.raises(ValueError, match=f"payload {field} must be finite"):
+        PayloadSpec(**{**good, field: value})
+
+
 def test_apply_payload():
     rng = np.random.default_rng(15)
     tri = tuple((0.0, 0.0, 0.0) for _ in range(6))

@@ -462,6 +462,15 @@ def test_model_validation(chain, bmap, ident_true):
         IdentifiedModel(name="x", chain=chain, map=bmap, chi=ident_true.chi,
                         psi=ident_true.psi, gains=ident_true.gains,
                         payload=np.zeros(4))
+    # only finite models construct: a NaN in chi or the payload would make
+    # every torque NaN
+    bad_chi = ident_true.chi.copy()
+    bad_chi[2, 0] = np.nan
+    with pytest.raises(ValueError, match="chi must be finite"):
+        IdentifiedModel(name="x", chain=chain, map=bmap, chi=bad_chi)
+    with pytest.raises(ValueError, match="payload must be a finite"):
+        IdentifiedModel(name="x", chain=chain, map=bmap, chi=ident_true.chi,
+                        payload=np.r_[1.0, np.inf, np.zeros(8)])
     # flat chi is accepted and reshaped
     m = IdentifiedModel(name="x", chain=chain, map=bmap,
                         chi=ident_true.chi.ravel())
