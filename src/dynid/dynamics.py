@@ -5,19 +5,20 @@ origin-referenced inertial coordinates: mass m, first moment m*r, and the
 inertia tensor taken about the link-frame origin.  In these coordinates the
 joint torques are linear in the parameters.  A link's wrenches are linear
 in twelve numbers of its motion: its ten unit-parameter wrenches are one
-product of them with a constant 0/+-1 basis K.  Only the regressor builds
-those unit wrenches.  The evaluator folds its known parameter sets into
-the basis once per call, K Pi_i per link, so each link's wrench of every
-set is one product of the twelve numbers with that link's folded basis.
-Both project their wrenches onto the joint screws, carried outward link by
-link in one shared pass.  Gravity enters as an acceleration of the base
-frame.  The frames depend on q alone, so the evaluator runs several motion
-blocks over one configuration, and each link's rotation meets the joint
-screws and every block's motion in one product.  In standard DH each
-link's origin offset in its own frame does not depend on q, so every cross
-product with it is a constant map of the chain (KinematicChain.dh), built
-once per chain.  A batch runs the pass in blocks of BLOCK_STATES states,
-so the pass's memory does not grow with the batch.
+product of them with a constant 0/+-1 basis K.  In standard DH each
+link's origin offset in its own frame does not depend on q, so every
+cross product with it is a constant map of the chain (KinematicChain.dh),
+and the link's origin acceleration is linear in the same twelve numbers.
+Both kernels fold that map and a wrench basis into one matrix per link:
+the regressor K itself, the evaluator its known parameter sets, K Pi_i
+(_folded_basis; the solver's model keeps its fold).  So one product per
+link gives the origin acceleration the next link needs and every wrench,
+which one shared pass projects onto the joint screws, carried outward
+link by link.  Gravity enters as an acceleration of the base frame.  The
+frames depend on q alone, so the evaluator runs several motion blocks
+over one configuration, and each link's rotation meets the joint screws
+and every block's motion in one product.  A batch runs the pass in blocks
+of BLOCK_STATES states, so the pass's memory does not grow with the batch.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -169,15 +170,19 @@ class FrictionSet:
     nu: tuple[float, ...]
 
     def __post_init__(self):
-        _freeze_vectors(self, ("f_o", "f_v", "f_c", "delta", "nu"))
+        names = ("f_o", "f_v", "f_c", "delta", "nu")
+        _freeze_vectors(self, names)
+        arrays = np.array([getattr(self, name) for name in names])
+        arrays.flags.writeable = False  # its rows are shared by every call
+        object.__setattr__(self, "_arrays", tuple(arrays))
 
     @property
     def n(self) -> int:
         return len(self.f_o)
 
     def as_arrays(self):
-        return (np.array(self.f_o), np.array(self.f_v), np.array(self.f_c),
-                np.array(self.delta), np.array(self.nu))
+        """(f_o, f_v, f_c, delta, nu) as read-only arrays, built once."""
+        return self._arrays
 
     @classmethod
     def from_linear(cls, f_o, f_v, f_c) -> "FrictionSet":
@@ -381,23 +386,32 @@ def _motion_numbers(V):
                            om2[..., :6] * om2[..., 6:]), axis=-1)
 
 
-def _unit_wrenches(F):
-    """Wrenches of a link's ten unit inertial parameters about its origin,
-    in its own frame, (..., 10, 6) for motion numbers F (..., 12): force in
-    [..., :3], moment in [..., 3:].  One product F @ K (_wrench_basis) per
-    configuration, so that a state's bits do not depend on the batch
-    around it."""
-    return (F @ _WRENCH_BASIS).reshape(F.shape[:-1] + (N_INERTIAL, 6))
+def _link_maps(chain: KinematicChain, K):
+    """B (n, 12, 3 + k) = T_i [I_12[:, :3] | K_i] for wrench bases K
+    (n, 12, k), or one basis (12, k) for all links.  T_i is the identity
+    with the chain's C[i] in rows 3: and columns :3, which adds omd x r_i +
+    om x (om x r_i) to the parent's origin acceleration in motion numbers F,
+    so F @ B[i] is link i's origin acceleration, then its wrench numbers."""
+    B = np.zeros((chain.n, 12, 3 + K.shape[-1]))
+    B[:, :3, :3] = np.eye(3)
+    B[..., 3:] = K
+    B[:, 3:] += chain.dh.C @ B[:, :3]
+    return B
 
 
-def _folded_basis(Pi, n):
-    """KP (n, 12, S*6): the wrench basis folded with each link's S parameter
-    sets, KP[i] = K Pi_i, so that F @ KP[i] is link i's wrench of every set,
-    [s*6:s*6+6] for set s.  One broadcast product for all links."""
+def _folded_basis(chain: KinematicChain, Pi):
+    """_link_maps of the wrench basis folded with each link's S parameter
+    sets Pi (10n, S), K Pi_i: (F @ B[i])[..., 3:] is link i's wrench of
+    every set, [s*6:s*6+6] for set s.  One product folds all links."""
+    Pi = np.asarray(Pi, dtype=float)
+    n = chain.n
+    if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
+        raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
     ns = Pi.shape[1]
     Pt = Pi.reshape(n, N_INERTIAL, ns).swapaxes(1, 2)  # (n, S, 10)
     KP = Pt @ _WRENCH_BASIS_BY_PARAMETER  # (n, S, 12*6)
-    return KP.reshape(n, ns, 12, 6).swapaxes(1, 2).reshape(n, 12, ns * 6)
+    return _link_maps(
+        chain, KP.reshape(n, ns, 12, 6).swapaxes(1, 2).reshape(n, 12, ns * 6))
 
 
 def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
@@ -426,37 +440,36 @@ def _state_blocks(m: int) -> list[slice]:
             for start in range(0, m, BLOCK_STATES)]
 
 
-def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
-    """Yield (i, S_i, F_i) for links i = 0..n-1: the pass both kernels share.
+def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
+    """Yield (i, S_i, W_i) for links i = 0..n-1: the pass both kernels share.
 
     Joint k's torque from a wrench (f, m) about origin i is a.m + (a x d).f
     (Khalil & Dombre, Modeling, Identification and Control of Robots, 2002),
     where a is joint k's axis and d is origin i relative to origin k-1.
     S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
-    and F_i (M, B, 12) link i's motion numbers (_motion_numbers) in each of
-    B motion blocks.  A wrench w_i (M, B, 6) that is linear in F_i, unit
-    wrenches or a parameter set's, gives link i's share of joints 0..i as
-    S_i @ w_i^T.  The next step overwrites S_i.
+    and W_i (M, nb, k) link i's wrench numbers in each of nb motion blocks,
+    from one product of its motion numbers (_motion_numbers) with B[i]
+    (_link_maps), which also gives origin i's acceleration.  A wrench w_i
+    (M, nb, 6) among them, unit or a parameter set's, gives link i's share
+    of joints 0..i as S_i @ w_i^T.  The next step overwrites S_i and W_i.
 
     The frames depend on Q (M, n) alone and are built once; the forward
-    recursion runs on every block of Qd, Qdd (M, B, n) and gravity, which
-    broadcasts to (M, B, 3).  Each configuration's rotation into frame i
+    recursion runs on every block of Qd, Qdd (M, nb, n) and gravity, which
+    broadcasts to (M, nb, 3).  Each configuration's rotation into frame i
     meets, in one product, its blocks' angular velocity, angular
-    acceleration and origin acceleration, as rows in the parent frame,
-    and the screws of joints 0..i.  Origin i's offset r_i from origin
-    i-1, in frame i, is a constant of the chain, so the origin
-    acceleration relative to the parent's is one product of F's last nine
-    numbers with the chain's constant C[i], and moving the screws'
+    acceleration and the parent's origin acceleration, as rows in the
+    parent frame, and the screws of joints 0..i.  Moving the screws'
     reference point to origin i adds a x r_i, one product with X[i].
     """
     M, nb, n = Qd.shape
     R = local_frames_batch(chain, Q)
-    dh = chain.dh
+    X = chain.dh.X
     # per configuration, the rows each rotation meets: om, omd and the
     # origin acceleration of every block, then two per joint screw
     rotated = np.zeros((M, 3 * nb + 2 * n, 3))
     V = rotated[:, :3 * nb].reshape(M, nb, 9)  # views of rotated
     S = rotated[:, 3 * nb:].reshape(M, n, 6)
+    G = np.empty((M, nb, B.shape[-1]))  # each link's product, in turn
     V[..., 6:] = -gravity
     S[..., 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
     # joint i's rates, added to om_z, omd_x, omd_y and omd_z before the
@@ -473,13 +486,11 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity):
         # in place: numpy reads an overlapping input as if copied first
         moving = rotated[:, :3 * nb + 2 * i + 2]
         np.matmul(moving, R[:, i], out=moving)
-        F = _motion_numbers(V)
-        # the parent's origin acceleration, plus omd x r_i + om x (om x r_i)
-        F[..., :3] += F[..., 3:] @ dh.C[i]
-        V[..., 6:] = F[..., :3]
+        np.matmul(_motion_numbers(V), B[i], out=G)
+        V[..., 6:] = G[..., :3]  # origin i's acceleration
         Si = S[:, :i + 1]
-        Si[..., :3] += Si[..., 3:] @ dh.X[i]
-        yield i, Si, F
+        Si[..., :3] += Si[..., 3:] @ X[i]
+        yield i, Si, G[..., 3:]
 
 
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
@@ -491,14 +502,15 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     configurations (M, n).  Qd and Qdd are (M, n) or add leading block
     axes, (..., M, n), and gravity is None (the chain's), a 3-vector, one
     per state (M, 3) or one per block and state (..., M, 3); the block
-    axes broadcast.  Frames and joint screws are built once for all blocks,
-    and each configuration meets its blocks in one product.  The sets are
-    folded into the wrench basis once per call (_folded_basis), so each
-    link's wrench of every set is one product of its twelve motion numbers
-    with that link's folded basis; no unit wrench is built.  The wrenches
-    are projected onto the joint screws, and the products are stacked per
-    configuration, so a state's torques do not depend on the batch around
-    it.
+    axes broadcast, and a 3-vector enters the pass as one row.  Frames and
+    joint screws are built once for all blocks, and each configuration
+    meets its blocks in one product.  The sets are folded once per call
+    (_folded_basis; a caller that keeps its sets keeps the fold and calls
+    _folded_torques), so one product per link of its twelve motion numbers
+    gives its origin acceleration and its wrench of every set; no unit
+    wrench is built.  The wrenches are projected onto the joint screws,
+    and the products are stacked per configuration, so a state's torques
+    do not depend on the batch around it.
 
     The pass runs over the batch BLOCK_STATES states at a time
     (_state_blocks), so its temporaries take the memory of one block, not
@@ -507,35 +519,39 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     so an error names its row in the batch, and every block size gives
     the same bits.
     """
+    return _folded_torques(chain, Q, Qd, Qdd, _folded_basis(chain, Pi),
+                           gravity)
+
+
+def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
+                    gravity=None) -> np.ndarray:
+    """newton_euler of the sets folded into B (n, 12, 3 + S*6)."""
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
-    Pi = np.asarray(Pi, dtype=float)
     M, n = Q.shape
-    if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
-        raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
     lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
-    nb, ns = math.prod(lead), Pi.shape[1]
+    nb, ns = math.prod(lead), (B.shape[-1] - 3) // 6
 
     def blocks(x):
-        # beside their configuration, (M, B, ...); broadcast only a shape
+        # beside their configuration, (M, nb, ...); broadcast only a shape
         # that differs, as each broadcast_to adds microseconds to one state
         shape = lead + (M, x.shape[-1])
         if x.shape != shape:
             x = np.broadcast_to(x, shape)
         return x.reshape(nb, M, shape[-1]).swapaxes(0, 1)
 
-    Qd, Qdd, g = blocks(Qd), blocks(Qdd), blocks(g)
-    KP = _folded_basis(Pi, n)
+    Qd, Qdd = blocks(Qd), blocks(Qdd)
+    # one row for every state and block, or a row per state (M, nb, 3)
+    g = g.reshape(1, 1, 3) if g.ndim == 1 else blocks(g)
     tau = np.empty(lead + (M, n, ns))
-    # tau with the motion blocks first, (B, M, n, S), a view
+    # tau with the motion blocks first, (nb, M, n, S), a view
     out = tau.reshape(nb, M, n, ns)
     for rows in _state_blocks(M):
         m = len(Q[rows])
         part = np.zeros((m, n, nb * ns))
-        for i, Si, F in _link_screws(chain, Q[rows], Qd[rows], Qdd[rows],
-                                     g[rows]):
-            w = (F @ KP[i]).reshape(m, nb * ns, 6)
-            part[:, :i + 1] += Si @ w.swapaxes(1, 2)
+        for i, Si, W in _link_screws(chain, Q[rows], Qd[rows], Qdd[rows],
+                                     g if len(g) == 1 else g[rows], B):
+            part[:, :i + 1] += Si @ W.reshape(m, nb * ns, 6).swapaxes(1, 2)
         out[:, rows] = part.reshape(m, n, nb, ns).transpose(2, 0, 1, 3)
     return tau
 
@@ -547,18 +563,19 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
     row j.  Y @ pi equals rnea torques plus linear friction.  It is built
     for fitting; evaluate known parameters with newton_euler.  Link i's
-    block is one product of the joint screws with its unit wrenches, and
-    exactly zero in rows past i.
+    block is one product of the joint screws with its unit wrenches (the
+    pass on _link_maps of K), and exactly zero in rows past i.
     """
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     if Qd.ndim != 2 or Qdd.ndim != 2:
         raise ValueError("regressor_stack takes Q, Qd, Qdd of one shape")
     M, n = Q.shape
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-    for i, Si, F in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
-                                 chain.gravity_vector):
+    for i, Si, W in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
+                                 chain.gravity_vector,
+                                 _link_maps(chain, _WRENCH_BASIS)):
         col = N_INERTIAL * i
-        np.matmul(Si, _unit_wrenches(F)[:, 0].swapaxes(1, 2),
+        np.matmul(Si, W.reshape(M, N_INERTIAL, 6).swapaxes(1, 2),
                   out=Y[:, :i + 1, col:col + N_INERTIAL])
 
     base = N_INERTIAL * n

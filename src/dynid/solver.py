@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (N_INERTIAL, FrictionSet, _batch_states,
-                       friction_sigmoid, newton_euler)
+                       _folded_basis, _folded_torques, friction_sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
@@ -38,7 +38,10 @@ class IdentifiedModel:
     gains.  payload, when set, is the 10-vector of payload dynamic
     parameters expressed in the last link frame; its torque contribution
     is added on top of the identified arm model rather than folded into
-    the coefficients.
+    the coefficients.  The torque-level sets and their fold into one
+    matrix per link are derived once per model and read-only, so a solver
+    call does only per-state work; a copy (configure_payload) derives its
+    own.
     """
 
     name: str
@@ -100,6 +103,14 @@ class IdentifiedModel:
         Pi.flags.writeable = False  # shared by every call on this model
         return Pi
 
+    @cached_property
+    def folded_sets(self) -> np.ndarray:
+        """(n, 12, 3 + 6n) torque_sets folded with the chain's origin maps,
+        one matrix per link (dynamics._folded_basis)."""
+        B = _folded_basis(self.chain, self.torque_sets)
+        B.flags.writeable = False
+        return B
+
 
 def _require_complete(model: IdentifiedModel):
     if not model.is_complete:
@@ -127,7 +138,8 @@ def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     """Torques of the rigid-body part (no friction): arm plus payload,
     joint j's read from torque set j.  (M, n), or (n,) for one state q;
     qd, qdd and gravity may add leading block axes (see newton_euler)."""
-    tau = newton_euler(model.chain, q, qd, qdd, model.torque_sets, gravity)
+    tau = _folded_torques(model.chain, q, qd, qdd, model.folded_sets,
+                          gravity)
     j = np.arange(model.n)
     return tau[..., 0, j, j] if np.ndim(q) == 1 else tau[..., j, j]
 

@@ -9,15 +9,15 @@ Its forward recursion is its own too: explicit cross products with each
 origin's offset R_i^T p_i formed per state, where the package uses the
 chain's constant maps.  The unit wrenches here come from skew matrices and
 the symmetric inertia basis, not from the package's constant wrench basis,
-so they are also the reference for dynamics._unit_wrenches.
+so they are also the reference for the package's basis product.
 newton_euler_unfolded is the evaluator from before the parameter sets were
 folded into the wrench basis: it builds every link's unit wrenches, then
 sums them per set, the reference for dynamics.newton_euler.
 """
 import numpy as np
 
-from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _batch_states,
-                            _link_screws, _unit_wrenches)
+from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _WRENCH_BASIS,
+                            _batch_states, _link_maps, _link_screws)
 from dynid.kinematics import KinematicChain, local_frames
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -127,8 +127,10 @@ def newton_euler_unfolded(chain: KinematicChain, Q, Qd, Qdd, Pi,
                   for x in (Qd, Qdd, g))
     nb, ns = Qd.shape[1], Pi.shape[1]
     tau = np.zeros((M, n, nb * ns))
-    for i, Si, F in _link_screws(chain, Q, Qd, Qdd, g):
-        w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ _unit_wrenches(F)
+    for i, Si, W in _link_screws(chain, Q, Qd, Qdd, g,
+                                 _link_maps(chain, _WRENCH_BASIS)):
+        unit = W.reshape(M, nb, N_INERTIAL, 6)
+        w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ unit
         tau[:, :i + 1] += Si @ w.reshape(M, nb * ns, 6).swapaxes(1, 2)
     return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
         lead + (M, n, ns))

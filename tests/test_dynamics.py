@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dynid import dynamics
 from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
                             FrictionSet, InertialParameters, JointState,
-                            _motion_numbers, _unit_wrenches, friction_linear,
+                            _link_maps, _motion_numbers, friction_linear,
                             friction_sigmoid, newton_euler, regressor,
                             regressor_stack, rnea, sigmoid)
 from dynid.kinematics import (DhRow, KinematicChain, local_frames,
@@ -360,6 +360,25 @@ def test_friction_sigmoid_scalar_oracle():
         expected, abs=1e-15)
 
 
+def test_friction_arrays_are_built_once_and_read_only():
+    # as_arrays hands every call the same read-only arrays, and the
+    # sigmoid law on them gives the bits of arrays built afresh
+    names = ("f_o", "f_v", "f_c", "delta", "nu")
+    rng = np.random.default_rng(13)
+    fs = FrictionSet(*(rng.uniform(0.1, 2.0, 6) for _ in names))
+    arrays = fs.as_arrays()
+    assert fs.as_arrays() is arrays
+    for a, name in zip(arrays, names):
+        assert not a.flags.writeable
+        assert a.tolist() == list(getattr(fs, name))
+    with pytest.raises(ValueError):
+        arrays[0][0] = 1.0
+    qd = rng.uniform(-2.0, 2.0, (50, 6))
+    f_o, f_v, f_c, delta, nu = (np.array(getattr(fs, name)) for name in names)
+    expect = f_o + f_v * qd + f_c * sigmoid(delta * (nu + qd))
+    assert friction_sigmoid(fs, qd).tobytes() == expect.tobytes()
+
+
 def test_friction_set_from_linear():
     fs = FrictionSet.from_linear([0.7], [1.0], [0.4])
     for qd in (0.5, -0.5, 1e-3, -1e-3):
@@ -695,17 +714,27 @@ def test_wrench_basis_is_signed_selection():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60))
-def test_unit_wrenches_match_oracle(seed, m):
-    # the constant-basis product agrees with the skew-matrix formulas
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]))
+def test_unit_wrenches_match_oracle(seed, m, chain):
+    # one product of the motion numbers with a link's map of the constant
+    # basis gives the origin's acceleration, the parent's plus
+    # omd x r_i + om x (om x r_i), and the unit wrenches the skew-matrix
+    # formulas give at that acceleration
     rng = np.random.default_rng(seed)
     om = rng.uniform(-3.0, 3.0, (m, 3))
     omd = rng.uniform(-10.0, 10.0, (m, 3))
     acc = rng.uniform(-20.0, 20.0, (m, 3))
-    B = _unit_wrenches(_motion_numbers(np.concatenate((om, omd, acc), axis=1)))
-    ref = unit_wrenches(om, omd, acc)
-    assert B.shape == ref.shape == (m, 10, 6)
-    assert np.max(np.abs(B - ref) / (1.0 + np.abs(ref))) < 1e-12
+    F = _motion_numbers(np.concatenate((om, omd, acc), axis=1))
+    B = _link_maps(chain, _WRENCH_BASIS)
+    assert B.shape == (chain.n, 12, 63)
+    for i, r in enumerate(chain.dh.r):
+        G = F @ B[i]
+        acc_i = acc + np.cross(omd, r) + np.cross(om, np.cross(om, r))
+        ref = unit_wrenches(om, omd, acc_i)
+        for got, want in ((G[:, :3], acc_i),
+                          (G[:, 3:].reshape(m, 10, 6), ref)):
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

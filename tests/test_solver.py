@@ -14,7 +14,7 @@ from dynid.dynamics import (JointState, friction_linear, friction_sigmoid,
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
-from dynid.solver import (IdentifiedModel, configure_payload,
+from dynid.solver import (IdentifiedModel, _rigid, configure_payload,
                           coriolis_times_qd, friction, gravity, inertia,
                           load_identified_model, save_identified_model,
                           torque, torque_terms)
@@ -121,24 +121,83 @@ def test_chain_constants_built_once_per_chain(ident_true, monkeypatch):
 
 
 def test_evaluator_builds_no_unit_wrenches(ident_true, monkeypatch):
-    # newton_euler folds its sets into the wrench basis; only the regressor
-    # turns motion numbers into unit wrenches
+    # newton_euler and the solver fold their sets into the wrench basis;
+    # only the regressor's pass meets the unit basis itself
     calls = []
-    unit = dynamics._unit_wrenches
+    maps = dynamics._link_maps
 
-    def counted(F):
-        calls.append(F.shape)
-        return unit(F)
+    def counted(chain, K):
+        calls.append(K is dynamics._WRENCH_BASIS)
+        return maps(chain, K)
 
-    monkeypatch.setattr(dynamics, "_unit_wrenches", counted)
+    monkeypatch.setattr(dynamics, "_link_maps", counted)
+    model = replace(ident_true)  # no fold kept yet
     q, qd, qdd = _random_states(np.random.default_rng(6), 5)
-    torque(ident_true, q, qd, qdd)
-    torque(ident_true, q[0], qd[0], qdd[0])
-    torque_terms(ident_true, q, qd, qdd)
-    inertia(ident_true, q[0])
-    assert calls == []
-    dynamics.regressor_stack(ident_true.chain, q, qd, qdd)
-    assert calls == [(5, 1, 12)] * 6
+    torque(model, q, qd, qdd)
+    torque(model, q[0], qd[0], qdd[0])
+    torque_terms(model, q, qd, qdd)
+    inertia(model, q[0])
+    dynamics.newton_euler(model.chain, q, qd, qdd, model.torque_sets)
+    assert calls == [False, False]  # the model's fold, newton_euler's
+    dynamics.regressor_stack(model.chain, q, qd, qdd)
+    assert calls == [False, False, True]
+
+
+def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
+    # the model folds its torque sets once and every call reuses the fold;
+    # a configured copy folds its own sets
+    calls = []
+    fold = dynamics._folded_basis
+
+    def counted(chain, Pi):
+        calls.append(Pi.shape)
+        return fold(chain, Pi)
+
+    monkeypatch.setattr("dynid.solver._folded_basis", counted)
+    model = replace(ident_true)  # no fold kept yet
+    q, qd, qdd = _random_states(np.random.default_rng(11), 5)
+    for k in range(5):
+        torque(model, q[k], qd[k], qdd[k])
+    torque(model, q, qd, qdd)
+    torque_terms(model, q, qd, qdd)
+    inertia(model, q[0])
+    gravity(model, q)
+    coriolis_times_qd(model, q, qd)
+    assert calls == [(60, 6)]
+    B = model.folded_sets
+    assert B.shape == (6, 12, 39) and not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0, 0] = 1.0
+    assert B.tobytes() == fold(model.chain, model.torque_sets).tobytes()
+    loaded = configure_payload(model, PAY)
+    torque(loaded, q, qd, qdd)
+    assert calls == [(60, 6)] * 2
+    assert not np.array_equal(loaded.folded_sets, B)
+    assert loaded.folded_sets.tobytes() \
+        == fold(loaded.chain, loaded.torque_sets).tobytes()
+    assert configure_payload(loaded, None).folded_sets.tobytes() \
+        == B.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 5, dynamics.BLOCK_STATES + 3])
+def test_gravity_vector_and_per_state_rows_give_the_same_bits(ident_true, m):
+    # a 3-vector gravity enters the pass as one row, never broadcast; the
+    # same gravity given per state, (M, 3), gives the same bits
+    q, qd, qdd = _random_states(np.random.default_rng(12), m)
+    chain, Pi = ident_true.chain, ident_true.torque_sets
+    rows = np.tile(chain.gravity_vector, (m, 1))
+    blocks = np.stack((qd, 2.0 * qd))
+    for args, per_state in (((qd, qdd), rows),
+                            ((blocks, blocks[::-1]), np.stack((rows, rows)))):
+        want = dynamics.newton_euler(chain, q, *args, Pi, per_state).tobytes()
+        for g in (None, chain.gravity_vector, rows):
+            assert dynamics.newton_euler(chain, q, *args, Pi, g).tobytes() \
+                == want
+    z = np.zeros_like(q)
+    assert gravity(ident_true, q).tobytes() \
+        == _rigid(ident_true, q, z, z, rows).tobytes()
+    assert coriolis_times_qd(ident_true, q, qd).tobytes() \
+        == _rigid(ident_true, q, qd, z, np.zeros((m, 3))).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
