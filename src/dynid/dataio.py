@@ -56,11 +56,13 @@ class SampleSet:
     qd_threshold: float = QD_THRESHOLD_DEFAULT
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+        # read-only copies: identification keeps regressor columns built
+        # from these arrays, so no caller may change them afterwards
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("t", "q", "qd", "qdd", "v")}
+        t = arrays.pop("t")
         if t.ndim != 1 or t.size < 2:
             raise SchemaError("need at least two samples")
-        arrays = {name: np.asarray(getattr(self, name), dtype=float)
-                  for name in ("q", "qd", "qdd", "v")}
         n = arrays["q"].shape[1] if arrays["q"].ndim == 2 else 0
         for name, a in arrays.items():
             if a.ndim != 2 or a.shape != (t.size, n):
@@ -79,8 +81,8 @@ class SampleSet:
         if not (np.isfinite(self.qd_threshold) and self.qd_threshold >= 0):
             raise SchemaError(f"qd_threshold must be finite and nonnegative, "
                               f"got {self.qd_threshold}")
-        object.__setattr__(self, "t", t)
-        for name, a in arrays.items():
+        for name, a in dict(arrays, t=t).items():
+            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
@@ -415,9 +417,12 @@ def write_robot_model(model: RobotModel, path) -> None:
     _write_chain(cfg, model.chain)
     if model.links is not None:
         for i, lk in enumerate(model.links):
+            if lk.mass == 0 and any(lk.first_moment):
+                raise ValueError(f"link {i+1}: mass_kg and com_m cannot "
+                                 "hold a massless nonzero first moment")
             cfg[f"inertial.link_{i+1}"] = {
                 "mass_kg": _fmt(lk.mass),
-                "com_m": _vecstr(lk.com),
+                "com_m": _vecstr(lk.com if lk.mass else np.zeros(3)),
                 "inertia_origin_kgm2": _vecstr(
                     inertia_matrix_to_vector(np.array(lk.inertia_origin))),
             }

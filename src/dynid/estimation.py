@@ -8,7 +8,7 @@ projected out, which leaves one search over the transition's steepness and
 offset per joint.  Stage 3 recovers the motor drive gains by comparing data
 collected with and without a partially known payload.  Every joint's
 system is split and solved once, in regrouped coordinates where it loses
-rank; a gain that is not positive or leaves its stated bounds raises.
+rank; one error then names every joint whose gain is below GAIN_LOWER.
 
 The regressor is read one way, _joint_columns: in blocks of states
 (reduction.regressor_blocks), keeping from each block only the rows and
@@ -39,7 +39,7 @@ WEIGHT_TOL = 1e-6
 WEIGHT_MAX_ITER = 50
 CONDITION_LIMIT = 1e8
 MIN_REGION_SAMPLES = 50
-GAIN_LOWER_DEFAULT = 10.0
+GAIN_LOWER = 10.0
 
 
 class EstimationError(RuntimeError):
@@ -591,11 +591,10 @@ class GainEstimate:
     zeta holds each joint's solution [arm coefficients on that joint's
     active base columns; unknown payload parameters over the gain; gain
     reciprocal], with zeros on coordinates the solve regrouped away;
-    identifiable_mask marks the surviving coordinates.  bounds holds the
-    interval each gain was checked against.  bounded is always all False,
-    since no gain is clamped; it stays only because perfbench/spans.py
-    reads it in traced runs.  irls_iterations and irls_converged record
-    each joint's robust-weight iteration.
+    identifiable_mask marks the surviving coordinates, full_rank whether
+    that is all of them.  bounds is (GAIN_LOWER, inf) per joint; bounded,
+    all False, stays for perfbench/spans.py.  irls_iterations and
+    irls_converged record each joint's robust-weight iteration.
     """
 
     gains: np.ndarray
@@ -609,15 +608,14 @@ class GainEstimate:
     irls_converged: tuple[bool, ...] = ()
 
 
-def _gain_solve(S, y, w, bounds, label):
+def _gain_solve(S, y, w, label):
     """Solve one joint's weighted gain system, gain column last.
 
     One split_columns of the weighted stack decides the rank and solves on
     the independent columns.  The split keeps the column order, so the
     gain column is independent exactly when the others do not span it,
-    and no dependent column regroups onto it.  Full rank or not, the
-    joint passes only when its gain reciprocal is positive and the gain
-    lies within bounds; otherwise ExcitationError names the bound broken.
+    and no dependent column regroups onto it.  Returns the solution, zero
+    on dependent columns, and the mask of independent ones.
     """
     Sw, yw = S * np.sqrt(w)[:, None], y * np.sqrt(w)
     split = split_columns(Sw)
@@ -628,31 +626,34 @@ def _gain_solve(S, y, w, bounds, label):
         raise IdentifiabilityError(
             f"{label}: the drive gain is not identifiable; the known "
             "payload parameters do not separate it from the arm model")
-    lam = split.solve(yw)
-    lo, hi = bounds
-    K = 1.0 / float(lam[-1]) if lam[-1] > 0 else None
-    if K is None:
-        broken = f"reciprocal {lam[-1]:.6g} A/Nm is not positive"
-    elif K < lo:
-        broken = f"{K:.6g} Nm/A is below its lower bound {lo:g}"
-    elif K > hi:
-        broken = f"{K:.6g} Nm/A is above its upper bound {hi:g}"
-    else:
-        zeta = np.zeros(p)
-        zeta[split.ind] = lam
-        mask = np.zeros(p, dtype=bool)
-        mask[split.ind] = True
-        return K, zeta, mask, split.dep.size == 0
-    raise ExcitationError(
-        f"{label}: drive gain {broken}; run b was likely not recorded on "
-        "run a's trajectory, or the joint is weakly excited")
+    zeta = np.zeros(p)
+    zeta[split.ind] = split.solve(yw)
+    return zeta, np.isin(np.arange(p), split.ind)
+
+
+def _checked_gains(reciprocals) -> np.ndarray:
+    """The gains 1/reciprocals; one ExcitationError names, in joint order,
+    every joint whose reciprocal is not positive (0 too, whose gain reads
+    inf) or whose gain is below GAIN_LOWER."""
+    broken = []
+    for j, lam in enumerate(reciprocals):
+        if not lam > 0:
+            broken.append(f"joint {j+1}: drive gain reciprocal {lam:.6g} "
+                          "A/Nm is not positive")
+        elif 1.0 / lam < GAIN_LOWER:
+            broken.append(f"joint {j+1}: drive gain {1.0 / lam:.6g} Nm/A "
+                          f"is below its lower bound {GAIN_LOWER:g}")
+    if broken:
+        raise ExcitationError(
+            "; ".join(broken) + "; run b was likely not recorded on run "
+            "a's trajectory, or the joint is weakly excited")
+    return 1.0 / np.asarray(reciprocals, dtype=float)
 
 
 def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                    known_payload: KnownPayload, map_: BaseParameterMap,
-                   chain: KinematicChain, chi, psi: FrictionSet,
-                   bounds: tuple[float, float] = (
-                       GAIN_LOWER_DEFAULT, np.inf)) -> GainEstimate:
+                   chain: KinematicChain, chi, psi: FrictionSet
+                   ) -> GainEstimate:
     """Stage 3: drive gains from paired runs without/with a payload.
 
     Per joint the friction-compensated currents of both runs are stacked
@@ -661,8 +662,8 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     payload contribution times that reciprocal.  Joints whose rows carry
     internal column dependencies (on the UR10, every joint does) come
     out rank-deficient and solve in regrouped coordinates; full-rank
-    joints solve directly.  Either way a gain outside bounds, the same
-    (lower, upper) interval for every joint, raises ExcitationError.
+    joints solve directly.  Every joint is solved before its gain is
+    checked against the one floor, GAIN_LOWER (_checked_gains).
 
     Each joint's arm columns are re-fitted together with its gain on both
     runs, so chi's values are not read.  samples_a's rows are the
@@ -671,18 +672,13 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     map and chain, otherwise gathered); samples_b's are gathered on the
     active columns and the payload (last link) columns (_joint_columns).
     """
-    lo, hi = (float(b) for b in bounds)
-    if not lo <= hi:
-        raise ValueError(f"gain bounds must satisfy lower <= upper, got "
-                         f"({lo}, {hi})")
     n = map_.n
     kmask = known_payload.coord_mask
     if not kmask.any():
         raise IdentifiabilityError(
             "no payload parameters are marked known; the gain column of "
             "every joint's system is identically zero")
-    pi_L = payload_to_frame_n(known_payload.spec)
-    pi_k = pi_L[kmask]
+    pi_k = payload_to_frame_n(known_payload.spec)[kmask]
     n_unknown = int((~kmask).sum())
 
     acols = _active_columns(map_)
@@ -692,20 +688,15 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                             samples_b.qdd,
                             [np.r_[map_.inertial_columns[a], payload_cols]
                              for a in acols], samples_b.mask)
-    vf_a = friction_sigmoid(psi, samples_a.qd)
-    vf_b = friction_sigmoid(psi, samples_b.qd)
+    # friction-compensated currents
+    ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
+    yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)
 
-    K = np.zeros(n)
-    zeta, masks, full_rank, iters, converged = [], [], [], [], []
+    solved = []
     for j, Aa, Bb in zip(range(n), rows_a, rows_b):
         label = f"joint {j+1}"
         na = acols[j].size
-        ra = samples_a.mask[:, j]
-        rb = samples_b.mask[:, j]
-        Aa, Bb = Aa.T, Bb.T
-        Ab, Pj = Bb[:, :na], Bb[:, na:]
-        ya = samples_a.v[ra, j] - vf_a[ra, j]
-        yb = samples_b.v[rb, j] - vf_b[rb, j]
+        Aa, Ab, Pj = Aa.T, Bb[:na].T, Bb[na:].T
         Pu = Pj[:, ~kmask]
         kcol = Pj[:, kmask] @ pi_k
         scale = max(float(np.max(np.abs(kcol))), 1.0)
@@ -714,30 +705,23 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
                 f"{label}: the payload does not excite any unknown "
                 "parameter; attach it eccentrically or mark more "
                 "parameters known")
+        y = np.concatenate([ya[samples_a.mask[:, j], j],
+                            yb[samples_b.mask[:, j], j]])
         p = na + n_unknown + 1
-        ma, mb = Aa.shape[0], Ab.shape[0]
-        if ma + mb < p + 10:
+        if y.size < p + 10:
             raise ExcitationError(
-                f"{label}: {ma + mb} linearity-region samples for {p} "
+                f"{label}: {y.size} linearity-region samples for {p} "
                 "unknowns; collect longer runs")
-        S = np.zeros((ma + mb, p))
-        S[:ma, :na] = Aa
-        S[ma:, :na] = Ab
-        S[ma:, na:na + n_unknown] = Pu
-        S[ma:, -1] = kcol
-        y = np.concatenate([ya, yb])
-
+        # run a's rows carry no payload columns
+        S = np.block([[Aa, np.zeros((len(Aa), p - na))],
+                      [Ab, Pu, kcol[:, None]]])
         wm = robust_weights(S, y)
-        Kj, zj, mj, fr = _gain_solve(S, y, wm.w, (lo, hi), label)
-        K[j] = Kj
-        zeta.append(zj)
-        masks.append(mj)
-        full_rank.append(fr)
-        iters.append(wm.iterations)
-        converged.append(wm.converged)
-    return GainEstimate(gains=K, zeta=tuple(zeta),
-                        identifiable_mask=tuple(masks),
-                        bounds=((lo, hi),) * n, full_rank=tuple(full_rank),
+        solved.append((*_gain_solve(S, y, wm.w, label), wm))
+    zeta, masks, wms = zip(*solved)
+    return GainEstimate(gains=_checked_gains([z[-1] for z in zeta]),
+                        zeta=zeta, identifiable_mask=masks,
+                        bounds=((GAIN_LOWER, np.inf),) * n,
+                        full_rank=tuple(bool(m.all()) for m in masks),
                         bounded=(False,) * n, n_unknown=n_unknown,
-                        irls_iterations=tuple(iters),
-                        irls_converged=tuple(converged))
+                        irls_iterations=tuple(w.iterations for w in wms),
+                        irls_converged=tuple(w.converged for w in wms))

@@ -43,23 +43,20 @@ class DhRow:
 class DhConstants(NamedTuple):
     """What a chain's DH rows fix for every q, built once per chain.
 
-    a, d and offset are (n,) columns of the rows.  trig_rows (n, 2, 3)
-    and last_row (n, 3) give each rotation's rows from the cosine ct and
-    sine st of its angle: (ct, st, st) and (st, ct, ct) times trig_rows,
+    offset is the (n,) column of the rows.  trig_rows (n, 2, 3) and
+    last_row (n, 3) give each rotation's rows from the cosine ct and sine
+    st of its angle: (ct, st, st) and (st, ct, ct) times trig_rows,
     (1, -ca, sa) and (1, ca, -sa), then (0, sa, ca), for ca and sa those
-    of alpha.  r (n, 3) is each origin's offset from its parent in its own
-    frame, R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i).  X (n, 3, 3)
-    and C (n, 9, 3) are the cross products with it as maps on row vectors:
+    of alpha.  X (n, 3, 3) and C (n, 9, 3) are cross products with r_i,
+    each origin's offset from its parent in its own frame, R_i^T p_i =
+    (a_i, d_i sin alpha_i, d_i cos alpha_i), as maps on row vectors:
     x @ X[i] = x x r_i, and [omd, om_a*om_b for a <= b] @ C[i] =
     omd x r_i + om x (om x r_i), the products in np.triu_indices(3) order.
     """
 
-    a: np.ndarray
-    d: np.ndarray
     offset: np.ndarray
     trig_rows: np.ndarray
     last_row: np.ndarray
-    r: np.ndarray
     X: np.ndarray
     C: np.ndarray
 
@@ -79,7 +76,7 @@ def _dh_constants(rows) -> DhConstants:
     j, k = np.triu_indices(3)
     C = np.concatenate((X, T[:, j, k] + (j != k)[:, None] * T[:, k, j]),
                        axis=1)
-    constants = DhConstants(a, d, offset, trig_rows, last_row, r, X, C)
+    constants = DhConstants(offset, trig_rows, last_row, X, C)
     for x in constants:  # every pass on the chain shares them
         x.flags.writeable = False
     return constants
@@ -155,7 +152,7 @@ def local_frames(chain: KinematicChain, q):
 def local_frames_batch(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
     """The rotations R (M, n, 3, 3) of local_frames for Q of shape (M, n),
     on the DH columns of chain.dh.  The origin offsets are left out: in
-    its own frame each is the chain's constant r (KinematicChain.dh)."""
+    its own frame each is a constant of the chain (DhConstants)."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n:
         raise ValueError(f"expected joint array of shape (M, {chain.n})")

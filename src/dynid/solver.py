@@ -65,6 +65,9 @@ class IdentifiedModel:
         if not np.all(np.isfinite(chi)):
             raise ValueError("chi must be finite")
         object.__setattr__(self, "chi", chi)
+        if not (np.isfinite(self.qd_threshold) and self.qd_threshold >= 0):
+            raise ValueError(f"qd_threshold must be finite and nonnegative, "
+                             f"got {self.qd_threshold}")
         if self.psi is not None and self.psi.n != n:
             raise ValueError(f"friction must cover {n} joints")
         if self.gains is not None:

@@ -654,24 +654,23 @@ def test_irls_cap_is_reported(pipeline, capsys, monkeypatch):
 
 
 def test_gain_below_its_bound_exits_3(pipeline, capsys, monkeypatch):
-    # with a lower gain bound above the true gains of joints 3-6, the
-    # stage stops at joint 3: one error line names it and the bound, and
-    # no model is written
+    # with the gain floor above the true gains of joints 3-6, every joint
+    # is solved and one error line names those four, in joint order, each
+    # with the floor; no model is written
     out = pipeline["dir"] / "bounded_gains.ini"
     argv = ["identify", "gains", "--model", pipeline["model_fric"],
             "--samples-a", pipeline["run_a"], pipeline["run_a2"],
             "--samples-b", pipeline["run_b"],
             "--payload", pipeline["payload"], "--known", "mass,com",
             "--out", str(out)]
-    real = cli.estimate_gains
-    monkeypatch.setattr(cli, "estimate_gains",
-                        lambda *args: real(*args, bounds=(12.0, np.inf)))
+    monkeypatch.setattr(estimation, "GAIN_LOWER", 12.0)
     capsys.readouterr()
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error=3 msg=joint 3: drive gain [\d.]+ Nm/A is "
-                        r"below its lower bound 12; run b was likely not "
-                        r"recorded on run a's trajectory, or the joint is "
-                        r"weakly excited\n", captured.err)
+    below = "; ".join(rf"joint {j}: drive gain [\d.]+ Nm/A is below its "
+                      "lower bound 12" for j in (3, 4, 5, 6))
+    assert re.fullmatch(f"error=3 msg={below}; run b was likely not "
+                        "recorded on run a's trajectory, or the joint is "
+                        "weakly excited\n", captured.err)
     assert not out.exists()

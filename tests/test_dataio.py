@@ -12,7 +12,8 @@ from dynid.dataio import (DIFF_HALF_WIDTH_S, RobotModel, SampleSet,
                           read_robot_model, read_samples, simulate,
                           ur10_default_model, write_payload,
                           write_robot_model, write_samples)
-from dynid.dynamics import FrictionSet, friction_sigmoid, regressor_stack
+from dynid.dynamics import (FrictionSet, InertialParameters,
+                            friction_sigmoid, regressor_stack)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec, payload_to_frame_n
 from dynid.trajectory import random_trajectory
@@ -369,6 +370,26 @@ def test_robot_model_partial_and_broken(tmp_path):
     p.write_text("\n".join(out) + "\n")
     with pytest.raises(SchemaError, match="friction.joint_4"):
         read_robot_model(p)
+
+
+def test_massless_link_round_trip(tmp_path):
+    # a massless link with no first moment writes a zero COM and reads
+    # back as it was; one with a first moment has no mass_kg/com_m form,
+    # and writing it raises before the file is touched
+    model = ur10_default_model()
+    bare = InertialParameters(mass=0.0, first_moment=(0.0, 0.0, 0.0),
+                              inertia_origin=np.diag((0.01, 0.02, 0.03)))
+    p = tmp_path / "massless.ini"
+    write_robot_model(dataclasses.replace(
+        model, links=model.links[:5] + (bare,)), p)
+    assert "com_m = 0 0 0\n" in p.read_text()
+    assert read_robot_model(p).links == model.links[:5] + (bare,)
+    moved = dataclasses.replace(bare, first_moment=(0.0, 0.1, 0.0))
+    with pytest.raises(ValueError, match=r"^link 6: mass_kg and com_m "
+                       "cannot hold a massless nonzero first moment"):
+        write_robot_model(dataclasses.replace(
+            model, links=model.links[:5] + (moved,)), tmp_path / "x.ini")
+    assert not (tmp_path / "x.ini").exists()
 
 
 def test_payload_round_trip(tmp_path):

@@ -677,18 +677,25 @@ OFFSETS = KinematicChain(rows=(DhRow(0.4, 0.7, -0.2, 0.5),
                                DhRow(0.0, np.pi / 2, 0.25, 2.0)))
 
 
+def _origin_offsets(chain):
+    # R_i^T p_i from local_frames at zero DH angle (q_i = -offset_i), where
+    # it reads (a_i, d_i sin alpha_i, d_i cos alpha_i) with no rounding
+    R, p = local_frames(chain, [-row.offset for row in chain.rows])
+    return (p[:, None, :] @ R)[:, 0, :]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]))
 def test_origin_offset_in_own_frame_is_constant(seed, m, chain):
     # standard DH: R_i^T p_i = (a_i, d_i sin alpha_i, d_i cos alpha_i) for
-    # every q, the chain's constant r_i
+    # every q, with R_i from local_frames_batch
     Q = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi,
                                             (m, chain.n))
     R = local_frames_batch(chain, Q)
     p = np.stack([local_frames(chain, q)[1] for q in Q])
     r = (p[..., None, :] @ R)[..., 0, :]
-    assert np.max(np.abs(r - chain.dh.r)) <= 1e-15
+    assert np.max(np.abs(r - _origin_offsets(chain))) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -701,7 +708,7 @@ def test_origin_maps_match_cross_products(seed, m, chain):
     om, omd, x = (rng.uniform(-s, s, (m, 3)) for s in (3.0, 10.0, 1.0))
     F = _motion_numbers(np.concatenate((om, omd, np.zeros((m, 3))), axis=1))
     dh = chain.dh
-    for i, r in enumerate(dh.r):
+    for i, r in enumerate(_origin_offsets(chain)):
         for got, ref in ((x @ dh.X[i], np.cross(x, r)),
                          (F[:, 3:] @ dh.C[i],
                           np.cross(omd, r) + np.cross(om, np.cross(om, r)))):
@@ -728,7 +735,7 @@ def test_unit_wrenches_match_oracle(seed, m, chain):
     F = _motion_numbers(np.concatenate((om, omd, acc), axis=1))
     B = _link_maps(chain, _WRENCH_BASIS)
     assert B.shape == (chain.n, 12, 63)
-    for i, r in enumerate(chain.dh.r):
+    for i, r in enumerate(_origin_offsets(chain)):
         G = F @ B[i]
         acc_i = acc + np.cross(omd, r) + np.cross(om, np.cross(om, r))
         ref = unit_wrenches(om, omd, acc_i)

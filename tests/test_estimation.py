@@ -536,6 +536,25 @@ def test_unshared_regressor_gives_bitwise_the_same(
     assert all(np.array_equal(a, b) for a, b in zip(est.zeta, stage3.zeta))
 
 
+def test_caller_arrays_changed_after_stage_1_leave_the_samples(bmap, chain,
+                                                               data_a):
+    # the samples hold read-only copies, so a caller changing its own
+    # array after stage 1 changes neither them nor the residual that
+    # stage 1's kept columns give: it matches a fresh gather bitwise
+    q = np.array(data_a.q)
+    samples = SampleSet(t=data_a.t, q=q, qd=data_a.qd, qdd=data_a.qdd,
+                        v=data_a.v)
+    chi = identify_coefficients(bmap, chain, samples)
+    q += 0.01
+    assert np.array_equal(samples.q, data_a.q)
+    for name in ("t", "q", "qd", "qdd", "v"):
+        assert not getattr(samples, name).flags.writeable
+    assert np.array_equal(
+        friction_residual_currents(bmap, chain, chi, samples),
+        friction_residual_currents(bmap, chain, dataclasses.replace(chi),
+                                   samples))
+
+
 def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
                                                       monkeypatch):
     calls = _count_regressor_builds(monkeypatch)
@@ -897,57 +916,74 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
 
 
 def test_gain_solve_paths():
-    # full rank: a direct solve that keeps every column; a gain (20)
-    # outside the bounds raises on this path as on every other
+    # full rank: a direct solve that keeps every column
     rng = np.random.default_rng(11)
     S = rng.standard_normal((60, 5))
     lam = np.array([0.3, -1.2, 0.5, 2.0, 0.05])
     w = np.ones(60)
-    K, zeta, mask, full = estimation._gain_solve(S, S @ lam, w, (10.0, 30.0),
-                                                 "joint 1")
-    assert full and mask.all()
-    assert np.max(np.abs(zeta - lam)) < 1e-12 and K == pytest.approx(20.0)
-    with pytest.raises(ExcitationError, match=r"^joint 1: drive gain 20 Nm/A "
-                       r"is above its upper bound 15; run b was likely not "
-                       r"recorded on run a's trajectory"):
-        estimation._gain_solve(S, S @ lam, w, (10.0, 15.0), "joint 1")
+    zeta, mask = estimation._gain_solve(S, S @ lam, w, "joint 1")
+    assert mask.all() and np.max(np.abs(zeta - lam)) < 1e-12
     # rank-deficient: a dependent arm column drops, and the gain solves
-    # as it is, with no clamp to the bounds
+    # as it is
     S2 = np.column_stack([S[:, :1], 2.0 * S[:, 0], S[:, 1:]])
-    K, zeta, mask, full = estimation._gain_solve(S2, S @ lam, w, (10.0, 30.0),
-                                                 "joint 2")
-    assert not full and mask.tolist() == [True, False] + [True] * 4
-    assert K == pytest.approx(20.0) and zeta[1] == 0.0
-    with pytest.raises(ExcitationError, match=r"^joint 2: drive gain 20 Nm/A "
-                       r"is below its lower bound 25;"):
-        estimation._gain_solve(S2, S @ lam, w, (25.0, 30.0), "joint 2")
-    lam[-1] = -0.05
-    with pytest.raises(ExcitationError, match=r"^joint 2: drive gain "
-                       r"reciprocal -0\.05 A/Nm is not positive;"):
-        estimation._gain_solve(S2, S @ lam, w, (-np.inf, np.inf), "joint 2")
+    zeta, mask = estimation._gain_solve(S2, S @ lam, w, "joint 2")
+    assert mask.tolist() == [True, False] + [True] * 4
+    assert zeta[1] == 0.0 and zeta[-1] == pytest.approx(0.05)
+    # a gain column the arm columns span cannot give a gain
+    S3 = np.column_stack([S[:, :4], 2.0 * S[:, 0]])
+    with pytest.raises(IdentifiabilityError, match=r"^joint 3: the drive "
+                       "gain is not identifiable"):
+        estimation._gain_solve(S3, S @ lam, w, "joint 3")
+    with pytest.raises(ExcitationError, match=r"^joint 4: zero-rank gain "
+                       "system$"):
+        estimation._gain_solve(np.zeros((60, 5)), S @ lam, w, "joint 4")
 
 
-def test_stage3_infeasible_bounds(bmap, chain, stage1, stage2, stage3,
-                                  data_a, data_b_pay, known, monkeypatch):
-    def run(bounds):
+def test_checked_gains_names_every_failing_joint(monkeypatch):
+    check = estimation._checked_gains
+    advice = ("; run b was likely not recorded on run a's trajectory, or "
+              "the joint is weakly excited")
+    # a gain at the floor passes; every gain is the reciprocal's inverse
+    assert check([0.05, 0.1]).tolist() == [20.0, 10.0]
+    # one failure reads as it did when the first failing joint raised
+    for lam, text in ((-0.05, "reciprocal -0.05 A/Nm is not positive"),
+                      (0.0, "reciprocal 0 A/Nm is not positive"),
+                      (np.nan, "reciprocal nan A/Nm is not positive"),
+                      (1 / 9, "9 Nm/A is below its lower bound 10")):
+        with pytest.raises(ExcitationError) as err:
+            check([0.05, lam, 0.07])
+        assert str(err.value) == f"joint 2: drive gain {text}{advice}"
+    # several failures: one error, every failing joint in joint order
+    with pytest.raises(ExcitationError) as err:
+        check([0.0, 0.05, 0.2, -1.0, 0.08, 0.125])
+    assert str(err.value) == (
+        "joint 1: drive gain reciprocal 0 A/Nm is not positive; "
+        "joint 3: drive gain 5 Nm/A is below its lower bound 10; "
+        "joint 4: drive gain reciprocal -1 A/Nm is not positive; "
+        "joint 6: drive gain 8 Nm/A is below its lower bound 10" + advice)
+    # the floor is read when the check runs
+    monkeypatch.setattr(estimation, "GAIN_LOWER", 25.0)
+    with pytest.raises(ExcitationError, match=r"^joint 1: drive gain 20 "
+                       r"Nm/A is below its lower bound 25;"):
+        check([0.05, 0.02])
+
+
+def test_stage3_floor_above_every_gain_names_every_joint(
+        bmap, chain, stage1, stage2, stage3, data_a, data_b_pay, known,
+        monkeypatch):
+    def run():
         return estimate_gains(data_a, data_b_pay, known, bmap, chain, stage1,
-                              stage2.friction, bounds=bounds)
+                              stage2.friction)
 
-    # bounds that hold no gain are refused before any joint is solved:
-    # robust_weights, each joint's first step, is not reachable here
-    with monkeypatch.context() as patch:
-        patch.setattr(estimation, "robust_weights", None)
-        for bounds, named in (((np.nan, np.inf), "(nan, inf)"),
-                              ((20.0, 10.0), "(20.0, 10.0)"),
-                              ((10.0, np.nan), "(10.0, nan)")):
-            with pytest.raises(ValueError, match=re.escape(named)):
-                run(bounds)
-    # a zero lower bound is no bound at all, and the gains stand
-    assert np.array_equal(run((0.0, np.inf)).gains, stage3.gains)
-    # a lower bound above every gain stops at the first joint
-    with pytest.raises(ExcitationError, match=r"^joint 1: drive gain "
-                       r"[\d.]+ Nm/A is below its lower bound 1e\+06;"):
-        run((1e6, np.inf))
+    # a floor of zero is no floor at all, and the gains stand
+    monkeypatch.setattr(estimation, "GAIN_LOWER", 0.0)
+    assert np.array_equal(run().gains, stage3.gains)
+    # a floor above every gain: every joint is solved, then all six named
+    monkeypatch.setattr(estimation, "GAIN_LOWER", 1e6)
+    below = "; ".join(rf"joint {j}: drive gain [\d.]+ Nm/A is below its "
+                      r"lower bound 1e\+06" for j in range(1, 7))
+    with pytest.raises(ExcitationError, match=f"^{below}; run b was likely"):
+        run()
 
 
 def test_stage3_sweep_seed_18_fails_loudly_unpaired(plant, bmap, chain,

@@ -396,6 +396,19 @@ def test_persistence_round_trip(ident_true, data_a, tmp_path):
                               torque(model, data_a.q, data_a.qd, data_a.qdd))
 
 
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_qd_threshold_round_trip(ident_true, bad, tmp_path):
+    # a model takes only a threshold its file can hold, as SampleSet does,
+    # and every threshold it takes loads back
+    with pytest.raises(ValueError, match=r"^qd_threshold must be finite "
+                       "and nonnegative"):
+        replace(ident_true, qd_threshold=bad)
+    p = tmp_path / "model.ini"
+    for ok in (0.0, 0.25):
+        save_identified_model(replace(ident_true, qd_threshold=ok), p)
+        assert load_identified_model(p).qd_threshold == ok
+
+
 def test_persistence_stage_gating(ident_true, chain, bmap, tmp_path):
     m_lin = IdentifiedModel(name="s1", chain=chain, map=bmap,
                             chi=ident_true.chi)
