@@ -417,12 +417,15 @@ def write_robot_model(model: RobotModel, path) -> None:
     _write_chain(cfg, model.chain)
     if model.links is not None:
         for i, lk in enumerate(model.links):
-            if lk.mass == 0 and any(lk.first_moment):
+            try:
+                com = lk.com
+            except ValueError:
                 raise ValueError(f"link {i+1}: mass_kg and com_m cannot "
-                                 "hold a massless nonzero first moment")
+                                 "hold a massless nonzero first moment"
+                                 ) from None
             cfg[f"inertial.link_{i+1}"] = {
                 "mass_kg": _fmt(lk.mass),
-                "com_m": _vecstr(lk.com if lk.mass else np.zeros(3)),
+                "com_m": _vecstr(com),
                 "inertia_origin_kgm2": _vecstr(
                     inertia_matrix_to_vector(np.array(lk.inertia_origin))),
             }

@@ -113,7 +113,15 @@ class InertialParameters:
 
     @property
     def com(self) -> np.ndarray:
-        return np.array(self.first_moment) / self.mass
+        """first_moment / mass; zeros for a massless link with no first
+        moment, and ValueError for one with a first moment."""
+        h = np.array(self.first_moment)
+        if self.mass == 0:
+            if h.any():
+                raise ValueError("a massless link with a nonzero first "
+                                 "moment has no centre of mass")
+            return h
+        return h / self.mass
 
     @property
     def inertia_com(self) -> np.ndarray:
@@ -553,6 +561,8 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
                                      g if len(g) == 1 else g[rows], B):
             part[:, :i + 1] += Si @ W.reshape(m, nb * ns, 6).swapaxes(1, 2)
         out[:, rows] = part.reshape(m, n, nb, ns).transpose(2, 0, 1, 3)
+        # views of this block's buffers; the next block makes its own
+        del Si, W
     return tau
 
 

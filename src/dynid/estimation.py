@@ -10,6 +10,11 @@ collected with and without a partially known payload.  Every joint's
 system is split and solved once, in regrouped coordinates where it loses
 rank; one error then names every joint whose gain is below GAIN_LOWER.
 
+Stages 1 and 3 are bisquare-weighted fits, robust_weights, and each
+factors its stack once: the stack's split gives stage 1's condition guard
+before any iterate, the orthonormal basis the iterates work in, and, at
+the final weights, an r-row system whose split gives the coefficients.
+
 The regressor is read one way, _joint_columns: in blocks of states
 (reduction.regressor_blocks), keeping from each block only the rows and
 columns a fit uses.  No identification holds an (M, n, c) array: stage 1
@@ -57,14 +62,19 @@ class IdentifiabilityError(EstimationError):
 # ---------------------------------------------------------------------------
 # linear solvers
 
+def _rank_deficient(dep, p: int) -> IdentifiabilityError:
+    dep = np.asarray(dep).tolist()
+    return IdentifiabilityError(
+        f"rank-deficient stack (rank {p - len(dep)} of {p}); dependent "
+        f"columns {dep}")
+
+
 def _lstsq(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of a full-rank stack, decided and solved
     by split_columns, so every coefficient solve shares RANK_TOL."""
     split = split_columns(stack)
     if split.dep.size:
-        raise IdentifiabilityError(
-            f"rank-deficient stack (rank {split.ind.size} of "
-            f"{stack.shape[1]}); dependent columns {split.dep.tolist()}")
+        raise _rank_deficient(split.dep, stack.shape[1])
     return split.solve(rhs)
 
 
@@ -91,13 +101,15 @@ class WeightMatrix:
 
     Rows downweighted to exactly zero are dropped from the fit, which is
     how the bisquare function treats gross outliers.  robust_weights sets
-    condition to its stack's s_max/s_min (inf when s_min is 0).
+    its fit at these weights: independent, the mask of the columns the
+    weighted stack separates, and coef, zero on the others.
     """
 
     w: np.ndarray
     converged: bool = True
     iterations: int = 0
-    condition: float = np.nan
+    coef: np.ndarray | None = None
+    independent: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -106,69 +118,101 @@ class WeightMatrix:
         object.__setattr__(self, "w", w)
 
 
-def wlse(stack: np.ndarray, rhs: np.ndarray,
-         weights: WeightMatrix | np.ndarray) -> np.ndarray:
-    """Weighted least squares; unit weights give the ordinary fit."""
-    stack, rhs = _linear_system(stack, rhs)
-    if not isinstance(weights, WeightMatrix):
-        weights = WeightMatrix(weights)
-    w = weights.w
-    if w.shape != (stack.shape[0],):
-        raise ValueError("one weight per stacked row required")
-    sw = np.sqrt(w)
-    return _lstsq(stack * sw[:, None], rhs * sw)
+def _median(a: np.ndarray) -> float:
+    """np.median(a), bit for bit, partitioning a in place."""
+    h = a.size // 2
+    if a.size % 2:
+        a.partition(h)
+        return a[h]
+    a.partition((h - 1, h))
+    return (a[h - 1] + a[h]) / 2.0
 
 
 def _mad_scale(residual: np.ndarray) -> float:
-    med = np.median(residual)
-    return float(np.median(np.abs(residual - med)) / 0.6745)
+    buf = residual.copy()
+    med = _median(buf)
+    np.abs(np.subtract(residual, med, out=buf), out=buf)
+    return float(_median(buf) / 0.6745)
 
 
-def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
-    """Bisquare IRLS weights for a linear model.
+def _condition(split) -> float:
+    """s_max/s_min of the split's stack, from its triangular factor, which
+    has the stack's singular values; inf when a column is dependent."""
+    sv = np.linalg.svd(split.t, compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv.size and not split.dep.size \
+        else np.inf
+
+
+def robust_weights(stack: np.ndarray, rhs: np.ndarray,
+                   split=None) -> WeightMatrix:
+    """Bisquare IRLS weights for a linear model, and the weighted fit.
 
     Iterates weighted solves until the weights settle to within
     WEIGHT_TOL.  A degenerate residual scale (all residuals essentially
     zero) returns unit weights, since there is nothing to downweight.
 
-    IRLS needs only the residuals, and those depend only on the stack's
-    range.  One thin SVD gives an orthonormal basis Q of that range, cut
-    at eps*max(m, n) of the largest singular value, so rank-deficient
-    stacks need no special case.  Each iterate then solves the small
-    weighted system in Q's coordinates, (Q^T W Q) y = Q^T W b, and sets
-    r = b - Q y.  Q is orthonormal and the weights lie in [0, 1], so that
-    Gram's eigenvalues lie in [0, 1] however ill-conditioned the stack is;
-    its pseudo-inverse gives the minimum-norm y where zero weights leave
-    directions of the range unobserved.
+    The stack is factored once, by split_columns (split, when the caller
+    has made it, as stage 1 does for its condition guard, _condition): its
+    kept columns are a = Q t with t triangular, so Q = a inv(t) is an
+    orthonormal basis of the range.  IRLS needs only the residuals, which depend only on that
+    range, so each iterate solves (Q^T W Q) y = Q^T W b and sets
+    r = b - Q y.  The Gram's eigenvalues lie in [0, 1] however
+    ill-conditioned the stack is; eigh, cut as pinv cuts at eps*max(m, n)
+    of the largest, gives the minimum-norm y where zero weights leave
+    directions unobserved.  At the final weights, Q^T W Q = V L V^T makes
+    W^(1/2) Q = U L^(1/2) V^T with U orthonormal, so the m weighted rows
+    W^(1/2) Q Q^T A have the least-squares problem of the r rows
+    L^(1/2) V^T Q^T A, rhs L^(-1/2) V^T Q^T W b (Q^T A is t, and t @ regroup
+    on dependent columns).  Their split decides the weighted rank by
+    RANK_TOL and gives coef.
     """
     stack, rhs = _linear_system(stack, rhs)
+    if split is None:
+        split = split_columns(stack)
+    m, p = stack.shape
     floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
     # the usual SVD rank cutoff; a Gram summed over m rows carries rounding
     # of the same relative size, so it serves the small solves as well
-    rcond = np.finfo(float).eps * max(stack.shape)
-    U, sv, _ = np.linalg.svd(stack, full_matrices=False)
-    Q = U[:, sv > rcond * sv.max(initial=0.0)]
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
+    rcond = np.finfo(float).eps * max(m, p)
+    Qt = np.linalg.inv(split.t).T @ split.a.T  # (r, m)
+    Qs = np.empty_like(Qt)  # Qt scaled by sqrt(w), for each Gram
+
+    def gram(w):
+        # Q^T W Q's eigenpairs above pinv's cut, and Q^T W b
+        np.multiply(Qt, np.sqrt(w), out=Qs)
+        lam, V = np.linalg.eigh(Qs @ Qs.T)
+        keep = lam > rcond * lam.max(initial=0.0)
+        return lam[keep], V[:, keep], Qt @ (w * rhs)
 
     def residual(w):
-        Qs = Q * np.sqrt(w)[:, None]
-        y = np.linalg.pinv(Qs.T @ Qs, rcond=rcond, hermitian=True) @ (
-            Q.T @ (w * rhs))
-        return rhs - Q @ y
+        lam, V, c = gram(w)
+        return rhs - (V @ ((V.T @ c) / lam)) @ Qt
 
-    w = np.ones(stack.shape[0])
-    r = rhs - Q @ (Q.T @ rhs)  # unit weights: the Gram is the identity
+    def fitted(w, converged, iterations):
+        lam, V, c = gram(w)
+        R = np.empty((len(Qt), p))  # Q^T A
+        R[:, split.ind] = split.t
+        R[:, split.dep] = split.t @ split.regroup
+        root = np.sqrt(lam)
+        small = split_columns(root[:, None] * (V.T @ R))
+        coef = np.zeros(p)
+        coef[small.ind] = small.solve((V.T @ c) / root)
+        return WeightMatrix(w, converged, iterations, coef,
+                            np.isin(np.arange(p), small.ind))
+
+    w = np.ones(m)
+    res = rhs - (Qt @ rhs) @ Qt  # unit weights: the Gram is the identity
     for it in range(1, WEIGHT_MAX_ITER + 1):
-        s = _mad_scale(r)
+        s = _mad_scale(res)
         if s <= floor:
-            return WeightMatrix(np.ones_like(w), True, it, cond)
-        u = r / (BISQUARE_TUNING * s)
+            return fitted(np.ones_like(w), True, it)
+        u = res / (BISQUARE_TUNING * s)
         w_new = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
         if np.max(np.abs(w_new - w)) < WEIGHT_TOL:
-            return WeightMatrix(w_new, True, it, cond)
+            return fitted(w_new, True, it)
         w = w_new
-        r = residual(w)
-    return WeightMatrix(w, False, WEIGHT_MAX_ITER, cond)
+        res = residual(w)
+    return fitted(w, False, WEIGHT_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +279,10 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     Its stack is the joint's identifiable columns, read from the active
     columns kept block by block, and the friction columns [1, qd_j,
     sgn(qd_j)] formed from the samples, as regressor_stack forms them.
+    The stack's split gives its condition, checked against
+    CONDITION_LIMIT before robust_weights iterates on the same split; a
+    column the final weights leave unseparated raises
+    IdentifiabilityError.
     """
     n = map_.n
     acols = _active_columns(map_)
@@ -256,16 +304,17 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
         A = np.empty((count, cols.size))
         A[:, :ident.size] = kept[j][np.ix_(ident, rows)].T
         A[:, -3], A[:, -2], A[:, -1] = 1.0, qd, np.sign(qd)
-        b = samples.v[rows, j]
-        wm = robust_weights(A, b)
-        cond = wm.condition
+        split = split_columns(A)
+        cond = _condition(split)
         if cond > CONDITION_LIMIT:
             raise ExcitationError(
                 f"joint {j+1}: regressor condition {cond:.3g} exceeds "
                 f"{CONDITION_LIMIT:.0e}; the trajectory is not persistently "
                 "exciting for this joint")
-        x = wlse(A, b, wm)
-        chi[j, cols] = x
+        wm = robust_weights(A, samples.v[rows, j], split)
+        if not wm.independent.all():
+            raise _rank_deficient(np.flatnonzero(~wm.independent), cols.size)
+        chi[j, cols] = wm.coef
         conds.append(cond)
         counts.append(count)
         iters.append(wm.iterations)
@@ -608,27 +657,21 @@ class GainEstimate:
     irls_converged: tuple[bool, ...] = ()
 
 
-def _gain_solve(S, y, w, label):
-    """Solve one joint's weighted gain system, gain column last.
+def _gain_fit(S, y, label) -> WeightMatrix:
+    """robust_weights on one joint's gain system, gain column last.
 
-    One split_columns of the weighted stack decides the rank and solves on
-    the independent columns.  The split keeps the column order, so the
-    gain column is independent exactly when the others do not span it,
-    and no dependent column regroups onto it.  Returns the solution, zero
-    on dependent columns, and the mask of independent ones.
+    The fit's weighted split keeps the column order, so the gain column is
+    independent exactly when the others do not span it, and no dependent
+    column regroups onto it.  Its coef is zero on dependent columns.
     """
-    Sw, yw = S * np.sqrt(w)[:, None], y * np.sqrt(w)
-    split = split_columns(Sw)
-    p = S.shape[1]
-    if split.ind.size == 0:
+    wm = robust_weights(S, y)
+    if not wm.independent.any():
         raise ExcitationError(f"{label}: zero-rank gain system")
-    if split.ind[-1] != p - 1:
+    if not wm.independent[-1]:
         raise IdentifiabilityError(
             f"{label}: the drive gain is not identifiable; the known "
             "payload parameters do not separate it from the arm model")
-    zeta = np.zeros(p)
-    zeta[split.ind] = split.solve(yw)
-    return zeta, np.isin(np.arange(p), split.ind)
+    return wm
 
 
 def _checked_gains(reciprocals) -> np.ndarray:
@@ -662,8 +705,9 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     payload contribution times that reciprocal.  Joints whose rows carry
     internal column dependencies (on the UR10, every joint does) come
     out rank-deficient and solve in regrouped coordinates; full-rank
-    joints solve directly.  Every joint is solved before its gain is
-    checked against the one floor, GAIN_LOWER (_checked_gains).
+    joints solve directly.  Each joint is one robust fit (_gain_fit), and
+    every joint is solved before its gain is checked against the one
+    floor, GAIN_LOWER (_checked_gains).
 
     Each joint's arm columns are re-fitted together with its gain on both
     runs, so chi's values are not read.  samples_a's rows are the
@@ -692,7 +736,7 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
     yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)
 
-    solved = []
+    fits = []
     for j, Aa, Bb in zip(range(n), rows_a, rows_b):
         label = f"joint {j+1}"
         na = acols[j].size
@@ -715,13 +759,13 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
         # run a's rows carry no payload columns
         S = np.block([[Aa, np.zeros((len(Aa), p - na))],
                       [Ab, Pu, kcol[:, None]]])
-        wm = robust_weights(S, y)
-        solved.append((*_gain_solve(S, y, wm.w, label), wm))
-    zeta, masks, wms = zip(*solved)
-    return GainEstimate(gains=_checked_gains([z[-1] for z in zeta]),
-                        zeta=zeta, identifiable_mask=masks,
+        fits.append(_gain_fit(S, y, label))
+    return GainEstimate(gains=_checked_gains([f.coef[-1] for f in fits]),
+                        zeta=tuple(f.coef for f in fits),
+                        identifiable_mask=tuple(f.independent for f in fits),
                         bounds=((GAIN_LOWER, np.inf),) * n,
-                        full_rank=tuple(bool(m.all()) for m in masks),
+                        full_rank=tuple(bool(f.independent.all())
+                                        for f in fits),
                         bounded=(False,) * n, n_unknown=n_unknown,
-                        irls_iterations=tuple(w.iterations for w in wms),
-                        irls_converged=tuple(w.converged for w in wms))
+                        irls_iterations=tuple(f.iterations for f in fits),
+                        irls_converged=tuple(f.converged for f in fits))

@@ -168,22 +168,25 @@ class ColumnSplit:
         dep: dependent columns, ascending; every column not in ind.
         regroup: (len(ind), len(dep)) coefficients with
             A[:, dep] = A[:, ind] @ regroup.
+        a: A[:, ind].
+        t: upper triangular, a.T @ a = t.T @ t: the R of a's QR, so it
+            has a's singular values.
     """
 
     ind: np.ndarray
     dep: np.ndarray
     regroup: np.ndarray
-    _a: np.ndarray  # A[:, ind]
-    _t: np.ndarray  # upper triangular, _a.T @ _a = _t.T @ _t
+    a: np.ndarray
+    t: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x with A[:, ind] @ x ~ b, ordered like ind: the
-        seminormal equations on _t and one corrective step, which gives a
+        seminormal equations on t and one corrective step, which gives a
         QR solve's accuracy without Q (Bjorck, Linear Algebra Appl. 1987)."""
-        x = np.zeros(self._t.shape[0])
+        x = np.zeros(self.t.shape[0])
         for _ in range(2):
-            y = self._a.T @ (b - self._a @ x)
-            x = x + np.linalg.solve(self._t, np.linalg.solve(self._t.T, y))
+            y = self.a.T @ (b - self.a @ x)
+            x = x + np.linalg.solve(self.t, np.linalg.solve(self.t.T, y))
         return x
 
 
@@ -218,7 +221,7 @@ def split_columns(A: np.ndarray) -> ColumnSplit:
     if miss.any():
         raise np.linalg.LinAlgError(
             f"columns {dep[miss].tolist()} are not rebuilt from the kept ones")
-    return ColumnSplit(ind=ind, dep=dep, regroup=G, _a=A[:, ind], _t=t)
+    return ColumnSplit(ind=ind, dep=dep, regroup=G, a=A[:, ind], t=t)
 
 
 def _split_descending(A: np.ndarray):

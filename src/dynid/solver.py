@@ -196,7 +196,7 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
     if Qd.ndim != 2 or Qdd.ndim != 2:
         raise ValueError("torque_terms takes states (M, n) or (n,)")
-    z = np.zeros_like(Q)
+    z = np.broadcast_to(0.0, Q.shape)  # no memory of its own
     # gravity alone, then acceleration alone and velocity alone, gravity off
     g = np.array([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY])
     grav, inert, cor = _rigid(model, Q, np.stack((z, z, Qd)),

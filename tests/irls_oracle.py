@@ -1,16 +1,20 @@
-"""Bisquare IRLS by a fresh weighted lstsq per iterate, the reference for
-estimation.robust_weights.
+"""References for estimation.robust_weights: bisquare IRLS by a fresh
+weighted lstsq per iterate, and the weighted fit by split_columns on the
+m-row weighted stack.
 
 Every iterate solves the full m x p weighted stack with a minimum-norm
 lstsq and forms the residual from that solution.  The package iterates in
 an orthonormal basis of the stack's range instead, factorising the stack
-once; this slower, direct form is what the tests hold it against.  It
-reads the package's constants, so monkeypatching them moves both alike.
+once, and takes its weighted coefficients from r rows that carry the m-row
+weighted system's least-squares problem; these slower, direct forms are
+what the tests hold it against.  They read the package's constants, so
+monkeypatching them moves both alike.
 """
 import numpy as np
 
 from dynid import estimation
 from dynid.estimation import WeightMatrix, _mad_scale
+from dynid.reduction import split_columns
 
 
 def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
@@ -41,3 +45,29 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray) -> WeightMatrix:
         x = solve(w)
     return WeightMatrix(w, converged=False,
                         iterations=estimation.WEIGHT_MAX_ITER)
+
+
+def split_solve(stack, rhs, w):
+    """split_columns of the m-row weighted stack, at weights w: the
+    coefficients, zero on dependent columns, and the mask of independent
+    ones."""
+    sw = np.sqrt(w)
+    split = split_columns(stack * sw[:, None])
+    coef = np.zeros(stack.shape[1])
+    coef[split.ind] = split.solve(rhs * sw)
+    return coef, np.isin(np.arange(stack.shape[1]), split.ind)
+
+
+def wlse(stack, rhs, weights) -> np.ndarray:
+    """Weighted least squares of a stack the weights keep full rank, by
+    split_solve; unit weights give the ordinary fit."""
+    stack, rhs = estimation._linear_system(stack, rhs)
+    if not isinstance(weights, WeightMatrix):
+        weights = WeightMatrix(weights)
+    if weights.w.shape != (stack.shape[0],):
+        raise ValueError("one weight per stacked row required")
+    coef, independent = split_solve(stack, rhs, weights.w)
+    if not independent.all():
+        raise estimation._rank_deficient(np.flatnonzero(~independent),
+                                         stack.shape[1])
+    return coef

@@ -813,6 +813,24 @@ def test_inertial_parameters_steiner_round_trip():
     assert np.allclose(np.array(lk.first_moment), m * com, atol=1e-14)
 
 
+def test_massless_link_without_first_moment_sits_at_its_origin():
+    # no division by the zero mass (RuntimeWarnings fail the suite)
+    I0 = np.diag((0.01, 0.02, 0.03))
+    lk = InertialParameters(mass=0.0, first_moment=(0, 0, 0),
+                            inertia_origin=I0)
+    assert np.array_equal(lk.com, np.zeros(3))
+    assert np.array_equal(lk.inertia_com, I0)
+
+
+def test_massless_link_with_first_moment_has_no_com():
+    lk = InertialParameters(mass=0.0, first_moment=(0.0, 0.1, 0.0),
+                            inertia_origin=np.diag((0.01, 0.02, 0.03)))
+    for prop in ("com", "inertia_com"):
+        with pytest.raises(ValueError, match="^a massless link with a "
+                           "nonzero first moment has no centre of mass$"):
+            getattr(lk, prop)
+
+
 def test_inertial_parameters_validation():
     with pytest.raises(ValueError):
         InertialParameters(mass=1.0, first_moment=(0.0, 0.0, 0.0),

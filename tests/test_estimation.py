@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import estimation_oracle
 import irls_oracle
+from irls_oracle import wlse
 from dynid import dynamics, estimation, reduction
 from dynid.dataio import RobotModel, SampleSet, merge_sample_sets, simulate
 from dynid.dynamics import (N_FRICTION, N_INERTIAL, FrictionSet,
@@ -19,7 +20,7 @@ from dynid.estimation import (CurrentCoefficients, EstimationError,
                               KnownPayload, WeightMatrix, estimate_gains,
                               fit_friction, friction_residual_currents,
                               identify_coefficients, predict_currents,
-                              robust_weights, wlse)
+                              robust_weights)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
 from dynid.reduction import (compute_base_map, minimal_columns,
@@ -50,8 +51,8 @@ def _friction_from_rows(rows):
 # least-squares core
 
 def _llse(stack, rhs):
-    """Linear least-squares estimate: wlse with unit weights."""
-    return wlse(stack, rhs, np.ones(len(rhs)))
+    """Linear least-squares estimate: the package's full-rank solve."""
+    return estimation._lstsq(stack, rhs)
 
 
 def test_llse_identity():
@@ -211,19 +212,16 @@ def test_weight_matrix_validation():
     assert wm.converged and wm.iterations == 0
 
 
-def test_robust_weights_condition_from_its_svd():
-    # s_max/s_min of the stack, as np.linalg.cond gives it; a zero s_min
-    # gives inf without a warning (warnings fail the suite)
+def test_condition_from_the_split():
+    # s_max/s_min of the stack, from the triangular factor of its split,
+    # within rounding of np.linalg.cond; a dependent column gives inf
+    # without a warning (warnings fail the suite)
     rng = np.random.default_rng(8)
     A = rng.standard_normal((40, 4)) * [1.0, 3.0, 1e-3, 1e2]
-    b = rng.standard_normal(40)
-    got = robust_weights(A, b).condition
+    got = estimation._condition(split_columns(A))
     assert abs(got - np.linalg.cond(A)) <= 1e-12 * got
     A[:, 2] = 0.0
-    assert robust_weights(A, b).condition == np.inf
-    # the degenerate-scale early return carries it too
-    assert robust_weights(A, A @ np.ones(4)).condition == np.inf
-    assert np.isnan(WeightMatrix(np.ones(3)).condition)
+    assert estimation._condition(split_columns(A)) == np.inf
 
 
 def test_robust_weights_clean_data():
@@ -243,8 +241,8 @@ def test_robust_weights_kill_gross_outlier():
     y[7] += 5.0  # several hundred sigma
     wm = robust_weights(A, y)
     assert wm.w[7] == 0.0  # bisquare drops the row entirely
-    x = wlse(A, y, wm)
-    assert np.max(np.abs(x - [1.0, 2.0])) < 0.05
+    assert np.max(np.abs(wm.coef - [1.0, 2.0])) < 0.05
+    assert np.allclose(wm.coef, wlse(A, y, wm), rtol=0, atol=1e-13)
     # the unweighted fit absorbs the outlier and lands far away
     assert np.max(np.abs(_llse(A, y) - [1.0, 2.0])) > 0.2
 
@@ -325,6 +323,45 @@ def test_robust_weights_match_lstsq_oracle(seed, m, p, kind, heavy):
     # reversed.  Only settled weights are compared.
     if want.converged:
         assert np.max(np.abs(got.w - want.w)) < 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(20, 120),
+       p=st.integers(2, 6), kind=st.sampled_from(["full", "deficient",
+                                                   "dead"]),
+       heavy=st.booleans())
+def test_robust_fit_matches_weighted_split_oracle(seed, m, p, kind, heavy):
+    # the fit's r-row weighted system against split_columns of the m-row
+    # weighted stack at the fit's own weights: the same independent
+    # columns, and coefficients within rounding of the weighted condition
+    A, b, rows = _irls_case(seed, m, p, kind, heavy)
+    got = robust_weights(A, b)
+    coef, independent = irls_oracle.split_solve(A, b, got.w)
+    assert np.array_equal(got.independent, independent)
+    if rows is not None:
+        # its only support is zero-weighted: the weighted stack does not
+        # see the dead column, which stage 1 refuses and stage 3 regroups
+        dead = np.flatnonzero(np.all(A[np.setdiff1d(np.arange(m), rows)]
+                                     == 0.0, axis=0))
+        assert dead.size == 1 and not got.independent[dead[0]]
+    assert np.all(got.coef[~independent] == 0.0)
+    kept = A[:, independent] * np.sqrt(got.w)[:, None]
+    cond = np.linalg.cond(kept) if kept.size else 1.0
+    assert np.max(np.abs(got.coef - coef), initial=0.0) <= \
+        1e-9 * cond * max(1.0, np.max(np.abs(coef)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 1001, 1002])
+def test_mad_scale_median_is_np_median_bitwise(m):
+    rng = np.random.default_rng(m)
+    for x in (rng.standard_normal(m), rng.standard_t(1.5, m),
+              np.round(rng.standard_normal(m), 1)):  # ties
+        before = x.copy()
+        buf = x.copy()
+        assert estimation._median(buf) == np.median(x)
+        want = np.median(np.abs(x - np.median(x))) / 0.6745
+        assert estimation._mad_scale(x) == float(want)
+        assert np.array_equal(x, before)  # the caller's residual is kept
 
 
 # ---------------------------------------------------------------------------
@@ -916,27 +953,28 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
 
 
 def test_gain_solve_paths():
+    # exact data: a zero residual scale leaves unit weights
+    fit = estimation._gain_fit
     # full rank: a direct solve that keeps every column
     rng = np.random.default_rng(11)
     S = rng.standard_normal((60, 5))
     lam = np.array([0.3, -1.2, 0.5, 2.0, 0.05])
-    w = np.ones(60)
-    zeta, mask = estimation._gain_solve(S, S @ lam, w, "joint 1")
-    assert mask.all() and np.max(np.abs(zeta - lam)) < 1e-12
+    wm = fit(S, S @ lam, "joint 1")
+    assert wm.independent.all() and np.max(np.abs(wm.coef - lam)) < 1e-12
     # rank-deficient: a dependent arm column drops, and the gain solves
     # as it is
     S2 = np.column_stack([S[:, :1], 2.0 * S[:, 0], S[:, 1:]])
-    zeta, mask = estimation._gain_solve(S2, S @ lam, w, "joint 2")
-    assert mask.tolist() == [True, False] + [True] * 4
-    assert zeta[1] == 0.0 and zeta[-1] == pytest.approx(0.05)
+    wm = fit(S2, S @ lam, "joint 2")
+    assert wm.independent.tolist() == [True, False] + [True] * 4
+    assert wm.coef[1] == 0.0 and wm.coef[-1] == pytest.approx(0.05)
     # a gain column the arm columns span cannot give a gain
     S3 = np.column_stack([S[:, :4], 2.0 * S[:, 0]])
     with pytest.raises(IdentifiabilityError, match=r"^joint 3: the drive "
                        "gain is not identifiable"):
-        estimation._gain_solve(S3, S @ lam, w, "joint 3")
+        fit(S3, S @ lam, "joint 3")
     with pytest.raises(ExcitationError, match=r"^joint 4: zero-rank gain "
                        "system$"):
-        estimation._gain_solve(np.zeros((60, 5)), S @ lam, w, "joint 4")
+        fit(np.zeros((60, 5)), S @ lam, "joint 4")
 
 
 def test_checked_gains_names_every_failing_joint(monkeypatch):
@@ -1075,24 +1113,57 @@ def test_irls_records_converged_on_c05_data(bmap, chain, noisy_runs):
                    for it in record.irls_iterations)
 
 
-def test_stage1_takes_one_svd_per_joint(bmap, chain, noisy_runs,
-                                        monkeypatch):
-    # each joint's condition comes from robust_weights' SVD of its stack,
-    # so np.linalg.cond takes no second one; it agrees with cond's value
-    da = noisy_runs[0]
+def test_each_robust_fit_factors_its_stack_once(bmap, chain, noisy_runs,
+                                               monkeypatch):
+    # on c05's data each stage-1 and stage-3 fit makes one m-row QR, its
+    # split, and no m-row SVD; the r-row splits of the weighted systems
+    # and the SVDs of their triangular factors are all that is left.  Each
+    # joint's condition still agrees with np.linalg.cond of its stack.
+    da, db, known = noisy_runs
+    chi = identify_coefficients(bmap, chain, da)
+    resid = friction_residual_currents(bmap, chain, chi, da)
+    psi = fit_friction(da.qd, resid, threshold=da.qd_threshold).friction
+    counts = {"qr": 0, "svd": 0}
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("second SVD of a stage-1 stack")
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            counts[name] += len(a) >= 1000  # the stacks have 4000+ rows
+            return fn(a, *args, **kwargs)
+        return call
 
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "cond", forbidden)
-        chi = identify_coefficients(bmap, chain, da)
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name,
+                                                     getattr(np.linalg, name)))
+    chi = identify_coefficients(bmap, chain, da)
+    assert counts == {"qr": 6, "svd": 0}
+    estimate_gains(da, db, known, bmap, chain, chi, psi)
+    assert counts == {"qr": 12, "svd": 0}
+    monkeypatch.undo()
     U = minimal_regressor_stack(bmap, chain, da.q, da.qd, da.qdd)
     for j, got in enumerate(chi.conditions):
         cols = np.concatenate([bmap.joint_idcols[j],
                                bmap.friction_columns(j)])
         want = np.linalg.cond(U[:, j][np.ix_(da.mask[:, j], cols)])
         assert abs(got - want) <= 1e-10 * want
+
+
+def test_stage1_condition_guard_runs_before_irls(bmap, chain, noisy_runs,
+                                                 monkeypatch):
+    # a stack the guard refuses raises its message from the split alone,
+    # with no robust fit started
+    da = noisy_runs[0]
+    conds = identify_coefficients(bmap, chain, da).conditions
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("IRLS on a refused stack")
+
+    monkeypatch.setattr(estimation, "robust_weights", forbidden)
+    monkeypatch.setattr(estimation, "CONDITION_LIMIT", 10.0)
+    with pytest.raises(ExcitationError) as err:
+        identify_coefficients(bmap, chain, da)
+    assert str(err.value) == (
+        f"joint 1: regressor condition {conds[0]:.3g} exceeds 1e+01; the "
+        "trajectory is not persistently exciting for this joint")
 
 
 @pytest.mark.parametrize("noise_qd", [1e-3, 5e-3])

@@ -357,6 +357,23 @@ def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
     assert peak < 32 * term
 
 
+def test_torque_terms_keeps_one_block_of_buffers(ident_true):
+    # a 2500-state torque_terms holds its result, its stacked motion
+    # blocks and one 512-state block's buffers: 5.21 MiB traced.  Keeping
+    # the previous block's buffers alive while the next block makes its
+    # own, and a zero array beside the stacked blocks, read 5.54 MiB.
+    q, qd, qdd = _random_states(np.random.default_rng(11), 2500)
+    torque_terms(ident_true, q, qd, qdd)  # model caches, once per model
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        torque_terms(ident_true, q, qd, qdd)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.3 * 2**20
+
+
 def test_configure_clear_is_bitwise(ident_true, data_a):
     with_pay = configure_payload(ident_true, PAY)
     cleared = configure_payload(with_pay, None)
