@@ -175,25 +175,21 @@ def _read_runs(paths, flag: str, n: int, qd_threshold: float,
     return merge_sample_sets(sets)
 
 
-_STAGE_HINT = {
-    "linear": "run `identify linear` first (missing stage: linear)",
-    "friction": "run `identify friction` first (missing stage: friction)",
-    "gains": "run `identify gains` first (missing stage: gains)",
-}
+_STAGES = ("linear", "friction", "gains")
+_STAGE_HINT = "run `identify {0}` first (missing stage: {0})"
 
 
 def _load_stage(path, need: str) -> IdentifiedModel:
-    """Load an identified model, requiring the given stage to be present."""
+    """Load an identified model, requiring it to reach the given stage."""
     if not os.path.exists(path):
         raise UsageError(f"model file {path} not found; "
-                         + _STAGE_HINT["linear"])
+                         + _STAGE_HINT.format("linear"))
     model = load_identified_model(path)
-    if need in ("friction", "gains") and model.psi is None:
-        raise UsageError(f"{path} holds no friction estimate; "
-                         + _STAGE_HINT["friction"])
-    if need == "gains" and model.gains is None:
-        raise UsageError(f"{path} holds no drive gains; "
-                         + _STAGE_HINT["gains"])
+    held = _STAGES.index(model.stage)
+    if held < _STAGES.index(need):
+        raise UsageError(f"{path} is identified only through stage "
+                         f"'{model.stage}'; "
+                         + _STAGE_HINT.format(_STAGES[held + 1]))
     return model
 
 
@@ -447,8 +443,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_NUMERIC, str(e))
     except np.linalg.LinAlgError as e:
         return _fail(EXIT_NUMERIC, str(e))
-    except FileNotFoundError as e:
-        return _fail(EXIT_SCHEMA, str(e))
     except (OSError, ValueError) as e:
         return _fail(EXIT_SCHEMA, str(e))
 

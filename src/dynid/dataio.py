@@ -35,6 +35,21 @@ class SchemaError(ValueError):
     """A file does not conform to its documented schema."""
 
 
+def _check_qd_threshold(value: float) -> None:
+    """The linearity-region boundary of samples and models alike."""
+    if not (np.isfinite(value) and value >= 0):
+        raise SchemaError(f"qd_threshold must be finite and nonnegative, "
+                          f"got {value}")
+
+
+def _check_gains(gains, n: int) -> np.ndarray:
+    """Drive gains of plants and models alike: n positive finite values."""
+    g = np.asarray(gains, dtype=float)
+    if g.shape != (n,) or np.any(g <= 0) or not np.all(np.isfinite(g)):
+        raise ValueError("gains must be positive and finite per joint")
+    return g
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Uniformly sampled joint-space data with motor currents.
@@ -78,9 +93,7 @@ class SampleSet:
             raise SchemaError("timestamps must be uniformly spaced")
         if self.scenario not in ("a", "b"):
             raise SchemaError(f"scenario must be 'a' or 'b', got {self.scenario!r}")
-        if not (np.isfinite(self.qd_threshold) and self.qd_threshold >= 0):
-            raise SchemaError(f"qd_threshold must be finite and nonnegative, "
-                              f"got {self.qd_threshold}")
+        _check_qd_threshold(self.qd_threshold)
         for name, a in dict(arrays, t=t).items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -290,10 +303,8 @@ class RobotModel:
         if self.friction is not None and self.friction.n != n:
             raise ValueError(f"expected friction for {n} joints")
         if self.gains is not None:
-            g = np.asarray(self.gains, dtype=float)
-            if g.shape != (n,) or np.any(g <= 0) or not np.all(np.isfinite(g)):
-                raise ValueError("gains must be positive and finite per joint")
-            object.__setattr__(self, "gains", tuple(float(x) for x in g))
+            object.__setattr__(self, "gains", tuple(
+                float(x) for x in _check_gains(self.gains, n)))
 
     @property
     def is_complete(self) -> bool:
@@ -518,8 +529,7 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
              states: tuple | None = None, rate: float = RATE_DEFAULT,
              duration: float | None = None, noise_v: float = 0.0,
              noise_qd: float = 0.0, seed: int = 0,
-             payload: PayloadSpec | None = None,
-             qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
+             payload: PayloadSpec | None = None) -> SampleSet:
     """Run the plant over a trajectory and log current-level samples.
 
     Torques are evaluated on the acceleration differentiate derives from
@@ -572,8 +582,7 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
             qdd = differentiate(qd, period)
 
     return SampleSet(t=t, q=q, qd=qd, qdd=qdd, v=v,
-                     scenario="b" if payload is not None else "a",
-                     qd_threshold=qd_threshold)
+                     scenario="b" if payload is not None else "a")
 
 
 def ur10_default_model() -> RobotModel:

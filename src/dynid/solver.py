@@ -22,23 +22,25 @@ from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
 from .dataio import (_NONNEGATIVE, _POSITIVE, QD_THRESHOLD_DEFAULT,
-                     SchemaError, _fmt, _new_parser, _read_chain,
-                     _read_friction, _read_ini, _vec, _vecstr, _write_chain,
-                     _write_friction)
+                     SchemaError, _check_gains, _check_qd_threshold, _fmt,
+                     _new_parser, _read_chain, _read_friction, _read_ini,
+                     _vec, _vecstr, _write_chain, _write_friction)
 
 _NO_GRAVITY = np.zeros(3)
 
 
 @dataclass(frozen=True)
 class IdentifiedModel:
-    """Identification output, complete after all three stages.
+    """Identification output, one stage at a time: chi (stage 'linear'),
+    then psi ('friction'), then gains ('gains'), which need psi; the
+    solver evaluates only a model at stage 'gains'.
 
-    chi holds the per-joint current-level coefficient blocks (n x c);
-    psi the current-level sigmoid friction; gains the per-joint drive
-    gains.  payload, when set, is the 10-vector of payload dynamic
-    parameters expressed in the last link frame; its torque contribution
-    is added on top of the identified arm model rather than folded into
-    the coefficients.  The torque-level sets and their fold into one
+    chi holds the per-joint current-level coefficient blocks (n, c); psi
+    the current-level sigmoid friction; gains the per-joint drive gains.
+    payload, when set, is the 10-vector of payload dynamic parameters
+    expressed in the last link frame; its torque contribution is added on
+    top of the identified arm model rather than folded into the
+    coefficients.  The torque-level sets and their fold into one
     matrix per link are derived once per model and read-only, so a solver
     call does only per-state work; a copy (configure_payload) derives its
     own.
@@ -58,23 +60,19 @@ class IdentifiedModel:
         n, c = self.map.n, self.map.c
         if self.chain.n != n:
             raise ValueError(f"chain has {self.chain.n} joints, map {n}")
-        if chi.shape == (n * c,):
-            chi = chi.reshape(n, c)
         if chi.shape != (n, c):
-            raise ValueError(f"chi must be ({n}, {c}) or flat")
+            raise ValueError(f"chi must be ({n}, {c})")
         if not np.all(np.isfinite(chi)):
             raise ValueError("chi must be finite")
         object.__setattr__(self, "chi", chi)
-        if not (np.isfinite(self.qd_threshold) and self.qd_threshold >= 0):
-            raise ValueError(f"qd_threshold must be finite and nonnegative, "
-                             f"got {self.qd_threshold}")
+        _check_qd_threshold(self.qd_threshold)
         if self.psi is not None and self.psi.n != n:
             raise ValueError(f"friction must cover {n} joints")
         if self.gains is not None:
-            g = np.asarray(self.gains, dtype=float)
-            if g.shape != (n,) or np.any(g <= 0) or not np.all(np.isfinite(g)):
-                raise ValueError("gains must be positive and finite")
-            object.__setattr__(self, "gains", g)
+            if self.psi is None:
+                raise ValueError("gains need friction: psi must be set "
+                                 "when gains are")
+            object.__setattr__(self, "gains", _check_gains(self.gains, n))
         if self.payload is not None:
             pl = np.asarray(self.payload, dtype=float)
             if pl.shape != (N_INERTIAL,) or not np.all(np.isfinite(pl)):
@@ -90,10 +88,6 @@ class IdentifiedModel:
         if self.gains is not None:
             return "gains"
         return "friction" if self.psi is not None else "linear"
-
-    @property
-    def is_complete(self) -> bool:
-        return self.psi is not None and self.gains is not None
 
     @cached_property
     def torque_sets(self) -> np.ndarray:
@@ -116,7 +110,9 @@ class IdentifiedModel:
 
 
 def _require_complete(model: IdentifiedModel):
-    if not model.is_complete:
+    """Refuse a model short of stage 'gains', naming its stage: _rigid
+    and friction call it, and every evaluation passes through them."""
+    if model.stage != "gains":
         raise ValueError(
             f"model is only identified through stage '{model.stage}'; "
             "the solver needs friction and gains")
@@ -141,6 +137,7 @@ def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     """Torques of the rigid-body part (no friction): arm plus payload,
     joint j's read from torque set j.  (M, n), or (n,) for one state q;
     qd, qdd and gravity may add leading block axes (see newton_euler)."""
+    _require_complete(model)
     tau = _folded_torques(model.chain, q, qd, qdd, model.folded_sets,
                           gravity)
     j = np.arange(model.n)
@@ -149,7 +146,6 @@ def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
     """Joint torques for one state or a batch of states."""
-    _require_complete(model)
     return _rigid(model, q, qd, qdd) + friction(model, qd)
 
 
@@ -161,7 +157,6 @@ def friction(model: IdentifiedModel, qd) -> np.ndarray:
 
 def gravity(model: IdentifiedModel, q) -> np.ndarray:
     """Static torques at zero velocity and acceleration."""
-    _require_complete(model)
     z = np.zeros(np.shape(q))
     return _rigid(model, q, z, z)
 
@@ -169,7 +164,6 @@ def gravity(model: IdentifiedModel, q) -> np.ndarray:
 def inertia(model: IdentifiedModel, q) -> np.ndarray:
     """Joint-space inertia matrix at configuration q: n unit-acceleration
     blocks over one pass of q."""
-    _require_complete(model)
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("inertia takes a single configuration")
@@ -180,7 +174,6 @@ def inertia(model: IdentifiedModel, q) -> np.ndarray:
 
 def coriolis_times_qd(model: IdentifiedModel, q, qd) -> np.ndarray:
     """Velocity-product torques C(q, qd) qd."""
-    _require_complete(model)
     return _rigid(model, q, qd, np.zeros(np.shape(qd)), _NO_GRAVITY)
 
 
@@ -192,7 +185,6 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     the same states.  The three rigid terms are three motion blocks over
     one set of configurations, so frames and joint screws are built once.
     """
-    _require_complete(model)
     Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
     if Qd.ndim != 2 or Qdd.ndim != 2:
         raise ValueError("torque_terms takes states (M, n) or (n,)")
@@ -255,6 +247,10 @@ def load_identified_model(path) -> IdentifiedModel:
                               "current-level")
     gains = None
     if "gains" in cfg:
+        if psi is None:
+            raise SchemaError(f"{path}: has [gains] but no friction "
+                              "sections; drive gains need friction: run "
+                              "`identify friction`, then `identify gains`")
         gains = _vec(cfg, "gains", "K_NmA", n, path, _POSITIVE)
     payload = None
     if "payload_parameters" in cfg:

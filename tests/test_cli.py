@@ -113,26 +113,34 @@ def pipeline(tmp_path_factory):
          "--seed", "3", "--out", paths["run_a2"]],
         ["simulate", "--robot", robot, "--traj", paths["traj_b"],
          "--payload", payload, "--seed", "4", "--out", paths["run_b"]],
-        # one run alone is not persistently exciting; the stages merge logs
-        ["identify", "linear", "--robot", robot,
-         "--samples", paths["run_a"], paths["run_a2"],
-         "--out", paths["model_lin"]],
-        ["identify", "friction", "--model", paths["model_lin"],
-         "--samples", paths["run_a"], paths["run_a2"],
-         "--out", paths["model_fric"]],
-        ["identify", "gains", "--model", paths["model_fric"],
-         "--samples-a", paths["run_a"], paths["run_a2"],
-         "--samples-b", paths["run_b"],
-         "--payload", payload, "--known", "mass,com",
-         "--out", paths["model"]],
-        ["solve", "--model", paths["model"], "--traj", paths["run_a"],
-         "--out", paths["torques"]],
-        ["validate", "--model", paths["model"], "--samples", paths["run_a"],
-         "--report", paths["report"]],
     ]
-    for argv in steps:
+    for argv in steps + _stage_steps(paths):
         assert main(argv) == 0, f"step failed: {argv}"
     return paths
+
+
+# the files each step after simulate writes
+_STAGE_OUTPUTS = ("model_lin", "model_fric", "model", "torques", "report")
+
+
+def _stage_steps(p):
+    """identify linear, friction and gains, solve and validate on the
+    pipeline's runs, writing the files p names."""
+    return [
+        # one run alone is not persistently exciting; the stages merge logs
+        ["identify", "linear", "--robot", p["robot"],
+         "--samples", p["run_a"], p["run_a2"], "--out", p["model_lin"]],
+        ["identify", "friction", "--model", p["model_lin"],
+         "--samples", p["run_a"], p["run_a2"], "--out", p["model_fric"]],
+        ["identify", "gains", "--model", p["model_fric"],
+         "--samples-a", p["run_a"], p["run_a2"], "--samples-b", p["run_b"],
+         "--payload", p["payload"], "--known", "mass,com",
+         "--out", p["model"]],
+        ["solve", "--model", p["model"], "--traj", p["run_a"],
+         "--out", p["torques"]],
+        ["validate", "--model", p["model"], "--samples", p["run_a"],
+         "--report", p["report"]],
+    ]
 
 
 def test_pipeline_report(pipeline):
@@ -235,6 +243,20 @@ def test_simulate_deterministic(pipeline):
     assert main(["simulate", "--robot", pipeline["robot"], "--traj",
                  pipeline["traj_a"], "--seed", "3", "--out", again]) == 0
     assert open(again, "rb").read() == open(pipeline["run_a"], "rb").read()
+
+
+def test_stages_solve_and_validate_deterministic(pipeline):
+    # every step after simulate, rerun into fresh files, writes the same
+    # bytes: the three model files, the torques and the report
+    d = pipeline["dir"] / "rerun"
+    d.mkdir()
+    again = dict(pipeline, **{k: str(d / os.path.basename(pipeline[k]))
+                              for k in _STAGE_OUTPUTS})
+    for argv in _stage_steps(again):
+        assert main(argv) == 0, f"step failed: {argv}"
+    for k in _STAGE_OUTPUTS:
+        assert open(again[k], "rb").read() \
+            == open(pipeline[k], "rb").read(), k
 
 
 def test_exit_codes_usage(pipeline, capsys):
@@ -442,6 +464,23 @@ def test_exit_code_missing_file(pipeline, capsys):
                "--out", str(pipeline["dir"] / "nope.csv")])
     assert rc == 1
     assert "identify linear" in capsys.readouterr().err
+
+
+def test_linalg_error_exits_3(pipeline, capsys, monkeypatch):
+    # a factorisation that fails inside a stage is a numeric failure
+    def failing(stack):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(estimation, "split_columns", failing)
+    out = pipeline["dir"] / "linalg.ini"
+    capsys.readouterr()
+    rc = main(["identify", "linear", "--robot", pipeline["robot"],
+               "--samples", pipeline["run_a"], pipeline["run_a2"],
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error=3 msg=SVD did not "
+                                       "converge\n")
+    assert not out.exists()
 
 
 # each role's file is read by a command that needs it

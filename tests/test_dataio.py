@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import re
 
 import numpy as np
@@ -129,6 +130,25 @@ def test_samples_nan_field(tmp_path):
     text = p.read_text().replace(f"{ds.v[4, 1]:.17g}", "nan", 1)
     p.write_text(text)
     with pytest.raises(SchemaError, match="v2"):
+        read_samples(p)
+
+
+def test_samples_one_row(tmp_path):
+    p = tmp_path / "run.csv"
+    write_samples(_tiny_set(), p)
+    p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"{p}: need at least two rows")):
+        read_samples(p)
+
+
+def test_samples_repeated_timestamp(tmp_path):
+    p = tmp_path / "run.csv"
+    ds = _tiny_set()
+    write_samples(ds, p)
+    _edit_rows(p, {4: _set_field(0, _fmt(ds.t[2]))})
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{p}: timestamps not uniformly increasing")):
         read_samples(p)
 
 
@@ -390,6 +410,17 @@ def test_massless_link_round_trip(tmp_path):
         write_robot_model(dataclasses.replace(
             model, links=model.links[:5] + (moved,)), tmp_path / "x.ini")
     assert not (tmp_path / "x.ini").exists()
+
+
+def test_readme_payload_example_reads(tmp_path):
+    # README's payload file gives the inertia as three diagonal values
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(\[payload\].*?)```", readme, re.S)
+    p = tmp_path / "payload.ini"
+    p.write_text(block.group(1))
+    spec = read_payload(p)
+    assert np.array_equal(spec.inertia_com, np.diag((0.030, 0.035, 0.030)))
+    assert spec.mass == 4.8 and spec.com == (0.10, 0.06, 0.05)
 
 
 def test_payload_round_trip(tmp_path):

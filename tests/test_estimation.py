@@ -1166,6 +1166,26 @@ def test_stage1_condition_guard_runs_before_irls(bmap, chain, noisy_runs,
         "trajectory is not persistently exciting for this joint")
 
 
+def test_stage1_refuses_a_column_its_weights_leave_unseparated(
+        bmap, chain, data_a, monkeypatch):
+    # the final weights can leave a column the stack separates unseparated;
+    # stage 1 names it rather than fit a chi without it
+    fit = estimation.robust_weights
+
+    def one_dependent(stack, rhs, split=None):
+        wm = fit(stack, rhs, split)
+        independent = wm.independent.copy()
+        independent[2] = False
+        return dataclasses.replace(wm, independent=independent)
+
+    monkeypatch.setattr(estimation, "robust_weights", one_dependent)
+    p = bmap.joint_idcols[0].size + 3
+    with pytest.raises(IdentifiabilityError, match="^" + re.escape(
+            f"rank-deficient stack (rank {p - 1} of {p}); dependent "
+            "columns [2]") + "$"):
+        identify_coefficients(bmap, chain, data_a)
+
+
 @pytest.mark.parametrize("noise_qd", [1e-3, 5e-3])
 def test_velocity_noise_keeps_gains_within_3_percent(plant, bmap, chain,
                                                      traj_a, traj_b, known,

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynid import dynamics, kinematics
+from dynid import dynamics, kinematics, solver
 from dynid.cli import main
-from dynid.dataio import SchemaError, _new_parser, write_samples
+from dynid.dataio import (SchemaError, _new_parser, write_robot_model,
+                          write_samples)
 from dynid.dynamics import (JointState, friction_linear, friction_sigmoid,
                             rnea)
 from dynid.kinematics import DhRow, KinematicChain
@@ -408,7 +410,7 @@ def test_persistence_round_trip(ident_true, data_a, tmp_path):
         p = tmp_path / f"model_{tag}.ini"
         save_identified_model(model, p)
         m2 = load_identified_model(p)
-        assert m2.stage == "gains" and m2.is_complete
+        assert m2.stage == "gains"
         assert np.array_equal(torque(m2, data_a.q, data_a.qd, data_a.qdd),
                               torque(model, data_a.q, data_a.qd, data_a.qdd))
 
@@ -433,10 +435,93 @@ def test_persistence_stage_gating(ident_true, chain, bmap, tmp_path):
     save_identified_model(m_lin, p)
     m2 = load_identified_model(p)
     assert m2.stage == "linear" and m2.psi is None and m2.gains is None
-    with pytest.raises(ValueError, match="stage"):
-        torque(m2, np.zeros(6), np.zeros(6), np.zeros(6))
-    with pytest.raises(ValueError, match="stage"):
-        gravity(m2, np.zeros(6))
+    # every evaluation refuses a model short of its gains, naming the stage
+    # the model holds
+    z = np.zeros(6)
+    for model in (m2, replace(m2, psi=ident_true.psi)):
+        for call in (lambda: torque(model, z, z, z),
+                     lambda: torque_terms(model, z, z, z),
+                     lambda: gravity(model, z), lambda: inertia(model, z),
+                     lambda: coriolis_times_qd(model, z, z),
+                     lambda: friction(model, z)):
+            with pytest.raises(ValueError, match=(
+                    f"^model is only identified through stage "
+                    f"'{model.stage}'; the solver needs friction and gains")):
+                call()
+
+
+def test_each_call_checks_completeness_in_its_funnels(ident_true,
+                                                      monkeypatch):
+    # _rigid and friction check the model; every public call passes
+    # through them, so a single-state torque makes two checks
+    seen = []
+    check = solver._require_complete
+
+    def counted(model):
+        seen.append(model.stage)
+        check(model)
+
+    monkeypatch.setattr(solver, "_require_complete", counted)
+    z = np.zeros(6)
+    calls = {"torque": (lambda: torque(ident_true, z, z, z), 2),
+             "torque_terms": (lambda: torque_terms(ident_true, z, z, z), 2),
+             "friction": (lambda: friction(ident_true, z), 1),
+             "gravity": (lambda: gravity(ident_true, z), 1),
+             "inertia": (lambda: inertia(ident_true, z), 1),
+             "coriolis_times_qd": (
+                 lambda: coriolis_times_qd(ident_true, z, z), 1)}
+    for name, (call, checks) in calls.items():
+        seen.clear()
+        call()
+        assert seen == ["gains"] * checks, name
+
+
+def test_gains_need_friction(ident_true, data_a, tmp_path, capsys):
+    # chi, then psi, then gains: a model with gains but no friction
+    # neither constructs nor loads
+    with pytest.raises(ValueError, match="^gains need friction"):
+        replace(ident_true, psi=None)
+    good = tmp_path / "model.ini"
+    save_identified_model(ident_true, good)
+    cfg = _new_parser()
+    cfg.read(good)
+    for j in range(1, 7):
+        cfg.remove_section(f"friction.joint_{j}")
+    bad = tmp_path / "no_friction.ini"
+    with open(bad, "w") as fh:
+        cfg.write(fh)
+    with pytest.raises(SchemaError, match=(
+            f"^{re.escape(str(bad))}: has \\[gains\\] but no friction "
+            "sections.*run `identify friction`, then `identify gains`$")):
+        load_identified_model(bad)
+    traj = tmp_path / "traj.csv"
+    write_samples(data_a, traj)
+    capsys.readouterr()
+    rc = main(["solve", "--model", str(bad), "--traj", str(traj),
+               "--out", str(tmp_path / "tau.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith(f"error=2 msg={bad}: has [gains]")
+    assert not (tmp_path / "tau.csv").exists()
+
+
+def test_load_refuses_plant_and_torque_level_files(ident_true, plant,
+                                                   tmp_path):
+    robot = tmp_path / "robot.ini"
+    write_robot_model(plant, robot)
+    with pytest.raises(SchemaError,
+                       match=f"^{re.escape(str(robot))}: not an "
+                       "identified-model file$"):
+        load_identified_model(robot)
+    p = tmp_path / "model.ini"
+    save_identified_model(ident_true, p)
+    torque_level = tmp_path / "torque_level.ini"
+    torque_level.write_text(p.read_text().replace("level = current",
+                                                  "level = torque"))
+    with pytest.raises(SchemaError, match=(
+            f"^{re.escape(str(torque_level))}: identified friction must "
+            "be current-level$")):
+        load_identified_model(torque_level)
 
 
 def test_model_round_trips_on_rebuilt_map(ident_true, chain, data_a,
@@ -461,7 +546,7 @@ def test_model_round_trips_on_rebuilt_map(ident_true, chain, data_a,
         for x, y in zip(a.joint_idcols + a.joint_depcols,
                         b.joint_idcols + b.joint_depcols, strict=True):
             assert x.dtype.kind == y.dtype.kind and np.array_equal(x, y)
-        if model.is_complete:
+        if model.stage == "gains":
             assert np.array_equal(
                 torque(loaded, data_a.q, data_a.qd, data_a.qdd),
                 torque(model, data_a.q, data_a.qd, data_a.qdd))
@@ -493,7 +578,7 @@ def test_meta_holds_only_what_load_reads(ident_true, data_a, tmp_path):
     with open(old, "w") as fh:
         cfg.write(fh)
     m2 = load_identified_model(old)
-    assert m2.stage == "gains" and m2.is_complete
+    assert m2.stage == "gains"
     assert np.array_equal(torque(m2, data_a.q, data_a.qd, data_a.qdd),
                           torque(ident_true, data_a.q, data_a.qd, data_a.qdd))
 
@@ -560,14 +645,36 @@ def test_model_validation(chain, bmap, ident_true):
     with pytest.raises(ValueError, match="payload must be a finite"):
         IdentifiedModel(name="x", chain=chain, map=bmap, chi=ident_true.chi,
                         payload=np.r_[1.0, np.inf, np.zeros(8)])
-    # flat chi is accepted and reshaped
-    m = IdentifiedModel(name="x", chain=chain, map=bmap,
+    # chi comes in one shape, (n, c); flat chi is refused
+    with pytest.raises(ValueError, match=rf"^chi must be \(6, {bmap.c}\)$"):
+        IdentifiedModel(name="x", chain=chain, map=bmap,
                         chi=ident_true.chi.ravel())
-    assert m.chi.shape == ident_true.chi.shape
+    # the stage says what the model holds
+    m = IdentifiedModel(name="x", chain=chain, map=bmap, chi=ident_true.chi)
     assert m.stage == "linear"
-    m2 = IdentifiedModel(name="x", chain=chain, map=bmap, chi=ident_true.chi,
-                         psi=ident_true.psi)
-    assert m2.stage == "friction" and not m2.is_complete
+    m2 = replace(m, psi=ident_true.psi)
+    assert m2.stage == "friction"
+    assert replace(m2, gains=ident_true.gains).stage == "gains"
+    with pytest.raises(ValueError, match="^gains need friction"):
+        replace(m, gains=ident_true.gains)
+
+
+def test_model_rules_are_the_samples_and_plants(ident_true, plant, data_a):
+    # one threshold rule for samples and models, one gain rule for plants
+    # and models: the same input fails with the same message
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError) as want:
+            replace(data_a, qd_threshold=bad)
+        with pytest.raises(ValueError) as got:
+            replace(ident_true, qd_threshold=bad)
+        assert str(got.value) == str(want.value)
+    for bad in (np.ones(5), -ident_true.gains, np.r_[np.inf, np.ones(5)]):
+        with pytest.raises(ValueError) as want:
+            replace(plant, gains=tuple(bad))
+        with pytest.raises(ValueError) as got:
+            replace(ident_true, gains=bad)
+        assert str(got.value) == str(want.value) \
+            == "gains must be positive and finite per joint"
 
 
 def test_fitted_model_predicts_held_out(ident, plant, data_b):
