@@ -11,14 +11,17 @@ cross product with it is a constant map of the chain (KinematicChain.dh),
 and the link's origin acceleration is linear in the same twelve numbers.
 Both kernels fold that map and a wrench basis into one matrix per link:
 the regressor K itself, the evaluator its known parameter sets, K Pi_i
-(_folded_basis; the solver's model keeps its fold).  So one product per
-link gives the origin acceleration the next link needs and every wrench,
-which one shared pass projects onto the joint screws, carried outward
-link by link.  Gravity enters as an acceleration of the base frame.  The
-frames depend on q alone, so the evaluator runs several motion blocks
-over one configuration, and each link's rotation meets the joint screws
-and every block's motion in one product.  A batch runs the pass in blocks
-of BLOCK_STATES states, so the pass's memory does not grow with the batch.
+(_folded_basis).  So one product per link gives the origin acceleration
+the next link needs and every wrench, which one shared pass projects onto
+the joint screws, carried outward link by link.  newton_euler projects
+every set onto every screw; the solver's model keeps, per link, the fold
+of only the sets of the joints it reaches, one set per joint, and each
+joint's screw meets its own set's wrench alone.  Gravity enters as an
+acceleration of the base frame.  The frames depend on q alone, so the
+evaluator runs several motion blocks over one configuration, and each
+link's rotation meets the joint screws and every block's motion in one
+product.  A batch runs the pass in blocks of BLOCK_STATES states, so the
+pass's memory does not grow with the batch.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -455,11 +458,13 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
     (Khalil & Dombre, Modeling, Identification and Control of Robots, 2002),
     where a is joint k's axis and d is origin i relative to origin k-1.
     S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
-    and W_i (M, nb, k) link i's wrench numbers in each of nb motion blocks,
-    from one product of its motion numbers (_motion_numbers) with B[i]
-    (_link_maps), which also gives origin i's acceleration.  A wrench w_i
+    and W_i (M, nb, k_i) link i's wrench numbers in each of nb motion
+    blocks, from one product of its motion numbers (_motion_numbers) with
+    B[i] (12, 3 + k_i; _link_maps), which also gives origin i's
+    acceleration.  The links' matrices may differ in width.  A wrench w_i
     (M, nb, 6) among them, unit or a parameter set's, gives link i's share
-    of joints 0..i as S_i @ w_i^T.  The next step overwrites S_i and W_i.
+    of joint k <= i as the dot of S_i[:, k] with it.  The next step
+    overwrites S_i and W_i.
 
     The frames depend on Q (M, n) alone and are built once; the forward
     recursion runs on every block of Qd, Qdd (M, nb, n) and gravity, which
@@ -477,7 +482,8 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
     rotated = np.zeros((M, 3 * nb + 2 * n, 3))
     V = rotated[:, :3 * nb].reshape(M, nb, 9)  # views of rotated
     S = rotated[:, 3 * nb:].reshape(M, n, 6)
-    G = np.empty((M, nb, B.shape[-1]))  # each link's product, in turn
+    # each link's product, in turn, in its leading columns
+    products = np.empty((M, nb, max(b.shape[-1] for b in B)))
     V[..., 6:] = -gravity
     S[..., 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
     # joint i's rates, added to om_z, omd_x, omd_y and omd_z before the
@@ -494,6 +500,7 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         # in place: numpy reads an overlapping input as if copied first
         moving = rotated[:, :3 * nb + 2 * i + 2]
         np.matmul(moving, R[:, i], out=moving)
+        G = products[..., :B[i].shape[-1]]
         np.matmul(_motion_numbers(V), B[i], out=G)
         V[..., 6:] = G[..., :3]  # origin i's acceleration
         Si = S[:, :i + 1]
@@ -513,12 +520,13 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     axes broadcast, and a 3-vector enters the pass as one row.  Frames and
     joint screws are built once for all blocks, and each configuration
     meets its blocks in one product.  The sets are folded once per call
-    (_folded_basis; a caller that keeps its sets keeps the fold and calls
-    _folded_torques), so one product per link of its twelve motion numbers
+    (_folded_basis), so one product per link of its twelve motion numbers
     gives its origin acceleration and its wrench of every set; no unit
-    wrench is built.  The wrenches are projected onto the joint screws,
-    and the products are stacked per configuration, so a state's torques
-    do not depend on the batch around it.
+    wrench is built.  Every set's wrench is projected onto every joint
+    screw, and the products are stacked per configuration and block, so a
+    state's torques do not depend on the batch around it.  A caller that
+    needs joint k's torque of set k alone keeps a per-link fold of its
+    sets and calls _folded_torques with own=True.
 
     The pass runs over the batch BLOCK_STATES states at a time
     (_state_blocks), so its temporaries take the memory of one block, not
@@ -531,14 +539,21 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                            gravity)
 
 
-def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
-                    gravity=None) -> np.ndarray:
-    """newton_euler of the sets folded into B (n, 12, 3 + S*6)."""
+def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
+                    own=False) -> np.ndarray:
+    """newton_euler of the sets folded into B (n, 12, 3 + S*6).
+
+    With own, B holds n sets, set k for joint k, and per link i only the
+    sets of the joints it reaches: B[i] is (12, 3 + 6(i+1)), sets 0..i.
+    The result is then (..., M, n), joint k's torque from set k alone:
+    link i's share of it is one dot of screw S_i[:, k] with set k's six
+    wrench numbers, and no other set's torque is formed."""
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     M, n = Q.shape
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
     lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
-    nb, ns = math.prod(lead), (B.shape[-1] - 3) // 6
+    nb = math.prod(lead)
+    sets = () if own else ((B.shape[-1] - 3) // 6,)
 
     def blocks(x):
         # beside their configuration, (M, nb, ...); broadcast only a shape
@@ -551,18 +566,23 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
     Qd, Qdd = blocks(Qd), blocks(Qdd)
     # one row for every state and block, or a row per state (M, nb, 3)
     g = g.reshape(1, 1, 3) if g.ndim == 1 else blocks(g)
-    tau = np.empty(lead + (M, n, ns))
-    # tau with the motion blocks first, (nb, M, n, S), a view
-    out = tau.reshape(nb, M, n, ns)
+    tau = np.empty(lead + (M, n) + sets)
+    # tau with the motion blocks first, (nb, M, n[, S]), a view
+    out = tau.reshape((nb, M, n) + sets)
     for rows in _state_blocks(M):
         m = len(Q[rows])
-        part = np.zeros((m, n, nb * ns))
+        part = np.zeros((m, nb, n) + sets)
         for i, Si, W in _link_screws(chain, Q[rows], Qd[rows], Qdd[rows],
                                      g if len(g) == 1 else g[rows], B):
-            part[:, :i + 1] += Si @ W.reshape(m, nb * ns, 6).swapaxes(1, 2)
-        out[:, rows] = part.reshape(m, n, nb, ns).transpose(2, 0, 1, 3)
+            # set s's six wrench numbers in each block, a view of W
+            w = W.reshape(m, nb, W.shape[-1] // 6, 6)
+            if own:
+                part[..., :i + 1] += np.vecdot(Si[:, None], w)
+            else:
+                part[:, :, :i + 1] += Si[:, None] @ w.swapaxes(-1, -2)
+        out[:, rows] = part.swapaxes(0, 1)
         # views of this block's buffers; the next block makes its own
-        del Si, W
+        del Si, W, w
     return tau
 
 

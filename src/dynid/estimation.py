@@ -22,7 +22,9 @@ keeps, for stages 2 and 3, each joint's regressor row on its active
 inertial base columns, the only part of the minimal regressor they read
 again, and _kept_columns gathers the same arrays for a chi fitted
 elsewhere.  The stage-1 model is evaluated one way, _joint_model, by
-predict_currents and friction_residual_currents alike.
+predict_currents and friction_residual_currents alike: on the kept
+columns, or inside the gatherer block by block, so that a chi without
+kept columns holds one block's columns, not the batch's.
 """
 
 from __future__ import annotations
@@ -335,21 +337,28 @@ def _active_columns(map_: BaseParameterMap) -> list[np.ndarray]:
 
 
 def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
-                   cols, rows=None) -> list[np.ndarray]:
+                   cols, rows=None, coef=None) -> list[np.ndarray]:
     """Per joint j, its full-regressor row on columns cols[j], one row per
     column: (len(cols[j]), m_j) over the states rows[:, j] selects, or over
-    every state when rows is None.  Filled block by block
+    every state when rows is None.  With coef, joint j's _joint_model of
+    those columns and coef[j] instead, (m_j,), so that no more than one
+    block's columns are held.  Filled block by block
     (reduction.regressor_blocks); the only reader of the regressor here."""
     m = len(np.atleast_2d(q))
     sizes = [m] * len(cols) if rows is None else rows.sum(axis=0)
-    out = [np.empty((len(c), k)) for c, k in zip(cols, sizes)]
+    out = [np.empty(k if coef is not None else (len(c), k))
+           for c, k in zip(cols, sizes)]
     at = [0] * len(cols)
 
     def gather(block, Y):
         for j, (G, c) in enumerate(zip(out, cols)):
             part = Y[:, j, c] if rows is None else \
                 Y[:, j][np.ix_(rows[block, j], c)]
-            G[:, at[j]:at[j] + len(part)] = part.T
+            span = slice(at[j], at[j] + len(part))
+            if coef is None:
+                G[:, span] = part.T
+            else:
+                G[span] = _joint_model(part.T, coef[j])
             at[j] += len(part)
 
     regressor_blocks(map_, chain, q, qd, qdd, gather)
@@ -357,21 +366,24 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
 
 
 def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
-                  samples: SampleSet, rows=None):
+                  samples: SampleSet, rows=None, coef=None):
     """Per joint j, its regressor row on its active inertial base columns,
     (a_j, m_j) over the samples rows[:, j] selects, or all when rows is
     None: the arrays stage 1 kept when chi is its result on these very
-    samples, map and chain, otherwise the same bits gathered again."""
+    samples, map and chain, otherwise the same bits gathered again.  With
+    coef, joint j's _joint_model of them and coef[j] (_joint_columns)."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
         kept = fitted_on[3]
         # one joint's selected rows at a time, not a second copy of them all
-        return kept if rows is None else (K[:, rows[:, j]]
-                                          for j, K in enumerate(kept))
+        if rows is not None:
+            kept = (K[:, rows[:, j]] for j, K in enumerate(kept))
+        return kept if coef is None else (_joint_model(K, c)
+                                          for K, c in zip(kept, coef))
     cols = [map_.inertial_columns[a] for a in _active_columns(map_)]
     return _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
-                          cols, rows)
+                          cols, rows, coef)
 
 
 def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -395,16 +407,18 @@ def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
     """Currents from the stage-1 model: joint j's regressor row on its
     active inertial base columns times chi_j's entries there (_joint_model,
-    what friction_residual_currents subtracts), plus chi_j's linear
-    friction triple.  (M, n), or (n,) for a single state."""
+    what friction_residual_currents subtracts, evaluated block by block),
+    plus chi_j's linear friction triple.  (M, n), or (n,) for a single
+    state."""
     C = _chi_matrix(chi, map_.n)
     acols = _active_columns(map_)
-    G = _joint_columns(map_, chain, q, qd, qdd,
-                       [map_.inertial_columns[a] for a in acols])
+    model = _joint_columns(map_, chain, q, qd, qdd,
+                           [map_.inertial_columns[a] for a in acols],
+                           coef=[C[j, a] for j, a in enumerate(acols)])
     v = friction_linear([C[j, map_.friction_columns(j)]
                          for j in range(map_.n)], np.atleast_2d(qd))
-    for j, (a, Gj) in enumerate(zip(acols, G)):
-        v[:, j] += _joint_model(Gj, C[j, a])
+    for j, x in enumerate(model):
+        v[:, j] += x
     return v[0] if np.ndim(q) == 1 else v
 
 
@@ -415,16 +429,18 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
     Joint j's non-friction part is its regressor row on its active
-    inertial base columns (_kept_columns) times chi_j's entries there
-    (_joint_model), as predict_currents evaluates it; the row's other
+    inertial base columns times chi_j's entries there (_joint_model), as
+    predict_currents evaluates it: on stage 1's kept columns, or block by
+    block for a chi fitted elsewhere (_kept_columns).  The row's other
     inertial columns are structurally zero (joint_masks), and an
     identified chi is zero on them.
     """
     C = _chi_matrix(chi, map_.n)
+    coef = [C[j, a] for j, a in enumerate(_active_columns(map_))]
     resid = np.array(samples.v, dtype=float)
-    for j, (a, K) in enumerate(zip(_active_columns(map_),
-                                   _kept_columns(map_, chain, chi, samples))):
-        resid[:, j] -= _joint_model(K, C[j, a])
+    for j, x in enumerate(_kept_columns(map_, chain, chi, samples,
+                                        coef=coef)):
+        resid[:, j] -= x
     return resid
 
 

@@ -4,9 +4,11 @@ The solver evaluates joint torques and the classical equation-of-motion
 terms (inertia, Coriolis, friction, gravity) from current-level dynamic
 coefficients, sigmoid friction, and drive gains, optionally augmented with
 a payload whose torque contribution is kept separate from the identified
-coefficients.  Every term is one batched Newton-Euler evaluation of the
-model's torque-level parameter sets; the terms of torque_terms and the
-columns of inertia are motion blocks over one pass of the configurations.
+coefficients.  Every term is one batched Newton-Euler pass over the
+model's torque-level parameter sets, one per joint, that forms only what
+it returns: joint j's torque from set j alone, never the other sets'
+torques at joint j.  The terms of torque_terms and the columns of inertia
+are motion blocks over one pass of the configurations.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class IdentifiedModel:
     expressed in the last link frame; its torque contribution is added on
     top of the identified arm model rather than folded into the
     coefficients.  The torque-level sets and their fold into one
-    matrix per link are derived once per model and read-only, so a solver
-    call does only per-state work; a copy (configure_payload) derives its
-    own.
+    matrix per link, holding only the sets of the joints the link
+    reaches, are derived once per model and read-only, so a solver call
+    does only per-state work; a copy (configure_payload) derives its own.
     """
 
     name: str
@@ -101,12 +103,16 @@ class IdentifiedModel:
         return Pi
 
     @cached_property
-    def folded_sets(self) -> np.ndarray:
-        """(n, 12, 3 + 6n) torque_sets folded with the chain's origin maps,
-        one matrix per link (dynamics._folded_basis)."""
+    def folded_sets(self) -> tuple[np.ndarray, ...]:
+        """torque_sets folded with the chain's origin maps, one matrix per
+        link (dynamics._folded_basis), each kept for the joints its link
+        reaches: link i feeds joints 0..i only, so its matrix holds sets
+        0..i, (12, 3 + 6(i+1))."""
         B = _folded_basis(self.chain, self.torque_sets)
-        B.flags.writeable = False
-        return B
+        own = tuple(B[i, :, :3 + 6 * (i + 1)].copy() for i in range(self.n))
+        for b in own:
+            b.flags.writeable = False
+        return own
 
 
 def _require_complete(model: IdentifiedModel):
@@ -135,13 +141,12 @@ def configure_payload(model: IdentifiedModel,
 
 def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     """Torques of the rigid-body part (no friction): arm plus payload,
-    joint j's read from torque set j.  (M, n), or (n,) for one state q;
+    joint j's from torque set j alone.  (M, n), or (n,) for one state q;
     qd, qdd and gravity may add leading block axes (see newton_euler)."""
     _require_complete(model)
     tau = _folded_torques(model.chain, q, qd, qdd, model.folded_sets,
-                          gravity)
-    j = np.arange(model.n)
-    return tau[..., 0, j, j] if np.ndim(q) == 1 else tau[..., j, j]
+                          gravity, own=True)
+    return tau[..., 0, :] if np.ndim(q) == 1 else tau
 
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:

@@ -767,6 +767,42 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
     assert stage1 < minimal
 
 
+def test_stage1_model_without_kept_columns_holds_one_block(bmap, chain,
+                                                           noisy_runs):
+    # predict_currents, and the residual of a chi without kept columns (as
+    # read from a model file), evaluate the stage-1 model inside the
+    # gatherer, one block at a time: at 7500 UR10 states they peak at 3.3
+    # and 3.7 MB traced, where gathering every joint's active columns for
+    # the whole batch first (8.8 MB by themselves) read 11.8 and 12.1 MB.
+    # Their bits are those of stage 1's kept columns.
+    da = noisy_runs[0]
+    chi = identify_coefficients(bmap, chain, da)
+    C = chi.as_matrix()
+    active = sum(np.count_nonzero(m[:bmap.c_inertial])
+                 for m in bmap.joint_masks)
+    batch_columns = 8 * da.m * active
+    calls = {"predict_currents": lambda: predict_currents(
+                 bmap, chain, C, da.q, da.qd, da.qdd),
+             "friction_residual_currents": lambda: (
+                 friction_residual_currents(bmap, chain, C, da))}
+    got = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            got[name] = call()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * batch_columns, name
+    kept = friction_residual_currents(bmap, chain, chi, da)
+    assert got["friction_residual_currents"].tobytes() == kept.tobytes()
+    for j in range(chain.n):
+        C[j, bmap.friction_columns(j)] = 0.0
+    assert (da.v - predict_currents(bmap, chain, C, da.q, da.qd,
+                                    da.qdd)).tobytes() == kept.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stage 2
 

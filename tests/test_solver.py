@@ -167,18 +167,26 @@ def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
     coriolis_times_qd(model, q, qd)
     assert calls == [(60, 6)]
     B = model.folded_sets
-    assert B.shape == (6, 12, 39) and not B.flags.writeable
+    # per link i, the fold of the sets of joints 0..i, the ones it reaches
+    assert [b.shape for b in B] == [(12, 3 + 6 * (i + 1)) for i in range(6)]
+    assert not any(b.flags.writeable for b in B)
     with pytest.raises(ValueError):
-        B[0, 0, 0] = 1.0
-    assert B.tobytes() == fold(model.chain, model.torque_sets).tobytes()
+        B[0][0, 0] = 1.0
+
+    def raw(B):
+        return b"".join(b.tobytes() for b in B)
+
+    def per_link(F):
+        return raw(F[i, :, :3 + 6 * (i + 1)] for i in range(len(F)))
+
+    assert raw(B) == per_link(fold(model.chain, model.torque_sets))
     loaded = configure_payload(model, PAY)
     torque(loaded, q, qd, qdd)
     assert calls == [(60, 6)] * 2
-    assert not np.array_equal(loaded.folded_sets, B)
-    assert loaded.folded_sets.tobytes() \
-        == fold(loaded.chain, loaded.torque_sets).tobytes()
-    assert configure_payload(loaded, None).folded_sets.tobytes() \
-        == B.tobytes()
+    assert raw(loaded.folded_sets) != raw(B)
+    assert raw(loaded.folded_sets) \
+        == per_link(fold(loaded.chain, loaded.torque_sets))
+    assert raw(configure_payload(loaded, None).folded_sets) == raw(B)
 
 
 @pytest.mark.parametrize("m", [1, 5, dynamics.BLOCK_STATES + 3])
@@ -321,6 +329,42 @@ def test_block_size_changes_no_solver_bit(ident_true, seed, block,
                 != batch[key][..., i, :].tobytes()] == []
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       with_payload=st.booleans())
+def test_own_sets_are_the_diagonal_of_every_set(ident_true, seed, m,
+                                                with_payload):
+    # the solver forms joint j's torque of set j alone; newton_euler forms
+    # every set's torque at every joint, and its diagonal is the same
+    # torque (the relation estimation_oracle._own_joint_torques uses)
+    model = configure_payload(ident_true, PAY) if with_payload else ident_true
+    chain, Pi, n = model.chain, model.torque_sets, model.n
+    q, qd, qdd = _random_states(np.random.default_rng(seed), m)
+    z, off = np.zeros_like(q), np.zeros(3)
+    j = np.arange(n)
+
+    def diagonal(qd, qdd, g=None, q=q):
+        return dynamics.newton_euler(chain, q, qd, qdd, Pi, g)[..., j, j]
+
+    inert, cor, _, grav = torque_terms(model, q, qd, qdd)
+    pairs = {"torque": (torque(model, q, qd, qdd) - friction(model, qd),
+                        diagonal(qd, qdd)),
+             "inertia term": (inert, diagonal(z, qdd, off)),
+             "coriolis term": (cor, diagonal(qd, z, off)),
+             "gravity term": (grav, diagonal(z, z)),
+             "gravity": (gravity(model, q), diagonal(z, z)),
+             "coriolis_times_qd": (coriolis_times_qd(model, q, qd),
+                                   diagonal(qd, z, off)),
+             # block k accelerates joint k alone: column k of M
+             "inertia": (inertia(model, q[0]),
+                         diagonal(np.zeros(n), np.eye(n)[:, None], off,
+                                  q[0])[:, 0].T)}
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
+            name
+
+
 def test_empty_batch_gives_empty_torques(ident_true):
     z = np.zeros((0, 6))
     assert torque(ident_true, z, z, z).shape == (0, 6)
@@ -341,11 +385,11 @@ def test_non_finite_state_in_a_later_block_names_its_batch_row(
 
 
 def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
-    # on 20 000 states the traced peak stays below 32 arrays the size of one
-    # (M, n) term: the result, the stacked motion blocks and the (3, M, n, n)
-    # torques whose diagonal _rigid reads (28 such arrays, measured) plus
-    # one block's temporaries; with every temporary the size of the batch
-    # the peak was 91 such arrays
+    # on 20 000 states the traced peak stays below 13 arrays the size of one
+    # (M, n) term: the four terms, the stacked motion blocks and the
+    # (3, M, n) rigid torques plus one block's temporaries (10.8 such
+    # arrays, measured).  Every joint's torque of every set, (3, M, n, n),
+    # read 27 such arrays, and every temporary the size of the batch 91
     m = 20_000
     q, qd, qdd = _random_states(np.random.default_rng(11), m)
     term = m * ident_true.n * 8
@@ -356,14 +400,14 @@ def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 32 * term
+    assert peak < 13 * term
 
 
 def test_torque_terms_keeps_one_block_of_buffers(ident_true):
     # a 2500-state torque_terms holds its result, its stacked motion
-    # blocks and one 512-state block's buffers: 5.21 MiB traced.  Keeping
+    # blocks and one 512-state block's buffers: 2.65 MiB traced.  Keeping
     # the previous block's buffers alive while the next block makes its
-    # own, and a zero array beside the stacked blocks, read 5.54 MiB.
+    # own read 3.36 MiB.
     q, qd, qdd = _random_states(np.random.default_rng(11), 2500)
     torque_terms(ident_true, q, qd, qdd)  # model caches, once per model
     tracemalloc.start()
@@ -373,7 +417,7 @@ def test_torque_terms_keeps_one_block_of_buffers(ident_true):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 5.3 * 2**20
+    assert peak <= 2.8 * 2**20
 
 
 def test_configure_clear_is_bitwise(ident_true, data_a):
