@@ -9,6 +9,9 @@ offset per joint.  Stage 3 recovers the motor drive gains by comparing data
 collected with and without a partially known payload.  Every joint's
 system is split and solved once, in regrouped coordinates where it loses
 rank; one error then names every joint whose gain is below GAIN_LOWER.
+Stage 3 fits its joints last to first and holds one joint's system at a
+time: each joint's gathered rows go as its stack is built, and the stack
+goes once robust_weights has its basis.
 
 Stages 1 and 3 are bisquare-weighted fits, robust_weights, and each
 factors its stack once: the stack's split gives stage 1's condition guard
@@ -156,13 +159,17 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
     The stack is factored once, by split_columns (split, when the caller
     has made it, as stage 1 does for its condition guard, _condition): its
     kept columns are a = Q t with t triangular, so Q = a inv(t) is an
-    orthonormal basis of the range.  IRLS needs only the residuals, which depend only on that
-    range, so each iterate solves (Q^T W Q) y = Q^T W b and sets
-    r = b - Q y.  The Gram's eigenvalues lie in [0, 1] however
-    ill-conditioned the stack is; eigh, cut as pinv cuts at eps*max(m, n)
-    of the largest, gives the minimum-norm y where zero weights leave
-    directions unobserved.  At the final weights, Q^T W Q = V L V^T makes
-    W^(1/2) Q = U L^(1/2) V^T with U orthonormal, so the m weighted rows
+    orthonormal basis of the range.  A stack no caller still holds (stage 3
+    builds its stacks in the call) is freed once split, and once Q^T is
+    formed the fit keeps it and the split's t, ind, dep and regroup alone,
+    so the split's column copy is freed before the first iterate.  IRLS
+    needs only the residuals, which depend only on that range, so each
+    iterate solves (Q^T W Q) y = Q^T W b and sets r = b - Q y.  The Gram's
+    eigenvalues lie in [0, 1] however ill-conditioned the stack is; eigh,
+    cut as pinv cuts at eps*max(m, n) of the largest, gives the
+    minimum-norm y where zero weights leave directions unobserved.  At the
+    final weights, Q^T W Q = V L V^T makes W^(1/2) Q = U L^(1/2) V^T with
+    U orthonormal, so the m weighted rows
     W^(1/2) Q Q^T A have the least-squares problem of the r rows
     L^(1/2) V^T Q^T A, rhs L^(-1/2) V^T Q^T W b (Q^T A is t, and t @ regroup
     on dependent columns).  Their split decides the weighted rank by
@@ -172,11 +179,15 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
     if split is None:
         split = split_columns(stack)
     m, p = stack.shape
+    del stack  # freed here unless a caller holds it; split.a has its columns
     floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
     # the usual SVD rank cutoff; a Gram summed over m rows carries rounding
     # of the same relative size, so it serves the small solves as well
     rcond = np.finfo(float).eps * max(m, p)
     Qt = np.linalg.inv(split.t).T @ split.a.T  # (r, m)
+    # the iterates read Qt alone and the final fit the split's factors
+    t, ind, dep, regroup = split.t, split.ind, split.dep, split.regroup
+    del split
     Qs = np.empty_like(Qt)  # Qt scaled by sqrt(w), for each Gram
 
     def gram(w):
@@ -193,8 +204,8 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
     def fitted(w, converged, iterations):
         lam, V, c = gram(w)
         R = np.empty((len(Qt), p))  # Q^T A
-        R[:, split.ind] = split.t
-        R[:, split.dep] = split.t @ split.regroup
+        R[:, ind] = t
+        R[:, dep] = t @ regroup
         root = np.sqrt(lam)
         small = split_columns(root[:, None] * (V.T @ R))
         coef = np.zeros(p)
@@ -365,25 +376,35 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
     return out
 
 
+def _last_first(arrays: list):
+    """arrays' entries last to first, each dropped from the list as it is
+    yielded, so that a caller holds only the ones it has not reached."""
+    while arrays:
+        yield arrays.pop()
+
+
 def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
                   samples: SampleSet, rows=None, coef=None):
     """Per joint j, its regressor row on its active inertial base columns,
-    (a_j, m_j) over the samples rows[:, j] selects, or all when rows is
-    None: the arrays stage 1 kept when chi is its result on these very
-    samples, map and chain, otherwise the same bits gathered again.  With
-    coef, joint j's _joint_model of them and coef[j] (_joint_columns)."""
+    (a_j, m_j) over all samples: the arrays stage 1 kept when chi is its
+    result on these very samples, map and chain, otherwise the same bits
+    gathered again.  With coef, joint j's _joint_model of them and coef[j]
+    (_joint_columns).  With rows instead, the samples rows[:, j] selects,
+    last joint first (stage 3's order), each array released as it is
+    yielded: kept ones are selected one joint at a time, gathered ones
+    dropped from their list (_last_first)."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
         kept = fitted_on[3]
-        # one joint's selected rows at a time, not a second copy of them all
         if rows is not None:
-            kept = (K[:, rows[:, j]] for j, K in enumerate(kept))
+            return (kept[j][:, rows[:, j]] for j in reversed(range(len(kept))))
         return kept if coef is None else (_joint_model(K, c)
                                           for K, c in zip(kept, coef))
     cols = [map_.inertial_columns[a] for a in _active_columns(map_)]
-    return _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
-                          cols, rows, coef)
+    out = _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
+                         cols, rows, coef)
+    return out if rows is None else _last_first(out)
 
 
 def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -673,14 +694,54 @@ class GainEstimate:
     irls_converged: tuple[bool, ...] = ()
 
 
-def _gain_fit(S, y, label) -> WeightMatrix:
-    """robust_weights on one joint's gain system, gain column last.
+def _gain_stack(Aa, Bb, kmask, pi_k, label) -> np.ndarray:
+    """One joint's gain system, built in place, gain column last.
+
+    Aa is run a's rows on the joint's na active columns, (na, m_a); Bb is
+    run b's on those and the payload columns, (na + 10, m_b).  The stack
+    is [[Aa^T, 0, 0], [Bb[:na]^T, Pu, kcol]]: run a carries no payload,
+    Pu is run b's unknown payload columns and kcol the known payload's
+    contribution.  The joint is checked first: each run must have rows,
+    the payload must excite an unknown parameter, and the rows must
+    outnumber the unknowns by 10.
+    """
+    na, m_a, m_b = len(Aa), Aa.shape[1], Bb.shape[1]
+    for run, count in (("a", m_a), ("b", m_b)):
+        if not count:
+            raise ExcitationError(
+                f"{label}: run {run} has no linearity-region samples; "
+                "the joint never moves faster than the velocity threshold")
+    Pj = Bb[na:].T
+    Pu = Pj[:, ~kmask]
+    kcol = Pj[:, kmask] @ pi_k
+    scale = max(float(np.max(np.abs(kcol))), 1.0)
+    if Pu.size and np.max(np.abs(Pu)) < 1e-9 * scale:
+        raise IdentifiabilityError(
+            f"{label}: the payload does not excite any unknown "
+            "parameter; attach it eccentrically or mark more "
+            "parameters known")
+    p = na + Pu.shape[1] + 1
+    if m_a + m_b < p + 10:
+        raise ExcitationError(
+            f"{label}: {m_a + m_b} linearity-region samples for {p} "
+            "unknowns; collect longer runs")
+    S = np.empty((m_a + m_b, p))
+    S[:m_a, :na] = Aa.T
+    S[:m_a, na:] = 0.0
+    S[m_a:, :na] = Bb[:na].T
+    S[m_a:, na:-1] = Pu
+    S[m_a:, -1] = kcol
+    return S
+
+
+def _checked_gain_fit(wm: WeightMatrix, label) -> WeightMatrix:
+    """A joint's robust fit of its gain system (_gain_stack), refused
+    unless its gain column is identifiable.
 
     The fit's weighted split keeps the column order, so the gain column is
     independent exactly when the others do not span it, and no dependent
     column regroups onto it.  Its coef is zero on dependent columns.
     """
-    wm = robust_weights(S, y)
     if not wm.independent.any():
         raise ExcitationError(f"{label}: zero-rank gain system")
     if not wm.independent[-1]:
@@ -721,9 +782,10 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     payload contribution times that reciprocal.  Joints whose rows carry
     internal column dependencies (on the UR10, every joint does) come
     out rank-deficient and solve in regrouped coordinates; full-rank
-    joints solve directly.  Each joint is one robust fit (_gain_fit), and
-    every joint is solved before its gain is checked against the one
-    floor, GAIN_LOWER (_checked_gains).
+    joints solve directly.  Each joint is checked and built
+    (_gain_stack), then one robust fit (_checked_gain_fit), and every
+    joint is solved before its gain is checked against the one floor,
+    GAIN_LOWER (_checked_gains).
 
     Each joint's arm columns are re-fitted together with its gain on both
     runs, so chi's values are not read.  samples_a's rows are the
@@ -731,6 +793,15 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     the ones stage 1 kept when chi is its result on these very samples,
     map and chain, otherwise gathered); samples_b's are gathered on the
     active columns and the payload (last link) columns (_joint_columns).
+
+    The joints are fitted last to first, and stage 3 holds one joint's
+    system at a time: each joint's gathered rows are released as its
+    stack is built, and the stack, built where robust_weights factors it,
+    is released once its basis is formed.  The first joints' rows reach
+    the most columns, so their stacks, the largest, are built when every
+    later joint's rows are gone.  A joint that fails is kept, the other
+    joints are still fitted, and then the first failing joint in joint
+    order raises, as a forward loop would.
     """
     n = map_.n
     kmask = known_payload.coord_mask
@@ -744,38 +815,31 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     acols = _active_columns(map_)
     rows_a = _kept_columns(map_, chain, chi, samples_a, samples_a.mask)
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
-    rows_b = _joint_columns(map_, chain, samples_b.q, samples_b.qd,
-                            samples_b.qdd,
-                            [np.r_[map_.inertial_columns[a], payload_cols]
-                             for a in acols], samples_b.mask)
+    rows_b = _last_first(_joint_columns(
+        map_, chain, samples_b.q, samples_b.qd, samples_b.qdd,
+        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols],
+        samples_b.mask))
     # friction-compensated currents
     ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
     yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)
 
-    fits = []
-    for j, Aa, Bb in zip(range(n), rows_a, rows_b):
+    fits, failed = [None] * n, None
+    for j in reversed(range(n)):
         label = f"joint {j+1}"
-        na = acols[j].size
-        Aa, Ab, Pj = Aa.T, Bb[:na].T, Bb[na:].T
-        Pu = Pj[:, ~kmask]
-        kcol = Pj[:, kmask] @ pi_k
-        scale = max(float(np.max(np.abs(kcol))), 1.0)
-        if n_unknown and np.max(np.abs(Pu), initial=0.0) < 1e-9 * scale:
-            raise IdentifiabilityError(
-                f"{label}: the payload does not excite any unknown "
-                "parameter; attach it eccentrically or mark more "
-                "parameters known")
         y = np.concatenate([ya[samples_a.mask[:, j], j],
                             yb[samples_b.mask[:, j], j]])
-        p = na + n_unknown + 1
-        if y.size < p + 10:
-            raise ExcitationError(
-                f"{label}: {y.size} linearity-region samples for {p} "
-                "unknowns; collect longer runs")
-        # run a's rows carry no payload columns
-        S = np.block([[Aa, np.zeros((len(Aa), p - na))],
-                      [Ab, Pu, kcol[:, None]]])
-        fits.append(_gain_fit(S, y, label))
+        try:
+            # the joint's rows live only while its stack is built, and the
+            # stack only in the fit that factors it
+            fits[j] = _checked_gain_fit(robust_weights(
+                _gain_stack(next(rows_a), next(rows_b), kmask, pi_k, label),
+                y), label)
+        except Exception as err:
+            # raised once every joint is tried: the last kept is the first
+            # failing joint in joint order
+            failed = err
+    if failed is not None:
+        raise failed
     return GainEstimate(gains=_checked_gains([f.coef[-1] for f in fits]),
                         zeta=tuple(f.coef for f in fits),
                         identifiable_mask=tuple(f.independent for f in fits),

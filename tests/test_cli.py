@@ -713,3 +713,29 @@ def test_gain_below_its_bound_exits_3(pipeline, capsys, monkeypatch):
                         "recorded on run a's trajectory, or the joint is "
                         "weakly excited\n", captured.err)
     assert not out.exists()
+
+
+def test_run_b_without_rows_for_a_joint_exits_3(pipeline, capsys):
+    # run b on a trajectory that holds joints 2, 3, 5 and 6 still leaves
+    # them no linearity-region rows: one error names joint 2, the first
+    # in joint order, and no model is written
+    d = pipeline["dir"]
+    traj = read_samples(pipeline["traj_b"])
+    q, qd = np.array(traj.q), np.array(traj.qd)
+    held = [1, 2, 4, 5]
+    q[:, held], qd[:, held] = q[0, held], 0.0
+    write_samples(dataclasses.replace(traj, q=q, qd=qd), d / "traj_held.csv")
+    run_b = str(d / "run_b_held.csv")
+    assert main(["simulate", "--robot", pipeline["robot"], "--traj",
+                 str(d / "traj_held.csv"), "--payload", pipeline["payload"],
+                 "--seed", "4", "--out", run_b]) == 0
+    out = d / "unexcited_gains.ini"
+    capsys.readouterr()
+    assert main(["identify", "gains", "--model", pipeline["model_fric"],
+                 "--samples-a", pipeline["run_a"], pipeline["run_a2"],
+                 "--samples-b", run_b, "--payload", pipeline["payload"],
+                 "--known", "mass,com", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error=3 msg=joint 2: run b has no linearity-region samples; the "
+        "joint never moves faster than the velocity threshold\n")
+    assert not out.exists()

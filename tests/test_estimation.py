@@ -569,8 +569,12 @@ def test_unshared_regressor_gives_bitwise_the_same(
                                           data_a))
     est = estimate_gains(copy, data_b_pay, known, bmap, chain, bare,
                          stage2.friction)
-    assert np.array_equal(est.gains, stage3.gains)
-    assert all(np.array_equal(a, b) for a, b in zip(est.zeta, stage3.zeta))
+    assert est.gains.tobytes() == stage3.gains.tobytes()
+    for name in ("zeta", "identifiable_mask"):
+        assert [a.tobytes() for a in getattr(est, name)] == \
+            [a.tobytes() for a in getattr(stage3, name)], name
+    for name in ("full_rank", "irls_iterations", "irls_converged"):
+        assert getattr(est, name) == getattr(stage3, name), name
 
 
 def test_caller_arrays_changed_after_stage_1_leave_the_samples(bmap, chain,
@@ -735,10 +739,23 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
     # when it started, stays below one full (M, n, 13n) regressor: only
     # the active columns stage 1 keeps and one block of states are ever
     # held, never a full regressor; stage 1 stays below one minimal
-    # (M, n, c) regressor too
+    # (M, n, c) regressor too.  Stage 3 alone holds the rows it gathers
+    # (run b's, and run a's for a chi without kept columns) and two copies
+    # of one joint's system: the stack and its split's column copy, then
+    # the basis and its scaled copy.  It stays below those rows and two of
+    # its largest joint's stacks (12.4 and 17.4 MB; it reads 10.0 and 15.0,
+    # where holding every joint's rows and fitting in joint order read
+    # 20.1 and 23.9)
     da, db, known = noisy_runs
     full = da.m * chain.n * (N_INERTIAL + N_FRICTION) * chain.n * 8
     minimal = da.m * chain.n * bmap.c * 8
+    active = [a.size for a in estimation._active_columns(bmap)]
+    rows_a, rows_b = da.mask.sum(axis=0), db.mask.sum(axis=0)
+    unknown = int((~known.coord_mask).sum())
+    gathered_b = 8 * sum((a + N_INERTIAL) * k for a, k in zip(active, rows_b))
+    gathered_a = 8 * sum(a * k for a, k in zip(active, rows_a))
+    stack = 8 * max((ka + kb) * (a + unknown + 1)
+                    for a, ka, kb in zip(active, rows_a, rows_b))
 
     def stages_2_3(chi):
         resid = friction_residual_currents(bmap, chain, chi, da)
@@ -756,15 +773,23 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
         chi, stage1 = peak_above_held(
             lambda: identify_coefficients(bmap, chain, da))
         _, kept = peak_above_held(lambda: stages_2_3(chi))
+        psi = fit_friction(da.qd, friction_residual_currents(
+            bmap, chain, chi, da), threshold=da.qd_threshold).friction
+        _, gains_kept = peak_above_held(lambda: estimate_gains(
+            da, db, known, bmap, chain, chi, psi))
         bare = chi.as_matrix()
         del chi
         _, streamed = peak_above_held(lambda: stages_2_3(bare))
+        _, gains_bare = peak_above_held(lambda: estimate_gains(
+            da, db, known, bmap, chain, bare, psi))
     finally:
         tracemalloc.stop()
     peaks = {"stage 1": stage1, "stages 2-3": kept,
              "stages 2-3 without a kept regressor": streamed}
     assert {k: v for k, v in peaks.items() if v >= full} == {}
     assert stage1 < minimal
+    assert gains_kept < gathered_b + 2 * stack
+    assert gains_bare < gathered_a + gathered_b + 2 * stack
 
 
 def test_stage1_model_without_kept_columns_holds_one_block(bmap, chain,
@@ -990,7 +1015,9 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
 
 def test_gain_solve_paths():
     # exact data: a zero residual scale leaves unit weights
-    fit = estimation._gain_fit
+    def fit(S, y, label):
+        return estimation._checked_gain_fit(robust_weights(S, y), label)
+
     # full rank: a direct solve that keeps every column
     rng = np.random.default_rng(11)
     S = rng.standard_normal((60, 5))
@@ -1119,6 +1146,51 @@ def test_stage3_short_runs_rejected(bmap, chain, stage1, stage2, data_a,
     with pytest.raises(ExcitationError, match="linearity-region samples"):
         estimate_gains(thin(data_a, 150), thin(data_b_pay, 150), known, bmap,
                        chain, stage1, stage2.friction)
+
+
+def test_stage3_names_the_first_joint_run_b_leaves_without_rows(
+        plant, bmap, chain, known, monkeypatch):
+    # run b on run a's trajectory, its threshold above joint 6's largest
+    # |qd|: joints 2, 3, 5 and 6 have no run-b rows.  Each joint is checked
+    # and the others fitted, last joint first, and then the first failing
+    # joint in joint order is named (numpy's zero-size reduction error
+    # used to escape instead)
+    traj = random_trajectory(6, seed=1)
+    da = simulate(plant, traj, duration=20.0)
+    db = simulate(plant, traj, duration=20.0, payload=known.spec)
+    db = dataclasses.replace(db, qd_threshold=np.abs(db.qd[:, 5]).max()
+                             + 0.01)
+    assert np.flatnonzero(db.mask.sum(axis=0) == 0).tolist() == [1, 2, 4, 5]
+    chi = identify_coefficients(bmap, chain, da)
+    resid = friction_residual_currents(bmap, chain, chi, da)
+    psi = fit_friction(da.qd, resid, threshold=da.qd_threshold).friction
+    built, fitted = [], []
+    stack, fit = estimation._gain_stack, estimation.robust_weights
+
+    def counted_stack(Aa, Bb, kmask, pi_k, label):
+        built.append(label)
+        return stack(Aa, Bb, kmask, pi_k, label)
+
+    def counted_fit(*args):
+        fitted.append(len(built))
+        return fit(*args)
+
+    monkeypatch.setattr(estimation, "_gain_stack", counted_stack)
+    monkeypatch.setattr(estimation, "robust_weights", counted_fit)
+    with pytest.raises(ExcitationError) as err:
+        estimate_gains(da, db, known, bmap, chain, chi, psi)
+    assert str(err.value) == (
+        "joint 2: run b has no linearity-region samples; the joint never "
+        "moves faster than the velocity threshold")
+    assert built == [f"joint {j}" for j in range(6, 0, -1)]
+    assert fitted == [3, 6]  # joints 4 and 1
+    # a run a without rows for a joint is refused the same way
+    monkeypatch.undo()
+    with pytest.raises(ExcitationError, match="^joint 2: run a has no "
+                       "linearity-region samples"):
+        estimate_gains(dataclasses.replace(da, qd_threshold=db.qd_threshold),
+                       dataclasses.replace(db, qd_threshold=da.qd_threshold),
+                       known, bmap, chain, chi, psi)
 
 
 def test_known_payload_validation():
