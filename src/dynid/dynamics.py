@@ -13,15 +13,18 @@ Both kernels fold that map and a wrench basis into one matrix per link:
 the regressor K itself, the evaluator its known parameter sets, K Pi_i
 (_folded_basis).  So one product per link gives the origin acceleration
 the next link needs and every wrench, which one shared pass projects onto
-the joint screws, carried outward link by link.  newton_euler projects
-every set onto every screw; the solver's model keeps, per link, the fold
-of only the sets of the joints it reaches, one set per joint, and each
-joint's screw meets its own set's wrench alone.  Gravity enters as an
-acceleration of the base frame.  The frames depend on q alone, so the
-evaluator runs several motion blocks over one configuration, and each
-link's rotation meets the joint screws and every block's motion in one
-product.  A batch runs the pass in blocks of BLOCK_STATES states, so the
-pass's memory does not grow with the batch.
+the joint screws, carried outward link by link.  That product is one
+matrix product over every state and motion block of a block of states,
+with at least two rows, so that a lone state rounds as it does in any
+batch.  newton_euler projects every set onto every screw; the solver's
+model keeps, per link, the fold of only the sets of the joints it
+reaches, one set per joint, and each joint's screw meets its own set's
+wrench alone.  Gravity enters as an acceleration of the base frame.
+The frames depend on q alone, so the evaluator runs several motion
+blocks over one configuration, and each link's rotation meets the joint
+screws and every block's motion in one product.  A batch runs the pass
+in blocks of BLOCK_STATES states, so the pass's memory does not grow
+with the batch.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -46,6 +49,11 @@ SATURATED_DELTA = 1e9
 # streamed by reduction.regressor_blocks): a block's temporaries stay
 # cache-sized, and a batch's memory grows only with its inputs and result
 BLOCK_STATES = 512
+# most columns per matrix product of the pass (_link_screws): OpenBLAS
+# (0.3.31, SkylakeX kernels) rounds a product's columns past 192 by its
+# row count, so a wider link matrix is met in products of at most this
+# many columns, whose rows round alike at any row count
+_PRODUCT_COLUMNS = 192
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -386,15 +394,22 @@ _WRENCH_BASIS_BY_PARAMETER = np.ascontiguousarray(
         N_INERTIAL, 12 * 6)
 # the two factors of every om_a*om_b over _I_PAIRS, first factors first
 _PAIR_FACTORS = np.array(_I_PAIRS).T.ravel()
+# where the motion numbers come from in V = [om, omd, acc]: acc, omd, the
+# first factor of each pair, then its second factor
+_MOTION_GATHER = np.concatenate(([6, 7, 8, 3, 4, 5], _PAIR_FACTORS))
 
 
-def _motion_numbers(V):
+def _motion_numbers(V, out=None):
     """F (..., 12) = [acc, omd, om_a*om_b over _I_PAIRS] of V (..., 9) =
     [om, omd, acc]: the twelve numbers of a link's motion that its unit
-    wrenches are linear in."""
-    om2 = V[..., _PAIR_FACTORS]
-    return np.concatenate((V[..., 6:], V[..., 3:6],
-                           om2[..., :6] * om2[..., 6:]), axis=-1)
+    wrenches are linear in.  They are written into out[..., :12], a
+    C-contiguous (..., 18) array when given; its last six columns hold
+    the pairs' second factors."""
+    if out is None:
+        out = np.empty(V.shape[:-1] + (18,))
+    np.take(V, _MOTION_GATHER, axis=-1, out=out, mode="clip")
+    out[..., 6:12] *= out[..., 12:]
+    return out[..., :12]
 
 
 def _link_maps(chain: KinematicChain, K):
@@ -459,12 +474,18 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
     where a is joint k's axis and d is origin i relative to origin k-1.
     S_i (M, i+1, 6) holds the screws [a x d, a] of joints 0..i in frame i
     and W_i (M, nb, k_i) link i's wrench numbers in each of nb motion
-    blocks, from one product of its motion numbers (_motion_numbers) with
-    B[i] (12, 3 + k_i; _link_maps), which also gives origin i's
-    acceleration.  The links' matrices may differ in width.  A wrench w_i
-    (M, nb, 6) among them, unit or a parameter set's, gives link i's share
-    of joint k <= i as the dot of S_i[:, k] with it.  The next step
-    overwrites S_i and W_i.
+    blocks.  The motion numbers (_motion_numbers) of every state and block
+    are the rows of one array, and one product of it with B[i] (12,
+    3 + k_i; _link_maps) gives every row's wrench numbers and origin i's
+    acceleration: one matrix product per link over the whole block, not
+    one per state.  BLAS rounds each row of such a product alike at any
+    row count, but a one-row product takes another kernel (gemv), so the
+    array has at least two rows, and a lone state rounds exactly as it
+    does inside any batch; a matrix wider than _PRODUCT_COLUMNS is met in
+    products of that many columns.  The links' matrices may differ in
+    width.  A wrench w_i (M, nb, 6) among them, unit or a parameter set's,
+    gives link i's share of joint k <= i as the dot of S_i[:, k] with it.
+    The next step overwrites S_i and W_i.
 
     The frames depend on Q (M, n) alone and are built once; the forward
     recursion runs on every block of Qd, Qdd (M, nb, n) and gravity, which
@@ -472,18 +493,26 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
     meets, in one product, its blocks' angular velocity, angular
     acceleration and the parent's origin acceleration, as rows in the
     parent frame, and the screws of joints 0..i.  Moving the screws'
-    reference point to origin i adds a x r_i, one product with X[i].
+    reference point to origin i, [m, a] -> [m + a x r_i, a], is one
+    product with P[i].
     """
     M, nb, n = Qd.shape
     R = local_frames_batch(chain, Q)
-    X = chain.dh.X
+    P = chain.dh.P
     # per configuration, the rows each rotation meets: om, omd and the
     # origin acceleration of every block, then two per joint screw
     rotated = np.zeros((M, 3 * nb + 2 * n, 3))
     V = rotated[:, :3 * nb].reshape(M, nb, 9)  # views of rotated
     S = rotated[:, 3 * nb:].reshape(M, n, 6)
-    # each link's product, in turn, in its leading columns
-    products = np.empty((M, nb, max(b.shape[-1] for b in B)))
+    # the motion numbers of every state and block, and each link's
+    # product in turn in its leading columns, as rows: at least two, so
+    # that a lone state's product is a gemm and rounds as in any batch;
+    # a padding row stays zero
+    rows = M * nb
+    gathered = np.zeros((max(rows, 2), 18))
+    numbers = gathered[:rows].reshape(M, nb, 18)  # a view
+    F = gathered[:, :12]
+    products = np.empty((len(F), max(b.shape[-1] for b in B)))
     V[..., 6:] = -gravity
     S[..., 5] = 1.0  # joint i's axis is z of frame i-1; d = 0 there
     # joint i's rates, added to om_z, omd_x, omd_y and omd_z before the
@@ -500,11 +529,19 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         # in place: numpy reads an overlapping input as if copied first
         moving = rotated[:, :3 * nb + 2 * i + 2]
         np.matmul(moving, R[:, i], out=moving)
-        G = products[..., :B[i].shape[-1]]
-        np.matmul(_motion_numbers(V), B[i], out=G)
+        _motion_numbers(V, out=numbers)
+        width = B[i].shape[-1]
+        G = products[:, :width]
+        if width <= _PRODUCT_COLUMNS:
+            np.matmul(F, B[i], out=G)
+        else:
+            for c in range(0, width, _PRODUCT_COLUMNS):
+                cols = slice(c, c + _PRODUCT_COLUMNS)
+                np.matmul(F, B[i][:, cols], out=G[:, cols])
+        G = G[:rows].reshape(M, nb, width)
         V[..., 6:] = G[..., :3]  # origin i's acceleration
         Si = S[:, :i + 1]
-        Si[..., :3] += Si[..., 3:] @ X[i]
+        np.matmul(Si, P[i], out=Si)
         yield i, Si, G[..., 3:]
 
 
@@ -522,11 +559,14 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     meets its blocks in one product.  The sets are folded once per call
     (_folded_basis), so one product per link of its twelve motion numbers
     gives its origin acceleration and its wrench of every set; no unit
-    wrench is built.  Every set's wrench is projected onto every joint
-    screw, and the products are stacked per configuration and block, so a
-    state's torques do not depend on the batch around it.  A caller that
-    needs joint k's torque of set k alone keeps a per-link fold of its
-    sets and calls _folded_torques with own=True.
+    wrench is built.  That product is one matrix product over all the
+    states and blocks of a block of states, with at least two rows, whose
+    rows BLAS rounds alike at any row count.  Every set's wrench is
+    projected onto every joint screw, and those products are stacked per
+    configuration and block, so a state's torques do not depend on the
+    batch around it.  A caller that needs joint k's torque of set k alone
+    keeps a per-link fold of its sets and calls _folded_torques with
+    own=True.
 
     The pass runs over the batch BLOCK_STATES states at a time
     (_state_blocks), so its temporaries take the memory of one block, not
@@ -535,7 +575,8 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     so an error names its row in the batch, and every block size gives
     the same bits.
     """
-    return _folded_torques(chain, Q, Qd, Qdd, _folded_basis(chain, Pi),
+    B = _folded_basis(chain, Pi)
+    return _folded_torques(chain, *_batch_states(chain, Q, Qd, Qdd), B,
                            gravity)
 
 
@@ -547,21 +588,35 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
     sets of the joints it reaches: B[i] is (12, 3 + 6(i+1)), sets 0..i.
     The result is then (..., M, n), joint k's torque from set k alone:
     link i's share of it is one dot of screw S_i[:, k] with set k's six
-    wrench numbers, and no other set's torque is formed."""
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    wrench numbers, and no other set's torque is formed.
+
+    The states come checked (_batch_states).  Qd or Qdd may also be a
+    tuple of (M, n) motion blocks, which each block of states stacks at
+    its own rows: torque_terms' blocks are mostly at rest, and stacked
+    whole they would be copies the size of the batch."""
     M, n = Q.shape
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
-    lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
+    lead = np.broadcast_shapes(
+        *((len(x),) if isinstance(x, tuple) else x.shape[:-2]
+          for x in (Qd, Qdd)), g.shape[:-2])
     nb = math.prod(lead)
     sets = () if own else ((B.shape[-1] - 3) // 6,)
 
     def blocks(x):
         # beside their configuration, (M, nb, ...); broadcast only a shape
         # that differs, as each broadcast_to adds microseconds to one state
+        if isinstance(x, tuple):
+            return x
         shape = lead + (M, x.shape[-1])
         if x.shape != shape:
             x = np.broadcast_to(x, shape)
         return x.reshape(nb, M, shape[-1]).swapaxes(0, 1)
+
+    def at(x, rows):
+        # the blocks at these rows, (m, nb, ...)
+        if isinstance(x, tuple):
+            return np.stack([b[rows] for b in x], axis=1)
+        return x[rows]
 
     Qd, Qdd = blocks(Qd), blocks(Qdd)
     # one row for every state and block, or a row per state (M, nb, 3)
@@ -572,7 +627,8 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
     for rows in _state_blocks(M):
         m = len(Q[rows])
         part = np.zeros((m, nb, n) + sets)
-        for i, Si, W in _link_screws(chain, Q[rows], Qd[rows], Qdd[rows],
+        for i, Si, W in _link_screws(chain, Q[rows], at(Qd, rows),
+                                     at(Qdd, rows),
                                      g if len(g) == 1 else g[rows], B):
             # set s's six wrench numbers in each block, a view of W
             w = W.reshape(m, nb, W.shape[-1] // 6, 6)

@@ -52,6 +52,8 @@ class DhConstants(NamedTuple):
     (a_i, d_i sin alpha_i, d_i cos alpha_i), as maps on row vectors:
     x @ X[i] = x x r_i, and [omd, om_a*om_b for a <= b] @ C[i] =
     omd x r_i + om x (om x r_i), the products in np.triu_indices(3) order.
+    P (n, 6, 6) moves a screw [m, a] from origin i-1 to origin i, in frame
+    i: [m, a] @ P[i] = [m + a x r_i, a].
     """
 
     offset: np.ndarray
@@ -59,6 +61,7 @@ class DhConstants(NamedTuple):
     last_row: np.ndarray
     X: np.ndarray
     C: np.ndarray
+    P: np.ndarray
 
 
 def _dh_constants(rows) -> DhConstants:
@@ -76,7 +79,10 @@ def _dh_constants(rows) -> DhConstants:
     j, k = np.triu_indices(3)
     C = np.concatenate((X, T[:, j, k] + (j != k)[:, None] * T[:, k, j]),
                        axis=1)
-    constants = DhConstants(offset, trig_rows, last_row, X, C)
+    P = np.zeros((len(r), 6, 6))
+    P[:, :3, :3] = P[:, 3:, 3:] = E
+    P[:, 3:, :3] = X
+    constants = DhConstants(offset, trig_rows, last_row, X, C, P)
     for x in constants:  # every pass on the chain shares them
         x.flags.writeable = False
     return constants

@@ -116,8 +116,9 @@ class IdentifiedModel:
 
 
 def _require_complete(model: IdentifiedModel):
-    """Refuse a model short of stage 'gains', naming its stage: _rigid
-    and friction call it, and every evaluation passes through them."""
+    """Refuse a model short of stage 'gains', naming its stage: _rigid,
+    torque_terms and friction call it, and every evaluation passes through
+    them."""
     if model.stage != "gains":
         raise ValueError(
             f"model is only identified through stage '{model.stage}'; "
@@ -144,7 +145,8 @@ def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     joint j's from torque set j alone.  (M, n), or (n,) for one state q;
     qd, qdd and gravity may add leading block axes (see newton_euler)."""
     _require_complete(model)
-    tau = _folded_torques(model.chain, q, qd, qdd, model.folded_sets,
+    Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
+    tau = _folded_torques(model.chain, Q, Qd, Qdd, model.folded_sets,
                           gravity, own=True)
     return tau[..., 0, :] if np.ndim(q) == 1 else tau
 
@@ -193,11 +195,15 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
     if Qd.ndim != 2 or Qdd.ndim != 2:
         raise ValueError("torque_terms takes states (M, n) or (n,)")
+    _require_complete(model)
     z = np.broadcast_to(0.0, Q.shape)  # no memory of its own
-    # gravity alone, then acceleration alone and velocity alone, gravity off
+    # gravity alone, then acceleration alone and velocity alone, gravity
+    # off: motion blocks given one by one, so that each block of states
+    # stacks its own rows of them
     g = np.array([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY])
-    grav, inert, cor = _rigid(model, Q, np.stack((z, z, Qd)),
-                              np.stack((z, Qdd, z)), g[:, None])
+    grav, inert, cor = _folded_torques(model.chain, Q, (z, z, Qd),
+                                       (z, Qdd, z), model.folded_sets,
+                                       g[:, None], own=True)
     terms = inert, cor, friction(model, Qd), grav
     return tuple(t[0] for t in terms) if np.ndim(q) == 1 else terms
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -13,6 +14,10 @@ from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
                             regressor_stack, rnea, sigmoid)
 from dynid.kinematics import (DhRow, KinematicChain, local_frames,
                               local_frames_batch, ur10_chain)
+from dynid.payload import PayloadSpec
+from dynid.reduction import compute_base_map
+from dynid.solver import (IdentifiedModel, configure_payload,
+                          coriolis_times_qd, gravity, torque, torque_terms)
 from forward_kinematics import frame_chain
 from regressor_oracle import (newton_euler_unfolded, regressor_stack_sweep,
                               unit_wrenches)
@@ -772,6 +777,71 @@ def test_regressor_stack_matches_single(seed, m, chain):
     for k in range(m):
         st_k = JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k])
         assert regressor(chain, st_k).tobytes() == Ys[k].tobytes()
+
+
+@functools.cache
+def _base_map(chain):
+    return compute_base_map(chain)
+
+
+def _solver_model(chain, rng, payload):
+    """A complete solver model of random coefficients on the chain, with
+    or without an eccentric payload."""
+    n, bmap = chain.n, _base_map(chain)
+    psi = FrictionSet(f_o=rng.uniform(-0.5, 0.5, n),
+                      f_v=rng.uniform(0.1, 2.0, n),
+                      f_c=rng.uniform(0.1, 1.0, n),
+                      delta=rng.uniform(10.0, 100.0, n),
+                      nu=rng.uniform(-0.05, 0.05, n))
+    model = IdentifiedModel(name="random", chain=chain, map=bmap,
+                            chi=rng.uniform(-1.0, 1.0, (n, bmap.c)),
+                            psi=psi, gains=rng.uniform(5.0, 20.0, n))
+    if payload:
+        model = configure_payload(model, PayloadSpec(
+            mass=4.8, com=(0.10, 0.06, 0.05),
+            inertia_com=np.diag((0.030, 0.035, 0.030))))
+    return model
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS]),
+       m=st.sampled_from([2, BLOCK_STATES + 1]),
+       payload=st.booleans(), data=st.data())
+def test_lone_state_rounds_as_its_batch_row(seed, chain, m, payload, data):
+    # each link's motion product is one 2-D product over a block's rows,
+    # never fewer than two, so a lone state's product is a matrix product
+    # too and must round exactly as its row inside a batch does: a drawn
+    # state and the last, which a batch of BLOCK_STATES + 1 leaves alone in
+    # its own block, are bitwise their own calls in every result
+    rng = np.random.default_rng(seed)
+    n = chain.n
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, n, rng)
+    # 3 + 6 * 40 columns: products split at dynamics._PRODUCT_COLUMNS
+    wide = rng.uniform(-2.0, 2.0, (10 * n, 40))
+    model = _solver_model(chain, rng, payload)
+
+    def results(q, qd, qdd):
+        batch = np.ndim(q) == 2
+        Y = regressor_stack(chain, *(np.atleast_2d(x) for x in (q, qd, qdd)))
+        return {"newton_euler, S = 1": newton_euler(chain, q, qd, qdd,
+                                                   Pi[:, :1]),
+                "newton_euler, S = n": newton_euler(chain, q, qd, qdd, Pi),
+                "newton_euler, S = 40": newton_euler(chain, q, qd, qdd, wide),
+                "regressor_stack": Y,
+                "regressor": Y if batch else regressor(
+                    chain, JointState(q=q, qd=qd, qdd=qdd))[None],
+                "torque": torque(model, q, qd, qdd),
+                "torque_terms": np.stack(torque_terms(model, q, qd, qdd),
+                                         axis=-2),
+                "gravity": gravity(model, q),
+                "coriolis_times_qd": coriolis_times_qd(model, q, qd)}
+
+    whole = results(Q, Qd, Qdd)
+    for k in (data.draw(st.integers(0, m - 2)), m - 1):
+        one = results(Q[k], Qd[k], Qdd[k])
+        assert [key for key, x in one.items() if x.tobytes()
+                != whole[key][k].tobytes()] == [], k
 
 
 def test_newton_euler_shape_guards():

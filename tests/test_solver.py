@@ -385,11 +385,12 @@ def test_non_finite_state_in_a_later_block_names_its_batch_row(
 
 
 def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
-    # on 20 000 states the traced peak stays below 13 arrays the size of one
-    # (M, n) term: the four terms, the stacked motion blocks and the
-    # (3, M, n) rigid torques plus one block's temporaries (10.8 such
-    # arrays, measured).  Every joint's torque of every set, (3, M, n, n),
-    # read 27 such arrays, and every temporary the size of the batch 91
+    # on 20 000 states the traced peak stays below 8 arrays the size of one
+    # (M, n) term: the (3, M, n) rigid torques, the friction term and its
+    # temporaries, plus one block's buffers (7.0 such arrays, measured,
+    # with one of margin).  Stacking the motion blocks of the whole batch
+    # read 10.8, every joint's torque of every set, (3, M, n, n), 27 and
+    # every temporary the size of the batch 91
     m = 20_000
     q, qd, qdd = _random_states(np.random.default_rng(11), m)
     term = m * ident_true.n * 8
@@ -400,14 +401,15 @@ def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 13 * term
+    assert peak < 8 * term
 
 
 def test_torque_terms_keeps_one_block_of_buffers(ident_true):
-    # a 2500-state torque_terms holds its result, its stacked motion
-    # blocks and one 512-state block's buffers: 2.65 MiB traced.  Keeping
-    # the previous block's buffers alive while the next block makes its
-    # own read 3.36 MiB.
+    # a 2500-state torque_terms holds its result and one 512-state block's
+    # buffers, the block's motion rows among them: 2.21 MiB traced.
+    # Keeping the previous block's buffers alive while the next block
+    # makes its own reads 2.86 MiB, and stacking the motion blocks of the
+    # whole batch read 2.65 MiB
     q, qd, qdd = _random_states(np.random.default_rng(11), 2500)
     torque_terms(ident_true, q, qd, qdd)  # model caches, once per model
     tracemalloc.start()
@@ -417,7 +419,7 @@ def test_torque_terms_keeps_one_block_of_buffers(ident_true):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8 * 2**20
+    assert peak <= 2.4 * 2**20
 
 
 def test_configure_clear_is_bitwise(ident_true, data_a):
@@ -496,8 +498,8 @@ def test_persistence_stage_gating(ident_true, chain, bmap, tmp_path):
 
 def test_each_call_checks_completeness_in_its_funnels(ident_true,
                                                       monkeypatch):
-    # _rigid and friction check the model; every public call passes
-    # through them, so a single-state torque makes two checks
+    # _rigid, torque_terms and friction check the model; every public call
+    # passes through them, so a single-state torque makes two checks
     seen = []
     check = solver._require_complete
 
