@@ -14,7 +14,10 @@ the machine's drift.  The kernels:
   batch, on ``random_trajectory(6, seed=3)``);
 - ``torque_1x250``: 250 single-state ``solver.torque`` calls back to back;
 - ``regressor_7500``: a 7500-state regressor pass, ``regressor_stack`` over
-  ``BLOCK_STATES``-state blocks, as identification builds it.
+  ``BLOCK_STATES``-state blocks, as identification builds it;
+- ``simulate_7500``: ``dataio.simulate`` of the default plant over the same
+  7500 states, no noise: ``newton_euler`` on one set that every joint
+  shares.
 
 It prints each side's median, the median and quartiles of the paired
 ratios and how many rounds each side won.  Pin BLAS to one thread
@@ -80,6 +83,7 @@ def kernels(pkg):
     torque, terms = pkg.solver.torque, pkg.solver.torque_terms
     regressor_stack = pkg.dynamics.regressor_stack
     block = pkg.dynamics.BLOCK_STATES
+    plant = pkg.dataio.ur10_default_model()
 
     def torque_1x250():
         for k in range(250):
@@ -93,7 +97,9 @@ def kernels(pkg):
     return {"torque_2500": lambda: torque(model, Q, Qd, Qdd),
             "terms_2500": lambda: terms(model, Q, Qd, Qdd),
             "torque_1x250": torque_1x250,
-            "regressor_7500": regressor_7500}
+            "regressor_7500": regressor_7500,
+            "simulate_7500": lambda: pkg.dataio.simulate(
+                plant, states=(t, q, qd))}
 
 
 def median_of(fn, repeats: int) -> float:

@@ -261,16 +261,19 @@ def cmd_identify_friction(a) -> None:
 
 def cmd_identify_gains(a) -> None:
     model = _load_stage(a.model, "friction")
+    spec = read_payload(a.payload)  # its SchemaError is a ValueError too
+    known = tuple(k.strip() for k in a.known.split(",") if k.strip())
+    try:
+        if not known:
+            raise ValueError("no payload parameter group is named")
+        kp = KnownPayload(spec=spec, known=known)
+    except ValueError as e:
+        raise UsageError(f"--known {a.known!r}: {e}; give 'mass', "
+                         "'mass,com' or 'mass,com,inertia'") from None
     sa = _read_runs(a.samples_a, "--samples-a", model.n, model.qd_threshold,
                     "a")
     sb = _read_runs(a.samples_b, "--samples-b", model.n, model.qd_threshold,
                     "b")
-    known = tuple(k.strip() for k in a.known.split(",") if k.strip())
-    bad = [k for k in known if k not in ("mass", "com", "inertia")]
-    if bad:
-        raise UsageError(f"unknown --known group(s) {bad}; "
-                         "choose from mass, com, inertia")
-    kp = KnownPayload(spec=read_payload(a.payload), known=known)
     est = estimate_gains(sa, sb, kp, model.map, model.chain, model.chi,
                          model.psi)
     out = a.out or a.model

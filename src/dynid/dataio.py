@@ -569,7 +569,7 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
     pi_in = np.concatenate([lk.to_vector() for lk in model.links])
     if payload is not None:
         pi_in[-N_INERTIAL:] += payload_to_frame_n(payload)
-    tau = newton_euler(model.chain, q, qd, qdd, pi_in[:, None])[:, :, 0] \
+    tau = newton_euler(model.chain, q, qd, qdd, pi_in[:, None]) \
         + friction_sigmoid(model.friction, qd)
     v = tau / np.asarray(model.gains)
 

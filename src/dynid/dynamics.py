@@ -16,10 +16,10 @@ the next link needs and every wrench, which one shared pass projects onto
 the joint screws, carried outward link by link.  That product is one
 matrix product over every state and motion block of a block of states,
 with at least two rows, so that a lone state rounds as it does in any
-batch.  newton_euler projects every set onto every screw; the solver's
-model keeps, per link, the fold of only the sets of the joints it
-reaches, one set per joint, and each joint's screw meets its own set's
-wrench alone.  Gravity enters as an acceleration of the base frame.
+batch.  Joint j's torque comes from its own set, or from the one set
+every joint shares: link i's fold keeps only the sets of the joints it
+reaches, and each joint's screw meets its own set's wrench alone.
+Gravity enters as an acceleration of the base frame.
 The frames depend on q alone, so the evaluator runs several motion
 blocks over one configuration, and each link's rotation meets the joint
 screws and every block's motion in one product.  A batch runs the pass
@@ -51,8 +51,8 @@ SATURATED_DELTA = 1e9
 BLOCK_STATES = 512
 # most columns per matrix product of the pass (_link_screws): OpenBLAS
 # (0.3.31, SkylakeX kernels) rounds a product's columns past 192 by its
-# row count, so a wider link matrix is met in products of at most this
-# many columns, whose rows round alike at any row count
+# row count, so a wider link matrix (link 31 on, one set per joint) is
+# met in products of at most this many columns, rounding alike per row
 _PRODUCT_COLUMNS = 192
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
@@ -425,19 +425,24 @@ def _link_maps(chain: KinematicChain, K):
     return B
 
 
-def _folded_basis(chain: KinematicChain, Pi):
-    """_link_maps of the wrench basis folded with each link's S parameter
-    sets Pi (10n, S), K Pi_i: (F @ B[i])[..., 3:] is link i's wrench of
-    every set, [s*6:s*6+6] for set s.  One product folds all links."""
+def _folded_basis(chain: KinematicChain, Pi) -> tuple[np.ndarray, ...]:
+    """_link_maps of the wrench basis folded with parameter sets Pi, K Pi_i,
+    one matrix per link: Pi is (10n, n), set j for joint j, or (10n, 1),
+    one set for all, and link i keeps only the sets of joints 0..i, or the
+    one.  (F @ B[i])[..., 3:] is its wrench of each, [s*6:s*6+6] for set
+    s.  One product folds all links."""
     Pi = np.asarray(Pi, dtype=float)
     n = chain.n
-    if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n:
-        raise ValueError(f"Pi must be ({N_INERTIAL * n}, S)")
+    if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n \
+            or Pi.shape[1] not in (1, n):
+        raise ValueError(f"Pi must be ({N_INERTIAL * n}, {n}), a set per "
+                         f"joint, or ({N_INERTIAL * n}, 1); got {Pi.shape}")
     ns = Pi.shape[1]
     Pt = Pi.reshape(n, N_INERTIAL, ns).swapaxes(1, 2)  # (n, S, 10)
     KP = Pt @ _WRENCH_BASIS_BY_PARAMETER  # (n, S, 12*6)
-    return _link_maps(
+    B = _link_maps(
         chain, KP.reshape(n, ns, 12, 6).swapaxes(1, 2).reshape(n, 12, ns * 6))
+    return tuple(b[:, :9 + 6 * i].copy() for i, b in enumerate(B))
 
 
 def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
@@ -547,10 +552,11 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
 
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                  gravity=None) -> np.ndarray:
-    """Joint torques (..., M, n, S) of S inertial parameter sets, no friction.
+    """Joint torques (..., M, n) of inertial parameter sets, no friction.
 
-    Column s of Pi (10n, S) is a set in the DynamicParameters inertial
-    layout, physical or not; [..., s] equals rnea on it.  Q holds M
+    Pi is (10n, n), joint j's torque from set j, or (10n, 1), one set for
+    all; a set is in the DynamicParameters inertial layout, physical or
+    not, and joint j's torque equals rnea's on its set.  Q holds M
     configurations (M, n).  Qd and Qdd are (M, n) or add leading block
     axes, (..., M, n), and gravity is None (the chain's), a 3-vector, one
     per state (M, 3) or one per block and state (..., M, 3); the block
@@ -558,15 +564,14 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
     joint screws are built once for all blocks, and each configuration
     meets its blocks in one product.  The sets are folded once per call
     (_folded_basis), so one product per link of its twelve motion numbers
-    gives its origin acceleration and its wrench of every set; no unit
-    wrench is built.  That product is one matrix product over all the
-    states and blocks of a block of states, with at least two rows, whose
-    rows BLAS rounds alike at any row count.  Every set's wrench is
-    projected onto every joint screw, and those products are stacked per
-    configuration and block, so a state's torques do not depend on the
-    batch around it.  A caller that needs joint k's torque of set k alone
-    keeps a per-link fold of its sets and calls _folded_torques with
-    own=True.
+    gives its origin acceleration and its wrench of each set it keeps; no
+    unit wrench is built.  That product is one matrix product over all
+    the states and blocks of a block of states, with at least two rows,
+    whose rows BLAS rounds alike at any row count.  Each joint screw
+    meets its own set's wrench in one dot per state and block, so a
+    state's torques do not depend on the batch around it.  A caller that
+    evaluates one set of parameters many times keeps its fold and calls
+    _folded_torques.
 
     The pass runs over the batch BLOCK_STATES states at a time
     (_state_blocks), so its temporaries take the memory of one block, not
@@ -580,15 +585,12 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
                            gravity)
 
 
-def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
-                    own=False) -> np.ndarray:
-    """newton_euler of the sets folded into B (n, 12, 3 + S*6).
-
-    With own, B holds n sets, set k for joint k, and per link i only the
-    sets of the joints it reaches: B[i] is (12, 3 + 6(i+1)), sets 0..i.
-    The result is then (..., M, n), joint k's torque from set k alone:
-    link i's share of it is one dot of screw S_i[:, k] with set k's six
-    wrench numbers, and no other set's torque is formed.
+def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
+                    gravity=None) -> np.ndarray:
+    """newton_euler (..., M, n) of the sets folded per link into B
+    (_folded_basis): link i's share of joint k's torque is one dot of
+    screw S_i[:, k] with the six wrench numbers of set k, or of the
+    shared set, and no other set's torque is formed.
 
     The states come checked (_batch_states).  Qd or Qdd may also be a
     tuple of (M, n) motion blocks, which each block of states stacks at
@@ -600,7 +602,6 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
         *((len(x),) if isinstance(x, tuple) else x.shape[:-2]
           for x in (Qd, Qdd)), g.shape[:-2])
     nb = math.prod(lead)
-    sets = () if own else ((B.shape[-1] - 3) // 6,)
 
     def blocks(x):
         # beside their configuration, (M, nb, ...); broadcast only a shape
@@ -621,21 +622,19 @@ def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B, gravity=None,
     Qd, Qdd = blocks(Qd), blocks(Qdd)
     # one row for every state and block, or a row per state (M, nb, 3)
     g = g.reshape(1, 1, 3) if g.ndim == 1 else blocks(g)
-    tau = np.empty(lead + (M, n) + sets)
-    # tau with the motion blocks first, (nb, M, n[, S]), a view
-    out = tau.reshape((nb, M, n) + sets)
+    tau = np.empty(lead + (M, n))
+    # tau with the motion blocks first, (nb, M, n), a view
+    out = tau.reshape(nb, M, n)
     for rows in _state_blocks(M):
         m = len(Q[rows])
-        part = np.zeros((m, nb, n) + sets)
+        part = np.zeros((m, nb, n))
         for i, Si, W in _link_screws(chain, Q[rows], at(Qd, rows),
                                      at(Qdd, rows),
                                      g if len(g) == 1 else g[rows], B):
-            # set s's six wrench numbers in each block, a view of W
+            # each set's six wrench numbers in each block, a view of W;
+            # a shared set broadcasts over the screws
             w = W.reshape(m, nb, W.shape[-1] // 6, 6)
-            if own:
-                part[..., :i + 1] += np.vecdot(Si[:, None], w)
-            else:
-                part[:, :, :i + 1] += Si[:, None] @ w.swapaxes(-1, -2)
+            part[..., :i + 1] += np.vecdot(Si[:, None], w)
         out[:, rows] = part.swapaxes(0, 1)
         # views of this block's buffers; the next block makes its own
         del Si, W, w

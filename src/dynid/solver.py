@@ -5,8 +5,8 @@ terms (inertia, Coriolis, friction, gravity) from current-level dynamic
 coefficients, sigmoid friction, and drive gains, optionally augmented with
 a payload whose torque contribution is kept separate from the identified
 coefficients.  Every term is one batched Newton-Euler pass over the
-model's torque-level parameter sets, one per joint, that forms only what
-it returns: joint j's torque from set j alone, never the other sets'
+model's torque-level parameter sets, one per joint, on newton_euler's
+contract: joint j's torque from set j alone, never the other sets'
 torques at joint j.  The terms of torque_terms and the columns of inertia
 are motion blocks over one pass of the configurations.
 """
@@ -104,15 +104,13 @@ class IdentifiedModel:
 
     @cached_property
     def folded_sets(self) -> tuple[np.ndarray, ...]:
-        """torque_sets folded with the chain's origin maps, one matrix per
-        link (dynamics._folded_basis), each kept for the joints its link
-        reaches: link i feeds joints 0..i only, so its matrix holds sets
-        0..i, (12, 3 + 6(i+1))."""
+        """torque_sets folded with the chain's origin maps, one read-only
+        matrix per link (dynamics._folded_basis): link i feeds joints 0..i
+        only, so its matrix holds sets 0..i, (12, 3 + 6(i+1))."""
         B = _folded_basis(self.chain, self.torque_sets)
-        own = tuple(B[i, :, :3 + 6 * (i + 1)].copy() for i in range(self.n))
-        for b in own:
+        for b in B:
             b.flags.writeable = False
-        return own
+        return B
 
 
 def _require_complete(model: IdentifiedModel):
@@ -147,7 +145,7 @@ def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     _require_complete(model)
     Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
     tau = _folded_torques(model.chain, Q, Qd, Qdd, model.folded_sets,
-                          gravity, own=True)
+                          gravity)
     return tau[..., 0, :] if np.ndim(q) == 1 else tau
 
 
@@ -203,7 +201,7 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     g = np.array([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY])
     grav, inert, cor = _folded_torques(model.chain, Q, (z, z, Qd),
                                        (z, Qdd, z), model.folded_sets,
-                                       g[:, None], own=True)
+                                       g[:, None])
     terms = inert, cor, friction(model, Qd), grav
     return tuple(t[0] for t in terms) if np.ndim(q) == 1 else terms
 

@@ -25,8 +25,7 @@ def _own_joint_torques(map_, chain, chi, q, qd, qdd) -> np.ndarray:
     """Torque of joint j under its own block of chi, friction aside."""
     sets = map_.joint_sets(_chi_matrix(chi, map_.n))
     tau = newton_euler(chain, q, qd, qdd, sets)
-    j = np.arange(map_.n)
-    return tau[0, j, j] if np.ndim(q) == 1 else tau[:, j, j]
+    return tau[0] if np.ndim(q) == 1 else tau
 
 
 def predict_currents(map_, chain, chi, q, qd, qdd) -> np.ndarray:

@@ -12,7 +12,8 @@ the symmetric inertia basis, not from the package's constant wrench basis,
 so they are also the reference for the package's basis product.
 newton_euler_unfolded is the evaluator from before the parameter sets were
 folded into the wrench basis: it builds every link's unit wrenches, then
-sums them per set, the reference for dynamics.newton_euler.
+sums them per set, every set's torque at every joint; joint j's torque of
+set j, or of a lone set, is the reference for dynamics.newton_euler.
 """
 import numpy as np
 
@@ -115,8 +116,8 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
 
 def newton_euler_unfolded(chain: KinematicChain, Q, Qd, Qdd, Pi,
                           gravity=None) -> np.ndarray:
-    """Torques (..., M, n, S) in the layout of dynamics.newton_euler, from
-    each link's unit wrenches (M, B, 10, 6) summed per set, Pi_i^T @ B."""
+    """Torques (..., M, n, S) of every set at every joint, from each
+    link's unit wrenches (M, B, 10, 6) summed per set, Pi_i^T @ B."""
     Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
     M, n = Q.shape

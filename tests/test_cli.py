@@ -444,12 +444,25 @@ def test_validate_refuses_payload_runs(pipeline, capsys):
 
 
 def test_exit_code_unknown_group(pipeline, capsys):
-    rc = main(["identify", "gains", "--model", pipeline["model_fric"],
-               "--samples-a", pipeline["run_a"],
-               "--samples-b", pipeline["run_b"],
-               "--payload", pipeline["payload"], "--known", "mass,weight"])
-    assert rc == 1
-    assert "weight" in capsys.readouterr().err
+    # every --known the gain solve cannot use is one usage error, named
+    out = pipeline["dir"] / "known.ini"
+    capsys.readouterr()
+    for known, cause in (
+            ("", "no payload parameter group is named"),
+            ("com", "knowing the payload com requires its mass"),
+            ("mass,inertia",
+             "knowing the payload inertia requires mass and com"),
+            ("mass,weight", "unknown payload parameter group 'weight'")):
+        rc = main(["identify", "gains", "--model", pipeline["model_fric"],
+                   "--samples-a", pipeline["run_a"],
+                   "--samples-b", pipeline["run_b"],
+                   "--payload", pipeline["payload"], "--known", known,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, known
+        assert err.startswith(f"error=1 msg=--known {known!r}: {cause}; "), \
+            err
+        assert not os.path.exists(out), known
 
 
 def test_exit_code_missing_file(pipeline, capsys):

@@ -217,17 +217,17 @@ def _inertia(chain, links, q):
     # state k accelerates joint k alone: column k of M
     n = chain.n
     return newton_euler(chain, np.tile(q, (n, 1)), np.zeros((n, n)),
-                        np.eye(n), _set(links), gravity=NO_GRAVITY)[:, :, 0].T
+                        np.eye(n), _set(links), gravity=NO_GRAVITY).T
 
 
 def _coriolis(chain, links, q, qd):
     return newton_euler(chain, q, qd, np.zeros(chain.n), _set(links),
-                        gravity=NO_GRAVITY)[0, :, 0]
+                        gravity=NO_GRAVITY)[0]
 
 
 def _gravity(chain, links, q):
     z = np.zeros(chain.n)
-    return newton_euler(chain, q, z, z, _set(links))[0, :, 0]
+    return newton_euler(chain, q, z, z, _set(links))[0]
 
 
 def _close(x, ref):
@@ -460,6 +460,26 @@ def _random_batch(chain, m, sets, rng):
             rng.uniform(-2.0, 2.0, (10 * n, sets)))
 
 
+def _set_counts(chain):
+    # newton_euler's two shapes of Pi: one set per joint, or one shared
+    return st.sampled_from([1, chain.n])
+
+
+def _own_sets(tau):
+    """An all-sets result (..., n, S), S in {1, n}, read on newton_euler's
+    contract: joint j's torque of set j, or of the one set."""
+    j = np.arange(tau.shape[-2])
+    return tau[..., j, j % tau.shape[-1]]
+
+
+def _rnea_of_sets(chain, Pi, q, qd, qdd, g):
+    """rnea on every set of Pi, read on newton_euler's contract."""
+    n, state = chain.n, JointState(q=q, qd=qd, qdd=qdd)
+    return _own_sets(np.stack([rnea(chain, DynamicParameters.from_vector(
+        np.concatenate((p, np.zeros(3 * n))), n).links, state, gravity=g)
+        for p in Pi.T], axis=-1))
+
+
 def _gravity_rows(chain, mode, m, rng):
     """Per-state gravity of a mode and the newton_euler argument for it."""
     g_rows = np.tile(chain.gravity_vector, (m, 1))
@@ -477,23 +497,18 @@ def _gravity_rows(chain, mode, m, rng):
        gravity=st.sampled_from(["chain", "off", "per-state"]),
        data=st.data())
 def test_newton_euler_matches_rnea(seed, chain, gravity, data):
-    # S in 1..n+2; every set, state and gravity mode agrees with rnea to
+    # S = 1 or n; every set, state and gravity mode agrees with rnea to
     # c01's relative error 1e-9
     rng = np.random.default_rng(seed)
     n, m = chain.n, 5
-    sets = data.draw(st.integers(1, n + 2))
-    Q, Qd, Qdd, Pi = _random_batch(chain, m, sets, rng)
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                   rng)
     g_rows, arg = _gravity_rows(chain, gravity, m, rng)
     tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    assert tau.shape == (m, n, Pi.shape[1])
-    for s in range(Pi.shape[1]):
-        links = DynamicParameters.from_vector(
-            np.concatenate((Pi[:, s], np.zeros(3 * n))), n).links
-        for k in range(m):
-            ref = rnea(chain, links, JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k]),
-                       gravity=g_rows[k])
-            assert np.max(np.abs(tau[k, :, s] - ref) / (1.0 + np.abs(ref))) \
-                < 1e-9
+    assert tau.shape == (m, n)
+    for k in range(m):
+        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[k], Qdd[k], g_rows[k])
+        assert np.max(np.abs(tau[k] - ref) / (1.0 + np.abs(ref))) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -504,8 +519,8 @@ def test_newton_euler_matches_rnea(seed, chain, gravity, data):
 def test_newton_euler_single_state_is_its_batch_row(seed, m, chain, gravity,
                                                     data):
     rng = np.random.default_rng(seed)
-    sets = data.draw(st.integers(1, chain.n + 2))
-    Q, Qd, Qdd, Pi = _random_batch(chain, m, sets, rng)
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                   rng)
     g_rows, arg = _gravity_rows(chain, gravity, m, rng)
     row = data.draw(st.integers(0, m - 1))
     batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
@@ -548,26 +563,21 @@ def test_newton_euler_blocks_match_one_call_per_block(seed, m, chain, gravity,
     rng = np.random.default_rng(seed)
     nb = data.draw(st.integers(1, 4))
     shared_qd = data.draw(st.booleans())
-    Q, _, _, Pi = _random_batch(chain, m, data.draw(st.integers(1, 4)), rng)
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
     Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
     if shared_qd:
         Qd[:] = Qd[0]
     tau = newton_euler(chain, Q, Qd[0] if shared_qd else Qd, Qdd, Pi,
                        gravity=arg)
-    assert tau.shape == (nb, m, chain.n, Pi.shape[1])
+    assert tau.shape == (nb, m, chain.n)
     k = data.draw(st.integers(0, m - 1))
     for b in range(nb):
         one = newton_euler(chain, Q, Qd[b], Qdd[b], Pi, gravity=g_rows[b])
         assert np.max(np.abs(tau[b] - one) / (1.0 + np.abs(one))) < 1e-12
-        for s in range(Pi.shape[1]):
-            links = DynamicParameters.from_vector(
-                np.concatenate((Pi[:, s], np.zeros(3 * chain.n))),
-                chain.n).links
-            ref = rnea(chain, links, JointState(q=Q[k], qd=Qd[b, k],
-                                                qdd=Qdd[b, k]),
-                       gravity=g_rows[b, k])
-            assert np.max(np.abs(tau[b, k, :, s] - ref)
-                          / (1.0 + np.abs(ref))) < 1e-9
+        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[b, k], Qdd[b, k],
+                            g_rows[b, k])
+        assert np.max(np.abs(tau[b, k] - ref) / (1.0 + np.abs(ref))) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -578,7 +588,8 @@ def test_newton_euler_blocks_single_configuration_is_its_batch_row(
         seed, m, chain, gravity, data):
     rng = np.random.default_rng(seed)
     nb = data.draw(st.integers(1, 4))
-    Q, _, _, Pi = _random_batch(chain, m, data.draw(st.integers(1, 4)), rng)
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
     Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
     row = data.draw(st.integers(0, m - 1))
     batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
@@ -594,18 +605,19 @@ def test_newton_euler_blocks_single_configuration_is_its_batch_row(
        gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
 def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
     # the sets folded into the wrench basis agree with unit wrenches summed
-    # per set to relative 1e-12, for S in 1..n+2 and one or more blocks
+    # per set to relative 1e-12, for S = 1 or n and one or more blocks
     rng = np.random.default_rng(seed)
     nb = data.draw(st.integers(1, 4))
-    Q, _, _, Pi = _random_batch(chain, m, data.draw(
-        st.integers(1, chain.n + 2)), rng)
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
     Qd, Qdd, _, arg = _motion_blocks(chain, m, nb, gravity, rng)
     if nb == 1 and data.draw(st.booleans()):
         Qd, Qdd = Qd[0], Qdd[0]  # no block axis
     tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    ref = newton_euler_unfolded(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    ref = _own_sets(newton_euler_unfolded(chain, Q, Qd, Qdd, Pi,
+                                          gravity=arg))
     assert tau.shape == ref.shape
-    assert tau.shape[-3:] == (m, chain.n, Pi.shape[1])
+    assert tau.shape[-2:] == (m, chain.n)
     assert np.max(np.abs(tau - ref) / (1.0 + np.abs(ref))) < 1e-12
 
 
@@ -629,8 +641,8 @@ def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
     m = _across_block_edges(data, block)
     lead = data.draw(st.booleans())
     nb = data.draw(st.integers(1, 3)) if lead else 1
-    sets = data.draw(st.sampled_from([1, chain.n]))
-    Q, _, _, Pi = _random_batch(chain, m, sets, rng)
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
     Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
     if not lead:
         Qd, Qdd, g_rows = Qd[0], Qdd[0], g_rows[0]
@@ -638,7 +650,7 @@ def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "BLOCK_STATES", block)
         tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    assert tau.shape == Qd.shape[:-2] + (m, chain.n, sets)
+    assert tau.shape == Qd.shape[:-2] + (m, chain.n)
     for k in range(m):
         if lead:
             one = newton_euler(chain, Q[k], Qd[:, k:k + 1], Qdd[:, k:k + 1],
@@ -658,7 +670,7 @@ def test_newton_euler_empty_batch_keeps_its_shape(lead, sets):
     z = np.zeros((0, 6))
     tau = newton_euler(chain, z, np.zeros(lead + (0, 6)), z,
                        np.zeros((60, sets)))
-    assert tau.shape == lead + (0, 6, sets)
+    assert tau.shape == lead + (0, 6)
 
 
 @pytest.mark.parametrize("lead", [(), (2,)])
@@ -680,6 +692,14 @@ def test_non_finite_entry_in_a_later_block_names_its_batch_row(
 OFFSETS = KinematicChain(rows=(DhRow(0.4, 0.7, -0.2, 0.5),
                                DhRow(-0.3, -2.1, 0.15, -1.3),
                                DhRow(0.0, np.pi / 2, 0.25, 2.0)))
+
+
+# 32 joints, each with its own set: link 31's fold is 3 + 6 * 32 = 195
+# columns wide, the narrowest chain whose products split at
+# dynamics._PRODUCT_COLUMNS
+LONG = KinematicChain(rows=tuple(
+    DhRow(0.05 + 0.01 * (k % 5), (-1.0) ** k * (0.3 + 0.1 * (k % 3)),
+          0.02 * (k % 4), 0.1 * k) for k in range(32)))
 
 
 def _origin_offsets(chain):
@@ -817,17 +837,18 @@ def test_lone_state_rounds_as_its_batch_row(seed, chain, m, payload, data):
     rng = np.random.default_rng(seed)
     n = chain.n
     Q, Qd, Qdd, Pi = _random_batch(chain, m, n, rng)
-    # 3 + 6 * 40 columns: products split at dynamics._PRODUCT_COLUMNS
-    wide = rng.uniform(-2.0, 2.0, (10 * n, 40))
+    *long_states, long_sets = _random_batch(LONG, m, LONG.n, rng)
     model = _solver_model(chain, rng, payload)
 
-    def results(q, qd, qdd):
+    def results(rows):
+        q, qd, qdd = Q[rows], Qd[rows], Qdd[rows]
         batch = np.ndim(q) == 2
         Y = regressor_stack(chain, *(np.atleast_2d(x) for x in (q, qd, qdd)))
         return {"newton_euler, S = 1": newton_euler(chain, q, qd, qdd,
                                                    Pi[:, :1]),
                 "newton_euler, S = n": newton_euler(chain, q, qd, qdd, Pi),
-                "newton_euler, S = 40": newton_euler(chain, q, qd, qdd, wide),
+                "newton_euler, 32 joints, S = n": newton_euler(
+                    LONG, *(x[rows] for x in long_states), long_sets),
                 "regressor_stack": Y,
                 "regressor": Y if batch else regressor(
                     chain, JointState(q=q, qd=qd, qdd=qdd))[None],
@@ -837,9 +858,9 @@ def test_lone_state_rounds_as_its_batch_row(seed, chain, m, payload, data):
                 "gravity": gravity(model, q),
                 "coriolis_times_qd": coriolis_times_qd(model, q, qd)}
 
-    whole = results(Q, Qd, Qdd)
+    whole = results(slice(None))
     for k in (data.draw(st.integers(0, m - 2)), m - 1):
-        one = results(Q[k], Qd[k], Qdd[k])
+        one = results(k)
         assert [key for key, x in one.items() if x.tobytes()
                 != whole[key][k].tobytes()] == [], k
 
@@ -849,6 +870,11 @@ def test_newton_euler_shape_guards():
     z = np.zeros((2, 6))
     with pytest.raises(ValueError, match="Pi"):
         newton_euler(chain, z, z, z, np.zeros((59, 1)))
+    # one set per joint or one for all: two sets on six joints name both
+    for sets in (2, 7):
+        with pytest.raises(ValueError, match=re.escape(
+                "Pi must be (60, 6), a set per joint, or (60, 1)")):
+            newton_euler(chain, z, z, z, np.zeros((60, sets)))
     with pytest.raises(ValueError, match="joints"):
         newton_euler(chain, z[:, :5], z[:, :5], z[:, :5], np.zeros((60, 1)))
     with pytest.raises(ValueError, match=r"\(\.\.\., M, n\)"):

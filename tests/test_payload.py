@@ -25,13 +25,14 @@ def _random_links(n, rng):
 
 
 def _arm_and_payload(chain, links, pi_L, st):
-    # one newton_euler call on two sets: the arm, and pi_L alone on the
-    # last link; by linearity their sum is the loaded arm's torque
-    Pi = np.zeros((10 * chain.n, 2))
-    Pi[:, 0] = np.concatenate([lk.to_vector() for lk in links])
-    Pi[-10:, 1] = pi_L
-    tau = newton_euler(chain, *st.arrays(), Pi)[0]
-    return tau[:, 0], tau[:, 1]
+    # one newton_euler call per set, each shared by every joint: the arm,
+    # and pi_L alone on the last link; by linearity their sum is the
+    # loaded arm's torque
+    arm = np.concatenate([lk.to_vector() for lk in links])
+    load = np.zeros_like(arm)
+    load[-10:] = pi_L
+    return tuple(newton_euler(chain, *st.arrays(), Pi[:, None])[0]
+                 for Pi in (arm, load))
 
 
 def test_zero_mass_payload_vanishes():

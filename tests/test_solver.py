@@ -20,6 +20,7 @@ from dynid.solver import (IdentifiedModel, _rigid, configure_payload,
                           coriolis_times_qd, friction, gravity, inertia,
                           load_identified_model, save_identified_model,
                           torque, torque_terms)
+from regressor_oracle import newton_euler_unfolded
 
 TWO_LINK = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
                           gravity=(0.0, -9.80665, 0.0))
@@ -176,16 +177,13 @@ def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
     def raw(B):
         return b"".join(b.tobytes() for b in B)
 
-    def per_link(F):
-        return raw(F[i, :, :3 + 6 * (i + 1)] for i in range(len(F)))
-
-    assert raw(B) == per_link(fold(model.chain, model.torque_sets))
+    assert raw(B) == raw(fold(model.chain, model.torque_sets))
     loaded = configure_payload(model, PAY)
     torque(loaded, q, qd, qdd)
     assert calls == [(60, 6)] * 2
     assert raw(loaded.folded_sets) != raw(B)
     assert raw(loaded.folded_sets) \
-        == per_link(fold(loaded.chain, loaded.torque_sets))
+        == raw(fold(loaded.chain, loaded.torque_sets))
     assert raw(configure_payload(loaded, None).folded_sets) == raw(B)
 
 
@@ -334,9 +332,9 @@ def test_block_size_changes_no_solver_bit(ident_true, seed, block,
        with_payload=st.booleans())
 def test_own_sets_are_the_diagonal_of_every_set(ident_true, seed, m,
                                                 with_payload):
-    # the solver forms joint j's torque of set j alone; newton_euler forms
-    # every set's torque at every joint, and its diagonal is the same
-    # torque (the relation estimation_oracle._own_joint_torques uses)
+    # the solver forms joint j's torque of set j alone; the unfolded
+    # oracle forms every set's torque at every joint from unit wrenches,
+    # and its diagonal is the same torque
     model = configure_payload(ident_true, PAY) if with_payload else ident_true
     chain, Pi, n = model.chain, model.torque_sets, model.n
     q, qd, qdd = _random_states(np.random.default_rng(seed), m)
@@ -344,7 +342,7 @@ def test_own_sets_are_the_diagonal_of_every_set(ident_true, seed, m,
     j = np.arange(n)
 
     def diagonal(qd, qdd, g=None, q=q):
-        return dynamics.newton_euler(chain, q, qd, qdd, Pi, g)[..., j, j]
+        return newton_euler_unfolded(chain, q, qd, qdd, Pi, g)[..., j, j]
 
     inert, cor, _, grav = torque_terms(model, q, qd, qdd)
     pairs = {"torque": (torque(model, q, qd, qdd) - friction(model, qd),
