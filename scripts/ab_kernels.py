@@ -13,6 +13,9 @@ the machine's drift.  The kernels:
   ``solver.torque_terms`` of the exact UR10 model (the solver workload's
   batch, on ``random_trajectory(6, seed=3)``);
 - ``torque_1x250``: 250 single-state ``solver.torque`` calls back to back;
+- ``inertia_1x250`` and ``terms_1x250``: 250 single-state
+  ``solver.inertia`` and ``solver.torque_terms`` calls, each n or three
+  motion blocks over one configuration;
 - ``regressor_7500``: a 7500-state regressor pass, ``regressor_stack`` over
   ``BLOCK_STATES``-state blocks, as identification builds it;
 - ``simulate_7500``: ``dataio.simulate`` of the default plant over the same
@@ -81,6 +84,7 @@ def kernels(pkg):
                   for x in pkg.trajectory.evaluate(traj, t))
     Q, Qd, Qdd = q[:2500], qd[:2500], qdd[:2500]
     torque, terms = pkg.solver.torque, pkg.solver.torque_terms
+    inertia = pkg.solver.inertia
     regressor_stack = pkg.dynamics.regressor_stack
     block = pkg.dynamics.BLOCK_STATES
     plant = pkg.dataio.ur10_default_model()
@@ -88,6 +92,14 @@ def kernels(pkg):
     def torque_1x250():
         for k in range(250):
             torque(model, Q[k], Qd[k], Qdd[k])
+
+    def inertia_1x250():
+        for k in range(250):
+            inertia(model, Q[k])
+
+    def terms_1x250():
+        for k in range(250):
+            terms(model, Q[k], Qd[k], Qdd[k])
 
     def regressor_7500():
         for start in range(0, len(q), block):
@@ -97,6 +109,8 @@ def kernels(pkg):
     return {"torque_2500": lambda: torque(model, Q, Qd, Qdd),
             "terms_2500": lambda: terms(model, Q, Qd, Qdd),
             "torque_1x250": torque_1x250,
+            "inertia_1x250": inertia_1x250,
+            "terms_1x250": terms_1x250,
             "regressor_7500": regressor_7500,
             "simulate_7500": lambda: pkg.dataio.simulate(
                 plant, states=(t, q, qd))}

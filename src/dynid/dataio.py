@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_INERTIAL, FrictionSet, InertialParameters,
-                       friction_sigmoid, inertia_matrix_to_vector,
+                       fold_sets, friction_sigmoid, inertia_matrix_to_vector,
                        inertia_vector_to_matrix, newton_euler)
 from .kinematics import DhRow, KinematicChain
 from .payload import PayloadSpec, orthonormal, payload_to_frame_n
@@ -563,13 +563,17 @@ def simulate(model: RobotModel, traj: FourierTrajectory | None = None, *,
         t, q, qd, _ = sample_trajectory(traj, rate=rate, duration=duration)
     else:
         t, q, qd = (np.asarray(x, dtype=float) for x in states)
+        if t.ndim != 1 or len(t) < 2:
+            raise ValueError(f"states=(t, q, qd) has t of shape {t.shape}; "
+                             "need a count >= 2 of sample times")
     period = float(t[1] - t[0])
     qdd = differentiate(qd, period)
 
     pi_in = np.concatenate([lk.to_vector() for lk in model.links])
     if payload is not None:
         pi_in[-N_INERTIAL:] += payload_to_frame_n(payload)
-    tau = newton_euler(model.chain, q, qd, qdd, pi_in[:, None]) \
+    tau = newton_euler(model.chain, q, qd, qdd,
+                       fold_sets(model.chain, pi_in[:, None])) \
         + friction_sigmoid(model.friction, qd)
     v = tau / np.asarray(model.gains)
 

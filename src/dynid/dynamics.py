@@ -11,7 +11,7 @@ cross product with it is a constant map of the chain (KinematicChain.dh),
 and the link's origin acceleration is linear in the same twelve numbers.
 Both kernels fold that map and a wrench basis into one matrix per link:
 the regressor K itself, the evaluator its known parameter sets, K Pi_i
-(_folded_basis).  So one product per link gives the origin acceleration
+(fold_sets).  So one product per link gives the origin acceleration
 the next link needs and every wrench, which one shared pass projects onto
 the joint screws, carried outward link by link.  That product is one
 matrix product over every state and motion block of a block of states,
@@ -20,9 +20,11 @@ batch.  Joint j's torque comes from its own set, or from the one set
 every joint shares: link i's fold keeps only the sets of the joints it
 reaches, and each joint's screw meets its own set's wrench alone.
 Gravity enters as an acceleration of the base frame.
-The frames depend on q alone, so the evaluator runs several motion
-blocks over one configuration, and each link's rotation meets the joint
-screws and every block's motion in one product.  A batch runs the pass
+Every torque of known parameters is one newton_euler call on a fold the
+caller keeps.  The frames depend on q alone, so the evaluator runs a
+tuple of motion blocks over one configuration, with gravity per block,
+and each link's rotation meets the joint screws and every block's motion
+in one product.  A batch runs the pass
 in blocks of BLOCK_STATES states, so the pass's memory does not grow
 with the batch.
 
@@ -34,7 +36,6 @@ direction-change transition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,7 +293,6 @@ def rnea(chain: KinematicChain, links, state: JointState,
     if len(links) != n:
         raise ValueError(f"expected {n} links, got {len(links)}")
     q, qd, qdd = state.arrays()
-    chain.check_q(q)
     g = chain.gravity_vector if gravity is None else np.asarray(gravity, dtype=float)
 
     R, p = local_frames(chain, q)
@@ -425,12 +425,14 @@ def _link_maps(chain: KinematicChain, K):
     return B
 
 
-def _folded_basis(chain: KinematicChain, Pi) -> tuple[np.ndarray, ...]:
-    """_link_maps of the wrench basis folded with parameter sets Pi, K Pi_i,
-    one matrix per link: Pi is (10n, n), set j for joint j, or (10n, 1),
-    one set for all, and link i keeps only the sets of joints 0..i, or the
-    one.  (F @ B[i])[..., 3:] is its wrench of each, [s*6:s*6+6] for set
-    s.  One product folds all links."""
+def fold_sets(chain: KinematicChain, Pi) -> tuple[np.ndarray, ...]:
+    """Inertial parameter sets Pi folded into the wrench basis, K Pi_i, one
+    matrix per link (_link_maps): the sets newton_euler evaluates.  Pi is
+    (10n, n), set j for joint j, or (10n, 1), one set for all, in the
+    DynamicParameters inertial layout, physical or not.  Link i keeps only
+    the sets of joints 0..i, or the one, so its matrix is (12, 9 + 6i) or
+    (12, 9); (F @ B[i])[..., 3:] is its wrench of each, [s*6:s*6+6] for
+    set s.  One product folds all links."""
     Pi = np.asarray(Pi, dtype=float)
     n = chain.n
     if Pi.ndim != 2 or Pi.shape[0] != N_INERTIAL * n \
@@ -445,23 +447,44 @@ def _folded_basis(chain: KinematicChain, Pi) -> tuple[np.ndarray, ...]:
     return tuple(b[:, :9 + 6 * i].copy() for i, b in enumerate(B))
 
 
-def _batch_states(chain: KinematicChain, Q, Qd, Qdd):
-    """Q as (M, n) configurations, Qd and Qdd as (..., M, n) motion blocks
-    over them; one state may come as (n,) vectors.  A non-finite entry
-    raises, naming its array, row and column."""
-    Q, Qd, Qdd = (np.atleast_2d(np.asarray(x, dtype=float))
-                  for x in (Q, Qd, Qdd))
-    if Q.ndim != 2 or Qd.shape[-2:] != Q.shape or Qdd.shape[-2:] != Q.shape:
-        raise ValueError(f"Q must be (M, n) and Qd, Qdd (..., M, n); got "
-                         f"{Q.shape}, {Qd.shape}, {Qdd.shape}")
+def _motion_blocks(chain: KinematicChain, Q, Qd, Qdd):
+    """Q as (M, n) configurations and Qd, Qdd as equal tuples of (M, n)
+    motion blocks over them: two arrays that are not tuples are one block
+    each, and one state may come as (n,) vectors.  A wrong shape raises
+    naming the shapes, and a non-finite entry its array, row and column."""
+    blocks = isinstance(Qd, tuple)
+    if blocks != isinstance(Qdd, tuple) \
+            or blocks and not 0 < len(Qd) == len(Qdd):
+        counts = [len(x) if isinstance(x, tuple) else "an array"
+                  for x in (Qd, Qdd)]
+        raise ValueError("qd and qdd must be two arrays or two tuples of as "
+                         f"many blocks, one or more; got {counts[0]} and "
+                         f"{counts[1]}")
+    if not blocks:
+        Qd, Qdd = (Qd,), (Qdd,)
+
+    def state(x):
+        x = np.asarray(x, dtype=float)
+        return x[None] if x.ndim == 1 else x
+
+    Q = state(Q)
+    if Q.ndim != 2:
+        raise ValueError(f"q must be (M, n) or (n,); got {Q.shape}")
+    Qd, Qdd = (tuple(map(state, x)) for x in (Qd, Qdd))
+    for name, x in (("qd", Qd), ("qdd", Qdd)):
+        for b in x:
+            if b.shape != Q.shape:
+                raise ValueError("q, qd and qdd must be states of one shape, "
+                                 f"(M, n) or (n,); got q {Q.shape}, {name} "
+                                 f"{b.shape}")
     if Q.shape[1] != chain.n:
         raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
-    for name, x in (("q", Q), ("qd", Qd), ("qdd", Qdd)):
-        if not np.isfinite(x).all():
-            *block, row, col = np.argwhere(~np.isfinite(x))[0]
-            at = f"block {tuple(map(int, block))}, " if block else ""
-            raise ValueError(f"{name} is not finite at {at}row {row}, "
-                             f"column {col}")
+    for name, x in (("q", (Q,)), ("qd", Qd), ("qdd", Qdd)):
+        for b in x:
+            if not np.isfinite(b).all():
+                row, col = np.argwhere(~np.isfinite(b))[0]
+                raise ValueError(f"{name} is not finite at row {row}, "
+                                 f"column {col}")
     return Q, Qd, Qdd
 
 
@@ -493,8 +516,8 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
     The next step overwrites S_i and W_i.
 
     The frames depend on Q (M, n) alone and are built once; the forward
-    recursion runs on every block of Qd, Qdd (M, nb, n) and gravity, which
-    broadcasts to (M, nb, 3).  Each configuration's rotation into frame i
+    recursion runs on every block of Qd, Qdd (M, nb, n) and gravity, (3,)
+    or one per block (nb, 3).  Each configuration's rotation into frame i
     meets, in one product, its blocks' angular velocity, angular
     acceleration and the parent's origin acceleration, as rows in the
     parent frame, and the screws of joints 0..i.  Moving the screws'
@@ -550,95 +573,56 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         yield i, Si, G[..., 3:]
 
 
-def newton_euler(chain: KinematicChain, Q, Qd, Qdd, Pi,
+def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
                  gravity=None) -> np.ndarray:
-    """Joint torques (..., M, n) of inertial parameter sets, no friction.
+    """Joint torques of folded inertial parameter sets, no friction.
 
-    Pi is (10n, n), joint j's torque from set j, or (10n, 1), one set for
-    all; a set is in the DynamicParameters inertial layout, physical or
-    not, and joint j's torque equals rnea's on its set.  Q holds M
-    configurations (M, n).  Qd and Qdd are (M, n) or add leading block
-    axes, (..., M, n), and gravity is None (the chain's), a 3-vector, one
-    per state (M, 3) or one per block and state (..., M, 3); the block
-    axes broadcast, and a 3-vector enters the pass as one row.  Frames and
-    joint screws are built once for all blocks, and each configuration
-    meets its blocks in one product.  The sets are folded once per call
-    (_folded_basis), so one product per link of its twelve motion numbers
-    gives its origin acceleration and its wrench of each set it keeps; no
-    unit wrench is built.  That product is one matrix product over all
-    the states and blocks of a block of states, with at least two rows,
-    whose rows BLAS rounds alike at any row count.  Each joint screw
-    meets its own set's wrench in one dot per state and block, so a
-    state's torques do not depend on the batch around it.  A caller that
-    evaluates one set of parameters many times keeps its fold and calls
-    _folded_torques.
+    sets is fold_sets(chain, Pi): joint j's torque comes from set j of Pi,
+    or from its one set, and equals rnea's on that set.  A caller that
+    evaluates one Pi many times keeps its fold.  Q holds M configurations,
+    (M, n), or one, (n,).  Qd and Qdd are arrays of Q's shape, and the
+    torques are (M, n); or they are tuples of as many such motion blocks
+    over the configurations, and the torques are (nb, M, n).  gravity is
+    None (the chain's), a 3-vector, or one 3-vector per block, (nb, 3).
 
-    The pass runs over the batch BLOCK_STATES states at a time
-    (_state_blocks), so its temporaries take the memory of one block, not
-    of the batch; each block's torques go straight into their rows of the
-    result, which is allocated once.  The batch is checked whole first,
-    so an error names its row in the batch, and every block size gives
-    the same bits.
+    Frames and joint screws are built once for all blocks (_link_screws).
+    Link i's share of joint k's torque is one dot of screw k with the six
+    wrench numbers of set k, or of the shared set: no other set's torque
+    and no unit wrench is formed, and a state's torques do not depend on
+    the batch around it.  The pass runs BLOCK_STATES states at a time
+    (_state_blocks), so its temporaries take the memory of one block:
+    each block of states stacks its own rows of the motion blocks, and
+    its torques go straight into their rows of the result.  The batch is
+    checked whole first (_motion_blocks), so an error names its row in
+    the batch, and every block size gives the same bits.
     """
-    B = _folded_basis(chain, Pi)
-    return _folded_torques(chain, *_batch_states(chain, Q, Qd, Qdd), B,
-                           gravity)
-
-
-def _folded_torques(chain: KinematicChain, Q, Qd, Qdd, B,
-                    gravity=None) -> np.ndarray:
-    """newton_euler (..., M, n) of the sets folded per link into B
-    (_folded_basis): link i's share of joint k's torque is one dot of
-    screw S_i[:, k] with the six wrench numbers of set k, or of the
-    shared set, and no other set's torque is formed.
-
-    The states come checked (_batch_states).  Qd or Qdd may also be a
-    tuple of (M, n) motion blocks, which each block of states stacks at
-    its own rows: torque_terms' blocks are mostly at rest, and stacked
-    whole they would be copies the size of the batch."""
-    M, n = Q.shape
+    blocks = isinstance(Qd, tuple)
+    Q, Qd, Qdd = _motion_blocks(chain, Q, Qd, Qdd)
+    (M, n), nb = Q.shape, len(Qd)
     g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
-    lead = np.broadcast_shapes(
-        *((len(x),) if isinstance(x, tuple) else x.shape[:-2]
-          for x in (Qd, Qdd)), g.shape[:-2])
-    nb = math.prod(lead)
-
-    def blocks(x):
-        # beside their configuration, (M, nb, ...); broadcast only a shape
-        # that differs, as each broadcast_to adds microseconds to one state
-        if isinstance(x, tuple):
-            return x
-        shape = lead + (M, x.shape[-1])
-        if x.shape != shape:
-            x = np.broadcast_to(x, shape)
-        return x.reshape(nb, M, shape[-1]).swapaxes(0, 1)
-
-    def at(x, rows):
-        # the blocks at these rows, (m, nb, ...)
-        if isinstance(x, tuple):
-            return np.stack([b[rows] for b in x], axis=1)
-        return x[rows]
-
-    Qd, Qdd = blocks(Qd), blocks(Qdd)
-    # one row for every state and block, or a row per state (M, nb, 3)
-    g = g.reshape(1, 1, 3) if g.ndim == 1 else blocks(g)
-    tau = np.empty(lead + (M, n))
-    # tau with the motion blocks first, (nb, M, n), a view
-    out = tau.reshape(nb, M, n)
+    if g.shape not in ((3,), (nb, 3)):
+        raise ValueError(f"gravity must be (3,) or ({nb}, 3), one per "
+                         f"motion block; got {g.shape}")
+    tau = np.empty((nb, M, n))
     for rows in _state_blocks(M):
         m = len(Q[rows])
+        # the motion blocks beside their configuration, (m, nb, n); a lone
+        # block is a view
+        Qd_rows, Qdd_rows = (
+            x[0][rows, None] if nb == 1 else np.concatenate(
+                [b[rows] for b in x], axis=1).reshape(m, nb, n)
+            for x in (Qd, Qdd))
         part = np.zeros((m, nb, n))
-        for i, Si, W in _link_screws(chain, Q[rows], at(Qd, rows),
-                                     at(Qdd, rows),
-                                     g if len(g) == 1 else g[rows], B):
+        for i, Si, W in _link_screws(chain, Q[rows], Qd_rows, Qdd_rows, g,
+                                     sets):
             # each set's six wrench numbers in each block, a view of W;
             # a shared set broadcasts over the screws
             w = W.reshape(m, nb, W.shape[-1] // 6, 6)
             part[..., :i + 1] += np.vecdot(Si[:, None], w)
-        out[:, rows] = part.swapaxes(0, 1)
+        tau[:, rows] = part.swapaxes(0, 1)
         # views of this block's buffers; the next block makes its own
         del Si, W, w
-    return tau
+    return tau if blocks else tau[0]
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
@@ -651,9 +635,7 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     block is one product of the joint screws with its unit wrenches (the
     pass on _link_maps of K), and exactly zero in rows past i.
     """
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
-    if Qd.ndim != 2 or Qdd.ndim != 2:
-        raise ValueError("regressor_stack takes Q, Qd, Qdd of one shape")
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
     M, n = Q.shape
     Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
     for i, Si, W in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],

@@ -678,20 +678,29 @@ class GainEstimate:
     active base columns; unknown payload parameters over the gain; gain
     reciprocal], with zeros on coordinates the solve regrouped away;
     identifiable_mask marks the surviving coordinates, full_rank whether
-    that is all of them.  bounds is (GAIN_LOWER, inf) per joint; bounded,
-    all False, stays for perfbench/spans.py.  irls_iterations and
+    that is all of them.  bounds is (GAIN_LOWER, inf) per joint, and
+    bounded, all False, stays for perfbench/spans.py.  irls_iterations and
     irls_converged record each joint's robust-weight iteration.
     """
 
     gains: np.ndarray
     zeta: tuple[np.ndarray, ...]
     identifiable_mask: tuple[np.ndarray, ...]
-    bounds: tuple[tuple[float, float], ...]
-    full_rank: tuple[bool, ...]
-    bounded: tuple[bool, ...]
     n_unknown: int
     irls_iterations: tuple[int, ...] = ()
     irls_converged: tuple[bool, ...] = ()
+
+    @property
+    def full_rank(self) -> tuple[bool, ...]:
+        return tuple(bool(mask.all()) for mask in self.identifiable_mask)
+
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return ((GAIN_LOWER, np.inf),) * len(self.gains)
+
+    @property
+    def bounded(self) -> tuple[bool, ...]:
+        return (False,) * len(self.gains)
 
 
 def _gain_stack(Aa, Bb, kmask, pi_k, label) -> np.ndarray:
@@ -843,9 +852,6 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     return GainEstimate(gains=_checked_gains([f.coef[-1] for f in fits]),
                         zeta=tuple(f.coef for f in fits),
                         identifiable_mask=tuple(f.independent for f in fits),
-                        bounds=((GAIN_LOWER, np.inf),) * n,
-                        full_rank=tuple(bool(f.independent.all())
-                                        for f in fits),
-                        bounded=(False,) * n, n_unknown=n_unknown,
+                        n_unknown=n_unknown,
                         irls_iterations=tuple(f.iterations for f in fits),
                         irls_converged=tuple(f.converged for f in fits))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       _batch_states, _state_blocks, regressor_stack)
+                       _motion_blocks, _state_blocks, regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -293,7 +293,7 @@ def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
     """
     if chain.n != map_.n:
         raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
     for rows in _state_blocks(len(Q)):
         use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
 

@@ -4,11 +4,12 @@ The solver evaluates joint torques and the classical equation-of-motion
 terms (inertia, Coriolis, friction, gravity) from current-level dynamic
 coefficients, sigmoid friction, and drive gains, optionally augmented with
 a payload whose torque contribution is kept separate from the identified
-coefficients.  Every term is one batched Newton-Euler pass over the
-model's torque-level parameter sets, one per joint, on newton_euler's
-contract: joint j's torque from set j alone, never the other sets'
-torques at joint j.  The terms of torque_terms and the columns of inertia
-are motion blocks over one pass of the configurations.
+coefficients.  Every term is one newton_euler call on the fold of the
+model's torque-level parameter sets, one per joint, that the model keeps
+(IdentifiedModel.folded_sets): joint j's torque comes from set j alone,
+never from the other sets' torques at joint j.  The terms of torque_terms
+and the columns of inertia are tuples of motion blocks, with gravity per
+block, over one pass of the configurations.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, FrictionSet, _batch_states,
-                       _folded_basis, _folded_torques, friction_sigmoid)
+from .dynamics import (N_INERTIAL, FrictionSet, fold_sets, friction_sigmoid,
+                       newton_euler)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
@@ -104,10 +105,10 @@ class IdentifiedModel:
 
     @cached_property
     def folded_sets(self) -> tuple[np.ndarray, ...]:
-        """torque_sets folded with the chain's origin maps, one read-only
-        matrix per link (dynamics._folded_basis): link i feeds joints 0..i
-        only, so its matrix holds sets 0..i, (12, 3 + 6(i+1))."""
-        B = _folded_basis(self.chain, self.torque_sets)
+        """torque_sets folded for newton_euler, one read-only matrix per
+        link (dynamics.fold_sets): link i feeds joints 0..i only, so its
+        matrix holds sets 0..i, (12, 3 + 6(i+1))."""
+        B = fold_sets(self.chain, self.torque_sets)
         for b in B:
             b.flags.writeable = False
         return B
@@ -141,17 +142,18 @@ def configure_payload(model: IdentifiedModel,
 def _rigid(model: IdentifiedModel, q, qd, qdd, gravity=None) -> np.ndarray:
     """Torques of the rigid-body part (no friction): arm plus payload,
     joint j's from torque set j alone.  (M, n), or (n,) for one state q;
-    qd, qdd and gravity may add leading block axes (see newton_euler)."""
+    qd and qdd may be tuples of motion blocks, with gravity per block
+    (see newton_euler)."""
     _require_complete(model)
-    Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
-    tau = _folded_torques(model.chain, Q, Qd, Qdd, model.folded_sets,
-                          gravity)
+    tau = newton_euler(model.chain, q, qd, qdd, model.folded_sets, gravity)
     return tau[..., 0, :] if np.ndim(q) == 1 else tau
 
 
 def torque(model: IdentifiedModel, q, qd, qdd) -> np.ndarray:
     """Joint torques for one state or a batch of states."""
-    return _rigid(model, q, qd, qdd) + friction(model, qd)
+    qd = np.asarray(qd, dtype=float)
+    return _rigid(model, q, qd, np.asarray(qdd, dtype=float)) \
+        + friction(model, qd)
 
 
 def friction(model: IdentifiedModel, qd) -> np.ndarray:
@@ -174,12 +176,14 @@ def inertia(model: IdentifiedModel, q) -> np.ndarray:
         raise ValueError("inertia takes a single configuration")
     n = model.n
     # block k accelerates joint k alone, gravity off: column k of M
-    return _rigid(model, q, np.zeros(n), np.eye(n)[:, None], _NO_GRAVITY).T
+    return _rigid(model, q, (np.zeros(n),) * n, tuple(np.eye(n)),
+                  _NO_GRAVITY).T
 
 
 def coriolis_times_qd(model: IdentifiedModel, q, qd) -> np.ndarray:
     """Velocity-product torques C(q, qd) qd."""
-    return _rigid(model, q, qd, np.zeros(np.shape(qd)), _NO_GRAVITY)
+    qd = np.asarray(qd, dtype=float)
+    return _rigid(model, q, qd, np.zeros(qd.shape), _NO_GRAVITY)
 
 
 def torque_terms(model: IdentifiedModel, q, qd, qdd):
@@ -190,19 +194,17 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
     the same states.  The three rigid terms are three motion blocks over
     one set of configurations, so frames and joint screws are built once.
     """
-    Q, Qd, Qdd = _batch_states(model.chain, q, qd, qdd)
-    if Qd.ndim != 2 or Qdd.ndim != 2:
+    if np.ndim(qd) > 2 or np.ndim(qdd) > 2:
         raise ValueError("torque_terms takes states (M, n) or (n,)")
     _require_complete(model)
-    z = np.broadcast_to(0.0, Q.shape)  # no memory of its own
+    z = np.broadcast_to(0.0, np.shape(q))  # no memory of its own
     # gravity alone, then acceleration alone and velocity alone, gravity
     # off: motion blocks given one by one, so that each block of states
     # stacks its own rows of them
     g = np.array([model.chain.gravity_vector, _NO_GRAVITY, _NO_GRAVITY])
-    grav, inert, cor = _folded_torques(model.chain, Q, (z, z, Qd),
-                                       (z, Qdd, z), model.folded_sets,
-                                       g[:, None])
-    terms = inert, cor, friction(model, Qd), grav
+    grav, inert, cor = newton_euler(model.chain, q, (z, z, qd), (z, qdd, z),
+                                    model.folded_sets, g)
+    terms = inert, cor, friction(model, np.atleast_2d(qd)), grav
     return tuple(t[0] for t in terms) if np.ndim(q) == 1 else terms
 
 

@@ -13,7 +13,8 @@ with (f_o, f_v, f_c) projected out.
 import numpy as np
 
 from dynid import estimation
-from dynid.dynamics import friction_linear, newton_euler, sigmoid
+from dynid.dynamics import (fold_sets, friction_linear, newton_euler,
+                            sigmoid)
 from dynid.estimation import _canonical, _chi_matrix, _lstsq
 
 LM_MAX_ITER = 200
@@ -24,7 +25,7 @@ LM_GTOL = 1e-12
 def _own_joint_torques(map_, chain, chi, q, qd, qdd) -> np.ndarray:
     """Torque of joint j under its own block of chi, friction aside."""
     sets = map_.joint_sets(_chi_matrix(chi, map_.n))
-    tau = newton_euler(chain, q, qd, qdd, sets)
+    tau = newton_euler(chain, q, qd, qdd, fold_sets(chain, sets))
     return tau[0] if np.ndim(q) == 1 else tau
 
 

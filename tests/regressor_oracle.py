@@ -18,7 +18,7 @@ set j, or of a lone set, is the reference for dynamics.newton_euler.
 import numpy as np
 
 from dynid.dynamics import (N_FRICTION, N_INERTIAL, _I_PAIRS, _WRENCH_BASIS,
-                            _batch_states, _link_maps, _link_screws)
+                            _link_maps, _link_screws, _motion_blocks)
 from dynid.kinematics import KinematicChain, local_frames
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -86,7 +86,7 @@ def forward_recursion(chain: KinematicChain, R, p, Qd, Qdd):
 
 def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     """Regressor (M, n, 13n) in the layout of dynamics.regressor_stack."""
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
     M, n = Q.shape
 
     # frames and origin offsets per state, from the scalar local_frames
@@ -116,16 +116,16 @@ def regressor_stack_sweep(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
 
 def newton_euler_unfolded(chain: KinematicChain, Q, Qd, Qdd, Pi,
                           gravity=None) -> np.ndarray:
-    """Torques (..., M, n, S) of every set at every joint, from each
-    link's unit wrenches (M, B, 10, 6) summed per set, Pi_i^T @ B."""
-    Q, Qd, Qdd = _batch_states(chain, Q, Qd, Qdd)
+    """Torques of every set at every joint, (M, n, S), or (nb, M, n, S)
+    for tuples of nb motion blocks, from each link's unit wrenches
+    (M, nb, 10, 6) summed per set, Pi_i^T @ B; the arguments are
+    newton_euler's, with Pi unfolded."""
+    blocks = isinstance(Qd, tuple)
+    Q, Qd, Qdd = _motion_blocks(chain, Q, Qd, Qdd)
     Pi = np.asarray(Pi, dtype=float)
     M, n = Q.shape
-    g = np.asarray(chain.gravity if gravity is None else gravity, dtype=float)
-    lead = np.broadcast_shapes(Qd.shape[:-2], Qdd.shape[:-2], g.shape[:-2])
-    Qd, Qdd, g = (np.broadcast_to(x, lead + (M, x.shape[-1]))
-                  .reshape(-1, M, x.shape[-1]).swapaxes(0, 1)
-                  for x in (Qd, Qdd, g))
+    g = chain.gravity_vector if gravity is None else np.asarray(gravity)
+    Qd, Qdd = (np.stack(x, axis=1) for x in (Qd, Qdd))
     nb, ns = Qd.shape[1], Pi.shape[1]
     tau = np.zeros((M, n, nb * ns))
     for i, Si, W in _link_screws(chain, Q, Qd, Qdd, g,
@@ -133,5 +133,5 @@ def newton_euler_unfolded(chain: KinematicChain, Q, Qd, Qdd, Pi,
         unit = W.reshape(M, nb, N_INERTIAL, 6)
         w = Pi[N_INERTIAL * i:N_INERTIAL * (i + 1)].T @ unit
         tau[:, :i + 1] += Si @ w.reshape(M, nb * ns, 6).swapaxes(1, 2)
-    return tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3).reshape(
-        lead + (M, n, ns))
+    tau = tau.reshape(M, n, nb, ns).transpose(2, 0, 1, 3)
+    return tau if blocks else tau[0]

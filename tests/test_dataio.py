@@ -538,3 +538,13 @@ def test_simulate_exactly_one_source(plant):
         simulate(plant, traj, states=states, duration=2.0)
     with pytest.raises(ValueError):
         simulate(plant)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_simulate_names_too_few_states(plant, m):
+    # one sample has no sampling period: a ValueError naming t's shape,
+    # not an IndexError from reading its second time
+    states = (np.arange(m) / 125.0, np.zeros((m, 6)), np.zeros((m, 6)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"t of shape ({m},); need a count >= 2")):
+        simulate(plant, states=states)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from dynid import dynamics
 from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
                             FrictionSet, InertialParameters, JointState,
-                            _link_maps, _motion_numbers, friction_linear,
-                            friction_sigmoid, newton_euler, regressor,
-                            regressor_stack, rnea, sigmoid)
+                            _link_maps, _motion_numbers, fold_sets,
+                            friction_linear, friction_sigmoid, newton_euler,
+                            regressor, regressor_stack, rnea, sigmoid)
 from dynid.kinematics import (DhRow, KinematicChain, local_frames,
                               local_frames_batch, ur10_chain)
 from dynid.payload import PayloadSpec
@@ -203,31 +203,32 @@ def test_rnea_matches_lagrangian_oracle():
 
 # ---------------------------------------------------------------------------
 # equation-of-motion terms, evaluated as the solver evaluates them: one
-# newton_euler call, unit-acceleration states with gravity off for M(q) and
+# newton_euler call, unit-acceleration blocks with gravity off for M(q) and
 # gravity off for c(q, qd); rnea is the reference
 
 NO_GRAVITY = (0.0, 0.0, 0.0)
 
 
-def _set(links):
-    return np.concatenate([lk.to_vector() for lk in links])[:, None]
+def _fold(chain, links):
+    return fold_sets(chain, np.concatenate([lk.to_vector()
+                                            for lk in links])[:, None])
 
 
 def _inertia(chain, links, q):
-    # state k accelerates joint k alone: column k of M
+    # block k accelerates joint k alone: column k of M
     n = chain.n
-    return newton_euler(chain, np.tile(q, (n, 1)), np.zeros((n, n)),
-                        np.eye(n), _set(links), gravity=NO_GRAVITY).T
+    return newton_euler(chain, q, (np.zeros(n),) * n, tuple(np.eye(n)),
+                        _fold(chain, links), gravity=NO_GRAVITY)[:, 0].T
 
 
 def _coriolis(chain, links, q, qd):
-    return newton_euler(chain, q, qd, np.zeros(chain.n), _set(links),
+    return newton_euler(chain, q, qd, np.zeros(chain.n), _fold(chain, links),
                         gravity=NO_GRAVITY)[0]
 
 
 def _gravity(chain, links, q):
     z = np.zeros(chain.n)
-    return newton_euler(chain, q, z, z, _set(links))[0]
+    return newton_euler(chain, q, z, z, _fold(chain, links))[0]
 
 
 def _close(x, ref):
@@ -480,22 +481,27 @@ def _rnea_of_sets(chain, Pi, q, qd, qdd, g):
         for p in Pi.T], axis=-1))
 
 
-def _gravity_rows(chain, mode, m, rng):
-    """Per-state gravity of a mode and the newton_euler argument for it."""
-    g_rows = np.tile(chain.gravity_vector, (m, 1))
+def _gravities(chain, mode, nb, rng):
+    """The gravity of each of nb motion blocks in a mode, (nb, 3), and the
+    newton_euler argument for it."""
+    g_rows = np.tile(chain.gravity_vector, (nb, 1))
     if mode == "off":
         g_rows[:] = 0.0
-    elif mode == "per-state":
-        g_rows[rng.random(m) < 0.5] = 0.0
+    elif mode == "per-block":
+        g_rows[rng.random(nb) < 0.5] = 0.0
     return g_rows, {"chain": None, "off": (0.0, 0.0, 0.0),
-                    "per-state": g_rows}[mode]
+                    "per-block": g_rows}[mode]
+
+
+# gravity from the chain, off, or given per motion block, (nb, 3); one
+# plain block takes a (1, 3) gravity
+_GRAVITY = ["chain", "off", "per-block"]
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(["chain", "off", "per-state"]),
-       data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_matches_rnea(seed, chain, gravity, data):
     # S = 1 or n; every set, state and gravity mode agrees with rnea to
     # c01's relative error 1e-9
@@ -503,98 +509,85 @@ def test_newton_euler_matches_rnea(seed, chain, gravity, data):
     n, m = chain.n, 5
     Q, Qd, Qdd, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                    rng)
-    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
-    tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+    g_rows, arg = _gravities(chain, gravity, 1, rng)
+    tau = newton_euler(chain, Q, Qd, Qdd, fold_sets(chain, Pi), gravity=arg)
     assert tau.shape == (m, n)
     for k in range(m):
-        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[k], Qdd[k], g_rows[k])
+        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[k], Qdd[k], g_rows[0])
         assert np.max(np.abs(tau[k] - ref) / (1.0 + np.abs(ref))) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(["chain", "off", "per-state"]),
-       data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_single_state_is_its_batch_row(seed, m, chain, gravity,
                                                     data):
     rng = np.random.default_rng(seed)
     Q, Qd, Qdd, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                    rng)
-    g_rows, arg = _gravity_rows(chain, gravity, m, rng)
+    _, arg = _gravities(chain, gravity, 1, rng)
     row = data.draw(st.integers(0, m - 1))
-    batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    one = newton_euler(chain, Q[row], Qd[row], Qdd[row], Pi,
-                       gravity=g_rows[row])
+    sets = fold_sets(chain, Pi)
+    batch = newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg)
+    one = newton_euler(chain, Q[row], Qd[row], Qdd[row], sets, gravity=arg)
     assert one.shape == (1,) + batch.shape[1:]
     assert one[0].tobytes() == batch[row].tobytes()
 
 
-def _motion_blocks(chain, m, nb, mode, rng):
-    """nb blocks of velocities and accelerations over m configurations, the
-    gravity of each block and state, and the newton_euler argument for it."""
+def _random_blocks(chain, m, nb, mode, rng):
+    """nb blocks of velocities and accelerations over m configurations, as
+    tuples of (m, n) arrays, the gravity of each block and the newton_euler
+    argument for it."""
     n = chain.n
-    Qd = rng.uniform(-3.0, 3.0, (nb, m, n))
-    Qdd = rng.uniform(-10.0, 10.0, (nb, m, n))
-    g_rows = np.tile(chain.gravity_vector, (nb, m, 1))
-    if mode == "off":
-        g_rows[:] = 0.0
-    elif mode == "per-state":
-        g_rows[:, rng.random(m) < 0.5] = 0.0
-    elif mode == "per-block":
-        g_rows[rng.random((nb, m)) < 0.5] = 0.0
-    return Qd, Qdd, g_rows, {"chain": None, "off": (0.0, 0.0, 0.0),
-                             "per-state": g_rows[0],
-                             "per-block": g_rows}[mode]
-
-
-_BLOCK_GRAVITY = ["chain", "off", "per-state", "per-block"]
+    Qd = tuple(rng.uniform(-3.0, 3.0, (nb, m, n)))
+    Qdd = tuple(rng.uniform(-10.0, 10.0, (nb, m, n)))
+    return (Qd, Qdd) + _gravities(chain, mode, nb, rng)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_blocks_match_one_call_per_block(seed, m, chain, gravity,
                                                       data):
-    # leading block axes over one set of configurations, Qd shared by all
-    # blocks or not: each block agrees with its own call to 1e-12 and with
-    # rnea to c01's 1e-9
+    # motion blocks over one set of configurations, Qd one array shared by
+    # all blocks or not: each block agrees with its own call to 1e-12 and
+    # with rnea to c01's 1e-9
     rng = np.random.default_rng(seed)
     nb = data.draw(st.integers(1, 4))
-    shared_qd = data.draw(st.booleans())
     Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                 rng)
-    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
-    if shared_qd:
-        Qd[:] = Qd[0]
-    tau = newton_euler(chain, Q, Qd[0] if shared_qd else Qd, Qdd, Pi,
-                       gravity=arg)
+    Qd, Qdd, g_rows, arg = _random_blocks(chain, m, nb, gravity, rng)
+    if data.draw(st.booleans()):
+        Qd = (Qd[0],) * nb
+    sets = fold_sets(chain, Pi)
+    tau = newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg)
     assert tau.shape == (nb, m, chain.n)
     k = data.draw(st.integers(0, m - 1))
     for b in range(nb):
-        one = newton_euler(chain, Q, Qd[b], Qdd[b], Pi, gravity=g_rows[b])
+        one = newton_euler(chain, Q, Qd[b], Qdd[b], sets, gravity=g_rows[b])
         assert np.max(np.abs(tau[b] - one) / (1.0 + np.abs(one))) < 1e-12
-        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[b, k], Qdd[b, k],
-                            g_rows[b, k])
+        ref = _rnea_of_sets(chain, Pi, Q[k], Qd[b][k], Qdd[b][k], g_rows[b])
         assert np.max(np.abs(tau[b, k] - ref) / (1.0 + np.abs(ref))) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_blocks_single_configuration_is_its_batch_row(
         seed, m, chain, gravity, data):
     rng = np.random.default_rng(seed)
     nb = data.draw(st.integers(1, 4))
     Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                 rng)
-    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    Qd, Qdd, _, arg = _random_blocks(chain, m, nb, gravity, rng)
     row = data.draw(st.integers(0, m - 1))
-    batch = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    one = newton_euler(chain, Q[row], Qd[:, row:row + 1], Qdd[:, row:row + 1],
-                       Pi, gravity=g_rows[:, row:row + 1])
+    sets = fold_sets(chain, Pi)
+    batch = newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg)
+    one = newton_euler(chain, Q[row], tuple(b[row] for b in Qd),
+                       tuple(b[row] for b in Qdd), sets, gravity=arg)
     assert one.shape == (nb, 1) + batch.shape[2:]
     assert one[:, 0].tobytes() == batch[:, row].tobytes()
 
@@ -602,7 +595,7 @@ def test_newton_euler_blocks_single_configuration_is_its_batch_row(
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
     # the sets folded into the wrench basis agree with unit wrenches summed
     # per set to relative 1e-12, for S = 1 or n and one or more blocks
@@ -610,15 +603,33 @@ def test_newton_euler_matches_unfolded_oracle(seed, m, chain, gravity, data):
     nb = data.draw(st.integers(1, 4))
     Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                 rng)
-    Qd, Qdd, _, arg = _motion_blocks(chain, m, nb, gravity, rng)
+    Qd, Qdd, _, arg = _random_blocks(chain, m, nb, gravity, rng)
     if nb == 1 and data.draw(st.booleans()):
-        Qd, Qdd = Qd[0], Qdd[0]  # no block axis
-    tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
+        Qd, Qdd = Qd[0], Qdd[0]  # a plain array, not a tuple
+    tau = newton_euler(chain, Q, Qd, Qdd, fold_sets(chain, Pi), gravity=arg)
     ref = _own_sets(newton_euler_unfolded(chain, Q, Qd, Qdd, Pi,
                                           gravity=arg))
     assert tau.shape == ref.shape
     assert tau.shape[-2:] == (m, chain.n)
     assert np.max(np.abs(tau - ref) / (1.0 + np.abs(ref))) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
+def test_one_block_tuple_is_the_plain_array(seed, m, chain, gravity, data):
+    # a tuple of one block gives the bits of the block given plainly, with
+    # a block axis of one in front
+    rng = np.random.default_rng(seed)
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
+    Qd, Qdd, _, arg = _random_blocks(chain, m, 1, gravity, rng)
+    sets = fold_sets(chain, Pi)
+    one = newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg)
+    plain = newton_euler(chain, Q, Qd[0], Qdd[0], sets, gravity=arg)
+    assert one.shape == (1,) + plain.shape
+    assert one.tobytes() == plain.tobytes()
 
 
 def _across_block_edges(data, block):
@@ -631,34 +642,35 @@ def _across_block_edges(data, block):
 @given(seed=st.integers(0, 2**32 - 1),
        block=st.sampled_from([1, 7, BLOCK_STATES]),
        chain=st.sampled_from([ur10_chain(), TOY]),
-       gravity=st.sampled_from(_BLOCK_GRAVITY), data=st.data())
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
 def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
                                                 data):
     # at any block size, and for batches that end just before, at or just
     # after a block edge, every state's torques are bitwise its own call's:
-    # S = 1 or n, with and without leading block axes, every gravity mode
+    # S = 1 or n, plain arrays or tuples of motion blocks, every gravity
     rng = np.random.default_rng(seed)
     m = _across_block_edges(data, block)
-    lead = data.draw(st.booleans())
-    nb = data.draw(st.integers(1, 3)) if lead else 1
+    blocks = data.draw(st.booleans())
+    nb = data.draw(st.integers(1, 3)) if blocks else 1
     Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
                                 rng)
-    Qd, Qdd, g_rows, arg = _motion_blocks(chain, m, nb, gravity, rng)
-    if not lead:
-        Qd, Qdd, g_rows = Qd[0], Qdd[0], g_rows[0]
-        arg = g_rows if gravity == "per-block" else arg
+    Qd, Qdd, _, arg = _random_blocks(chain, m, nb, gravity, rng)
+    if not blocks:
+        Qd, Qdd = Qd[0], Qdd[0]
+    sets = fold_sets(chain, Pi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "BLOCK_STATES", block)
-        tau = newton_euler(chain, Q, Qd, Qdd, Pi, gravity=arg)
-    assert tau.shape == Qd.shape[:-2] + (m, chain.n)
+        tau = newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg)
+    assert tau.shape == ((nb,) if blocks else ()) + (m, chain.n)
     for k in range(m):
-        if lead:
-            one = newton_euler(chain, Q[k], Qd[:, k:k + 1], Qdd[:, k:k + 1],
-                               Pi, gravity=g_rows[:, k:k + 1])[:, 0]
+        if blocks:
+            one = newton_euler(chain, Q[k], tuple(b[k] for b in Qd),
+                               tuple(b[k] for b in Qdd), sets,
+                               gravity=arg)[:, 0]
             row = tau[:, k]
         else:
-            one = newton_euler(chain, Q[k], Qd[k], Qdd[k], Pi,
-                               gravity=g_rows[k])[0]
+            one = newton_euler(chain, Q[k], Qd[k], Qdd[k], sets,
+                               gravity=arg)[0]
             row = tau[k]
         assert one.tobytes() == row.tobytes()
 
@@ -666,26 +678,31 @@ def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
 @pytest.mark.parametrize("lead", [(), (3,)])
 @pytest.mark.parametrize("sets", [1, 6])
 def test_newton_euler_empty_batch_keeps_its_shape(lead, sets):
+    # lead is the result's leading shape: none for plain arrays, (nb,) for
+    # a tuple of nb motion blocks
     chain = ur10_chain()
     z = np.zeros((0, 6))
-    tau = newton_euler(chain, z, np.zeros(lead + (0, 6)), z,
-                       np.zeros((60, sets)))
+    blocks = (z,) * lead[0] if lead else z
+    tau = newton_euler(chain, z, blocks, blocks,
+                       fold_sets(chain, np.zeros((60, sets))))
     assert tau.shape == lead + (0, 6)
 
 
 @pytest.mark.parametrize("lead", [(), (2,)])
 def test_non_finite_entry_in_a_later_block_names_its_batch_row(
         lead, monkeypatch):
+    # in a plain array or in the last of a tuple of motion blocks, the row
+    # is the batch's and no block is named
     monkeypatch.setattr(dynamics, "BLOCK_STATES", 7)
     chain = ur10_chain()
     z = np.zeros((20, 6))
-    Qdd = np.zeros(lead + (20, 6))
-    Qdd[(-1,) * len(lead) + (17, 4)] = np.inf
-    at = "block (1,), " if lead else ""
+    bad = np.zeros((20, 6))
+    bad[17, 4] = np.inf
+    Qd, Qdd = ((z,) * lead[0], (z,) * (lead[0] - 1) + (bad,)) if lead \
+        else (z, bad)
     with pytest.raises(ValueError,
-                       match=re.escape(f"qdd is not finite at {at}row 17, "
-                                       "column 4")):
-        newton_euler(chain, z, z, Qdd, np.zeros((60, 1)))
+                       match="^qdd is not finite at row 17, column 4$"):
+        newton_euler(chain, z, Qd, Qdd, fold_sets(chain, np.zeros((60, 1))))
 
 
 # nonzero joint offsets, a negative link length, twists off the axes
@@ -839,14 +856,16 @@ def test_lone_state_rounds_as_its_batch_row(seed, chain, m, payload, data):
     Q, Qd, Qdd, Pi = _random_batch(chain, m, n, rng)
     *long_states, long_sets = _random_batch(LONG, m, LONG.n, rng)
     model = _solver_model(chain, rng, payload)
+    one_set, sets = fold_sets(chain, Pi[:, :1]), fold_sets(chain, Pi)
+    long_sets = fold_sets(LONG, long_sets)
 
     def results(rows):
         q, qd, qdd = Q[rows], Qd[rows], Qdd[rows]
         batch = np.ndim(q) == 2
         Y = regressor_stack(chain, *(np.atleast_2d(x) for x in (q, qd, qdd)))
         return {"newton_euler, S = 1": newton_euler(chain, q, qd, qdd,
-                                                   Pi[:, :1]),
-                "newton_euler, S = n": newton_euler(chain, q, qd, qdd, Pi),
+                                                   one_set),
+                "newton_euler, S = n": newton_euler(chain, q, qd, qdd, sets),
                 "newton_euler, 32 joints, S = n": newton_euler(
                     LONG, *(x[rows] for x in long_states), long_sets),
                 "regressor_stack": Y,
@@ -868,30 +887,64 @@ def test_lone_state_rounds_as_its_batch_row(seed, chain, m, payload, data):
 def test_newton_euler_shape_guards():
     chain = ur10_chain()
     z = np.zeros((2, 6))
+    sets = fold_sets(chain, np.zeros((60, 1)))
     with pytest.raises(ValueError, match="Pi"):
-        newton_euler(chain, z, z, z, np.zeros((59, 1)))
+        fold_sets(chain, np.zeros((59, 1)))
     # one set per joint or one for all: two sets on six joints name both
-    for sets in (2, 7):
+    for count in (2, 7):
         with pytest.raises(ValueError, match=re.escape(
                 "Pi must be (60, 6), a set per joint, or (60, 1)")):
-            newton_euler(chain, z, z, z, np.zeros((60, sets)))
-    with pytest.raises(ValueError, match="joints"):
-        newton_euler(chain, z[:, :5], z[:, :5], z[:, :5], np.zeros((60, 1)))
-    with pytest.raises(ValueError, match=r"\(\.\.\., M, n\)"):
-        newton_euler(chain, z, z[:1], z, np.zeros((60, 1)))
-    # motion blocks are newton_euler's alone; the regressor is per state
+            fold_sets(chain, np.zeros((60, count)))
+    with pytest.raises(ValueError, match="expected 6 joints, got 5"):
+        newton_euler(chain, z[:, :5], z[:, :5], z[:, :5], sets)
+    with pytest.raises(ValueError, match=re.escape("got q (2, 6), qd (1, 6)")):
+        newton_euler(chain, z, z[:1], z, sets)
+    # motion blocks are newton_euler's alone; the regressor takes states
     with pytest.raises(ValueError, match="one shape"):
         regressor_stack(chain, z, np.zeros((3, 2, 6)), z)
 
 
-def test_newton_euler_names_non_finite_block():
+def test_newton_euler_takes_one_form_of_motion_blocks():
+    # Qd and Qdd are two arrays, or two tuples of as many (M, n) blocks, and
+    # gravity is (3,) or one per block, (nb, 3): every other form raises,
+    # naming the shapes
     chain = ur10_chain()
     z = np.zeros((2, 6))
-    Qd = np.zeros((3, 2, 6))
-    Qd[2, 1, 4] = np.nan
-    with pytest.raises(ValueError, match=r"qd is not finite at block \(2,\), "
-                                         "row 1, column 4"):
-        newton_euler(chain, z, Qd, z, np.zeros((60, 1)))
+    sets = fold_sets(chain, np.zeros((60, 1)))
+    for Qd, Qdd, got in (((z, z), (z,), "2 and 1"),
+                         ((z,), z, "1 and an array"), ((), (), "0 and 0")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"as many blocks, one or more; got {got}")):
+            newton_euler(chain, z, Qd, Qdd, sets)
+    # a block of the wrong shape, and a leading block axis
+    with pytest.raises(ValueError,
+                       match=re.escape("got q (2, 6), qdd (2, 5)")):
+        newton_euler(chain, z, (z, z), (z, z[:, :5]), sets)
+    with pytest.raises(ValueError,
+                       match=re.escape("got q (2, 6), qd (3, 2, 6)")):
+        newton_euler(chain, z, np.zeros((3, 2, 6)), z, sets)
+    # gravity per state, (M, 3), is not one per block, nor are block axes
+    for blocks, g in ((z, np.zeros((2, 3))), ((z,) * 3, np.zeros((2, 3))),
+                      ((z,) * 2, np.zeros((2, 2, 3))),
+                      ((z,) * 2, np.zeros((2, 1, 3))),
+                      (z, np.zeros(2)), (z, np.zeros((3, 1)))):
+        nb = len(blocks) if isinstance(blocks, tuple) else 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"gravity must be (3,) or ({nb}, 3), one per motion block; "
+                f"got {g.shape}")):
+            newton_euler(chain, z, blocks, blocks, sets, gravity=g)
+
+
+def test_newton_euler_names_non_finite_block():
+    # an entry of any motion block is named by its array, row and column
+    chain = ur10_chain()
+    z = np.zeros((2, 6))
+    Qd = np.zeros((2, 6))
+    Qd[1, 4] = np.nan
+    with pytest.raises(ValueError,
+                       match="^qd is not finite at row 1, column 4$"):
+        newton_euler(chain, z, (z, z, Qd), (z, z, z),
+                     fold_sets(chain, np.zeros((60, 1))))
 
 
 # ---------------------------------------------------------------------------

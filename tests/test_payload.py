@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynid.dynamics import (DynamicParameters, InertialParameters, JointState,
-                            newton_euler, rnea)
+                            fold_sets, newton_euler, rnea)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec, apply_payload, payload_to_frame_n
 
@@ -31,7 +31,8 @@ def _arm_and_payload(chain, links, pi_L, st):
     arm = np.concatenate([lk.to_vector() for lk in links])
     load = np.zeros_like(arm)
     load[-10:] = pi_L
-    return tuple(newton_euler(chain, *st.arrays(), Pi[:, None])[0]
+    return tuple(newton_euler(chain, *st.arrays(),
+                              fold_sets(chain, Pi[:, None]))[0]
                  for Pi in (arm, load))
 
 

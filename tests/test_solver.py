@@ -84,6 +84,18 @@ def test_torque_terms_single_state_is_vectors(ident_true):
     assert np.max(np.abs(sum(terms) - torque(ident_true, q, qd, qdd))) < 1e-9
 
 
+def test_state_given_as_tuples_is_one_state(ident_true):
+    # a tuple of floats is a state, as any array-like is; only
+    # newton_euler reads tuples as motion blocks
+    state = [x[0] for x in _random_states(np.random.default_rng(4), 1)]
+    as_tuples = [tuple(map(float, x)) for x in state]
+    for call in (torque, torque_terms, coriolis_times_qd, gravity, inertia):
+        k = {coriolis_times_qd: 2, gravity: 1, inertia: 1}.get(call, 3)
+        want = np.array(call(ident_true, *state[:k]))
+        got = np.array(call(ident_true, *as_tuples[:k]))
+        assert got.tobytes() == want.tobytes(), call.__name__
+
+
 def test_one_configuration_pass_per_call(ident_true, monkeypatch):
     # torque_terms' three blocks and inertia's n columns share one frame
     # build; stacking copies of the configurations would show as more rows
@@ -140,7 +152,8 @@ def test_evaluator_builds_no_unit_wrenches(ident_true, monkeypatch):
     torque(model, q[0], qd[0], qdd[0])
     torque_terms(model, q, qd, qdd)
     inertia(model, q[0])
-    dynamics.newton_euler(model.chain, q, qd, qdd, model.torque_sets)
+    dynamics.newton_euler(model.chain, q, qd, qdd,
+                          dynamics.fold_sets(model.chain, model.torque_sets))
     assert calls == [False, False]  # the model's fold, newton_euler's
     dynamics.regressor_stack(model.chain, q, qd, qdd)
     assert calls == [False, False, True]
@@ -150,13 +163,13 @@ def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
     # the model folds its torque sets once and every call reuses the fold;
     # a configured copy folds its own sets
     calls = []
-    fold = dynamics._folded_basis
+    fold = dynamics.fold_sets
 
     def counted(chain, Pi):
         calls.append(Pi.shape)
         return fold(chain, Pi)
 
-    monkeypatch.setattr("dynid.solver._folded_basis", counted)
+    monkeypatch.setattr("dynid.solver.fold_sets", counted)
     model = replace(ident_true)  # no fold kept yet
     q, qd, qdd = _random_states(np.random.default_rng(11), 5)
     for k in range(5):
@@ -188,24 +201,25 @@ def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 5, dynamics.BLOCK_STATES + 3])
-def test_gravity_vector_and_per_state_rows_give_the_same_bits(ident_true, m):
+def test_gravity_vector_and_per_block_rows_give_the_same_bits(ident_true, m):
     # a 3-vector gravity enters the pass as one row, never broadcast; the
-    # same gravity given per state, (M, 3), gives the same bits
+    # same gravity given per motion block, (nb, 3), gives the same bits
     q, qd, qdd = _random_states(np.random.default_rng(12), m)
-    chain, Pi = ident_true.chain, ident_true.torque_sets
-    rows = np.tile(chain.gravity_vector, (m, 1))
-    blocks = np.stack((qd, 2.0 * qd))
-    for args, per_state in (((qd, qdd), rows),
-                            ((blocks, blocks[::-1]), np.stack((rows, rows)))):
-        want = dynamics.newton_euler(chain, q, *args, Pi, per_state).tobytes()
-        for g in (None, chain.gravity_vector, rows):
-            assert dynamics.newton_euler(chain, q, *args, Pi, g).tobytes() \
-                == want
+    chain, sets = ident_true.chain, ident_true.folded_sets
+    g = chain.gravity_vector
+    for args in ((qd, qdd), ((qd, 2.0 * qd), (qdd, qdd))):
+        nb = len(args[0]) if isinstance(args[0], tuple) else 1
+        per_block = np.tile(g, (nb, 1))
+        want = dynamics.newton_euler(chain, q, *args, sets,
+                                     per_block).tobytes()
+        for one_row in (None, g, tuple(g)):
+            assert dynamics.newton_euler(chain, q, *args, sets,
+                                         one_row).tobytes() == want
     z = np.zeros_like(q)
     assert gravity(ident_true, q).tobytes() \
-        == _rigid(ident_true, q, z, z, rows).tobytes()
+        == _rigid(ident_true, q, z, z, g[None]).tobytes()
     assert coriolis_times_qd(ident_true, q, qd).tobytes() \
-        == _rigid(ident_true, q, qd, z, np.zeros((m, 3))).tobytes()
+        == _rigid(ident_true, q, qd, z, np.zeros((1, 3))).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -217,7 +231,8 @@ def test_non_finite_state_names_array_row_column(ident_true, bad, k, name):
     chain, Pi = ident_true.chain, ident_true.torque_sets
     for call in (lambda: torque(ident_true, *states),
                  lambda: torque_terms(ident_true, *states),
-                 lambda: dynamics.newton_euler(chain, *states, Pi),
+                 lambda: dynamics.newton_euler(
+                     chain, *states, dynamics.fold_sets(chain, Pi)),
                  lambda: dynamics.regressor_stack(chain, *states)):
         with pytest.raises(ValueError,
                            match=f"{name} is not finite at row 1, column 4"):
@@ -355,8 +370,8 @@ def test_own_sets_are_the_diagonal_of_every_set(ident_true, seed, m,
                                    diagonal(qd, z, off)),
              # block k accelerates joint k alone: column k of M
              "inertia": (inertia(model, q[0]),
-                         diagonal(np.zeros(n), np.eye(n)[:, None], off,
-                                  q[0])[:, 0].T)}
+                         diagonal((np.zeros(n),) * n, tuple(np.eye(n)),
+                                  off, q[0])[:, 0].T)}
     for name, (got, want) in pairs.items():
         assert got.shape == want.shape, name
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
