@@ -26,7 +26,14 @@ tuple of motion blocks over one configuration, with gravity per block,
 and each link's rotation meets the joint screws and every block's motion
 in one product.  A batch runs the pass
 in blocks of BLOCK_STATES states, so the pass's memory does not grow
-with the batch.
+with the batch.  A batch of more than one block runs its blocks on the
+calling thread and on helper threads started for the call and joined
+before it returns, one per further CPU the process may run on.  Each
+block writes only its own rows of the result, so the bits do not depend
+on the thread count, and the pass holds one block's buffers per thread
+that runs it.  numpy releases the interpreter lock inside its matrix
+products and most elementwise loops, which is what the threads overlap;
+only a 2-CPU machine has been measured.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -36,7 +43,10 @@ direction-change transition.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +59,7 @@ SATURATED_DELTA = 1e9
 # states per block of a batched pass (newton_euler, and the regressor
 # streamed by reduction.regressor_blocks): a block's temporaries stay
 # cache-sized, and a batch's memory grows only with its inputs and result
+# (and, in newton_euler, with one block per thread that runs the pass)
 BLOCK_STATES = 512
 # most columns per matrix product of the pass (_link_screws): OpenBLAS
 # (0.3.31, SkylakeX kernels) rounds a product's columns past 192 by its
@@ -451,7 +462,10 @@ def _motion_blocks(chain: KinematicChain, Q, Qd, Qdd):
     """Q as (M, n) configurations and Qd, Qdd as equal tuples of (M, n)
     motion blocks over them: two arrays that are not tuples are one block
     each, and one state may come as (n,) vectors.  A wrong shape raises
-    naming the shapes, and a non-finite entry its array, row and column."""
+    naming the shapes, and a non-finite entry its array, row and column.
+    An array given more than once, as inertia's zero velocities are, is
+    converted and checked once, and one state's arrays are checked in one
+    call."""
     blocks = isinstance(Qd, tuple)
     if blocks != isinstance(Qdd, tuple) \
             or blocks and not 0 < len(Qd) == len(Qdd):
@@ -462,29 +476,36 @@ def _motion_blocks(chain: KinematicChain, Q, Qd, Qdd):
                          f"{counts[1]}")
     if not blocks:
         Qd, Qdd = (Qd,), (Qdd,)
-
-    def state(x):
-        x = np.asarray(x, dtype=float)
-        return x[None] if x.ndim == 1 else x
-
-    Q = state(Q)
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim == 1:
+        Q = Q[None]
     if Q.ndim != 2:
         raise ValueError(f"q must be (M, n) or (n,); got {Q.shape}")
-    Qd, Qdd = (tuple(map(state, x)) for x in (Qd, Qdd))
+    # id of each distinct array given -> its name and its (M, n) array
+    distinct = {id(Q): ("q", Q)}
     for name, x in (("qd", Qd), ("qdd", Qdd)):
         for b in x:
-            if b.shape != Q.shape:
-                raise ValueError("q, qd and qdd must be states of one shape, "
-                                 f"(M, n) or (n,); got q {Q.shape}, {name} "
-                                 f"{b.shape}")
+            if id(b) not in distinct:
+                a = np.asarray(b, dtype=float)
+                if a.ndim == 1:
+                    a = a[None]
+                if a.shape != Q.shape:
+                    raise ValueError("q, qd and qdd must be states of one "
+                                     "shape, (M, n) or (n,); got q "
+                                     f"{Q.shape}, {name} {a.shape}")
+                distinct[id(b)] = name, a
     if Q.shape[1] != chain.n:
         raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
-    for name, x in (("q", (Q,)), ("qd", Qd), ("qdd", Qdd)):
-        for b in x:
-            if not np.isfinite(b).all():
-                row, col = np.argwhere(~np.isfinite(b))[0]
+    # one state's arrays are few and small, so one check clears them all
+    # at once; the loop names the first that fails
+    if len(Q) > 1 or not np.isfinite(
+            np.concatenate([a for _, a in distinct.values()])).all():
+        for name, a in distinct.values():
+            if not np.isfinite(a).all():
+                row, col = np.argwhere(~np.isfinite(a))[0]
                 raise ValueError(f"{name} is not finite at row {row}, "
                                  f"column {col}")
+    Qd, Qdd = (tuple(distinct[id(b)][1] for b in x) for x in (Qd, Qdd))
     return Q, Qd, Qdd
 
 
@@ -573,6 +594,76 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         yield i, Si, G[..., 3:]
 
 
+def _helper_threads(blocks: int) -> int:
+    """Helper threads for a pass over this many blocks of states: one per
+    CPU the process may run on beyond the first, and at most one per block
+    beyond the first."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(cpus - 1, blocks - 1)
+
+
+def _on_threads(work, blocks, helpers: int) -> None:
+    """work(rows) for every slice in blocks, on the calling thread and on
+    helpers more threads, started here and joined before this returns.
+    Each thread takes the next block from one shared counter until none
+    is left.  An exception stops the handing out, and the first one is
+    raised once every thread has ended."""
+    lock = threading.Lock()
+    taken = 0
+    errors = []
+
+    def share():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(blocks):
+                    return
+                rows = blocks[taken]
+                taken += 1
+            try:
+                work(rows)
+            except BaseException as exc:  # re-raised below, on the caller
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = []
+    try:
+        for _ in range(helpers):
+            t = threading.Thread(target=share)
+            t.start()
+            threads.append(t)
+        share()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _block_torques(chain: KinematicChain, Q, Qd, Qdd, gravity, sets, tau,
+                   rows: slice) -> None:
+    """The pass over one block of states, rows of the batch: its torques
+    go into tau[:, rows], and its buffers are freed on return."""
+    nb, n = len(Qd), chain.n
+    m = len(Q[rows])
+    # the motion blocks beside their configuration, (m, nb, n); a lone
+    # block is a view
+    Qd_rows, Qdd_rows = (
+        x[0][rows, None] if nb == 1 else np.concatenate(
+            [b[rows] for b in x], axis=1).reshape(m, nb, n)
+        for x in (Qd, Qdd))
+    part = np.zeros((m, nb, n))
+    for i, Si, W in _link_screws(chain, Q[rows], Qd_rows, Qdd_rows, gravity,
+                                 sets):
+        # each set's six wrench numbers in each block, a view of W; a
+        # shared set broadcasts over the screws
+        w = W.reshape(m, nb, W.shape[-1] // 6, 6)
+        part[..., :i + 1] += np.vecdot(Si[:, None], w)
+    tau[:, rows] = part.swapaxes(0, 1)
+
+
 def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
                  gravity=None) -> np.ndarray:
     """Joint torques of folded inertial parameter sets, no friction.
@@ -590,11 +681,20 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
     wrench numbers of set k, or of the shared set: no other set's torque
     and no unit wrench is formed, and a state's torques do not depend on
     the batch around it.  The pass runs BLOCK_STATES states at a time
-    (_state_blocks), so its temporaries take the memory of one block:
-    each block of states stacks its own rows of the motion blocks, and
-    its torques go straight into their rows of the result.  The batch is
-    checked whole first (_motion_blocks), so an error names its row in
-    the batch, and every block size gives the same bits.
+    (_state_blocks): each block of states stacks its own rows of the
+    motion blocks, and its torques go straight into their rows of the
+    result.  The batch is checked whole first (_motion_blocks), so an
+    error names its row in the batch, and every block size gives the same
+    bits.
+
+    A batch of more than one block runs its blocks on the calling thread
+    and on helper threads (_helper_threads: one per further CPU the
+    process may run on, one per further block at most), started for this
+    call and joined before it returns (_on_threads).  Each block writes
+    only its own rows, so the bits do not depend on the thread count or
+    order, and the pass's temporaries take the memory of one block per
+    thread.  A lone block, which every single-state call is, runs on the
+    calling thread and starts no thread.
     """
     blocks = isinstance(Qd, tuple)
     Q, Qd, Qdd = _motion_blocks(chain, Q, Qd, Qdd)
@@ -604,24 +704,15 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
         raise ValueError(f"gravity must be (3,) or ({nb}, 3), one per "
                          f"motion block; got {g.shape}")
     tau = np.empty((nb, M, n))
-    for rows in _state_blocks(M):
-        m = len(Q[rows])
-        # the motion blocks beside their configuration, (m, nb, n); a lone
-        # block is a view
-        Qd_rows, Qdd_rows = (
-            x[0][rows, None] if nb == 1 else np.concatenate(
-                [b[rows] for b in x], axis=1).reshape(m, nb, n)
-            for x in (Qd, Qdd))
-        part = np.zeros((m, nb, n))
-        for i, Si, W in _link_screws(chain, Q[rows], Qd_rows, Qdd_rows, g,
-                                     sets):
-            # each set's six wrench numbers in each block, a view of W;
-            # a shared set broadcasts over the screws
-            w = W.reshape(m, nb, W.shape[-1] // 6, 6)
-            part[..., :i + 1] += np.vecdot(Si[:, None], w)
-        tau[:, rows] = part.swapaxes(0, 1)
-        # views of this block's buffers; the next block makes its own
-        del Si, W, w
+    state_blocks = _state_blocks(M)
+    helpers = len(state_blocks) > 1 and _helper_threads(len(state_blocks))
+    if helpers:
+        chain.dh  # the chain's cached constants, built before a helper reads
+        _on_threads(partial(_block_torques, chain, Q, Qd, Qdd, g, sets, tau),
+                    state_blocks, helpers)
+    else:
+        for rows in state_blocks:
+            _block_torques(chain, Q, Qd, Qdd, g, sets, tau, rows)
     return tau if blocks else tau[0]
 
 

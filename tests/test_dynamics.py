@@ -1,6 +1,8 @@
 import functools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -673,6 +675,102 @@ def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
                                gravity=arg)[0]
             row = tau[k]
         assert one.tobytes() == row.tobytes()
+
+
+def _helpers(count):
+    """A stand-in for dynamics._helper_threads: count helpers, at most one
+    per block beyond the first."""
+    return lambda blocks: min(count, blocks - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       m=st.sampled_from([1, BLOCK_STATES, BLOCK_STATES + 1,
+                          3 * BLOCK_STATES + 1, 2500]),
+       helpers=st.integers(1, 4),
+       chain=st.sampled_from([ur10_chain(), TOY]),
+       gravity=st.sampled_from(_GRAVITY), data=st.data())
+def test_helper_threads_change_no_bit(seed, m, helpers, chain, gravity,
+                                      data):
+    # the blocks of a batch run on the calling thread and helpers give the
+    # serial pass's bits: one block or several, S = 1 or n, plain arrays
+    # or tuples of motion blocks with gravity per block
+    rng = np.random.default_rng(seed)
+    blocks = data.draw(st.booleans())
+    nb = data.draw(st.integers(1, 3)) if blocks else 1
+    Q, _, _, Pi = _random_batch(chain, m, data.draw(_set_counts(chain)),
+                                rng)
+    Qd, Qdd, _, arg = _random_blocks(chain, m, nb, gravity, rng)
+    if not blocks:
+        Qd, Qdd = Qd[0], Qdd[0]
+    sets = fold_sets(chain, Pi)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for count in (0, helpers):
+            mp.setattr(dynamics, "_helper_threads", _helpers(count))
+            runs.append(newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg))
+    assert runs[0].shape == ((nb,) if blocks else ()) + (m, chain.n)
+    assert runs[1].tobytes() == runs[0].tobytes()
+
+
+def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
+    # eight threads share 300 one-state blocks through one counter, with
+    # the interpreter switching threads as often as it can: a block taken
+    # twice or never shows in the count, and the bits stay the serial
+    # pass's
+    chain, m = ur10_chain(), 300
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, chain.n,
+                                   np.random.default_rng(13))
+    sets = fold_sets(chain, Pi)
+    serial = newton_euler(chain, Q, Qd, Qdd, sets)
+    monkeypatch.setattr(dynamics, "BLOCK_STATES", 1)
+    monkeypatch.setattr(dynamics, "_helper_threads", _helpers(7))
+    ran, block = [], dynamics._block_torques
+
+    def counted(*args):
+        ran.append(args[-1].start)
+        block(*args)
+
+    monkeypatch.setattr(dynamics, "_block_torques", counted)
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: out.append(
+            newton_euler(chain, Q, Qd, Qdd, sets)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(ran) == list(range(m))
+    assert out[0].tobytes() == serial.tobytes()
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    # a block that raises on a helper thread raises from the call, once
+    # every thread has ended; the calling thread's own block waits until
+    # a helper has taken one
+    chain = ur10_chain()
+    Q, Qd, Qdd, Pi = _random_batch(chain, 40, 1, np.random.default_rng(14))
+    monkeypatch.setattr(dynamics, "BLOCK_STATES", 8)
+    monkeypatch.setattr(dynamics, "_helper_threads", _helpers(2))
+    caller, on_helper = threading.get_ident(), threading.Event()
+    block = dynamics._block_torques
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            on_helper.set()
+            raise RuntimeError(f"block at row {args[-1].start}")
+        on_helper.wait(timeout=60)
+        block(*args)
+
+    monkeypatch.setattr(dynamics, "_block_torques", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=r"^block at row \d+$"):
+        newton_euler(chain, Q, Qd, Qdd, fold_sets(chain, Pi))
+    assert on_helper.is_set()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])

@@ -146,6 +146,20 @@ print(json.dumps(len(built)))
     assert _run(code, tmp_path) == 0
 
 
+def test_import_starts_no_thread(tmp_path):
+    # the pass's helper threads are started by a call and joined before it
+    # returns; loading the package's modules starts none
+    code = """
+import json, pkgutil, threading
+import dynid
+for mod in pkgutil.iter_modules(dynid.__path__):
+    if mod.name != "__main__":
+        __import__("dynid." + mod.name)
+print(json.dumps([t.name for t in threading.enumerate()]))
+"""
+    assert _run(code, tmp_path) == ["MainThread"]
+
+
 def test_noiseless_simulate_loads_no_numpy_random(data_a, tmp_path):
     # the noise generator is made only for a positive noise std, so a
     # noiseless run does not import numpy.random

@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -418,12 +419,15 @@ def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
 
 
 def test_torque_terms_keeps_one_block_of_buffers(ident_true):
-    # a 2500-state torque_terms holds its result and one 512-state block's
-    # buffers, the block's motion rows among them: 2.21 MiB traced.
-    # Keeping the previous block's buffers alive while the next block
-    # makes its own reads 2.86 MiB, and stacking the motion blocks of the
-    # whole batch read 2.65 MiB
-    q, qd, qdd = _random_states(np.random.default_rng(11), 2500)
+    # 2500 states per thread the pass runs on, five blocks or more each, so
+    # every thread runs: torque_terms holds its result and one 512-state
+    # block's buffers per thread, the block's motion rows among them, 2.13
+    # to 2.22 MiB traced per thread at 1 to 6 threads.  Keeping the
+    # previous block's buffers alive while the next block makes its own
+    # reads 3.03 to 3.13 MiB per thread, and stacking the motion blocks of
+    # the whole batch 2.67 to 2.76
+    threads = 1 + dynamics._helper_threads(2**31)
+    q, qd, qdd = _random_states(np.random.default_rng(11), 2500 * threads)
     torque_terms(ident_true, q, qd, qdd)  # model caches, once per model
     tracemalloc.start()
     try:
@@ -432,7 +436,16 @@ def test_torque_terms_keeps_one_block_of_buffers(ident_true):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * 2**20
+    assert peak <= threads * 2.4 * 2**20
+
+
+def test_no_thread_outlives_a_call(ident_true):
+    # a 2500-state torque runs its blocks on helper threads where the
+    # process may use more than one CPU, and joins them before it returns
+    q, qd, qdd = _random_states(np.random.default_rng(15), 2500)
+    before = threading.active_count()
+    torque(ident_true, q, qd, qdd)
+    assert threading.active_count() == before
 
 
 def test_configure_clear_is_bitwise(ident_true, data_a):
