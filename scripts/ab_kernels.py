@@ -30,8 +30,9 @@ It needs numpy and the two trees only.
 Both trees share one process, so thread, allocator and BLAS state leak
 from one side to the other: a helper thread pool kept alive by one side
 is alive for both, and a single-state ratio read 1.00 here against a
-live idle pool that separate-process runs read as +8 %.  Claims about latency or memory that threads can move need
-separate-process runs (``perfbench/run.py``, alternating sides).
+live idle pool that separate-process runs read as +8 %.  Claims about
+latency or memory that threads can move need separate-process runs
+(``perfbench/run.py``, alternating sides).
 """
 
 from __future__ import annotations

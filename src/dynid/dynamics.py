@@ -27,13 +27,14 @@ and each link's rotation meets the joint screws and every block's motion
 in one product.  A batch runs the pass
 in blocks of BLOCK_STATES states, so the pass's memory does not grow
 with the batch.  A batch of more than one block runs its blocks on the
-calling thread and on helper threads started for the call and joined
-before it returns, one per further CPU the process may run on.  Each
-block writes only its own rows of the result, so the bits do not depend
-on the thread count, and the pass holds one block's buffers per thread
-that runs it.  numpy releases the interpreter lock inside its matrix
-products and most elementwise loops, which is what the threads overlap;
-only a 2-CPU machine has been measured.
+calling thread and on one helper thread, started for the call and
+joined before it returns, where the process may run on more than one
+CPU.  Each block writes only its own rows of the result, so the bits do
+not depend on the thread count, and the pass holds one block's buffers
+per thread that runs it.  numpy releases the interpreter lock inside its
+matrix products and most elementwise loops, which is what the threads
+overlap.  Only one helper on a 2-CPU machine has been measured
+(MAX_HELPERS).
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -66,6 +67,11 @@ BLOCK_STATES = 512
 # row count, so a wider link matrix (link 31 on, one set per joint) is
 # met in products of at most this many columns, rounding alike per row
 _PRODUCT_COLUMNS = 192
+# most helper threads a newton_euler batch starts: the one count measured
+# (a 2-CPU machine).  Speed at more is unmeasured, as each block's Python
+# loop holds the interpreter lock between numpy calls, and each helper
+# holds one more block of buffers
+MAX_HELPERS = 1
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -463,8 +469,7 @@ def _motion_blocks(chain: KinematicChain, Q, Qd, Qdd):
     motion blocks over them: two arrays that are not tuples are one block
     each, and one state may come as (n,) vectors.  A wrong shape raises
     naming the shapes, and a non-finite entry its array, row and column.
-    An array given more than once, as inertia's zero velocities are, is
-    converted and checked once, and one state's arrays are checked in one
+    One state's arrays, as many as 2n + 1 for inertia, are checked in one
     call."""
     blocks = isinstance(Qd, tuple)
     if blocks != isinstance(Qdd, tuple) \
@@ -476,36 +481,34 @@ def _motion_blocks(chain: KinematicChain, Q, Qd, Qdd):
                          f"{counts[1]}")
     if not blocks:
         Qd, Qdd = (Qd,), (Qdd,)
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim == 1:
-        Q = Q[None]
+
+    def state(x):
+        x = np.asarray(x, dtype=float)
+        return x[None] if x.ndim == 1 else x
+
+    Q = state(Q)
     if Q.ndim != 2:
         raise ValueError(f"q must be (M, n) or (n,); got {Q.shape}")
-    # id of each distinct array given -> its name and its (M, n) array
-    distinct = {id(Q): ("q", Q)}
+    Qd, Qdd = (tuple(map(state, x)) for x in (Qd, Qdd))
     for name, x in (("qd", Qd), ("qdd", Qdd)):
         for b in x:
-            if id(b) not in distinct:
-                a = np.asarray(b, dtype=float)
-                if a.ndim == 1:
-                    a = a[None]
-                if a.shape != Q.shape:
-                    raise ValueError("q, qd and qdd must be states of one "
-                                     "shape, (M, n) or (n,); got q "
-                                     f"{Q.shape}, {name} {a.shape}")
-                distinct[id(b)] = name, a
+            if b.shape != Q.shape:
+                raise ValueError("q, qd and qdd must be states of one shape, "
+                                 f"(M, n) or (n,); got q {Q.shape}, {name} "
+                                 f"{b.shape}")
     if Q.shape[1] != chain.n:
         raise ValueError(f"expected {chain.n} joints, got {Q.shape[1]}")
-    # one state's arrays are few and small, so one check clears them all
-    # at once; the loop names the first that fails
+    # one state's arrays are small, so one check clears them all at once;
+    # the loop names the first that fails
+    arrays = [("q", Q)] + [(name, b) for name, x in (("qd", Qd), ("qdd", Qdd))
+                           for b in x]
     if len(Q) > 1 or not np.isfinite(
-            np.concatenate([a for _, a in distinct.values()])).all():
-        for name, a in distinct.values():
+            np.concatenate([a for _, a in arrays])).all():
+        for name, a in arrays:
             if not np.isfinite(a).all():
                 row, col = np.argwhere(~np.isfinite(a))[0]
                 raise ValueError(f"{name} is not finite at row {row}, "
                                  f"column {col}")
-    Qd, Qdd = (tuple(distinct[id(b)][1] for b in x) for x in (Qd, Qdd))
     return Q, Qd, Qdd
 
 
@@ -596,11 +599,12 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
 
 def _helper_threads(blocks: int) -> int:
     """Helper threads for a pass over this many blocks of states: one per
-    CPU the process may run on beyond the first, and at most one per block
-    beyond the first."""
+    CPU the process may run on beyond the first, at most one per block
+    beyond the first, and at most MAX_HELPERS.  The CPUs are those of the
+    process's affinity; a CPU-time quota is not read."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    return min(cpus - 1, blocks - 1)
+    return min(cpus - 1, blocks - 1, MAX_HELPERS)
 
 
 def _on_threads(work, blocks, helpers: int) -> None:
@@ -689,12 +693,12 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
 
     A batch of more than one block runs its blocks on the calling thread
     and on helper threads (_helper_threads: one per further CPU the
-    process may run on, one per further block at most), started for this
-    call and joined before it returns (_on_threads).  Each block writes
-    only its own rows, so the bits do not depend on the thread count or
-    order, and the pass's temporaries take the memory of one block per
-    thread.  A lone block, which every single-state call is, runs on the
-    calling thread and starts no thread.
+    process may run on, one per further block and MAX_HELPERS at most),
+    started for this call and joined before it returns (_on_threads).
+    Each block writes only its own rows, so the bits do not depend on the
+    thread count or order, and the pass's temporaries take the memory of
+    one block per thread.  A lone block, which every single-state call
+    is, runs on the calling thread and starts no thread.
     """
     blocks = isinstance(Qd, tuple)
     Q, Qd, Qdd = _motion_blocks(chain, Q, Qd, Qdd)

@@ -683,6 +683,17 @@ def _helpers(count):
     return lambda blocks: min(count, blocks - 1)
 
 
+def test_helper_threads_stay_at_the_measured_count(monkeypatch):
+    # one helper per further CPU and per further block, and never more
+    # than the one measured (a 2-CPU machine) however many CPUs the
+    # process may run on
+    for cpus, blocks, helpers in ((1, 40, 0), (2, 1, 0), (2, 2, 1),
+                                  (2, 40, 1), (64, 2, 1), (64, 40, 1)):
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert dynamics._helper_threads(blocks) == helpers
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        m=st.sampled_from([1, BLOCK_STATES, BLOCK_STATES + 1,
