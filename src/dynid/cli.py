@@ -20,16 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import (QD_THRESHOLD_DEFAULT, SampleSet, SchemaError, _fmt,
-                     _format_rows, merge_sample_sets, read_payload,
-                     read_robot_model, read_samples, simulate, write_samples)
+from .dataio import (QD_THRESHOLD_DEFAULT, IdentifiedModel, SampleSet,
+                     SchemaError, load_identified_model, merge_sample_sets,
+                     read_payload, read_robot_model, read_samples,
+                     save_identified_model, simulate, write_samples,
+                     write_table)
 from .estimation import (EstimationError, KnownPayload, estimate_gains,
                          fit_friction, friction_residual_currents,
                          identify_coefficients)
 from .reduction import compute_base_map
-from .solver import (IdentifiedModel, configure_payload,
-                     load_identified_model, save_identified_model, torque,
-                     torque_terms)
+from .solver import configure_payload, torque, torque_terms
 from .trajectory import (RATE_DEFAULT, random_trajectory,
                          sample as sample_trajectory)
 
@@ -133,18 +133,13 @@ def validation_metrics(samples: SampleSet, predicted: np.ndarray,
 
 def write_report(metrics: Metrics, path) -> None:
     """Write the per-joint validation report CSV."""
-    header = "joint,mse,mnae,mnae_nonlinear_region"
+    header = ["joint", "mse", "mnae", "mnae_nonlinear_region"]
+    columns = [np.arange(1, metrics.mse.size + 1), metrics.mse, metrics.mnae,
+               metrics.mnae_nonlinear]
     if metrics.eta is not None:
-        header += ",eta"
-    lines = [header]
-    for j in range(metrics.mse.size):
-        row = [str(j + 1), _fmt(metrics.mse[j]), _fmt(metrics.mnae[j]),
-               _fmt(metrics.mnae_nonlinear[j])]
-        if metrics.eta is not None:
-            row.append(_fmt(metrics.eta[j]))
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header.append("eta")
+        columns.append(metrics.eta)
+    write_table(path, header, np.column_stack(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +273,7 @@ def cmd_identify_gains(a) -> None:
                          model.psi)
     out = a.out or a.model
     save_identified_model(replace(model, gains=est.gains), out)
-    gains = ", ".join(_fmt(g) for g in est.gains)
+    gains = ", ".join(f"{g:.17g}" for g in est.gains)
     flags = ", ".join("full" if f else "regrouped" for f in est.full_rank)
     print(f"gain stage done; K = [{gains}]")
     print(f"per-joint solve paths: {flags}")
@@ -297,10 +292,8 @@ def cmd_solve(a) -> None:
     cols = ["t"]
     for name in ("tau", "inertia", "coriolis", "friction", "gravity"):
         cols += [f"{name}{j+1}" for j in range(n)]
-    data = np.column_stack((s.t, tau, inert, cor, fric, grav))
-    with open(a.out, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write(_format_rows(data))
+    write_table(a.out, cols, np.column_stack((s.t, tau, inert, cor, fric,
+                                              grav)))
     print(f"wrote torques and term decomposition for {s.m} samples "
           f"to {a.out}")
 

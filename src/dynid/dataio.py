@@ -1,24 +1,29 @@
 """Data exchange and the synthetic plant.
 
-Covers the on-disk formats (sample CSV, robot-model file, payload file),
-the one differentiator that derives accelerations from velocities (a cubic
-Savitzky-Golay first derivative), and a simulator that produces
-current-level sample sets from a plant model so every identification stage
-can be checked against known ground truth.
+Owns every on-disk format (sample CSV, result tables, robot-model,
+payload and identified-model files), the classes they hold and the
+checks those share; each number is written with "%.17g" to read back.
+Also the one differentiator that derives accelerations from velocities (a
+cubic Savitzky-Golay first derivative), and a simulator that produces
+current-level sample sets from a plant model so every identification
+stage can be checked against known ground truth.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (N_INERTIAL, FrictionSet, InertialParameters,
-                       fold_sets, friction_sigmoid, inertia_matrix_to_vector,
-                       inertia_vector_to_matrix, newton_euler)
+                       check_com_inertia, fold_sets, friction_sigmoid,
+                       inertia_matrix_to_vector, inertia_vector_to_matrix,
+                       newton_euler)
 from .kinematics import DhRow, KinematicChain
 from .payload import PayloadSpec, orthonormal, payload_to_frame_n
+from .reduction import BaseParameterMap, compute_base_map
 from .trajectory import (FourierTrajectory, RATE_DEFAULT, check_seed,
                          sample as sample_trajectory)
 
@@ -216,6 +221,14 @@ def write_samples(samples: SampleSet, path) -> None:
         fh.write(_format_rows(data, "," + samples.scenario))
 
 
+def write_table(path, header, data) -> None:
+    """Write a result CSV: the header's column names, then one line per row
+    of the 2-D float array data, every value as "%.17g" writes it."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(_format_rows(data))
+
+
 def _not_utf8(path, e: UnicodeDecodeError) -> str:
     return (f"{path}: not UTF-8 text, byte 0x{e.object[e.start]:02x} "
             f"at offset {e.start}")
@@ -333,16 +346,19 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 
 def _vec(cfg, section, key, length, path, need=None):
-    """length finite values of key in [section]; need, when given, is
-    (test of the values, what they must be)."""
+    """length finite values of key in [section], or any of the counts a
+    tuple length gives; need, when given, is (test of the values, what
+    they must be)."""
     try:
         raw = cfg[section][key]
     except KeyError:
         raise SchemaError(f"{path}: missing {key} in [{section}]") from None
     parts = raw.split()
-    if len(parts) != length:
+    lengths = length if isinstance(length, tuple) else (length,)
+    if len(parts) not in lengths:
         raise SchemaError(f"{path}: {key} in [{section}] must have "
-                          f"{length} values, got {len(parts)}")
+                          f"{' or '.join(map(str, lengths))} values, got "
+                          f"{len(parts)}")
     try:
         vals = np.array([float(x) for x in parts])
     except ValueError:
@@ -509,17 +525,167 @@ def read_payload(path) -> PayloadSpec:
     mass = float(_vec(cfg, "payload", "mass_kg", 1, path, _NONNEGATIVE)[0])
     com = _vec(cfg, "payload", "com_l_m", 3, path)
     # off-diagonal inertia entries may be omitted (pure diagonal payload)
-    n_iv = len(cfg["payload"].get("inertia_l_kgm2", "").split())
-    if n_iv == 3:
-        I = np.diag(_vec(cfg, "payload", "inertia_l_kgm2", 3, path))
-    else:
-        I = inertia_vector_to_matrix(
-            _vec(cfg, "payload", "inertia_l_kgm2", 6, path))
+    iv = _vec(cfg, "payload", "inertia_l_kgm2", (3, 6), path)
+    I = np.diag(iv) if iv.size == 3 else inertia_vector_to_matrix(iv)
+    try:
+        check_com_inertia(I, "inertia_l_kgm2 in [payload]")
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from None
     R = _vec(cfg, "payload", "R_l_n", 9, path, (orthonormal, "orthonormal"))
     t = _vec(cfg, "payload", "t_l_n_m", 3, path)
     return PayloadSpec(mass=mass, com=tuple(com), inertia_com=tuple(map(tuple, I)),
                        R_l_n=tuple(map(tuple, R.reshape(3, 3))),
                        t_l_n=tuple(t))
+
+
+# ---------------------------------------------------------------------------
+# identified-model file: [meta], [gravity], [dh], [coefficients.joint_j],
+# and as stages run [friction.joint_j], [gains], [payload_parameters]
+
+@dataclass(frozen=True)
+class IdentifiedModel:
+    """Identification output, one stage at a time: chi (stage 'linear'),
+    then psi ('friction'), then gains ('gains'), which need psi; the
+    solver evaluates only a model at stage 'gains'.
+
+    chi holds the per-joint current-level coefficient blocks (n, c); psi
+    the current-level sigmoid friction; gains the per-joint drive gains.
+    payload, when set, is the 10-vector of payload dynamic parameters
+    expressed in the last link frame; its torque contribution is added on
+    top of the identified arm model rather than folded into the
+    coefficients.  The torque-level sets and their fold into one
+    matrix per link, holding only the sets of the joints the link
+    reaches, are derived once per model and read-only, so a solver call
+    does only per-state work; a copy (configure_payload) derives its own.
+    """
+
+    name: str
+    chain: KinematicChain
+    map: BaseParameterMap
+    chi: np.ndarray
+    psi: FrictionSet | None = None
+    gains: np.ndarray | None = None
+    payload: np.ndarray | None = None
+    qd_threshold: float = QD_THRESHOLD_DEFAULT
+
+    def __post_init__(self):
+        chi = np.asarray(self.chi, dtype=float)
+        n, c = self.map.n, self.map.c
+        self.map.check_chain(self.chain)
+        if chi.shape != (n, c):
+            raise ValueError(f"chi must be ({n}, {c})")
+        if not np.all(np.isfinite(chi)):
+            raise ValueError("chi must be finite")
+        object.__setattr__(self, "chi", chi)
+        _check_qd_threshold(self.qd_threshold)
+        if self.psi is not None and self.psi.n != n:
+            raise ValueError(f"friction must cover {n} joints")
+        if self.gains is not None:
+            if self.psi is None:
+                raise ValueError("gains need friction: psi must be set "
+                                 "when gains are")
+            object.__setattr__(self, "gains", _check_gains(self.gains, n))
+        if self.payload is not None:
+            pl = np.asarray(self.payload, dtype=float)
+            if pl.shape != (N_INERTIAL,) or not np.all(np.isfinite(pl)):
+                raise ValueError("payload must be a finite 10-vector")
+            object.__setattr__(self, "payload", pl)
+
+    @property
+    def n(self) -> int:
+        return self.map.n
+
+    @property
+    def stage(self) -> str:
+        if self.gains is not None:
+            return "gains"
+        return "friction" if self.psi is not None else "linear"
+
+    @cached_property
+    def torque_sets(self) -> np.ndarray:
+        """(10n, n) torque-level parameter sets, derived once per model:
+        joint j's torque comes from column j, K_j*chi_j placed by the base
+        map, plus the payload on the last link."""
+        Pi = self.map.joint_sets(self.chi * self.gains[:, None])
+        if self.payload is not None:
+            Pi[-N_INERTIAL:] += self.payload[:, None]
+        Pi.flags.writeable = False  # shared by every call on this model
+        return Pi
+
+    @cached_property
+    def folded_sets(self) -> tuple[np.ndarray, ...]:
+        """torque_sets folded for newton_euler, one read-only matrix per
+        link (dynamics.fold_sets): link i feeds joints 0..i only, so its
+        matrix holds sets 0..i, (12, 3 + 6(i+1))."""
+        B = fold_sets(self.chain, self.torque_sets)
+        for b in B:
+            b.flags.writeable = False
+        return B
+
+
+def save_identified_model(model: IdentifiedModel, path) -> None:
+    """Write the model to one INI file: the chain, chi, and the stages
+    identified so far.  The base map is not stored; loading rebuilds it."""
+    cfg = _new_parser()
+    cfg["meta"] = {
+        "name": model.name,
+        "kind": "identified",
+        "qd_threshold_rad_s": _fmt(model.qd_threshold),
+    }
+    _write_chain(cfg, model.chain)
+    for j in range(model.n):
+        cfg[f"coefficients.joint_{j+1}"] = {"chi": _vecstr(model.chi[j])}
+    if model.psi is not None:
+        _write_friction(cfg, model.psi, level="current")
+    if model.gains is not None:
+        cfg["gains"] = {"K_NmA": _vecstr(model.gains)}
+    if model.payload is not None:
+        cfg["payload_parameters"] = {"pi_L": _vecstr(model.payload)}
+    with open(path, "w") as fh:
+        cfg.write(fh)
+
+
+def load_identified_model(path) -> IdentifiedModel:
+    """Read a model file; the base map is rebuilt from its chain."""
+    cfg = _read_ini(path)
+    if cfg.get("meta", "kind", fallback="") != "identified":
+        raise SchemaError(f"{path}: not an identified-model file")
+    if "base_map" in cfg:
+        # such a file stores chi in the columns its own map chose, which
+        # need not be the ones the chain gives now
+        raise SchemaError(f"{path}: has a [base_map] section, so chi may "
+                          "sit in other base columns than the chain's; "
+                          "run `identify linear` again")
+    chain = _read_chain(cfg, path)
+    n = chain.n
+    map_ = compute_base_map(chain)
+    chi = np.vstack([
+        _vec(cfg, f"coefficients.joint_{j+1}", "chi", map_.c, path)
+        for j in range(n)])
+    psi = None
+    if "friction.joint_1" in cfg:
+        psi, level = _read_friction(cfg, n, path)
+        if level != "current":
+            raise SchemaError(f"{path}: identified friction must be "
+                              "current-level")
+    gains = None
+    if "gains" in cfg:
+        if psi is None:
+            raise SchemaError(f"{path}: has [gains] but no friction "
+                              "sections; drive gains need friction: run "
+                              "`identify friction`, then `identify gains`")
+        gains = _vec(cfg, "gains", "K_NmA", n, path, _POSITIVE)
+    payload = None
+    if "payload_parameters" in cfg:
+        payload = _vec(cfg, "payload_parameters", "pi_L", N_INERTIAL, path)
+    qd_threshold = QD_THRESHOLD_DEFAULT
+    if cfg.has_option("meta", "qd_threshold_rad_s"):
+        qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1, path,
+                                  _NONNEGATIVE)[0])
+    return IdentifiedModel(
+        name=cfg.get("meta", "name", fallback="unnamed"),
+        chain=chain, map=map_, chi=chi, psi=psi, gains=gains,
+        payload=payload, qd_threshold=qd_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,17 @@ Every torque of known parameters is one newton_euler call on a fold the
 caller keeps.  The frames depend on q alone, so the evaluator runs a
 tuple of motion blocks over one configuration, with gravity per block,
 and each link's rotation meets the joint screws and every block's motion
-in one product.  A batch runs the pass
-in blocks of BLOCK_STATES states, so the pass's memory does not grow
+in one product.  A batch runs the pass, and regressor_blocks the
+regressor, in blocks of BLOCK_STATES states, so memory does not grow
 with the batch.  A batch of more than one block runs its blocks on the
 calling thread and on one helper thread, started for the call and
-joined before it returns, where the process may run on more than one
-CPU.  Each block writes only its own rows of the result, so the bits do
-not depend on the thread count, and the pass holds one block's buffers
-per thread that runs it.  numpy releases the interpreter lock inside its
-matrix products and most elementwise loops, which is what the threads
-overlap.  Only one helper on a 2-CPU machine has been measured
-(MAX_HELPERS).
+joined before it returns, where the process's affinity and CPU-time
+quota allow more than one CPU.  Each block writes only its own rows of
+the result, so the bits do not depend on the thread count, and the pass
+holds one block's buffers per thread that runs it.  numpy releases the
+interpreter lock inside its matrix products and most elementwise loops,
+which is what the threads overlap.  Only one helper on a 2-CPU machine
+has been measured (MAX_HELPERS).
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -58,7 +58,7 @@ N_FRICTION = 3    # per-joint linear friction parameters
 # sigmoid steepness (s/rad) of FrictionSet.from_linear's saturated transition
 SATURATED_DELTA = 1e9
 # states per block of a batched pass (newton_euler, and the regressor
-# streamed by reduction.regressor_blocks): a block's temporaries stay
+# streamed by regressor_blocks): a block's temporaries stay
 # cache-sized, and a batch's memory grows only with its inputs and result
 # (and, in newton_euler, with one block per thread that runs the pass)
 BLOCK_STATES = 512
@@ -72,6 +72,10 @@ _PRODUCT_COLUMNS = 192
 # loop holds the interpreter lock between numpy calls, and each helper
 # holds one more block of buffers
 MAX_HELPERS = 1
+# a cgroup's CPU-time quota and period: one file in cgroup v2, two in v1
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
 
 # symmetric basis order for the inertia tensor: xx, xy, xz, yy, yz, zz
 _I_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -92,6 +96,17 @@ def steiner_shift(mass: float, r: np.ndarray) -> np.ndarray:
     """Inertia increment [r]x^T [r]x scaled by mass (COM -> origin shift)."""
     r = np.asarray(r, dtype=float)
     return mass * ((r @ r) * np.eye(3) - np.outer(r, r))
+
+
+def check_com_inertia(I: np.ndarray, name: str) -> None:
+    """Raise ValueError, naming the tensor, unless the 3x3 inertia I about
+    a centre of mass is symmetric and positive semidefinite to rounding,
+    as every body's is."""
+    if np.max(np.abs(I - I.T)) > 1e-12 * max(1.0, np.max(np.abs(I))):
+        raise ValueError(f"{name} must be symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (I + I.T))
+    if eigs[0] < -1e-12 * max(1.0, abs(eigs[-1])):
+        raise ValueError(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -126,16 +141,12 @@ class InertialParameters:
     @classmethod
     def from_com(cls, mass: float, com, inertia_com) -> "InertialParameters":
         """Build from COM position and COM-referenced inertia; the COM tensor
-        must be symmetric positive semidefinite and the mass positive."""
+        must be a body's (check_com_inertia) and the mass positive."""
         com = np.asarray(com, dtype=float)
         Ic = np.asarray(inertia_com, dtype=float)
         if mass <= 0.0:
             raise ValueError("mass must be positive")
-        if np.max(np.abs(Ic - Ic.T)) > 1e-12 * max(1.0, np.max(np.abs(Ic))):
-            raise ValueError("COM inertia must be symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (Ic + Ic.T))
-        if eigs[0] < -1e-12 * max(1.0, abs(eigs[-1])):
-            raise ValueError("COM inertia must be positive semidefinite")
+        check_com_inertia(Ic, "COM inertia")
         I0 = Ic + steiner_shift(mass, com)
         return cls(mass=float(mass), first_moment=tuple(mass * com),
                    inertia_origin=tuple(map(tuple, I0)))
@@ -597,14 +608,39 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         yield i, Si, G[..., 3:]
 
 
+def _cpu_quota() -> int | None:
+    """Whole CPUs of time the process's cgroup allows, floor(quota /
+    period): cgroup v2's cpu.max, else v1's cpu.cfs_quota_us and
+    cpu.cfs_period_us.  None when no quota is set (-1 or max) or none can
+    be read."""
+    for paths in ((_CPU_MAX,), (_CFS_QUOTA, _CFS_PERIOD)):
+        try:
+            fields = []
+            for path in paths:
+                with open(path) as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:  # max, or not two integers
+            return None
+        return quota // period if quota >= 0 and period > 0 else None
+    return None
+
+
 def _helper_threads(blocks: int) -> int:
     """Helper threads for a pass over this many blocks of states: one per
     CPU the process may run on beyond the first, at most one per block
     beyond the first, and at most MAX_HELPERS.  The CPUs are those of the
-    process's affinity; a CPU-time quota is not read."""
+    process's affinity, and no more than its CPU-time quota
+    (_cpu_quota)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    return min(cpus - 1, blocks - 1, MAX_HELPERS)
+    quota = _cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, quota)
+    return max(0, min(cpus - 1, blocks - 1, MAX_HELPERS))
 
 
 def _on_threads(work, blocks, helpers: int) -> None:
@@ -747,6 +783,20 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
         Y[:, j, base + 3 * j + 1] = Qd[:, j]
         Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
     return Y
+
+
+def regressor_blocks(chain: KinematicChain, Q, Qd, Qdd, use) -> None:
+    """use(rows, Y) over a batch of states, BLOCK_STATES at a time: rows
+    is a block's slice of the batch and Y its regressor_stack result.
+
+    Each block is dropped when use returns, before the next is built.  A
+    state's regressor does not depend on the batch around it, so the
+    blocks hold exactly the rows of one build of the whole batch.  The
+    batch is checked whole first, so an error names its row in the batch.
+    """
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
+    for rows in _state_blocks(len(Q)):
+        use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
 
 
 def regressor(chain: KinematicChain, state: JointState) -> np.ndarray:

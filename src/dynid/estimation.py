@@ -19,7 +19,7 @@ before any iterate, the orthonormal basis the iterates work in, and, at
 the final weights, an r-row system whose split gives the coefficients.
 
 The regressor is read one way, _joint_columns: in blocks of states
-(reduction.regressor_blocks), keeping from each block only the rows and
+(dynamics.regressor_blocks), keeping from each block only the rows and
 columns a fit uses.  No identification holds an (M, n, c) array: stage 1
 keeps, for stages 2 and 3, each joint's regressor row on its active
 inertial base columns, the only part of the minimal regressor they read
@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
-                       friction_linear, friction_sigmoid, sigmoid)
+                       friction_linear, friction_sigmoid, regressor_blocks,
+                       sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import (RANK_TOL, BaseParameterMap, regressor_blocks,
-                        split_columns)
+from .reduction import RANK_TOL, BaseParameterMap, split_columns
 from .dataio import SampleSet
 
 BISQUARE_TUNING = 4.685
@@ -354,7 +354,9 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
     every state when rows is None.  With coef, joint j's _joint_model of
     those columns and coef[j] instead, (m_j,), so that no more than one
     block's columns are held.  Filled block by block
-    (reduction.regressor_blocks); the only reader of the regressor here."""
+    (dynamics.regressor_blocks); the only reader of the regressor here,
+    and so the one place a stage checks that map and chain agree."""
+    map_.check_chain(chain)
     m = len(np.atleast_2d(q))
     sizes = [m] * len(cols) if rows is None else rows.sum(axis=0)
     out = [np.empty(k if coef is not None else (len(c), k))
@@ -372,7 +374,7 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
                 G[span] = _joint_model(part.T, coef[j])
             at[j] += len(part)
 
-    regressor_blocks(map_, chain, q, qd, qdd, gather)
+    regressor_blocks(chain, q, qd, qdd, gather)
     return out
 
 

@@ -19,6 +19,7 @@ from .dynamics import (
     N_INERTIAL,
     DynamicParameters,
     InertialParameters,
+    check_com_inertia,
     inertia_matrix_to_vector,
     steiner_shift,
 )
@@ -65,8 +66,7 @@ class PayloadSpec:
                         ("t_l_n", t)):
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"payload {name} must be finite")
-        if np.max(np.abs(I - I.T)) > 1e-12 * max(1.0, np.max(np.abs(I))):
-            raise ValueError("inertia_com must be symmetric")
+        check_com_inertia(I, "inertia_com")
         if not orthonormal(R):
             raise ValueError("R_l_n must be orthonormal")
         object.__setattr__(self, "com", tuple(map(float, com)))

@@ -17,11 +17,10 @@ Systems 1991).
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 
-The regressor of a batch of states is built in blocks of
-dynamics.BLOCK_STATES states (regressor_blocks), the block size of every
-batched pass, and each block is dropped once its rows are used, so no
-batch holds its full (M, n, 13n) regressor: building a minimal regressor
-takes that result plus one block.
+A minimal regressor is sliced from the full one block by block
+(dynamics.regressor_blocks), so building it takes the result plus one
+block, never the batch's full (M, n, 13n) regressor.  A map is paired
+with a chain of its joint count only (BaseParameterMap.check_chain).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       _motion_blocks, _state_blocks, regressor_stack)
+                       regressor_blocks, regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -95,6 +94,13 @@ class BaseParameterMap:
         """Inertial columns not selected, ascending; pairs with recombination."""
         all_cols = np.arange(N_INERTIAL * self.n)
         return np.setdiff1d(all_cols, self.inertial_columns)
+
+    def check_chain(self, chain: KinematicChain) -> None:
+        """Raise ValueError, naming both joint counts, unless chain has
+        this map's joint count."""
+        if chain.n != self.n:
+            raise ValueError(f"map is for {self.n} joints, chain has "
+                             f"{chain.n}")
 
     def friction_columns(self, j: int) -> np.ndarray:
         """Base-column indices of joint j's own friction triple."""
@@ -280,24 +286,6 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
         joint_depcols=tuple(depcols), joint_regroup=tuple(regroups))
 
 
-def regressor_blocks(map_: BaseParameterMap, chain: KinematicChain,
-                     Q, Qd, Qdd, use) -> None:
-    """use(rows, Y) over a batch of states, dynamics.BLOCK_STATES at a
-    time: rows is a block's slice of the batch and Y its regressor_stack
-    result.
-
-    Each block is dropped when use returns, before the next is built.  A
-    state's regressor does not depend on the batch around it, so the
-    blocks hold exactly the rows of one build of the whole batch.  The
-    batch is checked whole first, so an error names its row in the batch.
-    """
-    if chain.n != map_.n:
-        raise ValueError(f"map is for {map_.n} joints, chain has {chain.n}")
-    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
-    for rows in _state_blocks(len(Q)):
-        use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
-
-
 def minimal_columns(map_: BaseParameterMap, Y: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Minimal regressor (M, n, c) sliced from a full regressor_stack result:
@@ -314,8 +302,9 @@ def minimal_columns(map_: BaseParameterMap, Y: np.ndarray,
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
                             Q, Qd, Qdd) -> np.ndarray:
     """Minimal regressor for a batch of states, shape (M, n, c), filled
-    block by block (regressor_blocks)."""
+    block by block (dynamics.regressor_blocks)."""
+    map_.check_chain(chain)
     U = np.empty((len(np.atleast_2d(Q)), map_.n, map_.c))
-    regressor_blocks(map_, chain, Q, Qd, Qdd,
+    regressor_blocks(chain, Q, Qd, Qdd,
                      lambda rows, Y: minimal_columns(map_, Y, out=U[rows]))
     return U

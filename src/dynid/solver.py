@@ -9,109 +9,26 @@ model's torque-level parameter sets, one per joint, that the model keeps
 (IdentifiedModel.folded_sets): joint j's torque comes from set j alone,
 never from the other sets' torques at joint j.  The terms of torque_terms
 and the columns of inertia are tuples of motion blocks, with gravity per
-block, over one pass of the configurations.
+block, over one pass of the configurations.  The model and its file
+belong to dataio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, FrictionSet, fold_sets, friction_sigmoid,
-                       newton_euler)
-from .kinematics import KinematicChain
+from . import dataio
+from .dataio import IdentifiedModel
+from .dynamics import friction_sigmoid, newton_euler
 from .payload import PayloadSpec, payload_to_frame_n
-from .reduction import BaseParameterMap, compute_base_map
-from .dataio import (_NONNEGATIVE, _POSITIVE, QD_THRESHOLD_DEFAULT,
-                     SchemaError, _check_gains, _check_qd_threshold, _fmt,
-                     _new_parser, _read_chain, _read_friction, _read_ini,
-                     _vec, _vecstr, _write_chain, _write_friction)
 
 _NO_GRAVITY = np.zeros(3)
 
-
-@dataclass(frozen=True)
-class IdentifiedModel:
-    """Identification output, one stage at a time: chi (stage 'linear'),
-    then psi ('friction'), then gains ('gains'), which need psi; the
-    solver evaluates only a model at stage 'gains'.
-
-    chi holds the per-joint current-level coefficient blocks (n, c); psi
-    the current-level sigmoid friction; gains the per-joint drive gains.
-    payload, when set, is the 10-vector of payload dynamic parameters
-    expressed in the last link frame; its torque contribution is added on
-    top of the identified arm model rather than folded into the
-    coefficients.  The torque-level sets and their fold into one
-    matrix per link, holding only the sets of the joints the link
-    reaches, are derived once per model and read-only, so a solver call
-    does only per-state work; a copy (configure_payload) derives its own.
-    """
-
-    name: str
-    chain: KinematicChain
-    map: BaseParameterMap
-    chi: np.ndarray
-    psi: FrictionSet | None = None
-    gains: np.ndarray | None = None
-    payload: np.ndarray | None = None
-    qd_threshold: float = QD_THRESHOLD_DEFAULT
-
-    def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=float)
-        n, c = self.map.n, self.map.c
-        if self.chain.n != n:
-            raise ValueError(f"chain has {self.chain.n} joints, map {n}")
-        if chi.shape != (n, c):
-            raise ValueError(f"chi must be ({n}, {c})")
-        if not np.all(np.isfinite(chi)):
-            raise ValueError("chi must be finite")
-        object.__setattr__(self, "chi", chi)
-        _check_qd_threshold(self.qd_threshold)
-        if self.psi is not None and self.psi.n != n:
-            raise ValueError(f"friction must cover {n} joints")
-        if self.gains is not None:
-            if self.psi is None:
-                raise ValueError("gains need friction: psi must be set "
-                                 "when gains are")
-            object.__setattr__(self, "gains", _check_gains(self.gains, n))
-        if self.payload is not None:
-            pl = np.asarray(self.payload, dtype=float)
-            if pl.shape != (N_INERTIAL,) or not np.all(np.isfinite(pl)):
-                raise ValueError("payload must be a finite 10-vector")
-            object.__setattr__(self, "payload", pl)
-
-    @property
-    def n(self) -> int:
-        return self.map.n
-
-    @property
-    def stage(self) -> str:
-        if self.gains is not None:
-            return "gains"
-        return "friction" if self.psi is not None else "linear"
-
-    @cached_property
-    def torque_sets(self) -> np.ndarray:
-        """(10n, n) torque-level parameter sets, derived once per model:
-        joint j's torque comes from column j, K_j*chi_j placed by the base
-        map, plus the payload on the last link."""
-        Pi = self.map.joint_sets(self.chi * self.gains[:, None])
-        if self.payload is not None:
-            Pi[-N_INERTIAL:] += self.payload[:, None]
-        Pi.flags.writeable = False  # shared by every call on this model
-        return Pi
-
-    @cached_property
-    def folded_sets(self) -> tuple[np.ndarray, ...]:
-        """torque_sets folded for newton_euler, one read-only matrix per
-        link (dynamics.fold_sets): link i feeds joints 0..i only, so its
-        matrix holds sets 0..i, (12, 3 + 6(i+1))."""
-        B = fold_sets(self.chain, self.torque_sets)
-        for b in B:
-            b.flags.writeable = False
-        return B
+# the model file is dataio's; perfbench/ reads these two names from here
+save_identified_model = dataio.save_identified_model
+load_identified_model = dataio.load_identified_model
 
 
 def _require_complete(model: IdentifiedModel):
@@ -206,71 +123,3 @@ def torque_terms(model: IdentifiedModel, q, qd, qdd):
                                     model.folded_sets, g)
     terms = inert, cor, friction(model, np.atleast_2d(qd)), grav
     return tuple(t[0] for t in terms) if np.ndim(q) == 1 else terms
-
-
-# ---------------------------------------------------------------------------
-# persistence: one INI file holding what identification estimated
-
-def save_identified_model(model: IdentifiedModel, path) -> None:
-    """Write the model to one INI file: the chain, chi, and the stages
-    identified so far.  The base map is not stored; loading rebuilds it."""
-    cfg = _new_parser()
-    cfg["meta"] = {
-        "name": model.name,
-        "kind": "identified",
-        "qd_threshold_rad_s": _fmt(model.qd_threshold),
-    }
-    _write_chain(cfg, model.chain)
-    for j in range(model.n):
-        cfg[f"coefficients.joint_{j+1}"] = {"chi": _vecstr(model.chi[j])}
-    if model.psi is not None:
-        _write_friction(cfg, model.psi, level="current")
-    if model.gains is not None:
-        cfg["gains"] = {"K_NmA": _vecstr(model.gains)}
-    if model.payload is not None:
-        cfg["payload_parameters"] = {"pi_L": _vecstr(model.payload)}
-    with open(path, "w") as fh:
-        cfg.write(fh)
-
-
-def load_identified_model(path) -> IdentifiedModel:
-    """Read a model file; the base map is rebuilt from its chain."""
-    cfg = _read_ini(path)
-    if cfg.get("meta", "kind", fallback="") != "identified":
-        raise SchemaError(f"{path}: not an identified-model file")
-    if "base_map" in cfg:
-        # such a file stores chi in the columns its own map chose, which
-        # need not be the ones the chain gives now
-        raise SchemaError(f"{path}: has a [base_map] section, so chi may "
-                          "sit in other base columns than the chain's; "
-                          "run `identify linear` again")
-    chain = _read_chain(cfg, path)
-    n = chain.n
-    map_ = compute_base_map(chain)
-    chi = np.vstack([
-        _vec(cfg, f"coefficients.joint_{j+1}", "chi", map_.c, path)
-        for j in range(n)])
-    psi = None
-    if "friction.joint_1" in cfg:
-        psi, level = _read_friction(cfg, n, path)
-        if level != "current":
-            raise SchemaError(f"{path}: identified friction must be "
-                              "current-level")
-    gains = None
-    if "gains" in cfg:
-        if psi is None:
-            raise SchemaError(f"{path}: has [gains] but no friction "
-                              "sections; drive gains need friction: run "
-                              "`identify friction`, then `identify gains`")
-        gains = _vec(cfg, "gains", "K_NmA", n, path, _POSITIVE)
-    payload = None
-    if "payload_parameters" in cfg:
-        payload = _vec(cfg, "payload_parameters", "pi_L", N_INERTIAL, path)
-    qd_threshold = QD_THRESHOLD_DEFAULT
-    if cfg.has_option("meta", "qd_threshold_rad_s"):
-        qd_threshold = float(_vec(cfg, "meta", "qd_threshold_rad_s", 1, path,
-                                  _NONNEGATIVE)[0])
-    return IdentifiedModel(
-        name=cfg.get("meta", "name", fallback="unnamed"),
-        chain=chain, map=map_, chi=chi, psi=psi, gains=gains,
-        payload=payload, qd_threshold=qd_threshold)

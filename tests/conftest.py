@@ -6,8 +6,8 @@ may freeze exact expectations against these fixtures.
 import numpy as np
 import pytest
 
-from dynid.dataio import (RobotModel, merge_sample_sets, simulate,
-                          ur10_default_model)
+from dynid.dataio import (IdentifiedModel, RobotModel, merge_sample_sets,
+                          simulate, ur10_default_model)
 from dynid.dynamics import DynamicParameters, FrictionSet
 from dynid.estimation import (KnownPayload, estimate_gains, fit_friction,
                               friction_residual_currents,
@@ -15,7 +15,6 @@ from dynid.estimation import (KnownPayload, estimate_gains, fit_friction,
 from dynid.kinematics import ur10_chain
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
-from dynid.solver import IdentifiedModel
 from dynid.trajectory import random_trajectory, validation_trajectory
 
 # linear-friction plant used wherever stage 1 must close exactly

@@ -8,12 +8,13 @@ import pytest
 import estimation_oracle
 from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
-from dynid.dataio import (differentiate, merge_sample_sets, read_samples,
+from dynid.dataio import (differentiate, load_identified_model,
+                          merge_sample_sets, read_samples,
                           ur10_default_model, write_payload,
                           write_robot_model, write_samples)
 from dynid.estimation import friction_residual_currents, identify_coefficients
 from dynid.payload import PayloadSpec
-from dynid.solver import load_identified_model, torque
+from dynid.solver import torque
 
 PAYLOAD = PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                       inertia_com=np.diag((0.030, 0.035, 0.030)))
@@ -566,6 +567,34 @@ def test_out_of_range_value_names_file_and_key(pipeline, capsys, case):
     assert main(_INI_ROLES[role](pipeline, bad, out)) == 2
     err = capsys.readouterr().err
     assert bad in err and f"{key} in [{section}]" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value, why", [
+    ("-1 -1 -1", "must be positive semidefinite"),
+    ("0.03 0.035 0.03 0", "must have 3 or 6 values, got 4")])
+@pytest.mark.parametrize("command", ["solve", "identify gains"])
+def test_payload_inertia_no_body_has_names_file(pipeline, capsys, command,
+                                                value, why):
+    # a payload inertia must be a body's, as InertialParameters.from_com
+    # requires of a link's; the payload would otherwise fold a tensor no
+    # body has into the solver's last link, or into stage 3's known part
+    p = pipeline
+    bad = str(p["dir"] / "bad_inertia.ini")
+    with open(p["payload"]) as fh:
+        text = _edit_key(fh.read(), "payload", "inertia_l_kgm2", value)
+    with open(bad, "w") as fh:
+        fh.write(text)
+    out = str(p["dir"] / "bad_inertia_out")
+    argv = {"solve": ["solve", "--model", p["model"], "--payload", bad,
+                      "--traj", p["run_a"], "--out", out],
+            "identify gains": ["identify", "gains", "--model",
+                               p["model_fric"], "--samples-a", p["run_a"],
+                               "--samples-b", p["run_b"], "--payload", bad,
+                               "--known", "mass,com,inertia", "--out", out]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: inertia_l_kgm2 in [payload] {why}" in err
     assert not os.path.exists(out)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynid import dynamics
+from dynid.dataio import IdentifiedModel
 from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
                             FrictionSet, InertialParameters, JointState,
                             _link_maps, _motion_numbers, fold_sets,
@@ -18,8 +19,8 @@ from dynid.kinematics import (DhRow, KinematicChain, local_frames,
                               local_frames_batch, ur10_chain)
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
-from dynid.solver import (IdentifiedModel, configure_payload,
-                          coriolis_times_qd, gravity, torque, torque_terms)
+from dynid.solver import (configure_payload, coriolis_times_qd, gravity,
+                          torque, torque_terms)
 from forward_kinematics import frame_chain
 from regressor_oracle import (newton_euler_unfolded, regressor_stack_sweep,
                               unit_wrenches)
@@ -686,12 +687,48 @@ def _helpers(count):
 def test_helper_threads_stay_at_the_measured_count(monkeypatch):
     # one helper per further CPU and per further block, and never more
     # than the one measured (a 2-CPU machine) however many CPUs the
-    # process may run on
-    for cpus, blocks, helpers in ((1, 40, 0), (2, 1, 0), (2, 2, 1),
-                                  (2, 40, 1), (64, 2, 1), (64, 40, 1)):
+    # process may run on; a CPU-time quota of q whole CPUs allows q - 1
+    for cpus, quota, blocks, helpers in (
+            (1, None, 40, 0), (2, None, 1, 0), (2, None, 2, 1),
+            (2, None, 40, 1), (64, None, 2, 1), (64, None, 40, 1),
+            (64, 0, 40, 0), (64, 1, 40, 0), (64, 2, 40, 1), (1, 8, 40, 0)):
         monkeypatch.setattr(dynamics.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(dynamics, "_cpu_quota", lambda: quota)
         assert dynamics._helper_threads(blocks) == helpers
+
+
+@pytest.mark.parametrize("v2, v1, cpus", [
+    ("max 100000", None, None), ("150000 100000", None, 1),
+    ("400000 100000", "-1", 4), (None, "-1", None), (None, "250000", 2),
+    (None, None, None), ("max", None, None), ("x 100000", None, None),
+    ("100000 0", None, None)])
+def test_cpu_quota_reads_cgroup_v2_then_v1(tmp_path, monkeypatch, v2, v1,
+                                           cpus):
+    # cgroup v2's cpu.max holds quota and period; v1 keeps them in two
+    # files, and is read only without cpu.max.  A missing or malformed
+    # file, or no quota (max, -1), means no cap
+    paths = {"_CPU_MAX": v2, "_CFS_QUOTA": v1,
+             "_CFS_PERIOD": None if v1 is None else "100000"}
+    for name, text in paths.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text + "\n")
+        monkeypatch.setattr(dynamics, name, str(path))
+    assert dynamics._cpu_quota() == cpus
+
+
+def test_single_block_pass_reads_no_cpu_quota(chain, monkeypatch):
+    # the quota is read for a pass of more than one block only: never on
+    # a single-state call or a batch of one block
+    def refuse():
+        raise AssertionError("quota read")
+
+    monkeypatch.setattr(dynamics, "_cpu_quota", refuse)
+    sets = fold_sets(chain, np.zeros((10 * chain.n, 1)))
+    q = np.zeros((BLOCK_STATES, chain.n))
+    newton_euler(chain, q[0], q[0], q[0], sets)
+    newton_euler(chain, q, q, q, sets)
 
 
 @settings(max_examples=30, deadline=None)

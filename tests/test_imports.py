@@ -15,8 +15,8 @@ import sys
 import tomllib
 
 import dynid
-from dynid.dataio import ur10_default_model, write_robot_model, write_samples
-from dynid.solver import save_identified_model
+from dynid.dataio import (save_identified_model, ur10_default_model,
+                          write_robot_model, write_samples)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynid.__file__)))
 
@@ -94,6 +94,25 @@ def test_src_private_names_have_a_use():
                for name, line in _defined_private(tree).items()
                if name not in used]
     assert orphans == []
+
+
+def _private_imports(package: pathlib.Path) -> list[str]:
+    """Private names a package module imports from another of its modules."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name} line {node.lineno}: {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
+def test_src_modules_import_no_private_name_from_another():
+    # a private name is its module's own decision: a format, a check or a
+    # kernel detail another module would have to know to use it.  Tests
+    # and their oracles in tests/ may read private names
+    assert _private_imports(pathlib.Path(dynid.__file__).parent) == []
 
 
 def test_runtime_is_numpy_only():
@@ -186,7 +205,7 @@ def test_model_load_and_validate_load_no_numpy_random(ident_true, data_a,
     code = """
 import sys, json
 import dynid.cli
-from dynid.solver import load_identified_model
+from dynid.dataio import load_identified_model
 load_identified_model("model.ini")
 loaded = "numpy.random" in sys.modules
 rc = dynid.cli.main(["validate", "--model", "model.ini", "--samples",

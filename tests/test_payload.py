@@ -111,6 +111,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PayloadSpec(mass=1.0, com=(0, 0, 0), inertia_com=np.zeros((3, 3)),
                     R_l_n=np.eye(3) * 2.0)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        PayloadSpec(mass=1.0, com=(0, 0, 0), inertia_com=-np.eye(3))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -9,9 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import base_map_oracle
 import dynid
-from dynid.dynamics import (N_INERTIAL, DynamicParameters, InertialParameters,
-                            JointState, regressor_stack)
+from dynid.dataio import SampleSet
+from dynid.dynamics import (N_INERTIAL, DynamicParameters, FrictionSet,
+                            InertialParameters, JointState, regressor_stack)
+from dynid.estimation import (KnownPayload, estimate_gains,
+                              friction_residual_currents,
+                              identify_coefficients, predict_currents)
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
+from dynid.payload import PayloadSpec
 from dynid import reduction
 from dynid.reduction import (RANK_TOL, compute_base_map,
                              minimal_regressor_stack, probe_states,
@@ -241,10 +246,37 @@ def test_determinism(chain, bmap):
 
 
 def test_chain_mismatch_rejected(bmap):
-    toy = KinematicChain(rows=(DhRow(0.3, 0.0, 0.1), DhRow(0.25, 0.0, 0.0)))
-    z = np.zeros((1, 2))
-    with pytest.raises(ValueError):
-        minimal_regressor_stack(bmap, toy, z, z, z)
+    # a map pairs only with a chain of its joint count: every estimation
+    # stage meets the check where it reads the regressor
+    # (estimation._joint_columns), and minimal_regressor_stack meets the
+    # same one, which names both counts
+    z = np.zeros((2, 2))
+    runs = [SampleSet(t=[0.0, 0.008], q=z, qd=z, qdd=z, v=z, scenario=tag)
+            for tag in "ab"]
+    chi = np.zeros((6, bmap.c))
+    known = KnownPayload(spec=PayloadSpec(mass=1.0, com=(0.0, 0.0, 0.0),
+                                          inertia_com=np.zeros((3, 3))),
+                         known=("mass",))
+    psi = FrictionSet.from_linear(np.zeros(2), np.zeros(2), np.zeros(2))
+    calls = {
+        "minimal_regressor_stack":
+            lambda: minimal_regressor_stack(bmap, TOY, z, z, z),
+        "identify_coefficients":
+            lambda: identify_coefficients(bmap, TOY, runs[0]),
+        "predict_currents":
+            lambda: predict_currents(bmap, TOY, chi, z, z, z),
+        "friction_residual_currents":
+            lambda: friction_residual_currents(bmap, TOY, chi, runs[0]),
+        "estimate_gains":
+            lambda: estimate_gains(*runs, known, bmap, TOY, chi, psi),
+    }
+    raised = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as e:
+            raised[name] = str(e)
+    assert raised == dict.fromkeys(calls, "map is for 6 joints, chain has 2")
 
 
 def test_zero_state_structure(bmap, chain):

@@ -10,17 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from dynid import dynamics, kinematics, solver
 from dynid.cli import main
-from dynid.dataio import (SchemaError, _new_parser, write_robot_model,
-                          write_samples)
+from dynid.dataio import (IdentifiedModel, SchemaError, _new_parser,
+                          load_identified_model, save_identified_model,
+                          write_robot_model, write_samples)
 from dynid.dynamics import (JointState, friction_linear, friction_sigmoid,
                             rnea)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
-from dynid.solver import (IdentifiedModel, _rigid, configure_payload,
-                          coriolis_times_qd, friction, gravity, inertia,
-                          load_identified_model, save_identified_model,
-                          torque, torque_terms)
+from dynid.solver import (_rigid, configure_payload, coriolis_times_qd,
+                          friction, gravity, inertia, torque, torque_terms)
 from regressor_oracle import newton_euler_unfolded
 
 TWO_LINK = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
@@ -170,7 +169,7 @@ def test_model_keeps_one_read_only_fold(ident_true, monkeypatch):
         calls.append(Pi.shape)
         return fold(chain, Pi)
 
-    monkeypatch.setattr("dynid.solver.fold_sets", counted)
+    monkeypatch.setattr("dynid.dataio.fold_sets", counted)
     model = replace(ident_true)  # no fold kept yet
     q, qd, qdd = _random_states(np.random.default_rng(11), 5)
     for k in range(5):
