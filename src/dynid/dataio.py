@@ -20,9 +20,9 @@ import numpy as np
 from .dynamics import (N_INERTIAL, FrictionSet, InertialParameters,
                        check_com_inertia, fold_sets, friction_sigmoid,
                        inertia_matrix_to_vector, inertia_vector_to_matrix,
-                       newton_euler)
+                       newton_euler, steiner_shift)
 from .kinematics import DhRow, KinematicChain
-from .payload import PayloadSpec, orthonormal, payload_to_frame_n
+from .payload import PayloadSpec, check_rotation, payload_to_frame_n
 from .reduction import BaseParameterMap, compute_base_map
 from .trajectory import (FourierTrajectory, RATE_DEFAULT, check_seed,
                          sample as sample_trajectory)
@@ -482,6 +482,14 @@ def read_robot_model(path) -> RobotModel:
             com = _vec(cfg, section, "com_m", 3, path)
             I0 = inertia_vector_to_matrix(
                 _vec(cfg, section, "inertia_origin_kgm2", 6, path))
+            # a link's inertia about its COM must be a body's; sets built
+            # in the program (identified, or test oracles) need not be
+            try:
+                check_com_inertia(I0 - steiner_shift(mass, com),
+                                  f"the COM inertia of inertia_origin_kgm2 "
+                                  f"in [{section}]")
+            except ValueError as e:
+                raise SchemaError(f"{path}: {e}") from None
             links.append(InertialParameters(
                 mass=mass, first_moment=tuple(mass * com),
                 inertia_origin=tuple(map(tuple, I0))))
@@ -527,15 +535,15 @@ def read_payload(path) -> PayloadSpec:
     # off-diagonal inertia entries may be omitted (pure diagonal payload)
     iv = _vec(cfg, "payload", "inertia_l_kgm2", (3, 6), path)
     I = np.diag(iv) if iv.size == 3 else inertia_vector_to_matrix(iv)
+    R = _vec(cfg, "payload", "R_l_n", 9, path).reshape(3, 3)
     try:
         check_com_inertia(I, "inertia_l_kgm2 in [payload]")
+        check_rotation(R, "R_l_n in [payload]")
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from None
-    R = _vec(cfg, "payload", "R_l_n", 9, path, (orthonormal, "orthonormal"))
     t = _vec(cfg, "payload", "t_l_n_m", 3, path)
     return PayloadSpec(mass=mass, com=tuple(com), inertia_com=tuple(map(tuple, I)),
-                       R_l_n=tuple(map(tuple, R.reshape(3, 3))),
-                       t_l_n=tuple(t))
+                       R_l_n=tuple(map(tuple, R)), t_l_n=tuple(t))
 
 
 # ---------------------------------------------------------------------------

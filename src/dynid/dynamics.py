@@ -29,12 +29,11 @@ regressor, in blocks of BLOCK_STATES states, so memory does not grow
 with the batch.  A batch of more than one block runs its blocks on the
 calling thread and on one helper thread, started for the call and
 joined before it returns, where the process's affinity and CPU-time
-quota allow more than one CPU.  Each block writes only its own rows of
-the result, so the bits do not depend on the thread count, and the pass
-holds one block's buffers per thread that runs it.  numpy releases the
-interpreter lock inside its matrix products and most elementwise loops,
-which is what the threads overlap.  Only one helper on a 2-CPU machine
-has been measured (MAX_HELPERS).
+quota allow a second CPU.  Each block writes only its own rows of the
+result, so the bits do not depend on which thread runs it, and the pass
+holds one block's buffers per thread.  numpy releases the interpreter
+lock inside its matrix products and most elementwise loops, which is
+what the two threads overlap.
 
 Per-joint friction is modeled at two levels: a linear triple
 f_o + f_v*qd + f_c*sgn(qd) that keeps the regressor linear, and a sigmoid
@@ -67,11 +66,6 @@ BLOCK_STATES = 512
 # row count, so a wider link matrix (link 31 on, one set per joint) is
 # met in products of at most this many columns, rounding alike per row
 _PRODUCT_COLUMNS = 192
-# most helper threads a newton_euler batch starts: the one count measured
-# (a 2-CPU machine).  Speed at more is unmeasured, as each block's Python
-# loop holds the interpreter lock between numpy calls, and each helper
-# holds one more block of buffers
-MAX_HELPERS = 1
 # a cgroup's CPU-time quota and period: one file in cgroup v2, two in v1
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
 _CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
@@ -629,55 +623,46 @@ def _cpu_quota() -> int | None:
     return None
 
 
-def _helper_threads(blocks: int) -> int:
-    """Helper threads for a pass over this many blocks of states: one per
-    CPU the process may run on beyond the first, at most one per block
-    beyond the first, and at most MAX_HELPERS.  The CPUs are those of the
-    process's affinity, and no more than its CPU-time quota
-    (_cpu_quota)."""
+def _second_cpu() -> bool:
+    """Whether the process may run on a second CPU: its affinity holds two
+    or more, and its CPU-time quota (_cpu_quota) is none or two or more."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
+    if cpus < 2:
+        return False
     quota = _cpu_quota()
-    if quota is not None:
-        cpus = min(cpus, quota)
-    return max(0, min(cpus - 1, blocks - 1, MAX_HELPERS))
+    return quota is None or quota >= 2
 
 
-def _on_threads(work, blocks, helpers: int) -> None:
-    """work(rows) for every slice in blocks, on the calling thread and on
-    helpers more threads, started here and joined before this returns.
-    Each thread takes the next block from one shared counter until none
-    is left.  An exception stops the handing out, and the first one is
-    raised once every thread has ended."""
-    lock = threading.Lock()
-    taken = 0
+def _run_blocks(work, blocks) -> None:
+    """work(rows) for every slice in blocks, on the calling thread and, for
+    more than one block where _second_cpu allows, on one helper thread
+    started here and joined before this returns.  Both take the next block
+    from one shared iterator until none is left.  An exception stops the
+    taking, and the first one raised is raised here after the join."""
+    # next on a list iterator is atomic under CPython's interpreter lock,
+    # so each block is taken exactly once
+    todo = iter(blocks)
     errors = []
 
-    def share():
-        nonlocal taken
-        while True:
-            with lock:
-                if errors or taken == len(blocks):
+    def take():
+        try:
+            for rows in todo:
+                if errors:
                     return
-                rows = blocks[taken]
-                taken += 1
-            try:
                 work(rows)
-            except BaseException as exc:  # re-raised below, on the caller
-                with lock:
-                    errors.append(exc)
-                return
+        except BaseException as exc:  # re-raised below, on the caller
+            errors.append(exc)
 
-    threads = []
+    helper = None
+    if len(blocks) > 1 and _second_cpu():
+        helper = threading.Thread(target=take)
+        helper.start()
     try:
-        for _ in range(helpers):
-            t = threading.Thread(target=share)
-            t.start()
-            threads.append(t)
-        share()
+        take()
     finally:
-        for t in threads:
-            t.join()
+        if helper is not None:
+            helper.join()
     if errors:
         raise errors[0]
 
@@ -728,11 +713,10 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
     bits.
 
     A batch of more than one block runs its blocks on the calling thread
-    and on helper threads (_helper_threads: one per further CPU the
-    process may run on, one per further block and MAX_HELPERS at most),
-    started for this call and joined before it returns (_on_threads).
-    Each block writes only its own rows, so the bits do not depend on the
-    thread count or order, and the pass's temporaries take the memory of
+    and, where the process may use a second CPU, on one helper thread,
+    started for this call and joined before it returns (_run_blocks).
+    Each block writes only its own rows, so the bits do not depend on
+    which thread runs it, and the pass's temporaries take the memory of
     one block per thread.  A lone block, which every single-state call
     is, runs on the calling thread and starts no thread.
     """
@@ -744,15 +728,9 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
         raise ValueError(f"gravity must be (3,) or ({nb}, 3), one per "
                          f"motion block; got {g.shape}")
     tau = np.empty((nb, M, n))
-    state_blocks = _state_blocks(M)
-    helpers = len(state_blocks) > 1 and _helper_threads(len(state_blocks))
-    if helpers:
-        chain.dh  # the chain's cached constants, built before a helper reads
-        _on_threads(partial(_block_torques, chain, Q, Qd, Qdd, g, sets, tau),
-                    state_blocks, helpers)
-    else:
-        for rows in state_blocks:
-            _block_torques(chain, Q, Qd, Qdd, g, sets, tau, rows)
+    chain.dh  # the chain's cached constants, built before a helper reads
+    _run_blocks(partial(_block_torques, chain, Q, Qd, Qdd, g, sets, tau),
+                _state_blocks(M))
     return tau if blocks else tau[0]
 
 

@@ -25,10 +25,15 @@ from .dynamics import (
 )
 
 
-def orthonormal(R) -> bool:
-    """Whether R R^T = I to 1e-9; R is 3 x 3 or its 9 entries by rows."""
-    R = np.reshape(R, (3, 3))
-    return bool(np.max(np.abs(R @ R.T - np.eye(3))) <= 1e-9)
+def check_rotation(R: np.ndarray, name: str) -> None:
+    """Raise ValueError, naming the 3x3 matrix R, unless it is a proper
+    rotation: R R^T = I to 1e-9 and det R = +1.  A reflection (det -1)
+    would mirror the payload's centre of mass and inertia."""
+    if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9:
+        raise ValueError(f"{name} must be orthonormal")
+    if np.linalg.det(R) < 0:
+        raise ValueError(f"{name} must be a rotation, not a reflection "
+                         "(determinant -1)")
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,7 @@ class PayloadSpec:
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"payload {name} must be finite")
         check_com_inertia(I, "inertia_com")
-        if not orthonormal(R):
-            raise ValueError("R_l_n must be orthonormal")
+        check_rotation(R, "R_l_n")
         object.__setattr__(self, "com", tuple(map(float, com)))
         object.__setattr__(self, "inertia_com", tuple(map(tuple, I)))
         object.__setattr__(self, "R_l_n", tuple(map(tuple, R)))

@@ -551,6 +551,10 @@ _OUT_OF_RANGE = {
     "link mass": ("robot", "inertial.link_2", "mass_kg", "-12.7"),
     "payload rotation": ("payload", "payload", "R_l_n",
                          "1 0 0 0 1 0 0 0 2"),
+    "payload reflection": ("payload", "payload", "R_l_n",
+                           "1 0 0 0 1 0 0 0 -1"),
+    "link inertia": ("robot", "inertial.link_2", "inertia_origin_kgm2",
+                     "-1 0 0 -1 0 -1"),
 }
 
 

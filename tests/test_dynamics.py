@@ -678,24 +678,24 @@ def test_newton_euler_block_size_changes_no_bit(seed, block, chain, gravity,
         assert one.tobytes() == row.tobytes()
 
 
-def _helpers(count):
-    """A stand-in for dynamics._helper_threads: count helpers, at most one
-    per block beyond the first."""
-    return lambda blocks: min(count, blocks - 1)
-
-
 def test_helper_threads_stay_at_the_measured_count(monkeypatch):
-    # one helper per further CPU and per further block, and never more
-    # than the one measured (a 2-CPU machine) however many CPUs the
-    # process may run on; a CPU-time quota of q whole CPUs allows q - 1
-    for cpus, quota, blocks, helpers in (
-            (1, None, 40, 0), (2, None, 1, 0), (2, None, 2, 1),
-            (2, None, 40, 1), (64, None, 2, 1), (64, None, 40, 1),
-            (64, 0, 40, 0), (64, 1, 40, 0), (64, 2, 40, 1), (1, 8, 40, 0)):
+    # one helper, the count measured (a 2-CPU machine), where the process
+    # may run on a second CPU: two or more in its affinity, and a CPU-time
+    # quota of none or two or more whole CPUs, however many it allows
+    for cpus, quota, helper in (
+            (1, None, False), (1, 8, False), (2, None, True),
+            (64, None, True), (64, 0, False), (64, 1, False),
+            (64, 2, True), (2, 64, True)):
         monkeypatch.setattr(dynamics.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(dynamics, "_cpu_quota", lambda: quota)
-        assert dynamics._helper_threads(blocks) == helpers
+        assert dynamics._second_cpu() is helper
+    # a lone block runs on the calling thread, and no CPU count is read
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: 1 / 0)
+    ran = []
+    dynamics._run_blocks(lambda rows: ran.append(threading.get_ident()),
+                         [slice(0, 512)])
+    assert ran == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("v2, v1, cpus", [
@@ -735,14 +735,12 @@ def test_single_block_pass_reads_no_cpu_quota(chain, monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1),
        m=st.sampled_from([1, BLOCK_STATES, BLOCK_STATES + 1,
                           3 * BLOCK_STATES + 1, 2500]),
-       helpers=st.integers(1, 4),
        chain=st.sampled_from([ur10_chain(), TOY]),
        gravity=st.sampled_from(_GRAVITY), data=st.data())
-def test_helper_threads_change_no_bit(seed, m, helpers, chain, gravity,
-                                      data):
-    # the blocks of a batch run on the calling thread and helpers give the
-    # serial pass's bits: one block or several, S = 1 or n, plain arrays
-    # or tuples of motion blocks with gravity per block
+def test_helper_threads_change_no_bit(seed, m, chain, gravity, data):
+    # the blocks of a batch run on the calling thread and the helper give
+    # the calling thread's bits alone: one block or several, S = 1 or n,
+    # plain arrays or tuples of motion blocks with gravity per block
     rng = np.random.default_rng(seed)
     blocks = data.draw(st.booleans())
     nb = data.draw(st.integers(1, 3)) if blocks else 1
@@ -754,25 +752,26 @@ def test_helper_threads_change_no_bit(seed, m, helpers, chain, gravity,
     sets = fold_sets(chain, Pi)
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        for count in (0, helpers):
-            mp.setattr(dynamics, "_helper_threads", _helpers(count))
+        for helper in (False, True):
+            mp.setattr(dynamics, "_second_cpu", lambda: helper)
             runs.append(newton_euler(chain, Q, Qd, Qdd, sets, gravity=arg))
     assert runs[0].shape == ((nb,) if blocks else ()) + (m, chain.n)
     assert runs[1].tobytes() == runs[0].tobytes()
 
 
 def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
-    # eight threads share 300 one-state blocks through one counter, with
-    # the interpreter switching threads as often as it can: a block taken
-    # twice or never shows in the count, and the bits stay the serial
-    # pass's
+    # the calling thread and the helper share 300 one-state blocks through
+    # one iterator, with the interpreter switching threads as often as it
+    # can: a block taken twice or never shows in the count, and the bits
+    # stay the serial pass's
     chain, m = ur10_chain(), 300
     Q, Qd, Qdd, Pi = _random_batch(chain, m, chain.n,
                                    np.random.default_rng(13))
     sets = fold_sets(chain, Pi)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
     serial = newton_euler(chain, Q, Qd, Qdd, sets)
     monkeypatch.setattr(dynamics, "BLOCK_STATES", 1)
-    monkeypatch.setattr(dynamics, "_helper_threads", _helpers(7))
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
     ran, block = [], dynamics._block_torques
 
     def counted(*args):
@@ -796,13 +795,13 @@ def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
 
 
 def test_helper_exception_reaches_the_caller(monkeypatch):
-    # a block that raises on a helper thread raises from the call, once
-    # every thread has ended; the calling thread's own block waits until
-    # a helper has taken one
+    # a block that raises on the helper thread raises from the call, once
+    # the helper has ended; the calling thread's own block waits until the
+    # helper has taken one
     chain = ur10_chain()
     Q, Qd, Qdd, Pi = _random_batch(chain, 40, 1, np.random.default_rng(14))
     monkeypatch.setattr(dynamics, "BLOCK_STATES", 8)
-    monkeypatch.setattr(dynamics, "_helper_threads", _helpers(2))
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
     caller, on_helper = threading.get_ident(), threading.Event()
     block = dynamics._block_torques
 

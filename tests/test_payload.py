@@ -113,6 +113,11 @@ def test_spec_validation():
                     R_l_n=np.eye(3) * 2.0)
     with pytest.raises(ValueError, match="positive semidefinite"):
         PayloadSpec(mass=1.0, com=(0, 0, 0), inertia_com=-np.eye(3))
+    # a reflection is orthonormal, but would mirror the payload's COM
+    with pytest.raises(ValueError, match="^R_l_n must be a rotation, not a "
+                       "reflection"):
+        PayloadSpec(mass=1.0, com=(0, 0, 0), inertia_com=np.zeros((3, 3)),
+                    R_l_n=np.diag((1.0, 1.0, -1.0)))
 
 
 @pytest.mark.parametrize("field, value", [

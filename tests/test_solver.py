@@ -419,13 +419,13 @@ def test_torque_terms_peak_memory_is_bounded_per_block(ident_true):
 
 def test_torque_terms_keeps_one_block_of_buffers(ident_true):
     # 2500 states per thread the pass runs on, five blocks or more each, so
-    # every thread runs: torque_terms holds its result and one 512-state
-    # block's buffers per thread, the block's motion rows among them, 2.13
-    # to 2.22 MiB traced per thread at 1 to 6 threads.  Keeping the
-    # previous block's buffers alive while the next block makes its own
-    # reads 3.03 to 3.13 MiB per thread, and stacking the motion blocks of
-    # the whole batch 2.67 to 2.76
-    threads = 1 + dynamics._helper_threads(2**31)
+    # both threads run where there is a helper: torque_terms holds its
+    # result and one 512-state block's buffers per thread, the block's
+    # motion rows among them, 2.13 to 2.22 MiB traced per thread at 1 to 6
+    # threads.  Keeping the previous block's buffers alive while the next
+    # block makes its own reads 3.03 to 3.13 MiB per thread, and stacking
+    # the motion blocks of the whole batch 2.67 to 2.76
+    threads = 1 + dynamics._second_cpu()
     q, qd, qdd = _random_states(np.random.default_rng(11), 2500 * threads)
     torque_terms(ident_true, q, qd, qdd)  # model caches, once per model
     tracemalloc.start()
