@@ -300,8 +300,13 @@ def cmd_solve(a) -> None:
 
 def cmd_validate(a) -> None:
     model = _load_stage(a.model, "gains")
-    # the model is the bare arm's; a payload run would be scored against
-    # torques that leave the payload out
+    # validate scores the bare arm: a payload run would be scored against
+    # torques that leave the payload out, and a model with a payload with
+    # torques the run lacks
+    if model.payload is not None:
+        raise UsageError(f"{a.model} holds [payload_parameters]; validate "
+                         "scores the bare arm on payload-free runs, so "
+                         "give it the model without that section")
     s = _read_runs([a.samples], "--samples", model.n, model.qd_threshold,
                    "a")
     v_hat = torque(model, s.q, s.qd, s.qdd) / model.gains

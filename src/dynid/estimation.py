@@ -18,16 +18,17 @@ factors its stack once: the stack's split gives stage 1's condition guard
 before any iterate, the orthonormal basis the iterates work in, and, at
 the final weights, an r-row system whose split gives the coefficients.
 
-The regressor is read one way, _joint_columns: in blocks of states
-(dynamics.regressor_blocks), keeping from each block only the rows and
-columns a fit uses.  No identification holds an (M, n, c) array: stage 1
-keeps, for stages 2 and 3, each joint's regressor row on its active
-inertial base columns, the only part of the minimal regressor they read
-again, and _kept_columns gathers the same arrays for a chi fitted
-elsewhere.  The stage-1 model is evaluated one way, _joint_model, by
-predict_currents and friction_residual_currents alike: on the kept
-columns, or inside the gatherer block by block, so that a chi without
-kept columns holds one block's columns, not the batch's.
+The regressor is read only by the fits, one way, _joint_columns: in
+blocks of states (dynamics.regressor_blocks), keeping from each block only
+each joint's linearity-region rows on the columns its fit uses.  No
+identification holds an (M, n, c) array: stage 1 keeps, for stage 3, each
+joint's regressor row on its active inertial base columns over those rows,
+the only part of the minimal regressor stage 3 reads again, and
+_kept_columns gathers the same arrays for a chi fitted elsewhere.  Once
+fitted, chi is a set of known parameters, one block per joint, and
+predict_currents and friction_residual_currents evaluate its inertial part
+as every torque of known parameters is evaluated: one
+dynamics.newton_euler call on the fold of its per-joint sets.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet,
-                       friction_linear, friction_sigmoid, regressor_blocks,
-                       sigmoid)
+from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet, fold_sets,
+                       friction_linear, friction_sigmoid, newton_euler,
+                       regressor_blocks, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import RANK_TOL, BaseParameterMap, split_columns
@@ -242,17 +243,18 @@ class CurrentCoefficients:
     iteration.
 
     identify_coefficients also keeps, with the samples, map and chain it
-    fitted on, one (a_j, M) array per joint j in a field outside repr and
+    fitted on, one (a_j, m_j) array per joint j in a field outside repr and
     ==: joint j's regressor row on its a_j active inertial base columns
-    (_active_columns), one row per column.  friction_residual_currents
-    and estimate_gains read them when given those very objects, so one
-    identification builds its regressor once.  They live as long as this
-    object: 8 M sum_j a_j bytes, 8.8 MB at 7500 UR10 states (147 of the
-    minimal regressor's 324 numbers per state), the largest arrays an
-    identification holds.  dataclasses.replace gives a copy without them;
-    coefficients built any other way, such as a chi loaded from a model
-    file, hold none, and those two functions then gather the same arrays
-    from the samples' regressor (_kept_columns), which gives the same bits.
+    (_active_columns), one row per column, over its m_j linearity-region
+    samples (samples.mask[:, j]), the only rows stages 1 and 3 fit.
+    estimate_gains reads them when given those very objects, so one
+    identification builds run a's regressor once.  They live as long as
+    this object: 8 sum_j a_j m_j bytes, 5.0 MB at 7500 UR10 states, the
+    largest arrays an identification holds.  dataclasses.replace gives a
+    copy without them; coefficients built any other way, such as a chi
+    loaded from a model file, hold none, and estimate_gains then gathers
+    the same arrays from the samples' regressor (_kept_columns), which
+    gives the same bits.
     """
 
     n: int
@@ -299,7 +301,7 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     """
     n = map_.n
     acols = _active_columns(map_)
-    kept = _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
+    kept = _joint_columns(map_, chain, samples,
                           [map_.inertial_columns[a] for a in acols])
     mask = samples.mask
     chi = np.zeros((n, map_.c))
@@ -315,7 +317,7 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
         ident = np.searchsorted(acols[j], map_.joint_idcols[j])
         qd = samples.qd[rows, j]
         A = np.empty((count, cols.size))
-        A[:, :ident.size] = kept[j][np.ix_(ident, rows)].T
+        A[:, :ident.size] = kept[j][ident].T
         A[:, -3], A[:, -2], A[:, -1] = 1.0, qd, np.sign(qd)
         split = split_columns(A)
         cond = _condition(split)
@@ -347,34 +349,25 @@ def _active_columns(map_: BaseParameterMap) -> list[np.ndarray]:
     return [np.flatnonzero(m[:map_.c_inertial]) for m in map_.joint_masks]
 
 
-def _joint_columns(map_: BaseParameterMap, chain: KinematicChain, q, qd, qdd,
-                   cols, rows=None, coef=None) -> list[np.ndarray]:
+def _joint_columns(map_: BaseParameterMap, chain: KinematicChain,
+                   samples: SampleSet, cols) -> list[np.ndarray]:
     """Per joint j, its full-regressor row on columns cols[j], one row per
-    column: (len(cols[j]), m_j) over the states rows[:, j] selects, or over
-    every state when rows is None.  With coef, joint j's _joint_model of
-    those columns and coef[j] instead, (m_j,), so that no more than one
-    block's columns are held.  Filled block by block
-    (dynamics.regressor_blocks); the only reader of the regressor here,
-    and so the one place a stage checks that map and chain agree."""
+    column, over its linearity-region samples samples.mask[:, j], the
+    only rows stages 1 and 3 fit: (len(cols[j]), m_j).  Filled block by
+    block (dynamics.regressor_blocks); the only reader of the regressor
+    here."""
     map_.check_chain(chain)
-    m = len(np.atleast_2d(q))
-    sizes = [m] * len(cols) if rows is None else rows.sum(axis=0)
-    out = [np.empty(k if coef is not None else (len(c), k))
-           for c, k in zip(cols, sizes)]
+    rows = samples.mask
+    out = [np.empty((len(c), k)) for c, k in zip(cols, rows.sum(axis=0))]
     at = [0] * len(cols)
 
     def gather(block, Y):
         for j, (G, c) in enumerate(zip(out, cols)):
-            part = Y[:, j, c] if rows is None else \
-                Y[:, j][np.ix_(rows[block, j], c)]
-            span = slice(at[j], at[j] + len(part))
-            if coef is None:
-                G[:, span] = part.T
-            else:
-                G[span] = _joint_model(part.T, coef[j])
+            part = Y[:, j][np.ix_(rows[block, j], c)]
+            G[:, at[j]:at[j] + len(part)] = part.T
             at[j] += len(part)
 
-    regressor_blocks(chain, q, qd, qdd, gather)
+    regressor_blocks(chain, samples.q, samples.qd, samples.qdd, gather)
     return out
 
 
@@ -386,37 +379,18 @@ def _last_first(arrays: list):
 
 
 def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
-                  samples: SampleSet, rows=None, coef=None):
-    """Per joint j, its regressor row on its active inertial base columns,
-    (a_j, m_j) over all samples: the arrays stage 1 kept when chi is its
-    result on these very samples, map and chain, otherwise the same bits
-    gathered again.  With coef, joint j's _joint_model of them and coef[j]
-    (_joint_columns).  With rows instead, the samples rows[:, j] selects,
-    last joint first (stage 3's order), each array released as it is
-    yielded: kept ones are selected one joint at a time, gathered ones
-    dropped from their list (_last_first)."""
+                  samples: SampleSet):
+    """Per joint j, last joint first (stage 3's order), its regressor row
+    on its active inertial base columns over its linearity-region samples:
+    the arrays stage 1 kept when chi is its result on these very samples,
+    map and chain, otherwise the same bits gathered again, each dropped
+    from its list as it is yielded (_last_first)."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
-        kept = fitted_on[3]
-        if rows is not None:
-            return (kept[j][:, rows[:, j]] for j in reversed(range(len(kept))))
-        return kept if coef is None else (_joint_model(K, c)
-                                          for K, c in zip(kept, coef))
+        return reversed(fitted_on[3])
     cols = [map_.inertial_columns[a] for a in _active_columns(map_)]
-    out = _joint_columns(map_, chain, samples.q, samples.qd, samples.qdd,
-                         cols, rows, coef)
-    return out if rows is None else _last_first(out)
-
-
-def _joint_model(cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] cols[k] over a joint's columns cols (a, m), added one
-    column at a time, so that a state's bits do not depend on the states
-    around it or on the columns' memory layout."""
-    v = np.zeros(cols.shape[1])
-    for x, c in zip(cols, coef):
-        v += c * x
-    return v
+    return _last_first(_joint_columns(map_, chain, samples, cols))
 
 
 def _chi_matrix(chi, n: int) -> np.ndarray:
@@ -428,20 +402,16 @@ def _chi_matrix(chi, n: int) -> np.ndarray:
 
 def predict_currents(map_: BaseParameterMap, chain: KinematicChain, chi,
                      q, qd, qdd) -> np.ndarray:
-    """Currents from the stage-1 model: joint j's regressor row on its
-    active inertial base columns times chi_j's entries there (_joint_model,
-    what friction_residual_currents subtracts, evaluated block by block),
-    plus chi_j's linear friction triple.  (M, n), or (n,) for a single
-    state."""
+    """Currents from the stage-1 model: Newton-Euler on chi's inertial
+    part, joint j's torque from block j alone (map_.joint_sets), which is
+    joint j's minimal-regressor row times chi_j off the friction columns
+    and what friction_residual_currents subtracts, plus chi_j's linear
+    friction triple.  (M, n), or (n,) for a single state."""
+    map_.check_chain(chain)
     C = _chi_matrix(chi, map_.n)
-    acols = _active_columns(map_)
-    model = _joint_columns(map_, chain, q, qd, qdd,
-                           [map_.inertial_columns[a] for a in acols],
-                           coef=[C[j, a] for j, a in enumerate(acols)])
-    v = friction_linear([C[j, map_.friction_columns(j)]
-                         for j in range(map_.n)], np.atleast_2d(qd))
-    for j, x in enumerate(model):
-        v[:, j] += x
+    v = newton_euler(chain, q, qd, qdd, fold_sets(chain, map_.joint_sets(C))) \
+        + friction_linear([C[j, map_.friction_columns(j)]
+                           for j in range(map_.n)], qd)
     return v[0] if np.ndim(q) == 1 else v
 
 
@@ -451,20 +421,14 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 
     The subtraction drops the three linear-friction columns per joint, so
     the result contains the joint's entire friction current plus noise.
-    Joint j's non-friction part is its regressor row on its active
-    inertial base columns times chi_j's entries there (_joint_model), as
-    predict_currents evaluates it: on stage 1's kept columns, or block by
-    block for a chi fitted elsewhere (_kept_columns).  The row's other
-    inertial columns are structurally zero (joint_masks), and an
-    identified chi is zero on them.
+    Joint j's non-friction part is Newton-Euler on chi_j's inertial
+    entries (map_.joint_sets), as predict_currents evaluates it; no
+    regressor is built.
     """
-    C = _chi_matrix(chi, map_.n)
-    coef = [C[j, a] for j, a in enumerate(_active_columns(map_))]
-    resid = np.array(samples.v, dtype=float)
-    for j, x in enumerate(_kept_columns(map_, chain, chi, samples,
-                                        coef=coef)):
-        resid[:, j] -= x
-    return resid
+    map_.check_chain(chain)
+    sets = fold_sets(chain, map_.joint_sets(_chi_matrix(chi, map_.n)))
+    return samples.v - newton_euler(chain, samples.q, samples.qd,
+                                    samples.qdd, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +788,11 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     n_unknown = int((~kmask).sum())
 
     acols = _active_columns(map_)
-    rows_a = _kept_columns(map_, chain, chi, samples_a, samples_a.mask)
+    rows_a = _kept_columns(map_, chain, chi, samples_a)
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
     rows_b = _last_first(_joint_columns(
-        map_, chain, samples_b.q, samples_b.qd, samples_b.qdd,
-        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols],
-        samples_b.mask))
+        map_, chain, samples_b,
+        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols]))
     # friction-compensated currents
     ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
     yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)

@@ -2,43 +2,43 @@
 the references for estimation.predict_currents,
 estimation.friction_residual_currents and estimation.fit_friction.
 
-The model here evaluates joint j's block of chi by Newton-Euler, reads it
-at joint j and adds the joint's linear friction; the package takes the
-same product from the minimal regressor.  The friction fit here runs
-eight full five-parameter Levenberg-Marquardt starts per joint after an
-affine prefit, and the earliest of the starts whose objectives tie within
-a relative 1e-9 wins; the package runs one two-parameter search per joint
-with (f_o, f_v, f_c) projected out.
+The model here is joint j's minimal-regressor row times chi's block j,
+the linear friction triple included: the product stage 1 fits.  The
+package evaluates chi's inertial part by Newton-Euler and adds the
+triple.  The friction fit here runs eight full five-parameter
+Levenberg-Marquardt starts per joint after an affine prefit, and the
+earliest of the starts whose objectives tie within a relative 1e-9 wins;
+the package runs one two-parameter search per joint with (f_o, f_v, f_c)
+projected out.
 """
 import numpy as np
 
 from dynid import estimation
-from dynid.dynamics import (fold_sets, friction_linear, newton_euler,
-                            sigmoid)
+from dynid.dynamics import sigmoid
 from dynid.estimation import _canonical, _chi_matrix, _lstsq
+from dynid.reduction import minimal_regressor_stack
 
 LM_MAX_ITER = 200
 LM_FTOL = 1e-14
 LM_GTOL = 1e-12
 
 
-def _own_joint_torques(map_, chain, chi, q, qd, qdd) -> np.ndarray:
-    """Torque of joint j under its own block of chi, friction aside."""
-    sets = map_.joint_sets(_chi_matrix(chi, map_.n))
-    tau = newton_euler(chain, q, qd, qdd, fold_sets(chain, sets))
-    return tau[0] if np.ndim(q) == 1 else tau
+def _row_products(map_, chain, C, q, qd, qdd) -> np.ndarray:
+    """Joint j's minimal-regressor row times C[j], (M, n)."""
+    U = minimal_regressor_stack(map_, chain, q, qd, qdd)
+    return np.einsum("mjc,jc->mj", U, C)
 
 
 def predict_currents(map_, chain, chi, q, qd, qdd) -> np.ndarray:
-    C = _chi_matrix(chi, map_.n)
-    tri = [C[j, map_.friction_columns(j)] for j in range(map_.n)]
-    return (_own_joint_torques(map_, chain, chi, q, qd, qdd)
-            + friction_linear(tri, qd))
+    v = _row_products(map_, chain, _chi_matrix(chi, map_.n), q, qd, qdd)
+    return v[0] if np.ndim(q) == 1 else v
 
 
 def friction_residual_currents(map_, chain, chi, samples) -> np.ndarray:
-    return samples.v - _own_joint_torques(map_, chain, chi, samples.q,
-                                          samples.qd, samples.qdd)
+    C = _chi_matrix(chi, map_.n).copy()
+    C[:, map_.c_inertial:] = 0.0  # the friction columns stay in the residual
+    return samples.v - _row_products(map_, chain, C, samples.q, samples.qd,
+                                     samples.qdd)
 
 
 def _friction_model(p: np.ndarray, qd: np.ndarray):

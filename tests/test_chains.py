@@ -7,20 +7,22 @@ three noiseless 20 s runs per scenario, and runs the stages as c05 runs
 them, the conftest payload known as mass and com.  Each chain must give
 its plant's drive gains, or stop with a named EstimationError
 (ExcitationError or IdentifiabilityError): a wrong gain with no error
-fails.
+fails.  Each chain's base map must also reproduce its regressor, as c02
+checks on the UR10.
 """
 import numpy as np
 import pytest
 
 from conftest import PAYLOAD
 from dynid.dataio import RobotModel, merge_sample_sets, simulate
-from dynid.dynamics import FrictionSet, InertialParameters
+from dynid.dynamics import (N_FRICTION, N_INERTIAL, FrictionSet,
+                            InertialParameters, regressor_stack)
 from dynid.estimation import (ExcitationError, IdentifiabilityError,
                               KnownPayload, estimate_gains, fit_friction,
                               friction_residual_currents,
                               identify_coefficients)
 from dynid.kinematics import DhRow, KinematicChain
-from dynid.reduction import compute_base_map
+from dynid.reduction import compute_base_map, minimal_regressor_stack
 from dynid.trajectory import random_trajectory
 
 G = 9.80665
@@ -61,6 +63,28 @@ def _random_plant(seed: int) -> RobotModel:
                       chain=KinematicChain(rows=rows, gravity=gravity),
                       links=tuple(links), friction=friction,
                       gains=tuple(rng.uniform(12.0, 25.0, n)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_chain_base_map_reproduces_its_regressor(seed):
+    # c02's check: the minimal regressor times the projected parameters is
+    # the full regressor times the parameters, within 1e-8 of 1 + |Y pi|
+    # (seeds 0-9 read at most 8.5e-13), for random states and parameters
+    chain = _random_plant(seed).chain
+    n = chain.n
+    rng = np.random.default_rng(seed)
+    m = 200
+    Q = rng.uniform(-np.pi, np.pi, (m, n))
+    Qd = rng.uniform(-3.0, 3.0, (m, n))
+    Qdd = rng.uniform(-8.0, 8.0, (m, n))
+    bmap = compute_base_map(chain)
+    Y = regressor_stack(chain, Q, Qd, Qdd)
+    U = minimal_regressor_stack(bmap, chain, Q, Qd, Qdd)
+    for _ in range(5):
+        pi = rng.uniform(-2.0, 2.0, (N_INERTIAL + N_FRICTION) * n)
+        full = Y @ pi
+        err = np.abs(U @ (bmap.projection_matrix() @ pi) - full)
+        assert np.max(err / (1.0 + np.abs(full))) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -10,11 +10,11 @@ from dynid import cli, estimation
 from dynid.cli import (main, mnae, mse, validation_metrics, write_report)
 from dynid.dataio import (differentiate, load_identified_model,
                           merge_sample_sets, read_samples,
-                          ur10_default_model, write_payload,
-                          write_robot_model, write_samples)
+                          save_identified_model, ur10_default_model,
+                          write_payload, write_robot_model, write_samples)
 from dynid.estimation import friction_residual_currents, identify_coefficients
 from dynid.payload import PayloadSpec
-from dynid.solver import torque
+from dynid.solver import configure_payload, torque
 
 PAYLOAD = PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                       inertia_com=np.diag((0.030, 0.035, 0.030)))
@@ -441,6 +441,21 @@ def test_validate_refuses_payload_runs(pipeline, capsys):
     err = capsys.readouterr().err
     assert "--samples must hold scenario 'a' (payload-free) data" in err
     assert f"{pipeline['run_b']} holds scenario 'b'" in err
+    assert not os.path.exists(out)
+
+
+def test_validate_refuses_a_model_with_a_payload(pipeline, capsys):
+    # validate scores the bare arm on a payload-free run, so a model file
+    # configured with a payload would be scored with torques the run lacks
+    model = str(pipeline["dir"] / "model_payload.ini")
+    save_identified_model(configure_payload(
+        load_identified_model(pipeline["model"]), PAYLOAD), model)
+    out = str(pipeline["dir"] / "nope.csv")
+    rc = main(["validate", "--model", model, "--samples", pipeline["run_a"],
+               "--report", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert model in err and "[payload_parameters]" in err
     assert not os.path.exists(out)
 
 

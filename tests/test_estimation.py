@@ -25,7 +25,7 @@ from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
 from dynid.reduction import (compute_base_map, minimal_columns,
                              minimal_regressor_stack, split_columns)
-from dynid.solver import torque
+from dynid.solver import torque, torque_terms
 from dynid.trajectory import FourierTrajectory, random_trajectory
 
 TOY = KinematicChain(rows=(DhRow(0.3, 0.4, 0.1), DhRow(0.25, -1.2, 0.05)),
@@ -467,10 +467,12 @@ def known():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40),
        toy=st.booleans())
-def test_friction_residual_matches_newton_euler_oracle(seed, m, toy, chain,
-                                                       bmap, toy_map):
-    # random chi blocks and states: the minimal regressor's inertial
-    # columns times chi_j give what Newton-Euler gives for joint j's set
+def test_friction_residual_matches_regressor_oracle(seed, m, toy, chain,
+                                                    bmap, toy_map):
+    # random chi blocks and states: Newton-Euler on joint j's set gives
+    # what joint j's minimal-regressor row on its inertial columns times
+    # chi_j gives, within 1e-12 of 1 + |oracle| (the two read at most
+    # 8.9e-14 apart on that scale over 3000 such draws)
     ch, mp = (TOY, toy_map) if toy else (chain, bmap)
     rng = np.random.default_rng(seed)
     n = ch.n
@@ -488,11 +490,13 @@ def test_friction_residual_matches_newton_euler_oracle(seed, m, toy, chain,
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
        toy=st.booleans())
-def test_predict_currents_matches_newton_euler_oracle(seed, m, toy, chain,
-                                                      bmap, toy_map):
-    # random chi over all c columns: each joint's minimal-regressor row
-    # times its block gives Newton-Euler on that block plus the joint's
-    # linear friction, sgn(0) = 0 included; one state is its batch row
+def test_predict_currents_matches_regressor_oracle(seed, m, toy, chain,
+                                                   bmap, toy_map):
+    # random chi over all c columns: Newton-Euler on each joint's block
+    # plus the joint's linear friction, sgn(0) = 0 included, gives its
+    # minimal-regressor row times the block, friction triple included,
+    # within 1e-12 of 1 + |oracle| (at most 8.0e-14 apart on that scale
+    # over 3000 such draws); one state is its batch row
     ch, mp = (TOY, toy_map) if toy else (chain, bmap)
     rng = np.random.default_rng(seed)
     n = ch.n
@@ -541,8 +545,8 @@ def _assert_built_once(calls, totals):
 
 def test_one_identification_builds_each_regressor_once(
         bmap, chain, data_a, data_b_pay, known, monkeypatch):
-    # stage 1 builds run a's regressor and stage 3 run b's; the friction
-    # residual and stage 3 read run a's from stage 1's result
+    # stage 1 builds run a's regressor and stage 3 run b's; stage 3 reads
+    # run a's from stage 1's result, and the friction residual builds none
     calls = _count_regressor_builds(monkeypatch)
     chi = identify_coefficients(bmap, chain, data_a)
     resid = friction_residual_currents(bmap, chain, chi, data_a)
@@ -555,13 +559,14 @@ def test_unshared_regressor_gives_bitwise_the_same(
         bmap, chain, data_a, data_b_pay, known, stage1, stage2, stage3,
         monkeypatch):
     # coefficients without a kept regressor (as from a model file), on a
-    # copy of the samples, build their own and give the same bits
+    # copy of the samples: the residual builds no regressor, and stage 3
+    # gathers run a's rows again and gives the bits of stage 1's kept ones
     bare = dataclasses.replace(stage1)
     copy = dataclasses.replace(data_a)
     assert bare == stage1 and "_fitted_on" not in repr(stage1)
     calls = _count_regressor_builds(monkeypatch)
     resid = friction_residual_currents(bmap, chain, bare, copy)
-    _assert_built_once(calls, [data_a.m])
+    assert calls == []
     assert np.array_equal(
         resid, friction_residual_currents(bmap, chain, stage1, data_a))
     assert np.array_equal(
@@ -569,6 +574,7 @@ def test_unshared_regressor_gives_bitwise_the_same(
                                           data_a))
     est = estimate_gains(copy, data_b_pay, known, bmap, chain, bare,
                          stage2.friction)
+    _assert_built_once(calls, [data_a.m, data_b_pay.m])
     assert est.gains.tobytes() == stage3.gains.tobytes()
     for name in ("zeta", "identifiable_mask"):
         assert [a.tobytes() for a in getattr(est, name)] == \
@@ -577,11 +583,26 @@ def test_unshared_regressor_gives_bitwise_the_same(
         assert getattr(est, name) == getattr(stage3, name), name
 
 
-def test_caller_arrays_changed_after_stage_1_leave_the_samples(bmap, chain,
-                                                               data_a):
+def test_regressor_is_built_only_to_fit(bmap, chain, plant, ident, stage1,
+                                        data_a, monkeypatch):
+    # the stage-1 model, the solver and the simulator evaluate known
+    # parameters by Newton-Euler alone: none builds a regressor block
+    q, qd, qdd = data_a.q, data_a.qd, data_a.qdd
+    calls = _count_regressor_builds(monkeypatch)
+    predict_currents(bmap, chain, stage1, q, qd, qdd)
+    for chi in (stage1, dataclasses.replace(stage1)):
+        friction_residual_currents(bmap, chain, chi, data_a)
+    torque(ident, q, qd, qdd)
+    torque_terms(ident, q, qd, qdd)
+    simulate(plant, random_trajectory(6, seed=1), duration=2.0)
+    assert calls == []
+
+
+def test_caller_arrays_changed_after_stage_1_leave_the_samples(
+        bmap, chain, data_a, data_b_pay, known, stage2):
     # the samples hold read-only copies, so a caller changing its own
-    # array after stage 1 changes neither them nor the residual that
-    # stage 1's kept columns give: it matches a fresh gather bitwise
+    # array after stage 1 changes neither them nor the run-a rows stage 1
+    # kept for stage 3: its gains match those of a fresh gather bitwise
     q = np.array(data_a.q)
     samples = SampleSet(t=data_a.t, q=q, qd=data_a.qd, qdd=data_a.qdd,
                         v=data_a.v)
@@ -590,10 +611,10 @@ def test_caller_arrays_changed_after_stage_1_leave_the_samples(bmap, chain,
     assert np.array_equal(samples.q, data_a.q)
     for name in ("t", "q", "qd", "qdd", "v"):
         assert not getattr(samples, name).flags.writeable
-    assert np.array_equal(
-        friction_residual_currents(bmap, chain, chi, samples),
-        friction_residual_currents(bmap, chain, dataclasses.replace(chi),
-                                   samples))
+    gains = [estimate_gains(samples, data_b_pay, known, bmap, chain, c,
+                            stage2.friction).gains
+             for c in (chi, dataclasses.replace(chi))]
+    assert gains[0].tobytes() == gains[1].tobytes()
 
 
 def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
@@ -606,9 +627,9 @@ def test_each_identification_builds_its_own_regressor(bmap, chain, data_a,
 
 def test_identification_builds_no_minimal_regressor(
         bmap, chain, data_a, data_b_pay, known, stage1, stage3, monkeypatch):
-    # stages 1-3 and predict_currents read each joint's active columns
-    # straight from the regressor blocks, kept or gathered; no minimal
-    # regressor is sliced
+    # stages 1 and 3 read each joint's active columns straight from the
+    # regressor blocks, kept or gathered, and the residual and
+    # predict_currents read no regressor; no minimal regressor is sliced
     def forbidden(*args, **kwargs):
         raise AssertionError("an identification sliced a minimal regressor")
 
@@ -630,17 +651,20 @@ def test_identification_builds_no_minimal_regressor(
 
 
 def test_stage1_keeps_only_active_columns(bmap, chain, data_a, stage1):
-    # one (a_j, M) array per joint, joint j's minimal-regressor row on its
-    # a_j active inertial columns: 8 M sum_j a_j bytes, each its own buffer
+    # one (a_j, m_j) array per joint, joint j's minimal-regressor row on its
+    # a_j active inertial columns over its m_j linearity-region samples:
+    # 8 sum_j a_j m_j bytes, each its own buffer
     kept = stage1._fitted_on[3]
     active = [np.flatnonzero(m[:bmap.c_inertial]) for m in bmap.joint_masks]
+    rows = data_a.mask
     assert sum(K.nbytes for K in kept) == \
-        8 * data_a.m * sum(a.size for a in active)
+        8 * sum(a.size * k for a, k in zip(active, rows.sum(axis=0)))
     assert all(K.base is None for K in kept)
     U = minimal_regressor_stack(bmap, chain, data_a.q, data_a.qd,
                                 data_a.qdd)
     for j, (K, a) in enumerate(zip(kept, active)):
-        assert K.tobytes() == np.ascontiguousarray(U[:, j, a].T).tobytes()
+        assert K.tobytes() == \
+            np.ascontiguousarray(U[rows[:, j], j][:, a].T).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,10 @@ def test_determinism(chain, bmap):
 
 
 def test_chain_mismatch_rejected(bmap):
-    # a map pairs only with a chain of its joint count: every estimation
-    # stage meets the check where it reads the regressor
-    # (estimation._joint_columns), and minimal_regressor_stack meets the
-    # same one, which names both counts
+    # a map pairs only with a chain of its joint count: the fits meet the
+    # check where they read the regressor (estimation._joint_columns), the
+    # stage-1 model before its Newton-Euler call, and
+    # minimal_regressor_stack meets the same one, which names both counts
     z = np.zeros((2, 2))
     runs = [SampleSet(t=[0.0, 0.008], q=z, qd=z, qdd=z, v=z, scenario=tag)
             for tag in "ab"]
