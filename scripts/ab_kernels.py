@@ -1,4 +1,4 @@
-"""Compare the solver and regressor kernels of two source trees in one process.
+"""Compare the solver, regressor and stage kernels of two trees in one process.
 
     python scripts/ab_kernels.py PARENT_TREE CHANGED_TREE [--rounds 20]
 
@@ -17,10 +17,16 @@ the machine's drift.  The kernels:
   ``solver.inertia`` and ``solver.torque_terms`` calls, each n or three
   motion blocks over one configuration;
 - ``regressor_7500``: a 7500-state regressor pass, ``regressor_stack`` over
-  ``BLOCK_STATES``-state blocks, as identification builds it;
+  ``BLOCK_STATES``-state blocks, as identification built it before the
+  fits read their columns through ``regressor_columns``;
 - ``simulate_7500``: ``dataio.simulate`` of the default plant over the same
   7500 states, no noise: ``newton_euler`` on one set that every joint
-  shares.
+  shares;
+- ``stages_7500``: ``estimation.identify_coefficients`` and
+  ``estimate_gains`` on fixed c05-shaped data (three merged 20 s noisy
+  runs per scenario, the payload known as mass and com), with the exact
+  model's friction in stage 3: the fits and the regressor columns they
+  read.
 
 It prints each side's median, the median and quartiles of the paired
 ratios and how many rounds each side won.  Pin BLAS to one thread
@@ -57,7 +63,8 @@ def load_tree(tree: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("dataio", "dynamics", "reduction", "solver", "trajectory"):
+    for sub in ("dataio", "dynamics", "estimation", "payload", "reduction",
+                "solver", "trajectory"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -81,6 +88,24 @@ def exact_model(pkg):
                                       map=bmap, chi=chi, psi=psi, gains=K)
 
 
+def c05_runs(pkg):
+    """c05's noisy runs, merged per scenario, and its known payload."""
+    tr, dio = pkg.trajectory, pkg.dataio
+    plant = dio.ur10_default_model()
+    spec = pkg.payload.PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
+                                   inertia_com=np.diag((0.030, 0.035, 0.030)))
+    runs = []
+    for name, seeds, noise, payload in (("A", (313, 707), (21, 22, 23), None),
+                                        ("B", (909, 1203), (31, 32, 33), spec)):
+        trajs = [tr.validation_trajectory(name)] + [
+            tr.random_trajectory(6, seed=s) for s in seeds]
+        runs.append(dio.merge_sample_sets(
+            dio.simulate(plant, traj, duration=20.0, noise_v=0.05, seed=seed,
+                         payload=payload)
+            for traj, seed in zip(trajs, noise)))
+    return runs, pkg.estimation.KnownPayload(spec=spec, known=("mass", "com"))
+
+
 def kernels(pkg):
     """Name -> zero-argument callable, on inputs of this side's own."""
     model = exact_model(pkg)
@@ -95,6 +120,8 @@ def kernels(pkg):
     regressor_stack = pkg.dynamics.regressor_stack
     block = pkg.dynamics.BLOCK_STATES
     plant = pkg.dataio.ur10_default_model()
+    (da, db), known = c05_runs(pkg)
+    est = pkg.estimation
 
     def torque_1x250():
         for k in range(250):
@@ -113,6 +140,10 @@ def kernels(pkg):
             rows = slice(start, start + block)
             regressor_stack(chain, q[rows], qd[rows], qdd[rows])
 
+    def stages_7500():
+        chi = est.identify_coefficients(model.map, chain, da)
+        est.estimate_gains(da, db, known, model.map, chain, chi, model.psi)
+
     return {"torque_2500": lambda: torque(model, Q, Qd, Qdd),
             "terms_2500": lambda: terms(model, Q, Qd, Qdd),
             "torque_1x250": torque_1x250,
@@ -120,7 +151,8 @@ def kernels(pkg):
             "terms_1x250": terms_1x250,
             "regressor_7500": regressor_7500,
             "simulate_7500": lambda: pkg.dataio.simulate(
-                plant, states=(t, q, qd))}
+                plant, states=(t, q, qd)),
+            "stages_7500": stages_7500}
 
 
 def median_of(fn, repeats: int) -> float:

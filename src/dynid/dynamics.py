@@ -24,10 +24,13 @@ Every torque of known parameters is one newton_euler call on a fold the
 caller keeps.  The frames depend on q alone, so the evaluator runs a
 tuple of motion blocks over one configuration, with gravity per block,
 and each link's rotation meets the joint screws and every block's motion
-in one product.  A batch runs the pass, and regressor_blocks the
-regressor, in blocks of BLOCK_STATES states, so memory does not grow
-with the batch.  A batch of more than one block runs its blocks on the
-calling thread and on one helper thread, started for the call and
+in one product.  The regressor is read through one column request,
+regressor_columns: each joint's listed columns on its listed states,
+written straight into the caller's arrays, so no regressor block is
+built; regressor_stack is the request for every column.  Both passes run
+in blocks of BLOCK_STATES states, so memory does not grow with the
+batch.  A batch of more than one block runs its blocks on run_shared:
+the calling thread and one helper thread, started for the call and
 joined before it returns, where the process's affinity and CPU-time
 quota allow a second CPU.  Each block writes only its own rows of the
 result, so the bits do not depend on which thread runs it, and the pass
@@ -56,10 +59,10 @@ N_INERTIAL = 10   # per-link inertial parameters
 N_FRICTION = 3    # per-joint linear friction parameters
 # sigmoid steepness (s/rad) of FrictionSet.from_linear's saturated transition
 SATURATED_DELTA = 1e9
-# states per block of a batched pass (newton_euler, and the regressor
-# streamed by regressor_blocks): a block's temporaries stay
-# cache-sized, and a batch's memory grows only with its inputs and result
-# (and, in newton_euler, with one block per thread that runs the pass)
+# states per block of a batched pass (newton_euler, and the regressor's
+# regressor_columns): a block's temporaries stay cache-sized, and a
+# batch's memory grows only with its inputs and result, and with one
+# block per thread that runs the pass
 BLOCK_STATES = 512
 # most columns per matrix product of the pass (_link_screws): OpenBLAS
 # (0.3.31, SkylakeX kernels) rounds a product's columns past 192 by its
@@ -634,28 +637,29 @@ def _second_cpu() -> bool:
     return quota is None or quota >= 2
 
 
-def _run_blocks(work, blocks) -> None:
-    """work(rows) for every slice in blocks, on the calling thread and, for
-    more than one block where _second_cpu allows, on one helper thread
-    started here and joined before this returns.  Both take the next block
-    from one shared iterator until none is left.  An exception stops the
-    taking, and the first one raised is raised here after the join."""
+def run_shared(work, items) -> None:
+    """work(item) for every item of the list items, on the calling thread
+    and, for more than one item where _second_cpu allows, on one helper
+    thread started here and joined before this returns.  Both take the
+    next item from one shared iterator until none is left.  An exception
+    stops the taking, and the first one raised is raised here after the
+    join."""
     # next on a list iterator is atomic under CPython's interpreter lock,
-    # so each block is taken exactly once
-    todo = iter(blocks)
+    # so each item is taken exactly once
+    todo = iter(items)
     errors = []
 
     def take():
         try:
-            for rows in todo:
+            for item in todo:
                 if errors:
                     return
-                work(rows)
+                work(item)
         except BaseException as exc:  # re-raised below, on the caller
             errors.append(exc)
 
     helper = None
-    if len(blocks) > 1 and _second_cpu():
+    if len(items) > 1 and _second_cpu():
         helper = threading.Thread(target=take)
         helper.start()
     try:
@@ -714,7 +718,7 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
 
     A batch of more than one block runs its blocks on the calling thread
     and, where the process may use a second CPU, on one helper thread,
-    started for this call and joined before it returns (_run_blocks).
+    started for this call and joined before it returns (run_shared).
     Each block writes only its own rows, so the bits do not depend on
     which thread runs it, and the pass's temporaries take the memory of
     one block per thread.  A lone block, which every single-state call
@@ -729,9 +733,114 @@ def newton_euler(chain: KinematicChain, Q, Qd, Qdd, sets,
                          f"motion block; got {g.shape}")
     tau = np.empty((nb, M, n))
     chain.dh  # the chain's cached constants, built before a helper reads
-    _run_blocks(partial(_block_torques, chain, Q, Qd, Qdd, g, sets, tau),
-                _state_blocks(M))
+    run_shared(partial(_block_torques, chain, Q, Qd, Qdd, g, sets, tau),
+               _state_blocks(M))
     return tau if blocks else tau[0]
+
+
+def friction_regressor(qd) -> np.ndarray:
+    """(m, 3) columns [1, qd, sgn(qd)] of one joint's linear friction
+    triple over its velocities qd (m,): the one place they are formed."""
+    qd = np.asarray(qd, dtype=float)
+    return np.column_stack([np.ones_like(qd), qd, np.sign(qd)])
+
+
+def _column_plan(n: int, cols):
+    """Where the columns cols[j] of each joint j's row come from: per link
+    i, (j, places, link columns) for every joint j <= i that reads its
+    columns; per joint, (places, triple entries) of its own friction
+    columns, or None; and per joint, the places that are exactly zero in
+    its row, a proximal link's or another joint's friction columns.
+    Places index the rows of out[j]."""
+    links = [[] for _ in range(n)]
+    friction, zeros = [None] * n, []
+    base = N_INERTIAL * n
+    for j, c in enumerate(cols):
+        parts, zero = {}, []  # link, or -1 for the own triple: places, entries
+        for k, col in enumerate(np.asarray(c, dtype=int).tolist()):
+            if col < base:
+                i, entry = divmod(col, N_INERTIAL)
+                seen = i >= j
+            else:
+                owner, entry = divmod(col - base, N_FRICTION)
+                i, seen = -1, owner == j
+            if not seen:
+                zero.append(k)
+                continue
+            places, entries = parts.setdefault(i, ([], []))
+            places.append(k)
+            entries.append(entry)
+        for i, (places, entries) in parts.items():
+            part = (np.array(places), np.array(entries))
+            if i < 0:
+                friction[j] = part
+            else:
+                links[i].append((j, *part))
+        zeros.append(np.array(zero, dtype=int))
+    return links, friction, zeros
+
+
+def _block_columns(chain: KinematicChain, Q, Qd, Qdd, B, links, friction,
+                   out, rows, block) -> None:
+    """The regressor pass over one block of states: block is (states, at),
+    the block's slice of the batch and, per joint j, the column of out[j]
+    its first state in rows[:, j] goes to.  Link i's columns are one
+    product of the joint screws with its unit wrenches (the pass on
+    _link_maps of K), made only when some joint reads them; each joint's
+    requested columns of it, on its requested states, go straight into
+    out[j], and so does its friction triple (friction_regressor).  The
+    block's buffers are freed on return."""
+    states, at = block
+    q, qd, qdd = Q[states], Qd[states], Qdd[states]
+    m = len(q)
+    picks = [slice(None)] * chain.n if rows is None else [
+        np.flatnonzero(r) for r in rows[states].T]
+    ends = [a + (m if rows is None else p.size) for a, p in zip(at, picks)]
+    for j, fr in enumerate(friction):
+        if fr is not None:
+            out[j][fr[0], at[j]:ends[j]] = \
+                friction_regressor(qd[picks[j], j])[:, fr[1]].T
+    for i, Si, W in _link_screws(chain, q, qd[:, None], qdd[:, None],
+                                 chain.gravity_vector, B):
+        if links[i]:
+            T = np.matmul(Si, W.reshape(m, N_INERTIAL, 6).swapaxes(1, 2))
+            for j, places, c in links[i]:
+                out[j][places, at[j]:ends[j]] = T[picks[j], j][:, c].T
+
+
+def regressor_columns(chain: KinematicChain, Q, Qd, Qdd, cols, out,
+                      rows=None) -> None:
+    """Columns of each joint's regressor row, written to the caller's arrays.
+
+    cols[j] lists columns of joint j's row in regressor_stack's layout,
+    and out[j], (len(cols[j]), m_j), receives them: one row per listed
+    column, one column per state, over the states rows[:, j] marks, rows
+    an (M, n) boolean mask, or over all M states when rows is None.
+
+    No regressor block is built.  The pass runs BLOCK_STATES states at a
+    time on run_shared (_block_columns), and each block writes only its
+    own states' columns, at places precomputed from the mask, so the
+    bits depend neither on the block size nor on the thread.  Columns
+    that are zero in a joint's row are zeroed once.  The batch is checked
+    whole first (_motion_blocks), so an error names its row in the batch.
+    """
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
+    n = chain.n
+    links, friction, zeros = _column_plan(n, cols)
+    for j, places in enumerate(zeros):
+        out[j][places] = 0.0
+    blocks = _state_blocks(len(Q))
+    if not blocks:
+        return
+    if rows is None:
+        at = [[b.start] * n for b in blocks]
+    else:
+        counts = np.add.reduceat(rows, [b.start for b in blocks], axis=0,
+                                 dtype=np.intp)
+        at = (np.cumsum(counts, axis=0) - counts).tolist()
+    run_shared(partial(_block_columns, chain, Q, Qd, Qdd,
+                       _link_maps(chain, _WRENCH_BASIS), links, friction, out,
+                       rows), list(zip(blocks, at)))
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
@@ -740,41 +849,15 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     Columns follow the DynamicParameters layout: 10 inertial columns per
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
     row j.  Y @ pi equals rnea torques plus linear friction.  It is built
-    for fitting; evaluate known parameters with newton_euler.  Link i's
-    block is one product of the joint screws with its unit wrenches (the
-    pass on _link_maps of K), and exactly zero in rows past i.
+    for fitting; evaluate known parameters with newton_euler.  It is the
+    column request (regressor_columns) for every column on every state;
+    link i's block is exactly zero in rows past i.
     """
-    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
-    M, n = Q.shape
-    Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
-    for i, Si, W in _link_screws(chain, Q, Qd[:, None], Qdd[:, None],
-                                 chain.gravity_vector,
-                                 _link_maps(chain, _WRENCH_BASIS)):
-        col = N_INERTIAL * i
-        np.matmul(Si, W.reshape(M, N_INERTIAL, 6).swapaxes(1, 2),
-                  out=Y[:, :i + 1, col:col + N_INERTIAL])
-
-    base = N_INERTIAL * n
-    rows = np.arange(M)
-    for j in range(n):
-        Y[rows, j, base + 3 * j] = 1.0
-        Y[:, j, base + 3 * j + 1] = Qd[:, j]
-        Y[:, j, base + 3 * j + 2] = np.sign(Qd[:, j])
+    n = chain.n
+    Y = np.empty((len(np.atleast_2d(Q)), n, (N_INERTIAL + N_FRICTION) * n))
+    regressor_columns(chain, Q, Qd, Qdd, [np.arange(Y.shape[2])] * n,
+                      [Y[:, j].T for j in range(n)])
     return Y
-
-
-def regressor_blocks(chain: KinematicChain, Q, Qd, Qdd, use) -> None:
-    """use(rows, Y) over a batch of states, BLOCK_STATES at a time: rows
-    is a block's slice of the batch and Y its regressor_stack result.
-
-    Each block is dropped when use returns, before the next is built.  A
-    state's regressor does not depend on the batch around it, so the
-    blocks hold exactly the rows of one build of the whole batch.  The
-    batch is checked whole first, so an error names its row in the batch.
-    """
-    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
-    for rows in _state_blocks(len(Q)):
-        use(rows, regressor_stack(chain, Q[rows], Qd[rows], Qdd[rows]))
 
 
 def regressor(chain: KinematicChain, state: JointState) -> np.ndarray:

@@ -17,10 +17,12 @@ Stages 1 and 3 are bisquare-weighted fits, robust_weights, and each
 factors its stack once: the stack's split gives stage 1's condition guard
 before any iterate, the orthonormal basis the iterates work in, and, at
 the final weights, an r-row system whose split gives the coefficients.
+Stage 1 fits its joints on two threads where a second CPU is allowed
+(dynamics.run_shared); stage 3 fits them one at a time.
 
-The regressor is read only by the fits, one way, _joint_columns: in
-blocks of states (dynamics.regressor_blocks), keeping from each block only
-each joint's linearity-region rows on the columns its fit uses.  No
+The regressor is read only by the fits, one way, _joint_columns: the
+column request (dynamics.regressor_columns) writes each joint's
+linearity-region rows on the columns its fit uses, and nothing else.  No
 identification holds an (M, n, c) array: stage 1 keeps, for stage 3, each
 joint's regressor row on its active inertial base columns over those rows,
 the only part of the minimal regressor stage 3 reads again, and
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (N_INERTIAL, SATURATED_DELTA, FrictionSet, fold_sets,
-                       friction_linear, friction_sigmoid, newton_euler,
-                       regressor_blocks, sigmoid)
+                       friction_linear, friction_regressor, friction_sigmoid,
+                       newton_euler, regressor_columns, run_shared, sigmoid)
 from .kinematics import KinematicChain
 from .payload import PayloadSpec, payload_to_frame_n
 from .reduction import RANK_TOL, BaseParameterMap, split_columns
@@ -290,57 +292,81 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     """Stage 1: robust weighted fit of each joint's coefficient block.
 
     Only samples in the joint's linearity region |qd_j| > threshold enter
-    that joint's fit, where the three linear friction columns are valid.
-    Its stack is the joint's identifiable columns, read from the active
-    columns kept block by block, and the friction columns [1, qd_j,
-    sgn(qd_j)] formed from the samples, as regressor_stack forms them.
-    The stack's split gives its condition, checked against
-    CONDITION_LIMIT before robust_weights iterates on the same split; a
-    column the final weights leave unseparated raises
-    IdentifiabilityError.
+    that joint's fit, where the three linear friction columns are valid
+    (_fit_joint).  The joints are fitted on dynamics.run_shared: the
+    calling thread and, where a second CPU is allowed, one helper take
+    joints from one list.  Each fit hands its stack and split over to
+    robust_weights, which frees both before it iterates, so two fits in
+    flight hold what one fit held alone.  A joint that fails is kept, the
+    other joints are still fitted, and then the first failing joint in
+    joint order raises, as in stage 3.
     """
     n = map_.n
     acols = _active_columns(map_)
     kept = _joint_columns(map_, chain, samples,
                           [map_.inertial_columns[a] for a in acols])
     mask = samples.mask
+    fits = [None] * n
+
+    def fit(j):
+        try:
+            fits[j] = _fit_joint(map_, samples, mask[:, j], j, kept[j],
+                                 acols[j])
+        except Exception as err:  # raised below, in joint order
+            fits[j] = err
+
+    run_shared(fit, list(range(n)))
+    for f in fits:
+        if isinstance(f, Exception):
+            raise f
+    cols, conds, counts, wms = zip(*fits)
     chi = np.zeros((n, map_.c))
-    conds, counts, iters, converged = [], [], [], []
-    for j in range(n):
-        cols = np.concatenate([map_.joint_idcols[j], map_.friction_columns(j)])
-        rows = mask[:, j]
-        count = int(rows.sum())
-        if count < cols.size + 10:
-            raise ExcitationError(
-                f"joint {j+1}: only {count} linearity-region samples for "
-                f"{cols.size} coefficients; lengthen or enrich the trajectory")
-        ident = np.searchsorted(acols[j], map_.joint_idcols[j])
-        qd = samples.qd[rows, j]
-        A = np.empty((count, cols.size))
-        A[:, :ident.size] = kept[j][ident].T
-        A[:, -3], A[:, -2], A[:, -1] = 1.0, qd, np.sign(qd)
-        split = split_columns(A)
-        cond = _condition(split)
-        if cond > CONDITION_LIMIT:
-            raise ExcitationError(
-                f"joint {j+1}: regressor condition {cond:.3g} exceeds "
-                f"{CONDITION_LIMIT:.0e}; the trajectory is not persistently "
-                "exciting for this joint")
-        wm = robust_weights(A, samples.v[rows, j], split)
-        if not wm.independent.all():
-            raise _rank_deficient(np.flatnonzero(~wm.independent), cols.size)
-        chi[j, cols] = wm.coef
-        conds.append(cond)
-        counts.append(count)
-        iters.append(wm.iterations)
-        converged.append(wm.converged)
-    coeffs = CurrentCoefficients(n=n, chi=chi.ravel(),
-                                 conditions=tuple(conds),
-                                 sample_counts=tuple(counts),
-                                 irls_iterations=tuple(iters),
-                                 irls_converged=tuple(converged))
+    for j, (c, wm) in enumerate(zip(cols, wms)):
+        chi[j, c] = wm.coef
+    coeffs = CurrentCoefficients(
+        n=n, chi=chi.ravel(), conditions=conds, sample_counts=counts,
+        irls_iterations=tuple(wm.iterations for wm in wms),
+        irls_converged=tuple(wm.converged for wm in wms))
     object.__setattr__(coeffs, "_fitted_on", (samples, map_, chain, kept))
     return coeffs
+
+
+def _fit_joint(map_: BaseParameterMap, samples: SampleSet, rows, j: int,
+               kept, active):
+    """Joint j's stage-1 fit on its linearity-region rows: (its columns of
+    chi, its stack's condition, its sample count, the robust fit).
+
+    Its stack is the joint's identifiable columns, read from its kept
+    active columns, and its friction columns (dynamics.friction_regressor).
+    The stack's split gives its condition, checked against CONDITION_LIMIT
+    before robust_weights iterates on the same split; a column the final
+    weights leave unseparated raises IdentifiabilityError.
+    """
+    cols = np.concatenate([map_.joint_idcols[j], map_.friction_columns(j)])
+    count = int(rows.sum())
+    if count < cols.size + 10:
+        raise ExcitationError(
+            f"joint {j+1}: only {count} linearity-region samples for "
+            f"{cols.size} coefficients; lengthen or enrich the trajectory")
+    ident = np.searchsorted(active, map_.joint_idcols[j])
+    A = np.empty((count, cols.size))
+    A[:, :ident.size] = kept[ident].T
+    A[:, ident.size:] = friction_regressor(samples.qd[rows, j])
+    split = split_columns(A)
+    cond = _condition(split)
+    if cond > CONDITION_LIMIT:
+        raise ExcitationError(
+            f"joint {j+1}: regressor condition {cond:.3g} exceeds "
+            f"{CONDITION_LIMIT:.0e}; the trajectory is not persistently "
+            "exciting for this joint")
+    # handed over, not held here, so that robust_weights frees the stack
+    # and the split's copy of it before it iterates
+    held = [A, split]
+    del A, split
+    wm = robust_weights(held.pop(0), samples.v[rows, j], held.pop())
+    if not wm.independent.all():
+        raise _rank_deficient(np.flatnonzero(~wm.independent), cols.size)
+    return cols, cond, count, wm
 
 
 def _active_columns(map_: BaseParameterMap) -> list[np.ndarray]:
@@ -353,21 +379,14 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain,
                    samples: SampleSet, cols) -> list[np.ndarray]:
     """Per joint j, its full-regressor row on columns cols[j], one row per
     column, over its linearity-region samples samples.mask[:, j], the
-    only rows stages 1 and 3 fit: (len(cols[j]), m_j).  Filled block by
-    block (dynamics.regressor_blocks); the only reader of the regressor
-    here."""
+    only rows stages 1 and 3 fit: (len(cols[j]), m_j), written by the
+    column request (dynamics.regressor_columns); the only reader of the
+    regressor here."""
     map_.check_chain(chain)
     rows = samples.mask
     out = [np.empty((len(c), k)) for c, k in zip(cols, rows.sum(axis=0))]
-    at = [0] * len(cols)
-
-    def gather(block, Y):
-        for j, (G, c) in enumerate(zip(out, cols)):
-            part = Y[:, j][np.ix_(rows[block, j], c)]
-            G[:, at[j]:at[j] + len(part)] = part.T
-            at[j] += len(part)
-
-    regressor_blocks(chain, samples.q, samples.qd, samples.qdd, gather)
+    regressor_columns(chain, samples.q, samples.qd, samples.qdd, cols, out,
+                      rows)
     return out
 
 

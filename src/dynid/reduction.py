@@ -17,9 +17,9 @@ Systems 1991).
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 
-A minimal regressor is sliced from the full one block by block
-(dynamics.regressor_blocks), so building it takes the result plus one
-block, never the batch's full (M, n, 13n) regressor.  A map is paired
+A minimal regressor is written column by column from the regressor's pass
+(dynamics.regressor_columns), so building it takes the result and the
+pass's buffers, never a full (M, n, 13n) regressor.  A map is paired
 with a chain of its joint count only (BaseParameterMap.check_chain).
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       regressor_blocks, regressor_stack)
+                       regressor_columns, regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -286,25 +286,16 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
         joint_depcols=tuple(depcols), joint_regroup=tuple(regroups))
 
 
-def minimal_columns(map_: BaseParameterMap, Y: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Minimal regressor (M, n, c) sliced from a full regressor_stack result:
-    the selected inertial columns, then every friction column; written to
-    out when given."""
-    n = map_.n
-    idx = np.r_[map_.inertial_columns,
-                N_INERTIAL * n:(N_INERTIAL + N_FRICTION) * n]
-    # the indices are in range, and a mode other than "raise" writes to
-    # out without a buffer the size of the result
-    return np.take(Y, idx, axis=2, out=out, mode="clip")
-
-
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
                             Q, Qd, Qdd) -> np.ndarray:
-    """Minimal regressor for a batch of states, shape (M, n, c), filled
-    block by block (dynamics.regressor_blocks)."""
+    """Minimal regressor for a batch of states, shape (M, n, c): the
+    selected inertial columns, then every friction column, written joint
+    by joint by the column request (dynamics.regressor_columns)."""
     map_.check_chain(chain)
-    U = np.empty((len(np.atleast_2d(Q)), map_.n, map_.c))
-    regressor_blocks(chain, Q, Qd, Qdd,
-                     lambda rows, Y: minimal_columns(map_, Y, out=U[rows]))
+    n = map_.n
+    U = np.empty((len(np.atleast_2d(Q)), n, map_.c))
+    cols = np.r_[map_.inertial_columns,
+                 N_INERTIAL * n:(N_INERTIAL + N_FRICTION) * n]
+    regressor_columns(chain, Q, Qd, Qdd, [cols] * n,
+                      [U[:, j].T for j in range(n)])
     return U

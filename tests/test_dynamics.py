@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from dynid import dynamics
 from dynid.dataio import IdentifiedModel
-from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, DynamicParameters,
-                            FrictionSet, InertialParameters, JointState,
-                            _link_maps, _motion_numbers, fold_sets,
-                            friction_linear, friction_sigmoid, newton_euler,
-                            regressor, regressor_stack, rnea, sigmoid)
+from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, N_FRICTION,
+                            N_INERTIAL, DynamicParameters, FrictionSet,
+                            InertialParameters, JointState, _link_maps,
+                            _motion_numbers, fold_sets, friction_linear,
+                            friction_sigmoid, newton_euler, regressor,
+                            regressor_columns, regressor_stack, rnea,
+                            sigmoid)
 from dynid.kinematics import (DhRow, KinematicChain, local_frames,
                               local_frames_batch, ur10_chain)
 from dynid.payload import PayloadSpec
@@ -693,8 +695,8 @@ def test_helper_threads_stay_at_the_measured_count(monkeypatch):
     # a lone block runs on the calling thread, and no CPU count is read
     monkeypatch.setattr(dynamics, "_second_cpu", lambda: 1 / 0)
     ran = []
-    dynamics._run_blocks(lambda rows: ran.append(threading.get_ident()),
-                         [slice(0, 512)])
+    dynamics.run_shared(lambda rows: ran.append(threading.get_ident()),
+                        [slice(0, 512)])
     assert ran == [threading.get_ident()]
 
 
@@ -759,39 +761,66 @@ def test_helper_threads_change_no_bit(seed, m, chain, gravity, data):
     assert runs[1].tobytes() == runs[0].tobytes()
 
 
-def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
-    # the calling thread and the helper share 300 one-state blocks through
-    # one iterator, with the interpreter switching threads as often as it
-    # can: a block taken twice or never shows in the count, and the bits
-    # stay the serial pass's
-    chain, m = ur10_chain(), 300
-    Q, Qd, Qdd, Pi = _random_batch(chain, m, chain.n,
-                                   np.random.default_rng(13))
-    sets = fold_sets(chain, Pi)
+def _shared_blocks_run_once(monkeypatch, run, block_name, start):
+    """run() once serially, then as 300 one-state blocks shared by the
+    calling thread and the helper, with the interpreter switching threads
+    as often as it can: every block runs once (start(args) is the first
+    state of the block a call to block_name runs), and the bits stay the
+    serial run's."""
     monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
-    serial = newton_euler(chain, Q, Qd, Qdd, sets)
+    serial = run()
     monkeypatch.setattr(dynamics, "BLOCK_STATES", 1)
     monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
-    ran, block = [], dynamics._block_torques
+    ran, block = [], getattr(dynamics, block_name)
 
     def counted(*args):
-        ran.append(args[-1].start)
+        ran.append(start(args))
         block(*args)
 
-    monkeypatch.setattr(dynamics, "_block_torques", counted)
+    monkeypatch.setattr(dynamics, block_name, counted)
     out = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: out.append(
-            newton_euler(chain, Q, Qd, Qdd, sets)))
+        caller = threading.Thread(target=lambda: out.append(run()))
         caller.start()
         caller.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
-    assert sorted(ran) == list(range(m))
+    assert sorted(ran) == list(range(300))
     assert out[0].tobytes() == serial.tobytes()
+
+
+def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
+    # the calling thread and the helper share 300 one-state blocks through
+    # one iterator: a block taken twice or never shows in the count
+    chain, m = ur10_chain(), 300
+    Q, Qd, Qdd, Pi = _random_batch(chain, m, chain.n,
+                                   np.random.default_rng(13))
+    sets = fold_sets(chain, Pi)
+    _shared_blocks_run_once(
+        monkeypatch, lambda: newton_euler(chain, Q, Qd, Qdd, sets),
+        "_block_torques", lambda args: args[-1].start)
+
+
+def test_column_request_blocks_run_once_on_more_threads_than_cpus(
+        monkeypatch):
+    # the column request's blocks, shared the same way, each write their
+    # own states' columns of every joint's array on a random row mask
+    chain, m = ur10_chain(), 300
+    rng = np.random.default_rng(13)
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    rows = rng.random((m, chain.n)) < 0.7
+    cols = [np.arange(13 * chain.n)] * chain.n
+
+    def run():
+        out = [np.empty((len(c), k)) for c, k in zip(cols, rows.sum(0))]
+        regressor_columns(chain, Q, Qd, Qdd, cols, out, rows)
+        return np.concatenate(out, axis=1)
+
+    _shared_blocks_run_once(monkeypatch, run, "_block_columns",
+                            lambda args: args[-1][0].start)
 
 
 def test_helper_exception_reaches_the_caller(monkeypatch):
@@ -959,6 +988,38 @@ def test_regressor_stack_matches_single(seed, m, chain):
     for k in range(m):
         st_k = JointState(q=Q[k], qd=Qd[k], qdd=Qdd[k])
         assert regressor(chain, st_k).tobytes() == Ys[k].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30),
+       chain=st.sampled_from([ur10_chain(), TOY, OFFSETS, LONG]),
+       size=st.sampled_from(["1", "7", "M-1", "M", "M+1"]),
+       helper=st.booleans(), masked=st.booleans())
+def test_column_request_gives_regressor_stack_columns(seed, m, chain, size,
+                                                      helper, masked):
+    # random columns per joint, in any order and with repeats, over a
+    # random row mask or every row: the request writes bitwise the entries
+    # of regressor_stack (built whole at the default block size, helper
+    # allowed), zeros and friction columns included, at any block size and
+    # with the helper thread or without it
+    rng = np.random.default_rng(seed)
+    n, width = chain.n, (N_INERTIAL + N_FRICTION) * chain.n
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    Qd[rng.random((m, n)) < 0.1] = 0.0  # sgn(0) = 0
+    Y = regressor_stack(chain, Q, Qd, Qdd)
+    rows = rng.random((m, n)) < rng.uniform(0.0, 1.0) if masked else None
+    cols = [rng.integers(0, width, int(rng.integers(0, 2 * width)))
+            for _ in range(n)]
+    counts = rows.sum(axis=0) if masked else [m] * n
+    out = [np.full((len(c), k), np.nan) for c, k in zip(cols, counts)]
+    block = {"1": 1, "7": 7, "M-1": max(m - 1, 1), "M": m, "M+1": m + 1}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_STATES", block[size])
+        mp.setattr(dynamics, "_second_cpu", lambda: helper)
+        regressor_columns(chain, Q, Qd, Qdd, cols, out, rows)
+    for j, (c, got) in enumerate(zip(cols, out)):
+        want = Y[:, j][:, c] if rows is None else Y[rows[:, j], j][:, c]
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes(), j
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,8 @@ from dynid.estimation import (CurrentCoefficients, EstimationError,
                               robust_weights)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
-from dynid.reduction import (compute_base_map, minimal_columns,
-                             minimal_regressor_stack, split_columns)
+from dynid.reduction import (compute_base_map, minimal_regressor_stack,
+                             split_columns)
 from dynid.solver import torque, torque_terms
 from dynid.trajectory import FourierTrajectory, random_trajectory
 
@@ -442,7 +443,7 @@ def test_prediction_is_what_the_residual_subtracts(bmap, chain, stage1,
                                                    data_a):
     # one evaluator of the stage-1 model: with chi's linear friction
     # zeroed, predict_currents is bitwise the part friction_residual_currents
-    # subtracts from the measured current, here from stage 1's kept columns
+    # subtracts from the measured current; both are one newton_euler call
     C = stage1.as_matrix().copy()
     for j in range(6):
         C[j, bmap.friction_columns(j)] = 0.0
@@ -514,25 +515,25 @@ def test_predict_currents_matches_regressor_oracle(seed, m, toy, chain,
 
 
 def _count_regressor_builds(monkeypatch) -> list[int]:
-    """Patch regressor_stack wherever a dynid module binds it; the list
-    receives each call's state count."""
-    real = dynamics.regressor_stack
+    """Patch the regressor pass's per-block call, dynamics._block_columns,
+    which every regressor build runs once per block of states; the list
+    receives each block's state count."""
+    real = dynamics._block_columns
     calls = []
 
-    def counting(chain, Q, Qd, Qdd):
-        calls.append(len(Q))
-        return real(chain, Q, Qd, Qdd)
+    def counting(chain, Q, *args):
+        states, _ = args[-1]
+        calls.append(len(Q[states]))
+        return real(chain, Q, *args)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("dynid.") and \
-                getattr(mod, "regressor_stack", None) is real:
-            monkeypatch.setattr(mod, "regressor_stack", counting)
+    monkeypatch.setattr(dynamics, "_block_columns", counting)
     return calls
 
 
 def _assert_built_once(calls, totals):
-    """The calls build, one after another, each total's states once, in
-    blocks of at most dynamics.BLOCK_STATES states."""
+    """The calls build, one build after another, each total's states once,
+    in blocks of at most dynamics.BLOCK_STATES states (in any order within
+    a build, whose blocks two threads may share)."""
     assert all(0 < c <= dynamics.BLOCK_STATES for c in calls)
     rest = iter(calls)
     for total in totals:
@@ -633,12 +634,11 @@ def test_identification_builds_no_minimal_regressor(
     def forbidden(*args, **kwargs):
         raise AssertionError("an identification sliced a minimal regressor")
 
-    for name in ("minimal_regressor_stack", "minimal_columns"):
-        real = getattr(reduction, name)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("dynid") and \
-                    getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, forbidden)
+    real = reduction.minimal_regressor_stack
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("dynid") and \
+                getattr(mod, "minimal_regressor_stack", None) is real:
+            monkeypatch.setattr(mod, "minimal_regressor_stack", forbidden)
     chi = identify_coefficients(bmap, chain, data_a)
     for c in (chi, chi.as_matrix()):
         resid = friction_residual_currents(bmap, chain, c, data_a)
@@ -735,9 +735,13 @@ def streamed_case(request, bmap, chain, data_a, data_b_pay, known, stage2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "BLOCK_STATES", da.m)
         whole = _streamed_outputs(*case)
-    # one block is one build of the whole batch
-    assert whole["minimal"].tobytes() == minimal_columns(
-        case[1], regressor_stack(case[0], da.q, da.qd, da.qdd)).tobytes()
+    # one block is one build of the whole batch: the minimal regressor is
+    # the full one's selected inertial columns and every friction column
+    n = case[0].n
+    idx = np.r_[case[1].inertial_columns,
+                N_INERTIAL * n:(N_INERTIAL + N_FRICTION) * n]
+    assert whole["minimal"].tobytes() == regressor_stack(
+        case[0], da.q, da.qd, da.qdd)[:, :, idx].tobytes()
     return case, whole
 
 
@@ -819,11 +823,12 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
 def test_stage1_model_without_kept_columns_holds_one_block(bmap, chain,
                                                            noisy_runs):
     # predict_currents, and the residual of a chi without kept columns (as
-    # read from a model file), evaluate the stage-1 model inside the
-    # gatherer, one block at a time: at 7500 UR10 states they peak at 3.3
-    # and 3.7 MB traced, where gathering every joint's active columns for
-    # the whole batch first (8.8 MB by themselves) read 11.8 and 12.1 MB.
-    # Their bits are those of stage 1's kept columns.
+    # read from a model file), each run the stage-1 model as one
+    # newton_euler call, one block of states at a time: at 7500 UR10
+    # states they peak at about 2.26 and 2.28 MB traced, where gathering
+    # every joint's active columns for the whole batch first (8.8 MB by
+    # themselves) read 11.8 and 12.1 MB.  The bare chi's residual is
+    # bitwise that of stage 1's result.
     da = noisy_runs[0]
     chi = identify_coefficients(bmap, chain, da)
     C = chi.as_matrix()
@@ -1296,6 +1301,74 @@ def test_stage1_condition_guard_runs_before_irls(bmap, chain, noisy_runs,
     assert str(err.value) == (
         f"joint 1: regressor condition {conds[0]:.3g} exceeds 1e+01; the "
         "trajectory is not persistently exciting for this joint")
+
+
+@pytest.mark.parametrize("late", ["caller", "helper"])
+@pytest.mark.parametrize("first", ["samples", "condition"])
+def test_stage1_raises_the_first_failing_joint_on_either_thread(
+        bmap, chain, data_a, monkeypatch, late, first):
+    # joints 2 and 5 fail, one with too few linearity-region samples and
+    # the other at the condition guard (velocity of one magnitude makes its
+    # qd and sgn(qd) columns proportional).  The joints are shared by the
+    # calling thread and the helper, the late one waiting until the other
+    # has fitted a joint; every joint is fitted, and joint 2's error is
+    # raised, as with no helper
+    qd = np.array(data_a.qd)
+    few, steady = (1, 4) if first == "samples" else (4, 1)
+    qd[:, few] = 0.0
+    qd[:20, few] = 1.0
+    qd[:, steady] = 0.5 * np.sign(qd[:, steady])
+    samples = dataclasses.replace(data_a, qd=qd)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
+    with pytest.raises(ExcitationError) as serial:
+        identify_coefficients(bmap, chain, samples)
+    assert str(serial.value).startswith(
+        "joint 2: only 20 linearity-region samples" if first == "samples"
+        else "joint 2: regressor condition inf exceeds 1e+08")
+
+    caller, done = threading.get_ident(), threading.Event()
+    fitted, failed, fit = [], [], estimation._fit_joint
+
+    def shared(*args):
+        on_caller = threading.get_ident() == caller
+        if on_caller == (late == "caller"):
+            done.wait(timeout=20)
+            done.set()  # one wait at most, should the other thread not run
+        fitted.append((args[3], on_caller))
+        try:
+            return fit(*args)
+        except ExcitationError:
+            failed.append(args[3])
+            raise
+        finally:
+            if on_caller != (late == "caller"):
+                done.set()
+
+    monkeypatch.setattr(estimation, "_fit_joint", shared)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
+    with pytest.raises(ExcitationError) as threaded:
+        identify_coefficients(bmap, chain, samples)
+    assert str(threaded.value) == str(serial.value)
+    assert sorted(j for j, _ in fitted) == list(range(6))
+    assert sorted(failed) == [1, 4]
+    assert {on_caller for _, on_caller in fitted} == {True, False}
+
+
+def test_stage1_bits_do_not_depend_on_the_helper(bmap, chain, data_a,
+                                                 monkeypatch):
+    # chi, its records and the kept columns are bitwise the same whether
+    # one thread fits every joint or two share them
+    runs = []
+    for helper in (False, True):
+        monkeypatch.setattr(dynamics, "_second_cpu", lambda: helper)
+        runs.append(identify_coefficients(bmap, chain, data_a))
+    serial, shared = runs
+    assert shared.chi.tobytes() == serial.chi.tobytes()
+    for name in ("conditions", "sample_counts", "irls_iterations",
+                 "irls_converged"):
+        assert getattr(shared, name) == getattr(serial, name), name
+    assert [K.tobytes() for K in shared._fitted_on[3]] == \
+        [K.tobytes() for K in serial._fitted_on[3]]
 
 
 def test_stage1_refuses_a_column_its_weights_leave_unseparated(
