@@ -16,12 +16,12 @@ the machine's drift.  The kernels:
 - ``inertia_1x250`` and ``terms_1x250``: 250 single-state
   ``solver.inertia`` and ``solver.torque_terms`` calls, each n or three
   motion blocks over one configuration;
-- ``regressor_7500``: a 7500-state regressor pass, ``regressor_stack`` over
-  ``BLOCK_STATES``-state blocks, as identification built it before the
-  fits read their columns through ``regressor_columns``;
-- ``simulate_7500``: ``dataio.simulate`` of the default plant over the same
-  7500 states, no noise: ``newton_euler`` on one set that every joint
-  shares;
+- ``simulate_7500``: ``dataio.simulate`` of the default plant over 7500
+  states of the same trajectory, no noise: ``newton_euler`` on one set
+  that every joint shares;
+- ``columns_7500``: the column request stage 1 makes,
+  ``dynamics.regressor_columns`` of each joint's active inertial base
+  columns on its linearity-region rows of run a of the data below;
 - ``stages_7500``: ``estimation.identify_coefficients`` and
   ``estimate_gains`` on fixed c05-shaped data (three merged 20 s noisy
   runs per scenario, the payload known as mass and com), with the exact
@@ -117,11 +117,12 @@ def kernels(pkg):
     Q, Qd, Qdd = q[:2500], qd[:2500], qdd[:2500]
     torque, terms = pkg.solver.torque, pkg.solver.torque_terms
     inertia = pkg.solver.inertia
-    regressor_stack = pkg.dynamics.regressor_stack
-    block = pkg.dynamics.BLOCK_STATES
     plant = pkg.dataio.ur10_default_model()
     (da, db), known = c05_runs(pkg)
     est = pkg.estimation
+    bmap, rows = model.map, da.mask
+    cols = [bmap.inertial_columns[np.flatnonzero(m[:bmap.c_inertial])]
+            for m in bmap.joint_masks]
 
     def torque_1x250():
         for k in range(250):
@@ -135,10 +136,10 @@ def kernels(pkg):
         for k in range(250):
             terms(model, Q[k], Qd[k], Qdd[k])
 
-    def regressor_7500():
-        for start in range(0, len(q), block):
-            rows = slice(start, start + block)
-            regressor_stack(chain, q[rows], qd[rows], qdd[rows])
+    def columns_7500():
+        out = [np.empty((len(c), k)) for c, k in zip(cols, rows.sum(0))]
+        pkg.dynamics.regressor_columns(chain, da.q, da.qd, da.qdd, cols, out,
+                                       rows)
 
     def stages_7500():
         chi = est.identify_coefficients(model.map, chain, da)
@@ -149,9 +150,9 @@ def kernels(pkg):
             "torque_1x250": torque_1x250,
             "inertia_1x250": inertia_1x250,
             "terms_1x250": terms_1x250,
-            "regressor_7500": regressor_7500,
             "simulate_7500": lambda: pkg.dataio.simulate(
                 plant, states=(t, q, qd)),
+            "columns_7500": columns_7500,
             "stages_7500": stages_7500}
 
 

@@ -25,9 +25,11 @@ caller keeps.  The frames depend on q alone, so the evaluator runs a
 tuple of motion blocks over one configuration, with gravity per block,
 and each link's rotation meets the joint screws and every block's motion
 in one product.  The regressor is read through one column request,
-regressor_columns: each joint's listed columns on its listed states,
-written straight into the caller's arrays, so no regressor block is
-built; regressor_stack is the request for every column.  Both passes run
+regressor_columns: each joint's listed inertial columns of the links its
+row reaches, on the states a mask marks, written straight into the
+caller's arrays, so no regressor block is built.  regressor_stack is
+built around one such request on every state, with each joint's
+friction triple (friction_regressor) and zeros.  Both passes run
 in blocks of BLOCK_STATES states, so memory does not grow with the
 batch.  A batch of more than one block runs its blocks on run_shared:
 the calling thread and one helper thread, started for the call and
@@ -592,6 +594,9 @@ def _link_screws(chain: KinematicChain, Q, Qd, Qdd, gravity, B):
         _motion_numbers(V, out=numbers)
         width = B[i].shape[-1]
         G = products[:, :width]
+        # a matrix that fits is one product, unsliced: slicing it costs
+        # about 0.6 us a link (numpy 2.4, one x86-64 core), 2-3 % of a
+        # single-state UR10 torque
         if width <= _PRODUCT_COLUMNS:
             np.matmul(F, B[i], out=G)
         else:
@@ -747,100 +752,89 @@ def friction_regressor(qd) -> np.ndarray:
 
 def _column_plan(n: int, cols):
     """Where the columns cols[j] of each joint j's row come from: per link
-    i, (j, places, link columns) for every joint j <= i that reads its
-    columns; per joint, (places, triple entries) of its own friction
-    columns, or None; and per joint, the places that are exactly zero in
-    its row, a proximal link's or another joint's friction columns.
+    i, (j, places, link columns) for every joint j <= i that reads link i.
     Places index the rows of out[j]."""
     links = [[] for _ in range(n)]
-    friction, zeros = [None] * n, []
-    base = N_INERTIAL * n
     for j, c in enumerate(cols):
-        parts, zero = {}, []  # link, or -1 for the own triple: places, entries
-        for k, col in enumerate(np.asarray(c, dtype=int).tolist()):
-            if col < base:
-                i, entry = divmod(col, N_INERTIAL)
-                seen = i >= j
-            else:
-                owner, entry = divmod(col - base, N_FRICTION)
-                i, seen = -1, owner == j
-            if not seen:
-                zero.append(k)
-                continue
-            places, entries = parts.setdefault(i, ([], []))
-            places.append(k)
-            entries.append(entry)
-        for i, (places, entries) in parts.items():
-            part = (np.array(places), np.array(entries))
-            if i < 0:
-                friction[j] = part
-            else:
-                links[i].append((j, *part))
-        zeros.append(np.array(zero, dtype=int))
-    return links, friction, zeros
+        link, entry = np.divmod(c, N_INERTIAL)
+        for i in set(link.tolist()):
+            places = np.flatnonzero(link == i)
+            links[i].append((j, places, entry[places]))
+    return links
 
 
-def _block_columns(chain: KinematicChain, Q, Qd, Qdd, B, links, friction,
-                   out, rows, block) -> None:
+def _block_columns(chain: KinematicChain, Q, Qd, Qdd, B, links, out, rows,
+                   block) -> None:
     """The regressor pass over one block of states: block is (states, at),
     the block's slice of the batch and, per joint j, the column of out[j]
     its first state in rows[:, j] goes to.  Link i's columns are one
     product of the joint screws with its unit wrenches (the pass on
     _link_maps of K), made only when some joint reads them; each joint's
     requested columns of it, on its requested states, go straight into
-    out[j], and so does its friction triple (friction_regressor).  The
-    block's buffers are freed on return."""
+    out[j].  The block's buffers are freed on return."""
     states, at = block
     q, qd, qdd = Q[states], Qd[states], Qdd[states]
     m = len(q)
-    picks = [slice(None)] * chain.n if rows is None else [
-        np.flatnonzero(r) for r in rows[states].T]
-    ends = [a + (m if rows is None else p.size) for a, p in zip(at, picks)]
-    for j, fr in enumerate(friction):
-        if fr is not None:
-            out[j][fr[0], at[j]:ends[j]] = \
-                friction_regressor(qd[picks[j], j])[:, fr[1]].T
+    picks = [np.flatnonzero(r) for r in rows[states].T]
     for i, Si, W in _link_screws(chain, q, qd[:, None], qdd[:, None],
                                  chain.gravity_vector, B):
         if links[i]:
             T = np.matmul(Si, W.reshape(m, N_INERTIAL, 6).swapaxes(1, 2))
             for j, places, c in links[i]:
-                out[j][places, at[j]:ends[j]] = T[picks[j], j][:, c].T
+                out[j][places, at[j]:at[j] + picks[j].size] = \
+                    T[picks[j], j][:, c].T
 
 
 def regressor_columns(chain: KinematicChain, Q, Qd, Qdd, cols, out,
-                      rows=None) -> None:
-    """Columns of each joint's regressor row, written to the caller's arrays.
+                      rows) -> None:
+    """Inertial columns of each joint's row, written to the caller's arrays.
 
     cols[j] lists columns of joint j's row in regressor_stack's layout,
-    and out[j], (len(cols[j]), m_j), receives them: one row per listed
-    column, one column per state, over the states rows[:, j] marks, rows
-    an (M, n) boolean mask, or over all M states when rows is None.
+    each an inertial column of a link the row reaches, 10j .. 10n - 1, in
+    any order and with repeats.  out[j], (len(cols[j]), m_j), receives
+    them: one row per listed column, one column per state, over the m_j
+    states that rows[:, j] marks, rows an (M, n) boolean mask.  A request
+    it cannot write in full raises ValueError, naming the joint or the
+    shape expected, before anything is written.
 
     No regressor block is built.  The pass runs BLOCK_STATES states at a
     time on run_shared (_block_columns), and each block writes only its
     own states' columns, at places precomputed from the mask, so the
-    bits depend neither on the block size nor on the thread.  Columns
-    that are zero in a joint's row are zeroed once.  The batch is checked
-    whole first (_motion_blocks), so an error names its row in the batch.
+    bits depend neither on the block size nor on the thread.  The batch
+    is checked whole first (_motion_blocks), so an error names its row in
+    the batch.
     """
     Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
-    n = chain.n
-    links, friction, zeros = _column_plan(n, cols)
-    for j, places in enumerate(zeros):
-        out[j][places] = 0.0
-    blocks = _state_blocks(len(Q))
+    M, n = Q.shape
+    rows = np.asarray(rows)
+    if rows.shape != (M, n) or rows.dtype != bool:
+        raise ValueError(f"rows must be a boolean mask of shape ({M}, "
+                         f"{n}); got {rows.dtype} {rows.shape}")
+    if len(cols) != n or len(out) != n:
+        raise ValueError(f"cols and out must list {n} joints; got "
+                         f"{len(cols)} and {len(out)}")
+    for j, (c, o, k) in enumerate(zip(cols, out, rows.sum(axis=0).tolist())):
+        c = np.asarray(c)
+        if c.ndim != 1 or c.size and (
+                c.dtype.kind not in "iu" or c.min() < N_INERTIAL * j
+                or c.max() >= N_INERTIAL * n):
+            raise ValueError(f"joint {j}: columns must be integers in "
+                             f"[{N_INERTIAL * j}, {N_INERTIAL * n}), the "
+                             "inertial columns of the links its row reaches")
+        if np.shape(o) != (c.size, k):
+            raise ValueError(f"joint {j}: out must be ({c.size}, {k}), a row "
+                             "per column and a column per marked state; got "
+                             f"{np.shape(o)}")
+    blocks = _state_blocks(M)
     if not blocks:
         return
-    if rows is None:
-        at = [[b.start] * n for b in blocks]
-    else:
-        counts = np.add.reduceat(rows, [b.start for b in blocks], axis=0,
-                                 dtype=np.intp)
-        at = (np.cumsum(counts, axis=0) - counts).tolist()
+    counts = np.add.reduceat(rows, [b.start for b in blocks], axis=0,
+                             dtype=np.intp)
+    at = (np.cumsum(counts, axis=0) - counts).tolist()
     run_shared(partial(_block_columns, chain, Q, Qd, Qdd,
-                       _link_maps(chain, _WRENCH_BASIS), links, friction, out,
-                       rows), list(zip(blocks, at)))
+                       _link_maps(chain, _WRENCH_BASIS),
+                       _column_plan(n, cols), out, rows),
+               list(zip(blocks, at)))
 
 
 def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
@@ -849,14 +843,23 @@ def regressor_stack(chain: KinematicChain, Q, Qd, Qdd) -> np.ndarray:
     Columns follow the DynamicParameters layout: 10 inertial columns per
     link, then per-joint friction columns [1, qd_j, sgn(qd_j)] placed in
     row j.  Y @ pi equals rnea torques plus linear friction.  It is built
-    for fitting; evaluate known parameters with newton_euler.  It is the
-    column request (regressor_columns) for every column on every state;
-    link i's block is exactly zero in rows past i.
+    for fitting; evaluate known parameters with newton_euler.  Row j's
+    inertial columns of links j..n-1 are one column request
+    (regressor_columns) on every state, and its friction triple is
+    friction_regressor's; every other entry is exactly zero.
     """
-    n = chain.n
-    Y = np.empty((len(np.atleast_2d(Q)), n, (N_INERTIAL + N_FRICTION) * n))
-    regressor_columns(chain, Q, Qd, Qdd, [np.arange(Y.shape[2])] * n,
-                      [Y[:, j].T for j in range(n)])
+    Q, (Qd,), (Qdd,) = _motion_blocks(chain, Q, (Qd,), (Qdd,))
+    M, n = Q.shape
+    Y = np.zeros((M, n, (N_INERTIAL + N_FRICTION) * n))
+    inertial = N_INERTIAL * n
+    regressor_columns(
+        chain, Q, Qd, Qdd,
+        [np.arange(N_INERTIAL * j, inertial) for j in range(n)],
+        [Y[:, j, N_INERTIAL * j:inertial].T for j in range(n)],
+        np.ones((M, n), dtype=bool))
+    for j in range(n):
+        fr = inertial + N_FRICTION * j
+        Y[:, j, fr:fr + N_FRICTION] = friction_regressor(Qd[:, j])
     return Y
 
 

@@ -22,15 +22,17 @@ Stage 1 fits its joints on two threads where a second CPU is allowed
 
 The regressor is read only by the fits, one way, _joint_columns: the
 column request (dynamics.regressor_columns) writes each joint's
-linearity-region rows on the columns its fit uses, and nothing else.  No
-identification holds an (M, n, c) array: stage 1 keeps, for stage 3, each
-joint's regressor row on its active inertial base columns over those rows,
-the only part of the minimal regressor stage 3 reads again, and
-_kept_columns gathers the same arrays for a chi fitted elsewhere.  Once
-fitted, chi is a set of known parameters, one block per joint, and
-predict_currents and friction_residual_currents evaluate its inertial part
-as every torque of known parameters is evaluated: one
-dynamics.newton_euler call on the fold of its per-joint sets.
+linearity-region rows on the inertial columns its fit uses, and nothing
+else; the fits form their friction columns themselves
+(dynamics.friction_regressor).  No identification holds an (M, n, c)
+array: stage 1 keeps, for stage 3, each joint's regressor row on its
+active inertial base columns over those rows, the only part of the
+minimal regressor stage 3 reads again, and _kept_columns gathers the
+same arrays for a chi fitted elsewhere.  Once fitted, chi is a set of
+known parameters, one block per joint, and predict_currents and
+friction_residual_currents evaluate its inertial part as every torque of
+known parameters is evaluated: one dynamics.newton_euler call on the
+fold of its per-joint sets.
 """
 
 from __future__ import annotations
@@ -390,26 +392,18 @@ def _joint_columns(map_: BaseParameterMap, chain: KinematicChain,
     return out
 
 
-def _last_first(arrays: list):
-    """arrays' entries last to first, each dropped from the list as it is
-    yielded, so that a caller holds only the ones it has not reached."""
-    while arrays:
-        yield arrays.pop()
-
-
 def _kept_columns(map_: BaseParameterMap, chain: KinematicChain, chi,
-                  samples: SampleSet):
-    """Per joint j, last joint first (stage 3's order), its regressor row
-    on its active inertial base columns over its linearity-region samples:
-    the arrays stage 1 kept when chi is its result on these very samples,
-    map and chain, otherwise the same bits gathered again, each dropped
-    from its list as it is yielded (_last_first)."""
+                  samples: SampleSet) -> list[np.ndarray]:
+    """Per joint j, its regressor row on its active inertial base columns
+    over its linearity-region samples, in a list of the caller's own: a
+    copy of the list stage 1 kept when chi is its result on these very
+    samples, map and chain, otherwise the same bits gathered again."""
     fitted_on = getattr(chi, "_fitted_on", None)
     if fitted_on is not None and all(
             a is b for a, b in zip(fitted_on, (samples, map_, chain))):
-        return reversed(fitted_on[3])
+        return list(fitted_on[3])
     cols = [map_.inertial_columns[a] for a in _active_columns(map_)]
-    return _last_first(_joint_columns(map_, chain, samples, cols))
+    return _joint_columns(map_, chain, samples, cols)
 
 
 def _chi_matrix(chi, n: int) -> np.ndarray:
@@ -809,23 +803,23 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     acols = _active_columns(map_)
     rows_a = _kept_columns(map_, chain, chi, samples_a)
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
-    rows_b = _last_first(_joint_columns(
+    rows_b = _joint_columns(
         map_, chain, samples_b,
-        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols]))
+        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols])
     # friction-compensated currents
     ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
     yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)
+    mask_a, mask_b = samples_a.mask, samples_b.mask
 
     fits, failed = [None] * n, None
     for j in reversed(range(n)):
         label = f"joint {j+1}"
-        y = np.concatenate([ya[samples_a.mask[:, j], j],
-                            yb[samples_b.mask[:, j], j]])
+        y = np.concatenate([ya[mask_a[:, j], j], yb[mask_b[:, j], j]])
         try:
             # the joint's rows live only while its stack is built, and the
             # stack only in the fit that factors it
             fits[j] = _checked_gain_fit(robust_weights(
-                _gain_stack(next(rows_a), next(rows_b), kmask, pi_k, label),
+                _gain_stack(rows_a.pop(), rows_b.pop(), kmask, pi_k, label),
                 y), label)
         except Exception as err:
             # raised once every joint is tried: the last kept is the first

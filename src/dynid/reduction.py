@@ -17,10 +17,9 @@ Systems 1991).
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 
-A minimal regressor is written column by column from the regressor's pass
-(dynamics.regressor_columns), so building it takes the result and the
-pass's buffers, never a full (M, n, 13n) regressor.  A map is paired
-with a chain of its joint count only (BaseParameterMap.check_chain).
+A minimal regressor is the full regressor's selected inertial and
+friction columns; no identification builds one.  A map is paired with a
+chain of its joint count only (BaseParameterMap.check_chain).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (N_FRICTION, N_INERTIAL, DynamicParameters,
-                       regressor_columns, regressor_stack)
+                       regressor_stack)
 from .kinematics import KinematicChain
 
 PROBE_COUNT_DEFAULT = 200
@@ -289,13 +288,10 @@ def compute_base_map(chain: KinematicChain, n_probe: int = PROBE_COUNT_DEFAULT,
 def minimal_regressor_stack(map_: BaseParameterMap, chain: KinematicChain,
                             Q, Qd, Qdd) -> np.ndarray:
     """Minimal regressor for a batch of states, shape (M, n, c): the
-    selected inertial columns, then every friction column, written joint
-    by joint by the column request (dynamics.regressor_columns)."""
+    selected inertial columns of regressor_stack, then every friction
+    column."""
     map_.check_chain(chain)
     n = map_.n
-    U = np.empty((len(np.atleast_2d(Q)), n, map_.c))
     cols = np.r_[map_.inertial_columns,
                  N_INERTIAL * n:(N_INERTIAL + N_FRICTION) * n]
-    regressor_columns(chain, Q, Qd, Qdd, [cols] * n,
-                      [U[:, j].T for j in range(n)])
-    return U
+    return regressor_stack(chain, Q, Qd, Qdd)[..., cols]

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from dynid import dynamics
 from dynid.dataio import IdentifiedModel
-from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, N_FRICTION,
-                            N_INERTIAL, DynamicParameters, FrictionSet,
+from dynid.dynamics import (_WRENCH_BASIS, BLOCK_STATES, N_INERTIAL,
+                            DynamicParameters, FrictionSet,
                             InertialParameters, JointState, _link_maps,
                             _motion_numbers, fold_sets, friction_linear,
                             friction_sigmoid, newton_euler, regressor,
@@ -812,12 +812,13 @@ def test_column_request_blocks_run_once_on_more_threads_than_cpus(
     rng = np.random.default_rng(13)
     Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
     rows = rng.random((m, chain.n)) < 0.7
-    cols = [np.arange(13 * chain.n)] * chain.n
+    cols = [np.arange(N_INERTIAL * j, N_INERTIAL * chain.n)
+            for j in range(chain.n)]
 
     def run():
         out = [np.empty((len(c), k)) for c, k in zip(cols, rows.sum(0))]
         regressor_columns(chain, Q, Qd, Qdd, cols, out, rows)
-        return np.concatenate(out, axis=1)
+        return np.concatenate([o.ravel() for o in out])
 
     _shared_blocks_run_once(monkeypatch, run, "_block_columns",
                             lambda args: args[-1][0].start)
@@ -994,32 +995,101 @@ def test_regressor_stack_matches_single(seed, m, chain):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30),
        chain=st.sampled_from([ur10_chain(), TOY, OFFSETS, LONG]),
        size=st.sampled_from(["1", "7", "M-1", "M", "M+1"]),
-       helper=st.booleans(), masked=st.booleans())
+       helper=st.booleans())
 def test_column_request_gives_regressor_stack_columns(seed, m, chain, size,
-                                                      helper, masked):
-    # random columns per joint, in any order and with repeats, over a
-    # random row mask or every row: the request writes bitwise the entries
-    # of regressor_stack (built whole at the default block size, helper
-    # allowed), zeros and friction columns included, at any block size and
-    # with the helper thread or without it
+                                                      helper):
+    # random inertial columns of the links each joint's row reaches, in
+    # any order and with repeats, over a random row mask: the request
+    # writes bitwise the entries of regressor_stack (built whole at the
+    # default block size, helper allowed), at any block size and with the
+    # helper thread or without it
     rng = np.random.default_rng(seed)
-    n, width = chain.n, (N_INERTIAL + N_FRICTION) * chain.n
+    n, width = chain.n, N_INERTIAL * chain.n
     Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
-    Qd[rng.random((m, n)) < 0.1] = 0.0  # sgn(0) = 0
     Y = regressor_stack(chain, Q, Qd, Qdd)
-    rows = rng.random((m, n)) < rng.uniform(0.0, 1.0) if masked else None
-    cols = [rng.integers(0, width, int(rng.integers(0, 2 * width)))
-            for _ in range(n)]
-    counts = rows.sum(axis=0) if masked else [m] * n
-    out = [np.full((len(c), k), np.nan) for c, k in zip(cols, counts)]
+    rows = rng.random((m, n)) < rng.uniform(0.0, 1.0)
+    cols = [rng.integers(N_INERTIAL * j, width,
+                         int(rng.integers(0, 2 * width))) for j in range(n)]
+    out = [np.full((len(c), k), np.nan) for c, k in zip(cols, rows.sum(0))]
     block = {"1": 1, "7": 7, "M-1": max(m - 1, 1), "M": m, "M+1": m + 1}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "BLOCK_STATES", block[size])
         mp.setattr(dynamics, "_second_cpu", lambda: helper)
         regressor_columns(chain, Q, Qd, Qdd, cols, out, rows)
     for j, (c, got) in enumerate(zip(cols, out)):
-        want = Y[:, j][:, c] if rows is None else Y[rows[:, j], j][:, c]
+        want = Y[rows[:, j], j][:, c]
         assert got.tobytes() == np.ascontiguousarray(want.T).tobytes(), j
+
+
+def _column_request(m=20):
+    """A UR10 batch of m states, a row mask, every joint's inertial
+    columns of the links its row reaches, and out arrays of NaN."""
+    chain, rng = ur10_chain(), np.random.default_rng(5)
+    Q, Qd, Qdd, _ = _random_batch(chain, m, 1, rng)
+    rows = rng.random((m, chain.n)) < 0.6
+    cols = [np.arange(N_INERTIAL * j, N_INERTIAL * chain.n)
+            for j in range(chain.n)]
+    out = [np.full((len(c), k), np.nan) for c, k in zip(cols, rows.sum(0))]
+    return chain, Q, Qd, Qdd, cols, out, rows
+
+
+def _refused_untouched(request, match):
+    """The request raises ValueError matching match, and every out array
+    keeps its NaN."""
+    chain, Q, Qd, Qdd, cols, out, rows = request
+    with pytest.raises(ValueError, match=match):
+        regressor_columns(chain, Q, Qd, Qdd, cols, out, rows)
+    assert all(np.isnan(o).all() for o in out)
+
+
+def test_column_request_refuses_an_out_wider_than_its_mask_count():
+    # a wider out[j] would keep its last columns unwritten
+    request = _column_request()
+    out, rows = request[5], request[6]
+    k = int(rows[:, 3].sum())
+    out[3] = np.full((30, k + 1), np.nan)
+    _refused_untouched(request, rf"joint 3: out must be \(30, {k}\)")
+
+
+@pytest.mark.parametrize("col", [-1, 9, 78, 200])
+def test_column_request_refuses_a_column_outside_its_rows_links(col):
+    # a column past either end of the layout, link 0's (which joint 1's
+    # row does not reach) or a friction column would read as zeros
+    request = _column_request()
+    cols, out = request[4], request[5]
+    cols[1] = np.append(cols[1], col)
+    out[1] = np.full((cols[1].size, out[1].shape[1]), np.nan)
+    _refused_untouched(request, r"joint 1: columns must be integers in "
+                                r"\[10, 60\)")
+
+
+def test_column_request_refuses_a_column_that_is_not_an_integer():
+    # column 59.7 would read as column 59
+    request = _column_request()
+    cols, out = request[4], request[5]
+    cols[5] = np.append(cols[5], 59.7)
+    out[5] = np.full((cols[5].size, out[5].shape[1]), np.nan)
+    _refused_untouched(request, r"joint 5: columns must be integers")
+
+
+@pytest.mark.parametrize("shape", [(15, 6), (25, 6), (20, 5)])
+def test_column_request_refuses_a_mask_of_another_shape(shape):
+    # a shorter mask would drop the batch's last states, and a longer one
+    # fail inside the pass after some columns were written
+    chain, Q, Qd, Qdd, cols, _, _ = _column_request()
+    rows = np.random.default_rng(6).random(shape) < 0.6
+    counts = np.resize(rows.sum(0), chain.n)
+    out = [np.full((len(c), k), np.nan) for c, k in zip(cols, counts)]
+    _refused_untouched((chain, Q, Qd, Qdd, cols, out, rows),
+                       r"rows must be a boolean mask of shape \(20, 6\)")
+
+
+def test_column_request_refuses_a_mask_that_is_not_boolean():
+    # a mask's sum sizes out[j]: an entry of 2 would count a state that is
+    # written once
+    request = list(_column_request())
+    request[6] = request[6].astype(int)
+    _refused_untouched(request, r"rows must be a boolean mask")
 
 
 @functools.cache
