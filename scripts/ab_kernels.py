@@ -26,7 +26,12 @@ the machine's drift.  The kernels:
   ``estimate_gains`` on fixed c05-shaped data (three merged 20 s noisy
   runs per scenario, the payload known as mass and com), with the exact
   model's friction in stage 3: the fits and the regressor columns they
-  read.
+  read;
+- ``split_8501x40``: ``reduction.split_columns`` of a seeded Gaussian
+  8501 x 40 matrix, the shape of stage 3's largest stack on that data;
+- ``read_samples_2500``: ``dataio.read_samples`` of a 2500-row sample
+  file (a 20 s noisy run of the default plant), each side reading the
+  file it wrote into a temporary directory.
 
 It prints each side's median, the median and quartiles of the paired
 ratios and how many rounds each side won.  Pin BLAS to one thread
@@ -46,6 +51,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -106,8 +112,9 @@ def c05_runs(pkg):
     return runs, pkg.estimation.KnownPayload(spec=spec, known=("mass", "com"))
 
 
-def kernels(pkg):
-    """Name -> zero-argument callable, on inputs of this side's own."""
+def kernels(pkg, workdir: str):
+    """Name -> zero-argument callable, on inputs of this side's own; files
+    go into workdir."""
     model = exact_model(pkg)
     chain = model.chain
     traj = pkg.trajectory.random_trajectory(6, seed=3)
@@ -123,6 +130,10 @@ def kernels(pkg):
     bmap, rows = model.map, da.mask
     cols = [bmap.inertial_columns[np.flatnonzero(m[:bmap.c_inertial])]
             for m in bmap.joint_masks]
+    tall = np.random.default_rng(0).standard_normal((8501, 40))
+    csv = Path(workdir) / f"{pkg.__name__}_2500.csv"
+    pkg.dataio.write_samples(pkg.dataio.simulate(
+        plant, traj, duration=20.0, noise_v=0.05, seed=21), csv)
 
     def torque_1x250():
         for k in range(250):
@@ -153,7 +164,9 @@ def kernels(pkg):
             "simulate_7500": lambda: pkg.dataio.simulate(
                 plant, states=(t, q, qd)),
             "columns_7500": columns_7500,
-            "stages_7500": stages_7500}
+            "stages_7500": stages_7500,
+            "split_8501x40": lambda: pkg.reduction.split_columns(tall),
+            "read_samples_2500": lambda: pkg.dataio.read_samples(csv)}
 
 
 def median_of(fn, repeats: int) -> float:
@@ -174,18 +187,19 @@ def main():
                     help="calls per kernel, side and round; median taken")
     args = ap.parse_args()
 
-    sides = {"a": kernels(load_tree(args.tree_a, "dynid_a")),
-             "b": kernels(load_tree(args.tree_b, "dynid_b"))}
-    names = list(sides["a"])
-    for side in sides.values():  # warm caches and the model's folds
-        for fn in side.values():
-            fn()
-    times = {(s, k): [] for s in sides for k in names}
-    for r in range(args.rounds):
-        order = "ab" if r % 2 == 0 else "ba"
-        for k in names:
-            for s in order:
-                times[s, k].append(median_of(sides[s][k], args.repeats))
+    with tempfile.TemporaryDirectory() as workdir:
+        sides = {"a": kernels(load_tree(args.tree_a, "dynid_a"), workdir),
+                 "b": kernels(load_tree(args.tree_b, "dynid_b"), workdir)}
+        names = list(sides["a"])
+        for side in sides.values():  # warm caches and the model's folds
+            for fn in side.values():
+                fn()
+        times = {(s, k): [] for s in sides for k in names}
+        for r in range(args.rounds):
+            order = "ab" if r % 2 == 0 else "ba"
+            for k in names:
+                for s in order:
+                    times[s, k].append(median_of(sides[s][k], args.repeats))
 
     print(f"numpy {np.__version__}, {args.rounds} rounds, "
           f"{args.repeats} repeats each")

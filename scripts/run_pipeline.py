@@ -24,14 +24,19 @@ def step(argv):
         sys.exit(rc)
 
 
-def run(workdir, noise, duration):
-    robot = f"{workdir}/robot.ini"
-    payload = f"{workdir}/payload.ini"
-    write_robot_model(ur10_default_model(), robot)
+def write_plant(workdir):
+    """The reference plant and payload files the commands read."""
+    write_robot_model(ur10_default_model(), f"{workdir}/robot.ini")
     write_payload(PayloadSpec(mass=4.8, com=(0.10, 0.06, 0.05),
                               inertia_com=np.diag((0.030, 0.035, 0.030))),
-                  payload)
+                  f"{workdir}/payload.ini")
 
+
+def commands(workdir, noise, duration):
+    """The workflow's 17 dynid commands, in order, as argument lists."""
+    robot = f"{workdir}/robot.ini"
+    payload = f"{workdir}/payload.ini"
+    cmds = []
     # several independently seeded runs per scenario: a single trajectory
     # is rarely persistently exciting, and merging runs also averages the
     # per-sample noise down
@@ -39,40 +44,49 @@ def run(workdir, noise, duration):
     for k, seed in enumerate((1, 5, 9)):
         traj = f"{workdir}/traj_a{seed}.csv"
         out = f"{workdir}/run_a{seed}.csv"
-        step(["traj", "gen", "--robot", robot, "--seed", str(seed),
-              "--duration", str(duration), "--out", traj])
-        step(["simulate", "--robot", robot, "--traj", traj,
-              "--noise-v", str(noise), "--seed", str(21 + k), "--out", out])
+        cmds.append(["traj", "gen", "--robot", robot, "--seed", str(seed),
+                     "--duration", str(duration), "--out", traj])
+        cmds.append(["simulate", "--robot", robot, "--traj", traj,
+                     "--noise-v", str(noise), "--seed", str(21 + k),
+                     "--out", out])
         run_a.append(out)
     for k, seed in enumerate((2, 7)):
         traj = f"{workdir}/traj_b{seed}.csv"
         out = f"{workdir}/run_b{seed}.csv"
-        step(["traj", "gen", "--robot", robot, "--seed", str(seed),
-              "--duration", str(duration), "--out", traj])
-        step(["simulate", "--robot", robot, "--traj", traj,
-              "--payload", payload, "--noise-v", str(noise),
-              "--seed", str(31 + k), "--out", out])
+        cmds.append(["traj", "gen", "--robot", robot, "--seed", str(seed),
+                     "--duration", str(duration), "--out", traj])
+        cmds.append(["simulate", "--robot", robot, "--traj", traj,
+                     "--payload", payload, "--noise-v", str(noise),
+                     "--seed", str(31 + k), "--out", out])
         run_b.append(out)
 
     model = f"{workdir}/model.ini"
-    step(["identify", "linear", "--robot", robot,
-          "--samples", *run_a, "--out", model])
-    step(["identify", "friction", "--model", model, "--samples", *run_a])
-    step(["identify", "gains", "--model", model,
-          "--samples-a", *run_a, "--samples-b", *run_b,
-          "--payload", payload, "--known", "mass,com"])
+    cmds.append(["identify", "linear", "--robot", robot,
+                 "--samples", *run_a, "--out", model])
+    cmds.append(["identify", "friction", "--model", model,
+                 "--samples", *run_a])
+    cmds.append(["identify", "gains", "--model", model,
+                 "--samples-a", *run_a, "--samples-b", *run_b,
+                 "--payload", payload, "--known", "mass,com"])
 
     held_traj = f"{workdir}/traj_held.csv"
     held_run = f"{workdir}/run_held.csv"
-    step(["traj", "gen", "--robot", robot, "--seed", "11",
-          "--duration", str(duration), "--out", held_traj])
-    step(["simulate", "--robot", robot, "--traj", held_traj,
-          "--seed", "0", "--out", held_run])
-    step(["validate", "--model", model, "--samples", held_run,
-          "--report", f"{workdir}/report.csv"])
-    step(["solve", "--model", model, "--traj", held_run,
-          "--out", f"{workdir}/torques.csv"])
-    print(f"\ndone; identified model in {model}, "
+    cmds.append(["traj", "gen", "--robot", robot, "--seed", "11",
+                 "--duration", str(duration), "--out", held_traj])
+    cmds.append(["simulate", "--robot", robot, "--traj", held_traj,
+                 "--seed", "0", "--out", held_run])
+    cmds.append(["validate", "--model", model, "--samples", held_run,
+                 "--report", f"{workdir}/report.csv"])
+    cmds.append(["solve", "--model", model, "--traj", held_run,
+                 "--out", f"{workdir}/torques.csv"])
+    return cmds
+
+
+def run(workdir, noise, duration):
+    write_plant(workdir)
+    for argv in commands(workdir, noise, duration):
+        step(argv)
+    print(f"\ndone; identified model in {workdir}/model.ini, "
           f"report in {workdir}/report.csv")
 
 

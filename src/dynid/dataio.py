@@ -3,6 +3,8 @@
 Owns every on-disk format (sample CSV, result tables, robot-model,
 payload and identified-model files), the classes they hold and the
 checks those share; each number is written with "%.17g" to read back.
+A sample file is parsed by one numpy call with no Python object per
+field, and row by row only when numpy refuses it.
 Also the one differentiator that derives accelerations from velocities (a
 cubic Savitzky-Golay first derivative), and a simulator that produces
 current-level sample sets from a plant model so every identification
@@ -234,8 +236,68 @@ def _not_utf8(path, e: UnicodeDecodeError) -> str:
             f"at offset {e.start}")
 
 
+def _numeric_fields(rows: list[str], width: int):
+    """(data, tag, None) as _parse_rows gives it for well-formed rows: the
+    numeric fields as one float array, parsed by np.loadtxt with no Python
+    object per field and rounded as float() rounds, and the rows' one
+    scenario tag.  None when a row does not have width fields, when the
+    rows do not share an 'a' or 'b' tag, or when numpy refuses a field."""
+    if not rows:
+        return None
+    tag = rows[0][rows[0].rfind(",") + 1:]
+    end = "," + tag
+    # loadtxt skips blank rows and ignores fields past usecols, so each row
+    # is checked here first
+    if tag not in ("a", "b") or not all(
+            row.count(",") == width - 1 and row.endswith(end) for row in rows):
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None,
+                          usecols=range(width - 1), ndmin=2)
+    except ValueError:
+        return None
+    return data, tag, None
+
+
+def _parse_rows(rows: list[str], width: int):
+    """(data, tag, error): sample rows, lines 2, 3, ... of the file,
+    parsed one field at a time by float() up to the first malformed row,
+    which error names (None when there is none)."""
+    values = []
+    scenario = None
+    error = None
+    for i, line in enumerate(rows, start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            error = f"row {i} has {len(parts)} fields, expected {width}"
+            break
+        try:
+            values.append([float(x) for x in parts[:-1]])
+        except ValueError:
+            error = f"row {i} has a non-numeric field"
+            break
+        tag = parts[-1]
+        if scenario is None:
+            if tag not in ("a", "b"):
+                error = f"row {i} has scenario tag {tag!r}, not 'a' or 'b'"
+                break
+            scenario = tag
+        elif tag != scenario:
+            error = (f"row {i} changes scenario tag "
+                     f"({scenario!r} -> {tag!r})")
+            break
+    data = np.array(values, dtype=float).reshape(len(values), width - 1)
+    return data, scenario, error
+
+
 def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
-    """Read a sample CSV; acceleration is always derived, never stored."""
+    """Read a sample CSV; acceleration is always derived, never stored.
+
+    One np.loadtxt call parses every numeric field (_numeric_fields).  A
+    file it does not take, malformed or holding what float() alone
+    accepts (such as 1_0), is read row by row instead (_parse_rows), which
+    names the first malformed row.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -250,30 +312,8 @@ def read_samples(path, qd_threshold: float = QD_THRESHOLD_DEFAULT) -> SampleSet:
     if rem != 0 or header != _sample_header(n):
         raise SchemaError(f"{path}: header must be t,q1..qn,qd1..qdn,v1..vn,scenario")
     width = len(header)
-    rows = []
-    scenario = None
-    error = None
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            error = f"row {i} has {len(parts)} fields, expected {width}"
-            break
-        try:
-            rows.append([float(x) for x in parts[:-1]])
-        except ValueError:
-            error = f"row {i} has a non-numeric field"
-            break
-        tag = parts[-1]
-        if scenario is None:
-            if tag not in ("a", "b"):
-                error = f"row {i} has scenario tag {tag!r}, not 'a' or 'b'"
-                break
-            scenario = tag
-        elif tag != scenario:
-            error = (f"row {i} changes scenario tag "
-                     f"({scenario!r} -> {tag!r})")
-            break
-    data = np.array(rows, dtype=float).reshape(len(rows), width - 1)
+    data, scenario, error = (_numeric_fields(lines[1:], width)
+                             or _parse_rows(lines[1:], width))
     # a non-finite value in an earlier row, or in the row that changes the
     # tag, is reported first, as a row-by-row check would
     bad = np.argwhere(~np.isfinite(data))

@@ -11,9 +11,10 @@ sgn discontinuities never enter the rank decision.
 
 Each choice of independent columns (the probe stack, every joint row, and
 every coefficient solve of the estimation stages) is one greedy split in a
-fixed column order (split_columns) from one unpivoted QR, so it depends on
-the chain alone, not on the probe seed or on rounding (Gautier, J. Robotic
-Systems 1991).
+fixed column order (split_columns) from the R of an unpivoted QR, so it
+depends on the chain alone, not on the probe seed or on rounding (Gautier,
+J. Robotic Systems 1991).  A tall matrix is factored in blocks of
+QR_BLOCK_ROWS rows, so the factorisation never copies all of it.
 Offering columns last to first folds proximal parameters into distal
 ones, the mirror image of Gautier & Khalil's rules (IEEE T-RA 1990).
 
@@ -41,6 +42,13 @@ PROBE_QDD_RANGE = 10.0
 # relative column-norm floor below which a column is structurally absent
 # from a joint's regressor row
 ACTIVE_COL_TOL = 1e-8
+# rows per QR in _triangular_factor.  The estimation stages split stacks
+# of 3700-10100 rows by 10-43 columns on c05's 7500 + 7500 states.  At
+# 8501 x 40, blocks of 128, 256, 512 and 1024 rows took 5.9, 3.9, 3.5 and
+# 3.7 ms, against 5.9 ms for one QR of the whole stack, and at 4385 x 34
+# 2.3, 1.8, 1.5 and 1.6 ms against 1.8 ms (OpenBLAS on one thread,
+# medians of 40 calls)
+QR_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -195,20 +203,39 @@ class ColumnSplit:
         return x
 
 
+def _triangular_factor(A: np.ndarray) -> np.ndarray:
+    """The R of an unpivoted QR of A, upper triangular with min(m, p) rows.
+
+    A stack of at most QR_BLOCK_ROWS rows is one numpy QR.  A taller one
+    is factored a block of QR_BLOCK_ROWS rows at a time, and the stacked
+    block factors once more: blocked Householder QR, backward stable like
+    one QR of A, and equal to its R up to row signs and rounding (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012).  numpy
+    copies each matrix it factors, twice (its own float copy and LAPACK's
+    Fortran-ordered one), so the blocks keep those copies small.
+    """
+    m = A.shape[0]
+    if m <= QR_BLOCK_ROWS:
+        return np.linalg.qr(A, mode="r")
+    return np.linalg.qr(np.vstack([
+        np.linalg.qr(A[i:i + QR_BLOCK_ROWS], mode="r")
+        for i in range(0, m, QR_BLOCK_ROWS)]), mode="r")
+
+
 def split_columns(A: np.ndarray) -> ColumnSplit:
     """Split A's columns, in the order given, into independent and dependent.
 
-    One unpivoted QR, A = Q R, and only its R, whose columns have the
-    lengths and angles of A's.  A greedy Gram-Schmidt pass over R's columns
-    keeps column k when its part outside the span of the columns kept
-    before it exceeds RANK_TOL times the largest column norm; a second
-    projection reorthogonalises, so the part is accurate however many
-    columns were kept.  A dependent column therefore never hides a later
-    independent one.  Regroup and solve use a QR of R[:, ind], and
-    LinAlgError is raised when a dependent column is not rebuilt from the
-    kept ones.
+    Only an R of A's unpivoted QR, A = Q R (_triangular_factor), whose
+    columns have the lengths and angles of A's.  A greedy Gram-Schmidt
+    pass over R's columns keeps column k when its part outside the span of
+    the columns kept before it exceeds RANK_TOL times the largest column
+    norm; a second projection reorthogonalises, so the part is accurate
+    however many columns were kept.  A dependent column therefore never
+    hides a later independent one.  Regroup and solve use a QR of
+    R[:, ind], and LinAlgError is raised when a dependent column is not
+    rebuilt from the kept ones.
     """
-    R = np.linalg.qr(A, mode="r")
+    R = _triangular_factor(A)
     scale = np.linalg.norm(R, axis=0).max(initial=0.0)
     basis = np.empty((R.shape[0], 0))  # orthonormal, spans the kept columns
     keep = np.zeros(A.shape[1], dtype=bool)

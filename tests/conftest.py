@@ -1,8 +1,15 @@
 """Shared fixtures: the UR10 chain, its base-parameter map, and simulated runs.
 
 Everything expensive is session-scoped; all data is deterministic, so tests
-may freeze exact expectations against these fixtures.
+may freeze exact expectations against these fixtures.  c05_runs is also
+the generator of scripts/scorecard.py, and recorded_qr the QR log of the
+factorisation-count tests.
 """
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +20,7 @@ from dynid.estimation import (KnownPayload, estimate_gains, fit_friction,
                               friction_residual_currents,
                               identify_coefficients)
 from dynid.kinematics import ur10_chain
+from dynid import reduction
 from dynid.payload import PayloadSpec
 from dynid.reduction import compute_base_map
 from dynid.trajectory import random_trajectory, validation_trajectory
@@ -78,22 +86,82 @@ def data_b_pay(plant, traj_b):
     return simulate(plant, traj_b, duration=20.0, payload=PAYLOAD)
 
 
-@pytest.fixture(scope="session")
-def noisy_runs(plant, traj_a, traj_b):
-    """c05's noisy data: three merged runs per scenario with 0.05 A current
-    noise, and the payload known as mass and com."""
-    trains = [traj_a, random_trajectory(6, seed=313),
+def c05_runs(plant, draw_a: int = 21, draw_b: int = 31):
+    """c05's noisy data: three merged 20 s runs per scenario with 0.05 A
+    current noise, seeded draw_a + k (arm only) and draw_b + k (payload),
+    and the payload known as mass and com."""
+    trains = [validation_trajectory("A"), random_trajectory(6, seed=313),
               random_trajectory(6, seed=707)]
-    loads = [traj_b, random_trajectory(6, seed=909),
+    loads = [validation_trajectory("B"), random_trajectory(6, seed=909),
              random_trajectory(6, seed=1203)]
     da = merge_sample_sets(
-        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=21 + k)
+        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=draw_a + k)
         for k, tr in enumerate(trains))
     db = merge_sample_sets(
-        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=31 + k,
+        simulate(plant, tr, duration=20.0, noise_v=0.05, seed=draw_b + k,
                  payload=PAYLOAD)
         for k, tr in enumerate(loads))
     return da, db, KnownPayload(spec=PAYLOAD, known=("mass", "com"))
+
+
+@pytest.fixture(scope="session")
+def noisy_runs(plant):
+    """c05's noisy data (c05_runs at noise draws 21 and 31)."""
+    return c05_runs(plant)
+
+
+@dataclass
+class QrCalls:
+    """The numpy QRs made while recorded_qr was active.
+
+    stacks: per matrix that reduction._triangular_factor factored, its row
+        count and the (first row, rows) of each QR made on its own rows.
+    other: the row counts of every other QR, such as those of stacked
+        block factors.
+    """
+
+    stacks: list = field(default_factory=list)
+    other: list = field(default_factory=list)
+
+    def assert_each_row_once(self, limit: int) -> None:
+        """Each factored matrix's rows enter exactly one QR each, of at
+        most limit rows."""
+        for rows, blocks in self.stacks:
+            start = 0
+            for first, k in sorted(blocks):
+                assert first == start and 0 < k <= limit, blocks
+                start += k
+            assert start == rows, blocks
+
+
+@contextmanager
+def recorded_qr():
+    """Log every numpy QR, on any thread, into a QrCalls."""
+    calls, local = QrCalls(), threading.local()
+    qr, factor = np.linalg.qr, reduction._triangular_factor
+
+    def logged_qr(a, *args, **kwargs):
+        A = getattr(local, "stack", None)
+        if A is not None and np.may_share_memory(a, A):
+            # a view of rows of A: its first row from the data pointers
+            first = (a.__array_interface__["data"][0]
+                     - A.__array_interface__["data"][0]) // A.strides[0]
+            local.blocks.append((first, a.shape[0]))
+        else:
+            calls.other.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    def logged_factor(A):
+        local.stack, local.blocks = A, []
+        try:
+            return factor(A)
+        finally:
+            calls.stacks.append((A.shape[0], local.blocks))
+            local.stack = None
+
+    with mock.patch.object(np.linalg, "qr", logged_qr), \
+            mock.patch.object(reduction, "_triangular_factor", logged_factor):
+        yield calls
 
 
 @pytest.fixture(scope="session")

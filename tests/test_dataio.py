@@ -1,12 +1,15 @@
 import dataclasses
 import pathlib
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynid import dataio
 from dynid.dataio import (DIFF_HALF_WIDTH_S, RobotModel, SampleSet,
                           SchemaError, _fmt, _format_rows, differentiate,
                           merge_sample_sets, read_payload,
@@ -201,6 +204,10 @@ def test_samples_scenario_tag_change(tmp_path):
     ({4: lambda f: _set_field(2, "nan")(_set_field(5, "nan")(f)),
       6: _set_field(1, "nan")},
      "row 5, column q2 is not finite"),
+    # a row with a field too many, a blank row and a trailing comma
+    ({3: lambda f: f[:1] + f}, "row 4 has 9 fields, expected 8"),
+    ({3: lambda f: []}, "row 4 has 1 fields, expected 8"),
+    ({8: lambda f: f + [""]}, "row 9 has 9 fields, expected 8"),
 ])
 def test_samples_first_error_wins(tmp_path, edits, message):
     p = tmp_path / "run.csv"
@@ -277,18 +284,110 @@ def test_write_samples_matches_per_float_writer(csv_dir, samples):
             == (csv_dir / "ref.csv").read_bytes())
 
 
+def _forbidden_row_loop(rows, width):
+    raise AssertionError("a file write_samples wrote went through the row loop")
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sample_sets())
+@example(SampleSet(t=[0.0, 0.5],
+                   q=[[5e-324, -0.0], [0.1, 2.2250738585072014e-308]],
+                   qd=[[1 / 3, -2 / 3], [1e300, -123456789.01234567]],
+                   qdd=np.zeros((2, 2)),
+                   v=[[1.7976931348623157e308, -5e-324], [0.0, 1e-300]],
+                   scenario="b"))
 def test_samples_round_trip_bit_exact(csv_dir, samples):
+    # every finite double write_samples writes (+-0, subnormals, 17
+    # significant digits) is parsed by numpy in one call and reads back
+    # bit for bit; the row loop is not used
     p = csv_dir / "rt.csv"
     write_samples(samples, p)
-    back = read_samples(p)
+    with mock.patch.object(dataio, "_parse_rows", _forbidden_row_loop):
+        back = read_samples(p)
     for name in ("t", "q", "qd", "v"):
         a, b = getattr(samples, name), getattr(back, name)
         assert a.shape == b.shape
         # compares bit patterns, so -0.0 and 0.0 differ
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
     assert back.scenario == samples.scenario
+
+
+def _read_outcome(path):
+    """read_samples' arrays as bytes and its tag, or its error message."""
+    try:
+        s = read_samples(path)
+    except SchemaError as e:
+        return str(e)
+    return [getattr(s, k).tobytes() for k in ("t", "q", "qd", "qdd", "v")] \
+        + [s.scenario]
+
+
+# what float() and numpy may read differently: signs, exponents, special
+# values, underscores, whitespace (a form feed also ends a line for
+# splitlines), a non-ASCII digit and space, commas and tags
+_FIELD_CHARS = "0123456789.eE+-_ \t\x0c\u0661\u2003naifINF,ab"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 7),
+                                st.text(_FIELD_CHARS, max_size=5)),
+                      max_size=3),
+       crlf=st.booleans())
+@example(edits=[(3, 2, "1_0")], crlf=False)
+@example(edits=[], crlf=True)
+@example(edits=[(2, 7, "b")], crlf=False)
+def test_read_samples_matches_the_row_loop(csv_dir, edits, crlf):
+    # on a file with fields replaced at random, read_samples returns what
+    # the row loop alone returns: the same arrays bit for bit and tag, or
+    # the same message naming the same row
+    p = csv_dir / "edited.csv"
+    write_samples(_tiny_set(), p)
+    lines = p.read_text().splitlines()
+    for row, col, text in edits:
+        fields = lines[row].split(",")
+        fields[min(col, len(fields) - 1)] = text
+        lines[row] = ",".join(fields)
+    end = "\r\n" if crlf else "\n"
+    p.write_bytes((end.join(lines) + end).encode())
+    got = _read_outcome(p)
+    with mock.patch.object(dataio, "_numeric_fields",
+                           lambda rows, width: None):
+        assert got == _read_outcome(p)
+
+
+def test_samples_crlf_and_underscore_fields(tmp_path):
+    # CRLF line ends read as LF ones, and a field only float() takes, 1_0,
+    # is read as float() reads it
+    ds = _tiny_set()
+    p = tmp_path / "run.csv"
+    write_samples(ds, p)
+    text = p.read_text()
+    p.write_bytes(text.replace("\n", "\r\n").encode())
+    assert _read_outcome(p) == [getattr(ds, k).tobytes() for k in
+                                ("t", "q", "qd", "qdd", "v")] + ["b"]
+    _edit_rows(p, {3: _set_field(1, "1_0")})
+    assert read_samples(p).q[2, 0] == 10.0
+
+
+def test_read_samples_holds_no_object_per_field(tmp_path):
+    # a 2500-row file of six joints (0.89 MiB) peaks at 2.06 MiB traced:
+    # its text, its lines and the arrays.  A reader that holds one float
+    # object per field until the file is read peaks at 3.75 MiB
+    rng = np.random.default_rng(7)
+    m, n = 2500, 6
+    p = tmp_path / "run.csv"
+    write_samples(SampleSet(
+        t=np.arange(m) / 125.0, q=rng.uniform(-3, 3, (m, n)),
+        qd=rng.uniform(-2, 2, (m, n)), qdd=np.zeros((m, n)),
+        v=rng.uniform(-5, 5, (m, n)), scenario="a"), p)
+    read_samples(p)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        read_samples(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * 2**20
 
 
 @settings(max_examples=100, deadline=None)

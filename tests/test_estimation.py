@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import estimation_oracle
 import irls_oracle
+from conftest import recorded_qr
 from irls_oracle import wlse
 from dynid import dynamics, estimation, reduction
 from dynid.dataio import RobotModel, SampleSet, merge_sample_sets, simulate
@@ -24,8 +25,8 @@ from dynid.estimation import (CurrentCoefficients, EstimationError,
                               robust_weights)
 from dynid.kinematics import DhRow, KinematicChain
 from dynid.payload import PayloadSpec
-from dynid.reduction import (compute_base_map, minimal_regressor_stack,
-                             split_columns)
+from dynid.reduction import (QR_BLOCK_ROWS, compute_base_map,
+                             minimal_regressor_stack, split_columns)
 from dynid.solver import torque, torque_terms
 from dynid.trajectory import FourierTrajectory, random_trajectory
 
@@ -1252,29 +1253,39 @@ def test_irls_records_converged_on_c05_data(bmap, chain, noisy_runs):
 
 def test_each_robust_fit_factors_its_stack_once(bmap, chain, noisy_runs,
                                                monkeypatch):
-    # on c05's data each stage-1 and stage-3 fit makes one m-row QR, its
-    # split, and no m-row SVD; the r-row splits of the weighted systems
-    # and the SVDs of their triangular factors are all that is left.  Each
-    # joint's condition still agrees with np.linalg.cond of its stack.
+    # on c05's data each stage-1 and stage-3 fit factors its m-row stack
+    # once, for its split: every stack row enters exactly one numpy QR, of
+    # at most QR_BLOCK_ROWS rows, and no m-row QR, SVD, lstsq or pinv is
+    # made.  The r-row splits of the weighted systems and the SVDs of their
+    # triangular factors are all that is left.  Each joint's condition
+    # still agrees with np.linalg.cond of its stack.
     da, db, known = noisy_runs
     chi = identify_coefficients(bmap, chain, da)
     resid = friction_residual_currents(bmap, chain, chi, da)
     psi = fit_friction(da.qd, resid, threshold=da.qd_threshold).friction
-    counts = {"qr": 0, "svd": 0}
+    counts = {"svd": 0, "lstsq": 0, "pinv": 0}
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
-            counts[name] += len(a) >= 1000  # the stacks have 4000+ rows
+            counts[name] += len(a) >= 1000  # the stacks have 3000+ rows
             return fn(a, *args, **kwargs)
         return call
 
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counted(name,
                                                      getattr(np.linalg, name)))
-    chi = identify_coefficients(bmap, chain, da)
-    assert counts == {"qr": 6, "svd": 0}
-    estimate_gains(da, db, known, bmap, chain, chi, psi)
-    assert counts == {"qr": 12, "svd": 0}
+
+    def tall(calls):
+        return sum(rows >= 1000 for rows, _ in calls.stacks)
+
+    with recorded_qr() as calls:
+        chi = identify_coefficients(bmap, chain, da)
+        assert tall(calls) == 6
+        estimate_gains(da, db, known, bmap, chain, chi, psi)
+        assert tall(calls) == 12
+    calls.assert_each_row_once(QR_BLOCK_ROWS)
+    assert max(calls.other) < 1000
+    assert counts == {"svd": 0, "lstsq": 0, "pinv": 0}
     monkeypatch.undo()
     U = minimal_regressor_stack(bmap, chain, da.q, da.qd, da.qdd)
     for j, got in enumerate(chi.conditions):

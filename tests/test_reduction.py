@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import base_map_oracle
 import dynid
+import split_oracle
+from conftest import recorded_qr
 from dynid.dataio import SampleSet
 from dynid.dynamics import (N_INERTIAL, DynamicParameters, FrictionSet,
                             InertialParameters, JointState, regressor_stack)
@@ -18,7 +20,7 @@ from dynid.estimation import (KnownPayload, estimate_gains,
 from dynid.kinematics import DhRow, KinematicChain, ur10_chain
 from dynid.payload import PayloadSpec
 from dynid import reduction
-from dynid.reduction import (RANK_TOL, compute_base_map,
+from dynid.reduction import (QR_BLOCK_ROWS, RANK_TOL, compute_base_map,
                              minimal_regressor_stack, probe_states,
                              split_columns)
 
@@ -107,6 +109,50 @@ def test_split_columns_matches_oracle(seed, m, p, n_zero):
     assert _check_split(A).ind.size == r
 
 
+@st.composite
+def _planted(draw):
+    """A matrix of 1, p - 1 or 511 to 8501 rows, with exact combinations of
+    its rank-r columns and exactly-zero columns planted among them: rows
+    at and around the block size and its multiples, and stage 3's
+    largest stack on c05's data (8501 x 40)."""
+    p = draw(st.integers(2, 12))
+    m = draw(st.sampled_from([1, p - 1, 511, 512, 513, 1025, 8501]))
+    n_zero = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = int(rng.integers(1, min(m, p) + 1))
+    B = rng.standard_normal((m, r)) * 10.0 ** rng.uniform(-2.0, 2.0, r)
+    C = rng.standard_normal((r, p - r)) * (rng.random((r, p - r)) < 0.7)
+    A = np.hstack([B, B @ C, np.zeros((m, n_zero))])
+    return A[:, rng.permutation(p + n_zero)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted())
+def test_split_columns_matches_one_qr(A):
+    # the blocked factorisation against one QR of the whole matrix: the
+    # same kept and dropped columns, t equal up to row signs, and regroup
+    # and solve alike, each within a few eps times the kept columns'
+    # condition, what two backward-stable factorisations of one matrix
+    # may differ by (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, ch. 19 and 20)
+    got, want = split_columns(A), split_oracle.split_columns(A)
+    assert np.array_equal(got.ind, want.ind)
+    assert np.array_equal(got.dep, want.dep)
+    sing = np.linalg.svd(want.a, compute_uv=False)
+    kappa = sing[0] / sing[-1]
+    tol = 100 * EPS * kappa
+    signs = np.sign(np.diag(got.t)) * np.sign(np.diag(want.t))
+    assert got.t.shape == want.t.shape
+    assert np.max(np.abs(got.t - signs[:, None] * want.t)) <= tol * sing[0]
+    assert np.max(np.abs(got.regroup - want.regroup), initial=0.0) \
+        <= tol * max(1.0, np.max(np.abs(want.regroup), initial=0.0))
+    b = np.random.default_rng(A.shape[0]).standard_normal(A.shape[0])
+    x = want.solve(b)
+    r = np.linalg.norm(b - want.a @ x)
+    assert np.linalg.norm(got.solve(b) - x) \
+        <= tol * (np.linalg.norm(x) + kappa * r / sing[0])
+
+
 def test_split_columns_keeps_the_given_order():
     # the same two dependent columns split the other way when reversed:
     # a column is dropped only when the columns before it span it
@@ -178,24 +224,20 @@ def test_base_map_selection_survives_rounding(bmap, seed):
 
 
 def test_base_map_factorises_each_matrix_once(chain, monkeypatch):
-    # one tall unpivoted numpy QR for the probe stack and one per joint
-    # row; every other step works on the small R
-    qr, rows = np.linalg.qr, []
-
-    def counted(a, *args, **kwargs):
-        rows.append(a.shape[0])
-        return qr(a, *args, **kwargs)
-
+    # the probe stack and each joint's rows are factored once: every row
+    # enters exactly one numpy QR, of at most QR_BLOCK_ROWS rows.  Every
+    # other step works on R factors: at most the probe stack's three
+    # stacked 60-column block factors, and no SVD, lstsq or pinv at all
     def forbidden(*args, **kwargs):
         raise AssertionError("second factorisation of a tall matrix")
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
     for name in ("svd", "lstsq", "pinv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    compute_base_map(chain, n_probe=200)
-    tall = [m for m in rows if m >= 200]
-    assert tall == [1200] + [200] * 6
-    assert max(m for m in rows if m < 200) <= 60  # R's own rows
+    with recorded_qr() as calls:
+        compute_base_map(chain, n_probe=200)
+    assert [rows for rows, _ in calls.stacks] == [1200] + [200] * 6
+    calls.assert_each_row_once(QR_BLOCK_ROWS)
+    assert max(calls.other) <= 180
 
 
 def test_equivalence_on_fresh_states(bmap, chain):
