@@ -27,6 +27,9 @@ the machine's drift.  The kernels:
   runs per scenario, the payload known as mass and com), with the exact
   model's friction in stage 3: the fits and the regressor columns they
   read;
+- ``gains_7500``: ``estimation.estimate_gains`` alone on the same data,
+  with stage 1's result on run a made once, outside the timing: stage 3's
+  fits and run b's column request;
 - ``split_8501x40``: ``reduction.split_columns`` of a seeded Gaussian
   8501 x 40 matrix, the shape of stage 3's largest stack on that data;
 - ``read_samples_2500``: ``dataio.read_samples`` of a 2500-row sample
@@ -156,6 +159,8 @@ def kernels(pkg, workdir: str):
         chi = est.identify_coefficients(model.map, chain, da)
         est.estimate_gains(da, db, known, model.map, chain, chi, model.psi)
 
+    chi = est.identify_coefficients(model.map, chain, da)
+
     return {"torque_2500": lambda: torque(model, Q, Qd, Qdd),
             "terms_2500": lambda: terms(model, Q, Qd, Qdd),
             "torque_1x250": torque_1x250,
@@ -165,6 +170,8 @@ def kernels(pkg, workdir: str):
                 plant, states=(t, q, qd)),
             "columns_7500": columns_7500,
             "stages_7500": stages_7500,
+            "gains_7500": lambda: est.estimate_gains(
+                da, db, known, model.map, chain, chi, model.psi),
             "split_8501x40": lambda: pkg.reduction.split_columns(tall),
             "read_samples_2500": lambda: pkg.dataio.read_samples(csv)}
 

@@ -9,16 +9,19 @@ offset per joint.  Stage 3 recovers the motor drive gains by comparing data
 collected with and without a partially known payload.  Every joint's
 system is split and solved once, in regrouped coordinates where it loses
 rank; one error then names every joint whose gain is below GAIN_LOWER.
-Stage 3 fits its joints last to first and holds one joint's system at a
-time: each joint's gathered rows go as its stack is built, and the stack
-goes once robust_weights has its basis.
+Stage 3 fits its joints last to first, and each fit in flight holds about
+one joint's system: each joint's gathered rows go as its stack is built,
+and robust_weights writes its basis over the stack.
 
 Stages 1 and 3 are bisquare-weighted fits, robust_weights, and each
 factors its stack once: the stack's split gives stage 1's condition guard
 before any iterate, the orthonormal basis the iterates work in, and, at
 the final weights, an r-row system whose split gives the coefficients.
-Stage 1 fits its joints on two threads where a second CPU is allowed
-(dynamics.run_shared); stage 3 fits them one at a time.
+Each stage builds its stacks as the transpose of a C-ordered (p, m)
+buffer that robust_weights owns once called: it writes the basis over
+the buffer's leading rows.  Both stages fit their joints on two threads
+where a second CPU is allowed (dynamics.run_shared), and two fits in
+flight hold about two stacks.
 
 The regressor is read only by the fits, one way, _joint_columns: the
 column request (dynamics.regressor_columns) writes each joint's
@@ -55,6 +58,14 @@ WEIGHT_MAX_ITER = 50
 CONDITION_LIMIT = 1e8
 MIN_REGION_SAMPLES = 50
 GAIN_LOWER = 10.0
+# stack rows per chunk in which robust_weights writes its basis over its
+# stack and sums each Gram, through buffers of this many columns.  On c05's
+# 7500 + 7500 states (stage-3 stacks of 3700-10100 rows), estimate_gains
+# took 127.0, 121.0, 116.4 and 116.6 ms with chunks of 512, 1024, 2048 and
+# 4096 rows (medians of 20 alternating rounds, OpenBLAS on one thread, two
+# fits in flight), and its traced peak read 11.41, 11.42, 11.62 and 12.04
+# MB against the 12.38 MB bound of the memory test
+GRAM_CHUNK_ROWS = 2048
 
 
 class EstimationError(RuntimeError):
@@ -153,6 +164,18 @@ def _condition(split) -> float:
         else np.inf
 
 
+def _basis_over(stack: np.ndarray, t: np.ndarray, ind, chunks) -> np.ndarray:
+    """Q^T = inv(t)^T A[:, ind]^T, (r, m), written over stack.T's first r
+    rows a chunk of stack rows at a time; each chunk's A[:, ind] is read
+    before its basis is written, and ind[i] >= i."""
+    At = stack.T
+    Qt = At[:len(ind)]
+    Ti = np.linalg.inv(t).T
+    for c in chunks:
+        np.matmul(Ti, At[ind, c], out=Qt[:, c])
+    return Qt
+
+
 def robust_weights(stack: np.ndarray, rhs: np.ndarray,
                    split=None) -> WeightMatrix:
     """Bisquare IRLS weights for a linear model, and the weighted fit.
@@ -161,15 +184,20 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
     WEIGHT_TOL.  A degenerate residual scale (all residuals essentially
     zero) returns unit weights, since there is nothing to downweight.
 
+    The fit owns the stack it is given: it writes its basis over the
+    stack's memory, so a caller that reads its stack after the call passes
+    a copy.  The stages build each stack as the transpose of a C-ordered
+    (p, m) buffer, whose leading rows the basis then fills.
+
     The stack is factored once, by split_columns (split, when the caller
     has made it, as stage 1 does for its condition guard, _condition): its
     kept columns are a = Q t with t triangular, so Q = a inv(t) is an
-    orthonormal basis of the range.  A stack no caller still holds (stage 3
-    builds its stacks in the call) is freed once split, and once Q^T is
-    formed the fit keeps it and the split's t, ind, dep and regroup alone,
-    so the split's column copy is freed before the first iterate.  IRLS
-    needs only the residuals, which depend only on that range, so each
-    iterate solves (Q^T W Q) y = Q^T W b and sets r = b - Q y.  The Gram's
+    orthonormal basis of the range.  Q^T is written over the stack
+    (_basis_over), and the fit then keeps it and the split's t, ind, dep
+    and regroup alone, so a fit holds about one stack.  IRLS needs only
+    the residuals, which depend only on that range, so each iterate solves
+    (Q^T W Q) y = Q^T W b and sets r = b - Q y; the Gram is summed over
+    chunks of GRAM_CHUNK_ROWS rows through one small buffer.  Its
     eigenvalues lie in [0, 1] however ill-conditioned the stack is; eigh,
     cut as pinv cuts at eps*max(m, n) of the largest, gives the
     minimum-norm y where zero weights leave directions unobserved.  At the
@@ -181,24 +209,31 @@ def robust_weights(stack: np.ndarray, rhs: np.ndarray,
     RANK_TOL and gives coef.
     """
     stack, rhs = _linear_system(stack, rhs)
+    stack = np.require(stack, requirements="W")
     if split is None:
         split = split_columns(stack)
     m, p = stack.shape
-    del stack  # freed here unless a caller holds it; split.a has its columns
     floor = 1e-12 * max(1.0, float(np.sqrt(np.mean(rhs**2))))
     # the usual SVD rank cutoff; a Gram summed over m rows carries rounding
     # of the same relative size, so it serves the small solves as well
     rcond = np.finfo(float).eps * max(m, p)
-    Qt = np.linalg.inv(split.t).T @ split.a.T  # (r, m)
     # the iterates read Qt alone and the final fit the split's factors
     t, ind, dep, regroup = split.t, split.ind, split.dep, split.regroup
-    del split
-    Qs = np.empty_like(Qt)  # Qt scaled by sqrt(w), for each Gram
+    chunks = [slice(i, i + GRAM_CHUNK_ROWS)
+              for i in range(0, m, GRAM_CHUNK_ROWS)]
+    Qt = _basis_over(stack, t, ind, chunks)  # (r, m), over the stack
+    # a chunk of Qt scaled by sqrt(w), for each Gram
+    Qs = np.empty((len(ind), min(m, GRAM_CHUNK_ROWS)))
 
     def gram(w):
         # Q^T W Q's eigenpairs above pinv's cut, and Q^T W b
-        np.multiply(Qt, np.sqrt(w), out=Qs)
-        lam, V = np.linalg.eigh(Qs @ Qs.T)
+        root = np.sqrt(w)
+        G = np.zeros((len(ind), len(ind)))
+        for c in chunks:
+            q = Qt[:, c]
+            qs = np.multiply(q, root[c], out=Qs[:, :q.shape[1]])
+            G += qs @ qs.T
+        lam, V = np.linalg.eigh(G)
         keep = lam > rcond * lam.max(initial=0.0)
         return lam[keep], V[:, keep], Qt @ (w * rhs)
 
@@ -295,33 +330,19 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
 
     Only samples in the joint's linearity region |qd_j| > threshold enter
     that joint's fit, where the three linear friction columns are valid
-    (_fit_joint).  The joints are fitted on dynamics.run_shared: the
-    calling thread and, where a second CPU is allowed, one helper take
-    joints from one list.  Each fit hands its stack and split over to
-    robust_weights, which frees both before it iterates, so two fits in
-    flight hold what one fit held alone.  A joint that fails is kept, the
-    other joints are still fitted, and then the first failing joint in
-    joint order raises, as in stage 3.
+    (_fit_joint).  The joints are fitted in joint order on two threads
+    where a second CPU is allowed (_fit_each_joint).  Each fit hands its
+    stack and split to robust_weights, which writes its basis over the
+    stack.
     """
     n = map_.n
     acols = _active_columns(map_)
     kept = _joint_columns(map_, chain, samples,
                           [map_.inertial_columns[a] for a in acols])
     mask = samples.mask
-    fits = [None] * n
-
-    def fit(j):
-        try:
-            fits[j] = _fit_joint(map_, samples, mask[:, j], j, kept[j],
-                                 acols[j])
-        except Exception as err:  # raised below, in joint order
-            fits[j] = err
-
-    run_shared(fit, list(range(n)))
-    for f in fits:
-        if isinstance(f, Exception):
-            raise f
-    cols, conds, counts, wms = zip(*fits)
+    cols, conds, counts, wms = zip(*_fit_each_joint(
+        lambda j: _fit_joint(map_, samples, mask[:, j], j, kept[j], acols[j]),
+        list(range(n))))
     chi = np.zeros((n, map_.c))
     for j, (c, wm) in enumerate(zip(cols, wms)):
         chi[j, c] = wm.coef
@@ -333,16 +354,39 @@ def identify_coefficients(map_: BaseParameterMap, chain: KinematicChain,
     return coeffs
 
 
+def _fit_each_joint(fit, order) -> list:
+    """fit(j) for every joint j of the list order, on dynamics.run_shared:
+    the calling thread and, where a second CPU is allowed, one helper take
+    joints from that list.  A joint that fails is kept and the other
+    joints are still fitted; then the first failing joint in joint order
+    raises, as a loop in joint order would.  Otherwise the fits, indexed
+    by joint."""
+    fits = [None] * len(order)
+
+    def one(j):
+        try:
+            fits[j] = fit(j)
+        except Exception as err:  # raised below, in joint order
+            fits[j] = err
+
+    run_shared(one, order)
+    for f in fits:
+        if isinstance(f, Exception):
+            raise f
+    return fits
+
+
 def _fit_joint(map_: BaseParameterMap, samples: SampleSet, rows, j: int,
                kept, active):
     """Joint j's stage-1 fit on its linearity-region rows: (its columns of
     chi, its stack's condition, its sample count, the robust fit).
 
     Its stack is the joint's identifiable columns, read from its kept
-    active columns, and its friction columns (dynamics.friction_regressor).
-    The stack's split gives its condition, checked against CONDITION_LIMIT
-    before robust_weights iterates on the same split; a column the final
-    weights leave unseparated raises IdentifiabilityError.
+    active columns, and its friction columns (dynamics.friction_regressor),
+    built as the transpose of a C-ordered (p, m) buffer.  The stack's split
+    gives its condition, checked against CONDITION_LIMIT before
+    robust_weights iterates on the same split; a column the final weights
+    leave unseparated raises IdentifiabilityError.
     """
     cols = np.concatenate([map_.joint_idcols[j], map_.friction_columns(j)])
     count = int(rows.sum())
@@ -351,9 +395,11 @@ def _fit_joint(map_: BaseParameterMap, samples: SampleSet, rows, j: int,
             f"joint {j+1}: only {count} linearity-region samples for "
             f"{cols.size} coefficients; lengthen or enrich the trajectory")
     ident = np.searchsorted(active, map_.joint_idcols[j])
-    A = np.empty((count, cols.size))
-    A[:, :ident.size] = kept[ident].T
-    A[:, ident.size:] = friction_regressor(samples.qd[rows, j])
+    At = np.empty((cols.size, count))
+    At[:ident.size] = kept[ident]
+    At[ident.size:] = friction_regressor(samples.qd[rows, j]).T
+    A = At.T
+    del At
     split = split_columns(A)
     cond = _condition(split)
     if cond > CONDITION_LIMIT:
@@ -361,11 +407,7 @@ def _fit_joint(map_: BaseParameterMap, samples: SampleSet, rows, j: int,
             f"joint {j+1}: regressor condition {cond:.3g} exceeds "
             f"{CONDITION_LIMIT:.0e}; the trajectory is not persistently "
             "exciting for this joint")
-    # handed over, not held here, so that robust_weights frees the stack
-    # and the split's copy of it before it iterates
-    held = [A, split]
-    del A, split
-    wm = robust_weights(held.pop(0), samples.v[rows, j], held.pop())
+    wm = robust_weights(A, samples.v[rows, j], split)
     if not wm.independent.all():
         raise _rank_deficient(np.flatnonzero(~wm.independent), cols.size)
     return cols, cond, count, wm
@@ -683,7 +725,9 @@ class GainEstimate:
 
 
 def _gain_stack(Aa, Bb, kmask, pi_k, label) -> np.ndarray:
-    """One joint's gain system, built in place, gain column last.
+    """One joint's gain system, gain column last, built in place as the
+    transpose of a C-ordered (p, m) buffer (robust_weights writes its basis
+    over the buffer's leading rows).
 
     Aa is run a's rows on the joint's na active columns, (na, m_a); Bb is
     run b's on those and the payload columns, (na + 10, m_b).  The stack
@@ -713,13 +757,13 @@ def _gain_stack(Aa, Bb, kmask, pi_k, label) -> np.ndarray:
         raise ExcitationError(
             f"{label}: {m_a + m_b} linearity-region samples for {p} "
             "unknowns; collect longer runs")
-    S = np.empty((m_a + m_b, p))
-    S[:m_a, :na] = Aa.T
-    S[:m_a, na:] = 0.0
-    S[m_a:, :na] = Bb[:na].T
-    S[m_a:, na:-1] = Pu
-    S[m_a:, -1] = kcol
-    return S
+    St = np.empty((p, m_a + m_b))
+    St[:na, :m_a] = Aa
+    St[na:, :m_a] = 0.0
+    St[:na, m_a:] = Bb[:na]
+    St[na:-1, m_a:] = Pu.T
+    St[-1, m_a:] = kcol
+    return St.T
 
 
 def _checked_gain_fit(wm: WeightMatrix, label) -> WeightMatrix:
@@ -782,14 +826,12 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     map and chain, otherwise gathered); samples_b's are gathered on the
     active columns and the payload (last link) columns (_joint_columns).
 
-    The joints are fitted last to first, and stage 3 holds one joint's
-    system at a time: each joint's gathered rows are released as its
-    stack is built, and the stack, built where robust_weights factors it,
-    is released once its basis is formed.  The first joints' rows reach
-    the most columns, so their stacks, the largest, are built when every
-    later joint's rows are gone.  A joint that fails is kept, the other
-    joints are still fitted, and then the first failing joint in joint
-    order raises, as a forward loop would.
+    The joints are fitted last to first on two threads where a second CPU
+    is allowed (_fit_each_joint), and each fit in flight holds about one
+    joint's system: the joint's gathered rows are released as its stack is
+    built, and robust_weights writes the basis over the stack.  The first
+    joints' rows reach the most columns, so their stacks, the largest, are
+    built when most later joints' rows are gone.
     """
     n = map_.n
     kmask = known_payload.coord_mask
@@ -801,32 +843,26 @@ def estimate_gains(samples_a: SampleSet, samples_b: SampleSet,
     n_unknown = int((~kmask).sum())
 
     acols = _active_columns(map_)
-    rows_a = _kept_columns(map_, chain, chi, samples_a)
+    rows_a = dict(enumerate(_kept_columns(map_, chain, chi, samples_a)))
     payload_cols = N_INERTIAL * (n - 1) + np.arange(N_INERTIAL)
-    rows_b = _joint_columns(
+    rows_b = dict(enumerate(_joint_columns(
         map_, chain, samples_b,
-        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols])
+        [np.r_[map_.inertial_columns[a], payload_cols] for a in acols])))
     # friction-compensated currents
     ya = samples_a.v - friction_sigmoid(psi, samples_a.qd)
     yb = samples_b.v - friction_sigmoid(psi, samples_b.qd)
     mask_a, mask_b = samples_a.mask, samples_b.mask
 
-    fits, failed = [None] * n, None
-    for j in reversed(range(n)):
+    def fit(j):
         label = f"joint {j+1}"
         y = np.concatenate([ya[mask_a[:, j], j], yb[mask_b[:, j], j]])
-        try:
-            # the joint's rows live only while its stack is built, and the
-            # stack only in the fit that factors it
-            fits[j] = _checked_gain_fit(robust_weights(
-                _gain_stack(rows_a.pop(), rows_b.pop(), kmask, pi_k, label),
-                y), label)
-        except Exception as err:
-            # raised once every joint is tried: the last kept is the first
-            # failing joint in joint order
-            failed = err
-    if failed is not None:
-        raise failed
+        # the joint's rows live only while its stack is built, and the
+        # stack only in the fit that writes its basis over it
+        return _checked_gain_fit(robust_weights(
+            _gain_stack(rows_a.pop(j), rows_b.pop(j), kmask, pi_k, label),
+            y), label)
+
+    fits = _fit_each_joint(fit, list(reversed(range(n))))
     return GainEstimate(gains=_checked_gains([f.coef[-1] for f in fits]),
                         zeta=tuple(f.coef for f in fits),
                         identifiable_mask=tuple(f.independent for f in fits),

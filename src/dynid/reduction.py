@@ -181,7 +181,9 @@ class ColumnSplit:
         dep: dependent columns, ascending; every column not in ind.
         regroup: (len(ind), len(dep)) coefficients with
             A[:, dep] = A[:, ind] @ regroup.
-        a: A[:, ind].
+        A: the matrix split, as given: the split holds no copy of it, so
+            once A is written over (robust_weights writes its basis over
+            its stack) only ind, dep, regroup and t still hold.
         t: upper triangular, a.T @ a = t.T @ t: the R of a's QR, so it
             has a's singular values.
     """
@@ -189,16 +191,22 @@ class ColumnSplit:
     ind: np.ndarray
     dep: np.ndarray
     regroup: np.ndarray
-    a: np.ndarray
+    A: np.ndarray
     t: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        """A[:, ind], a new array at each read."""
+        return self.A[:, self.ind]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x with A[:, ind] @ x ~ b, ordered like ind: the
         seminormal equations on t and one corrective step, which gives a
         QR solve's accuracy without Q (Bjorck, Linear Algebra Appl. 1987)."""
+        a = self.a
         x = np.zeros(self.t.shape[0])
         for _ in range(2):
-            y = self.a.T @ (b - self.a @ x)
+            y = a.T @ (b - a @ x)
             x = x + np.linalg.solve(self.t, np.linalg.solve(self.t.T, y))
         return x
 
@@ -253,7 +261,7 @@ def split_columns(A: np.ndarray) -> ColumnSplit:
     if miss.any():
         raise np.linalg.LinAlgError(
             f"columns {dep[miss].tolist()} are not rebuilt from the kept ones")
-    return ColumnSplit(ind=ind, dep=dep, regroup=G, a=A[:, ind], t=t)
+    return ColumnSplit(ind=ind, dep=dep, regroup=G, A=A, t=t)
 
 
 def _split_descending(A: np.ndarray):

@@ -32,4 +32,4 @@ def split_columns(A: np.ndarray) -> ColumnSplit:
     if miss.any():
         raise np.linalg.LinAlgError(
             f"columns {dep[miss].tolist()} are not rebuilt from the kept ones")
-    return ColumnSplit(ind=ind, dep=dep, regroup=G, a=A[:, ind], t=t)
+    return ColumnSplit(ind=ind, dep=dep, regroup=G, A=A, t=t)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import estimation_oracle
 import irls_oracle
@@ -227,13 +227,22 @@ def test_condition_from_the_split():
 
 
 def test_robust_weights_clean_data():
-    # small clean sample: all weights stay near one
+    # small clean sample: all weights stay near one.  The fit writes its
+    # basis over a stack it is given, but not over a read-only one
     rng = np.random.default_rng(8)
     A = np.column_stack([np.ones(20), np.linspace(0.0, 1.0, 20)])
     y = A @ np.array([1.0, 2.0]) + 0.01 * rng.standard_normal(20)
+    before = A.copy()
+    A.setflags(write=False)
     wm = robust_weights(A, y)
     assert wm.converged
     assert np.all(wm.w >= 0.8) and np.all(wm.w <= 1.0)
+    assert np.array_equal(A, before)
+    written = before.copy()
+    again = robust_weights(written, y)
+    assert np.array_equal(again.w, wm.w) and np.array_equal(again.coef,
+                                                            wm.coef)
+    assert not np.array_equal(written, before)
 
 
 def test_robust_weights_kill_gross_outlier():
@@ -241,7 +250,7 @@ def test_robust_weights_kill_gross_outlier():
     A = np.column_stack([np.ones(20), np.linspace(0.0, 1.0, 20)])
     y = A @ np.array([1.0, 2.0]) + 0.01 * rng.standard_normal(20)
     y[7] += 5.0  # several hundred sigma
-    wm = robust_weights(A, y)
+    wm = robust_weights(A.copy(), y)  # the fit writes over its stack
     assert wm.w[7] == 0.0  # bisquare drops the row entirely
     assert np.max(np.abs(wm.coef - [1.0, 2.0])) < 0.05
     assert np.allclose(wm.coef, wlse(A, y, wm), rtol=0, atol=1e-13)
@@ -286,7 +295,10 @@ def test_robust_weights_rejects_short_rhs():
 
 def _irls_case(seed, m, p, kind, heavy):
     """A random stack and rhs; for kind "dead", also the rows that alone
-    support one column, each a gross outlier."""
+    support one column, each a gross outlier.  Those rows are an even
+    count with one support entry and outliers of +1e3 and -1e3 in equal
+    numbers, so the column cannot fit them: its least-squares coefficient
+    over them is the mean of their rhs, which leaves each off by 1e3."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, p)) * rng.uniform(0.1, 10.0, p)
     noise = rng.standard_t(1.5, m) if heavy else rng.standard_normal(m)
@@ -296,10 +308,10 @@ def _irls_case(seed, m, p, kind, heavy):
         A[:, -1] = A[:, :-1] @ rng.standard_normal(p - 1)
     elif kind == "dead":
         k = int(rng.integers(p))
-        rows = rng.choice(m, size=int(rng.integers(3, 7)), replace=False)
+        rows = rng.choice(m, size=2 * int(rng.integers(2, 4)), replace=False)
         A[rows] = 0.0
         A[:, k] = 0.0
-        A[rows, k] = rng.uniform(0.5, 2.0, rows.size)
+        A[rows, k] = rng.uniform(0.5, 2.0)
         b[rows] += 1e3 * (-1.0) ** np.arange(rows.size)
     return A, b, rows
 
@@ -309,6 +321,9 @@ def _irls_case(seed, m, p, kind, heavy):
        p=st.integers(2, 6), kind=st.sampled_from(["full", "deficient",
                                                    "dead"]),
        heavy=st.booleans())
+# with three support rows of unequal entries the column fitted one
+# outlier, and the oracle's own weights left that row at 1
+@example(seed=5, m=34, p=5, kind="dead", heavy=True)
 def test_robust_weights_match_lstsq_oracle(seed, m, p, kind, heavy):
     A, b, rows = _irls_case(seed, m, p, kind, heavy)
     want = irls_oracle.robust_weights(A, b)
@@ -327,6 +342,34 @@ def test_robust_weights_match_lstsq_oracle(seed, m, p, kind, heavy):
         assert np.max(np.abs(got.w - want.w)) < 1e-9
 
 
+_CHUNK = estimation.GRAM_CHUNK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       m=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+       p=st.integers(2, 6), kind=st.sampled_from(["full", "deficient",
+                                                   "dead"]),
+       heavy=st.booleans())
+def test_robust_weights_match_lstsq_oracle_across_chunks(seed, m, p, kind,
+                                                         heavy):
+    # the basis is written over the stack, and each Gram summed, a chunk
+    # of GRAM_CHUNK_ROWS rows at a time: at one row, one short of a chunk,
+    # one chunk, one row past it and a row past two chunks the fit follows
+    # the oracle's iterates.  The stack is the transpose of a C-ordered
+    # (p, m) buffer, as the stages build it, and a copy of column 0 at
+    # column 1 leaves a dependent column before kept ones
+    assume(kind != "dead" or m > 6)
+    A, b, _ = _irls_case(seed, m, p, kind, heavy)
+    A = np.column_stack([A[:, :1], A])
+    want = irls_oracle.robust_weights(A, b)
+    got = robust_weights(np.ascontiguousarray(A.T).T, b)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    if want.converged:
+        assert np.max(np.abs(got.w - want.w)) < 1e-9
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(20, 120),
        p=st.integers(2, 6), kind=st.sampled_from(["full", "deficient",
@@ -337,7 +380,7 @@ def test_robust_fit_matches_weighted_split_oracle(seed, m, p, kind, heavy):
     # weighted stack at the fit's own weights: the same independent
     # columns, and coefficients within rounding of the weighted condition
     A, b, rows = _irls_case(seed, m, p, kind, heavy)
-    got = robust_weights(A, b)
+    got = robust_weights(A.copy(), b)  # the fit writes over its stack
     coef, independent = irls_oracle.split_solve(A, b, got.w)
     assert np.array_equal(got.independent, independent)
     if rows is not None:
@@ -769,12 +812,14 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
     # the active columns stage 1 keeps and one block of states are ever
     # held, never a full regressor; stage 1 stays below one minimal
     # (M, n, c) regressor too.  Stage 3 alone holds the rows it gathers
-    # (run b's, and run a's for a chi without kept columns) and two copies
-    # of one joint's system: the stack and its split's column copy, then
-    # the basis and its scaled copy.  It stays below those rows and two of
-    # its largest joint's stacks (12.4 and 17.4 MB; it reads 10.0 and 15.0,
-    # where holding every joint's rows and fitting in joint order read
-    # 20.1 and 23.9)
+    # (run b's, and run a's for a chi without kept columns) and two joints'
+    # systems in flight, one per thread: each fit writes its basis over its
+    # own stack and sums its Grams a chunk of GRAM_CHUNK_ROWS rows at a
+    # time.  It stays below those rows and two of its largest joint's
+    # stacks (12.4 and 17.4 MB; it reads 11.6 and 16.5.  One fit at a time
+    # with the split's column copy and a whole scaled basis read 9.9 and
+    # 14.7, two such fits in flight 13.5 for the first, and holding every
+    # joint's rows and fitting in joint order 20.1 and 23.9)
     da, db, known = noisy_runs
     full = da.m * chain.n * (N_INERTIAL + N_FRICTION) * chain.n * 8
     minimal = da.m * chain.n * bmap.c * 8
@@ -1044,9 +1089,11 @@ def test_stage3_recovers_gains(stage3, plant, bmap):
 
 
 def test_gain_solve_paths():
-    # exact data: a zero residual scale leaves unit weights
+    # exact data: a zero residual scale leaves unit weights.  The fit
+    # writes over its stack, and S is read again
     def fit(S, y, label):
-        return estimation._checked_gain_fit(robust_weights(S, y), label)
+        return estimation._checked_gain_fit(robust_weights(S.copy(), y),
+                                            label)
 
     # full rank: a direct solve that keeps every column
     rng = np.random.default_rng(11)
@@ -1182,9 +1229,9 @@ def test_stage3_names_the_first_joint_run_b_leaves_without_rows(
         plant, bmap, chain, known, monkeypatch):
     # run b on run a's trajectory, its threshold above joint 6's largest
     # |qd|: joints 2, 3, 5 and 6 have no run-b rows.  Each joint is checked
-    # and the others fitted, last joint first, and then the first failing
-    # joint in joint order is named (numpy's zero-size reduction error
-    # used to escape instead)
+    # and the others fitted, last joint first on one thread, and then the
+    # first failing joint in joint order is named (numpy's zero-size
+    # reduction error used to escape instead)
     traj = random_trajectory(6, seed=1)
     da = simulate(plant, traj, duration=20.0)
     db = simulate(plant, traj, duration=20.0, payload=known.spec)
@@ -1207,6 +1254,7 @@ def test_stage3_names_the_first_joint_run_b_leaves_without_rows(
 
     monkeypatch.setattr(estimation, "_gain_stack", counted_stack)
     monkeypatch.setattr(estimation, "robust_weights", counted_fit)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
     with pytest.raises(ExcitationError) as err:
         estimate_gains(da, db, known, bmap, chain, chi, psi)
     assert str(err.value) == (
@@ -1380,6 +1428,84 @@ def test_stage1_bits_do_not_depend_on_the_helper(bmap, chain, data_a,
         assert getattr(shared, name) == getattr(serial, name), name
     assert [K.tobytes() for K in shared._fitted_on[3]] == \
         [K.tobytes() for K in serial._fitted_on[3]]
+
+
+@pytest.mark.parametrize("late", ["caller", "helper"])
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_stage3_raises_the_first_failing_joint_on_either_thread(
+        bmap, chain, stage1, stage2, data_a, data_b_pay, known, monkeypatch,
+        late, first):
+    # joints 2 and 5 fail, joint 2 without rows in run `first` and joint 5
+    # without rows in the other run.  The joints are shared by the calling
+    # thread and the helper, last to first, the late one waiting until the
+    # other has built a joint's stack; every joint is tried, and joint 2's
+    # error is raised, as with no helper
+    runs = {"a": data_a, "b": data_b_pay}
+    for run, j in ((first, 1), ("b" if first == "a" else "a", 4)):
+        qd = np.array(runs[run].qd)
+        qd[:, j] = 0.0
+        runs[run] = dataclasses.replace(runs[run], qd=qd)
+
+    def run():
+        return estimate_gains(runs["a"], runs["b"], known, bmap, chain,
+                              stage1, stage2.friction)
+
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
+    with pytest.raises(ExcitationError) as serial:
+        run()
+    assert str(serial.value).startswith(
+        f"joint 2: run {first} has no linearity-region samples")
+
+    caller, done = threading.get_ident(), threading.Event()
+    built, failed, stack = [], [], estimation._gain_stack
+
+    def shared(Aa, Bb, kmask, pi_k, label):
+        on_caller = threading.get_ident() == caller
+        if on_caller == (late == "caller"):
+            done.wait(timeout=20)
+            done.set()  # one wait at most, should the other thread not run
+        built.append((label, on_caller))
+        try:
+            return stack(Aa, Bb, kmask, pi_k, label)
+        except ExcitationError:
+            failed.append(label)
+            raise
+        finally:
+            if on_caller != (late == "caller"):
+                done.set()
+
+    monkeypatch.setattr(estimation, "_gain_stack", shared)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
+    with pytest.raises(ExcitationError) as threaded:
+        run()
+    assert str(threaded.value) == str(serial.value)
+    assert sorted(label for label, _ in built) == \
+        [f"joint {j}" for j in range(1, 7)]
+    assert sorted(failed) == ["joint 2", "joint 5"]
+    assert {on_caller for _, on_caller in built} == {True, False}
+
+
+def test_stage3_bits_do_not_depend_on_the_helper(bmap, chain, noisy_runs,
+                                                 monkeypatch):
+    # the gains, each joint's solution and mask and the IRLS records are
+    # bitwise the same whether one thread fits every joint or two share
+    # them, on c05's data, where every joint's weights iterate
+    da, db, known = noisy_runs
+    chi = identify_coefficients(bmap, chain, da)
+    psi = fit_friction(da.qd, friction_residual_currents(bmap, chain, chi, da),
+                       threshold=da.qd_threshold).friction
+    runs = []
+    for helper in (False, True):
+        monkeypatch.setattr(dynamics, "_second_cpu", lambda: helper)
+        runs.append(estimate_gains(da, db, known, bmap, chain, chi, psi))
+    serial, shared = runs
+    assert shared.gains.tobytes() == serial.gains.tobytes()
+    for name in ("zeta", "identifiable_mask"):
+        assert [x.tobytes() for x in getattr(shared, name)] == \
+            [x.tobytes() for x in getattr(serial, name)], name
+    assert shared.irls_iterations == serial.irls_iterations
+    assert shared.irls_converged == serial.irls_converged
+    assert all(it > 1 for it in serial.irls_iterations)
 
 
 def test_stage1_refuses_a_column_its_weights_leave_unseparated(
