@@ -27,6 +27,10 @@ the machine's drift.  The kernels:
   runs per scenario, the payload known as mass and com), with the exact
   model's friction in stage 3: the fits and the regressor columns they
   read;
+- ``friction_7500``: ``estimation.fit_friction`` alone on run a of the
+  same data, on the residual currents of stage 1's result there, made
+  once, outside the timing: stage 2's searches, which ``stages_7500``
+  skips;
 - ``gains_7500``: ``estimation.estimate_gains`` alone on the same data,
   with stage 1's result on run a made once, outside the timing: stage 3's
   fits and run b's column request;
@@ -160,6 +164,7 @@ def kernels(pkg, workdir: str):
         est.estimate_gains(da, db, known, model.map, chain, chi, model.psi)
 
     chi = est.identify_coefficients(model.map, chain, da)
+    resid = est.friction_residual_currents(model.map, chain, chi, da)
 
     return {"torque_2500": lambda: torque(model, Q, Qd, Qdd),
             "terms_2500": lambda: terms(model, Q, Qd, Qdd),
@@ -170,6 +175,8 @@ def kernels(pkg, workdir: str):
                 plant, states=(t, q, qd)),
             "columns_7500": columns_7500,
             "stages_7500": stages_7500,
+            "friction_7500": lambda: est.fit_friction(
+                da.qd, resid, threshold=da.qd_threshold),
             "gains_7500": lambda: est.estimate_gains(
                 da, db, known, model.map, chain, chi, model.psi),
             "split_8501x40": lambda: pkg.reduction.split_columns(tall),

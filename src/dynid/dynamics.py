@@ -10,10 +10,11 @@ link's origin offset in its own frame does not depend on q, so every
 cross product with it is a constant map of the chain (KinematicChain.dh),
 and the link's origin acceleration is linear in the same twelve numbers.
 Both kernels fold that map and a wrench basis into one matrix per link:
-the regressor K itself, the evaluator its known parameter sets, K Pi_i
-(fold_sets).  So one product per link gives the origin acceleration
-the next link needs and every wrench, which one shared pass projects onto
-the joint screws, carried outward link by link.  That product is one
+the regressor K itself, its columns ordered by wrench number, the
+evaluator its known parameter sets, K Pi_i (fold_sets).  So one product
+per link gives the origin acceleration the next link needs and every
+wrench, which one shared pass projects onto the joint screws, carried
+outward link by link.  That product is one
 matrix product over every state and motion block of a block of states,
 with at least two rows, so that a lone state rounds as it does in any
 batch.  Joint j's torque comes from its own set, or from the one set
@@ -419,6 +420,12 @@ _WRENCH_BASIS = _wrench_basis()
 _WRENCH_BASIS_BY_PARAMETER = np.ascontiguousarray(
     _WRENCH_BASIS.reshape(12, N_INERTIAL, 6).swapaxes(0, 1)).reshape(
         N_INERTIAL, 12 * 6)
+# K regrouped by wrench number, (12, 6*10): column a*10 + p is unit
+# parameter p's wrench number a, so a block's wrenches come out as C-ordered
+# (6, 10) matrices
+_WRENCH_BASIS_BY_NUMBER = np.ascontiguousarray(
+    _WRENCH_BASIS.reshape(12, N_INERTIAL, 6).swapaxes(1, 2)).reshape(
+        12, 6 * N_INERTIAL)
 # the two factors of every om_a*om_b over _I_PAIRS, first factors first
 _PAIR_FACTORS = np.array(_I_PAIRS).T.ravel()
 # where the motion numbers come from in V = [om, omd, acc]: acc, omd, the
@@ -769,9 +776,10 @@ def _block_columns(chain: KinematicChain, Q, Qd, Qdd, B, links, out, rows,
     the block's slice of the batch and, per joint j, the column of out[j]
     its first state in rows[:, j] goes to.  Link i's columns are one
     product of the joint screws with its unit wrenches (the pass on
-    _link_maps of K), made only when some joint reads them; each joint's
-    requested columns of it, on its requested states, go straight into
-    out[j].  The block's buffers are freed on return."""
+    _link_maps of _WRENCH_BASIS_BY_NUMBER, so each state's wrenches are a
+    C-ordered (6, 10) matrix), made only when some joint reads them; each
+    joint's requested columns of it, on its requested states, go straight
+    into out[j].  The block's buffers are freed on return."""
     states, at = block
     q, qd, qdd = Q[states], Qd[states], Qdd[states]
     m = len(q)
@@ -779,7 +787,13 @@ def _block_columns(chain: KinematicChain, Q, Qd, Qdd, B, links, out, rows,
     for i, Si, W in _link_screws(chain, q, qd[:, None], qdd[:, None],
                                  chain.gravity_vector, B):
         if links[i]:
-            T = np.matmul(Si, W.reshape(m, N_INERTIAL, 6).swapaxes(1, 2))
+            # a (512, 6, 6) @ (512, 6, 10) product took 20 us with this
+            # C-ordered right operand and 40-44 us with a Fortran-ordered
+            # one, its (10, 6) transposed; with two threads each running
+            # it, the wall time read 0.55 and 1.17-1.22 of two serial runs
+            # (a syrk read 0.52: numpy 2.4, OpenBLAS on one thread per
+            # caller, two Xeon vCPUs)
+            T = np.matmul(Si, W.reshape(m, 6, N_INERTIAL))
             for j, places, c in links[i]:
                 out[j][places, at[j]:at[j] + picks[j].size] = \
                     T[picks[j], j][:, c].T
@@ -832,7 +846,7 @@ def regressor_columns(chain: KinematicChain, Q, Qd, Qdd, cols, out,
                              dtype=np.intp)
     at = (np.cumsum(counts, axis=0) - counts).tolist()
     run_shared(partial(_block_columns, chain, Q, Qd, Qdd,
-                       _link_maps(chain, _WRENCH_BASIS),
+                       _link_maps(chain, _WRENCH_BASIS_BY_NUMBER),
                        _column_plan(n, cols), out, rows),
                list(zip(blocks, at)))
 

@@ -19,9 +19,12 @@ before any iterate, the orthonormal basis the iterates work in, and, at
 the final weights, an r-row system whose split gives the coefficients.
 Each stage builds its stacks as the transpose of a C-ordered (p, m)
 buffer that robust_weights owns once called: it writes the basis over
-the buffer's leading rows.  Both stages fit their joints on two threads
-where a second CPU is allowed (dynamics.run_shared), and two fits in
-flight hold about two stacks.
+the buffer's leading rows.
+
+All three stages fit their joints on two threads where a second CPU is
+allowed (_fit_each_joint on dynamics.run_shared), with the same bits as
+on one: two robust fits in flight hold about two stacks, and two stage-2
+searches about two start grids.
 
 The regressor is read only by the fits, one way, _joint_columns: the
 column request (dynamics.regressor_columns) writes each joint's
@@ -360,7 +363,8 @@ def _fit_each_joint(fit, order) -> list:
     joints from that list.  A joint that fails is kept and the other
     joints are still fitted; then the first failing joint in joint order
     raises, as a loop in joint order would.  Otherwise the fits, indexed
-    by joint."""
+    by joint.  Each stage's joints are fitted through it: stages 1 and 2
+    in joint order, stage 3 last to first."""
     fits = [None] * len(order)
 
     def one(j):
@@ -491,6 +495,8 @@ def friction_residual_currents(map_: BaseParameterMap, chain: KinematicChain,
 
 LM_MAX_ITER = 200
 STEP_TOL = 1e-10
+# rises of the damping lam, 4x each, at one point before the search ends
+LM_BOOSTS = 40
 # accepted steps in a row, each lowering the objective by less than
 # STALL_TOL relative, after which the search stops.  A converging search's
 # decreases shrink geometrically, from STALL_TOL to rounding level in fewer
@@ -504,25 +510,38 @@ STALL_TOL = 1e-9
 # blind to nu, so the grid stops at 1000 s/rad.
 GRID_DELTA = np.geomspace(3.0, 1000.0, 7)
 GRID_NU = np.linspace(-0.8, 0.8, 9)
+# grid rows per chunk in which the grid is projected off [1, qd], through a
+# temporary of this many rows.  On c05's draw-21 data (regions of 2400-3750
+# samples, a 1.89 MB grid at most) stage 2's traced peak, one joint at a
+# time, read 3.94 MB projecting the whole grid at once and 2.31 MB in
+# chunks of 512 rows, with the same bits
+GRID_CHUNK_ROWS = 512
 _LOG_DELTA_MAX = float(np.log(SATURATED_DELTA))
 
 
 def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
-    """(delta, nu) of one joint's sigmoid by variable projection, and the
-    objective history of the search.
+    """(delta, nu) of one joint's sigmoid by variable projection, the
+    objective history of the search and why it stopped.
 
     For a fixed transition the model is linear in (f_o, f_v, f_c), so the
     objective is what is left of y outside span[1, qd, sigma]: Q spans
-    [1, qd] and sigma's part outside it, sp, the rest.  The grid is scored
-    in one batched projection, and its best point starts a damped
-    Gauss-Newton search on (log delta, nu) with Kaufman's projected
-    Jacobian.  Only improving steps are accepted, so the history is
-    non-increasing; a point past SATURATED_DELTA, or one where
-    split_columns would find sigma dependent on [1, qd], does not improve.
-    The search stops on an accepted step below STEP_TOL relative to log
-    delta, and to nu or, near nu = 0, the transition width 1/delta, or
-    after STALL_STEPS accepted steps in a row that each lower the objective
-    by less than STALL_TOL relative.
+    [1, qd] and sigma's part outside it, sp, the rest.  The grid is built
+    in one (m, 63) buffer and scored in one batched projection, written
+    over the buffer a chunk of GRID_CHUNK_ROWS rows at a time; its best
+    point starts a damped Gauss-Newton search on (log delta, nu) with
+    Kaufman's projected Jacobian.  Only improving steps are accepted, so
+    the history is non-increasing; a point past SATURATED_DELTA, or one
+    where split_columns would find sigma dependent on [1, qd], does not
+    improve.  The search stops, and the reason reads:
+
+    - "step": a step below STEP_TOL relative to log delta, and to nu or,
+      near nu = 0, the transition width 1/delta, accepted, or rejected
+      (a larger damping only shrinks it further);
+    - "stall": STALL_STEPS accepted steps in a row that each lower the
+      objective by less than STALL_TOL relative;
+    - "boosts": LM_BOOSTS rises of the damping at one point, none of which
+      improves;
+    - "iterations": LM_MAX_ITER accepted steps.
     """
     Q = np.linalg.qr(np.column_stack([np.ones_like(x), x]))[0]
     y0 = y - Q @ (Q.T @ y)
@@ -531,11 +550,20 @@ def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
 
     deltas, nus = np.meshgrid(GRID_DELTA, GRID_NU * np.max(np.abs(x)),
                               indexing="ij")
-    S = sigmoid(deltas.ravel() * (nus.ravel() + x[:, None]))
-    S -= Q @ (Q.T @ S)
+    # sigmoid(deltas * (nus + x)) in one buffer, by sigmoid's operations
+    S = np.add.outer(x, nus.ravel())
+    S *= deltas.ravel()
+    S *= 0.5
+    np.tanh(S, out=S)
+    S += 1.0
+    S *= 0.5
+    C = Q.T @ S
+    for c in range(0, len(S), GRID_CHUNK_ROWS):
+        S[c:c + GRID_CHUNK_ROWS] -= Q[c:c + GRID_CHUNK_ROWS] @ C
     nn = np.einsum("mg,mg->g", S, S)
     drop = np.where(nn > floor2, (S.T @ y0)**2 / np.maximum(nn, floor2),
                     -np.inf)
+    del S  # the search holds vectors of the region only
     best = int(np.argmax(drop))
     if drop[best] == -np.inf:
         raise ExcitationError(
@@ -570,23 +598,28 @@ def _fit_transition(x: np.ndarray, y: np.ndarray, label: str):
         g = J.T @ r
         H = J.T @ J
         d = np.maximum(np.diag(H), 1e-12)
-        for _boost in range(40):
+        scale = np.abs(theta) + (1.0, 1.0 / delta)
+        for _boost in range(LM_BOOSTS):
             step = np.linalg.solve(H + lam * np.diag(d), -g)
             trial = point(theta + step)
             if trial is not None and trial[0] < obj:
                 break
+            # a larger lam only shrinks the step further
+            if np.all(np.abs(step) <= STEP_TOL * scale):
+                return delta, float(theta[1]), history, "step"
             lam *= 4.0
         else:
-            break
-        scale = np.abs(theta) + (1.0, 1.0 / delta)
+            return delta, float(theta[1]), history, "boosts"
         theta = theta + step
         stalled = stalled + 1 if obj - trial[0] < STALL_TOL * trial[0] else 0
         obj, delta, s, sp, nn, f_c, r = trial
         history.append(obj)
         lam = max(lam * 0.3, 1e-12)
-        if np.all(np.abs(step) <= STEP_TOL * scale) or stalled == STALL_STEPS:
-            break
-    return delta, float(theta[1]), history
+        if np.all(np.abs(step) <= STEP_TOL * scale):
+            return delta, float(theta[1]), history, "step"
+        if stalled == STALL_STEPS:
+            return delta, float(theta[1]), history, "stall"
+    return delta, float(theta[1]), history, "iterations"
 
 
 def _canonical(p: np.ndarray) -> np.ndarray:
@@ -597,13 +630,17 @@ def _canonical(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrictionFit:
-    """Stage-2 result: current-level sigmoid friction plus diagnostics."""
+    """Stage-2 result: current-level sigmoid friction plus diagnostics.
+
+    stops records why each joint's search ended (_fit_transition): "step",
+    "stall", "boosts" or "iterations"."""
 
     friction: FrictionSet
     objectives: tuple[float, ...]
     iterations: tuple[int, ...]
     region_counts: tuple[int, ...]
     histories: tuple[tuple[float, ...], ...]
+    stops: tuple[str, ...] = ()
 
 
 def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
@@ -621,15 +658,17 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
     lower one for steepness 30-400 s/rad, |nu| 0.005-0.03 rad/s and steps
     well above the noise; a slow transition near the region's edge can
     end in a higher local minimum.
+
+    The joints are fitted in joint order on two threads where a second CPU
+    is allowed (_fit_each_joint), and each fit in flight holds about one
+    grid of its region's samples.
     """
     qd = np.asarray(qd, dtype=float)
     vf = np.asarray(residual_currents, dtype=float)
     if qd.shape != vf.shape or qd.ndim != 2:
         raise ValueError("qd and residual currents must both be (M, n)")
-    n = qd.shape[1]
-    params = np.zeros((n, 5))
-    objs, iters, counts, hists = [], [], [], []
-    for j in range(n):
+
+    def fit(j):
         region = np.abs(qd[:, j]) < threshold
         count = int(region.sum())
         if count < MIN_REGION_SAMPLES:
@@ -638,18 +677,19 @@ def fit_friction(qd: np.ndarray, residual_currents: np.ndarray,
                 f"need at least {MIN_REGION_SAMPLES} for the friction fit")
         x = qd[region, j]
         y = vf[region, j]
-        delta, nu, history = _fit_transition(x, y, f"joint {j+1}")
+        delta, nu, history, stop = _fit_transition(x, y, f"joint {j+1}")
         A = np.column_stack([np.ones_like(x), x, sigmoid(delta * (nu + x))])
         coef = _lstsq(A, y)
         r = y - A @ coef
-        params[j] = _canonical(np.array([*coef, delta, nu]))
-        objs.append(float(r @ r))
-        iters.append(len(history) - 1)
-        counts.append(count)
-        hists.append(tuple(history))
-    return FrictionFit(friction=FrictionSet(*params.T), objectives=tuple(objs),
-                       iterations=tuple(iters), region_counts=tuple(counts),
-                       histories=tuple(hists))
+        return (_canonical(np.array([*coef, delta, nu])), float(r @ r), count,
+                tuple(history), stop)
+
+    params, objs, counts, hists, stops = zip(*_fit_each_joint(
+        fit, list(range(qd.shape[1]))))
+    return FrictionFit(friction=FrictionSet(*np.array(params).T),
+                       objectives=objs,
+                       iterations=tuple(len(h) - 1 for h in hists),
+                       region_counts=counts, histories=hists, stops=stops)
 
 
 # ---------------------------------------------------------------------------

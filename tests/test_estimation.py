@@ -49,6 +49,24 @@ def _friction_from_rows(rows):
                        nu=cols[4])
 
 
+def _c04_friction_data():
+    """c04's stage-2 inputs: 3000 drawn velocities per joint and the
+    reference friction's currents, noiseless."""
+    rng = np.random.default_rng(3)
+    qd = rng.uniform(-0.4, 0.4, (3000, 6))
+    return qd, friction_sigmoid(_friction_from_rows(REFERENCE_FRICTION), qd)
+
+
+@pytest.fixture(scope="module")
+def noisy_stage2_inputs(bmap, chain, noisy_runs):
+    """c05's stage-2 inputs: run a's velocities, its residual currents after
+    stage 1 and its velocity threshold."""
+    da = noisy_runs[0]
+    chi = identify_coefficients(bmap, chain, da)
+    return (da.qd, friction_residual_currents(bmap, chain, chi, da),
+            da.qd_threshold)
+
+
 # ---------------------------------------------------------------------------
 # least-squares core
 
@@ -866,6 +884,38 @@ def test_identification_peak_memory_below_one_full_regressor(bmap, chain,
     assert gains_bare < gathered_a + gathered_b + 2 * stack
 
 
+def test_stage2_peak_memory_about_one_grid_per_joint_in_flight(
+        noisy_stage2_inputs, monkeypatch):
+    # at 7500 UR10 states stage 2's traced peak, above what it holds, stays
+    # below 1.5 start grids of its largest region, (m, 63), per joint in
+    # flight: each search builds its grid in one buffer, projects it a chunk
+    # of GRID_CHUNK_ROWS rows at a time (0.14 grid here) and drops it before
+    # searching; the rest is vectors of the region.  The grid is 1.89 MB
+    # (3749 samples).  One joint at a time the peak reads 2.31 MB (1.22
+    # grids), and with two joints in flight, one per thread, 2.5-3.7 MB
+    # (1.34-1.95) as their grids overlap less or more.  Projecting the
+    # whole grid at once read 3.94 MB (2.09) one joint at a time and
+    # 4.0-7.2 MB on two threads; building the grid through sigmoid's
+    # temporaries as well read 5.93 MB (3.14) and 7.2-9.7 MB
+    qd, y, threshold = noisy_stage2_inputs
+    region = int(np.max(np.sum(np.abs(qd) < threshold, axis=0)))
+    grid = 8 * region * estimation.GRID_DELTA.size * estimation.GRID_NU.size
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for helper in (False, True, True, True):
+            monkeypatch.setattr(dynamics, "_second_cpu", lambda: helper)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit_friction(qd, y, threshold=threshold)
+            peak = tracemalloc.get_traced_memory()[1] - held
+            peaks[helper] = max(peaks.get(helper, 0), peak)
+    finally:
+        tracemalloc.stop()
+    assert peaks[False] < 1.5 * grid
+    assert peaks[True] < 2 * 1.5 * grid
+
+
 def test_stage1_model_without_kept_columns_holds_one_block(bmap, chain,
                                                            noisy_runs):
     # predict_currents, and the residual of a chi without kept columns (as
@@ -975,9 +1025,7 @@ def test_fit_friction_objective_non_increasing_and_beats_truth():
 
 
 def test_fit_friction_reaches_oracle_minimum_on_c04_data():
-    rng = np.random.default_rng(3)
-    qd = rng.uniform(-0.4, 0.4, (3000, 6))
-    y = friction_sigmoid(_friction_from_rows(REFERENCE_FRICTION), qd)
+    qd, y = _c04_friction_data()
     estimation_oracle.assert_reaches_minimum(qd, y, 0.17)
 
 
@@ -1049,9 +1097,22 @@ def test_fit_friction_stops_when_the_objective_stalls():
     fit = fit_friction(qd, y, threshold=0.17)
     h = fit.histories[0]
     assert fit.iterations[0] < 100
+    assert fit.stops == ("stall",)
     assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
     tail = np.array(h[-estimation.STALL_STEPS - 1:])
     assert np.all(tail[:-1] - tail[1:] < estimation.STALL_TOL * tail[1:])
+
+
+def test_fit_friction_ends_no_search_on_its_damping_boosts(
+        noisy_stage2_inputs):
+    # on c04's and c05's data every joint's search ends on a step below
+    # STEP_TOL: one the damping rejects ends it too, since each further
+    # boost would only shrink it (four of c05's six joints ran their last
+    # LM_BOOSTS boosts before)
+    for qd, y, threshold in (_c04_friction_data() + (0.17,),
+                             noisy_stage2_inputs):
+        fit = fit_friction(qd, y, threshold=threshold)
+        assert fit.stops == ("step",) * 6
 
 
 @pytest.mark.parametrize("moving", [(), (0.05,)])
@@ -1428,6 +1489,74 @@ def test_stage1_bits_do_not_depend_on_the_helper(bmap, chain, data_a,
         assert getattr(shared, name) == getattr(serial, name), name
     assert [K.tobytes() for K in shared._fitted_on[3]] == \
         [K.tobytes() for K in serial._fitted_on[3]]
+
+
+@pytest.mark.parametrize("late", ["caller", "helper"])
+def test_stage2_raises_the_first_failing_joint_on_either_thread(
+        monkeypatch, late):
+    # joints 2 and 5 have too few low-velocity samples.  The joints are
+    # shared by the calling thread and the helper, the late one waiting
+    # until the other has fitted a joint; every joint is tried, and joint
+    # 2's error is raised, as with no helper
+    qd, y = _c04_friction_data()
+    qd[:, [1, 4]] = 1.0
+    qd[:20, 1] = qd[:30, 4] = 0.05
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: False)
+    with pytest.raises(ExcitationError) as serial:
+        fit_friction(qd, y, threshold=0.17)
+    assert str(serial.value).startswith("joint 2: only 20 samples below")
+
+    caller, done = threading.get_ident(), threading.Event()
+    fitted, failed, share = [], [], estimation._fit_each_joint
+
+    def shared(fit, order):
+        def one(j):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (late == "caller"):
+                done.wait(timeout=20)
+                done.set()  # one wait at most, should the other not run
+            fitted.append((j, on_caller))
+            try:
+                return fit(j)
+            except ExcitationError:
+                failed.append(j)
+                raise
+            finally:
+                if on_caller != (late == "caller"):
+                    done.set()
+
+        return share(one, order)
+
+    monkeypatch.setattr(estimation, "_fit_each_joint", shared)
+    monkeypatch.setattr(dynamics, "_second_cpu", lambda: True)
+    with pytest.raises(ExcitationError) as threaded:
+        fit_friction(qd, y, threshold=0.17)
+    assert str(threaded.value) == str(serial.value)
+    assert sorted(j for j, _ in fitted) == list(range(6))
+    assert sorted(failed) == [1, 4]
+    assert {on_caller for _, on_caller in fitted} == {True, False}
+
+
+def test_stage2_bits_do_not_depend_on_the_helper(noisy_stage2_inputs,
+                                                 monkeypatch):
+    # the friction, the objectives, the records and every search's history
+    # are bitwise the same whether one thread fits every joint or two
+    # share them, on c04's and c05's data
+    for qd, y, threshold in (_c04_friction_data() + (0.17,),
+                             noisy_stage2_inputs):
+        runs = []
+        for helper in (False, True):
+            monkeypatch.setattr(dynamics, "_second_cpu", lambda: helper)
+            runs.append(fit_friction(qd, y, threshold=threshold))
+        serial, shared = runs
+        assert np.array(shared.friction.as_arrays()).tobytes() == \
+            np.array(serial.friction.as_arrays()).tobytes()
+        assert np.array(shared.objectives).tobytes() == \
+            np.array(serial.objectives).tobytes()
+        for name in ("iterations", "region_counts", "stops"):
+            assert getattr(shared, name) == getattr(serial, name), name
+        assert [np.array(h).tobytes() for h in shared.histories] == \
+            [np.array(h).tobytes() for h in serial.histories]
 
 
 @pytest.mark.parametrize("late", ["caller", "helper"])

@@ -142,7 +142,7 @@ def test_evaluator_builds_no_unit_wrenches(ident_true, monkeypatch):
     maps = dynamics._link_maps
 
     def counted(chain, K):
-        calls.append(K is dynamics._WRENCH_BASIS)
+        calls.append(K is dynamics._WRENCH_BASIS_BY_NUMBER)
         return maps(chain, K)
 
     monkeypatch.setattr(dynamics, "_link_maps", counted)
